@@ -12,7 +12,7 @@ package physdes
 //	Table 2   → BenchmarkTable2MultiConfigTPCD
 //	Table 3   → BenchmarkTable3MultiConfigCRM
 //	§7.3      → BenchmarkSec73Compression
-//	§6        → BenchmarkCLTSkewBound
+//	§6        → BenchmarkCLTSkewBound, BenchmarkConservativeDerive
 //
 // plus micro-benchmarks of the substrate (what-if calls, parsing, DP).
 // Full paper-format rows come from `go run ./cmd/benchrunner`.
@@ -208,6 +208,35 @@ func BenchmarkCLTSkewBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bounds.SkewMax(ivs, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConservativeDerive measures Section 6 bound derivation as a
+// conservative-mode Select runs it, at the paper's TPC-D scale (13K
+// statements, k=15, ρ=1): per-query intervals, σ²_max of the Delta
+// differences (the DP, or its threshold fallback when the table is too
+// large), and the Equation 9 sample-size floor from the skew bound. The
+// interval spreads here are wide, unlike BenchmarkCLTSkewBound's.
+func BenchmarkConservativeDerive(b *testing.B) {
+	cat := TPCDCatalog(1)
+	wl, err := GenTPCD(cat, 13_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := EnumerateCandidates(cat, wl, CandidateOptions{Covering: true, Views: true})
+	configs := GenerateConfigurations(cat, cands, 15, 12, SpaceOptions{MinStructures: 3, MaxStructures: 10})
+	d := bounds.NewDeriver(NewOptimizer(cat), configs...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ivs := d.WorkloadIntervals(wl)
+		diffs := bounds.DiffIntervals(ivs, ivs)
+		if _, err := bounds.SigmaMaxDP(diffs, 1); err != nil {
+			bounds.SigmaMaxThreshold(diffs)
+		}
+		if _, err := bounds.CLTMinSamples(ivs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,12 +63,23 @@ func (d *Deriver) WithParallelism(p int) *Deriver {
 
 // QueryInterval bounds one SELECT's cost across the configuration space.
 func (d *Deriver) QueryInterval(a *sqlparse.Analysis) Interval {
-	hi := d.opt.Cost(a, d.base)
-	// Structures potentially useful to this query: its own candidates,
-	// grafted onto the base.
+	return d.selectInterval(a, d.bestForQuery(a))
+}
+
+// bestForQuery grafts the structures potentially useful to a — its own
+// candidates — onto the base configuration. The candidate set depends only
+// on the statement's structure, never on its literals, so every member of
+// a template shares one best-for-query configuration.
+func (d *Deriver) bestForQuery(a *sqlparse.Analysis) *physical.Configuration {
 	cands := physical.EnumerateCandidates(d.cat, []*sqlparse.Analysis{a},
 		physical.CandidateOptions{Covering: true, Views: true})
-	best := d.base.With("best-for-query", cands...)
+	return d.base.With("best-for-query", cands...)
+}
+
+// selectInterval bounds a SELECT's cost between its cost under best (the
+// lower end) and under the base configuration (the upper end).
+func (d *Deriver) selectInterval(a *sqlparse.Analysis, best *physical.Configuration) Interval {
+	hi := d.opt.Cost(a, d.base)
 	lo := d.opt.Cost(a, best)
 	if lo > hi {
 		lo = hi // guard against cost-model noise
@@ -159,19 +170,30 @@ func (d *Deriver) WorkloadIntervals(w *workload.Workload) []Interval {
 		dmlBounds[tid] = dmlIvs[i]
 	}
 
-	// SELECT statements derive independently (base + all-useful
-	// configuration costs per query): fan out, fold into positional slots.
+	// SELECT statements derive independently (base + best-for-query
+	// configuration costs per query). The best-for-query configuration is
+	// built once per template, serially in first-occurrence order; the
+	// fan-out then makes only the two what-if calls per statement and
+	// folds them into positional slots.
 	selIdx := make([]int, 0, w.Size())
+	bestOf := make([]*physical.Configuration, 0, w.Size())
+	perTemplate := make(map[sqlparse.TemplateID]*physical.Configuration)
 	for i, q := range w.Queries {
 		if q.Analysis.Kind.IsUpdate() {
 			out[i] = dmlBounds[q.Template]
-		} else {
-			selIdx = append(selIdx, i)
+			continue
 		}
+		best, ok := perTemplate[q.Template]
+		if !ok {
+			best = d.bestForQuery(q.Analysis)
+			perTemplate[q.Template] = best
+		}
+		selIdx = append(selIdx, i)
+		bestOf = append(bestOf, best)
 	}
 	par.For(len(selIdx), d.par, func(ii int) {
 		i := selIdx[ii]
-		out[i] = d.QueryInterval(w.Queries[i].Analysis)
+		out[i] = d.selectInterval(w.Queries[i].Analysis, bestOf[ii])
 	})
 	return out
 }

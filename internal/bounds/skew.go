@@ -11,23 +11,32 @@ import (
 type SkewMaxResult struct {
 	// G1 is the largest Fisher skew found over endpoint assignments.
 	G1 float64
-	// UpperBound pads G1 with the grid slack; substitute it into the
-	// modified Cochran rule for a conservative sample-size requirement.
+	// UpperBound pads G1 by 10%; substitute it into the modified Cochran
+	// rule for a conservative sample-size requirement.
 	UpperBound float64
-	// Assignments is the number of candidate vertices evaluated.
+	// Assignments is the number of vertex evaluations the search made:
+	// the all-Hi vertex, plus each hill-climb's starting vertex and every
+	// single-endpoint flip it tried.
 	Assignments int
 }
 
 // SkewMax approximates the maximum Fisher skew G1 over the box of cost
-// intervals, following the scheme the paper sketches for σ²_max (Section
-// 6.2 states the full description is omitted for space; the complexity of
+// intervals (Section 6.2 omits the description, and the complexity of
 // exact G1 maximization is open). The third central moment, like the
 // second, attains its box maximum at endpoint assignments, so the search
-// space is the vertex set. For every candidate mean μ on a ρ-grid spanning
-// [Σlo/n, Σhi/n], the assignment maximizing Σ(v−μ)³ picks each vᵢ
-// independently (the cube term is separable once μ is fixed); the true G1
-// of that assignment is then evaluated exactly. The maximum over the grid,
-// padded by the grid's Lipschitz slack, upper-bounds the vertex optimum.
+// runs over the vertex set:
+//
+//  1. evaluate the all-Hi vertex exactly;
+//  2. hill-climb single endpoint flips from it (localSkewSearch);
+//  3. hill-climb from 32 seeded random vertices (8 when n > 10,000),
+//     keeping the best skew any climb reaches;
+//  4. pad the best skew found by 10% of its magnitude.
+//
+// The all-Hi start is what a pivot-mean grid would find: for any pivot μ
+// the assignment maximizing Σ(v−μ)³ takes every upper endpoint, since
+// v ↦ (v−μ)³ is monotone (in IEEE arithmetic too), so every grid point
+// would select the same vertex. rho is validated for compatibility with
+// the σ²_max API but no longer shapes the skew search.
 func SkewMax(ivs []Interval, rho float64) (SkewMaxResult, error) {
 	n := len(ivs)
 	if n == 0 {
@@ -36,62 +45,27 @@ func SkewMax(ivs []Interval, rho float64) (SkewMaxResult, error) {
 	if rho <= 0 {
 		return SkewMaxResult{}, fmt.Errorf("bounds: rho must be positive, got %v", rho)
 	}
-	var loMean, hiMean float64
+	values := make([]float64, n)
 	for i, iv := range ivs {
 		if !iv.Valid() {
 			return SkewMaxResult{}, fmt.Errorf("bounds: invalid interval %d: %+v", i, iv)
 		}
-		loMean += iv.Lo
-		hiMean += iv.Hi
-	}
-	loMean /= float64(n)
-	hiMean /= float64(n)
-
-	steps := int(math.Ceil((hiMean - loMean) / rho))
-	const maxSteps = 200_000
-	if steps > maxSteps {
-		steps = maxSteps
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	gridRho := (hiMean - loMean) / float64(steps)
-	if gridRho <= 0 {
-		gridRho = rho
+		values[i] = iv.Hi
 	}
 
-	best := math.Inf(-1)
-	evals := 0
-	values := make([]float64, n)
-	bestValues := make([]float64, n)
-	for s := 0; s <= steps; s++ {
-		mu := loMean + float64(s)*gridRho
-		for i, iv := range ivs {
-			// Pick the endpoint maximizing (v − μ)³.
-			dLo, dHi := iv.Lo-mu, iv.Hi-mu
-			if dHi*dHi*dHi >= dLo*dLo*dLo {
-				values[i] = iv.Hi
-			} else {
-				values[i] = iv.Lo
-			}
-		}
-		if g := stats.FisherSkew(values); g > best {
-			best = g
-			copy(bestValues, values)
-		}
-		evals++
-	}
-	if math.IsInf(best, -1) {
+	best := stats.FisherSkew(values)
+	evals := 1
+	if math.IsNaN(best) || math.IsInf(best, -1) {
 		best = 0
 	} else {
-		// Greedy single-flip refinement: the grid maximizes the numerator
-		// for a pivot mean, but the true G1 optimum also trades against
-		// the denominator. Multi-start (grid optimum plus deterministic
-		// random vertices) escapes local optima.
-		if g, flips := localSkewSearch(ivs, bestValues); g > best {
+		// Hill-climb from the all-Hi vertex: it maximizes the numerator
+		// for every pivot mean, but the true G1 optimum also trades
+		// against the denominator. Multi-start (deterministic random
+		// vertices) escapes local optima.
+		g, tried := localSkewSearch(ivs, values)
+		evals += tried
+		if g > best {
 			best = g
-		} else {
-			_ = flips
 		}
 		rng := stats.NewRNG(0x5eed)
 		starts := 32
@@ -106,23 +80,24 @@ func SkewMax(ivs []Interval, rho float64) (SkewMaxResult, error) {
 					values[i] = iv.Hi
 				}
 			}
-			if g, flips := localSkewSearch(ivs, values); g > best {
+			g, tried := localSkewSearch(ivs, values)
+			evals += tried
+			if g > best {
 				best = g
-				evals += flips
 			}
 		}
 	}
-	// Grid slack: perturbing the pivot mean by gridRho/2 perturbs each
-	// chosen vertex coordinate by at most its interval width; a 10% pad on
-	// top of the grid refinement keeps the bound conservative without
-	// inflating the Cochran requirement out of usefulness.
+	// A 10% pad keeps the bound conservative against local optima the
+	// climbs missed without inflating the Cochran requirement out of
+	// usefulness.
 	pad := math.Abs(best) * 0.1
 	return SkewMaxResult{G1: best, UpperBound: best + pad, Assignments: evals}, nil
 }
 
 // localSkewSearch hill-climbs single endpoint flips until no flip improves
 // the Fisher skew, maintaining raw moment sums so each candidate flip is
-// O(1). It returns the improved skew and the number of assignments tried.
+// O(1). It returns the improved skew and the number of vertices evaluated
+// (the start plus every flip tried).
 func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 	n := len(values)
 	fn := float64(n)
@@ -142,7 +117,7 @@ func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 		return m3 / math.Pow(m2, 1.5)
 	}
 	best := g1(s1, s2, s3)
-	tried := 0
+	tried := 1
 	const maxSweeps = 50
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		improved := false

@@ -158,6 +158,54 @@ func TestSelectConservativeTraced(t *testing.T) {
 	}
 }
 
+// TestSelectConservativeFallbackVisible checks that the σ²_max threshold
+// fallback is reported: derive_bounds.end carries variance_fallback and
+// bounds_sigma_max_fallback_total counts it. At ρ=50 the DP table is small
+// enough to run; at ρ=0.001 the interval spread makes it too large.
+func TestSelectConservativeFallbackVisible(t *testing.T) {
+	opt, w, space := scenario(t, 200, 3, 7)
+	for _, tc := range []struct {
+		rho      float64
+		fallback bool
+	}{{50, false}, {1e-3, true}} {
+		var buf bytes.Buffer
+		reg := obs.NewRegistry()
+		o := DefaultOptions(17)
+		o.Conservative = true
+		o.Rho = tc.rho
+		o.Tracer = obs.NewTracer(&buf)
+		o.Metrics = reg
+		if _, err := Select(optimizerClone(opt), w, space, o); err != nil {
+			t.Fatal(err)
+		}
+		o.Tracer.Flush()
+		var end map[string]any
+		sc := bufio.NewScanner(&buf)
+		for sc.Scan() {
+			var ev map[string]any
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev["ev"] == "derive_bounds.end" {
+				end = ev
+			}
+		}
+		if end == nil {
+			t.Fatalf("rho=%g: no derive_bounds.end event", tc.rho)
+		}
+		if got, ok := end["variance_fallback"].(bool); !ok || got != tc.fallback {
+			t.Errorf("rho=%g: variance_fallback = %v, want %v", tc.rho, end["variance_fallback"], tc.fallback)
+		}
+		want := int64(0)
+		if tc.fallback {
+			want = 1
+		}
+		if got := reg.Snapshot().Counters["bounds_sigma_max_fallback_total"]; got != want {
+			t.Errorf("rho=%g: bounds_sigma_max_fallback_total = %d, want %d", tc.rho, got, want)
+		}
+	}
+}
+
 // optimizerClone returns a fresh optimizer over the same catalog so two
 // runs get identical costs with independent call accounting.
 func optimizerClone(opt *optimizer.Optimizer) *optimizer.Optimizer {

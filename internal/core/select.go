@@ -461,11 +461,13 @@ func applyConservative(opt *optimizer.Optimizer, w *workload.Workload, configs [
 		target = ivs
 	}
 	vres, err := bounds.SigmaMaxDP(target, o.Rho)
-	if err != nil {
+	fallback := err != nil
+	if fallback {
 		// Too fine a grid for the interval spread: fall back to the
 		// threshold vertex search (a lower bound on σ²_max, still far
 		// above typical sample variances) rather than failing the run.
 		sel.VarianceBound = bounds.SigmaMaxThreshold(target)
+		o.Metrics.Counter("bounds_sigma_max_fallback_total").Inc()
 	} else {
 		sel.VarianceBound = vres.UpperBound
 	}
@@ -477,6 +479,7 @@ func applyConservative(opt *optimizer.Optimizer, w *workload.Workload, configs [
 	sel.OptimizerCalls = opt.Calls() // bound-derivation calls so far
 	span.End(
 		obs.KV{Key: "variance_bound", Value: sel.VarianceBound},
+		obs.KV{Key: "variance_fallback", Value: fallback},
 		obs.KV{Key: "clt_min_samples", Value: cltMin},
 		obs.KV{Key: "calls", Value: sel.OptimizerCalls})
 

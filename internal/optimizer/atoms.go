@@ -195,9 +195,9 @@ func tablesSubset(sub, super []string) bool {
 // consulted by the Cached layer before any direct costing. It reuses the
 // memo cache's key scheme (statement pointer identity + configuration
 // fingerprint) and 64-way sharding, so batch-pool workers contend on
-// per-shard locks only. Like the memo cache, two racing misses on the
-// same atom may both consult the inner optimizer; the cost model is pure,
-// so both compute the same value and the duplicate store is harmless.
+// per-shard locks only. Like the memo cache, it deduplicates concurrent
+// misses on the same atom in flight, so each distinct atom pays exactly
+// one inner call however the probes race.
 type AtomicCache struct {
 	inner    *Optimizer
 	maxWidth int
@@ -232,7 +232,7 @@ func NewAtomicCache(inner *Optimizer, maxWidth int) *AtomicCache {
 	}
 	ac := &AtomicCache{inner: inner, maxWidth: maxWidth}
 	for i := range ac.shards {
-		ac.shards[i].table = make(map[cacheKey]float64)
+		ac.shards[i].init()
 	}
 	return ac
 }
@@ -268,10 +268,7 @@ func (ac *AtomicCache) Stats() (hits, misses, fallbacks int64, entries int) {
 // Reset clears the atom store and its counters.
 func (ac *AtomicCache) Reset() {
 	for i := range ac.shards {
-		sh := &ac.shards[i]
-		sh.mu.Lock()
-		sh.table = make(map[cacheKey]float64)
-		sh.mu.Unlock()
+		ac.shards[i].reset()
 	}
 	ac.entries.Store(0)
 	ac.hits.Store(0)
@@ -311,28 +308,25 @@ func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) f
 }
 
 func (ac *AtomicCache) lookup(key cacheKey) (float64, bool) {
-	sh := &ac.shards[shardIndex(key)]
-	sh.mu.RLock()
-	v, ok := sh.table[key]
-	sh.mu.RUnlock()
-	return v, ok
+	return ac.shards[shardIndex(key)].get(key)
 }
 
 func (ac *AtomicCache) store(key cacheKey, v float64) {
-	sh := &ac.shards[shardIndex(key)]
-	sh.mu.Lock()
-	if _, dup := sh.table[key]; !dup {
-		sh.table[key] = v
+	if ac.shards[shardIndex(key)].put(key, v) {
 		ac.entries.Add(1)
 	}
-	sh.mu.Unlock()
 }
 
 // atomCost returns the memoized cost of one (statement, atom) pair,
-// consulting the inner optimizer on a miss.
+// consulting the inner optimizer on a miss; concurrent misses on the same
+// atom wait for the first one's value (see Cached.Cost).
 func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configuration) float64 {
 	key := cacheKey{a: a, cfg: atom.Fingerprint()}
-	v, ok := ac.lookup(key)
+	sh := &ac.shards[shardIndex(key)]
+	v, ok := sh.get(key)
+	if !ok {
+		v, ok = sh.claim(key)
+	}
 	m := ac.metrics.Load()
 	if ok {
 		ac.hits.Add(1)
@@ -342,6 +336,12 @@ func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configurati
 		return v
 	}
 	ac.misses.Add(1)
+	filled := false
+	defer func() {
+		if !filled {
+			sh.release(key) // costing panicked: let a waiter retry
+		}
+	}()
 	if m != nil {
 		m.atoms.Inc()
 		sw := obs.NewStopwatch()
@@ -350,7 +350,10 @@ func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configurati
 	} else {
 		v = ac.inner.Cost(a, atom)
 	}
-	ac.store(key, v)
+	if sh.fill(key, v) {
+		ac.entries.Add(1)
+	}
+	filled = true
 	return v
 }
 

@@ -159,11 +159,7 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 			}
 			continue
 		}
-		sh := &c.shards[shardIndex(key)]
-		sh.mu.RLock()
-		v, ok := sh.table[key]
-		sh.mu.RUnlock()
-		if ok {
+		if v, ok := c.shards[shardIndex(key)].get(key); ok {
 			out[i] = v
 			slot[i] = -1
 			c.hits.Add(1)
@@ -195,13 +191,9 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 		return err
 	}
 	for u, key := range uniqKeys {
-		sh := &c.shards[shardIndex(key)]
-		sh.mu.Lock()
-		if _, dup := sh.table[key]; !dup {
-			sh.table[key] = vals[u]
+		if c.shards[shardIndex(key)].put(key, vals[u]) {
 			c.entries.Add(1)
 		}
-		sh.mu.Unlock()
 	}
 	if m != nil {
 		m.entries.Set(float64(c.entries.Load()))

@@ -26,9 +26,10 @@ import (
 //
 // The memo table is sharded so batch-pool workers hammering the cache
 // concurrently contend on per-shard locks instead of one global RWMutex.
-// Two racing misses on the same key may both consult the inner optimizer
-// (each charged as a call); the cost model is a pure function, so both
-// compute the same value and the duplicate store is harmless.
+// Concurrent misses on the same key are deduplicated in flight: the first
+// claims the key and consults the inner optimizer, later ones wait for its
+// value and count as hits. OptimizerCalls is an exact count, so racing
+// misses must not each pay an inner call.
 type Cached struct {
 	inner *Optimizer
 
@@ -54,6 +55,100 @@ const cacheShards = 64
 type cacheShard struct {
 	mu    sync.RWMutex
 	table map[cacheKey]float64
+	// pending[:npending] are the keys whose miss is being costed; a
+	// goroutine missing on a pending key (or finding every slot taken)
+	// waits on cond, which is bound to mu, and re-reads the table when
+	// woken. A fixed array keeps the miss path allocation-free.
+	pending  [maxPending]cacheKey
+	npending int
+	cond     sync.Cond
+}
+
+// maxPending bounds the misses one shard costs at once. Batch-pool
+// workers number at most the parallelism level and spread over
+// cacheShards shards, so a miss rarely waits for a free slot.
+const maxPending = 8
+
+func (sh *cacheShard) init() {
+	sh.table = make(map[cacheKey]float64)
+	sh.cond.L = &sh.mu
+}
+
+// get reads the table under the read lock.
+func (sh *cacheShard) get(key cacheKey) (float64, bool) {
+	sh.mu.RLock()
+	v, ok := sh.table[key]
+	sh.mu.RUnlock()
+	return v, ok
+}
+
+// claim returns the key's stored value, waiting while another goroutine
+// costs it. ok=false means the caller now owns the miss: it must cost the
+// key and then call fill (or release, if costing panics).
+func (sh *cacheShard) claim(key cacheKey) (v float64, ok bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for {
+		if v, ok = sh.table[key]; ok {
+			return v, true
+		}
+		if sh.pendingIndex(key) < 0 && sh.npending < maxPending {
+			sh.pending[sh.npending] = key
+			sh.npending++
+			return 0, false
+		}
+		sh.cond.Wait()
+	}
+}
+
+// pendingIndex returns key's slot in pending, or -1; callers hold mu.
+func (sh *cacheShard) pendingIndex(key cacheKey) int {
+	for i := 0; i < sh.npending; i++ {
+		if sh.pending[i] == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// put stores v unless the key is already present and reports whether it
+// added an entry.
+func (sh *cacheShard) put(key cacheKey, v float64) bool {
+	sh.mu.Lock()
+	_, dup := sh.table[key]
+	if !dup {
+		sh.table[key] = v
+	}
+	sh.mu.Unlock()
+	return !dup
+}
+
+// fill stores the claimed key's value, releases the claim and wakes the
+// waiters; it reports whether it added an entry.
+func (sh *cacheShard) fill(key cacheKey, v float64) bool {
+	added := sh.put(key, v)
+	sh.release(key)
+	return added
+}
+
+// release drops a claim and wakes the waiters, which re-read the table
+// (and claim the key themselves when the owner stored nothing).
+func (sh *cacheShard) release(key cacheKey) {
+	sh.mu.Lock()
+	i := sh.pendingIndex(key)
+	sh.npending--
+	sh.pending[i] = sh.pending[sh.npending]
+	sh.pending[sh.npending] = cacheKey{}
+	sh.mu.Unlock()
+	sh.cond.Broadcast()
+}
+
+// reset empties the table. In-flight claims stay pending until their
+// owners fill or release them.
+func (sh *cacheShard) reset() {
+	sh.mu.Lock()
+	sh.table = make(map[cacheKey]float64)
+	sh.mu.Unlock()
 }
 
 // cacheMetrics holds the registry handles resolved by SetMetrics.
@@ -96,7 +191,7 @@ func shardIndex(key cacheKey) int {
 func NewCached(inner *Optimizer) *Cached {
 	c := &Cached{inner: inner}
 	for i := range c.shards {
-		c.shards[i].table = make(map[cacheKey]float64)
+		c.shards[i].init()
 	}
 	return c
 }
@@ -136,13 +231,15 @@ func (c *Cached) SetMetrics(r *obs.Registry) {
 }
 
 // Cost returns the memoized cost, consulting the underlying optimizer on a
-// miss.
+// miss. A concurrent miss on a key already being costed waits for that
+// value and counts as a hit, exactly as the later call of a serial pair.
 func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
 	key := cacheKey{a: a, cfg: cfg.Fingerprint()}
 	sh := &c.shards[shardIndex(key)]
-	sh.mu.RLock()
-	v, ok := sh.table[key]
-	sh.mu.RUnlock()
+	v, ok := sh.get(key)
+	if !ok {
+		v, ok = sh.claim(key)
+	}
 	m := c.metrics.Load()
 	if ok {
 		c.hits.Add(1)
@@ -155,17 +252,21 @@ func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
 	if m != nil {
 		m.misses.Inc()
 	}
+	filled := false
+	defer func() {
+		if !filled {
+			sh.release(key) // costing panicked: let a waiter retry
+		}
+	}()
 	if c.atoms != nil {
 		v = c.atoms.Cost(a, cfg)
 	} else {
 		v = c.inner.Cost(a, cfg)
 	}
-	sh.mu.Lock()
-	if _, dup := sh.table[key]; !dup {
-		sh.table[key] = v
+	if sh.fill(key, v) {
 		c.entries.Add(1)
 	}
-	sh.mu.Unlock()
+	filled = true
 	if m != nil {
 		m.entries.Set(float64(c.entries.Load()))
 	}
@@ -194,10 +295,7 @@ func (c *Cached) Inner() *Optimizer { return c.inner }
 // monotonic and keep their totals; the entries gauge drops to zero.
 func (c *Cached) Reset() {
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.table = make(map[cacheKey]float64)
-		sh.mu.Unlock()
+		c.shards[i].reset()
 	}
 	c.entries.Store(0)
 	c.hits.Store(0)

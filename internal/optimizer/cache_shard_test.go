@@ -126,8 +126,9 @@ func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 // pre-warmed (guaranteed hits), the other half races to fill. The
 // accounting must balance exactly — every request is either a hit or a
 // miss — the table must end with exactly one entry per distinct key, and
-// every value must match a serial reference. Under -race this doubles as
-// the cache's data-race exercise.
+// every value must match a serial reference, and each distinct key must
+// miss exactly once. Under -race this doubles as the cache's data-race
+// exercise.
 func TestCachedShardedStorm(t *testing.T) {
 	c := NewCached(New(testCat))
 
@@ -161,7 +162,6 @@ func TestCachedShardedStorm(t *testing.T) {
 			c.Cost(analyses[i], cfg)
 		}
 	}
-	warmMisses := c.Misses()
 
 	const (
 		workers = 16
@@ -206,12 +206,118 @@ func TestCachedShardedStorm(t *testing.T) {
 	if entries != distinct {
 		t.Errorf("entries = %d, want %d distinct keys", entries, distinct)
 	}
-	// Racing first-misses on a cold key may each consult the inner
-	// optimizer, so misses can exceed the distinct-key count — but never
-	// the theoretical worst case of every worker missing every cold key
-	// once plus the warm-up, and never fewer than one per distinct key.
-	if misses < int64(distinct) || misses > warmMisses+int64(workers*distinct/2) {
-		t.Errorf("misses = %d outside plausible range [%d, %d]",
-			misses, distinct, warmMisses+int64(workers*distinct/2))
+	// In-flight dedupe: racing first-misses on a cold key wait for the
+	// first one's value, so every distinct key misses — and pays an inner
+	// call — exactly once.
+	if misses != int64(distinct) {
+		t.Errorf("misses = %d, want exactly %d (one per distinct key)", misses, distinct)
+	}
+	if calls := c.Inner().Calls(); calls != int64(distinct) {
+		t.Errorf("inner optimizer charged %d calls, want %d", calls, distinct)
+	}
+}
+
+// TestAtomicCacheStormChargesOnce races per-request Cost calls through the
+// atom-sharing layer, where distinct configurations share singleton atoms:
+// every distinct atom must be costed by the inner optimizer exactly once,
+// as in a serial loop.
+func TestAtomicCacheStormChargesOnce(t *testing.T) {
+	analyses := make([]*sqlparse.Analysis, 8)
+	for i := range analyses {
+		analyses[i] = analyze(t, fmt.Sprintf(
+			"SELECT l_quantity FROM lineitem WHERE l_orderkey = %d AND l_quantity < %d", i+1, i+10))
+	}
+	ixA := physical.NewIndex("lineitem", []string{"l_orderkey"})
+	ixB := physical.NewIndex("lineitem", []string{"l_quantity"})
+	ixC := physical.NewIndex("lineitem", []string{"l_orderkey", "l_quantity"})
+	configs := []*physical.Configuration{
+		physical.NewConfiguration("a", ixA),
+		physical.NewConfiguration("ab", ixA, ixB),
+		physical.NewConfiguration("bc", ixB, ixC),
+		physical.NewConfiguration("abc", ixA, ixB, ixC),
+	}
+	ref := NewCachedAtomic(New(testCat))
+	for _, a := range analyses {
+		for _, cfg := range configs {
+			ref.Cost(a, cfg)
+		}
+	}
+	wantHits, wantMisses, _ := ref.Stats()
+	wantCalls := ref.Inner().Calls()
+
+	for trial := 0; trial < 20; trial++ {
+		c := NewCachedAtomic(New(testCat))
+		var wg sync.WaitGroup
+		for _, a := range analyses {
+			for _, cfg := range configs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.Cost(a, cfg)
+				}()
+			}
+		}
+		wg.Wait()
+		hits, misses, _ := c.Stats()
+		if hits != wantHits || misses != wantMisses {
+			t.Fatalf("trial %d: hits/misses = %d/%d, want serial %d/%d", trial, hits, misses, wantHits, wantMisses)
+		}
+		if calls := c.Inner().Calls(); calls != wantCalls {
+			t.Fatalf("trial %d: inner calls = %d, want serial %d", trial, calls, wantCalls)
+		}
+	}
+}
+
+// TestCacheShardClaimAllocFree pins the in-flight dedupe's cost on the
+// miss path: claiming and releasing a key reuses the shard's pending set
+// and allocates nothing.
+func TestCacheShardClaimAllocFree(t *testing.T) {
+	var sh cacheShard
+	sh.init()
+	key := cacheKey{cfg: "X"}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := sh.claim(key); ok {
+			t.Fatal("claim found a value in an empty shard")
+		}
+		sh.release(key)
+	}); n != 0 {
+		t.Errorf("claim+release allocates %.1f times per miss, want 0", n)
+	}
+}
+
+// TestCacheShardPendingSlots drives one shard past maxPending in-flight
+// misses: a claim on a pending key receives the owner's value, and a claim
+// on a new key waits for a free slot instead of overflowing the set.
+func TestCacheShardPendingSlots(t *testing.T) {
+	var sh cacheShard
+	sh.init()
+	keys := make([]cacheKey, maxPending+1)
+	for i := range keys {
+		keys[i] = cacheKey{cfg: fmt.Sprint("cfg", i)}
+	}
+	for _, k := range keys[:maxPending] {
+		if _, ok := sh.claim(k); ok {
+			t.Fatalf("claim(%v) hit an empty shard", k)
+		}
+	}
+	extra := make(chan bool)
+	go func() {
+		_, ok := sh.claim(keys[maxPending])
+		extra <- ok
+	}()
+	waiter := make(chan float64)
+	go func() {
+		v, _ := sh.claim(keys[0])
+		waiter <- v
+	}()
+	sh.fill(keys[0], 42)
+	if v := <-waiter; v != 42 {
+		t.Errorf("waiter on a pending key got %v, want the owner's 42", v)
+	}
+	if ok := <-extra; ok {
+		t.Error("claim on a new key reported a hit, want ownership of the miss")
+	}
+	if sh.npending != maxPending {
+		t.Errorf("npending = %d, want %d", sh.npending, maxPending)
 	}
 }
