@@ -1,0 +1,155 @@
+package sampling
+
+import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"physdes/internal/stats"
+	"physdes/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// goldenCell is one Run of the driver golden matrix.
+type goldenCell struct {
+	name string
+	opts func(par int) Options
+	// warm, when set, first runs opts to capture a snapshot, then records
+	// a rerun resumed from it under another seed.
+	warm bool
+}
+
+// goldenLine renders every deterministic field of a Result: Pr(CS) as IEEE
+// bits, the Pr(CS) trace and the canonical snapshot as FNV-64a hashes.
+func goldenLine(t *testing.T, name string, res *Result) string {
+	t.Helper()
+	th := fnv.New64a()
+	for _, p := range res.PrCSTrace {
+		fmt.Fprintf(th, "%016x", math.Float64bits(p))
+	}
+	state := "none"
+	if res.State != nil {
+		data, err := res.State.MarshalCanonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := fnv.New64a()
+		if _, err := sh.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		state = fmt.Sprintf("%016x", sh.Sum64())
+	}
+	return fmt.Sprintf("%s best=%d prcs=%016x sampled=%d calls=%d strata=%d splits=%d degraded=%d eliminated=%v warm=%+v trace=%d:%016x state=%s\n",
+		name, res.Best, math.Float64bits(res.PrCS), res.SampledQueries, res.OptimizerCalls,
+		res.Strata, res.Splits, res.DegradedQueries, res.Eliminated, res.Warm,
+		len(res.PrCSTrace), th.Sum64(), state)
+}
+
+// driverGoldenCells is the matrix pinned by testdata/driver.golden: both
+// schemes under every stratification mode in adaptive and fixed-budget
+// mode, a warm resume per scheme, and the CallCost and VarianceBound
+// hooks.
+func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
+	const templates, k = 10, 4
+	m, tmplIdx := synthMatrix(4000, k, templates, 0.01, 2, 17)
+	base := func(scheme Scheme, strat StratMode, seed uint64, par int) Options {
+		return Options{
+			Scheme: scheme, Strat: strat,
+			Alpha: 0.9, StabilityWindow: 5, EliminationThreshold: 0.995, NMin: 20,
+			RNG:           stats.NewRNG(seed),
+			TemplateIndex: tmplIdx, TemplateCount: templates,
+			TemplateSigs: sigsFor(templates), ConfigFingerprints: fpsFor(k),
+			CaptureState: true,
+			TracePrCS:    true,
+			Parallelism:  par,
+		}
+	}
+	callCost := func(q int) float64 { return 1 + float64(tmplIdx[q]*tmplIdx[q]) }
+	bound := func(pair [2]int, n int) (float64, bool) {
+		if n >= 400 {
+			return 0, false
+		}
+		return 2e4, true
+	}
+	var cells []goldenCell
+	for _, scheme := range []Scheme{Delta, Independent} {
+		for _, strat := range []StratMode{NoStrat, Progressive, Fine, EqualAlloc} {
+			cells = append(cells,
+				goldenCell{name: fmt.Sprintf("%v/%v/adaptive", scheme, strat), opts: func(par int) Options {
+					return base(scheme, strat, 7, par)
+				}},
+				goldenCell{name: fmt.Sprintf("%v/%v/fixed", scheme, strat), opts: func(par int) Options {
+					o := base(scheme, strat, 7, par)
+					o.MaxCalls = 3000
+					return o
+				}})
+		}
+		cells = append(cells,
+			goldenCell{name: fmt.Sprintf("%v/progressive/warm", scheme), warm: true, opts: func(par int) Options {
+				return base(scheme, Progressive, 9, par)
+			}},
+			goldenCell{name: fmt.Sprintf("%v/progressive/callcost", scheme), opts: func(par int) Options {
+				o := base(scheme, Progressive, 11, par)
+				o.CallCost = callCost
+				return o
+			}},
+			goldenCell{name: fmt.Sprintf("%v/progressive/variancebound", scheme), opts: func(par int) Options {
+				o := base(scheme, Progressive, 13, par)
+				o.VarianceBound = bound
+				o.MinSamples = 100
+				return o
+			}})
+	}
+	return m, cells
+}
+
+// TestDriverGolden pins Run's output over the driver golden matrix. The
+// committed file holds the Results of a single-worker run, and every
+// parallelism level must reproduce it byte for byte. Regenerate with
+// go test ./internal/sampling -run TestDriverGolden -update.
+func TestDriverGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "driver.golden")
+	m, cells := driverGoldenCells()
+	for _, par := range []int{1, 8} {
+		var b strings.Builder
+		for _, c := range cells {
+			opts := c.opts(par)
+			res, err := Run(NewMatrixOracle(m), opts)
+			if err != nil {
+				t.Fatalf("%s (parallelism %d): %v", c.name, par, err)
+			}
+			if c.warm {
+				b.WriteString(goldenLine(t, c.name+"/capture", res))
+				rerun := c.opts(par)
+				rerun.RNG = stats.NewRNG(10)
+				rerun.WarmState = res.State
+				if res, err = Run(NewMatrixOracle(m), rerun); err != nil {
+					t.Fatalf("%s rerun (parallelism %d): %v", c.name, par, err)
+				}
+			}
+			b.WriteString(goldenLine(t, c.name, res))
+		}
+		got := b.String()
+		if *update && par == 1 {
+			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to regenerate)", err)
+		}
+		if got != string(want) {
+			t.Errorf("parallelism %d diverged from %s\n--- got ---\n%s--- want ---\n%s", par, golden, got, want)
+		}
+	}
+}
