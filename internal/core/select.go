@@ -70,9 +70,9 @@ type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Parallelism bounds the what-if worker pool used by the batched
-	// evaluation paths: the pilot rounds, each Delta row, and conservative
-	// bound derivation (default runtime.GOMAXPROCS(0); 1 forces serial
-	// evaluation; negative values are treated as 1). The Selection is
+	// evaluation paths: the pilot, each Delta row, and conservative
+	// bound derivation (default runtime.GOMAXPROCS(0); 1 evaluates each
+	// batch inline; negative values are treated as 1). The Selection is
 	// bit-identical across parallelism levels for a fixed Seed — workers
 	// only compute pure cost values into positional slots and every
 	// statistical reduction runs serially in a fixed schedule order.

@@ -89,6 +89,44 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 			t.Errorf("parallelism %d: wrapper saw faults at rate zero: %+v", p, st)
 		}
 	}
+
+	// With faults injected the selection depends on the fault pattern, but
+	// never on the parallelism level: fault decisions hash (seed, query,
+	// config, attempt), and one evaluation schedule issues the same probes
+	// at every level.
+	for _, scheme := range []sampling.Scheme{sampling.Delta, sampling.Independent} {
+		t.Run("faults/"+scheme.String(), func(t *testing.T) {
+			var want *sampling.Result
+			var wantStats resilience.Stats
+			var wantInjected Stats
+			for _, p := range []int{1, 4, 8} {
+				fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99, TransientRate: 0.05})
+				w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip, Seed: 99})
+				opts := runOpts(5, p, tmplIdx, 6, nil, nil)
+				opts.Scheme = scheme
+				got, err := sampling.Run(w, opts)
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", p, err)
+				}
+				if p == 1 {
+					want, wantStats, wantInjected = got, w.Stats(), fo.Stats()
+					if want.DegradedQueries == 0 {
+						t.Fatalf("fault injection inert: no query degraded (%+v)", wantStats)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("parallelism %d: result diverged from parallelism 1\ngot  %+v\nwant %+v", p, got, want)
+				}
+				if st := w.Stats(); !reflect.DeepEqual(st, wantStats) {
+					t.Errorf("parallelism %d: wrapper stats %+v, want %+v", p, st, wantStats)
+				}
+				if st := fo.Stats(); st != wantInjected {
+					t.Errorf("parallelism %d: injected %+v, want %+v", p, st, wantInjected)
+				}
+			}
+		})
+	}
 }
 
 // Fault decisions must be a pure function of (seed, probe, attempt):

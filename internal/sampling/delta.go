@@ -1,27 +1,19 @@
 package sampling
 
 import (
-	"errors"
 	"math"
 
-	"physdes/internal/obs"
 	"physdes/internal/stats"
 )
 
 // dStratum is one stratum of the Delta sampler: all configurations share
 // the stratum's sample (the defining property of Delta Sampling).
 type dStratum struct {
-	templates []int
-	size      int
-	order     []int // permuted unsampled query indices
-	next      int
-	n         int
-	sums      []stats.Kahan // per config Σ cost
-	sumsqs    []stats.Kahan // per config Σ cost²
-	cross     []stats.Kahan // per config Σ cost_best·cost_j (vs current best)
-	rowIdx    []int         // indices into the sampler's row history
-	avgOver   float64       // mean optimization overhead of member queries
-	pilotN    int           // pilot target (NMin cold, WarmPilot for reused strata)
+	stratum
+	sums   []stats.Kahan // per config Σ cost
+	sumsqs []stats.Kahan // per config Σ cost²
+	cross  []stats.Kahan // per config Σ cost_best·cost_j (vs current best)
+	rowIdx []int         // indices into the sampler's row history
 
 	// Prior moments from a warm snapshot, aggregated over member
 	// templates (nil on cold runs and fresh strata). They pool into the
@@ -34,8 +26,6 @@ type dStratum struct {
 	pCross []stats.Kahan // per config prior Σ cost_best·cost_j (vs prior best)
 }
 
-func (s *dStratum) exhausted() bool { return s.next >= len(s.order) }
-
 // dRow is one sampled query's cost vector (NaN for configurations already
 // eliminated at sampling time).
 type dRow struct {
@@ -43,23 +33,22 @@ type dRow struct {
 	costs []float64
 }
 
-// deltaSampler runs Algorithm 1 with Delta Sampling.
-type deltaSampler struct {
-	o    Oracle
-	eo   ErrOracle // non-nil when the oracle's probes can fail
-	opts Options
-	pop  *population
+// rowChunk is how many cost rows one slab allocation holds. Rows live
+// until the run ends (incumbent changes and splits replay them), so
+// carving them from slabs costs one allocation per rowChunk rows.
+const rowChunk = 64
 
-	k, n       int
-	alive      []bool
-	aliveCount int
-	elimPen    float64 // Σ (1 − Pr(CS)) at elimination time
+// deltaSampler is the Delta Sampling estimator (Section 4.2): one shared
+// stratification whose rows cost every alive configuration, estimating
+// cost differences against the incumbent directly.
+type deltaSampler struct {
+	*driver
 
 	strata []*dStratum
 
-	// Skip-and-reweight bookkeeping: queries the oracle degraded out of
-	// the run. tmplDropped renormalizes template weights for Algorithm 2.
-	degraded    int
+	// tmplDropped counts each template's queries degraded out of the run,
+	// renormalizing template weights for Algorithm 2 (nil when the oracle
+	// cannot fail).
 	tmplDropped []int
 
 	// Per-template estimator statistics (per configuration), for split
@@ -69,133 +58,61 @@ type deltaSampler struct {
 	tSumsq [][]stats.Kahan
 	tCross [][]stats.Kahan
 
-	rows    []dRow
-	best    int
-	sampled int
-	splits  int
+	rows []dRow
+	slab []float64 // unused tail of the current row allocation
 
-	// Warm-start state: the snapshot's winner remapped to a current
-	// config index (-1 cold) and per-template prior moments in current
-	// config order (nil rows for fresh templates).
-	priorBest  int
-	pTmplN     [][]int
-	pTmplSum   [][]stats.Kahan
-	pTmplSumsq [][]stats.Kahan
-	pTmplCross [][]stats.Kahan
-	winfo      WarmInfo
-
-	met     samplerMetrics
-	trace   []float64
-	split   splitScratch // reusable split-search buffers
-	pairBuf []float64    // reusable pairwise Pr(CS) buffer
+	splitWorst int // constraining configuration of the split in progress
 }
 
 func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
-	k, n := o.K(), o.N()
+	dr := newDriver(o, opts)
+	k, tc := dr.k, maxInt(opts.TemplateCount, 1)
 	d := &deltaSampler{
-		o: o, opts: opts,
-		pop:        newPopulation(opts.TemplateIndex, opts.TemplateCount, n),
-		k:          k,
-		n:          n,
-		alive:      make([]bool, k),
-		aliveCount: k,
-		tCount:     make([]int, maxInt(opts.TemplateCount, 1)),
-		tSum:       make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
-		tSumsq:     make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
-		tCross:     make([][]stats.Kahan, maxInt(opts.TemplateCount, 1)),
-		met:        newSamplerMetrics(opts.Metrics),
+		driver: dr,
+		tCount: make([]int, tc),
+		tSum:   make([][]stats.Kahan, tc),
+		tSumsq: make([][]stats.Kahan, tc),
+		tCross: make([][]stats.Kahan, tc),
 	}
-	if eo, ok := o.(ErrOracle); ok {
-		d.eo = eo
-		d.tmplDropped = make([]int, maxInt(opts.TemplateCount, 1))
-	}
-	for i := range d.alive {
-		d.alive[i] = true
+	if dr.eo != nil {
+		d.tmplDropped = make([]int, tc)
 	}
 	for t := range d.tSum {
 		d.tSum[t] = make([]stats.Kahan, k)
 		d.tSumsq[t] = make([]stats.Kahan, k)
 		d.tCross[t] = make([]stats.Kahan, k)
 	}
-	d.priorBest = -1
-	if wr := planWarm(opts.WarmState, &opts, Delta, k, d.pop); wr != nil {
-		d.initWarm(wr)
-	} else {
-		for _, tmpls := range d.pop.initialTemplates(opts.Strat) {
-			d.addStratum(tmpls)
-		}
-	}
+	dr.start(d)
 	return d
 }
 
-// initWarm seeds the sampler from a decoded snapshot: prior per-template
-// moments remapped to current config order, the snapshot's strata (known
-// templates only) with reduced pilots and reseeded prior moments, and
-// fresh strata for the remaining templates.
-func (d *deltaSampler) initWarm(wr *warmResume) {
-	d.priorBest = wr.best
-	if d.priorBest >= 0 {
-		d.best = d.priorBest
+// sampleFrom draws the next query of stratum h (see driver.draw).
+func (d *deltaSampler) sampleFrom(h int) (bool, error) { return d.draw(0, h) }
+
+func (d *deltaSampler) numStrata(int) int           { return len(d.strata) }
+func (d *deltaSampler) stratumAt(_, h int) *stratum { return &d.strata[h].stratum }
+
+func (d *deltaSampler) addStratum(_ int, st stratum) *stratum {
+	s := &dStratum{
+		stratum: st,
+		sums:    make([]stats.Kahan, d.k),
+		sumsqs:  make([]stats.Kahan, d.k),
+		cross:   make([]stats.Kahan, d.k),
 	}
-	tc := len(d.tSum)
-	d.pTmplN = make([][]int, tc)
-	d.pTmplSum = make([][]stats.Kahan, tc)
-	d.pTmplSumsq = make([][]stats.Kahan, tc)
-	d.pTmplCross = make([][]stats.Kahan, tc)
-	for t := 0; t < tc && t < len(wr.stateIdx); t++ {
-		si := wr.stateIdx[t]
-		if si < 0 {
-			continue
-		}
-		ts := &wr.st.Templates[si]
-		d.pTmplN[t] = make([]int, d.k)
-		d.pTmplSum[t] = make([]stats.Kahan, d.k)
-		d.pTmplSumsq[t] = make([]stats.Kahan, d.k)
-		d.pTmplCross[t] = make([]stats.Kahan, d.k)
-		for j := 0; j < d.k; j++ {
-			pj := wr.cfgMap[j]
-			d.pTmplN[t][j] = ts.Counts[pj]
-			d.pTmplSum[t][j] = ts.Sum[pj]
-			d.pTmplSumsq[t][j] = ts.Sumsq[pj]
-			d.pTmplCross[t][j] = ts.Cross[pj]
-		}
-	}
-	groups, reused := wr.groupsFor(0, d.pop, d.opts.Strat)
-	warm := make([]*dStratum, 0, reused)
-	sizes := make([]int, 0, reused)
-	for gi, tmpls := range groups {
-		s := d.addStratum(tmpls)
-		if gi < reused {
-			warm = append(warm, s)
-			sizes = append(sizes, s.size)
-		}
-	}
-	pilots := warmPilotAlloc(sizes, d.opts.NMin, d.opts.WarmPilot)
-	for i, s := range warm {
-		s.pilotN = pilots[i]
-		s.pN = make([]int, d.k)
-		s.pSum = make([]stats.Kahan, d.k)
-		s.pSumsq = make([]stats.Kahan, d.k)
-		s.pCross = make([]stats.Kahan, d.k)
-		d.reseedStratumPrior(s)
-		if saved := minInt(d.opts.NMin, s.size) - minInt(s.pilotN, s.size); saved > 0 {
-			d.winfo.PilotSaved += saved
-		}
-	}
-	d.winfo.Started = true
-	d.winfo.StrataReused = reused
-	d.winfo.TemplatesKnown = wr.known
-	d.winfo.TemplatesFresh = wr.fresh
-	d.met.warmStarts.Inc()
-	d.met.warmStrata.Add(int64(reused))
-	d.met.warmPilotSaved.Add(int64(d.winfo.PilotSaved))
-	if tr := d.opts.Tracer; tr.Enabled() {
-		tr.Emit("warm",
-			obs.KV{Key: "strata_reused", Value: reused},
-			obs.KV{Key: "templates_known", Value: wr.known},
-			obs.KV{Key: "templates_fresh", Value: wr.fresh},
-			obs.KV{Key: "pilot_saved", Value: d.winfo.PilotSaved})
-	}
+	d.strata = append(d.strata, s)
+	return &s.stratum
+}
+
+func (d *deltaSampler) seedPrior(_, h int) { d.attachPrior(d.strata[h]) }
+
+// attachPrior gives s prior accumulators holding its member templates'
+// prior moments.
+func (d *deltaSampler) attachPrior(s *dStratum) {
+	s.pN = make([]int, d.k)
+	s.pSum = make([]stats.Kahan, d.k)
+	s.pSumsq = make([]stats.Kahan, d.k)
+	s.pCross = make([]stats.Kahan, d.k)
+	d.reseedStratumPrior(s)
 }
 
 // reseedStratumPrior aggregates the per-template prior moments of the
@@ -212,15 +129,15 @@ func (d *deltaSampler) reseedStratumPrior(s *dStratum) {
 		s.pCross[j] = stats.Kahan{}
 	}
 	for _, t := range s.templates {
-		pn := d.pTmplN[t]
+		pn := d.prior.n[t]
 		if pn == nil {
 			continue
 		}
 		for j := 0; j < d.k; j++ {
 			s.pN[j] += pn[j]
-			s.pSum[j].AddKahan(d.pTmplSum[t][j])
-			s.pSumsq[j].AddKahan(d.pTmplSumsq[t][j])
-			s.pCross[j].AddKahan(d.pTmplCross[t][j])
+			s.pSum[j].AddKahan(d.prior.sum[t][j])
+			s.pSumsq[j].AddKahan(d.prior.sumsq[t][j])
+			s.pCross[j].AddKahan(d.prior.cross[t][j])
 		}
 	}
 }
@@ -249,8 +166,9 @@ func (d *deltaSampler) priorUsable(s *dStratum, b, j int) bool {
 // run's winner.
 //
 //physdes:zeroalloc
-func (d *deltaSampler) checkPriorDrift() {
+func (d *deltaSampler) checkPriorDrift() int {
 	b := d.best
+	dropped := 0
 	for _, s := range d.strata {
 		if s.pN == nil || s.n < priorCheckMinFresh {
 			continue
@@ -296,92 +214,16 @@ func (d *deltaSampler) checkPriorDrift() {
 		s.pSum = nil
 		s.pSumsq = nil
 		s.pCross = nil
-		d.winfo.PriorDropped++
-		d.met.warmPriorDrop.Inc() //physdes:allocok atomic counter bump on the rare drop path, no heap allocation
+		dropped++
 	}
+	return dropped
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (d *deltaSampler) addStratum(templates []int) *dStratum {
-	order := d.pop.shuffledMembers(templates, d.opts.RNG)
-	s := &dStratum{
-		templates: templates,
-		size:      len(order),
-		order:     order,
-		sums:      make([]stats.Kahan, d.k),
-		sumsqs:    make([]stats.Kahan, d.k),
-		cross:     make([]stats.Kahan, d.k),
-		avgOver:   d.avgOverhead(order),
-		pilotN:    d.opts.NMin,
-	}
-	d.strata = append(d.strata, s)
-	return s
-}
-
-// avgOverhead is the mean per-call optimization overhead of the queries
-// (1 when no CallCost model is configured).
-func (d *deltaSampler) avgOverhead(queries []int) float64 {
-	if d.opts.CallCost == nil || len(queries) == 0 {
-		return 1
-	}
-	var sum float64
-	for _, q := range queries {
-		sum += d.opts.CallCost(q)
-	}
-	avg := sum / float64(len(queries))
-	if avg <= 0 {
-		return 1
-	}
-	return avg
-}
-
-// budgetLeft reports whether another sampled query fits the call budget.
-func (d *deltaSampler) budgetLeft() bool {
-	if d.opts.MaxCalls <= 0 {
-		return true
-	}
-	return d.o.Calls()+int64(d.aliveCount) <= d.opts.MaxCalls
-}
-
-// sampleFrom draws the next query of stratum h and folds its costs in.
-// The bool reports progress (a query was consumed — sampled or degraded);
-// a non-nil error aborts the run. An oracle asking to skip the query
-// (ErrSkipQuery) degrades instead: the query leaves the stratum and the
-// stratum's Neyman weight renormalizes to the shrunken population.
-func (d *deltaSampler) sampleFrom(h int) (bool, error) {
-	s := d.strata[h]
-	if s.exhausted() || !d.budgetLeft() {
-		return false, nil
-	}
-	q := s.order[s.next]
-	s.next++
-	costs, err := d.evalRow(q)
-	if err != nil {
-		if errors.Is(err, ErrSkipQuery) {
-			d.dropQuery(s, q)
-			return true, nil
-		}
-		return false, err
-	}
-	d.fold(h, q, costs)
-	return true, nil
-}
-
-// dropQuery removes a degraded query from its stratum: the population
-// size (the stratum weight in every estimator) and the query's template
-// weight (Algorithm 2's split statistics) both shrink by one.
-func (d *deltaSampler) dropQuery(s *dStratum, q int) {
-	s.size--
+// dropped shrinks the degraded query's template weight.
+func (d *deltaSampler) dropped(q int) {
 	if d.tmplDropped != nil && d.opts.TemplateIndex != nil {
 		d.tmplDropped[d.opts.TemplateIndex[q]]++
 	}
-	d.degraded++
 }
 
 // tmplSize is the template's live population: its full size minus the
@@ -394,91 +236,37 @@ func (d *deltaSampler) tmplSize(t int) int {
 	return sz
 }
 
-// evalRow costs query q under every alive configuration, NaN-marking the
-// eliminated ones. With Parallelism > 1 the row goes through the oracle's
-// batch path; the values are identical either way (pure cost model). A
-// fallible oracle's errors surface here: a hard error wins over any skip
-// request in the same row, and a skip request fails the whole row — Delta
-// Sampling shares the row across configurations, so a partial row would
-// corrupt the difference estimator's cross terms.
-func (d *deltaSampler) evalRow(q int) ([]float64, error) {
-	costs := make([]float64, d.k)
-	if d.opts.Parallelism > 1 && d.aliveCount > 1 {
-		pairs := make([]Pair, 0, d.aliveCount)
-		for j := 0; j < d.k; j++ {
-			if d.alive[j] {
-				pairs = append(pairs, Pair{Q: q, J: j})
-			} else {
-				costs[j] = math.NaN()
-			}
-		}
-		out := make([]float64, len(pairs))
-		if d.eo != nil {
-			errs := make([]error, len(pairs))
-			batchCostErr(d.eo, pairs, out, errs, d.opts.Parallelism)
-			var skip error
-			for _, e := range errs {
-				if e == nil {
-					continue
-				}
-				if errors.Is(e, ErrSkipQuery) {
-					skip = e
-					continue
-				}
-				return nil, e
-			}
-			if skip != nil {
-				return nil, skip
-			}
+// fold records a sampled row — out holds the alive configurations' costs
+// in configuration order — into the stratum and template accumulators.
+func (d *deltaSampler) fold(sl slot, out []float64) {
+	if len(d.slab) < d.k {
+		d.slab = make([]float64, rowChunk*d.k)
+	}
+	alive := d.alive
+	costs := d.slab[:d.k:d.k]
+	d.slab = d.slab[d.k:]
+	for j, i := 0, 0; j < len(costs); j++ {
+		if alive[j] {
+			costs[j] = out[i]
+			i++
 		} else {
-			batchCost(d.o, pairs, out, d.opts.Parallelism)
-		}
-		for i, p := range pairs {
-			costs[p.J] = out[i]
-		}
-		return costs, nil
-	}
-	for j := 0; j < d.k; j++ {
-		if !d.alive[j] {
 			costs[j] = math.NaN()
-			continue
 		}
-		if d.eo != nil {
-			c, err := d.eo.CostErr(q, j)
-			if err != nil {
-				return nil, err
-			}
-			costs[j] = c
-			continue
-		}
-		costs[j] = d.o.Cost(q, j)
 	}
-	return costs, nil
-}
 
-// fold records one sampled row of stratum h into the accumulators. The
-// fold is the only place sampling state mutates, and it always runs
-// serially in schedule order — this is what keeps parallel and serial runs
-// bit-identical.
-func (d *deltaSampler) fold(h, q int, costs []float64) {
-	s := d.strata[h]
-	s.n++
-	d.sampled++
-	d.met.samples.Inc()
-
+	s := d.strata[sl.h]
 	tmpl := 0
 	if d.opts.TemplateIndex != nil {
-		tmpl = d.opts.TemplateIndex[q]
+		tmpl = d.opts.TemplateIndex[sl.q]
 	}
 	d.rows = append(d.rows, dRow{tmpl: tmpl, costs: costs})
 	s.rowIdx = append(s.rowIdx, len(d.rows)-1)
 
 	cb := costs[d.best]
-	for j := 0; j < d.k; j++ {
-		if !d.alive[j] {
+	for j, c := range costs {
+		if !alive[j] {
 			continue
 		}
-		c := costs[j]
 		s.sums[j].Add(c)
 		s.sumsqs[j].AddProduct(c, c)
 		d.tSum[tmpl][j].Add(c)
@@ -527,6 +315,14 @@ func (d *deltaSampler) estimate(j int) float64 {
 		}
 	}
 	return x
+}
+
+func (d *deltaSampler) pairSEs(se []float64) {
+	for _, j := range d.aliveIdx {
+		if j != d.best {
+			se[j] = sqrtPos(d.pairDiffVar(j))
+		}
+	}
 }
 
 // pairDiffVar returns Var(X_{b,j}) per Equations 4 and 5: the stratified
@@ -602,60 +398,9 @@ func (d *deltaSampler) pairDiffVar(j int) float64 {
 	return v
 }
 
-// prCS computes the multi-way probability of correct selection via the
-// Bonferroni bound (Equation 3), folding in the frozen penalty of
-// eliminated configurations.
-func (d *deltaSampler) prCS() (float64, []float64) {
-	xb := d.estimate(d.best)
-	d.pairBuf = grow(d.pairBuf, d.k)
-	pair := d.pairBuf
-	for i := range pair {
-		pair[i] = 0
-	}
-	p := 1 - d.elimPen
-	for j := 0; j < d.k; j++ {
-		if j == d.best || !d.alive[j] {
-			continue
-		}
-		gap := d.estimate(j) - xb
-		se := math.Sqrt(math.Max(d.pairDiffVar(j), 0))
-		pij := stats.PairwisePrCS(gap, d.opts.Delta, se)
-		pair[j] = pij
-		p -= 1 - pij
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p, pair
-}
-
-// chooseBest re-selects the configuration with the smallest estimate and
-// refreshes cross sums when the incumbent changes.
-func (d *deltaSampler) chooseBest() {
-	best := -1
-	var bx float64
-	for j := 0; j < d.k; j++ {
-		if !d.alive[j] {
-			continue
-		}
-		x := d.estimate(j)
-		if best < 0 || x < bx {
-			best, bx = j, x
-		}
-	}
-	if best == d.best || best < 0 {
-		return
-	}
-	d.best = best
-	d.recomputeCross()
-}
-
-// recomputeCross rebuilds Σ c_best·c_j accumulators from the row history
-// after a best-configuration change or a stratum split.
-func (d *deltaSampler) recomputeCross() {
+// bestChanged rebuilds the Σ c_best·c_j accumulators from the row history
+// against the new incumbent.
+func (d *deltaSampler) bestChanged() {
 	b := d.best
 	for _, s := range d.strata {
 		for j := range s.cross {
@@ -694,54 +439,10 @@ func (d *deltaSampler) recomputeCross() {
 	}
 }
 
-// eliminate drops configurations whose pairwise Pr(CS) exceeds the
-// threshold (Section 5's large-k optimization). Elimination is
-// irreversible, so it is deferred until the estimates rest on at least
-// twice the pilot sample — a pilot-only fluke in a heavy-tailed cost
-// distribution must not evict the true best configuration.
-func (d *deltaSampler) eliminate(pair []float64) {
-	th := d.opts.EliminationThreshold
-	if th <= 0 {
-		return
-	}
-	if d.sampled < 2*d.opts.NMin {
-		return
-	}
-	for j := 0; j < d.k; j++ {
-		if j == d.best || !d.alive[j] {
-			continue
-		}
-		if pair[j] > th {
-			d.alive[j] = false
-			d.aliveCount--
-			d.elimPen += 1 - pair[j]
-			d.met.eliminations.Inc()
-			if tr := d.opts.Tracer; tr.Enabled() {
-				tr.Emit("eliminate",
-					obs.KV{Key: "config", Value: j},
-					obs.KV{Key: "pair_prcs", Value: pair[j]},
-					obs.KV{Key: "alive", Value: d.aliveCount})
-			}
-		}
-	}
-}
-
-// nextStratum picks the stratum whose next sample shrinks the summed
-// pairwise estimator variance the most (Section 5.2). EqualAlloc mode
-// instead keeps per-stratum counts level.
-func (d *deltaSampler) nextStratum() int {
-	if d.opts.Strat == EqualAlloc {
-		bestH, bestN := -1, 0
-		for h, s := range d.strata {
-			if s.exhausted() {
-				continue
-			}
-			if bestH < 0 || s.n < bestN {
-				bestH, bestN = h, s.n
-			}
-		}
-		return bestH
-	}
+// nextSlot picks the stratum whose next sample shrinks the summed
+// pairwise estimator variance the most (Section 5.2).
+func (d *deltaSampler) nextSlot() (part, h int) {
+	b, alive := d.best, d.aliveIdx
 	bestH := -1
 	var bestDrop float64
 	for h, s := range d.strata {
@@ -749,17 +450,17 @@ func (d *deltaSampler) nextStratum() int {
 			continue
 		}
 		if s.n < 2 {
-			return h // strata without variance estimates first
+			return 0, h // strata without variance estimates first
 		}
 		var drop float64
 		W := float64(s.size)
-		for j := 0; j < d.k; j++ {
-			if j == d.best || !d.alive[j] {
+		for _, j := range alive {
+			if j == b {
 				continue
 			}
-			sum := s.sums[d.best]
+			sum := s.sums[b]
 			sum.SubKahan(s.sums[j])
-			sumsq := s.sumsqs[d.best]
+			sumsq := s.sumsqs[b]
 			sumsq.AddKahan(s.sumsqs[j])
 			sumsq.SubKahan(s.cross[j].Scaled(2))
 			s2, ok := stats.SampleVarFromKahanSums(sum, sumsq, s.n)
@@ -778,155 +479,81 @@ func (d *deltaSampler) nextStratum() int {
 			bestH, bestDrop = h, drop
 		}
 	}
-	return bestH
+	return 0, bestH
 }
 
-// maybeSplit runs Algorithm 2 when progressive stratification is enabled.
-func (d *deltaSampler) maybeSplit() error {
-	if d.opts.Strat != Progressive {
-		return nil
-	}
-	// Constraining pair: the alive configuration with the lowest pairwise
-	// Pr(CS) versus the incumbent (single ranking, Section 5.1's
-	// tractability simplification for Delta Sampling).
-	_, pair := d.prCS()
-	worst, worstP := -1, 2.0
-	for j := 0; j < d.k; j++ {
-		if j == d.best || !d.alive[j] {
-			continue
-		}
-		if pair[j] < worstP {
-			worst, worstP = j, pair[j]
-		}
-	}
+// splitTarget constrains Algorithm 2 by the alive configuration with the
+// lowest pairwise Pr(CS) versus the incumbent (single ranking, Section
+// 5.1's tractability simplification for Delta Sampling): the difference
+// estimator of that pair must reach the variance at which the Bonferroni
+// bound meets α.
+func (d *deltaSampler) splitTarget() (int, float64, bool) {
+	worst := d.worstPair()
 	if worst < 0 {
-		return nil
+		return 0, 0, false
 	}
-
-	// Target variance: the pairwise probability each alive pair must reach
-	// so the Bonferroni bound meets α.
-	perPair := 1 - (1-d.opts.Alpha)/float64(maxInt(d.aliveCount-1, 1))
+	d.splitWorst = worst
 	gap := d.estimate(worst) - d.estimate(d.best)
-	targetVar := stats.TargetVarianceForPrCS(gap, d.opts.Delta, perPair)
-	if math.IsInf(targetVar, 1) {
-		return nil
-	}
-
-	sc := &d.split
-	L := len(d.strata)
-	sc.cur = grow(sc.cur, L)
-	sc.tstats = grow(sc.tstats, L)
-	sc.toffs = grow(sc.toffs, L)
-	sc.tbuf = sc.tbuf[:0]
-	for h, s := range d.strata {
-		sum := s.sums[d.best]
-		sum.SubKahan(s.sums[worst])
-		sumsq := s.sumsqs[d.best]
-		sumsq.AddKahan(s.sumsqs[worst])
-		sumsq.SubKahan(s.cross[worst].Scaled(2))
-		s2, _ := stats.SampleVarFromKahanSums(sum, sumsq, s.n)
-		sc.cur[h] = stats.Stratum{Size: s.size, S2: s2, Taken: s.n}
-		start := len(sc.tbuf)
-		buf, ok := d.stratumTmplStatsInto(sc.tbuf, s, worst)
-		sc.tbuf = buf
-		if ok {
-			sc.toffs[h] = [2]int{start, len(sc.tbuf)}
-		} else {
-			sc.toffs[h] = [2]int{-1, -1}
-		}
-	}
-	// Slice tstats only once tbuf has stopped growing: appends above may
-	// have reallocated the backing array.
-	for h := range d.strata {
-		if sc.toffs[h][0] < 0 {
-			sc.tstats[h] = nil
-		} else {
-			sc.tstats[h] = sc.tbuf[sc.toffs[h][0]:sc.toffs[h][1]]
-		}
-	}
-	var sw obs.Stopwatch
-	if d.opts.Metrics != nil {
-		sw = obs.NewStopwatch()
-	}
-	dec, evals, ok := findBestSplit(sc, sc.cur, sc.tstats, targetVar, d.opts.NMin)
-	if d.opts.Metrics != nil {
-		d.met.splitSearch.Observe(sw.Elapsed().Seconds())
-	}
-	d.met.splitEvals.Add(int64(evals))
-	if !ok {
-		return nil
-	}
-	return d.applySplit(dec)
+	targetVar := stats.TargetVarianceForPrCS(gap, d.opts.Delta, d.perPairTarget())
+	return 0, targetVar, !math.IsInf(targetVar, 1)
 }
 
-// stratumTmplStatsInto appends the stratum's per-template difference
-// statistics for the constraining pair to buf, or truncates its
+// splitStats stages stratum h's difference variance for the constraining
+// pair and its per-template statistics, appended to buf; it truncates its
 // contribution and reports false when some member template lacks
 // observations.
-func (d *deltaSampler) stratumTmplStatsInto(buf []tmplStat, s *dStratum, worst int) ([]tmplStat, bool) {
+func (d *deltaSampler) splitStats(_, h int, buf []tmplStat) (stats.Stratum, []tmplStat, bool) {
+	s, w := d.strata[h], d.splitWorst
+	sum := s.sums[d.best]
+	sum.SubKahan(s.sums[w])
+	sumsq := s.sumsqs[d.best]
+	sumsq.AddKahan(s.sumsqs[w])
+	sumsq.SubKahan(s.cross[w].Scaled(2))
+	s2, _ := stats.SampleVarFromKahanSums(sum, sumsq, s.n)
+	cur := stats.Stratum{Size: s.size, S2: s2, Taken: s.n}
 	start := len(buf)
 	for _, t := range s.templates {
 		if d.tCount[t] < d.opts.MinTemplateObs {
-			return buf[:start], false
+			return cur, buf[:start], false
 		}
 		n := d.tCount[t]
 		sum := d.tSum[t][d.best]
-		sum.SubKahan(d.tSum[t][worst])
+		sum.SubKahan(d.tSum[t][w])
 		sumsq := d.tSumsq[t][d.best]
-		sumsq.AddKahan(d.tSumsq[t][worst])
-		sumsq.SubKahan(d.tCross[t][worst].Scaled(2))
+		sumsq.AddKahan(d.tSumsq[t][w])
+		sumsq.SubKahan(d.tCross[t][w].Scaled(2))
 		m := sum.Sum() / float64(n)
 		v, _ := stats.SampleVarFromKahanSums(sum, sumsq, n)
 		buf = append(buf, tmplStat{t: t, w: d.tmplSize(t), m: m, v: v})
 	}
-	return buf, true
+	return cur, buf, true
 }
 
 // applySplit replaces the split stratum with its two children, partitioning
 // the unsampled order and replaying the sampled rows into the right child.
-func (d *deltaSampler) applySplit(dec splitDecision) error {
-	// dec.left aliases the split scratch; copy before retaining it as the
-	// child stratum's template list.
-	dec.left = append([]int(nil), dec.left...)
+func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 	parent := d.strata[dec.stratum]
-	leftSet := make(map[int]bool, len(dec.left))
-	for _, t := range dec.left {
-		leftSet[t] = true
-	}
-	var rightTmpls []int
-	for _, t := range parent.templates {
-		if !leftSet[t] {
-			rightTmpls = append(rightTmpls, t)
-		}
-	}
-
+	leftTmpls, rightTmpls, inLeft := splitParts(parent.templates, dec)
 	mk := func(tmpls []int) *dStratum {
 		size := 0
 		for _, t := range tmpls {
 			size += d.tmplSize(t)
 		}
 		s := &dStratum{
-			templates: tmpls,
-			size:      size,
-			sums:      make([]stats.Kahan, d.k),
-			sumsqs:    make([]stats.Kahan, d.k),
-			cross:     make([]stats.Kahan, d.k),
-			pilotN:    d.opts.NMin,
+			stratum: stratum{templates: tmpls, size: size, pilotN: d.opts.NMin},
+			sums:    make([]stats.Kahan, d.k),
+			sumsqs:  make([]stats.Kahan, d.k),
+			cross:   make([]stats.Kahan, d.k),
 		}
 		if parent.pN != nil {
 			// A warm stratum's children keep the prior moments of their own
 			// member templates.
-			s.pN = make([]int, d.k)
-			s.pSum = make([]stats.Kahan, d.k)
-			s.pSumsq = make([]stats.Kahan, d.k)
-			s.pCross = make([]stats.Kahan, d.k)
-			d.reseedStratumPrior(s)
+			d.attachPrior(s)
 		}
 		return s
 	}
-	left, right := mk(dec.left), mk(rightTmpls)
+	left, right := mk(leftTmpls), mk(rightTmpls)
 
-	inLeft := func(tmpl int) bool { return leftSet[tmpl] }
 	// Partition the remaining (unsampled) order, preserving its random
 	// relative order within each child.
 	for _, q := range parent.order[parent.next:] {
@@ -934,7 +561,7 @@ func (d *deltaSampler) applySplit(dec splitDecision) error {
 		if d.opts.TemplateIndex != nil {
 			tmpl = d.opts.TemplateIndex[q]
 		}
-		if inLeft(tmpl) {
+		if inLeft[tmpl] {
 			left.order = append(left.order, q)
 		} else {
 			right.order = append(right.order, q)
@@ -944,7 +571,7 @@ func (d *deltaSampler) applySplit(dec splitDecision) error {
 	for _, ri := range parent.rowIdx {
 		row := d.rows[ri]
 		child := right
-		if inLeft(row.tmpl) {
+		if inLeft[row.tmpl] {
 			child = left
 		}
 		child.rowIdx = append(child.rowIdx, ri)
@@ -967,338 +594,29 @@ func (d *deltaSampler) applySplit(dec splitDecision) error {
 	right.avgOver = d.avgOverhead(right.order)
 	d.strata[dec.stratum] = left
 	d.strata = append(d.strata, right)
-	d.splits++
-	d.met.splits.Inc()
-	if tr := d.opts.Tracer; tr.Enabled() {
-		tr.Emit("split",
-			obs.KV{Key: "stratum", Value: dec.stratum},
-			obs.KV{Key: "left_templates", Value: len(left.templates)},
-			obs.KV{Key: "right_templates", Value: len(right.templates)},
-			obs.KV{Key: "left_size", Value: left.size},
-			obs.KV{Key: "right_size", Value: right.size},
-			obs.KV{Key: "strata", Value: len(d.strata)})
-	}
-
-	// Algorithm 1, line 8: top the children up to n_min samples each.
-	// want re-clamps every iteration: a degraded query shrinks child.size.
-	for _, child := range []*dStratum{left, right} {
-		for child.n < minInt(d.opts.NMin, child.size) {
-			h := d.indexOf(child)
-			progress, err := d.sampleFrom(h)
-			if err != nil {
-				return err
-			}
-			if !progress {
-				break
-			}
-		}
-	}
-	d.chooseBest()
-	return nil
+	return dec.stratum, len(d.strata) - 1
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func (d *deltaSampler) indexOf(s *dStratum) int {
-	for h, x := range d.strata {
-		if x == s {
-			return h
+// templateStates returns per-template fresh moments with cross sums
+// relative to the final best. Per-configuration counts come from the row
+// history: a configuration eliminated mid-run stops accumulating, so its
+// column is shorter than the shared row count.
+func (d *deltaSampler) templateStates() []TemplateState {
+	out := make([]TemplateState, len(d.tSum))
+	for t := range out {
+		out[t] = TemplateState{
+			Counts: make([]int, d.k),
+			Sum:    append([]stats.Kahan(nil), d.tSum[t]...),
+			Sumsq:  append([]stats.Kahan(nil), d.tSumsq[t]...),
+			Cross:  append([]stats.Kahan(nil), d.tCross[t]...),
 		}
-	}
-	return -1
-}
-
-// pilot runs the pilot phase: n_min per stratum (clamped to stratum size
-// and budget). Strata are filled round-robin in a shuffled order so a
-// budget-truncated pilot (fixed-budget mode with many strata) covers a
-// random subset of every stratum instead of completing some strata and
-// leaving others untouched — the latter would bias the estimator
-// systematically across Monte-Carlo runs.
-func (d *deltaSampler) pilot() error {
-	order := d.opts.RNG.Perm(len(d.strata))
-	if d.opts.Parallelism > 1 {
-		return d.pilotBatched(order)
-	}
-	for {
-		progress := false
-		for _, h := range order {
-			if err := d.opts.ctxErr(); err != nil {
-				return err
-			}
-			if d.strata[h].n < minInt(d.strata[h].pilotN, d.strata[h].size) {
-				p, err := d.sampleFrom(h)
-				if err != nil {
-					return err
-				}
-				progress = progress || p
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
-}
-
-// pilotBatched evaluates the whole pilot as one batch. The serial
-// round-robin — including its per-row budget check (every configuration is
-// alive during the pilot, so a row costs exactly k calls) — is replayed
-// without touching the oracle to precompute the schedule, the schedule's
-// (query × alive configuration) pairs are evaluated in one BatchCost, and
-// the rows are folded serially in schedule order. The resulting sampler
-// state and call accounting are bit-identical to the serial pilot when no
-// probe fails; failed rows degrade per row exactly like the serial path
-// (retries make the call totals diverge between parallelism levels only
-// once real faults occur).
-func (d *deltaSampler) pilotBatched(order []int) error {
-	type slot struct{ h, q int }
-	var schedule []slot
-	calls := d.o.Calls()
-	taken := make([]int, len(d.strata))
-outer:
-	for {
-		progress := false
-		for _, h := range order {
-			s := d.strata[h]
-			want := s.pilotN
-			if want > s.size {
-				want = s.size
-			}
-			if taken[h] >= want {
-				continue
-			}
-			if d.opts.MaxCalls > 0 && calls+int64(d.k) > d.opts.MaxCalls {
-				break outer // the budget only shrinks: no later row fits either
-			}
-			schedule = append(schedule, slot{h: h, q: s.order[taken[h]]})
-			taken[h]++
-			calls += int64(d.k)
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-	if err := d.opts.ctxErr(); err != nil {
-		return err
-	}
-
-	pairs := make([]Pair, 0, len(schedule)*d.k)
-	for _, sl := range schedule {
-		for j := 0; j < d.k; j++ {
-			pairs = append(pairs, Pair{Q: sl.q, J: j})
-		}
-	}
-	out := make([]float64, len(pairs))
-	var errs []error
-	if d.eo != nil {
-		errs = make([]error, len(pairs))
-		batchCostErr(d.eo, pairs, out, errs, d.opts.Parallelism)
-	} else {
-		batchCost(d.o, pairs, out, d.opts.Parallelism)
-	}
-	for i, sl := range schedule {
-		d.strata[sl.h].next++
-		if errs != nil {
-			var skip bool
-			for _, e := range errs[i*d.k : (i+1)*d.k] {
-				if e == nil {
-					continue
-				}
-				if errors.Is(e, ErrSkipQuery) {
-					skip = true
-					continue
-				}
-				return e
-			}
-			if skip {
-				d.dropQuery(d.strata[sl.h], sl.q)
-				continue
-			}
-		}
-		d.fold(sl.h, sl.q, out[i*d.k:(i+1)*d.k:(i+1)*d.k])
-	}
-	return nil
-}
-
-// run executes Algorithm 1 and returns the result.
-func (d *deltaSampler) run() (*Result, error) {
-	tr := d.opts.Tracer
-	if err := d.pilot(); err != nil {
-		return nil, err
-	}
-	d.checkPriorDrift()
-	d.chooseBest()
-	if tr.Enabled() {
-		tr.Emit("pilot.done",
-			obs.KV{Key: "samples", Value: d.sampled},
-			obs.KV{Key: "calls", Value: d.o.Calls()},
-			obs.KV{Key: "strata", Value: len(d.strata)})
-	}
-
-	round := 0
-	stable := 0
-	p, pair := d.prCS()
-	for {
-		round++
-		d.met.rounds.Inc()
-		var sw obs.Stopwatch
-		if d.met.roundSeconds != nil {
-			sw = obs.NewStopwatch()
-		}
-		if err := d.opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		if tr.Enabled() {
-			tr.Emit("round",
-				obs.KV{Key: "round", Value: round},
-				obs.KV{Key: "samples", Value: d.sampled},
-				obs.KV{Key: "calls", Value: d.o.Calls()},
-				obs.KV{Key: "prcs", Value: p},
-				obs.KV{Key: "best", Value: d.best},
-				obs.KV{Key: "alive", Value: d.aliveCount},
-				obs.KV{Key: "strata", Value: len(d.strata)},
-				obs.KV{Key: "splits", Value: d.splits},
-				obs.KV{Key: "stable", Value: stable})
-		}
-		if d.opts.TracePrCS {
-			d.trace = append(d.trace, p)
-		}
-		if d.opts.MaxCalls <= 0 {
-			if p > d.opts.Alpha && d.sampled >= d.opts.MinSamples {
-				stable++
-				if stable >= d.opts.StabilityWindow {
-					break
-				}
-			} else {
-				stable = 0
-			}
-		}
-		d.eliminate(pair)
-		if err := d.maybeSplit(); err != nil {
-			return nil, err
-		}
-		h := d.nextStratum()
-		if h < 0 {
-			break // exhausted workload
-		}
-		progress, err := d.sampleFrom(h)
-		if err != nil {
-			return nil, err
-		}
-		if !progress {
-			break // exhausted workload or budget
-		}
-		if tr.Enabled() {
-			s := d.strata[h]
-			tr.Emit("alloc",
-				obs.KV{Key: "stratum", Value: h},
-				obs.KV{Key: "stratum_n", Value: s.n},
-				obs.KV{Key: "stratum_size", Value: s.size})
-		}
-		d.checkPriorDrift()
-		d.chooseBest()
-		p, pair = d.prCS()
-		if d.met.roundSeconds != nil {
-			d.met.roundSeconds.Observe(sw.Elapsed().Seconds())
-		}
-	}
-
-	if d.exhaustedAll() && d.degraded == 0 {
-		p = 1 // full census: the selection is exact
-	}
-	return &Result{
-		Best:            d.best,
-		PrCS:            p,
-		SampledQueries:  d.sampled,
-		OptimizerCalls:  d.o.Calls(),
-		Eliminated:      d.eliminatedFlags(),
-		Strata:          len(d.strata),
-		Splits:          d.splits,
-		DegradedQueries: d.degraded,
-		PrCSTrace:       d.trace,
-		State:           d.captureState(),
-		Warm:            d.winfo,
-	}, nil
-}
-
-// captureState snapshots the final stratification for a later warm
-// start: this run's fresh per-template tallies and moments (per config,
-// cross sums relative to the final best), plus the stratum partition as
-// template-ID groups. Only fresh samples are captured — a warm run's
-// inherited prior never compounds across chained snapshots, so staleness
-// is bounded by one generation.
-func (d *deltaSampler) captureState() *StratState {
-	tc := d.opts.TemplateCount
-	if !d.opts.CaptureState || tc <= 0 ||
-		len(d.opts.TemplateSigs) != tc || len(d.opts.ConfigFingerprints) != d.k {
-		return nil
-	}
-	// Per-template per-config sample counts from the row history: a
-	// configuration eliminated mid-run stops accumulating, so its column
-	// is shorter than the shared row count.
-	counts := make([][]int, tc)
-	for t := range counts {
-		counts[t] = make([]int, d.k)
 	}
 	for _, row := range d.rows {
 		for j := 0; j < d.k; j++ {
 			if !math.IsNaN(row.costs[j]) {
-				counts[row.tmpl][j]++
+				out[row.tmpl].Counts[j]++
 			}
 		}
-	}
-	st := &StratState{
-		Version:        stratStateVersion,
-		Scheme:         Delta.String(),
-		Strat:          d.opts.Strat.String(),
-		K:              d.k,
-		Configs:        append([]string(nil), d.opts.ConfigFingerprints...),
-		Best:           d.best,
-		SampledQueries: d.sampled,
-	}
-	for t := 0; t < tc; t++ {
-		if d.pop.templateSize(t) == 0 {
-			continue
-		}
-		st.Templates = append(st.Templates, TemplateState{
-			ID:     d.opts.TemplateSigs[t].ID,
-			Params: append([]ParamMoment(nil), d.opts.TemplateSigs[t].Params...),
-			Counts: counts[t],
-			Sum:    append([]stats.Kahan(nil), d.tSum[t]...),
-			Sumsq:  append([]stats.Kahan(nil), d.tSumsq[t]...),
-			Cross:  append([]stats.Kahan(nil), d.tCross[t]...),
-		})
-	}
-	groups := make([][]uint64, 0, len(d.strata))
-	for _, s := range d.strata {
-		g := make([]uint64, len(s.templates))
-		for i, t := range s.templates {
-			g[i] = d.opts.TemplateSigs[t].ID
-		}
-		groups = append(groups, g)
-	}
-	st.Partitions = [][][]uint64{groups}
-	return st
-}
-
-func (d *deltaSampler) exhaustedAll() bool {
-	for _, s := range d.strata {
-		if !s.exhausted() {
-			return false
-		}
-	}
-	return true
-}
-
-func (d *deltaSampler) eliminatedFlags() []bool {
-	out := make([]bool, d.k)
-	for j := range out {
-		out[j] = !d.alive[j]
 	}
 	return out
 }

@@ -1,0 +1,842 @@
+package sampling
+
+import (
+	"errors"
+	"math"
+
+	"physdes/internal/obs"
+	"physdes/internal/stats"
+)
+
+// stratum is the part of a stratum the driver schedules from: template
+// membership, the permuted sampling order and the live counts. Each
+// estimator embeds it in its own stratum type next to its accumulators.
+type stratum struct {
+	templates []int
+	size      int   // live population: members minus degraded queries
+	order     []int // permuted unsampled query indices
+	next      int
+	n         int
+	avgOver   float64 // mean optimization overhead of member queries
+	pilotN    int     // pilot target (NMin cold, WarmPilot for reused strata)
+}
+
+func (s *stratum) exhausted() bool { return s.next >= len(s.order) }
+
+// slot is one unit of evaluation: query q of stratum h in stratification
+// part. Delta Sampling keeps one stratification shared by every
+// configuration, so a slot is a row — q under every alive configuration.
+// Independent Sampling keeps one stratification per configuration, so a
+// slot is one sample of q under configuration part.
+type slot struct{ part, h, q int }
+
+// estimator is what differs between the two sampling schemes: how samples
+// fold into the estimators, the estimates and their pairwise standard
+// errors, where the next sample goes, and Algorithm 2's inputs and
+// partition. The driver owns everything else.
+type estimator interface {
+	numStrata(part int) int
+	stratumAt(part, h int) *stratum
+	// addStratum appends a stratum built from st to stratification part.
+	addStratum(part int, st stratum) *stratum
+
+	// seedPrior attaches the warm snapshot's moments of its member
+	// templates to reused stratum h of part.
+	seedPrior(part, h int)
+	// checkPriorDrift sheds stratum priors the fresh samples contradict
+	// and reports how many it shed.
+	checkPriorDrift() int
+
+	// fold records a slot's costs, one per evaluated pair; dropped notes
+	// that query q degraded out of the run.
+	fold(sl slot, costs []float64)
+	dropped(q int)
+	// nextSlot picks the stratum whose next sample reduces the estimator
+	// variance the most per unit of overhead (h < 0: none).
+	nextSlot() (part, h int)
+
+	// estimate is X_j; pairSEs fills se[j] with the standard error of
+	// X_j − X_best for every alive j other than the incumbent.
+	estimate(j int) float64
+	pairSEs(se []float64)
+	// bestChanged follows a new incumbent.
+	bestChanged()
+
+	// splitTarget picks the stratification Algorithm 2 refines and the
+	// variance its estimator must reach; splitStats stages stratum h's
+	// inputs; applySplit replaces the decision's stratum with its two
+	// children and returns their indices.
+	splitTarget() (part int, targetVar float64, ok bool)
+	splitStats(part, h int, buf []tmplStat) (stats.Stratum, []tmplStat, bool)
+	applySplit(part int, dec splitDecision) (left, right int)
+
+	// templateStates returns this run's fresh moments per dense template
+	// (Counts, Sum, Sumsq, and Cross for Delta) for state capture.
+	templateStates() []TemplateState
+}
+
+// driver runs Algorithm 1 over an estimator: the pilot, the round loop
+// with its stopping rules, evaluation and degradation, Pr(CS) by the
+// Bonferroni bound (Equation 3), elimination, Algorithm 2's split search,
+// warm-start bookkeeping and the Result.
+type driver struct {
+	o    Oracle
+	eo   ErrOracle // non-nil when the oracle's probes can fail
+	opts Options
+	pop  *population
+	e    estimator
+
+	k int
+	// shared is true for Delta Sampling: one stratification (parts == 1)
+	// whose slots cost every alive configuration.
+	shared bool
+	parts  int
+
+	alive      []bool
+	aliveIdx   []int // alive configurations in index order
+	aliveCount int
+	elimPen    float64 // Σ (1 − Pr(CS)) at elimination time
+
+	best     int
+	sampled  int
+	degraded int // queries degraded out of the run (ErrSkipQuery)
+	splits   int
+
+	// Warm-start state: the snapshot's winner as a current configuration
+	// index (-1 cold) and its per-template moments.
+	priorBest int
+	prior     tmplPrior
+	winfo     WarmInfo
+
+	met     samplerMetrics
+	trace   []float64
+	split   splitScratch // reusable split-search buffers
+	pairBuf []float64    // reusable pairwise Pr(CS) buffer
+	seBuf   []float64    // reusable pairwise standard-error buffer
+
+	// Evaluation scratch, reused by every batch.
+	one   [1]slot
+	pairs []Pair
+	out   []float64
+	errs  []error
+}
+
+func newDriver(o Oracle, opts Options) *driver {
+	k := o.K()
+	d := &driver{
+		o: o, opts: opts,
+		pop:        newPopulation(opts.TemplateIndex, opts.TemplateCount, o.N()),
+		k:          k,
+		shared:     opts.Scheme == Delta,
+		parts:      k,
+		alive:      make([]bool, k),
+		aliveIdx:   make([]int, k),
+		aliveCount: k,
+		priorBest:  -1,
+		met:        newSamplerMetrics(opts.Metrics),
+	}
+	if d.shared {
+		d.parts = 1
+	}
+	if eo, ok := o.(ErrOracle); ok {
+		d.eo = eo
+	}
+	for j := range d.alive {
+		d.alive[j] = true
+		d.aliveIdx[j] = j
+	}
+	return d
+}
+
+// start attaches the estimator and builds the initial stratification:
+// resumed from a compatible warm snapshot, otherwise cold.
+func (d *driver) start(e estimator) {
+	d.e = e
+	if wr := planWarm(d.opts.WarmState, &d.opts, d.opts.Scheme, d.k, d.pop); wr != nil {
+		d.initWarm(wr)
+		return
+	}
+	for part := 0; part < d.parts; part++ {
+		for _, tmpls := range d.pop.initialTemplates(d.opts.Strat) {
+			e.addStratum(part, d.newStratum(tmpls))
+		}
+	}
+}
+
+// newStratum builds a stratum over the templates' members in a fresh
+// random order.
+func (d *driver) newStratum(templates []int) stratum {
+	order := d.pop.shuffledMembers(templates, d.opts.RNG)
+	return stratum{
+		templates: templates,
+		size:      len(order),
+		order:     order,
+		avgOver:   d.avgOverhead(order),
+		pilotN:    d.opts.NMin,
+	}
+}
+
+// avgOverhead is the mean per-call optimization overhead of the queries
+// (1 when no CallCost model is configured).
+func (d *driver) avgOverhead(queries []int) float64 {
+	if d.opts.CallCost == nil || len(queries) == 0 {
+		return 1
+	}
+	var sum float64
+	for _, q := range queries {
+		sum += d.opts.CallCost(q)
+	}
+	avg := sum / float64(len(queries))
+	if avg <= 0 {
+		return 1
+	}
+	return avg
+}
+
+// initWarm seeds the run from a decoded snapshot: the snapshot's winner
+// as the starting incumbent (Delta's prior cross sums are relative to
+// it), prior per-template moments, then each stratification's snapshot
+// strata (known templates only) with reduced pilots and reseeded prior
+// moments, plus fresh strata for the remaining templates.
+func (d *driver) initWarm(wr *warmResume) {
+	d.priorBest = wr.best
+	if wr.best >= 0 {
+		d.best = wr.best
+	}
+	d.prior = wr.templatePriors(maxInt(d.opts.TemplateCount, 1), d.k, d.shared)
+	reusedTotal := 0
+	for part := 0; part < d.parts; part++ {
+		pi := 0
+		if !d.shared {
+			pi = wr.cfgMap[part]
+		}
+		groups, reused := wr.groupsFor(pi, d.pop, d.opts.Strat)
+		sizes := make([]int, 0, reused)
+		for gi, tmpls := range groups {
+			st := d.e.addStratum(part, d.newStratum(tmpls))
+			if gi < reused {
+				sizes = append(sizes, st.size)
+			}
+		}
+		// The reused strata come first in the stratification.
+		for h, pilot := range warmPilotAlloc(sizes, d.opts.NMin, d.opts.WarmPilot) {
+			st := d.e.stratumAt(part, h)
+			st.pilotN = pilot
+			d.e.seedPrior(part, h)
+			if saved := minInt(d.opts.NMin, st.size) - minInt(st.pilotN, st.size); saved > 0 {
+				d.winfo.PilotSaved += saved
+			}
+		}
+		reusedTotal += reused
+	}
+	d.winfo.Started = true
+	d.winfo.StrataReused = reusedTotal
+	d.winfo.TemplatesKnown = wr.known
+	d.winfo.TemplatesFresh = wr.fresh
+	d.met.warmStarts.Inc()
+	d.met.warmStrata.Add(int64(reusedTotal))
+	d.met.warmPilotSaved.Add(int64(d.winfo.PilotSaved))
+	if tr := d.opts.Tracer; tr.Enabled() {
+		tr.Emit("warm",
+			obs.KV{Key: "strata_reused", Value: reusedTotal},
+			obs.KV{Key: "templates_known", Value: wr.known},
+			obs.KV{Key: "templates_fresh", Value: wr.fresh},
+			obs.KV{Key: "pilot_saved", Value: d.winfo.PilotSaved})
+	}
+}
+
+// dropDriftedPriors runs the estimator's prior consistency check and
+// accounts the priors it shed.
+func (d *driver) dropDriftedPriors() {
+	if dropped := d.e.checkPriorDrift(); dropped > 0 {
+		d.winfo.PriorDropped += dropped
+		d.met.warmPriorDrop.Add(int64(dropped))
+	}
+}
+
+// slotCalls is the optimizer calls one slot costs.
+func (d *driver) slotCalls() int {
+	if d.shared {
+		return d.aliveCount
+	}
+	return 1
+}
+
+// budgetLeft reports whether another slot fits the call budget.
+func (d *driver) budgetLeft() bool {
+	return d.opts.MaxCalls <= 0 || d.o.Calls()+int64(d.slotCalls()) <= d.opts.MaxCalls
+}
+
+// evaluate costs the slots in one batch and folds them serially in slot
+// order. Workers only fill positional result slots, so the fold sees the
+// same values and the oracle the same probes at every parallelism level.
+// A hard error aborts the run and wins over any skip request of the same
+// slot; a skip request (ErrSkipQuery) degrades the whole slot — Delta
+// Sampling shares a row across configurations, so a partial row would
+// corrupt the difference estimator's cross terms — dropping the query
+// from its stratum and shrinking the stratum weight.
+func (d *driver) evaluate(slots []slot) error {
+	d.pairs = d.pairs[:0]
+	for _, sl := range slots {
+		if !d.shared {
+			d.pairs = append(d.pairs, Pair{Q: sl.q, J: sl.part})
+			continue
+		}
+		for _, j := range d.aliveIdx {
+			d.pairs = append(d.pairs, Pair{Q: sl.q, J: j})
+		}
+	}
+	d.out = grow(d.out, len(d.pairs))
+	if d.eo != nil {
+		d.errs = grow(d.errs, len(d.pairs))
+		clear(d.errs)
+		batchCostErr(d.eo, d.pairs, d.out, d.errs, d.opts.Parallelism)
+	} else {
+		batchCost(d.o, d.pairs, d.out, d.opts.Parallelism)
+	}
+	w := d.slotCalls()
+	for i, sl := range slots {
+		st := d.e.stratumAt(sl.part, sl.h)
+		st.next++
+		if d.eo != nil {
+			skip := false
+			for _, err := range d.errs[i*w : (i+1)*w] {
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, ErrSkipQuery) {
+					return err
+				}
+				skip = true
+			}
+			if skip {
+				st.size--
+				d.degraded++
+				d.e.dropped(sl.q)
+				continue
+			}
+		}
+		st.n++
+		d.sampled++
+		d.met.samples.Inc()
+		d.e.fold(sl, d.out[i*w:(i+1)*w])
+	}
+	return nil
+}
+
+// draw evaluates the next query of stratum h in stratification part. The
+// bool reports progress (a query was consumed — sampled or degraded); a
+// non-nil error aborts the run.
+func (d *driver) draw(part, h int) (bool, error) {
+	st := d.e.stratumAt(part, h)
+	if st.exhausted() || !d.budgetLeft() {
+		return false, nil
+	}
+	d.one[0] = slot{part: part, h: h, q: st.order[st.next]}
+	if err := d.evaluate(d.one[:]); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// pilot runs the pilot phase: each stratum's pilot target (clamped to its
+// size and the budget), evaluated as one batch. Strata are filled
+// round-robin in a shuffled order so a budget-truncated pilot (fixed-budget
+// mode with many strata) covers a random subset of every stratum instead
+// of completing some strata and leaving others untouched — the latter
+// would bias the estimator systematically across Monte-Carlo runs. Delta
+// shuffles its strata; Independent shuffles its configurations and visits
+// each one's strata in order.
+func (d *driver) pilot() error {
+	var cycle []slot
+	if d.shared {
+		for _, h := range d.opts.RNG.Perm(d.e.numStrata(0)) {
+			cycle = append(cycle, slot{h: h})
+		}
+	} else {
+		for _, j := range d.opts.RNG.Perm(d.k) {
+			for h := 0; h < d.e.numStrata(j); h++ {
+				cycle = append(cycle, slot{part: j, h: h})
+			}
+		}
+	}
+	// Every configuration is alive during the pilot, so each slot's cost
+	// in calls is known up front and the budget check needs no probes.
+	var schedule []slot
+	taken := make([]int, len(cycle))
+	calls, per := d.o.Calls(), int64(d.slotCalls())
+outer:
+	for {
+		progress := false
+		for i, c := range cycle {
+			st := d.e.stratumAt(c.part, c.h)
+			if taken[i] >= minInt(st.pilotN, st.size) {
+				continue
+			}
+			if d.opts.MaxCalls > 0 && calls+per > d.opts.MaxCalls {
+				break outer // the budget only shrinks: no later slot fits either
+			}
+			schedule = append(schedule, slot{part: c.part, h: c.h, q: st.order[taken[i]]})
+			taken[i]++
+			calls += per
+			progress = true
+		}
+		if !progress {
+			break
+		}
+	}
+	if err := d.opts.ctxErr(); err != nil {
+		return err
+	}
+	return d.evaluate(schedule)
+}
+
+// run executes Algorithm 1 and returns the result.
+func (d *driver) run() (*Result, error) {
+	tr := d.opts.Tracer
+	if err := d.pilot(); err != nil {
+		return nil, err
+	}
+	d.dropDriftedPriors()
+	d.chooseBest()
+	if tr.Enabled() {
+		kv := [...]obs.KV{
+			{Key: "samples", Value: d.sampled},
+			{Key: "calls", Value: d.o.Calls()},
+			{Key: "strata", Value: d.e.numStrata(0)},
+		}
+		if d.shared {
+			tr.Emit("pilot.done", kv[:]...)
+		} else {
+			tr.Emit("pilot.done", kv[:2]...)
+		}
+	}
+
+	round := 0
+	stable := 0
+	p, pair := d.prCS()
+	for {
+		round++
+		d.met.rounds.Inc()
+		var sw obs.Stopwatch
+		if d.met.roundSeconds != nil {
+			sw = obs.NewStopwatch()
+		}
+		if err := d.opts.ctxErr(); err != nil {
+			return nil, err
+		}
+		if tr.Enabled() {
+			d.emitRound(round, p, stable)
+		}
+		if d.opts.TracePrCS {
+			d.trace = append(d.trace, p)
+		}
+		if d.opts.MaxCalls <= 0 {
+			if p > d.opts.Alpha && d.sampled >= d.opts.MinSamples {
+				stable++
+				if stable >= d.opts.StabilityWindow {
+					break
+				}
+			} else {
+				stable = 0
+			}
+		}
+		d.eliminate(pair)
+		if err := d.maybeSplit(); err != nil {
+			return nil, err
+		}
+		part, h := d.nextSlot()
+		if h < 0 {
+			break // exhausted workload
+		}
+		progress, err := d.draw(part, h)
+		if err != nil {
+			return nil, err
+		}
+		if !progress {
+			break // exhausted workload or budget
+		}
+		if tr.Enabled() {
+			st := d.e.stratumAt(part, h)
+			kv := [...]obs.KV{
+				{Key: "config", Value: part},
+				{Key: "stratum", Value: h},
+				{Key: "stratum_n", Value: st.n},
+				{Key: "stratum_size", Value: st.size},
+			}
+			if d.shared {
+				tr.Emit("alloc", kv[1:]...)
+			} else {
+				tr.Emit("alloc", kv[:]...)
+			}
+		}
+		d.dropDriftedPriors()
+		d.chooseBest()
+		p, pair = d.prCS()
+		if d.met.roundSeconds != nil {
+			d.met.roundSeconds.Observe(sw.Elapsed().Seconds())
+		}
+	}
+
+	if d.exhaustedAll() && d.degraded == 0 {
+		p = 1 // full census: the selection is exact
+	}
+	strata := 0
+	for part := 0; part < d.parts; part++ {
+		strata = maxInt(strata, d.e.numStrata(part))
+	}
+	eliminated := make([]bool, d.k)
+	for j := range eliminated {
+		eliminated[j] = !d.alive[j]
+	}
+	return &Result{
+		Best:            d.best,
+		PrCS:            p,
+		SampledQueries:  d.sampled,
+		OptimizerCalls:  d.o.Calls(),
+		Eliminated:      eliminated,
+		Strata:          strata,
+		Splits:          d.splits,
+		DegradedQueries: d.degraded,
+		PrCSTrace:       d.trace,
+		State:           d.captureState(),
+		Warm:            d.winfo,
+	}, nil
+}
+
+// emitRound traces one round; Delta rounds also report the shared
+// stratification's shape.
+func (d *driver) emitRound(round int, p float64, stable int) {
+	kv := [...]obs.KV{
+		{Key: "round", Value: round},
+		{Key: "samples", Value: d.sampled},
+		{Key: "calls", Value: d.o.Calls()},
+		{Key: "prcs", Value: p},
+		{Key: "best", Value: d.best},
+		{Key: "alive", Value: d.aliveCount},
+		{Key: "strata", Value: d.e.numStrata(0)},
+		{Key: "splits", Value: d.splits},
+		{Key: "stable", Value: stable},
+	}
+	if d.shared {
+		d.opts.Tracer.Emit("round", kv[:]...)
+		return
+	}
+	kv[6] = kv[8] // drop strata and splits, keep stable last
+	d.opts.Tracer.Emit("round", kv[:7]...)
+}
+
+// live reports whether stratification part still samples: Delta's shared
+// one always, an Independent configuration's while it is alive.
+func (d *driver) live(part int) bool { return d.shared || d.alive[part] }
+
+// nextSlot picks the stratum the next sample comes from (h < 0: none).
+// EqualAlloc keeps per-stratum counts level: the first live, unexhausted
+// stratum with the fewest samples.
+func (d *driver) nextSlot() (part, h int) {
+	if d.opts.Strat != EqualAlloc {
+		return d.e.nextSlot()
+	}
+	part, h = -1, -1
+	bestN := 0
+	for p := 0; p < d.parts; p++ {
+		if !d.live(p) {
+			continue
+		}
+		for i := 0; i < d.e.numStrata(p); i++ {
+			st := d.e.stratumAt(p, i)
+			if !st.exhausted() && (h < 0 || st.n < bestN) {
+				part, h, bestN = p, i, st.n
+			}
+		}
+	}
+	return part, h
+}
+
+// exhaustedAll reports whether every live stratification sampled its
+// whole population.
+func (d *driver) exhaustedAll() bool {
+	for part := 0; part < d.parts; part++ {
+		if !d.live(part) {
+			continue
+		}
+		for h := 0; h < d.e.numStrata(part); h++ {
+			if !d.e.stratumAt(part, h).exhausted() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// prCS computes the multi-way probability of correct selection via the
+// Bonferroni bound (Equation 3), folding in the frozen penalty of
+// eliminated configurations. The returned pairwise probabilities alias a
+// reusable buffer.
+func (d *driver) prCS() (float64, []float64) {
+	xb := d.e.estimate(d.best)
+	d.pairBuf = grow(d.pairBuf, d.k)
+	d.seBuf = grow(d.seBuf, d.k)
+	pair := d.pairBuf
+	clear(pair)
+	d.e.pairSEs(d.seBuf)
+	p := 1 - d.elimPen
+	for _, j := range d.aliveIdx {
+		if j == d.best {
+			continue
+		}
+		gap := d.e.estimate(j) - xb
+		pij := stats.PairwisePrCS(gap, d.opts.Delta, d.seBuf[j])
+		pair[j] = pij
+		p -= 1 - pij
+	}
+	if p < 0 {
+		p = 0
+	}
+	if p > 1 {
+		p = 1
+	}
+	return p, pair
+}
+
+// chooseBest re-selects the alive configuration with the smallest
+// estimate, notifying the estimator when the incumbent changes.
+func (d *driver) chooseBest() {
+	best := -1
+	var bx float64
+	for _, j := range d.aliveIdx {
+		x := d.e.estimate(j)
+		if best < 0 || x < bx {
+			best, bx = j, x
+		}
+	}
+	if best < 0 || best == d.best {
+		return
+	}
+	d.best = best
+	d.e.bestChanged()
+}
+
+// eliminate drops configurations whose pairwise Pr(CS) exceeds the
+// threshold (Section 5's large-k optimization). Elimination is
+// irreversible, so it is deferred until the estimates rest on at least
+// twice the pilot sample of every stratification — a pilot-only fluke in
+// a heavy-tailed cost distribution must not evict the true best
+// configuration.
+func (d *driver) eliminate(pair []float64) {
+	th := d.opts.EliminationThreshold
+	if th <= 0 || d.sampled < 2*d.opts.NMin*d.parts {
+		return
+	}
+	for _, j := range d.aliveIdx {
+		if j == d.best {
+			continue
+		}
+		if pair[j] > th {
+			d.alive[j] = false
+			d.aliveCount--
+			d.elimPen += 1 - pair[j]
+			d.met.eliminations.Inc()
+			if tr := d.opts.Tracer; tr.Enabled() {
+				tr.Emit("eliminate",
+					obs.KV{Key: "config", Value: j},
+					obs.KV{Key: "pair_prcs", Value: pair[j]},
+					obs.KV{Key: "alive", Value: d.aliveCount})
+			}
+		}
+	}
+	if d.aliveCount < len(d.aliveIdx) {
+		live := d.aliveIdx[:0]
+		for _, j := range d.aliveIdx {
+			if d.alive[j] {
+				live = append(live, j)
+			}
+		}
+		d.aliveIdx = live
+	}
+}
+
+// worstPair returns the alive configuration with the lowest pairwise
+// Pr(CS) against the incumbent, -1 when the incumbent is alone.
+func (d *driver) worstPair() int {
+	_, pair := d.prCS()
+	worst, worstP := -1, 2.0
+	for _, j := range d.aliveIdx {
+		if j == d.best {
+			continue
+		}
+		if pair[j] < worstP {
+			worst, worstP = j, pair[j]
+		}
+	}
+	return worst
+}
+
+// perPairTarget is the pairwise Pr(CS) each alive pair must reach for the
+// Bonferroni bound to meet α.
+func (d *driver) perPairTarget() float64 {
+	return 1 - (1-d.opts.Alpha)/float64(maxInt(d.aliveCount-1, 1))
+}
+
+// maybeSplit runs Algorithm 2 when progressive stratification is enabled:
+// it searches the estimator's chosen stratification for the split that
+// reaches the target variance with the fewest samples, applies it, and
+// tops both children up to n_min samples (Algorithm 1, line 8).
+func (d *driver) maybeSplit() error {
+	if d.opts.Strat != Progressive {
+		return nil
+	}
+	part, targetVar, ok := d.e.splitTarget()
+	if !ok {
+		return nil
+	}
+	sc := &d.split
+	L := d.e.numStrata(part)
+	sc.cur = grow(sc.cur, L)
+	sc.tstats = grow(sc.tstats, L)
+	sc.toffs = grow(sc.toffs, L)
+	sc.tbuf = sc.tbuf[:0]
+	for h := 0; h < L; h++ {
+		start := len(sc.tbuf)
+		cur, buf, ok := d.e.splitStats(part, h, sc.tbuf)
+		sc.cur[h] = cur
+		sc.tbuf = buf
+		if ok {
+			sc.toffs[h] = [2]int{start, len(sc.tbuf)}
+		} else {
+			sc.toffs[h] = [2]int{-1, -1}
+		}
+	}
+	// Slice tstats only once tbuf has stopped growing: appends above may
+	// have reallocated the backing array.
+	for h := 0; h < L; h++ {
+		if sc.toffs[h][0] < 0 {
+			sc.tstats[h] = nil
+		} else {
+			sc.tstats[h] = sc.tbuf[sc.toffs[h][0]:sc.toffs[h][1]]
+		}
+	}
+	var sw obs.Stopwatch
+	if d.opts.Metrics != nil {
+		sw = obs.NewStopwatch()
+	}
+	dec, evals, ok := findBestSplit(sc, sc.cur, sc.tstats, targetVar, d.opts.NMin)
+	if d.opts.Metrics != nil {
+		d.met.splitSearch.Observe(sw.Elapsed().Seconds())
+	}
+	d.met.splitEvals.Add(int64(evals))
+	if !ok {
+		return nil
+	}
+
+	parent := dec.stratum
+	left, right := d.e.applySplit(part, dec)
+	d.splits++
+	d.met.splits.Inc()
+	if tr := d.opts.Tracer; tr.Enabled() {
+		where := obs.KV{Key: "stratum", Value: parent}
+		if !d.shared {
+			where = obs.KV{Key: "config", Value: part}
+		}
+		l, r := d.e.stratumAt(part, left), d.e.stratumAt(part, right)
+		tr.Emit("split", where,
+			obs.KV{Key: "left_templates", Value: len(l.templates)},
+			obs.KV{Key: "right_templates", Value: len(r.templates)},
+			obs.KV{Key: "left_size", Value: l.size},
+			obs.KV{Key: "right_size", Value: r.size},
+			obs.KV{Key: "strata", Value: d.e.numStrata(part)})
+	}
+	// The target re-clamps every iteration: a degraded query shrinks the
+	// child's size.
+	for _, h := range [2]int{left, right} {
+		st := d.e.stratumAt(part, h)
+		for st.n < minInt(d.opts.NMin, st.size) {
+			progress, err := d.draw(part, h)
+			if err != nil {
+				return err
+			}
+			if !progress {
+				break
+			}
+		}
+	}
+	d.chooseBest()
+	return nil
+}
+
+// splitParts divides a split stratum's templates into the decision's
+// left child (copied: dec.left aliases the split scratch) and the rest.
+func splitParts(templates []int, dec splitDecision) (left, right []int, inLeft map[int]bool) {
+	left = append([]int(nil), dec.left...)
+	inLeft = make(map[int]bool, len(left))
+	for _, t := range left {
+		inLeft[t] = true
+	}
+	for _, t := range templates {
+		if !inLeft[t] {
+			right = append(right, t)
+		}
+	}
+	return left, right, inLeft
+}
+
+// captureState snapshots the final stratification for a later warm start:
+// this run's fresh per-template tallies and moments, plus every
+// stratification's partition as template-ID groups. Only fresh samples
+// are captured — a warm run's inherited prior never compounds across
+// chained snapshots, so staleness is bounded by one generation.
+func (d *driver) captureState() *StratState {
+	tc := d.opts.TemplateCount
+	if !d.opts.CaptureState || tc <= 0 ||
+		len(d.opts.TemplateSigs) != tc || len(d.opts.ConfigFingerprints) != d.k {
+		return nil
+	}
+	st := &StratState{
+		Version:        stratStateVersion,
+		Scheme:         d.opts.Scheme.String(),
+		Strat:          d.opts.Strat.String(),
+		K:              d.k,
+		Configs:        append([]string(nil), d.opts.ConfigFingerprints...),
+		Best:           d.best,
+		SampledQueries: d.sampled,
+	}
+	for t, ts := range d.e.templateStates() {
+		if d.pop.templateSize(t) == 0 {
+			continue
+		}
+		ts.ID = d.opts.TemplateSigs[t].ID
+		ts.Params = append([]ParamMoment(nil), d.opts.TemplateSigs[t].Params...)
+		st.Templates = append(st.Templates, ts)
+	}
+	st.Partitions = make([][][]uint64, d.parts)
+	for part := range st.Partitions {
+		groups := make([][]uint64, 0, d.e.numStrata(part))
+		for h := 0; h < d.e.numStrata(part); h++ {
+			tmpls := d.e.stratumAt(part, h).templates
+			g := make([]uint64, len(tmpls))
+			for i, t := range tmpls {
+				g[i] = d.opts.TemplateSigs[t].ID
+			}
+			groups = append(groups, g)
+		}
+		st.Partitions[part] = groups
+	}
+	return st
+}
+
+func minInt(a, b int) int {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func maxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// sqrtPos is the square root of a variance clamped at zero.
+func sqrtPos(v float64) float64 { return math.Sqrt(math.Max(v, 0)) }

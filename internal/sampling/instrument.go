@@ -2,7 +2,7 @@ package sampling
 
 import "physdes/internal/obs"
 
-// samplerMetrics holds the metric handles shared by both samplers,
+// samplerMetrics holds the driver's metric handles for both schemes,
 // resolved once at construction. Without a registry every handle is nil
 // and each update is a no-op nil-check.
 type samplerMetrics struct {

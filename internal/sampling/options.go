@@ -94,17 +94,20 @@ type Options struct {
 	// RNG drives all randomness; required.
 	RNG *stats.RNG
 
-	// Ctx, when non-nil, cancels the run: the samplers check it before
-	// every round and every scheduled probe, and Run returns the context
-	// error once it fires. nil means run to completion.
+	// Ctx, when non-nil, cancels the run: the sampler checks it before the
+	// pilot batch and every round, and Run returns the context error once
+	// it fires. nil means run to completion.
 	Ctx context.Context
 
-	// Parallelism, when > 1, routes batched cost requests — the whole
-	// pilot phase and each Delta row — through the oracle's batch path
-	// (BatchOracle) over a bounded worker pool. 0 or 1 evaluates serially.
-	// Results are bit-identical at every setting: workers only compute
-	// pure cost values into positional slots, and every statistical fold
-	// runs serially in the order the serial schedule would have produced.
+	// Parallelism is the worker count for each evaluation batch — the
+	// whole pilot phase, then one Delta row or one Independent sample per
+	// round. Above 1, batches of several pairs go through the oracle's
+	// batch path (BatchOracle, BatchErrOracle) over a bounded worker pool;
+	// 0 or 1 runs each batch inline, pair by pair. Every setting evaluates
+	// the same schedule of probes, workers only compute pure cost values
+	// into positional slots, and every statistical fold runs serially in
+	// schedule order, so Results are bit-identical at every setting, also
+	// when probes fail.
 	Parallelism int
 
 	// TemplateIndex maps each query to a dense template index; required
@@ -157,8 +160,7 @@ type Options struct {
 	// the full NMin.
 	WarmPilot int
 
-	// TracePrCS records Pr(CS) after every sample into Result.PrCSTrace
-	// (what RunTraced toggles).
+	// TracePrCS records Pr(CS) after every sample into Result.PrCSTrace.
 	TracePrCS bool
 
 	// Tracer, when non-nil, receives structured events for every sampling

@@ -87,12 +87,12 @@ func AsErrOracle(o Oracle) ErrOracle {
 }
 
 // batchCostErr evaluates pairs through the oracle's fallible batch path
-// when it has one and parallel evaluation was requested, falling back to
-// sequential CostErr calls in pair order. errs[i] receives pairs[i]'s
-// error (nil on success); the serial fallback stops at the first
-// non-skip error, leaving later slots untouched at their zero values.
+// when it has one and parallel evaluation of more than one pair was
+// requested, otherwise inline by sequential CostErr calls in pair order.
+// errs[i] receives pairs[i]'s error (nil on success); the inline loop
+// stops at the first non-skip error, leaving later slots untouched.
 func batchCostErr(o ErrOracle, pairs []Pair, out []float64, errs []error, parallelism int) {
-	if bo, ok := o.(BatchErrOracle); ok && parallelism > 1 {
+	if bo, ok := o.(BatchErrOracle); ok && parallelism > 1 && len(pairs) > 1 {
 		bo.BatchCostErr(pairs, out, errs, parallelism)
 		return
 	}
@@ -117,10 +117,11 @@ type BatchOracle interface {
 }
 
 // batchCost evaluates pairs through the oracle's batch path when it has
-// one and parallel evaluation was requested, falling back to sequential
-// Cost calls in pair order.
+// one and parallel evaluation of more than one pair was requested,
+// otherwise inline by sequential Cost calls in pair order. A single pair
+// never pays the batch path's per-call setup.
 func batchCost(o Oracle, pairs []Pair, out []float64, parallelism int) {
-	if bo, ok := o.(BatchOracle); ok && parallelism > 1 {
+	if bo, ok := o.(BatchOracle); ok && parallelism > 1 && len(pairs) > 1 {
 		bo.BatchCost(pairs, out, parallelism)
 		return
 	}

@@ -21,10 +21,3 @@ func Run(o Oracle, opts Options) (*Result, error) {
 		return newIndependentSampler(o, opts).run()
 	}
 }
-
-// RunTraced is Run with Options.TracePrCS forced on; the traces feed the
-// exploratory examples and diagnostics.
-func RunTraced(o Oracle, opts Options) (*Result, error) {
-	opts.TracePrCS = true
-	return Run(o, opts)
-}

@@ -400,8 +400,8 @@ func TestVarianceBoundMakesConservative(t *testing.T) {
 
 func TestRunTraced(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 2, 6, 0.05, 1, 28)
-	res, err := RunTraced(NewMatrixOracle(m), Options{
-		Scheme: Delta, Alpha: 0.9,
+	res, err := Run(NewMatrixOracle(m), Options{
+		Scheme: Delta, Alpha: 0.9, TracePrCS: true,
 		TemplateIndex: tmplIdx, TemplateCount: 6,
 		RNG: stats.NewRNG(84),
 	})

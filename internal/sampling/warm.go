@@ -385,6 +385,48 @@ func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *populati
 	return wr
 }
 
+// tmplPrior is a warm snapshot's per-template moments remapped to the
+// current configuration order; rows of fresh templates stay nil.
+type tmplPrior struct {
+	n                 [][]int
+	sum, sumsq, cross [][]stats.Kahan // cross: Delta snapshots only
+}
+
+// templatePriors remaps the snapshot moments of the tc current templates
+// onto the k current configurations.
+func (wr *warmResume) templatePriors(tc, k int, cross bool) tmplPrior {
+	pr := tmplPrior{
+		n:     make([][]int, tc),
+		sum:   make([][]stats.Kahan, tc),
+		sumsq: make([][]stats.Kahan, tc),
+	}
+	if cross {
+		pr.cross = make([][]stats.Kahan, tc)
+	}
+	for t := 0; t < tc && t < len(wr.stateIdx); t++ {
+		si := wr.stateIdx[t]
+		if si < 0 {
+			continue
+		}
+		ts := &wr.st.Templates[si]
+		pr.n[t] = make([]int, k)
+		pr.sum[t] = make([]stats.Kahan, k)
+		pr.sumsq[t] = make([]stats.Kahan, k)
+		if cross {
+			pr.cross[t] = make([]stats.Kahan, k)
+		}
+		for j, pj := range wr.cfgMap {
+			pr.n[t][j] = ts.Counts[pj]
+			pr.sum[t][j] = ts.Sum[pj]
+			pr.sumsq[t][j] = ts.Sumsq[pj]
+			if cross {
+				pr.cross[t][j] = ts.Cross[pj]
+			}
+		}
+	}
+	return pr
+}
+
 // groupsFor rebuilds the initial template groups for partition pi:
 // snapshot strata restricted to known templates first (order preserved,
 // members sorted by dense index), then the fresh templates grouped per
