@@ -220,3 +220,18 @@ func TestSelectWarmStateGolden(t *testing.T) {
 	}
 	checkGolden(t, golden, coldOut+"---\n"+warmOut)
 }
+
+// The explore subcommand prints the selection followed by its Pr(CS)
+// trajectory; both are deterministic for a fixed seed.
+func TestExploreGolden(t *testing.T) {
+	golden := filepath.Join(goldenDir(t), "explore.golden")
+	t.Chdir(t.TempDir())
+
+	out := captureStdout(t, func() {
+		err := cmdSelect([]string{"-db", "tpcd", "-n", "2600", "-k", "20", "-seed", "7"}, true)
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	checkGolden(t, golden, out)
+}
