@@ -113,7 +113,6 @@ func TestSelectAtomSharingBitIdentity(t *testing.T) {
 	run := func(mode AtomSharingMode) (*Selection, *recorder.Recorder) {
 		rec := recorder.New("select")
 		o := DefaultOptions(91)
-		o.TracePrCS = true
 		o.AtomSharing = mode
 		o.Tracer = obs.NewTracerSinks(rec)
 		sel, err := Select(opt, w, space, o)
@@ -136,6 +135,16 @@ func TestSelectAtomSharingBitIdentity(t *testing.T) {
 	if a, b := normalize(selOn), normalize(selOff); !reflect.DeepEqual(a, b) {
 		t.Fatalf("selection diverged between sharing modes:\non:  %+v\noff: %+v", a, b)
 	}
+	// So must the Pr(CS) trajectory, round by round, call counts aside.
+	roundsOn, roundsOff := trajectory(recOn), trajectory(recOff)
+	for _, rounds := range [][]recorder.Round{roundsOn, roundsOff} {
+		for i := range rounds {
+			rounds[i].Calls = 0
+		}
+	}
+	if !reflect.DeepEqual(roundsOn, roundsOff) {
+		t.Fatalf("trajectory diverged between sharing modes: %d vs %d rounds", len(roundsOn), len(roundsOff))
+	}
 	if selOn.OptimizerCalls >= selOff.OptimizerCalls {
 		t.Errorf("atom sharing saved nothing: %d calls on vs %d off",
 			selOn.OptimizerCalls, selOff.OptimizerCalls)
@@ -146,7 +155,7 @@ func TestSelectAtomSharingBitIdentity(t *testing.T) {
 
 	got := fmt.Sprintf("best=%d prcs=%.6f sampled=%d strata=%d splits=%d eliminated=%v trace_len=%d\ncalls_shared=%d calls_direct=%d\n",
 		selOn.BestIndex, selOn.PrCS, selOn.SampledQueries, selOn.Strata, selOn.Splits,
-		selOn.Eliminated, len(selOn.PrCSTrace), selOn.OptimizerCalls, selOff.OptimizerCalls)
+		selOn.Eliminated, len(roundsOn), selOn.OptimizerCalls, selOff.OptimizerCalls)
 	golden := filepath.Join("testdata", "atom_sharing.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {

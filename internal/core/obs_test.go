@@ -7,22 +7,34 @@ import (
 	"testing"
 
 	"physdes/internal/obs"
+	"physdes/internal/obs/recorder"
 	"physdes/internal/optimizer"
 )
 
+// trajectory returns rec's per-round Pr(CS) trajectory with wall-clock
+// timestamps zeroed, so the trajectories of separate runs compare by value.
+func trajectory(rec *recorder.Recorder) []recorder.Round {
+	rounds := rec.Report().Rounds
+	for i := range rounds {
+		rounds[i].TSUS = 0
+	}
+	return rounds
+}
+
 // TestSelectObservability runs the primitive with the full observability
 // stack and checks the contract: one round event per sampling round with
-// round index, cumulative optimizer calls and Pr(CS); a select span; and
-// a metrics snapshot whose optimizer_calls_total matches both
-// Optimizer.Calls() and Selection.OptimizerCalls.
+// round index, cumulative optimizer calls and Pr(CS), each folded into one
+// flight-recorder round; a select span; and a metrics snapshot whose
+// optimizer_calls_total matches both Optimizer.Calls() and
+// Selection.OptimizerCalls.
 func TestSelectObservability(t *testing.T) {
 	opt, w, space := scenario(t, 400, 3, 5)
 
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
+	flight := recorder.New("select")
 	o := DefaultOptions(11)
-	o.TracePrCS = true
-	o.Tracer = obs.NewTracer(&buf)
+	o.Tracer = obs.NewTracerSinks(obs.NewJSONLSink(&buf), flight)
 	o.Metrics = reg
 
 	sel, err := Select(opt, w, space, o)
@@ -76,10 +88,9 @@ func TestSelectObservability(t *testing.T) {
 	if spansBegun != 1 || spansEnded != 1 {
 		t.Fatalf("select span events: begin=%d end=%d, want 1/1", spansBegun, spansEnded)
 	}
-	// One event per sampling round: the PrCS trace and the round events
-	// describe the same loop.
-	if rounds != len(sel.PrCSTrace) {
-		t.Errorf("round events (%d) != PrCS trace length (%d)", rounds, len(sel.PrCSTrace))
+	// The JSONL stream and the flight recorder observe the same loop.
+	if got := len(flight.Report().Rounds); rounds != got {
+		t.Errorf("round events (%d) != recorder rounds (%d)", rounds, got)
 	}
 
 	snap := reg.Snapshot()
@@ -98,30 +109,6 @@ func TestSelectObservability(t *testing.T) {
 	hist := snap.Histograms["optimizer_cost_seconds"]
 	if hist.Count != sel.OptimizerCalls {
 		t.Errorf("optimizer_cost_seconds count = %d, want %d", hist.Count, sel.OptimizerCalls)
-	}
-}
-
-// TestSelectTracedComposition pins the satellite refactor: SelectTraced
-// is exactly Select with Options.TracePrCS, so both spellings agree.
-func TestSelectTracedComposition(t *testing.T) {
-	opt, w, space := scenario(t, 300, 3, 6)
-	selA, err := SelectTraced(opt, w, space, DefaultOptions(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := DefaultOptions(13)
-	o.TracePrCS = true
-	selB, err := Select(optimizerClone(opt), w, space, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if selA.BestIndex != selB.BestIndex || selA.PrCS != selB.PrCS ||
-		len(selA.PrCSTrace) != len(selB.PrCSTrace) {
-		t.Errorf("SelectTraced and Select{TracePrCS} diverge: %v/%v vs %v/%v",
-			selA.BestIndex, selA.PrCS, selB.BestIndex, selB.PrCS)
-	}
-	if len(selA.PrCSTrace) == 0 {
-		t.Error("PrCS trace empty")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"physdes/internal/catalog"
+	"physdes/internal/obs"
+	"physdes/internal/obs/recorder"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
@@ -38,7 +40,8 @@ func crmScenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer,
 // TestSelectParallelDeterminism is the determinism contract: for a fixed
 // seed, Select with an 8-worker pool must produce a Selection bit-identical
 // to the serial run — same Best, same Pr(CS) down to the last float bit,
-// same call accounting, strata, splits, eliminations and Pr(CS) trace —
+// same call accounting, strata, splits and eliminations, and the same
+// per-round Pr(CS) trajectory in the flight recorder's report —
 // across both sampling schemes, both stratification modes of interest, and
 // both workloads.
 func TestSelectParallelDeterminism(t *testing.T) {
@@ -78,18 +81,21 @@ func TestSelectParallelDeterminism(t *testing.T) {
 						Strat:        tc.strat,
 						Conservative: tc.conservative,
 						Seed:         11,
-						TracePrCS:    true,
 						Parallelism:  par,
 					}
 				}
-				serial, err := Select(opt, w, space, opts(1))
-				if err != nil {
-					t.Fatal(err)
+				run := func(par int) (*Selection, []recorder.Round) {
+					rec := recorder.New("select")
+					o := opts(par)
+					o.Tracer = obs.NewTracerSinks(rec)
+					sel, err := Select(opt, w, space, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sel, trajectory(rec)
 				}
-				parallel, err := Select(opt, w, space, opts(8))
-				if err != nil {
-					t.Fatal(err)
-				}
+				serial, serialRounds := run(1)
+				parallel, parallelRounds := run(8)
 				if parallel.BestIndex != serial.BestIndex {
 					t.Errorf("Best diverged: parallel %d, serial %d", parallel.BestIndex, serial.BestIndex)
 				}
@@ -106,6 +112,9 @@ func TestSelectParallelDeterminism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(parallel, serial) {
 					t.Errorf("Selection not bit-identical:\nparallel: %+v\nserial:   %+v", parallel, serial)
+				}
+				if len(serialRounds) == 0 || !reflect.DeepEqual(parallelRounds, serialRounds) {
+					t.Errorf("trajectory not bit-identical: parallel %d rounds, serial %d", len(parallelRounds), len(serialRounds))
 				}
 			})
 		}

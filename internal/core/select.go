@@ -90,9 +90,6 @@ type Options struct {
 	// Rho is the DP granularity for conservative mode (default 1.0 cost
 	// units).
 	Rho float64
-	// TracePrCS records the Pr(CS) evolution into Selection.PrCSTrace
-	// (what SelectTraced toggles). It composes freely with Tracer.
-	TracePrCS bool
 	// Tracer, when non-nil, receives structured JSONL events for the whole
 	// selection: a select span, conservative bound derivation, and the
 	// samplers' per-round, split, elimination and allocation events. The
@@ -220,8 +217,6 @@ type Selection struct {
 	// accounting: re-attempted probes and failed probe attempts (0 when no
 	// resilience option is active).
 	OracleRetries, OracleFaults int64
-	// PrCSTrace, when tracing, holds the Pr(CS) evolution.
-	PrCSTrace []float64
 	// State, when Options.CaptureState or Options.WarmState was set,
 	// snapshots the final stratification for a later warm start. Its
 	// Incumbent records the configuration this selection adopted.
@@ -258,9 +253,10 @@ func DefaultOptions(seed uint64) Options {
 }
 
 // Select runs the comparison primitive over the workload and candidate
-// configurations. Observability is configured through Options: TracePrCS
-// for the Pr(CS) trace, Tracer for structured events, Metrics for the
-// counter registry — all three compose.
+// configurations. Observability is configured through Options: Tracer for
+// structured events (a flight recorder sink folds them into a RunReport
+// whose Rounds carry the Pr(CS) trajectory), Metrics for the counter
+// registry — the two compose.
 func Select(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration, o Options) (*Selection, error) {
 	//physdes:detachedctx compatibility wrapper for pre-cancellation callers; SelectCtx is the cancellable path
 	return SelectCtx(context.Background(), opt, w, configs, o)
@@ -327,7 +323,6 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		RNG:                  stats.NewRNG(o.Seed),
 		TemplateIndex:        w.TemplateIndexOf(),
 		TemplateCount:        w.NumTemplates(),
-		TracePrCS:            o.TracePrCS,
 		Tracer:               o.Tracer,
 		Metrics:              o.Metrics,
 	}
@@ -391,7 +386,6 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 	sel.Strata = res.Strata
 	sel.Splits = res.Splits
 	sel.DegradedQueries = res.DegradedQueries
-	sel.PrCSTrace = res.PrCSTrace
 	sel.State = res.State
 	sel.Warm = res.Warm
 	// α-gated never-adopt-worse check: a warm run that could not certify
@@ -431,12 +425,6 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		obs.KV{Key: "retries", Value: sel.OracleRetries},
 		obs.KV{Key: "faults", Value: sel.OracleFaults})
 	return sel, nil
-}
-
-// SelectTraced is Select with the Pr(CS) trace enabled (Options.TracePrCS).
-func SelectTraced(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration, o Options) (*Selection, error) {
-	o.TracePrCS = true
-	return Select(opt, w, configs, o)
 }
 
 // applyConservative derives Section 6 bounds and wires them into the

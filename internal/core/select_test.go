@@ -119,17 +119,6 @@ func TestSelectConservativeMode(t *testing.T) {
 	}
 }
 
-func TestSelectTraced(t *testing.T) {
-	opt, w, space := scenario(t, 300, 2, 5)
-	sel, err := SelectTraced(opt, w, space, DefaultOptions(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.PrCSTrace) == 0 {
-		t.Error("trace missing")
-	}
-}
-
 func TestSelectIndependentScheme(t *testing.T) {
 	opt, w, space := scenario(t, 500, 2, 6)
 	o := DefaultOptions(19)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"physdes/internal/obs"
+	"physdes/internal/obs/recorder"
 	"physdes/internal/physical"
 	"physdes/internal/resilience"
 	"physdes/internal/sampling"
@@ -59,8 +60,20 @@ func runOpts(seed uint64, parallelism int, tmplIdx []int, templates int, ctx con
 		Parallelism: parallelism,
 		Ctx:         ctx,
 		Metrics:     reg,
-		TracePrCS:   true,
 	}
+}
+
+// tracedRun runs the sampler with a flight recorder attached and also
+// returns the run's per-round trajectory, wall-clock timestamps zeroed.
+func tracedRun(o sampling.Oracle, opts sampling.Options) (*sampling.Result, []recorder.Round, error) {
+	rec := recorder.New("run")
+	opts.Tracer = obs.NewTracerSinks(rec)
+	res, err := sampling.Run(o, opts)
+	rounds := rec.Report().Rounds
+	for i := range rounds {
+		rounds[i].TSUS = 0
+	}
+	return res, rounds, err
 }
 
 // At fault rate zero the full decorator stack (FaultyOracle under the
@@ -68,19 +81,25 @@ func runOpts(seed uint64, parallelism int, tmplIdx []int, templates int, ctx con
 // unwrapped oracle, at every parallelism level.
 func TestZeroFaultRateByteIdentity(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 3, 6, 0.06, 11)
-	want, err := sampling.Run(sampling.NewMatrixOracle(m), runOpts(5, 1, tmplIdx, 6, nil, nil))
+	want, wantRounds, err := tracedRun(sampling.NewMatrixOracle(m), runOpts(5, 1, tmplIdx, 6, nil, nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(wantRounds) == 0 {
+		t.Fatal("no round events recorded")
 	}
 	for _, p := range []int{1, 4, 8} {
 		fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99}) // all rates zero
 		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 3, Policy: resilience.Skip, Seed: 99})
-		got, err := sampling.Run(w, runOpts(5, p, tmplIdx, 6, nil, nil))
+		got, gotRounds, err := tracedRun(w, runOpts(5, p, tmplIdx, 6, nil, nil))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism %d: result diverged from unwrapped oracle\ngot  %+v\nwant %+v", p, got, want)
+		}
+		if !reflect.DeepEqual(gotRounds, wantRounds) {
+			t.Errorf("parallelism %d: trajectory diverged from unwrapped oracle (%d vs %d rounds)", p, len(gotRounds), len(wantRounds))
 		}
 		if st := fo.Stats(); st != (Stats{}) {
 			t.Errorf("parallelism %d: injected faults at rate zero: %+v", p, st)
@@ -97,6 +116,7 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 	for _, scheme := range []sampling.Scheme{sampling.Delta, sampling.Independent} {
 		t.Run("faults/"+scheme.String(), func(t *testing.T) {
 			var want *sampling.Result
+			var wantRounds []recorder.Round
 			var wantStats resilience.Stats
 			var wantInjected Stats
 			for _, p := range []int{1, 4, 8} {
@@ -104,12 +124,12 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 				w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip, Seed: 99})
 				opts := runOpts(5, p, tmplIdx, 6, nil, nil)
 				opts.Scheme = scheme
-				got, err := sampling.Run(w, opts)
+				got, gotRounds, err := tracedRun(w, opts)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", p, err)
 				}
 				if p == 1 {
-					want, wantStats, wantInjected = got, w.Stats(), fo.Stats()
+					want, wantRounds, wantStats, wantInjected = got, gotRounds, w.Stats(), fo.Stats()
 					if want.DegradedQueries == 0 {
 						t.Fatalf("fault injection inert: no query degraded (%+v)", wantStats)
 					}
@@ -117,6 +137,9 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("parallelism %d: result diverged from parallelism 1\ngot  %+v\nwant %+v", p, got, want)
+				}
+				if !reflect.DeepEqual(gotRounds, wantRounds) {
+					t.Errorf("parallelism %d: trajectory diverged from parallelism 1 (%d vs %d rounds)", p, len(gotRounds), len(wantRounds))
 				}
 				if st := w.Stats(); !reflect.DeepEqual(st, wantStats) {
 					t.Errorf("parallelism %d: wrapper stats %+v, want %+v", p, st, wantStats)
@@ -198,9 +221,7 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 		w := resilience.Wrap(fo, resilience.Options{
 			MaxRetries: 3, Policy: resilience.Skip, Seed: uint64(r) + 1, Metrics: reg,
 		})
-		opts := runOpts(uint64(r)+1000, 1, tmplIdx, 6, nil, reg)
-		opts.TracePrCS = false
-		res, err := sampling.Run(w, opts)
+		res, err := sampling.Run(w, runOpts(uint64(r)+1000, 1, tmplIdx, 6, nil, reg))
 		if err != nil {
 			t.Fatalf("trial %d: %v", r, err)
 		}

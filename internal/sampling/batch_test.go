@@ -58,7 +58,7 @@ func TestBatchCostSerialFallback(t *testing.T) {
 
 // TestRunParallelMatchesSerial is the sampler-level determinism check on a
 // matrix oracle: same seed, Parallelism 8 vs 1, identical Result
-// (including the Pr(CS) trace) for both schemes and stratification modes.
+// and per-round trajectory for both schemes and stratification modes.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	m, tmpl := synthMatrix(3000, 4, 6, 0.08, 1, 9)
 	cases := []struct {
@@ -80,7 +80,6 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 					Strat:       tc.strat,
 					Alpha:       0.95,
 					RNG:         stats.NewRNG(5),
-					TracePrCS:   true,
 					Parallelism: par,
 				}
 				if tc.strat != NoStrat {
@@ -89,17 +88,22 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 				}
 				return o
 			}
-			serial, err := Run(NewMatrixOracle(m), opts(1))
+			serialOpts, parallelOpts := opts(1), opts(8)
+			serialRec, parallelRec := traced(&serialOpts), traced(&parallelOpts)
+			serial, err := Run(NewMatrixOracle(m), serialOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := Run(NewMatrixOracle(m), opts(8))
+			parallel, err := Run(NewMatrixOracle(m), parallelOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(parallel, serial) {
 				t.Errorf("parallel Result diverged from serial:\nparallel: %+v\nserial:   %+v",
 					parallel, serial)
+			}
+			if got, want := trajectory(parallelRec), trajectory(serialRec); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("parallel trajectory (%d rounds) diverged from serial (%d rounds)", len(got), len(want))
 			}
 		})
 	}

@@ -513,7 +513,7 @@ func (d *deltaSampler) splitStats(_, h int, buf []tmplStat) (stats.Stratum, []tm
 	cur := stats.Stratum{Size: s.size, S2: s2, Taken: s.n}
 	start := len(buf)
 	for _, t := range s.templates {
-		if d.tCount[t] < d.opts.MinTemplateObs {
+		if d.tCount[t] < minTemplateObs {
 			return cur, buf[:start], false
 		}
 		n := d.tCount[t]

@@ -18,7 +18,7 @@ type stratum struct {
 	next      int
 	n         int
 	avgOver   float64 // mean optimization overhead of member queries
-	pilotN    int     // pilot target (NMin cold, WarmPilot for reused strata)
+	pilotN    int     // pilot target (NMin cold, the warm pilot share for reused strata)
 }
 
 func (s *stratum) exhausted() bool { return s.next >= len(s.order) }
@@ -109,7 +109,6 @@ type driver struct {
 	winfo     WarmInfo
 
 	met     samplerMetrics
-	trace   []float64
 	split   splitScratch // reusable split-search buffers
 	pairBuf []float64    // reusable pairwise Pr(CS) buffer
 	seBuf   []float64    // reusable pairwise standard-error buffer
@@ -219,7 +218,7 @@ func (d *driver) initWarm(wr *warmResume) {
 			}
 		}
 		// The reused strata come first in the stratification.
-		for h, pilot := range warmPilotAlloc(sizes, d.opts.NMin, d.opts.WarmPilot) {
+		for h, pilot := range warmPilotAlloc(sizes, d.opts.NMin) {
 			st := d.e.stratumAt(part, h)
 			st.pilotN = pilot
 			d.e.seedPrior(part, h)
@@ -428,9 +427,6 @@ func (d *driver) run() (*Result, error) {
 		if tr.Enabled() {
 			d.emitRound(round, p, stable)
 		}
-		if d.opts.TracePrCS {
-			d.trace = append(d.trace, p)
-		}
 		if d.opts.MaxCalls <= 0 {
 			if p > d.opts.Alpha && d.sampled >= d.opts.MinSamples {
 				stable++
@@ -498,7 +494,6 @@ func (d *driver) run() (*Result, error) {
 		Strata:          strata,
 		Splits:          d.splits,
 		DegradedQueries: d.degraded,
-		PrCSTrace:       d.trace,
 		State:           d.captureState(),
 		Warm:            d.winfo,
 	}, nil

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"physdes/internal/obs"
+	"physdes/internal/obs/recorder"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -25,13 +27,32 @@ type goldenCell struct {
 	warm bool
 }
 
+// traced attaches a flight recorder to opts' tracer; its report's Rounds
+// are the run's Pr(CS) trajectory.
+func traced(opts *Options) *recorder.Recorder {
+	rec := recorder.New("run")
+	opts.Tracer = obs.NewTracerSinks(rec)
+	return rec
+}
+
+// trajectory returns the recorded rounds with their wall-clock timestamps
+// zeroed, so trajectories of separate runs compare by value.
+func trajectory(rec *recorder.Recorder) []recorder.Round {
+	rounds := rec.Report().Rounds
+	for i := range rounds {
+		rounds[i].TSUS = 0
+	}
+	return rounds
+}
+
 // goldenLine renders every deterministic field of a Result: Pr(CS) as IEEE
-// bits, the Pr(CS) trace and the canonical snapshot as FNV-64a hashes.
-func goldenLine(t *testing.T, name string, res *Result) string {
+// bits, the per-round Pr(CS) trajectory and the canonical snapshot as
+// FNV-64a hashes.
+func goldenLine(t *testing.T, name string, res *Result, rounds []recorder.Round) string {
 	t.Helper()
 	th := fnv.New64a()
-	for _, p := range res.PrCSTrace {
-		fmt.Fprintf(th, "%016x", math.Float64bits(p))
+	for _, r := range rounds {
+		fmt.Fprintf(th, "%016x", math.Float64bits(r.PrCS))
 	}
 	state := "none"
 	if res.State != nil {
@@ -48,7 +69,7 @@ func goldenLine(t *testing.T, name string, res *Result) string {
 	return fmt.Sprintf("%s best=%d prcs=%016x sampled=%d calls=%d strata=%d splits=%d degraded=%d eliminated=%v warm=%+v trace=%d:%016x state=%s\n",
 		name, res.Best, math.Float64bits(res.PrCS), res.SampledQueries, res.OptimizerCalls,
 		res.Strata, res.Splits, res.DegradedQueries, res.Eliminated, res.Warm,
-		len(res.PrCSTrace), th.Sum64(), state)
+		len(rounds), th.Sum64(), state)
 }
 
 // driverGoldenCells is the matrix pinned by testdata/driver.golden: both
@@ -66,7 +87,6 @@ func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 			TemplateIndex: tmplIdx, TemplateCount: templates,
 			TemplateSigs: sigsFor(templates), ConfigFingerprints: fpsFor(k),
 			CaptureState: true,
-			TracePrCS:    true,
 			Parallelism:  par,
 		}
 	}
@@ -120,20 +140,22 @@ func TestDriverGolden(t *testing.T) {
 		var b strings.Builder
 		for _, c := range cells {
 			opts := c.opts(par)
+			rec := traced(&opts)
 			res, err := Run(NewMatrixOracle(m), opts)
 			if err != nil {
 				t.Fatalf("%s (parallelism %d): %v", c.name, par, err)
 			}
 			if c.warm {
-				b.WriteString(goldenLine(t, c.name+"/capture", res))
+				b.WriteString(goldenLine(t, c.name+"/capture", res, trajectory(rec)))
 				rerun := c.opts(par)
 				rerun.RNG = stats.NewRNG(10)
 				rerun.WarmState = res.State
+				rec = traced(&rerun)
 				if res, err = Run(NewMatrixOracle(m), rerun); err != nil {
 					t.Fatalf("%s rerun (parallelism %d): %v", c.name, par, err)
 				}
 			}
-			b.WriteString(goldenLine(t, c.name, res))
+			b.WriteString(goldenLine(t, c.name, res, trajectory(rec)))
 		}
 		got := b.String()
 		if *update && par == 1 {

@@ -312,7 +312,7 @@ func (s *independentSampler) splitStats(ci, h int, buf []tmplStat) (stats.Stratu
 	cur := stats.Stratum{Size: st.size, S2: s2, Taken: st.n}
 	start := len(buf)
 	for _, t := range st.templates {
-		if s.tCount[t][ci] < s.opts.MinTemplateObs {
+		if s.tCount[t][ci] < minTemplateObs {
 			return cur, buf[:start], false
 		}
 		n := s.tCount[t][ci]

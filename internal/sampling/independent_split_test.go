@@ -17,7 +17,7 @@ func TestIndependentProgressiveSplits(t *testing.T) {
 	m, tmplIdx := synthMatrix(6000, 2, 3, 0.002, 3, 61)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Independent, Strat: Progressive,
-		MaxCalls: 9000, NMin: 8, MinTemplateObs: 2,
+		MaxCalls: 9000, NMin: 8,
 		RNG:           stats.NewRNG(62),
 		TemplateIndex: tmplIdx, TemplateCount: 3,
 	})

@@ -116,11 +116,6 @@ type Options struct {
 	// TemplateCount is the number of distinct templates.
 	TemplateCount int
 
-	// MinTemplateObs is the number of sampled observations a template
-	// needs before its average cost participates in split decisions
-	// (default 2).
-	MinTemplateObs int
-
 	// VarianceBound, when non-nil, substitutes a conservative upper bound
 	// for the sample variance of the difference estimator (Section 6.2's
 	// σ²_max), making Pr(CS) conservative. It is consulted per pair with
@@ -137,10 +132,11 @@ type Options struct {
 	// WarmState, when non-nil and compatible with this run (same scheme
 	// and stratification mode, every configuration fingerprint present in
 	// the snapshot), seeds the sampler from a prior run's snapshot:
-	// unchanged templates keep their strata and prior moments and get the
-	// reduced WarmPilot, while new or drifted templates are re-piloted
-	// from scratch. An incompatible or empty snapshot degrades to a cold
-	// start that is bit-identical to WarmState == nil.
+	// unchanged templates keep their strata and prior moments and get a
+	// reduced pilot (capped at warmPilot per stratum), while new or
+	// drifted templates are re-piloted from scratch. An incompatible or
+	// empty snapshot degrades to a cold start that is bit-identical to
+	// WarmState == nil.
 	WarmState *StratState
 	// TemplateSigs identifies the current templates for warm starting and
 	// state capture (dense template order); required for both.
@@ -152,16 +148,6 @@ type Options struct {
 	// CaptureState records the final stratification into Result.State
 	// (requires TemplateSigs and ConfigFingerprints).
 	CaptureState bool
-	// WarmPilot caps the per-stratum warm pilot (default 10, minimum 2).
-	// Strata reused from a warm snapshot share one NMin-sized pilot
-	// budget allocated proportionally to stratum size and clamped to
-	// [2, WarmPilot] each, so a deeply split snapshot never pays more
-	// pilot probes than a cold single-stratum start. Fresh strata keep
-	// the full NMin.
-	WarmPilot int
-
-	// TracePrCS records Pr(CS) after every sample into Result.PrCSTrace.
-	TracePrCS bool
 
 	// Tracer, when non-nil, receives structured events for every sampling
 	// round, stratification split, elimination and allocation decision.
@@ -183,15 +169,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StabilityWindow <= 0 {
 		o.StabilityWindow = 1
-	}
-	if o.MinTemplateObs <= 0 {
-		o.MinTemplateObs = 2
-	}
-	if o.WarmPilot <= 0 {
-		o.WarmPilot = 10
-	}
-	if o.WarmPilot < 2 {
-		o.WarmPilot = 2
 	}
 	return o
 }
@@ -246,8 +223,6 @@ type Result struct {
 	// (ErrSkipQuery): each dropped its query from the stratum and shrank
 	// the stratum weight. Zero with an infallible oracle.
 	DegradedQueries int
-	// PrCSTrace, when tracing was enabled, holds Pr(CS) after each sample.
-	PrCSTrace []float64
 	// State, when Options.CaptureState was set (and TemplateSigs /
 	// ConfigFingerprints were provided), snapshots the final
 	// stratification for a later warm start.

@@ -3,9 +3,9 @@ package sampling
 // Run executes the configuration-selection procedure (Algorithm 1) with the
 // selected scheme and stratification mode, terminating when Pr(CS) exceeds
 // Options.Alpha for the stability window (adaptive mode) or when the call
-// budget is exhausted (fixed-budget mode). Observability — the per-sample
-// Pr(CS) trace, the structured event tracer and the metrics registry — is
-// configured through Options (TracePrCS, Tracer, Metrics).
+// budget is exhausted (fixed-budget mode). Observability is configured
+// through Options: Tracer receives the structured events (each round event
+// carries that round's Pr(CS)) and Metrics the counter registry.
 func Run(o Oracle, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(o); err != nil {

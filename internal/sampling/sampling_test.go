@@ -155,7 +155,7 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 			d := newDeltaSampler(NewMatrixOracle(m), Options{
 				Scheme: Delta, Strat: mode, Alpha: 0.9, NMin: 10,
 				MaxCalls: 600, RNG: stats.NewRNG(uint64(r) + 999),
-				TemplateIndex: tmplIdx, TemplateCount: 6, MinTemplateObs: 2,
+				TemplateIndex: tmplIdx, TemplateCount: 6,
 			}.withDefaults())
 			for h := range d.strata {
 				for d.strata[h].n < minInt(10, d.strata[h].size) {
@@ -400,20 +400,22 @@ func TestVarianceBoundMakesConservative(t *testing.T) {
 
 func TestRunTraced(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 2, 6, 0.05, 1, 28)
-	res, err := Run(NewMatrixOracle(m), Options{
-		Scheme: Delta, Alpha: 0.9, TracePrCS: true,
+	opts := Options{
+		Scheme: Delta, Alpha: 0.9,
 		TemplateIndex: tmplIdx, TemplateCount: 6,
 		RNG: stats.NewRNG(84),
-	})
-	if err != nil {
+	}
+	rec := traced(&opts)
+	if _, err := Run(NewMatrixOracle(m), opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PrCSTrace) == 0 {
+	rounds := trajectory(rec)
+	if len(rounds) == 0 {
 		t.Error("trace empty")
 	}
-	for _, p := range res.PrCSTrace {
-		if p < 0 || p > 1 {
-			t.Fatalf("trace value out of range: %v", p)
+	for _, r := range rounds {
+		if r.PrCS < 0 || r.PrCS > 1 {
+			t.Fatalf("round %d Pr(CS) out of range: %v", r.Round, r.PrCS)
 		}
 	}
 }

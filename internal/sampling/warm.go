@@ -38,6 +38,16 @@ const (
 // fresh draws corroborate.
 const priorWeightCap = 2
 
+// minTemplateObs is the number of sampled observations a template needs
+// before its average cost participates in split decisions, and before a
+// warm snapshot's moments for it count as a prior.
+const minTemplateObs = 2
+
+// warmPilot caps the per-stratum warm pilot. Strata reused from a warm
+// snapshot share one NMin-sized pilot budget (see warmPilotAlloc); fresh
+// strata keep the full NMin.
+const warmPilot = 10
+
 // warmPilotAlloc spreads one cold pilot's worth of fresh samples (nmin)
 // across the reused strata proportionally to their size, clamping each
 // share to [2, warmPilot]. A warm resume re-pilots every reused stratum,
@@ -45,7 +55,7 @@ const priorWeightCap = 2
 // more than the cold single-stratum pilot on workloads cold certifies at
 // the floor — the budget keeps the warm pilot bill at (roughly) one NMin
 // regardless of how far the previous run's stratification went.
-func warmPilotAlloc(sizes []int, nmin, warmPilot int) []int {
+func warmPilotAlloc(sizes []int, nmin int) []int {
 	total := 0
 	for _, sz := range sizes {
 		total += sz
@@ -363,7 +373,7 @@ func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *populati
 				maxCount = ts.Counts[j]
 			}
 		}
-		if maxCount < opts.MinTemplateObs {
+		if maxCount < minTemplateObs {
 			// Known but under-observed: the prior run's stratum placement
 			// is still informed by this template's identity, so keep it in
 			// its snapshot group — it simply contributes no prior moments

@@ -189,13 +189,9 @@ func TestDaemonDeterminism(t *testing.T) {
 			t.Fatalf("parallelism %d: no stored selection", par)
 		}
 		want := directSelection(t, req, TenantLimits{}, 60, 7)
-		// The daemon attaches a tracer, so PrCSTrace is populated on the
-		// HTTP side only; blank it before the bitwise comparison.
-		gotCopy := *got
-		gotCopy.PrCSTrace = nil
-		if !reflect.DeepEqual(&gotCopy, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism %d: daemon selection differs from direct core.Select\n got: %+v\nwant: %+v",
-				par, &gotCopy, want)
+				par, got, want)
 		}
 	}
 }

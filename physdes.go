@@ -17,7 +17,10 @@
 //   - physical design structures and configurations (NewIndex, NewView,
 //     NewConfiguration, EnumerateCandidates, GenerateConfigurations),
 //   - the simulated what-if optimizer (NewOptimizer),
-//   - the comparison primitive (Select, SelectTraced, DefaultOptions),
+//   - the comparison primitive (Select, SelectCtx, DefaultOptions),
+//   - run observability through one path: a tracer whose flight recorder
+//     folds the events into a RunReport, the Pr(CS) trajectory included
+//     (NewTracerSinks, NewFlightRecorder, WriteRunReport),
 //   - conservative validation per Section 6 (Options.Conservative), and
 //   - the baselines and the greedy tuner used in the paper's evaluation.
 //
@@ -378,11 +381,6 @@ func DefaultOptions(seed uint64) Options { return core.DefaultOptions(seed) }
 // configuration with the lowest workload cost with probability ≥ α.
 func Select(opt *Optimizer, w *Workload, configs []*Configuration, o Options) (*Selection, error) {
 	return core.Select(opt, w, configs, o)
-}
-
-// SelectTraced is Select with a per-sample Pr(CS) trace.
-func SelectTraced(opt *Optimizer, w *Workload, configs []*Configuration, o Options) (*Selection, error) {
-	return core.SelectTraced(opt, w, configs, o)
 }
 
 // SelectCtx is Select with cancellation and oracle resilience: ctx aborts
