@@ -25,6 +25,8 @@ import (
 	"physdes/internal/bounds"
 	"physdes/internal/compress"
 	"physdes/internal/experiments"
+	"physdes/internal/optimizer"
+	"physdes/internal/physical"
 	"physdes/internal/sampling"
 	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
@@ -292,16 +294,74 @@ func BenchmarkSelectParallel(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
+// BenchmarkWhatIfCall times one what-if call per probe shape: a
+// single-table SELECT, a three-table join, a join answered by a
+// materialized view, an UPDATE (locate plus maintenance), and an
+// atom-shared probe — a configuration whose atoms the atom store already
+// holds, so the probe reassembles stored costs without an inner call. CI
+// fails when any of them reports an allocation.
 func BenchmarkWhatIfCall(b *testing.B) {
 	benchSetup(b)
-	q := benchTPCD.W.Queries[0].Analysis
-	cfg := NewConfiguration("bench",
-		NewIndex("lineitem", []string{"l_shipdate"}),
-		NewIndex("orders", []string{"o_orderkey"}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchTPCD.Opt.Cost(q, cfg)
+	cat := benchTPCD.Cat
+	parse := func(src string) *sqlparse.Analysis {
+		stmt, err := sqlparse.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := sqlparse.Analyze(stmt, cat.Resolve)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
 	}
+	joinSQL := "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l " +
+		"WHERE o.o_orderkey = l.l_orderkey AND l_shipdate < 50"
+	view := physical.NewView([]string{"orders", "lineitem"}, parse(joinSQL).Joins,
+		[]sqlparse.TableColumn{
+			{Table: "orders", Column: "o_orderdate"},
+			{Table: "orders", Column: "o_orderkey"},
+			{Table: "lineitem", Column: "l_extendedprice"},
+			{Table: "lineitem", Column: "l_orderkey"},
+			{Table: "lineitem", Column: "l_shipdate"},
+		}, nil)
+	cases := []struct {
+		name string
+		sql  string
+		cfg  *Configuration
+	}{
+		{"single-table", "SELECT l_quantity FROM lineitem WHERE l_shipdate < 100 AND l_quantity = 5 ORDER BY l_shipdate",
+			NewConfiguration("c", NewIndex("lineitem", []string{"l_shipdate"}, "l_quantity"), NewIndex("lineitem", []string{"l_quantity"}))},
+		{"join", "SELECT c_name, o_orderdate, l_tax FROM customer c, orders o, lineitem l " +
+			"WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey AND c_mktsegment = 'SEG#1' AND o_orderdate < 30",
+			NewConfiguration("c", NewIndex("orders", []string{"o_custkey"}), NewIndex("lineitem", []string{"l_orderkey"}),
+				NewIndex("customer", []string{"c_mktsegment"}))},
+		{"view", joinSQL, NewConfiguration("c", view, NewIndex("lineitem", []string{"l_shipdate"}))},
+		{"dml", "UPDATE lineitem SET l_tax = 1 WHERE l_shipdate < 10",
+			NewConfiguration("c", NewIndex("lineitem", []string{"l_shipdate"}), NewIndex("lineitem", []string{"l_tax"}), view)},
+	}
+	for _, tc := range cases {
+		a := parse(tc.sql)
+		opt := NewOptimizer(cat)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opt.Cost(a, tc.cfg)
+			}
+		})
+	}
+	b.Run("atom-shared", func(b *testing.B) {
+		a := parse(cases[1].sql)
+		c := optimizer.NewCachedAtomic(NewOptimizer(cat))
+		c.Cost(a, cases[1].cfg)
+		// Same relevant structures plus one the statement cannot read: a
+		// memo miss whose atoms are all stored.
+		probe := cases[1].cfg.With("probe", NewIndex("region", []string{"r_name"}))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Atoms().Cost(a, probe)
+		}
+	})
 }
 
 func BenchmarkParseAnalyze(b *testing.B) {

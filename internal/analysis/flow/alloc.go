@@ -35,19 +35,45 @@ func (ix *Index) AllocSites(fi *FuncInfo) []AllocSite {
 }
 
 // allocAllowlist are stdlib callees known not to allocate, so zeroalloc
-// chains may use them: all of math and math/bits, plus the in-place
-// slices sorters and binary searches the split-search hot path relies
-// on.
+// chains may use them: all of math, math/bits and sync/atomic, the
+// in-place slices sorters and binary searches the split-search hot path
+// relies on, the mutex, condition-variable and sync.Map reads the memo
+// caches take, the clock reads behind obs.Stopwatch, the strings
+// searches that return indexes or sub-slices of their input, and the
+// strconv appenders, which write into the caller's buffer (the what-if
+// probe formats into a stack array large enough for any value). Methods
+// are keyed by package path and method name.
 var allocAllowedFuncs = map[string]bool{
 	"slices.Sort":             true,
 	"slices.SortFunc":         true,
 	"slices.BinarySearch":     true,
 	"slices.BinarySearchFunc": true,
+
+	"sync.Lock":      true,
+	"sync.Unlock":    true,
+	"sync.RLock":     true,
+	"sync.RUnlock":   true,
+	"sync.Wait":      true,
+	"sync.Broadcast": true,
+	"sync.Load":      true,
+
+	"time.Now":     true,
+	"time.Since":   true,
+	"time.IsZero":  true,
+	"time.Seconds": true,
+
+	"strings.HasPrefix": true,
+	"strings.IndexAny":  true,
+	"strings.Trim":      true,
+
+	"strconv.AppendFloat": true,
+	"strconv.AppendInt":   true,
 }
 
 var allocAllowedPkgs = map[string]bool{
-	"math":      true,
-	"math/bits": true,
+	"math":        true,
+	"math/bits":   true,
+	"sync/atomic": true,
 }
 
 // allocAllowedBuiltins never allocate (append, make and new are

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // kahan mimics the stats compensated accumulator: a value struct used
@@ -82,6 +85,25 @@ func allocator(n int) []int { return make([]int, n) }
 func callsAllocator(n int) int {
 	xs := allocator(n) // want "calls allocator, which allocates"
 	return len(xs)
+}
+
+// probe is the shape of the what-if probe: a counter bump, a read under a
+// shard lock and number formatting into a stack buffer are all on the
+// allowlist.
+type probe struct {
+	calls atomic.Int64
+	mu    sync.RWMutex
+	memo  map[float64]int
+}
+
+//physdes:zeroalloc
+func (p *probe) cost(x float64) int {
+	p.calls.Add(1)
+	p.mu.RLock()
+	n := p.memo[x]
+	p.mu.RUnlock()
+	var buf [32]byte
+	return n + len(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 }
 
 //physdes:zeroalloc

@@ -150,12 +150,17 @@ func ColumnHistogram(c Column) *Histogram {
 	if h, ok := histCache.Load(key); ok {
 		return h.(*Histogram)
 	}
+	return buildColumnHistogram(key) //physdes:allocok built on first sight of a (distinct, skew) pair, then served from histCache
+}
+
+func buildColumnHistogram(key histKey) *Histogram {
+	n := key.n
 	var h *Histogram
-	if c.Skew == 0 {
+	if key.skew == 0 {
 		// Uniform: closed-form buckets, no ZipfGen needed.
 		h = BuildHistogram(n, DefaultBuckets, func(int) float64 { return 1 / float64(n) })
 	} else {
-		z := stats.NewZipfGen(n, c.Skew)
+		z := stats.NewZipfGen(n, key.skew)
 		h = BuildHistogram(n, DefaultBuckets, z.PMF)
 	}
 	actual, _ := histCache.LoadOrStore(key, h)

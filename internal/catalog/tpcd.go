@@ -1,6 +1,9 @@
 package catalog
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // TPCDScale scales the TPC-D table cardinalities; 1.0 corresponds to the
 // paper's ~1GB database.
@@ -135,9 +138,16 @@ func RankOfString(s string) int {
 	if i == len(s) || i < 2 || s[i-1] != '#' {
 		return 0
 	}
-	r, err := strconv.Atoi(s[i:])
-	if err != nil {
-		return 0
+	// s[i:] is all digits, so parsing fails only on overflow (strconv.Atoi
+	// would allocate its error; the what-if probe calls this per
+	// predicate).
+	r := 0
+	for ; i < len(s); i++ {
+		d := int(s[i] - '0')
+		if r > (math.MaxInt-d)/10 {
+			return 0
+		}
+		r = r*10 + d
 	}
 	return r
 }

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"hash/fnv"
 	"strconv"
 
 	"physdes/internal/catalog"
@@ -37,33 +36,39 @@ const (
 	wobbleTailMax  = 6.0
 )
 
+//physdes:zeroalloc
 func (o *Optimizer) pathWobble(a *sqlparse.Analysis, table, pathID string) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(table))
-	h.Write([]byte{0})
-	h.Write([]byte(pathID))
-	for _, p := range a.Preds {
+	// FNV-1a, inline: the bytes hashed are exactly table, 0, pathID, then
+	// per predicate on the table its column and literal text, with numbers
+	// formatted as strconv.FormatFloat(v, 'g', -1, 64) would (into a stack
+	// buffer that holds any shortest float64).
+	var num [32]byte
+	h := fnvString(fnvOffset64, table)
+	h = fnvByte(h, 0)
+	h = fnvString(h, pathID)
+	for i := range a.Preds {
+		p := &a.Preds[i]
 		if p.Col.Table != table {
 			continue
 		}
-		h.Write([]byte(p.Col.Column))
+		h = fnvString(h, p.Col.Column)
 		switch p.Kind {
 		case sqlparse.PredEq, sqlparse.PredNeq:
 			if p.EqValue.Kind == sqlparse.LitNumber {
-				h.Write([]byte(strconv.FormatFloat(p.EqValue.Num, 'g', -1, 64)))
+				h = fnvBytes(h, strconv.AppendFloat(num[:0], p.EqValue.Num, 'g', -1, 64))
 			} else {
-				h.Write([]byte(p.EqValue.Str))
+				h = fnvString(h, p.EqValue.Str)
 			}
 		case sqlparse.PredRange:
-			h.Write([]byte(strconv.FormatFloat(p.Lo, 'g', -1, 64)))
-			h.Write([]byte(strconv.FormatFloat(p.Hi, 'g', -1, 64)))
+			h = fnvBytes(h, strconv.AppendFloat(num[:0], p.Lo, 'g', -1, 64))
+			h = fnvBytes(h, strconv.AppendFloat(num[:0], p.Hi, 'g', -1, 64))
 		case sqlparse.PredIn:
-			h.Write([]byte(strconv.Itoa(p.InCount)))
+			h = fnvBytes(h, strconv.AppendInt(num[:0], int64(p.InCount), 10))
 		case sqlparse.PredLike:
-			h.Write([]byte(p.LikePattern))
+			h = fnvString(h, p.LikePattern)
 		}
 	}
-	u := float64(h.Sum64()>>11) / float64(1<<53) // uniform [0,1)
+	u := float64(h>>11) / float64(1<<53) // uniform [0,1)
 	if u < wobbleTailProb {
 		// Outlier: a misestimated plan costing 1.5–wobbleTailMax× more.
 		t := u / wobbleTailProb
@@ -74,24 +79,87 @@ func (o *Optimizer) pathWobble(a *sqlparse.Analysis, table, pathID string) float
 	return 1 + wobbleAmp*(2*t-1)
 }
 
+func fnvByte(h uint64, b byte) uint64 {
+	h ^= uint64(b)
+	return h * fnvPrime64
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = fnvByte(h, c)
+	}
+	return h
+}
+
 // accessPath is the costed result of producing one base relation's filtered
-// rows: total cost, output cardinality, the column order the rows are
-// produced in (nil when unordered, used for sort elimination), and — when
-// explaining — the chosen operator.
+// rows: total cost, output cardinality, and the chosen operator and object
+// (read only by Explain).
 type accessPath struct {
-	cost     float64
-	rows     float64
-	sortedBy []string
-	op       string // set only when explaining
-	detail   string
+	cost   float64
+	rows   float64
+	op     string
+	detail string
+}
+
+// reads is what a plan reads from one table, for covering checks: the
+// table's referenced columns (a sub-range of Analysis.Referenced), or —
+// for the locate part of DML — only the columns of the statement's
+// predicates on the table.
+type reads struct {
+	cols  []sqlparse.TableColumn
+	preds []sqlparse.ColumnPredicate
+}
+
+// refReads returns the table's referenced columns: the contiguous
+// sub-range of a.Referenced, which the analyzer sorts by (table, column).
+//
+//physdes:zeroalloc
+func refReads(a *sqlparse.Analysis, table string) reads {
+	lo, hi := 0, len(a.Referenced)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a.Referenced[mid].Table < table {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	hi = lo
+	for hi < len(a.Referenced) && a.Referenced[hi].Table == table {
+		hi++
+	}
+	return reads{cols: a.Referenced[lo:hi]}
+}
+
+// coveredBy reports whether an index-only plan over ix can produce what r
+// reads.
+func (r reads) coveredBy(ix *physical.Index) bool {
+	if r.preds == nil {
+		return ix.Covers(r.cols)
+	}
+	for i := range r.preds {
+		if r.preds[i].Col.Table == ix.Table && !ix.HasColumn(r.preds[i].Col.Column) {
+			return false
+		}
+	}
+	return true
 }
 
 // bestAccess returns the cheapest way to produce the filtered rows of table
-// under cfg, needing needCols of it downstream. The candidate set contains
-// the heap scan plus one entry per index; the minimum over the set makes
-// the optimizer well-behaved: adding an index can only add candidates.
-// The winner's operator name and object are recorded for Explain.
-func (o *Optimizer) bestAccess(a *sqlparse.Analysis, table string, cfg *physical.Configuration, needCols []string) accessPath {
+// under cfg, reading need from it. The candidate set contains the heap
+// scan plus one entry per index; the minimum over the set makes the
+// optimizer well-behaved: adding an index can only add candidates. The
+// winner's operator name and object are recorded for Explain.
+//
+//physdes:zeroalloc
+func (o *Optimizer) bestAccess(a *sqlparse.Analysis, table string, cfg *physical.Configuration, need reads) accessPath {
 	t, ok := o.cat.Table(table)
 	if !ok {
 		return accessPath{cost: SeqPageCost, rows: 1, op: "HeapScan", detail: table}
@@ -103,8 +171,8 @@ func (o *Optimizer) bestAccess(a *sqlparse.Analysis, table string, cfg *physical
 		outRows = 1
 	}
 	numPreds := 0
-	for _, p := range a.Preds {
-		if p.Col.Table == table {
+	for i := range a.Preds {
+		if a.Preds[i].Col.Table == table {
 			numPreds++
 		}
 	}
@@ -121,7 +189,7 @@ func (o *Optimizer) bestAccess(a *sqlparse.Analysis, table string, cfg *physical
 	}
 
 	for _, ix := range cfg.IndexesOn(table) {
-		p := o.indexAccess(a, t, ix, sel, outRows, numPreds, needCols)
+		p := o.indexAccess(a, t, ix, outRows, numPreds, need)
 		p.cost *= o.pathWobble(a, table, ix.ID())
 		if p.cost < best.cost {
 			p.detail = ix.ID()
@@ -132,7 +200,7 @@ func (o *Optimizer) bestAccess(a *sqlparse.Analysis, table string, cfg *physical
 }
 
 // indexAccess costs one index-based plan for the table.
-func (o *Optimizer) indexAccess(a *sqlparse.Analysis, t *catalog.Table, ix *physical.Index, fullSel, outRows float64, numPreds int, needCols []string) accessPath {
+func (o *Optimizer) indexAccess(a *sqlparse.Analysis, t *catalog.Table, ix *physical.Index, outRows float64, numPreds int, need reads) accessPath {
 	rows := float64(t.Rows)
 	idxPages := float64(ix.SizeBytes(o.cat)) / catalog.PageSize
 	if idxPages < 1 {
@@ -157,9 +225,8 @@ func (o *Optimizer) indexAccess(a *sqlparse.Analysis, t *catalog.Table, ix *phys
 		break
 	}
 
-	covers := ix.Covers(needCols)
+	covers := need.coveredBy(ix)
 	var cost float64
-	var sortedBy []string
 	op := ""
 	switch {
 	case matched > 0:
@@ -185,29 +252,30 @@ func (o *Optimizer) indexAccess(a *sqlparse.Analysis, t *catalog.Table, ix *phys
 		}
 		// Residual predicate evaluation on the seek output.
 		cost += seekRows * float64(numPreds-matched) * CPUOperatorCost
-		sortedBy = ix.Key
 		op = "IndexSeek"
 	case covers:
 		// Covering index scan: the whole index, but narrower than the heap.
 		cost = idxPages*SeqPageCost + rows*CPUIndexTupleCost +
 			rows*float64(numPreds)*CPUOperatorCost
-		sortedBy = ix.Key
 		op = "IndexScan"
 	default:
 		// Unusable: full index scan plus full fetch is never better than a
 		// heap scan; return an effectively infinite path.
 		return accessPath{cost: 1e18, rows: outRows}
 	}
-	return accessPath{cost: cost, rows: outRows, sortedBy: sortedBy, op: op}
+	return accessPath{cost: cost, rows: outRows, op: op}
 }
 
 // bestAccessOrdered returns the cheapest access path on table whose
-// produced order starts with wantPrefix — the "interesting order" arm used
-// for sort elimination and merge joins. Considering it as a separate
-// minimum (rather than only checking whether the overall-cheapest path
-// happens to be ordered) keeps the optimizer well-behaved: a new index can
-// displace the cheapest path without making ordered plans disappear.
-func (o *Optimizer) bestAccessOrdered(a *sqlparse.Analysis, table string, cfg *physical.Configuration, needCols, wantPrefix []string) (accessPath, bool) {
+// produced order starts with the columns of wantPrefix — the "interesting
+// order" arm used for sort elimination and merge joins. Considering it as
+// a separate minimum (rather than only checking whether the
+// overall-cheapest path happens to be ordered) keeps the optimizer
+// well-behaved: a new index can displace the cheapest path without making
+// ordered plans disappear.
+//
+//physdes:zeroalloc
+func (o *Optimizer) bestAccessOrdered(a *sqlparse.Analysis, table string, cfg *physical.Configuration, need reads, wantPrefix []sqlparse.OrderColumn) (accessPath, bool) {
 	if len(wantPrefix) == 0 {
 		return accessPath{}, false
 	}
@@ -222,8 +290,8 @@ func (o *Optimizer) bestAccessOrdered(a *sqlparse.Analysis, table string, cfg *p
 		outRows = 1
 	}
 	numPreds := 0
-	for _, p := range a.Preds {
-		if p.Col.Table == table {
+	for i := range a.Preds {
+		if a.Preds[i].Col.Table == table {
 			numPreds++
 		}
 	}
@@ -233,7 +301,7 @@ func (o *Optimizer) bestAccessOrdered(a *sqlparse.Analysis, table string, cfg *p
 		if !keyHasPrefix(ix.Key, wantPrefix) {
 			continue
 		}
-		p := o.indexAccess(a, t, ix, sel, outRows, numPreds, needCols)
+		p := o.indexAccess(a, t, ix, outRows, numPreds, need)
 		if p.cost >= 1e17 {
 			continue // unusable path
 		}
@@ -247,12 +315,14 @@ func (o *Optimizer) bestAccessOrdered(a *sqlparse.Analysis, table string, cfg *p
 	return best, found
 }
 
-func keyHasPrefix(key, prefix []string) bool {
+// keyHasPrefix reports whether the index key starts with the prefix's
+// column names.
+func keyHasPrefix(key []string, prefix []sqlparse.OrderColumn) bool {
 	if len(prefix) > len(key) {
 		return false
 	}
-	for i, c := range prefix {
-		if key[i] != c {
+	for i := range prefix {
+		if key[i] != prefix[i].Col.Column {
 			return false
 		}
 	}
@@ -274,21 +344,22 @@ const (
 func findSargable(a *sqlparse.Analysis, table, column string) (sqlparse.ColumnPredicate, sargKind) {
 	var rangePred sqlparse.ColumnPredicate
 	haveRange := false
-	for _, p := range a.Preds {
+	for i := range a.Preds {
+		p := &a.Preds[i]
 		if p.InDisjunction || p.Col.Table != table || p.Col.Column != column {
 			continue
 		}
 		switch p.Kind {
 		case sqlparse.PredEq, sqlparse.PredIn:
-			return p, sargEq
+			return *p, sargEq
 		case sqlparse.PredRange:
 			if !haveRange {
-				rangePred, haveRange = p, true
+				rangePred, haveRange = *p, true
 			}
 		case sqlparse.PredLike:
 			// A prefix LIKE is a range seek; a contains-LIKE is not.
 			if !haveRange && len(p.LikePattern) > 1 && p.LikePattern[1] != '%' {
-				rangePred, haveRange = p, true
+				rangePred, haveRange = *p, true
 			}
 		}
 	}

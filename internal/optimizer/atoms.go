@@ -68,56 +68,76 @@ type AtomPlan struct {
 // baseline to every singleton decomposition.
 var emptyAtom = physical.NewConfiguration("atom")
 
+// atomStackLen is the number of relevant indexes the probe path's stack
+// scratch holds; a wider projection sizes heap scratch once per call.
+const atomStackLen = 32
+
 // Decompose splits the evaluation of a under cfg into atoms such that the
 // minimum of the atoms' costs equals the direct cost of cfg exactly
 // (TestAtomicCostEquivalence pins this bit-for-bit). maxWidth bounds the
 // projection atom's structure count (<= 0 selects DefaultMaxAtomWidth).
 func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) AtomPlan {
-	return decomposePlan(a, cfg, maxWidth, func(ix *physical.Index) *physical.Configuration {
-		return physical.NewConfiguration("atom", ix)
-	})
+	atoms, fallback := decompose(a, cfg, maxWidth, new(atomInterner), nil, nil, nil)
+	if fallback {
+		return AtomPlan{Fallback: true}
+	}
+	return AtomPlan{Atoms: atoms}
 }
 
-// decomposePlan is Decompose with a pluggable singleton-atom constructor so
-// the AtomicCache can intern the (heavily reused) singleton configurations.
-func decomposePlan(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, singleton func(*physical.Index) *physical.Configuration) AtomPlan {
+// decompose is the one decomposition routine behind Decompose,
+// AtomicCache.Cost and batchIntoCtx. It projects cfg onto the structures
+// a can read, gathered into ixBuf and viewBuf, and returns in atomBuf the
+// atoms whose cost minimum reproduces the direct cost: the empty atom plus
+// one singleton per relevant index for a single-table SELECT with no
+// relevant views, else the one projection atom — or fallback when that
+// projection holds more than maxWidth structures. Atoms come from in, so
+// each distinct atom is built once per interner. Scratch slices that are
+// too small are replaced by heap slices.
+//
+//physdes:zeroalloc
+func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, ixBuf []*physical.Index, viewBuf []*physical.View, atomBuf []*physical.Configuration) (atoms []*physical.Configuration, fallback bool) {
 	if maxWidth <= 0 {
 		maxWidth = DefaultMaxAtomWidth
 	}
-	ixs, views := relevantStructures(a, cfg)
+	ixs, views := relevantStructures(a, cfg, ixBuf, viewBuf)
 	if a.Kind == sqlparse.KindSelect && len(a.Tables) == 1 && len(views) == 0 {
-		atoms := make([]*physical.Configuration, 0, len(ixs)+1)
-		atoms = append(atoms, emptyAtom)
+		atoms = scratch(atomBuf, len(ixs)+1)
+		atoms = put(atoms, emptyAtom)
 		for _, ix := range ixs {
-			atoms = append(atoms, singleton(ix))
+			atoms = put(atoms, in.singleton(ix))
 		}
-		return AtomPlan{Atoms: atoms}
+		return atoms, false
 	}
 	if len(ixs)+len(views) > maxWidth {
-		return AtomPlan{Fallback: true}
+		return nil, true
 	}
-	structs := make([]physical.Structure, 0, len(ixs)+len(views))
-	for _, ix := range ixs {
-		structs = append(structs, ix)
-	}
-	for _, v := range views {
-		structs = append(structs, v)
-	}
-	return AtomPlan{Atoms: []*physical.Configuration{physical.NewConfiguration("atom", structs...)}}
+	return put(scratch(atomBuf, 1), in.projection(ixs, views)), false
 }
 
 // relevantStructures projects cfg onto the structures the cost model can
-// read while evaluating a. The filter is conservative: it may keep an
-// index no plan arm ends up using, but it must never drop one any arm
-// could read (FuzzAtomDecompose hunts for violations).
-func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration) ([]*physical.Index, []*physical.View) {
-	var ixs []*physical.Index
-	var views []*physical.View
+// read while evaluating a, gathering them into the scratch slices. The
+// filter is conservative: it may keep an index no plan arm ends up using,
+// but it must never drop one any arm could read (FuzzAtomDecompose hunts
+// for violations).
+//
+//physdes:zeroalloc
+func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf []*physical.Index, viewBuf []*physical.View) ([]*physical.Index, []*physical.View) {
+	n := 0
+	for _, t := range a.Tables {
+		n += len(cfg.IndexesOn(t))
+	}
+	if a.Kind != sqlparse.KindSelect {
+		n += len(cfg.IndexesOn(a.ModifiedTable))
+	}
+	ixs := scratch(ixBuf, n)
+	views := scratch(viewBuf, len(cfg.Views()))
 	if a.Kind != sqlparse.KindSelect {
 		// DML: the locate part seeks the modified table (bestAccess over all
 		// its indexes) and the write part maintains every index on it and
 		// every view containing it.
-		ixs = append(ixs, cfg.IndexesOn(a.ModifiedTable)...)
+		for _, ix := range cfg.IndexesOn(a.ModifiedTable) {
+			ixs = put(ixs, ix)
+		}
 		for _, t := range a.Tables {
 			if t == a.ModifiedTable {
 				continue
@@ -126,7 +146,7 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration) ([]*p
 		}
 		for _, v := range cfg.Views() {
 			if v.HasTable(a.ModifiedTable) || tablesSubset(v.Tables, a.Tables) {
-				views = append(views, v)
+				views = put(views, v)
 			}
 		}
 		return ixs, views
@@ -138,7 +158,7 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration) ([]*p
 		// viewMatches (plain or aggregate) requires every view table to be a
 		// query table; anything else can never substitute.
 		if tablesSubset(v.Tables, a.Tables) {
-			views = append(views, v)
+			views = put(views, v)
 		}
 	}
 	return ixs, views
@@ -150,17 +170,16 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration) ([]*p
 // table's join columns (merge-join and index-nested-loop arms — ALL such
 // indexes are kept because indexNLCost takes the first in ID order, not
 // the cheapest), or a lead column equal to the first ORDER BY column (the
-// sort-elimination arm).
+// sort-elimination arm). dst has room for every index on the table.
 func appendRelevantIndexes(dst []*physical.Index, a *sqlparse.Analysis, table string, cfg *physical.Configuration) []*physical.Index {
-	refCols := referencedColumns(a, table)
-	order := orderColumns(a)
+	refs := refReads(a, table)
 	for _, ix := range cfg.IndexesOn(table) {
 		lead := ix.LeadColumn()
 		keep := false
 		if _, kind := findSargable(a, table, lead); kind != sargNone {
 			keep = true
 		}
-		if !keep && ix.Covers(refCols) {
+		if !keep && refs.coveredBy(ix) {
 			keep = true
 		}
 		if !keep {
@@ -172,11 +191,11 @@ func appendRelevantIndexes(dst []*physical.Index, a *sqlparse.Analysis, table st
 				}
 			}
 		}
-		if !keep && len(order) > 0 && order[0] == lead {
+		if !keep && len(a.OrderBy) > 0 && a.OrderBy[0].Col.Column == lead {
 			keep = true
 		}
 		if keep {
-			dst = append(dst, ix)
+			dst = put(dst, ix)
 		}
 	}
 	return dst
@@ -189,6 +208,120 @@ func tablesSubset(sub, super []string) bool {
 		}
 	}
 	return true
+}
+
+// atomInterner interns atom configurations so each is built once:
+// singleton atoms by index pointer (candidate structures are shared across
+// configurations) and projection atoms by their sorted structure-ID
+// string, which is the atom's fingerprint. Projection lookups hash that
+// string with FNV-1a as they walk the IDs and confirm a hit ID by ID, so
+// no key string is ever built.
+type atomInterner struct {
+	mu      sync.RWMutex
+	singles map[*physical.Index]*physical.Configuration
+	proj    map[uint64][]*physical.Configuration
+}
+
+// singleton returns the interned one-index atom of ix.
+//
+//physdes:zeroalloc
+func (in *atomInterner) singleton(ix *physical.Index) *physical.Configuration {
+	in.mu.RLock()
+	c := in.singles[ix]
+	in.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	return in.internSingleton(ix) //physdes:allocok intern on first sight: each index's singleton atom is built once per interner
+}
+
+func (in *atomInterner) internSingleton(ix *physical.Index) *physical.Configuration {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if c := in.singles[ix]; c != nil {
+		return c
+	}
+	if in.singles == nil {
+		in.singles = make(map[*physical.Index]*physical.Configuration)
+	}
+	c := physical.NewConfiguration("atom", ix)
+	in.singles[ix] = c
+	return c
+}
+
+// projection returns the interned atom holding exactly ixs and views
+// (views sorted by ID, as cfg.Views returns them). It sorts ixs by ID in
+// place.
+//
+//physdes:zeroalloc
+func (in *atomInterner) projection(ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+	// Insertion sort: projections are a handful of indexes wide.
+	for i := 1; i < len(ixs); i++ {
+		for j := i; j > 0 && ixs[j].ID() < ixs[j-1].ID(); j-- {
+			ixs[j], ixs[j-1] = ixs[j-1], ixs[j]
+		}
+	}
+	// Every "IX(" ID sorts before every "MV(" ID, so this walks the
+	// fingerprint's IDs in order.
+	h := uint64(fnvOffset64)
+	for _, ix := range ixs {
+		h = fnvByte(fnvString(h, ix.ID()), '|')
+	}
+	for _, v := range views {
+		h = fnvByte(fnvString(h, v.ID()), '|')
+	}
+	in.mu.RLock()
+	c := findProjection(in.proj[h], ixs, views)
+	in.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	return in.internProjection(h, ixs, views) //physdes:allocok intern on first sight: each distinct projection atom is built once per interner
+}
+
+func (in *atomInterner) internProjection(h uint64, ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if c := findProjection(in.proj[h], ixs, views); c != nil {
+		return c
+	}
+	structs := make([]physical.Structure, 0, len(ixs)+len(views))
+	for _, ix := range ixs {
+		structs = append(structs, ix)
+	}
+	for _, v := range views {
+		structs = append(structs, v)
+	}
+	c := physical.NewConfiguration("atom", structs...)
+	if in.proj == nil {
+		in.proj = make(map[uint64][]*physical.Configuration)
+	}
+	in.proj[h] = append(in.proj[h], c)
+	return c
+}
+
+// findProjection returns the atom among candidates whose structures have
+// exactly the IDs of ixs and views (both sorted by ID), or nil.
+func findProjection(candidates []*physical.Configuration, ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+next:
+	for _, c := range candidates {
+		cix, cv := c.Indexes(), c.Views()
+		if len(cix) != len(ixs) || len(cv) != len(views) {
+			continue
+		}
+		for i := range ixs {
+			if cix[i].ID() != ixs[i].ID() {
+				continue next
+			}
+		}
+		for i := range views {
+			if cv[i].ID() != views[i].ID() {
+				continue next
+			}
+		}
+		return c
+	}
+	return nil
 }
 
 // AtomicCache is the atom store: a sharded memo of (statement, atom) costs
@@ -209,10 +342,9 @@ type AtomicCache struct {
 	misses    atomic.Int64
 	fallbacks atomic.Int64
 
-	// singletons interns the one-index atoms (keyed by index pointer —
-	// candidate structures are shared across configurations), so the hot
-	// decompose path does not rebuild them per request.
-	singletons sync.Map
+	// intern holds the atoms decompositions produce, so the probe path
+	// builds each distinct atom once per store.
+	intern atomInterner
 
 	metrics atomic.Pointer[atomMetrics]
 }
@@ -276,30 +408,22 @@ func (ac *AtomicCache) Reset() {
 	ac.fallbacks.Store(0)
 }
 
-// decompose is Decompose with singleton-atom interning.
-func (ac *AtomicCache) decompose(a *sqlparse.Analysis, cfg *physical.Configuration) AtomPlan {
-	return decomposePlan(a, cfg, ac.maxWidth, ac.singleton)
-}
-
-func (ac *AtomicCache) singleton(ix *physical.Index) *physical.Configuration {
-	if v, ok := ac.singletons.Load(ix); ok {
-		return v.(*physical.Configuration)
-	}
-	v, _ := ac.singletons.LoadOrStore(ix, physical.NewConfiguration("atom", ix))
-	return v.(*physical.Configuration)
-}
-
 // Cost evaluates the statement under cfg as the minimum over its atoms'
 // memoized costs. Statements whose projection exceeds the width bound pay
 // one direct what-if call instead.
+//
+//physdes:zeroalloc
 func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
-	plan := ac.decompose(a, cfg)
-	if plan.Fallback {
+	var ixBuf [atomStackLen]*physical.Index
+	var viewBuf [atomStackLen]*physical.View
+	var atomBuf [atomStackLen + 1]*physical.Configuration
+	atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
+	if fallback {
 		ac.fallbacks.Add(1)
 		return ac.inner.Cost(a, cfg)
 	}
 	best := math.Inf(1)
-	for _, atom := range plan.Atoms {
+	for _, atom := range atoms {
 		if v := ac.atomCost(a, atom); v < best {
 			best = v
 		}
@@ -320,8 +444,10 @@ func (ac *AtomicCache) store(key cacheKey, v float64) {
 // atomCost returns the memoized cost of one (statement, atom) pair,
 // consulting the inner optimizer on a miss; concurrent misses on the same
 // atom wait for the first one's value (see Cached.Cost).
+//
+//physdes:zeroalloc
 func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configuration) float64 {
-	key := cacheKey{a: a, cfg: atom.Fingerprint()}
+	key := keyOf(a, atom)
 	sh := &ac.shards[shardIndex(key)]
 	v, ok := sh.get(key)
 	if !ok {
@@ -337,11 +463,7 @@ func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configurati
 	}
 	ac.misses.Add(1)
 	filled := false
-	defer func() {
-		if !filled {
-			sh.release(key) // costing panicked: let a waiter retry
-		}
-	}()
+	defer sh.releaseUnfilled(key, &filled)
 	if m != nil {
 		m.atoms.Inc()
 		sw := obs.NewStopwatch()
@@ -367,28 +489,36 @@ func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configurati
 // bit-identical too.
 func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
 	n := len(reqs)
-	plans := make([]AtomPlan, n)
+	// Request i's atoms are atoms[span[i]:span[i+1]]; a fallback request
+	// has none and a fallbackSlot instead.
+	var atoms []*physical.Configuration
+	span := make([]int, n+1)
 	have := make(map[cacheKey]float64, n)
 	pending := make(map[cacheKey]int, n)
 	fallbackSlot := make([]int, n)
 	var missing []Request
 	var missingKeys []cacheKey
+	var ixBuf [atomStackLen]*physical.Index
+	var viewBuf [atomStackLen]*physical.View
+	var atomBuf [atomStackLen + 1]*physical.Configuration
 	m := ac.metrics.Load()
 	for i, r := range reqs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		plans[i] = ac.decompose(r.Analysis, r.Config)
+		span[i] = len(atoms)
 		fallbackSlot[i] = -1
-		if plans[i].Fallback {
+		reqAtoms, fallback := decompose(r.Analysis, r.Config, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
+		if fallback {
 			ac.fallbacks.Add(1)
 			fallbackSlot[i] = len(missing)
 			missing = append(missing, r)
 			missingKeys = append(missingKeys, cacheKey{}) // sentinel: not stored
 			continue
 		}
-		for _, atom := range plans[i].Atoms {
-			key := cacheKey{a: r.Analysis, cfg: atom.Fingerprint()}
+		atoms = append(atoms, reqAtoms...)
+		for _, atom := range reqAtoms {
+			key := keyOf(r.Analysis, atom)
 			if _, ok := have[key]; ok {
 				ac.hits.Add(1)
 				if m != nil {
@@ -420,6 +550,7 @@ func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []f
 			missingKeys = append(missingKeys, key)
 		}
 	}
+	span[n] = len(atoms)
 	if len(missing) > 0 {
 		vals := make([]float64, len(missing))
 		var sw obs.Stopwatch
@@ -450,8 +581,8 @@ func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []f
 			continue
 		}
 		best := math.Inf(1)
-		for _, atom := range plans[i].Atoms {
-			if v := have[cacheKey{a: r.Analysis, cfg: atom.Fingerprint()}]; v < best {
+		for _, atom := range atoms[span[i]:span[i+1]] {
+			if v := have[keyOf(r.Analysis, atom)]; v < best {
 				best = v
 			}
 		}

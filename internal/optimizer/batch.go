@@ -148,7 +148,7 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		key := cacheKey{a: r.Analysis, cfg: r.Config.Fingerprint()}
+		key := keyOf(r.Analysis, r.Config)
 		if u, ok := uniqIdx[key]; ok {
 			// Alias of an in-batch miss: serial evaluation would find the
 			// first occurrence's stored value, so it counts as a hit.

@@ -1,9 +1,9 @@
 package optimizer
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"physdes/internal/obs"
 	"physdes/internal/physical"
@@ -143,6 +143,14 @@ func (sh *cacheShard) release(key cacheKey) {
 	sh.cond.Broadcast()
 }
 
+// releaseUnfilled releases the claim on key unless *filled: deferred by a
+// miss's owner, it lets a waiter retry when costing panicked.
+func (sh *cacheShard) releaseUnfilled(key cacheKey, filled *bool) {
+	if !*filled {
+		sh.release(key)
+	}
+}
+
 // reset empties the table. In-flight claims stay pending until their
 // owners fill or release them.
 func (sh *cacheShard) reset() {
@@ -159,10 +167,18 @@ type cacheMetrics struct {
 }
 
 // cacheKey is comparable: two keys are equal iff they hold the same
-// *sqlparse.Analysis pointer AND the same configuration fingerprint.
+// *sqlparse.Analysis pointer AND the same configuration fingerprint. h is
+// the fingerprint's FNV-1a hash (a function of cfg, so it never splits
+// equal keys), carried so shard routing does not rehash the string.
 type cacheKey struct {
 	a   *sqlparse.Analysis
 	cfg string
+	h   uint64
+}
+
+// keyOf returns the memo key of (a, cfg).
+func keyOf(a *sqlparse.Analysis, cfg *physical.Configuration) cacheKey {
+	return cacheKey{a: a, cfg: cfg.Fingerprint(), h: cfg.FingerprintHash()}
 }
 
 const (
@@ -170,19 +186,15 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// shardIndex hashes a key to its shard: FNV-1a over the configuration
-// fingerprint, mixed with the analysis pointer (shifted past alignment
-// zeros). Both components matter — a Delta row keeps the statement fixed
-// across k configurations while a greedy tuner probe keeps the
-// configuration fixed across N statements; either alone would serialize
-// one of those access patterns onto a single shard.
+// shardIndex hashes a key to its shard: the FNV-1a hash of the
+// configuration fingerprint, mixed with the analysis pointer (shifted past
+// alignment zeros). Both components matter — a Delta row keeps the
+// statement fixed across k configurations while a greedy tuner probe keeps
+// the configuration fixed across N statements; either alone would
+// serialize one of those access patterns onto a single shard.
 func shardIndex(key cacheKey) int {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key.cfg); i++ {
-		h ^= uint64(key.cfg[i])
-		h *= fnvPrime64
-	}
-	h ^= uint64(reflect.ValueOf(key.a).Pointer()) >> 3
+	h := key.h
+	h ^= uint64(uintptr(unsafe.Pointer(key.a))) >> 3
 	h *= fnvPrime64
 	return int(h & (cacheShards - 1))
 }
@@ -234,7 +246,7 @@ func (c *Cached) SetMetrics(r *obs.Registry) {
 // miss. A concurrent miss on a key already being costed waits for that
 // value and counts as a hit, exactly as the later call of a serial pair.
 func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
-	key := cacheKey{a: a, cfg: cfg.Fingerprint()}
+	key := keyOf(a, cfg)
 	sh := &c.shards[shardIndex(key)]
 	v, ok := sh.get(key)
 	if !ok {
@@ -253,11 +265,7 @@ func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
 		m.misses.Inc()
 	}
 	filled := false
-	defer func() {
-		if !filled {
-			sh.release(key) // costing panicked: let a waiter retry
-		}
-	}()
+	defer sh.releaseUnfilled(key, &filled)
 	if c.atoms != nil {
 		v = c.atoms.Cost(a, cfg)
 	} else {

@@ -60,25 +60,17 @@ func (p *Plan) String() string {
 func (o *Optimizer) Explain(a *sqlparse.Analysis, cfg *physical.Configuration) *Plan {
 	o.calls.Add(1)
 	if a.Kind == sqlparse.KindSelect {
-		total, root := o.costSelectPlan(a, cfg, true)
-		return &Plan{Root: root, Total: total}
+		p := o.planSelect(a, cfg, nil, nil, nil)
+		return &Plan{Root: p.tree(a), Total: p.cost}
 	}
 	return o.explainDML(a, cfg)
 }
 
 func (o *Optimizer) explainDML(a *sqlparse.Analysis, cfg *physical.Configuration) *Plan {
-	var locate, write float64
-	switch a.Kind {
-	case sqlparse.KindInsert:
-		locate, write = 0, o.costInsert(a, cfg)
-	case sqlparse.KindDelete:
-		locate, write = o.updateParts(a, cfg, true)
-	default:
-		locate, write = o.updateParts(a, cfg, false)
-	}
+	locate, write := o.parts(a, cfg)
 	var children []*PlanNode
 	if locate > 0 {
-		ap := o.bestAccess(a, a.ModifiedTable, cfg, predColumns(a, a.ModifiedTable))
+		ap := o.bestAccess(a, a.ModifiedTable, cfg, reads{preds: a.Preds})
 		children = append(children, &PlanNode{
 			Op: "Locate", Detail: ap.op + " " + ap.detail, Cost: locate, Rows: ap.rows,
 		})

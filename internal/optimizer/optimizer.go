@@ -102,30 +102,56 @@ func (o *Optimizer) OptimizeOverhead(a *sqlparse.Analysis) float64 {
 
 // Cost returns the estimated cost of the analyzed statement under cfg.
 // Every invocation counts as one optimizer call.
+//
+//physdes:zeroalloc
 func (o *Optimizer) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
-	o.calls.Add(1)
-	if m := o.metrics.Load(); m != nil {
-		sw := obs.NewStopwatch()
-		c := o.cost(a, cfg)
-		m.latency.Observe(sw.Elapsed().Seconds())
-		m.calls.Inc()
-		return c
-	}
-	return o.cost(a, cfg)
+	locate, write := o.whatIf(a, cfg)
+	return locate + write
 }
 
-func (o *Optimizer) cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
+// UpdateParts exposes the Section 6.1 split of a DML statement's cost under
+// cfg: the SELECT part (locating the qualifying rows) and the pure write
+// part (base-table writes plus structure maintenance). It charges one
+// optimizer call. For SELECT statements the write part is 0.
+//
+//physdes:zeroalloc
+func (o *Optimizer) UpdateParts(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64) {
+	return o.whatIf(a, cfg)
+}
+
+// whatIf is the one instrumented what-if entry behind Cost and
+// UpdateParts: it charges one call and, with metrics attached, counts it
+// in optimizer_calls_total and times it into optimizer_cost_seconds.
+//
+//physdes:zeroalloc
+func (o *Optimizer) whatIf(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64) {
+	o.calls.Add(1)
+	m := o.metrics.Load()
+	if m == nil {
+		return o.parts(a, cfg)
+	}
+	sw := obs.NewStopwatch()
+	locate, write = o.parts(a, cfg)
+	m.latency.Observe(sw.Elapsed().Seconds())
+	m.calls.Inc()
+	return locate, write
+}
+
+// parts evaluates the statement's (locate, write) split; a SELECT is all
+// locate and an INSERT all write.
+//
+//physdes:zeroalloc
+func (o *Optimizer) parts(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64) {
 	switch a.Kind {
 	case sqlparse.KindSelect:
-		return o.costSelect(a, cfg)
+		return o.costSelect(a, cfg), 0
 	case sqlparse.KindInsert:
-		return o.costInsert(a, cfg)
-	case sqlparse.KindUpdate:
-		return o.costUpdate(a, cfg, false)
+		return 0, o.costInsert(a, cfg)
 	case sqlparse.KindDelete:
-		return o.costUpdate(a, cfg, true)
+		return o.updateParts(a, cfg, true)
+	default:
+		return o.updateParts(a, cfg, false)
 	}
-	return 0
 }
 
 // costInsert charges the base-table write plus maintenance of every index
@@ -143,43 +169,19 @@ func (o *Optimizer) costInsert(a *sqlparse.Analysis, cfg *physical.Configuration
 	return cost
 }
 
-// costUpdate charges the SELECT part (locating qualifying rows under cfg —
-// the split of Section 6.1) plus the write part: base-table writes and
-// index/view maintenance proportional to the number of affected rows.
-// DELETE affects every index; UPDATE affects only indexes containing a
-// modified column.
-func (o *Optimizer) costUpdate(a *sqlparse.Analysis, cfg *physical.Configuration, isDelete bool) float64 {
-	locate, write := o.updateParts(a, cfg, isDelete)
-	return locate + write
-}
-
-// UpdateParts exposes the Section 6.1 split of a DML statement's cost under
-// cfg: the SELECT part (locating the qualifying rows) and the pure write
-// part (base-table writes plus structure maintenance). It charges one
-// optimizer call. For SELECT statements the write part is 0.
-func (o *Optimizer) UpdateParts(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64) {
-	o.calls.Add(1)
-	if m := o.metrics.Load(); m != nil {
-		m.calls.Inc()
-	}
-	switch a.Kind {
-	case sqlparse.KindSelect:
-		return o.costSelect(a, cfg), 0
-	case sqlparse.KindInsert:
-		return 0, o.costInsert(a, cfg)
-	case sqlparse.KindDelete:
-		return o.updateParts(a, cfg, true)
-	default:
-		return o.updateParts(a, cfg, false)
-	}
-}
-
+// updateParts charges the SELECT part of an UPDATE or DELETE (locating
+// qualifying rows under cfg — the split of Section 6.1) and the write
+// part: base-table writes and index/view maintenance proportional to the
+// number of affected rows. DELETE affects every index; UPDATE affects only
+// indexes containing a modified column.
+//
+//physdes:zeroalloc
 func (o *Optimizer) updateParts(a *sqlparse.Analysis, cfg *physical.Configuration, isDelete bool) (locate, write float64) {
 	if _, ok := o.cat.Table(a.ModifiedTable); !ok {
 		return 0, WriteRowCost
 	}
 	// SELECT part: find the qualifying rows.
-	ap := o.bestAccess(a, a.ModifiedTable, cfg, predColumns(a, a.ModifiedTable))
+	ap := o.bestAccess(a, a.ModifiedTable, cfg, reads{preds: a.Preds})
 	affected := ap.rows
 	if a.TopK > 0 && a.TopK < affected {
 		affected = a.TopK
@@ -189,12 +191,8 @@ func (o *Optimizer) updateParts(a *sqlparse.Analysis, cfg *physical.Configuratio
 	}
 	write = affected * WriteRowCost
 
-	modified := make(map[string]bool, len(a.ModifiedCols))
-	for _, c := range a.ModifiedCols {
-		modified[c] = true
-	}
 	for _, ix := range cfg.IndexesOn(a.ModifiedTable) {
-		if isDelete || indexTouches(ix, modified) {
+		if isDelete || indexTouches(ix, a.ModifiedCols) {
 			write += affected * IndexMaintRowCost
 		}
 	}
@@ -206,26 +204,16 @@ func (o *Optimizer) updateParts(a *sqlparse.Analysis, cfg *physical.Configuratio
 	return ap.cost, write
 }
 
-func indexTouches(ix *physical.Index, modified map[string]bool) bool {
+func indexTouches(ix *physical.Index, modified []string) bool {
 	for _, c := range ix.Key {
-		if modified[c] {
+		if contains(modified, c) {
 			return true
 		}
 	}
 	for _, c := range ix.Include {
-		if modified[c] {
+		if contains(modified, c) {
 			return true
 		}
 	}
 	return false
-}
-
-func predColumns(a *sqlparse.Analysis, table string) []string {
-	var out []string
-	for _, p := range a.Preds {
-		if p.Col.Table == table {
-			out = append(out, p.Col.Column)
-		}
-	}
-	return out
 }

@@ -17,8 +17,10 @@ type Configuration struct {
 	byTable map[string][]*Index
 	ids     map[string]bool
 
-	// Fingerprint caches a canonical identity string.
+	// Fingerprint caches a canonical identity string; fpHash is its
+	// FNV-1a hash, computed once so memo lookups never rehash the string.
 	fingerprint string
+	fpHash      uint64
 }
 
 // NewConfiguration builds a configuration from structures. Duplicate IDs
@@ -63,7 +65,18 @@ func (c *Configuration) finish() {
 	for _, id := range ids {
 		c.fingerprint += id + "|"
 	}
+	c.fpHash = fnvOffset64
+	for i := 0; i < len(c.fingerprint); i++ {
+		c.fpHash ^= uint64(c.fingerprint[i])
+		c.fpHash *= fnvPrime64
+	}
 }
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // Name returns the configuration's display name.
 func (c *Configuration) Name() string { return c.name }
@@ -71,6 +84,9 @@ func (c *Configuration) Name() string { return c.name }
 // Fingerprint returns a canonical identity string: two configurations with
 // equal fingerprints contain exactly the same structures.
 func (c *Configuration) Fingerprint() string { return c.fingerprint }
+
+// FingerprintHash returns the FNV-1a hash of Fingerprint.
+func (c *Configuration) FingerprintHash() uint64 { return c.fpHash }
 
 // Has reports whether the configuration contains a structure with the ID.
 func (c *Configuration) Has(id string) bool { return c.ids[id] }

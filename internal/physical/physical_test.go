@@ -35,10 +35,17 @@ func TestIndexCanonicalization(t *testing.T) {
 
 func TestIndexCovers(t *testing.T) {
 	ix := NewIndex("t", []string{"a", "b"}, "c")
-	if !ix.Covers([]string{"a", "c"}) || !ix.Covers(nil) {
+	col := func(names ...string) []sqlparse.TableColumn {
+		var out []sqlparse.TableColumn
+		for _, n := range names {
+			out = append(out, sqlparse.TableColumn{Table: "t", Column: n})
+		}
+		return out
+	}
+	if !ix.Covers(col("a", "c")) || !ix.Covers(nil) {
 		t.Error("Covers should accept subsets")
 	}
-	if ix.Covers([]string{"a", "z"}) {
+	if ix.Covers(col("a", "z")) {
 		t.Error("Covers should reject missing columns")
 	}
 }

@@ -65,17 +65,19 @@ func (ix *Index) LeadColumn() string { return ix.Key[0] }
 
 // Covers reports whether every column in cols is present in the index (key
 // or include), i.e. whether an index-only plan can answer a query touching
-// exactly cols on this table.
-func (ix *Index) Covers(cols []string) bool {
+// exactly cols on this table. Only the column names are compared: cols are
+// the referenced columns of the index's table.
+func (ix *Index) Covers(cols []sqlparse.TableColumn) bool {
 	for _, c := range cols {
-		if !ix.hasColumn(c) {
+		if !ix.HasColumn(c.Column) {
 			return false
 		}
 	}
 	return true
 }
 
-func (ix *Index) hasColumn(c string) bool {
+// HasColumn reports whether c is a key or include column of the index.
+func (ix *Index) HasColumn(c string) bool {
 	for _, k := range ix.Key {
 		if k == c {
 			return true
@@ -204,19 +206,28 @@ func (v *View) EstimatedRows(cat *catalog.Catalog) int64 {
 		return 0
 	}
 	rows := float64(t0.Rows)
-	joined := map[string]bool{v.Tables[0]: true}
-	// Fold join edges in canonical order; each edge multiplies by the
-	// other side's rows over the max distinct count of the join columns.
-	remaining := append([]sqlparse.JoinPredicate(nil), v.Joins...)
+	// joined lists the tables folded in so far; each edge folds in one.
+	var buf [8]string
+	joined := buf[:0]
+	if n := len(v.Joins) + 1; n > len(buf) {
+		joined = make([]string, 0, n) //physdes:allocok views with more than 7 join edges outgrow the stack array; sized once per call
+	}
+	joined = joined[:1]
+	joined[0] = v.Tables[0]
+	// Fold join edges in canonical order, restarting the scan after each
+	// fold; each edge multiplies by the other side's rows over the max
+	// distinct count of the join columns. A folded edge has both sides
+	// joined, so later scans pass over it.
 	for progress := true; progress; {
 		progress = false
-		for i, j := range remaining {
+		for _, j := range v.Joins {
 			var newTable string
 			var newCol, oldCol sqlparse.TableColumn
+			left, right := containsString(joined, j.Left.Table), containsString(joined, j.Right.Table)
 			switch {
-			case joined[j.Left.Table] && !joined[j.Right.Table]:
+			case left && !right:
 				newTable, newCol, oldCol = j.Right.Table, j.Right, j.Left
-			case joined[j.Right.Table] && !joined[j.Left.Table]:
+			case right && !left:
 				newTable, newCol, oldCol = j.Left.Table, j.Left, j.Right
 			default:
 				continue
@@ -235,8 +246,8 @@ func (v *View) EstimatedRows(cat *catalog.Catalog) int64 {
 				d = 1
 			}
 			rows = rows * float64(nt.Rows) / float64(d)
-			joined[newTable] = true
-			remaining = append(remaining[:i], remaining[i+1:]...)
+			joined = joined[:len(joined)+1]
+			joined[len(joined)-1] = newTable
 			progress = true
 			break
 		}
@@ -254,6 +265,15 @@ func (v *View) EstimatedRows(cat *catalog.Catalog) int64 {
 		rows = 1
 	}
 	return int64(rows)
+}
+
+func containsString(xs []string, x string) bool {
+	for _, s := range xs {
+		if s == x {
+			return true
+		}
+	}
+	return false
 }
 
 func distinctOf(cat *catalog.Catalog, tc sqlparse.TableColumn) int {
