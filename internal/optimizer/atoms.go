@@ -30,9 +30,10 @@ import (
 //     contain the modified table (DML). Projecting the configuration onto
 //     those *relevant* structures therefore cannot change the cost — the
 //     evaluator never observes the dropped structures — provided the
-//     projection keeps the by-ID ordering (it does: NewConfiguration
-//     sorts), because indexNLCost takes the FIRST lead-matching index in
-//     ID order rather than a minimum.
+//     projection keeps each table's index order (it does: the atom is
+//     built in cfg.IndexesOn order, and interned by that sequence),
+//     because indexNLCost takes the FIRST lead-matching index rather than
+//     a minimum.
 //
 //  2. For a single-table SELECT with no matching views the plan cost is
 //     g(bestAccess, bestAccessOrdered) where both arms are minima over the
@@ -168,7 +169,7 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf
 // SELECT cost model can read: a sargable lead column (IndexSeek), a
 // covering key+include set (IndexScan), a lead column equal to one of the
 // table's join columns (merge-join and index-nested-loop arms — ALL such
-// indexes are kept because indexNLCost takes the first in ID order, not
+// indexes are kept because indexNLCost takes the first in order, not
 // the cheapest), or a lead column equal to the first ORDER BY column (the
 // sort-elimination arm). dst has room for every index on the table.
 func appendRelevantIndexes(dst []*physical.Index, a *sqlparse.Analysis, table string, cfg *physical.Configuration) []*physical.Index {
@@ -212,10 +213,9 @@ func tablesSubset(sub, super []string) bool {
 
 // atomInterner interns atom configurations so each is built once:
 // singleton atoms by index pointer (candidate structures are shared across
-// configurations) and projection atoms by their sorted structure-ID
-// string, which is the atom's fingerprint. Projection lookups hash that
-// string with FNV-1a as they walk the IDs and confirm a hit ID by ID, so
-// no key string is ever built.
+// configurations) and projection atoms by their structure-ID sequence.
+// Projection lookups hash that sequence with FNV-1a as they walk the IDs
+// and confirm a hit structure by structure, so no key string is built.
 type atomInterner struct {
 	mu      sync.RWMutex
 	singles map[*physical.Index]*physical.Configuration
@@ -249,20 +249,15 @@ func (in *atomInterner) internSingleton(ix *physical.Index) *physical.Configurat
 	return c
 }
 
-// projection returns the interned atom holding exactly ixs and views
-// (views sorted by ID, as cfg.Views returns them). It sorts ixs by ID in
-// place.
+// projection returns the interned atom holding exactly ixs (grouped by
+// table, as relevantStructures gathers them) and views (sorted by ID).
+// The key is the ID sequence, not just the set: the cost model observes
+// each table's index order (indexNLCost takes the first lead-matching
+// index), and an atom keeps the order it was built in, so a hit must have
+// every table's indexes in the same order.
 //
 //physdes:zeroalloc
 func (in *atomInterner) projection(ixs []*physical.Index, views []*physical.View) *physical.Configuration {
-	// Insertion sort: projections are a handful of indexes wide.
-	for i := 1; i < len(ixs); i++ {
-		for j := i; j > 0 && ixs[j].ID() < ixs[j-1].ID(); j-- {
-			ixs[j], ixs[j-1] = ixs[j-1], ixs[j]
-		}
-	}
-	// Every "IX(" ID sorts before every "MV(" ID, so this walks the
-	// fingerprint's IDs in order.
 	h := uint64(fnvOffset64)
 	for _, ix := range ixs {
 		h = fnvByte(fnvString(h, ix.ID()), '|')
@@ -300,17 +295,28 @@ func (in *atomInterner) internProjection(h uint64, ixs []*physical.Index, views 
 	return c
 }
 
-// findProjection returns the atom among candidates whose structures have
-// exactly the IDs of ixs and views (both sorted by ID), or nil.
+// findProjection returns the atom among candidates holding exactly ixs,
+// with each table's indexes in the same order, and views, or nil.
 func findProjection(candidates []*physical.Configuration, ixs []*physical.Index, views []*physical.View) *physical.Configuration {
 next:
 	for _, c := range candidates {
-		cix, cv := c.Indexes(), c.Views()
-		if len(cix) != len(ixs) || len(cv) != len(views) {
+		cv := c.Views()
+		if len(c.Indexes()) != len(ixs) || len(cv) != len(views) {
 			continue
 		}
-		for i := range ixs {
-			if cix[i].ID() != ixs[i].ID() {
+		// ixs holds each table's indexes as one run.
+		for i := 0; i < len(ixs); {
+			run := c.IndexesOn(ixs[i].Table)
+			if len(run) > len(ixs)-i {
+				continue next
+			}
+			for _, ix := range run {
+				if ix.ID() != ixs[i].ID() {
+					continue next
+				}
+				i++
+			}
+			if len(run) == 0 {
 				continue next
 			}
 		}
@@ -431,12 +437,12 @@ func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) f
 	return best
 }
 
-func (ac *AtomicCache) lookup(key cacheKey) (float64, bool) {
-	return ac.shards[shardIndex(key)].get(key)
+func (ac *AtomicCache) lookup(a *sqlparse.Analysis, atom *physical.Configuration) (float64, bool) {
+	return shardOf(&ac.shards, a, atom).get(keyOf(a, atom))
 }
 
-func (ac *AtomicCache) store(key cacheKey, v float64) {
-	if ac.shards[shardIndex(key)].put(key, v) {
+func (ac *AtomicCache) store(a *sqlparse.Analysis, atom *physical.Configuration, v float64) {
+	if shardOf(&ac.shards, a, atom).put(keyOf(a, atom), v) {
 		ac.entries.Add(1)
 	}
 }
@@ -448,7 +454,7 @@ func (ac *AtomicCache) store(key cacheKey, v float64) {
 //physdes:zeroalloc
 func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configuration) float64 {
 	key := keyOf(a, atom)
-	sh := &ac.shards[shardIndex(key)]
+	sh := shardOf(&ac.shards, a, atom)
 	v, ok := sh.get(key)
 	if !ok {
 		v, ok = sh.claim(key)
@@ -533,7 +539,7 @@ func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []f
 				}
 				continue
 			}
-			if v, ok := ac.lookup(key); ok {
+			if v, ok := ac.lookup(r.Analysis, atom); ok {
 				ac.hits.Add(1)
 				if m != nil {
 					m.hits.Inc()
@@ -568,7 +574,7 @@ func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []f
 				continue // width-bound fallback: direct result, not an atom
 			}
 			have[key] = vals[i]
-			ac.store(key, vals[i])
+			ac.store(missing[i].Analysis, missing[i].Config, vals[i])
 		}
 		for i := range reqs {
 			if s := fallbackSlot[i]; s >= 0 {

@@ -254,3 +254,32 @@ func TestDecomposeDML(t *testing.T) {
 		t.Errorf("index on unrelated table %s was kept", offTable.ID())
 	}
 }
+
+// TestProjectionAtomKeepsIndexOrder pins projection interning to each
+// table's index order, not just the structure set: indexNLCost seeks the
+// first index whose lead column is the join column, so two configurations
+// holding the same indexes in different orders can cost a statement
+// differently. Each statement's atomic cost must match its direct cost
+// even when another statement already interned the other order.
+func TestProjectionAtomKeepsIndexOrder(t *testing.T) {
+	narrow := physical.NewIndex("lineitem", []string{"l_orderkey"})
+	covering := physical.NewIndex("lineitem", []string{"l_orderkey"}, "l_quantity")
+	date := physical.NewIndex("orders", []string{"o_orderdate"})
+	narrowFirst := physical.NewConfiguration("a", date, narrow, covering)
+	coveringFirst := physical.NewConfiguration("b", date, covering, narrow)
+	s1 := analyze(t, "SELECT o_orderdate, l_quantity FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate = 5")
+	s2 := analyze(t, "SELECT o_orderdate, l_quantity FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate = 9")
+	direct := optimizer.New(atomsCat)
+	if direct.Cost(s2, narrowFirst) == direct.Cost(s2, coveringFirst) {
+		t.Fatal("fixture does not exercise order: both index orders cost the same")
+	}
+	c := optimizer.NewCachedAtomic(optimizer.New(atomsCat))
+	for _, p := range []struct {
+		a   *sqlparse.Analysis
+		cfg *physical.Configuration
+	}{{s1, narrowFirst}, {s2, coveringFirst}} {
+		if got, want := c.Cost(p.a, p.cfg), direct.Cost(p.a, p.cfg); got != want {
+			t.Errorf("%s: atomic cost %v, direct %v", p.cfg.Name(), got, want)
+		}
+	}
+}

@@ -159,7 +159,7 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 			}
 			continue
 		}
-		if v, ok := c.shards[shardIndex(key)].get(key); ok {
+		if v, ok := shardOf(&c.shards, r.Analysis, r.Config).get(key); ok {
 			out[i] = v
 			slot[i] = -1
 			c.hits.Add(1)
@@ -191,7 +191,7 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 		return err
 	}
 	for u, key := range uniqKeys {
-		if c.shards[shardIndex(key)].put(key, vals[u]) {
+		if shardOf(&c.shards, uniq[u].Analysis, uniq[u].Config).put(key, vals[u]) {
 			c.entries.Add(1)
 		}
 	}

@@ -167,18 +167,15 @@ type cacheMetrics struct {
 }
 
 // cacheKey is comparable: two keys are equal iff they hold the same
-// *sqlparse.Analysis pointer AND the same configuration fingerprint. h is
-// the fingerprint's FNV-1a hash (a function of cfg, so it never splits
-// equal keys), carried so shard routing does not rehash the string.
+// *sqlparse.Analysis pointer AND the same configuration fingerprint.
 type cacheKey struct {
 	a   *sqlparse.Analysis
 	cfg string
-	h   uint64
 }
 
 // keyOf returns the memo key of (a, cfg).
 func keyOf(a *sqlparse.Analysis, cfg *physical.Configuration) cacheKey {
-	return cacheKey{a: a, cfg: cfg.Fingerprint(), h: cfg.FingerprintHash()}
+	return cacheKey{a: a, cfg: cfg.Fingerprint()}
 }
 
 const (
@@ -186,17 +183,22 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// shardIndex hashes a key to its shard: the FNV-1a hash of the
-// configuration fingerprint, mixed with the analysis pointer (shifted past
-// alignment zeros). Both components matter — a Delta row keeps the
-// statement fixed across k configurations while a greedy tuner probe keeps
-// the configuration fixed across N statements; either alone would
-// serialize one of those access patterns onto a single shard.
-func shardIndex(key cacheKey) int {
-	h := key.h
-	h ^= uint64(uintptr(unsafe.Pointer(key.a))) >> 3
+// shardIndex routes a key to its shard: the FNV-1a hash of the
+// configuration fingerprint (computed once, by the configuration), mixed
+// with the analysis pointer (shifted past alignment zeros). Both
+// components matter — a Delta row keeps the statement fixed across k
+// configurations while a greedy tuner probe keeps the configuration fixed
+// across N statements; either alone would serialize one of those access
+// patterns onto a single shard.
+func shardIndex(a *sqlparse.Analysis, fpHash uint64) int {
+	h := fpHash ^ uint64(uintptr(unsafe.Pointer(a)))>>3
 	h *= fnvPrime64
 	return int(h & (cacheShards - 1))
+}
+
+// shardOf returns the shard holding the key of (a, cfg).
+func shardOf(shards *[cacheShards]cacheShard, a *sqlparse.Analysis, cfg *physical.Configuration) *cacheShard {
+	return &shards[shardIndex(a, cfg.FingerprintHash())]
 }
 
 // NewCached wraps an optimizer with a memo table.
@@ -247,7 +249,7 @@ func (c *Cached) SetMetrics(r *obs.Registry) {
 // value and counts as a hit, exactly as the later call of a serial pair.
 func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
 	key := keyOf(a, cfg)
-	sh := &c.shards[shardIndex(key)]
+	sh := shardOf(&c.shards, a, cfg)
 	v, ok := sh.get(key)
 	if !ok {
 		v, ok = sh.claim(key)
