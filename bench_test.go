@@ -25,7 +25,6 @@ import (
 	"physdes/internal/bounds"
 	"physdes/internal/compress"
 	"physdes/internal/experiments"
-	"physdes/internal/optimizer"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
 	"physdes/internal/sqlparse"
@@ -351,15 +350,15 @@ func BenchmarkWhatIfCall(b *testing.B) {
 	}
 	b.Run("atom-shared", func(b *testing.B) {
 		a := parse(cases[1].sql)
-		c := optimizer.NewCachedAtomic(NewOptimizer(cat))
+		c := NewAtomicOptimizer(NewOptimizer(cat))
 		c.Cost(a, cases[1].cfg)
 		// Same relevant structures plus one the statement cannot read: a
-		// memo miss whose atoms are all stored.
+		// new configuration whose atoms are all stored.
 		probe := cases[1].cfg.With("probe", NewIndex("region", []string{"r_name"}))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Atoms().Cost(a, probe)
+			c.Cost(a, probe)
 		}
 	})
 }

@@ -100,7 +100,9 @@ func (h *Histogram) EqSelectivity(v float64) float64 {
 
 // RangeSelectivity estimates the fraction of rows with lo ≤ value ≤ hi.
 // Either bound may be ±Inf for a half-open range. Partial buckets are
-// interpolated linearly.
+// interpolated linearly. Only the buckets overlapping the range are
+// visited: the walk starts at the bucket holding the lower bound and
+// stops at the first bucket past the upper one.
 func (h *Histogram) RangeSelectivity(lo, hi float64) float64 {
 	if hi < lo {
 		return 0
@@ -110,13 +112,20 @@ func (h *Histogram) RangeSelectivity(lo, hi float64) float64 {
 	if u < l {
 		return 0
 	}
-	var sel float64
+	first := 0
+	if l > 1 {
+		first = h.bucketOf(int(l))
+	}
 	prevBound := 0
-	for b := range h.bounds {
+	if first > 0 {
+		prevBound = h.bounds[first-1]
+	}
+	var sel float64
+	for b := first; b < len(h.bounds); b++ {
 		bl, bu := float64(prevBound+1), float64(h.bounds[b])
 		prevBound = h.bounds[b]
-		if bu < l || bl > u {
-			continue
+		if bl > u {
+			break
 		}
 		ol := math.Max(bl, l)
 		ou := math.Min(bu, u)

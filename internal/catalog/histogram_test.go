@@ -137,3 +137,79 @@ func TestColumnHistogramZeroDistinct(t *testing.T) {
 		t.Error("degenerate column should still give positive selectivity for its single value")
 	}
 }
+
+// rangeSelectivityFullScan is the reference RangeSelectivity: it visits
+// every bucket and skips the ones outside [l, u]. The skipped buckets
+// contribute nothing, so the bounded walk must add the same terms in the
+// same order and match it bit for bit.
+func rangeSelectivityFullScan(h *Histogram, lo, hi float64) float64 {
+	if hi < lo {
+		return 0
+	}
+	l := math.Max(1, math.Ceil(lo))
+	u := math.Min(float64(h.n), math.Floor(hi))
+	if u < l {
+		return 0
+	}
+	var sel float64
+	prevBound := 0
+	for b := range h.bounds {
+		bl, bu := float64(prevBound+1), float64(h.bounds[b])
+		prevBound = h.bounds[b]
+		if bu < l || bl > u {
+			continue
+		}
+		ol := math.Max(bl, l)
+		ou := math.Min(bu, u)
+		width := bu - bl + 1
+		sel += h.fracs[b] * (ou - ol + 1) / width
+	}
+	if sel > 1 {
+		sel = 1
+	}
+	return sel
+}
+
+// TestRangeSelectivityMatchesFullScan pins the bounded bucket walk to the
+// full-scan reference, bit for bit, over random and edge-case ranges on
+// skewed, uniform and tiny domains.
+func TestRangeSelectivityMatchesFullScan(t *testing.T) {
+	z := stats.NewZipfGen(5000, 1)
+	hists := []struct {
+		name string
+		h    *Histogram
+	}{
+		{"zipf", BuildHistogram(5000, DefaultBuckets, z.PMF)},
+		{"uniform", uniformHist(1000, 100)},
+		{"tiny", uniformHist(3, 200)},
+		{"single", uniformHist(50, 1)},
+	}
+	inf := math.Inf(1)
+	for idx, tc := range hists {
+		name, h := tc.name, tc.h
+		n := float64(h.n)
+		b0 := float64(h.bounds[0])
+		edges := [][2]float64{
+			{-inf, inf}, {-inf, 1}, {n, inf}, {-inf, -inf}, {inf, inf},
+			{-10, 0}, {n + 1, n + 50}, {0, 0.5}, {n + 0.5, n + 0.7},
+			{1, 1}, {n, n}, {1, b0}, {b0, b0}, {b0 + 1, b0 + 1},
+			{2.5, 2.5}, {2.2, 2.8}, {7, 3}, {inf, -inf}, {-5, n + 5},
+		}
+		for _, r := range edges {
+			if got, want := h.RangeSelectivity(r[0], r[1]), rangeSelectivityFullScan(h, r[0], r[1]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: RangeSelectivity(%v, %v) = %v, full scan %v", name, r[0], r[1], got, want)
+			}
+		}
+		rng := stats.NewRNG(uint64(idx + 1))
+		for i := 0; i < 2000; i++ {
+			lo := rng.Float64()*(n+20) - 10
+			hi := rng.Float64()*(n+20) - 10
+			if i%3 == 0 {
+				lo, hi = math.Floor(lo), math.Floor(hi)
+			}
+			if got, want := h.RangeSelectivity(lo, hi), rangeSelectivityFullScan(h, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: RangeSelectivity(%v, %v) = %v, full scan %v", name, lo, hi, got, want)
+			}
+		}
+	}
+}

@@ -298,7 +298,7 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 
 	var oracle sampling.Oracle
 	if o.AtomSharing == AtomSharingEnabled {
-		shared := optimizer.NewCachedAtomic(opt)
+		shared := optimizer.NewAtomicCache(opt, optimizer.DefaultMaxAtomWidth)
 		if o.Metrics != nil {
 			shared.SetMetrics(o.Metrics)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ type AtomsRow struct {
 // sharing on the Table 2 regime: for each k, a perturbation space around a
 // tuned configuration (heavily overlapping candidates, as a tuning tool
 // emits) is costed over a workload subset, once with a plain optimizer and
-// once through optimizer.NewCachedAtomic, asserting bit-identical costs and
+// once through an optimizer.AtomicCache, asserting bit-identical costs and
 // reporting both call bills.
 func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 	p = p.withDefaults()
@@ -66,8 +67,12 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		direct := optimizer.New(s.Cat)
 		want := direct.Batch(reqs, par)
 
-		shared := optimizer.NewCachedAtomic(optimizer.New(s.Cat))
-		got := shared.Batch(reqs, par)
+		shared := optimizer.NewAtomicCache(optimizer.New(s.Cat), optimizer.DefaultMaxAtomWidth)
+		got := make([]float64, len(reqs))
+		//physdes:detachedctx the experiment has no caller context; it runs to completion
+		if err := shared.BatchIntoCtx(context.Background(), reqs, got, par); err != nil {
+			return nil, err
+		}
 
 		identical := true
 		for i := range want {
@@ -80,7 +85,7 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 			return nil, fmt.Errorf("experiments: atoms: k=%d cost surfaces diverged (sharing must be exact)", k)
 		}
 
-		hits, misses, fallbacks, _ := shared.Atoms().Stats()
+		hits, misses, fallbacks, _ := shared.Stats()
 		row := AtomsRow{
 			K:           len(configs),
 			Queries:     w.Size(),

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"physdes/internal/obs"
+	"physdes/internal/obs/recorder"
 	"physdes/internal/serve"
 )
 
@@ -32,7 +33,9 @@ type ServeLoadResult struct {
 	ThroughputPerSec float64 `json:"throughput_jobs_per_sec"`
 	P50JobMS         float64 `json:"p50_job_ms"`
 	P99JobMS         float64 `json:"p99_job_ms"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
+	// CacheHitRate is the atom store's reuse across all jobs:
+	// optimizer_atom_hits_total / (that + optimizer_atoms_total), in atoms.
+	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
 // serveClient drives the daemon's HTTP handler in process: every request
@@ -204,36 +207,10 @@ func ServeLoad(sessions, jobsPerSession, tenants int, p Params) (*ServeLoadResul
 		}
 	}
 
-	snap := reg.Snapshot()
-	out.JobsDone = int(snap.Counters["serve_jobs_done_total"])
-	out.JobsFailed = int(snap.Counters["serve_jobs_failed_total"])
-	out.AdmissionRejects = snap.Counters["serve_admission_rejects_total"]
-	if total := snap.Counters["serve_jobs_total"]; int(total) > out.JobsSubmitted {
-		// More jobs recorded than sessions accepted would mean phantom
-		// submissions.
-		out.JobsDuplicated += int(total) - out.JobsSubmitted
-	}
-	out.JobsLost = out.JobsSubmitted - out.JobsDone - out.JobsFailed
+	out.readSnapshot(reg.Snapshot())
 	out.ElapsedMS = elapsed.Seconds() * 1000
 	if elapsed > 0 {
 		out.ThroughputPerSec = float64(out.JobsDone) / elapsed.Seconds()
-	}
-	if h, ok := snap.Histograms["serve_job_seconds"]; ok && h.Count > 0 {
-		out.P50JobMS = h.P50 * 1000
-		out.P99JobMS = h.P99 * 1000
-	}
-	// A probe is "served from cache" when the memo table answers it or a
-	// memo miss reassembles entirely from already-seen atoms instead of
-	// paying an inner what-if call.
-	memoHits := float64(snap.Counters["optimizer_cache_hits_total"])
-	memoMisses := float64(snap.Counters["optimizer_cache_misses_total"])
-	atomHits := float64(snap.Counters["optimizer_atom_hits_total"])
-	if probes := memoHits + memoMisses; probes > 0 {
-		served := memoHits + atomHits
-		if served > probes {
-			served = probes
-		}
-		out.CacheHitRate = served / probes
 	}
 
 	if out.JobsLost != 0 || out.JobsDuplicated != 0 {
@@ -245,6 +222,28 @@ func ServeLoad(sessions, jobsPerSession, tenants int, p Params) (*ServeLoadResul
 	return out, nil
 }
 
+// readSnapshot fills the daemon-side totals from its metrics registry:
+// job outcomes, admission rejects, latency quantiles and the atom store's
+// reuse. JobsSubmitted must already hold the sessions' accepted count.
+func (out *ServeLoadResult) readSnapshot(snap obs.Snapshot) {
+	out.JobsDone = int(snap.Counters["serve_jobs_done_total"])
+	out.JobsFailed = int(snap.Counters["serve_jobs_failed_total"])
+	out.AdmissionRejects = snap.Counters["serve_admission_rejects_total"]
+	if total := snap.Counters["serve_jobs_total"]; int(total) > out.JobsSubmitted {
+		// More jobs recorded than sessions accepted would mean phantom
+		// submissions.
+		out.JobsDuplicated += int(total) - out.JobsSubmitted
+	}
+	out.JobsLost = out.JobsSubmitted - out.JobsDone - out.JobsFailed
+	if h, ok := snap.Histograms["serve_job_seconds"]; ok && h.Count > 0 {
+		out.P50JobMS = h.P50 * 1000
+		out.P99JobMS = h.P99 * 1000
+	}
+	if reuse := recorder.AtomReuse(snap); reuse != nil {
+		out.CacheHitRate = reuse.HitRate
+	}
+}
+
 // PrintServeLoad renders the load run the way benchrunner prints every
 // experiment.
 func PrintServeLoad(w io.Writer, r *ServeLoadResult) error {
@@ -252,7 +251,7 @@ func PrintServeLoad(w io.Writer, r *ServeLoadResult) error {
 		"Advisor service load: %d sessions x %d jobs over %d tenants\n"+
 			"  submitted=%d done=%d failed=%d lost=%d duplicated=%d\n"+
 			"  throughput=%.1f jobs/s  p50=%.1fms p99=%.1fms\n"+
-			"  admission rejects=%d (client retries=%d)  cache hit rate=%.1f%%\n",
+			"  admission rejects=%d (client retries=%d)  atom reuse=%.1f%%\n",
 		r.Sessions, r.JobsPerSession, r.Tenants,
 		r.JobsSubmitted, r.JobsDone, r.JobsFailed, r.JobsLost, r.JobsDuplicated,
 		r.ThroughputPerSec, r.P50JobMS, r.P99JobMS,

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"physdes/internal/obs"
 )
 
 // TestServeLoadSmall runs the load harness at reduced scale: every
@@ -36,5 +38,33 @@ func TestServeLoadSmall(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "lost=0 duplicated=0") {
 		t.Errorf("printed summary missing invariant line:\n%s", b.String())
+	}
+}
+
+// TestServeAtomReuseFromRegistry pins the load run's cache hit rate to the
+// atom store's reuse, atom_hits / (atom_hits + atoms). Memo counters count
+// probes, not atoms: adding them in (and clamping) would report 1.0 here.
+func TestServeAtomReuseFromRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("serve_jobs_total").Add(4)
+	reg.Counter("serve_jobs_done_total").Add(4)
+	reg.Counter("optimizer_atom_hits_total").Add(30)
+	reg.Counter("optimizer_atoms_total").Add(90)
+	reg.Counter("optimizer_cache_hits_total").Add(10)
+	reg.Counter("optimizer_cache_misses_total").Add(10)
+	res := &ServeLoadResult{JobsSubmitted: 4}
+	res.readSnapshot(reg.Snapshot())
+	if res.CacheHitRate != 0.25 {
+		t.Errorf("CacheHitRate = %v, want atom reuse 30/120 = 0.25", res.CacheHitRate)
+	}
+	if res.JobsDone != 4 || res.JobsLost != 0 || res.JobsDuplicated != 0 {
+		t.Errorf("job totals = done %d lost %d duplicated %d, want 4/0/0", res.JobsDone, res.JobsLost, res.JobsDuplicated)
+	}
+	var b strings.Builder
+	if err := PrintServeLoad(&b, res); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "atom reuse=25.0%") {
+		t.Errorf("printed summary lacks the atom reuse:\n%s", b.String())
 	}
 }

@@ -3,7 +3,7 @@
 // materializes a structured RunReport — the Pr(CS) trajectory per
 // sampling round, the stratification and its sample allocation, where
 // the oracle budget went (pilot / bounds / rounds, retries, faults,
-// degraded queries), cache hit rates, and per-phase wall-clock — plus a
+// degraded queries), atom-store reuse, and per-phase wall-clock — plus a
 // bounded ring of raw events for post-mortems.
 //
 // The same state machine replays a JSONL trace file (FromJSONL), so a
@@ -94,13 +94,30 @@ type OracleStats struct {
 	DegradedQueries int   `json:"degraded_queries"`
 }
 
-// CacheStats is the what-if memo cache accounting, read from the metrics
+// CacheStats is the what-if atom store's reuse, read from the metrics
 // registry at snapshot time (only present when a registry is attached
-// and a cached optimizer ran).
+// and the atom store ran). Both counts are in atoms, not probes: one probe
+// may reuse some atoms and pay for others.
 type CacheStats struct {
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
+	// AtomHits counts atom lookups the store served
+	// (optimizer_atom_hits_total).
+	AtomHits int64 `json:"atom_hits"`
+	// Atoms counts the atom costings paid (optimizer_atoms_total).
+	Atoms int64 `json:"atoms"`
+	// HitRate is the atom reuse, AtomHits / (AtomHits + Atoms).
 	HitRate float64 `json:"hit_rate"`
+}
+
+// AtomReuse reads the atom store's reuse from a registry snapshot, or
+// returns nil when the store looked up no atom.
+func AtomReuse(snap obs.Snapshot) *CacheStats {
+	hits := snap.Counters["optimizer_atom_hits_total"]
+	atoms := snap.Counters["optimizer_atoms_total"]
+	total := hits + atoms
+	if total == 0 {
+		return nil
+	}
+	return &CacheStats{AtomHits: hits, Atoms: atoms, HitRate: float64(hits) / float64(total)}
 }
 
 // RawEvent is one raw trace event retained in the bounded ring.
@@ -184,7 +201,7 @@ func New(id string) *Recorder {
 	}
 }
 
-// WithMetrics attaches a registry; Report then includes cache hit rates
+// WithMetrics attaches a registry; Report then includes atom-store reuse
 // read from it. Returns the recorder for chaining.
 func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 	r.mu.Lock()
@@ -291,12 +308,7 @@ func (r *Recorder) Report() *RunReport {
 	rep.Allocs = r.allocSnapshot()
 	rep.Events = r.ringSnapshot()
 	if r.reg != nil {
-		snap := r.reg.Snapshot()
-		hits := snap.Counters["optimizer_cache_hits_total"]
-		misses := snap.Counters["optimizer_cache_misses_total"]
-		if total := hits + misses; total > 0 {
-			rep.Cache = &CacheStats{Hits: hits, Misses: misses, HitRate: float64(hits) / float64(total)}
-		}
+		rep.Cache = AtomReuse(r.reg.Snapshot())
 	}
 	return &rep
 }

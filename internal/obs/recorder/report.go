@@ -38,8 +38,8 @@ func WriteText(w io.Writer, rep *RunReport) error {
 	writeOracle(&b, rep)
 
 	if rep.Cache != nil {
-		fmt.Fprintf(&b, "cache: hits=%d misses=%d hit_rate=%.1f%%\n",
-			rep.Cache.Hits, rep.Cache.Misses, 100*rep.Cache.HitRate)
+		fmt.Fprintf(&b, "cache: atom_hits=%d atoms=%d atom_reuse=%.1f%%\n",
+			rep.Cache.AtomHits, rep.Cache.Atoms, 100*rep.Cache.HitRate)
 	}
 
 	writeStrata(&b, rep)

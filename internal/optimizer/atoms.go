@@ -86,14 +86,14 @@ func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) 
 }
 
 // decompose is the one decomposition routine behind Decompose,
-// AtomicCache.Cost and batchIntoCtx. It projects cfg onto the structures
-// a can read, gathered into ixBuf and viewBuf, and returns in atomBuf the
-// atoms whose cost minimum reproduces the direct cost: the empty atom plus
-// one singleton per relevant index for a single-table SELECT with no
-// relevant views, else the one projection atom — or fallback when that
-// projection holds more than maxWidth structures. Atoms come from in, so
-// each distinct atom is built once per interner. Scratch slices that are
-// too small are replaced by heap slices.
+// AtomicCache.Cost and AtomicCache.BatchIntoCtx. It projects cfg onto the
+// structures a can read, gathered into ixBuf and viewBuf, and returns in
+// atomBuf the atoms whose cost minimum reproduces the direct cost: the
+// empty atom plus one singleton per relevant index for a single-table
+// SELECT with no relevant views, else the one projection atom — or
+// fallback when that projection holds more than maxWidth structures.
+// Atoms come from in, so each distinct atom is built once per interner.
+// Scratch slices that are too small are replaced by heap slices.
 //
 //physdes:zeroalloc
 func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, ixBuf []*physical.Index, viewBuf []*physical.View, atomBuf []*physical.Configuration) (atoms []*physical.Configuration, fallback bool) {
@@ -331,12 +331,17 @@ next:
 }
 
 // AtomicCache is the atom store: a sharded memo of (statement, atom) costs
-// consulted by the Cached layer before any direct costing. It reuses the
-// memo cache's key scheme (statement pointer identity + configuration
-// fingerprint) and 64-way sharding, so batch-pool workers contend on
-// per-shard locks only. Like the memo cache, it deduplicates concurrent
-// misses on the same atom in flight, so each distinct atom pays exactly
-// one inner call however the probes race.
+// and the only sharing layer on the what-if probe path. It keys entries by
+// statement pointer identity plus configuration fingerprint (see
+// cacheKey) over 64 shards, so batch-pool workers contend on per-shard
+// locks only. It deduplicates concurrent misses on the same atom in
+// flight, so each distinct atom pays exactly one inner call however the
+// probes race.
+//
+// A probe whose projection exceeds the width bound is costed directly
+// and memoized under the full configuration, so repeating it is free as
+// well. Atom and fallback keys never collide: a stored atom holds at most
+// maxWidth structures, a fallback configuration more.
 type AtomicCache struct {
 	inner    *Optimizer
 	maxWidth int
@@ -375,12 +380,15 @@ func NewAtomicCache(inner *Optimizer, maxWidth int) *AtomicCache {
 	return ac
 }
 
+// Inner returns the wrapped optimizer (for call accounting).
+func (ac *AtomicCache) Inner() *Optimizer { return ac.inner }
+
 // SetMetrics exports the atom store's accounting on the registry:
-// optimizer_atom_hits_total (reassemblies served from the store),
+// optimizer_atom_hits_total (lookups served from the store),
 // optimizer_atoms_total (distinct (statement, atom) costings paid), and
 // the optimizer_atom_cost_seconds histogram (time spent costing atoms —
 // per atom on the serial path, per dispatched batch on the batch path).
-// Passing nil detaches.
+// Atom reuse is hits / (hits + atoms). Passing nil detaches.
 func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
 	if r == nil {
 		ac.metrics.Store(nil)
@@ -396,9 +404,10 @@ func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
 // MaxWidth returns the projection-atom width bound.
 func (ac *AtomicCache) MaxWidth() int { return ac.maxWidth }
 
-// Stats reports the store's accounting: atom-store hits, atom costings
-// paid (misses), width-bound fallbacks to direct costing, and the number
-// of distinct atoms stored.
+// Stats reports the store's accounting: lookups served from the store
+// (hits), atom costings paid (misses), width-bound fallbacks costed
+// directly, and the number of entries stored (atoms plus fallback
+// configurations).
 func (ac *AtomicCache) Stats() (hits, misses, fallbacks int64, entries int) {
 	return ac.hits.Load(), ac.misses.Load(), ac.fallbacks.Load(), int(ac.entries.Load())
 }
@@ -416,7 +425,7 @@ func (ac *AtomicCache) Reset() {
 
 // Cost evaluates the statement under cfg as the minimum over its atoms'
 // memoized costs. Statements whose projection exceeds the width bound pay
-// one direct what-if call instead.
+// one direct what-if call on first sight instead.
 //
 //physdes:zeroalloc
 func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
@@ -425,58 +434,75 @@ func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) f
 	var atomBuf [atomStackLen + 1]*physical.Configuration
 	atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
 	if fallback {
-		ac.fallbacks.Add(1)
-		return ac.inner.Cost(a, cfg)
+		return ac.memoCost(a, cfg, true)
 	}
 	best := math.Inf(1)
 	for _, atom := range atoms {
-		if v := ac.atomCost(a, atom); v < best {
+		if v := ac.memoCost(a, atom, false); v < best {
 			best = v
 		}
 	}
 	return best
 }
 
-func (ac *AtomicCache) lookup(a *sqlparse.Analysis, atom *physical.Configuration) (float64, bool) {
-	return shardOf(&ac.shards, a, atom).get(keyOf(a, atom))
+func (ac *AtomicCache) lookup(a *sqlparse.Analysis, cfg *physical.Configuration) (float64, bool) {
+	return shardOf(&ac.shards, a, cfg).get(keyOf(a, cfg))
 }
 
-func (ac *AtomicCache) store(a *sqlparse.Analysis, atom *physical.Configuration, v float64) {
-	if shardOf(&ac.shards, a, atom).put(keyOf(a, atom), v) {
+func (ac *AtomicCache) store(a *sqlparse.Analysis, cfg *physical.Configuration, v float64) {
+	if shardOf(&ac.shards, a, cfg).put(keyOf(a, cfg), v) {
 		ac.entries.Add(1)
 	}
 }
 
-// atomCost returns the memoized cost of one (statement, atom) pair,
-// consulting the inner optimizer on a miss; concurrent misses on the same
-// atom wait for the first one's value (see Cached.Cost).
+// countMiss accounts one paid costing: a fallback, or an atom.
+func (ac *AtomicCache) countMiss(m *atomMetrics, fallback bool) {
+	if fallback {
+		ac.fallbacks.Add(1)
+		return
+	}
+	ac.misses.Add(1)
+	if m != nil {
+		m.atoms.Inc()
+	}
+}
+
+// countHit accounts one lookup served from the store.
+func (ac *AtomicCache) countHit(m *atomMetrics) {
+	ac.hits.Add(1)
+	if m != nil {
+		m.hits.Inc()
+	}
+}
+
+// memoCost returns the memoized cost of a under cfg — an atom, or the
+// full configuration of a width-bound fallback — consulting the inner
+// optimizer on a miss. A concurrent miss on a key already being costed
+// waits for that value and counts as a hit, exactly as the later call of
+// a serial pair.
 //
 //physdes:zeroalloc
-func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configuration) float64 {
-	key := keyOf(a, atom)
-	sh := shardOf(&ac.shards, a, atom)
+func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, cfg *physical.Configuration, fallback bool) float64 {
+	key := keyOf(a, cfg)
+	sh := shardOf(&ac.shards, a, cfg)
 	v, ok := sh.get(key)
 	if !ok {
 		v, ok = sh.claim(key)
 	}
 	m := ac.metrics.Load()
 	if ok {
-		ac.hits.Add(1)
-		if m != nil {
-			m.hits.Inc()
-		}
+		ac.countHit(m)
 		return v
 	}
-	ac.misses.Add(1)
+	ac.countMiss(m, fallback)
 	filled := false
 	defer sh.releaseUnfilled(key, &filled)
-	if m != nil {
-		m.atoms.Inc()
+	if m != nil && !fallback {
 		sw := obs.NewStopwatch()
-		v = ac.inner.Cost(a, atom)
+		v = ac.inner.Cost(a, cfg)
 		m.latency.Observe(sw.Elapsed().Seconds())
 	} else {
-		v = ac.inner.Cost(a, atom)
+		v = ac.inner.Cost(a, cfg)
 	}
 	if sh.fill(key, v) {
 		ac.entries.Add(1)
@@ -485,23 +511,40 @@ func (ac *AtomicCache) atomCost(a *sqlparse.Analysis, atom *physical.Configurati
 	return v
 }
 
-// batchIntoCtx evaluates the (already memo-deduplicated) requests with
-// atom sharing: decompose every request serially in order, dedupe the
-// batch's unseen atoms in first-occurrence order, cost them through the
-// inner batch pool, then reassemble each request's cost as the minimum
-// over its atoms. Hit/miss accounting and inner-call counts are identical
-// to evaluating the requests serially through Cost, at every parallelism
+// BatchIntoCtx evaluates reqs[i] into out[i] with atom sharing over the
+// inner optimizer's batch pool. Below the pool threshold (parallelism <= 1
+// or a small batch) it loops over Cost. Otherwise it decomposes every
+// request serially in order, dedupes the batch's unseen atoms (and
+// fallback configurations) in first-occurrence order, costs them through
+// the pool, then reassembles each request's cost as the minimum over its
+// atoms. Hit/miss accounting and inner-call counts are identical to
+// evaluating the requests serially through Cost, at every parallelism
 // level — the cost values themselves are pure, so the result is
-// bit-identical too.
-func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
+// bit-identical too. See Optimizer.BatchIntoCtx for the cancellation
+// contract.
+func (ac *AtomicCache) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
 	n := len(reqs)
-	// Request i's atoms are atoms[span[i]:span[i+1]]; a fallback request
-	// has none and a fallbackSlot instead.
-	var atoms []*physical.Configuration
+	if n == 0 {
+		return ctx.Err()
+	}
+	if len(out) < n {
+		panic("optimizer: BatchInto output slice shorter than request slice")
+	}
+	if parallelism <= 1 || n < minParallelBatch {
+		for i, r := range reqs {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			out[i] = ac.Cost(r.Analysis, r.Config)
+		}
+		return nil
+	}
+	// Request i's cost is the minimum over keys[span[i]:span[i+1]]: its
+	// atoms, or its own configuration when it falls back.
+	var keys []cacheKey
 	span := make([]int, n+1)
 	have := make(map[cacheKey]float64, n)
-	pending := make(map[cacheKey]int, n)
-	fallbackSlot := make([]int, n)
+	pending := make(map[cacheKey]bool, n)
 	var missing []Request
 	var missingKeys []cacheKey
 	var ixBuf [atomStackLen]*physical.Index
@@ -512,51 +555,31 @@ func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []f
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		span[i] = len(atoms)
-		fallbackSlot[i] = -1
+		span[i] = len(keys)
 		reqAtoms, fallback := decompose(r.Analysis, r.Config, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
 		if fallback {
-			ac.fallbacks.Add(1)
-			fallbackSlot[i] = len(missing)
-			missing = append(missing, r)
-			missingKeys = append(missingKeys, cacheKey{}) // sentinel: not stored
-			continue
+			atomBuf[0] = r.Config
+			reqAtoms = atomBuf[:1]
 		}
-		atoms = append(atoms, reqAtoms...)
 		for _, atom := range reqAtoms {
 			key := keyOf(r.Analysis, atom)
-			if _, ok := have[key]; ok {
-				ac.hits.Add(1)
-				if m != nil {
-					m.hits.Inc()
-				}
-				continue
-			}
-			if _, ok := pending[key]; ok {
-				ac.hits.Add(1)
-				if m != nil {
-					m.hits.Inc()
-				}
+			keys = append(keys, key)
+			if _, ok := have[key]; ok || pending[key] {
+				ac.countHit(m)
 				continue
 			}
 			if v, ok := ac.lookup(r.Analysis, atom); ok {
-				ac.hits.Add(1)
-				if m != nil {
-					m.hits.Inc()
-				}
+				ac.countHit(m)
 				have[key] = v
 				continue
 			}
-			ac.misses.Add(1)
-			if m != nil {
-				m.atoms.Inc()
-			}
-			pending[key] = len(missing)
+			ac.countMiss(m, fallback)
+			pending[key] = true
 			missing = append(missing, Request{Analysis: r.Analysis, Config: atom})
 			missingKeys = append(missingKeys, key)
 		}
 	}
-	span[n] = len(atoms)
+	span[n] = len(keys)
 	if len(missing) > 0 {
 		vals := make([]float64, len(missing))
 		var sw obs.Stopwatch
@@ -570,25 +593,14 @@ func (ac *AtomicCache) batchIntoCtx(ctx context.Context, reqs []Request, out []f
 			m.latency.Observe(sw.Elapsed().Seconds())
 		}
 		for i, key := range missingKeys {
-			if key.a == nil {
-				continue // width-bound fallback: direct result, not an atom
-			}
 			have[key] = vals[i]
 			ac.store(missing[i].Analysis, missing[i].Config, vals[i])
 		}
-		for i := range reqs {
-			if s := fallbackSlot[i]; s >= 0 {
-				out[i] = vals[s]
-			}
-		}
 	}
-	for i, r := range reqs {
-		if fallbackSlot[i] >= 0 {
-			continue
-		}
+	for i := range reqs {
 		best := math.Inf(1)
-		for _, atom := range atoms[span[i]:span[i+1]] {
-			if v := have[keyOf(r.Analysis, atom)]; v < best {
+		for _, key := range keys[span[i]:span[i+1]] {
+			if v := have[key]; v < best {
 				best = v
 			}
 		}

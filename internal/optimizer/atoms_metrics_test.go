@@ -74,7 +74,8 @@ func TestAtomicCacheStatsAndMetrics(t *testing.T) {
 
 // TestAtomicCacheWidthFallbackSerial pins the serial fallback path: a
 // statement whose projection exceeds the width bound pays one direct call,
-// is counted as a fallback, and returns the direct cost exactly.
+// is counted as a fallback, is stored under its full configuration, and
+// returns the direct cost exactly.
 func TestAtomicCacheWidthFallbackSerial(t *testing.T) {
 	ac := optimizer.NewAtomicCache(optimizer.New(atomsCat), 2)
 	ac.SetMetrics(obs.NewRegistry())
@@ -92,8 +93,49 @@ func TestAtomicCacheWidthFallbackSerial(t *testing.T) {
 		t.Fatalf("fallback cost %v != direct cost %v", got, want)
 	}
 	hits, misses, fallbacks, entries := ac.Stats()
-	if fallbacks != 1 || misses != 0 || hits != 0 || entries != 0 {
-		t.Errorf("Stats() = (%d, %d, %d, %d), want fallback-only (0, 0, 1, 0)", hits, misses, fallbacks, entries)
+	if fallbacks != 1 || misses != 0 || hits != 0 || entries != 1 {
+		t.Errorf("Stats() = (%d, %d, %d, %d), want fallback-only (0, 0, 1, 1)", hits, misses, fallbacks, entries)
+	}
+}
+
+// TestAtomicCacheFallbackMemoized pins the fallback memo: costing a
+// width-fallback pair twice — serially, or twice within one pooled batch —
+// charges one inner call, and the repeat counts as a store hit.
+func TestAtomicCacheFallbackMemoized(t *testing.T) {
+	a := analyze(t, "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200")
+	cfg := wideOrdersConfig()
+	want := optimizer.New(atomsCat).Cost(a, cfg)
+
+	serial := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	for i := 0; i < 2; i++ {
+		if got := serial.Cost(a, cfg); got != want {
+			t.Fatalf("probe %d: fallback cost %v != direct cost %v", i, got, want)
+		}
+	}
+	if calls := serial.Inner().Calls(); calls != 1 {
+		t.Errorf("serial: two fallback probes charged %d inner calls, want 1", calls)
+	}
+	if hits, misses, fallbacks, _ := serial.Stats(); hits != 1 || misses != 0 || fallbacks != 1 {
+		t.Errorf("serial: Stats() hits/misses/fallbacks = %d/%d/%d, want 1/0/1", hits, misses, fallbacks)
+	}
+
+	// A batch above the pool threshold holding the pair twice.
+	reqs := make([]optimizer.Request, 16)
+	for i := range reqs {
+		reqs[i] = optimizer.Request{Analysis: a, Config: cfg}
+	}
+	batched := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	out := make([]float64, len(reqs))
+	if err := batched.BatchIntoCtx(context.Background(), reqs, out, 4); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range out {
+		if got != want {
+			t.Fatalf("batch slot %d: %v != direct cost %v", i, got, want)
+		}
+	}
+	if calls := batched.Inner().Calls(); calls != 1 {
+		t.Errorf("batch: %d fallback requests charged %d inner calls, want 1", len(reqs), calls)
 	}
 }
 
@@ -121,7 +163,7 @@ func wideOrdersConfig() *physical.Configuration {
 	return physical.NewConfiguration("wide", ixs...)
 }
 
-// TestCachedAtomicBatchMetrics drives the memoized batch path with a
+// TestCachedAtomicBatchMetrics drives the atom store's batch path with a
 // registry attached and a width-bound fallback in the mix: every value
 // must match direct costing, the fallback must be billed as a direct call,
 // and the registry counters must equal Stats — which must in turn equal a
@@ -146,7 +188,7 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	}
 	wideCfg := wideOrdersConfig()
 
-	// 4×4 overlapping cross product + the wide fallback + a memo alias:
+	// 4×4 overlapping cross product + the wide fallback + a repeated pair:
 	// large enough (>= 16) to reach the pooled batch path.
 	var reqs []optimizer.Request
 	for _, a := range analyses {
@@ -156,13 +198,16 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	}
 	reqs = append(reqs,
 		optimizer.Request{Analysis: wide, Config: wideCfg},
-		optimizer.Request{Analysis: analyses[0], Config: configs[0]}, // memo alias
+		optimizer.Request{Analysis: analyses[0], Config: configs[0]}, // repeated pair
 	)
 
 	r := obs.NewRegistry()
-	c := optimizer.NewCachedAtomic(optimizer.New(atomsCat))
+	c := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
 	c.SetMetrics(r)
-	got := c.Batch(reqs, 4)
+	got := make([]float64, len(reqs))
+	if err := c.BatchIntoCtx(context.Background(), reqs, got, 4); err != nil {
+		t.Fatal(err)
+	}
 
 	direct := optimizer.New(atomsCat)
 	for i, req := range reqs {
@@ -171,12 +216,12 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 		}
 	}
 
-	hits, misses, fallbacks, entries := c.Atoms().Stats()
+	hits, misses, fallbacks, entries := c.Stats()
 	if fallbacks != 1 {
 		t.Errorf("fallbacks = %d, want 1 (the width-%d projection)", fallbacks, wideCfg.NumStructures())
 	}
-	if misses <= 0 || hits <= 0 || entries != int(misses) {
-		t.Errorf("Stats() = (%d, %d, %d, %d): want positive hits/misses and entries == misses",
+	if misses <= 0 || hits <= 0 || entries != int(misses+fallbacks) {
+		t.Errorf("Stats() = (%d, %d, %d, %d): want positive hits/misses and entries == misses + fallbacks",
 			hits, misses, fallbacks, entries)
 	}
 	snap := r.Snapshot()
@@ -192,11 +237,11 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 
 	// Accounting parity with the serial path: a fresh store fed the same
 	// requests one by one must land on identical counters.
-	s := optimizer.NewCachedAtomic(optimizer.New(atomsCat))
+	s := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
 	for _, req := range reqs {
 		s.Cost(req.Analysis, req.Config)
 	}
-	sh, sm, sf, se := s.Atoms().Stats()
+	sh, sm, sf, se := s.Stats()
 	if sh != hits || sm != misses || sf != fallbacks || se != entries {
 		t.Errorf("batch accounting (%d, %d, %d, %d) != serial accounting (%d, %d, %d, %d)",
 			hits, misses, fallbacks, entries, sh, sm, sf, se)
@@ -208,7 +253,7 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	// A canceled context aborts the batch before any costing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fresh := optimizer.NewCachedAtomic(optimizer.New(atomsCat))
+	fresh := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
 	if err := fresh.BatchIntoCtx(ctx, reqs, make([]float64, len(reqs)), 4); err == nil {
 		t.Error("canceled context must abort the batch")
 	}

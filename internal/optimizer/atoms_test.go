@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -106,7 +107,7 @@ func TestAtomicCostEquivalence(t *testing.T) {
 					want[i] = direct.Cost(r.Analysis, r.Config)
 				}
 
-				atomic := optimizer.NewCachedAtomic(optimizer.New(sc.cat))
+				atomic := optimizer.NewAtomicCache(optimizer.New(sc.cat), 0)
 				got := make([]float64, len(reqs))
 				for i, r := range reqs {
 					got[i] = atomic.Cost(r.Analysis, r.Config)
@@ -119,9 +120,11 @@ func TestAtomicCostEquivalence(t *testing.T) {
 				totalAtomCalls += atomic.Inner().Calls()
 
 				for _, par := range []int{1, 4, 8} {
-					ab := optimizer.NewCachedAtomic(optimizer.New(sc.cat))
+					ab := optimizer.NewAtomicCache(optimizer.New(sc.cat), 0)
 					out := make([]float64, len(reqs))
-					ab.BatchInto(reqs, out, par)
+					if err := ab.BatchIntoCtx(context.Background(), reqs, out, par); err != nil {
+						t.Fatal(err)
+					}
 					if !reflect.DeepEqual(want, out) {
 						reportFirstDiff(t, sc.name, cs,
 							fmt.Sprintf("Batch(par=%d)", par), reqs, want, out)
@@ -273,7 +276,7 @@ func TestProjectionAtomKeepsIndexOrder(t *testing.T) {
 	if direct.Cost(s2, narrowFirst) == direct.Cost(s2, coveringFirst) {
 		t.Fatal("fixture does not exercise order: both index orders cost the same")
 	}
-	c := optimizer.NewCachedAtomic(optimizer.New(atomsCat))
+	c := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
 	for _, p := range []struct {
 		a   *sqlparse.Analysis
 		cfg *physical.Configuration

@@ -181,13 +181,7 @@ func (c *Cached) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64
 		return nil
 	}
 	vals := make([]float64, len(uniq))
-	var err error
-	if c.atoms != nil {
-		err = c.atoms.batchIntoCtx(ctx, uniq, vals, parallelism)
-	} else {
-		err = c.inner.BatchIntoCtx(ctx, uniq, vals, parallelism)
-	}
-	if err != nil {
+	if err := c.inner.BatchIntoCtx(ctx, uniq, vals, parallelism); err != nil {
 		return err
 	}
 	for u, key := range uniqKeys {

@@ -33,11 +33,6 @@ import (
 type Cached struct {
 	inner *Optimizer
 
-	// atoms, when non-nil, is consulted on memo misses before direct
-	// costing: the miss is decomposed into atoms (atoms.go) and reassembled
-	// from the atom store, so only never-seen atoms pay inner calls.
-	atoms *AtomicCache
-
 	shards  [cacheShards]cacheShard
 	entries atomic.Int64
 
@@ -210,29 +205,10 @@ func NewCached(inner *Optimizer) *Cached {
 	return c
 }
 
-// NewCachedAtomic wraps an optimizer with the memo table plus the
-// atomic-configuration sharing layer: memo misses are decomposed into
-// atoms and reassembled from the atom store (see atoms.go), so across
-// overlapping configurations only never-seen atoms pay inner optimizer
-// calls. Costs are bit-identical to NewCached — only the call accounting
-// shrinks.
-func NewCachedAtomic(inner *Optimizer) *Cached {
-	c := NewCached(inner)
-	c.atoms = NewAtomicCache(inner, DefaultMaxAtomWidth)
-	return c
-}
-
-// Atoms returns the atom store, or nil when atom sharing is disabled.
-func (c *Cached) Atoms() *AtomicCache { return c.atoms }
-
 // SetMetrics exports the cache's hit/miss accounting on the registry:
 // optimizer_cache_hits_total, optimizer_cache_misses_total and the
-// optimizer_cache_entries gauge. When atom sharing is enabled the atom
-// store's metrics are attached too. Passing nil detaches.
+// optimizer_cache_entries gauge. Passing nil detaches.
 func (c *Cached) SetMetrics(r *obs.Registry) {
-	if c.atoms != nil {
-		c.atoms.SetMetrics(r)
-	}
 	if r == nil {
 		c.metrics.Store(nil)
 		return
@@ -268,11 +244,7 @@ func (c *Cached) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
 	}
 	filled := false
 	defer sh.releaseUnfilled(key, &filled)
-	if c.atoms != nil {
-		v = c.atoms.Cost(a, cfg)
-	} else {
-		v = c.inner.Cost(a, cfg)
-	}
+	v = c.inner.Cost(a, cfg)
 	if sh.fill(key, v) {
 		c.entries.Add(1)
 	}
@@ -310,9 +282,6 @@ func (c *Cached) Reset() {
 	c.entries.Store(0)
 	c.hits.Store(0)
 	c.misses.Store(0)
-	if c.atoms != nil {
-		c.atoms.Reset()
-	}
 	if m := c.metrics.Load(); m != nil {
 		m.entries.Set(0)
 	}

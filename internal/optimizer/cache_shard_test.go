@@ -236,17 +236,17 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 		physical.NewConfiguration("bc", ixB, ixC),
 		physical.NewConfiguration("abc", ixA, ixB, ixC),
 	}
-	ref := NewCachedAtomic(New(testCat))
+	ref := NewAtomicCache(New(testCat), 0)
 	for _, a := range analyses {
 		for _, cfg := range configs {
 			ref.Cost(a, cfg)
 		}
 	}
-	wantHits, wantMisses, _ := ref.Stats()
+	wantHits, wantMisses, _, _ := ref.Stats()
 	wantCalls := ref.Inner().Calls()
 
 	for trial := 0; trial < 20; trial++ {
-		c := NewCachedAtomic(New(testCat))
+		c := NewAtomicCache(New(testCat), 0)
 		var wg sync.WaitGroup
 		for _, a := range analyses {
 			for _, cfg := range configs {
@@ -258,7 +258,7 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		hits, misses, _ := c.Stats()
+		hits, misses, _, _ := c.Stats()
 		if hits != wantHits || misses != wantMisses {
 			t.Fatalf("trial %d: hits/misses = %d/%d, want serial %d/%d", trial, hits, misses, wantHits, wantMisses)
 		}

@@ -73,25 +73,25 @@ func TestCostAllocFree(t *testing.T) {
 
 // TestAtomSharedProbeAllocFree pins the atom-sharing probe: once a
 // statement's atoms are stored, costing it under another configuration
-// with the same relevant structures (a memo miss that the atom store
-// answers) allocates nothing, and neither does a memo hit.
+// with the same relevant structures allocates nothing, and neither does
+// repeating the first probe.
 func TestAtomSharedProbeAllocFree(t *testing.T) {
 	irrelevant := physical.NewIndex("region", []string{"r_name"})
 	for _, tc := range probeCases(t) {
 		a := analyze(t, tc.sql)
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCachedAtomic(New(testCat))
+			c := NewAtomicCache(New(testCat), 0)
 			want := c.Cost(a, tc.cfg)
 			probe := tc.cfg.With("probe", irrelevant)
 			calls := c.Inner().Calls()
-			if got := c.Atoms().Cost(a, probe); got != want {
+			if got := c.Cost(a, probe); got != want {
 				t.Fatalf("atom-shared cost %v, want %v", got, want)
 			}
-			if n := testing.AllocsPerRun(100, func() { c.Atoms().Cost(a, probe) }); n != 0 {
+			if n := testing.AllocsPerRun(100, func() { c.Cost(a, probe) }); n != 0 {
 				t.Errorf("atom-shared probe allocates %v times per call, want 0", n)
 			}
 			if n := testing.AllocsPerRun(100, func() { c.Cost(a, tc.cfg) }); n != 0 {
-				t.Errorf("memo hit allocates %v times per call, want 0", n)
+				t.Errorf("repeated probe allocates %v times per call, want 0", n)
 			}
 			if got := c.Inner().Calls(); got != calls {
 				t.Errorf("stored atoms paid %d inner calls, want 0", got-calls)

@@ -30,8 +30,8 @@ func TestCallCostShiftsAllocation(t *testing.T) {
 		}.withDefaults())
 		d.run()
 		var counts [2]int
-		for _, row := range d.rows {
-			counts[row.tmpl]++
+		for _, tmpl := range d.rowTmpl[:d.nrows] {
+			counts[tmpl]++
 		}
 		return counts
 	}

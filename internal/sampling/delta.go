@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 
 	"physdes/internal/stats"
 )
@@ -13,7 +14,6 @@ type dStratum struct {
 	sums   []stats.Kahan // per config Σ cost
 	sumsqs []stats.Kahan // per config Σ cost²
 	cross  []stats.Kahan // per config Σ cost_best·cost_j (vs current best)
-	rowIdx []int         // indices into the sampler's row history
 
 	// Prior moments from a warm snapshot, aggregated over member
 	// templates (nil on cold runs and fresh strata). They pool into the
@@ -26,16 +26,8 @@ type dStratum struct {
 	pCross []stats.Kahan // per config prior Σ cost_best·cost_j (vs prior best)
 }
 
-// dRow is one sampled query's cost vector (NaN for configurations already
-// eliminated at sampling time).
-type dRow struct {
-	tmpl  int
-	costs []float64
-}
-
-// rowChunk is how many cost rows one slab allocation holds. Rows live
-// until the run ends (incumbent changes and splits replay them), so
-// carving them from slabs costs one allocation per rowChunk rows.
+// rowChunk is how many full-width rows the row history's first
+// allocation holds; later growth doubles it.
 const rowChunk = 64
 
 // deltaSampler is the Delta Sampling estimator (Section 4.2): one shared
@@ -58,8 +50,19 @@ type deltaSampler struct {
 	tSumsq [][]stats.Kahan
 	tCross [][]stats.Kahan
 
-	rows []dRow
-	slab []float64 // unused tail of the current row allocation
+	// Row history, replayed when the incumbent changes, a stratum splits
+	// and a warm snapshot is captured. hist holds the sampled rows back to
+	// back in fold order, each row only the costs of the configurations
+	// alive when it was folded, in configuration order. Elimination is
+	// permanent, so configuration j's costs are the first elimAt[j] rows'.
+	hist    []float64
+	rowTmpl []int32 // row r's template; a Select samples each query at most once
+	nrows   int
+	elimAt  []int // rows folded while j was alive (math.MaxInt while alive)
+	folded  []int // configurations alive at the last fold, ascending
+	walkBuf []int // rowCursor scratch
+
+	stratumOf []int // template → index of the stratum holding it
 
 	splitWorst int // constraining configuration of the split in progress
 }
@@ -68,11 +71,20 @@ func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 	dr := newDriver(o, opts)
 	k, tc := dr.k, maxInt(opts.TemplateCount, 1)
 	d := &deltaSampler{
-		driver: dr,
-		tCount: make([]int, tc),
-		tSum:   make([][]stats.Kahan, tc),
-		tSumsq: make([][]stats.Kahan, tc),
-		tCross: make([][]stats.Kahan, tc),
+		driver:    dr,
+		tCount:    make([]int, tc),
+		tSum:      make([][]stats.Kahan, tc),
+		tSumsq:    make([][]stats.Kahan, tc),
+		tCross:    make([][]stats.Kahan, tc),
+		rowTmpl:   make([]int32, o.N()),
+		elimAt:    make([]int, k),
+		folded:    make([]int, k),
+		walkBuf:   make([]int, k),
+		stratumOf: make([]int, tc),
+	}
+	for j := range d.elimAt {
+		d.elimAt[j] = math.MaxInt
+		d.folded[j] = j
 	}
 	if dr.eo != nil {
 		d.tmplDropped = make([]int, tc)
@@ -98,6 +110,9 @@ func (d *deltaSampler) addStratum(_ int, st stratum) *stratum {
 		sums:    make([]stats.Kahan, d.k),
 		sumsqs:  make([]stats.Kahan, d.k),
 		cross:   make([]stats.Kahan, d.k),
+	}
+	for _, t := range st.templates {
+		d.stratumOf[t] = len(d.strata)
 	}
 	d.strata = append(d.strata, s)
 	return &s.stratum
@@ -237,46 +252,108 @@ func (d *deltaSampler) tmplSize(t int) int {
 }
 
 // fold records a sampled row — out holds the alive configurations' costs
-// in configuration order — into the stratum and template accumulators.
+// in configuration order — into the row history and the stratum and
+// template accumulators. It runs in O(live) time: the row is stored as
+// given, and only the configurations eliminated since the last fold are
+// visited to end their cost prefixes.
+//
+//physdes:zeroalloc
 func (d *deltaSampler) fold(sl slot, out []float64) {
-	if len(d.slab) < d.k {
-		d.slab = make([]float64, rowChunk*d.k)
-	}
-	alive := d.alive
-	costs := d.slab[:d.k:d.k]
-	d.slab = d.slab[d.k:]
-	for j, i := 0, 0; j < len(costs); j++ {
-		if alive[j] {
-			costs[j] = out[i]
-			i++
-		} else {
-			costs[j] = math.NaN()
+	if len(out) != len(d.folded) {
+		for _, j := range d.folded {
+			if !d.alive[j] {
+				d.elimAt[j] = d.nrows
+			}
 		}
+		d.folded = d.folded[:copy(d.folded, d.aliveIdx)]
 	}
+	n := len(d.hist)
+	if cap(d.hist)-n < len(out) {
+		grown := make([]float64, n, max(2*n, rowChunk*d.k)) //physdes:allocok amortized growth: each reallocation doubles the row history
+		copy(grown, d.hist)
+		d.hist = grown
+	}
+	d.hist = d.hist[:n+len(out)]
+	copy(d.hist[n:], out)
 
 	s := d.strata[sl.h]
 	tmpl := 0
 	if d.opts.TemplateIndex != nil {
 		tmpl = d.opts.TemplateIndex[sl.q]
 	}
-	d.rows = append(d.rows, dRow{tmpl: tmpl, costs: costs})
-	s.rowIdx = append(s.rowIdx, len(d.rows)-1)
+	d.rowTmpl[d.nrows] = int32(tmpl)
+	d.nrows++
 
-	cb := costs[d.best]
-	for j, c := range costs {
-		if !alive[j] {
-			continue
-		}
+	cb := out[indexOf(d.aliveIdx, d.best)]
+	for i, j := range d.aliveIdx {
+		c := out[i]
 		s.sums[j].Add(c)
 		s.sumsqs[j].AddProduct(c, c)
+		s.cross[j].AddProduct(cb, c)
 		d.tSum[tmpl][j].Add(c)
 		d.tSumsq[tmpl][j].AddProduct(c, c)
-		if !math.IsNaN(cb) {
-			s.cross[j].AddProduct(cb, c)
-			d.tCross[tmpl][j].AddProduct(cb, c)
-		}
+		d.tCross[tmpl][j].AddProduct(cb, c)
 	}
 	d.tCount[tmpl]++
+}
+
+// indexOf returns the position of j in the ascending list cfgs, or -1.
+// The incumbent is always alive, so its lookups never miss.
+//
+//physdes:zeroalloc
+func indexOf(cfgs []int, j int) int {
+	if i, ok := slices.BinarySearch(cfgs, j); ok {
+		return i
+	}
+	return -1
+}
+
+// rowCursor walks the row history in fold order. After next, tmpl is the
+// row's template, cfgs the configurations alive when it was folded
+// (ascending) and costs their costs in the same order.
+type rowCursor struct {
+	d     *deltaSampler
+	r     int // rows visited
+	off   int // offset of the current row in d.hist
+	until int // first row some member of cfgs was no longer alive for
+
+	tmpl  int
+	cfgs  []int
+	costs []float64
+}
+
+// rowWalk starts a walk over the row history.
+func (d *deltaSampler) rowWalk() rowCursor {
+	cfgs := d.walkBuf[:d.k]
+	for j := range cfgs {
+		cfgs[j] = j
+	}
+	return rowCursor{d: d, cfgs: cfgs}
+}
+
+// next advances to the next row and reports whether there was one.
+func (c *rowCursor) next() bool {
+	d := c.d
+	if c.r == d.nrows {
+		return false
+	}
+	if c.r == c.until {
+		// Some configuration's cost prefix ended before this row.
+		live := c.cfgs[:0]
+		c.until = math.MaxInt
+		for _, j := range c.cfgs {
+			if e := d.elimAt[j]; e > c.r {
+				live = append(live, j)
+				c.until = min(c.until, e)
+			}
+		}
+		c.cfgs = live
+	}
+	c.off += len(c.costs)
+	c.costs = d.hist[c.off : c.off+len(c.cfgs)]
+	c.tmpl = int(d.rowTmpl[c.r])
+	c.r++
+	return true
 }
 
 // estimate returns X_j = Σ_h |WL_h|·mean_h(j) for an alive configuration.
@@ -399,42 +476,22 @@ func (d *deltaSampler) pairDiffVar(j int) float64 {
 }
 
 // bestChanged rebuilds the Σ c_best·c_j accumulators from the row history
-// against the new incumbent.
+// against the new incumbent. Each stratum and template accumulator sees
+// its rows in fold order, so the Kahan sums match a fresh fold exactly.
 func (d *deltaSampler) bestChanged() {
 	b := d.best
 	for _, s := range d.strata {
-		for j := range s.cross {
-			s.cross[j] = stats.Kahan{}
-		}
-		for _, ri := range s.rowIdx {
-			row := d.rows[ri]
-			cb := row.costs[b]
-			if math.IsNaN(cb) {
-				continue
-			}
-			for j := 0; j < d.k; j++ {
-				c := row.costs[j]
-				if !math.IsNaN(c) {
-					s.cross[j].AddProduct(cb, c)
-				}
-			}
-		}
+		clear(s.cross)
 	}
 	for t := range d.tCross {
-		for j := range d.tCross[t] {
-			d.tCross[t][j] = stats.Kahan{}
-		}
+		clear(d.tCross[t])
 	}
-	for _, row := range d.rows {
-		cb := row.costs[b]
-		if math.IsNaN(cb) {
-			continue
-		}
-		for j := 0; j < d.k; j++ {
-			c := row.costs[j]
-			if !math.IsNaN(c) {
-				d.tCross[row.tmpl][j].AddProduct(cb, c)
-			}
+	for c := d.rowWalk(); c.next(); {
+		cb := c.costs[indexOf(c.cfgs, b)]
+		cross, tCross := d.strata[d.stratumOf[c.tmpl]].cross, d.tCross[c.tmpl]
+		for i, j := range c.cfgs {
+			cross[j].AddProduct(cb, c.costs[i])
+			tCross[j].AddProduct(cb, c.costs[i])
 		}
 	}
 }
@@ -567,32 +624,31 @@ func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 			right.order = append(right.order, q)
 		}
 	}
-	// Replay sampled rows into the children.
-	for _, ri := range parent.rowIdx {
-		row := d.rows[ri]
+	// Replay the parent's sampled rows into the children.
+	for c := d.rowWalk(); c.next(); {
+		if d.stratumOf[c.tmpl] != dec.stratum {
+			continue
+		}
 		child := right
-		if inLeft[row.tmpl] {
+		if inLeft[c.tmpl] {
 			child = left
 		}
-		child.rowIdx = append(child.rowIdx, ri)
 		child.n++
-		cb := row.costs[d.best]
-		for j := 0; j < d.k; j++ {
-			c := row.costs[j]
-			if math.IsNaN(c) {
-				continue
-			}
-			child.sums[j].Add(c)
-			child.sumsqs[j].AddProduct(c, c)
-			if !math.IsNaN(cb) {
-				child.cross[j].AddProduct(cb, c)
-			}
+		cb := c.costs[indexOf(c.cfgs, d.best)]
+		for i, j := range c.cfgs {
+			v := c.costs[i]
+			child.sums[j].Add(v)
+			child.sumsqs[j].AddProduct(v, v)
+			child.cross[j].AddProduct(cb, v)
 		}
 	}
 
 	left.avgOver = d.avgOverhead(left.order)
 	right.avgOver = d.avgOverhead(right.order)
 	d.strata[dec.stratum] = left
+	for _, t := range rightTmpls {
+		d.stratumOf[t] = len(d.strata)
+	}
 	d.strata = append(d.strata, right)
 	return dec.stratum, len(d.strata) - 1
 }
@@ -611,11 +667,9 @@ func (d *deltaSampler) templateStates() []TemplateState {
 			Cross:  append([]stats.Kahan(nil), d.tCross[t]...),
 		}
 	}
-	for _, row := range d.rows {
-		for j := 0; j < d.k; j++ {
-			if !math.IsNaN(row.costs[j]) {
-				out[row.tmpl].Counts[j]++
-			}
+	for c := d.rowWalk(); c.next(); {
+		for _, j := range c.cfgs {
+			out[c.tmpl].Counts[j]++
 		}
 	}
 	return out

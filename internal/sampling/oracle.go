@@ -12,6 +12,7 @@
 package sampling
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 
@@ -205,24 +206,21 @@ func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
 	o.Opt.BatchInto(reqs, out, parallelism)
 }
 
-// SharedOracle evaluates costs through a memoized optimizer with
-// atomic-configuration sharing (optimizer.NewCachedAtomic): each request is
-// decomposed into the atomic sub-configurations the plan can read, only
-// never-seen (query, atom) pairs reach the what-if optimizer, and the
-// values are bit-identical to LiveOracle's. Calls() reports the inner
-// optimizer's counter, so the sharing shows up directly in the paper's
-// accounting: repeated probes of overlapping configurations charge far
-// fewer calls than N*K.
+// SharedOracle evaluates costs through the atom store
+// (optimizer.AtomicCache): each request is decomposed into the atomic
+// sub-configurations the plan can read, only never-seen (query, atom)
+// pairs reach the what-if optimizer, and the values are bit-identical to
+// LiveOracle's. Calls() reports the inner optimizer's counter, so the
+// sharing shows up directly in the paper's accounting: probes of
+// overlapping configurations charge far fewer calls than N*K.
 type SharedOracle struct {
-	C        *optimizer.Cached
+	C        *optimizer.AtomicCache
 	Workload *workload.Workload
 	Configs  []*physical.Configuration
 }
 
-// NewSharedOracle builds a shared oracle over a memoized optimizer
-// (typically optimizer.NewCachedAtomic; a plain NewCached works too and
-// shares only exact-pair repeats).
-func NewSharedOracle(c *optimizer.Cached, w *workload.Workload, configs []*physical.Configuration) *SharedOracle {
+// NewSharedOracle builds a shared oracle over an atom store.
+func NewSharedOracle(c *optimizer.AtomicCache, w *workload.Workload, configs []*physical.Configuration) *SharedOracle {
 	return &SharedOracle{C: c, Workload: w, Configs: configs}
 }
 
@@ -237,16 +235,17 @@ func (o *SharedOracle) N() int { return o.Workload.Size() }
 // K implements Oracle.
 func (o *SharedOracle) K() int { return len(o.Configs) }
 
-// Calls implements Oracle. Only cache/atom-store misses reach the inner
+// Calls implements Oracle. Only atom-store misses reach the inner
 // optimizer, so this counter is what the sharing saves.
 func (o *SharedOracle) Calls() int64 { return o.C.Inner().Calls() }
 
-// BatchCost implements BatchOracle through the memo layer's deduplicating
+// BatchCost implements BatchOracle through the atom store's deduplicating
 // batch path; values and accounting match serial Cost at every parallelism.
 func (o *SharedOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
 	reqs := make([]optimizer.Request, len(pairs))
 	for i, p := range pairs {
 		reqs[i] = optimizer.Request{Analysis: o.Workload.Queries[p.Q].Analysis, Config: o.Configs[p.J]}
 	}
-	o.C.BatchInto(reqs, out, parallelism)
+	//physdes:detachedctx BatchOracle carries no context; the samplers check cancellation between batches
+	o.C.BatchIntoCtx(context.Background(), reqs, out, parallelism) //physdes:errok Background never cancels and ctx.Err is the only error source, so the result is always nil
 }

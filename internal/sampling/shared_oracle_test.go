@@ -26,7 +26,7 @@ func TestSharedOracle(t *testing.T) {
 		physical.NewConfiguration("ix2", shipdate,
 			physical.NewIndex("orders", []string{"o_orderdate"})),
 	}
-	o := NewSharedOracle(optimizer.NewCachedAtomic(optimizer.New(cat)), w, configs)
+	o := NewSharedOracle(optimizer.NewAtomicCache(optimizer.New(cat), 0), w, configs)
 	if o.N() != 60 || o.K() != 3 {
 		t.Fatalf("shared oracle dims %d×%d, want 60×3", o.N(), o.K())
 	}

@@ -107,6 +107,9 @@ type (
 	// CachedOptimizer memoizes what-if calls in a sharded concurrent memo
 	// table safe for batch-pool workers.
 	CachedOptimizer = optimizer.Cached
+	// AtomicOptimizer shares what-if work across configurations through
+	// atomic sub-configurations (see NewAtomicOptimizer).
+	AtomicOptimizer = optimizer.AtomicCache
 	// BatchRequest is one (statement, configuration) item of a batched
 	// what-if evaluation (Optimizer.Batch / CachedOptimizer.Batch): the
 	// batch fans out over a bounded worker pool and returns costs in
@@ -215,13 +218,15 @@ func NewOptimizer(cat *Catalog) *Optimizer { return optimizer.New(cat) }
 // hits are not charged to the wrapped optimizer's call counter.
 func NewCachedOptimizer(opt *Optimizer) *CachedOptimizer { return optimizer.NewCached(opt) }
 
-// NewAtomicOptimizer wraps an optimizer with the memo table plus
-// atomic-configuration what-if sharing: cache misses are decomposed into
-// the atomic sub-configurations the plan can read, each (statement, atom)
-// pair is costed once, and full-configuration costs are reassembled
-// exactly — bit-identical to direct costing with far fewer optimizer calls
-// across overlapping configurations.
-func NewAtomicOptimizer(opt *Optimizer) *CachedOptimizer { return optimizer.NewCachedAtomic(opt) }
+// NewAtomicOptimizer wraps an optimizer with atomic-configuration what-if
+// sharing: each probe is decomposed into the atomic sub-configurations the
+// plan can read, each (statement, atom) pair is costed once, and
+// full-configuration costs are reassembled exactly — bit-identical to
+// direct costing with far fewer optimizer calls across overlapping
+// configurations.
+func NewAtomicOptimizer(opt *Optimizer) *AtomicOptimizer {
+	return optimizer.NewAtomicCache(opt, optimizer.DefaultMaxAtomWidth)
+}
 
 // DecomposeAtoms splits the evaluation of a statement under cfg into atoms
 // whose cost minimum reproduces the direct cost exactly; maxWidth <= 0
