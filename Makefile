@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-parallel bench-strat bench-atoms bench-warmstart bench-serve experiments experiments-paper cover clean
+.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-strat bench-atoms bench-warmstart experiments experiments-paper cover clean
 
 all: build vet lint test
 
@@ -60,10 +60,6 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Speedup curve of the batched what-if layer (BENCH_parallel.json).
-bench-parallel:
-	$(GO) run ./cmd/benchrunner -exp parallel -json BENCH_parallel.json
-
 # Split-search perf trajectory: incremental Algorithm 2 vs the naive
 # reference (BENCH_strat.json).
 bench-strat:
@@ -78,11 +74,6 @@ bench-atoms:
 # rerun and drifting windows (BENCH_warmstart.json).
 bench-warmstart:
 	$(GO) run ./cmd/benchrunner -exp drift -json BENCH_warmstart.json
-
-# Advisor-service load: 200 concurrent sessions against an in-process
-# physdesd, zero lost/duplicated jobs required (BENCH_serve.json).
-bench-serve:
-	$(GO) run ./cmd/benchrunner -exp serve -json BENCH_serve.json
 
 # Regenerate every table and figure at quick scale (minutes).
 experiments:

@@ -246,8 +246,7 @@ func BenchmarkConservativeDerive(b *testing.B) {
 // BenchmarkSelectParallel measures the batched what-if layer's call
 // throughput at fixed worker counts: the same fine-stratified TPC-D
 // selection in fixed-budget mode (every run spends the same optimizer
-// calls), so calls/s differences are pure pool speedup. Mirrors the
-// benchrunner's `-exp parallel` experiment.
+// calls), so calls/s differences are pure pool speedup.
 func BenchmarkSelectParallel(b *testing.B) {
 	benchSetup(b)
 	configs := GenerateConfigurations(benchTPCD.Cat, benchTPCD.Candidates, 16, 18,

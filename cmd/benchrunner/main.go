@@ -3,14 +3,18 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|parallel|strat|atoms|drift]
+//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|strat|atoms|drift]
 //	            [-quick|-paper] [-seed N] [-repeats N]
 //	            [-profile cpu.pprof] [-heap-profile heap.pprof] [-metrics]
-//	            [-parallelism N] [-json BENCH_parallel.json] [-listen 127.0.0.1:6060]
+//	            [-json BENCH_strat.json] [-listen 127.0.0.1:6060]
 //
 // Quick mode (default) uses reduced workload sizes and Monte-Carlo repeat
 // counts so the full suite finishes in minutes; -paper switches to the
 // paper's sizes (13K/6K queries, 5000 repeats, k up to 500).
+//
+// -json writes the rows of -exp strat, atoms or drift as the committed
+// artifact (BENCH_strat.json, BENCH_atoms.json, BENCH_warmstart.json); it
+// is a usage error with any other experiment.
 //
 // -profile records a CPU profile of the whole run (and -heap-profile a
 // heap profile at exit) for `go tool pprof`; -metrics attaches a registry
@@ -27,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -39,19 +42,23 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, parallel, strat, atoms, drift)")
-		paper       = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		repeats     = flag.Int("repeats", 0, "override Monte-Carlo repeats")
-		csvDir      = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
-		profile     = flag.String("profile", "", "write a CPU profile of the run to this file")
-		heap        = flag.String("heap-profile", "", "write a heap profile at exit to this file")
-		metrics     = flag.Bool("metrics", false, "print the metrics registry (Prometheus text format) on stderr at exit")
-		parallelism = flag.Int("parallelism", 0, "max worker count for the parallel experiment's sweep (0: all cores)")
-		jsonOut     = flag.String("json", "", "write the parallel experiment's speedup curve as JSON to this file")
-		listen      = flag.String("listen", "", "serve live introspection HTTP (/healthz, /metrics, /debug/pprof) on this address while the run executes")
+		exp     = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, strat, atoms, drift)")
+		paper   = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		repeats = flag.Int("repeats", 0, "override Monte-Carlo repeats")
+		csvDir  = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
+		profile = flag.String("profile", "", "write a CPU profile of the run to this file")
+		heap    = flag.String("heap-profile", "", "write a heap profile at exit to this file")
+		metrics = flag.Bool("metrics", false, "print the metrics registry (Prometheus text format) on stderr at exit")
+		jsonOut = flag.String("json", "", "write the rows of -exp strat, atoms or drift as JSON to this file")
+		listen  = flag.String("listen", "", "serve live introspection HTTP (/healthz, /metrics, /debug/pprof) on this address while the run executes")
 	)
 	flag.Parse()
+	if *jsonOut != "" && *exp != "strat" && *exp != "atoms" && *exp != "drift" {
+		fmt.Fprintf(os.Stderr, "benchrunner: -json needs -exp strat, atoms or drift (got -exp %s)\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sigCtx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
@@ -94,7 +101,7 @@ func main() {
 	// The suite runs in a goroutine so an interrupt can cut it short while
 	// profiles and metrics below still finalize before exit.
 	errc := make(chan error, 1)
-	go func() { errc <- run(*exp, p, *csvDir, reg, *parallelism, *jsonOut) }()
+	go func() { errc <- run(*exp, p, *csvDir, reg, *jsonOut) }()
 	var err error
 	select {
 	case err = <-errc:
@@ -130,7 +137,7 @@ func main() {
 	}
 }
 
-func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, parallelism int, jsonOut string) error {
+func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jsonOut string) error {
 	writeCSV := func(name string, fn func() error) {
 		if csvDir == "" {
 			return
@@ -146,7 +153,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 	var tpcd, crm *experiments.Scenario
 	needTPCD := all || exp == "fig1" || exp == "fig2" || exp == "fig3" ||
 		exp == "table2" || exp == "sec73" || exp == "elim" || exp == "stability" ||
-		exp == "batching" || exp == "scaling" || exp == "parallel" || exp == "atoms"
+		exp == "batching" || exp == "scaling" || exp == "atoms"
 	needCRM := all || exp == "fig4" || exp == "table3"
 
 	var err error
@@ -315,28 +322,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 		}
 		fmt.Fprintln(out)
 	}
-	if all || exp == "parallel" {
-		if parallelism <= 0 {
-			parallelism = runtime.GOMAXPROCS(0)
-		}
-		rows, err := experiments.ParallelSpeedup(tpcd, experiments.WorkerSweep(parallelism), 3, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "Batched what-if evaluation: call throughput by worker count")
-		fmt.Fprintln(out, "(fine-stratified Delta selection, fixed 20K-call budget, bit-identical results)")
-		for _, r := range rows {
-			fmt.Fprintf(out, "  workers=%-3d calls=%-6d elapsed=%6.1fms  %9.0f calls/s  %6.0f ns/call  speedup=%.2fx\n",
-				r.Workers, r.Calls, r.ElapsedMS, r.CallsPerSec, r.NsPerCall, r.Speedup)
-		}
-		if jsonOut != "" {
-			if err := experiments.WriteParallelJSON(jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote speedup curve to %s\n", jsonOut)
-		}
-		fmt.Fprintln(out)
-	}
 	if all || exp == "strat" {
 		rows := experiments.SplitSearch(p)
 		fmt.Fprintln(out, "Split search: incremental prefix-moment Algorithm 2 vs naive reference")
@@ -345,7 +330,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 			fmt.Fprintf(out, "  T=%-5d evals=%-5d inc=%9.0fns naive=%11.0fns  speedup=%5.1fx  allocs inc=%g naive=%g  agree=%v\n",
 				r.Templates, r.Evals, r.IncNs, r.NaiveNs, r.Speedup, r.IncAllocs, r.NaiveAllocs, r.Agree)
 		}
-		if jsonOut != "" && exp == "strat" {
+		if jsonOut != "" {
 			if err := experiments.WriteStratJSON(jsonOut, rows); err != nil {
 				return err
 			}
@@ -365,30 +350,11 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 			fmt.Fprintf(out, "  k=%-4d queries=%-5d pairs=%-8d direct=%-8d shared=%-7d reduction=%5.1fx  atoms=%-6d hits=%-8d fallbacks=%d\n",
 				r.K, r.Queries, r.Pairs, r.DirectCalls, r.SharedCalls, r.Reduction, r.Atoms, r.AtomHits, r.Fallbacks)
 		}
-		if jsonOut != "" && exp == "atoms" {
+		if jsonOut != "" {
 			if err := experiments.WriteAtomsJSON(jsonOut, rows); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "  wrote sharing curve to %s\n", jsonOut)
-		}
-		fmt.Fprintln(out)
-	}
-	if exp == "serve" {
-		// Not part of `all`: a 200-session load run is a stress test, not
-		// a paper figure.
-		sessions, perSession, tenants := 200, 2, 16
-		res, err := experiments.ServeLoad(sessions, perSession, tenants, p)
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintServeLoad(out, res); err != nil {
-			return err
-		}
-		if jsonOut != "" {
-			if err := experiments.WriteServeJSON(jsonOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote load run to %s\n", jsonOut)
 		}
 		fmt.Fprintln(out)
 	}
@@ -400,7 +366,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 		if err := experiments.PrintWarmstart(out, rows); err != nil {
 			return err
 		}
-		if jsonOut != "" && exp == "drift" {
+		if jsonOut != "" {
 			if err := experiments.WriteWarmstartJSON(jsonOut, rows); err != nil {
 				return err
 			}
@@ -422,7 +388,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, par
 	}
 	if !all {
 		switch exp {
-		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "parallel", "strat", "atoms", "drift", "serve":
+		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "strat", "atoms", "drift":
 		default:
 			return fmt.Errorf("unknown experiment %q", exp)
 		}

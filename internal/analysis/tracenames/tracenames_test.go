@@ -64,7 +64,7 @@ func TestRepoSchemaParses(t *testing.T) {
 	}
 	for _, m := range []string{
 		"optimizer_calls_total", "optimizer_cost_seconds",
-		"optimizer_cache_hits_total", "optimizer_cache_misses_total", "optimizer_cache_entries",
+		"optimizer_atom_hits_total", "optimizer_atoms_total",
 		"optimizer_batches_total", "optimizer_batch_requests_total", "optimizer_batch_size",
 		"optimizer_batch_inflight", "optimizer_batch_queue_depth",
 		"sampling_samples_total", "sampling_rounds_total", "sampling_splits_total",

@@ -113,10 +113,6 @@ type Options struct {
 	// the oracle is fallible — a remote service, or a fault-injection
 	// decorator installed via WrapOracle). 0 disables retries.
 	MaxRetries int
-	// CallBudgetMS rejects probes whose virtual latency (reported through
-	// resilience.TimedOracle) exceeds the budget; rejected probes are
-	// retried like transient faults. 0 disables the budget.
-	CallBudgetMS float64
 	// ErrorBudget caps how many probes may degrade before the run aborts
 	// with resilience.ErrBudgetExhausted (<= 0: unlimited).
 	ErrorBudget int
@@ -149,7 +145,7 @@ type Options struct {
 // resilient reports whether any resilience option is active, i.e. the
 // oracle must be wrapped.
 func (o Options) resilient() bool {
-	return o.MaxRetries > 0 || o.CallBudgetMS > 0 || o.ErrorBudget > 0 || o.Degrade != resilience.Fail
+	return o.MaxRetries > 0 || o.ErrorBudget > 0 || o.Degrade != resilience.Fail
 }
 
 func (o Options) withDefaults() Options {
@@ -264,10 +260,10 @@ func Select(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.
 
 // SelectCtx is Select with cancellation and oracle resilience: ctx aborts
 // the run between rounds and scheduled probes (returning the context
-// error), and the MaxRetries / CallBudgetMS / ErrorBudget / Degrade
-// options harden a fallible oracle behind the resilience layer. For a fixed
-// Seed the selection stays bit-identical to Select whenever ctx never fires
-// and the oracle never fails.
+// error), and the MaxRetries / ErrorBudget / Degrade options harden a
+// fallible oracle behind the resilience layer. For a fixed Seed the
+// selection stays bit-identical to Select whenever ctx never fires and the
+// oracle never fails.
 func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration, o Options) (*Selection, error) {
 	o = o.withDefaults()
 	if w == nil || w.Size() == 0 {
@@ -352,12 +348,11 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 	var hardened *resilience.Oracle
 	if o.resilient() {
 		rOpts := resilience.Options{
-			MaxRetries:   o.MaxRetries,
-			Seed:         o.Seed,
-			Policy:       o.Degrade,
-			ErrorBudget:  o.ErrorBudget,
-			CallBudgetMS: o.CallBudgetMS,
-			Metrics:      o.Metrics,
+			MaxRetries:  o.MaxRetries,
+			Seed:        o.Seed,
+			Policy:      o.Degrade,
+			ErrorBudget: o.ErrorBudget,
+			Metrics:     o.Metrics,
 		}
 		if o.Degrade == resilience.Conservative {
 			// A degraded probe is answered with the query's upper cost

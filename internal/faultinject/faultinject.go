@@ -44,9 +44,9 @@ type Options struct {
 	// error (think dropped statistics or an unsupported statement).
 	PermanentRate float64
 	// SpikeRate is the per-attempt probability of a latency spike:
-	// CostTimed reports SpikeLatencyMS instead of BaseLatencyMS. Spikes do
-	// not fail the probe by themselves — the resilience wrapper's call
-	// budget decides whether a spike is an error.
+	// CostTimed reports SpikeLatencyMS instead of BaseLatencyMS. Spikes
+	// never fail the probe: they only feed the resilience wrapper's
+	// oracle_latency_seconds histogram.
 	SpikeRate float64
 	// SpikeLatencyMS is the virtual latency of a spiked probe (default 500).
 	SpikeLatencyMS float64

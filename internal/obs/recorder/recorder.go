@@ -108,9 +108,9 @@ type CacheStats struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// AtomReuse reads the atom store's reuse from a registry snapshot, or
+// atomReuse reads the atom store's reuse from a registry snapshot, or
 // returns nil when the store looked up no atom.
-func AtomReuse(snap obs.Snapshot) *CacheStats {
+func atomReuse(snap obs.Snapshot) *CacheStats {
 	hits := snap.Counters["optimizer_atom_hits_total"]
 	atoms := snap.Counters["optimizer_atoms_total"]
 	total := hits + atoms
@@ -308,7 +308,7 @@ func (r *Recorder) Report() *RunReport {
 	rep.Allocs = r.allocSnapshot()
 	rep.Events = r.ringSnapshot()
 	if r.reg != nil {
-		rep.Cache = AtomReuse(r.reg.Snapshot())
+		rep.Cache = atomReuse(r.reg.Snapshot())
 	}
 	return &rep
 }

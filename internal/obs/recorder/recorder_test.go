@@ -248,14 +248,14 @@ func TestRingBounded(t *testing.T) {
 }
 
 // TestCacheStatsFromRegistry pins RunReport.Cache to the atom store's
-// reuse, atom_hits / (atom_hits + atoms): memo counters in the same
-// registry count probes, not atoms, and must not mix in.
+// reuse, atom_hits / (atom_hits + atoms): the optimizer's call counter in
+// the same registry counts inner calls, not atom lookups, and must not
+// mix in.
 func TestCacheStatsFromRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("optimizer_atom_hits_total").Add(30)
 	reg.Counter("optimizer_atoms_total").Add(70)
-	reg.Counter("optimizer_cache_hits_total").Add(500)
-	reg.Counter("optimizer_cache_misses_total").Add(5)
+	reg.Counter("optimizer_calls_total").Add(500)
 	rec := New("x").WithMetrics(reg)
 	rep := rec.Report()
 	if rep.Cache == nil || rep.Cache.AtomHits != 30 || rep.Cache.Atoms != 70 {
@@ -271,9 +271,9 @@ func TestCacheStatsFromRegistry(t *testing.T) {
 	if want := "cache: atom_hits=30 atoms=70 atom_reuse=30.0%\n"; !strings.Contains(b.String(), want) {
 		t.Errorf("report lacks %q:\n%s", want, b.String())
 	}
-	memoOnly := obs.NewRegistry()
-	memoOnly.Counter("optimizer_cache_hits_total").Add(3)
-	for _, r := range []*obs.Registry{obs.NewRegistry(), memoOnly} {
+	callsOnly := obs.NewRegistry()
+	callsOnly.Counter("optimizer_calls_total").Add(3)
+	for _, r := range []*obs.Registry{obs.NewRegistry(), callsOnly} {
 		if rep := New("y").WithMetrics(r).Report(); rep.Cache != nil {
 			t.Fatalf("registry without atom lookups yields cache stats %+v", rep.Cache)
 		}

@@ -249,15 +249,4 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	if bi, si := c.Inner().Calls(), s.Inner().Calls(); bi != si {
 		t.Errorf("batch charged %d inner calls, serial charged %d; must match", bi, si)
 	}
-
-	// A canceled context aborts the batch before any costing.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	fresh := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
-	if err := fresh.BatchIntoCtx(ctx, reqs, make([]float64, len(reqs)), 4); err == nil {
-		t.Error("canceled context must abort the batch")
-	}
-	if fresh.Inner().Calls() != 0 {
-		t.Errorf("canceled batch still charged %d calls", fresh.Inner().Calls())
-	}
 }

@@ -22,8 +22,8 @@ func TestBatchCtxMatchesBatch(t *testing.T) {
 	reqs := batchReqs(t, 40)
 	want := o.Batch(reqs, 1)
 	for _, p := range []int{1, 4, 8} {
-		got, err := o.BatchCtx(context.Background(), reqs, p)
-		if err != nil {
+		got := make([]float64, len(reqs))
+		if err := o.BatchIntoCtx(context.Background(), reqs, got, p); err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
 		for i := range want {
@@ -48,13 +48,21 @@ func TestBatchIntoCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestCachedBatchIntoCtxCancelled pins the atom store's batch path to the
+// same cancellation contract: a cancelled context returns its error and
+// charges no inner call.
 func TestCachedBatchIntoCtxCancelled(t *testing.T) {
-	c := NewCached(New(testCat))
+	c := NewAtomicCache(New(testCat), 0)
 	reqs := batchReqs(t, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := make([]float64, len(reqs))
-	if err := c.BatchIntoCtx(ctx, reqs, out, 8); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	for _, p := range []int{1, 8} {
+		out := make([]float64, len(reqs))
+		if err := c.BatchIntoCtx(ctx, reqs, out, p); !errors.Is(err, context.Canceled) {
+			t.Errorf("parallelism %d: err = %v, want context.Canceled", p, err)
+		}
+	}
+	if calls := c.Inner().Calls(); calls != 0 {
+		t.Errorf("cancelled batches charged %d inner calls, want 0", calls)
 	}
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -39,11 +40,10 @@ func TestCacheKeyPointerIdentity(t *testing.T) {
 }
 
 // TestCacheBatchAliasAccounting extends TestCacheKeyPointerIdentity to the
-// batched path: requests aliasing the same (analysis, config) key within
-// one parallel batch must charge exactly one miss (the first occurrence)
-// with the aliases counted as hits — the same accounting a serial loop of
-// Cost calls produces. Before the dedupe-before-dispatch fix, aliased
-// requests raced to miss independently and each paid an inner call.
+// atom store's batched path: requests aliasing the same (analysis, config)
+// key within one parallel batch must cost each distinct atom exactly once
+// (its first occurrence) with the aliases counted as hits — the same
+// accounting a serial loop of Cost calls produces.
 func TestCacheBatchAliasAccounting(t *testing.T) {
 	const distinct = 16
 	analyses := make([]*sqlparse.Analysis, distinct)
@@ -53,6 +53,8 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 	}
 	cfg := physical.NewConfiguration("ix",
 		physical.NewIndex("lineitem", []string{"l_orderkey"}))
+	// Each statement reads the empty atom and the index's singleton.
+	const atoms = 2 * distinct
 
 	// Interleave two aliases of every key so the batch (32 requests) crosses
 	// the pool threshold and each key appears twice.
@@ -64,74 +66,110 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 		reqs = append(reqs, Request{Analysis: a, Config: cfg})
 	}
 
-	// Serial reference: a plain Cost loop on a fresh cache.
-	ref := NewCached(New(testCat))
+	// Serial reference: a plain Cost loop on a fresh store.
+	ref := NewAtomicCache(New(testCat), 0)
 	want := make([]float64, len(reqs))
 	for i, r := range reqs {
 		want[i] = ref.Cost(r.Analysis, r.Config)
 	}
-	refHits, refMisses, _ := ref.Stats()
+	refHits, refMisses, _, _ := ref.Stats()
 
 	for _, par := range []int{2, 4, 8} {
-		c := NewCached(New(testCat))
-		out := c.Batch(reqs, par)
+		c := NewAtomicCache(New(testCat), 0)
+		out := make([]float64, len(reqs))
+		if err := c.BatchIntoCtx(context.Background(), reqs, out, par); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if out[i] != want[i] {
 				t.Fatalf("par=%d: out[%d] = %v, want %v", par, i, out[i], want[i])
 			}
 		}
-		hits, misses, entries := c.Stats()
+		hits, misses, _, entries := c.Stats()
 		if hits != refHits || misses != refMisses {
 			t.Errorf("par=%d: hits/misses = %d/%d, want serial accounting %d/%d",
 				par, hits, misses, refHits, refMisses)
 		}
-		if misses != distinct {
-			t.Errorf("par=%d: misses = %d, want %d (one per distinct key)", par, misses, distinct)
+		if misses != atoms || entries != atoms {
+			t.Errorf("par=%d: misses/entries = %d/%d, want %d (one per distinct atom)", par, misses, entries, atoms)
 		}
-		if entries != distinct {
-			t.Errorf("par=%d: entries = %d, want %d", par, entries, distinct)
-		}
-		if calls := c.Inner().Calls(); calls != distinct {
+		if calls := c.Inner().Calls(); calls != atoms {
 			t.Errorf("par=%d: inner optimizer charged %d calls, want %d — aliased requests double-counted",
-				par, calls, distinct)
+				par, calls, atoms)
 		}
 	}
 }
 
 // TestCachedSameFingerprintSharesEntry is the flip side of pointer-identity
-// statement keys: two distinct *Configuration values built from the same
-// structures share a fingerprint, hence a cache entry.
+// statement keys: two distinct *Configuration values built from distinct
+// but equal structures share a fingerprint, hence a store entry — whether
+// the probe resolves to a singleton atom or to a width-bound fallback
+// stored under the full configuration.
 func TestCachedSameFingerprintSharesEntry(t *testing.T) {
-	c := NewCached(New(testCat))
-	a := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
-	cfgA := physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
-	cfgB := physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
-	if cfgA == cfgB {
-		t.Fatal("want distinct Configuration values")
-	}
-	if cfgA.Fingerprint() != cfgB.Fingerprint() {
-		t.Fatalf("equal configurations should share a fingerprint: %q vs %q",
-			cfgA.Fingerprint(), cfgB.Fingerprint())
-	}
-	if va, vb := c.Cost(a, cfgA), c.Cost(a, cfgB); va != vb {
-		t.Errorf("shared entry returned different values: %v vs %v", va, vb)
-	}
-	if h, m, e := c.Stats(); h != 1 || m != 1 || e != 1 {
-		t.Errorf("hits/misses/entries = %d/%d/%d, want 1/1/1", h, m, e)
+	for _, tc := range []struct {
+		name     string
+		sql      string
+		maxWidth int
+		build    func() *physical.Configuration
+		// wantMisses and wantFallbacks are the first probe's costings; the
+		// second probe must add none.
+		wantMisses, wantFallbacks int64
+	}{
+		{
+			name:     "singleton",
+			sql:      "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5",
+			maxWidth: 0,
+			build: func() *physical.Configuration {
+				return physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
+			},
+			wantMisses: 2, // the empty atom and the index's singleton
+		},
+		{
+			name:     "fallback",
+			sql:      "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200",
+			maxWidth: 1,
+			build: func() *physical.Configuration {
+				return physical.NewConfiguration("wide",
+					physical.NewIndex("orders", []string{"o_orderkey"}),
+					physical.NewIndex("lineitem", []string{"l_orderkey"}))
+			},
+			wantFallbacks: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewAtomicCache(New(testCat), tc.maxWidth)
+			a := analyze(t, tc.sql)
+			cfgA, cfgB := tc.build(), tc.build()
+			if cfgA == cfgB {
+				t.Fatal("want distinct Configuration values")
+			}
+			if cfgA.Fingerprint() != cfgB.Fingerprint() {
+				t.Fatalf("equal configurations should share a fingerprint: %q vs %q",
+					cfgA.Fingerprint(), cfgB.Fingerprint())
+			}
+			if va, vb := c.Cost(a, cfgA), c.Cost(a, cfgB); va != vb {
+				t.Errorf("shared entry returned different values: %v vs %v", va, vb)
+			}
+			costings := tc.wantMisses + tc.wantFallbacks
+			hits, misses, fallbacks, entries := c.Stats()
+			if misses != tc.wantMisses || fallbacks != tc.wantFallbacks || hits != costings || entries != int(costings) {
+				t.Errorf("hits/misses/fallbacks/entries = %d/%d/%d/%d, want %d/%d/%d/%d",
+					hits, misses, fallbacks, entries, costings, tc.wantMisses, tc.wantFallbacks, costings)
+			}
+			if calls := c.Inner().Calls(); calls != costings {
+				t.Errorf("inner calls = %d, want %d", calls, costings)
+			}
+		})
 	}
 }
 
-// TestCachedShardedStorm hammers the sharded memo table from many
-// goroutines with a mixed hit/miss workload: half the key grid is
-// pre-warmed (guaranteed hits), the other half races to fill. The
-// accounting must balance exactly — every request is either a hit or a
-// miss — the table must end with exactly one entry per distinct key, and
-// every value must match a serial reference, and each distinct key must
-// miss exactly once. Under -race this doubles as the cache's data-race
-// exercise.
+// TestCachedShardedStorm runs many workers over the atom store's shards
+// with staggered start points, so goroutines collide on different shards
+// at different times. Half the statement grid is pre-warmed. Every value
+// must equal the serial reference, and the hit/miss accounting, stored
+// entries and inner calls must equal a serial loop making the same probes:
+// each distinct atom is costed once however many workers race for it.
 func TestCachedShardedStorm(t *testing.T) {
-	c := NewCached(New(testCat))
-
 	const nStatements = 24
 	analyses := make([]*sqlparse.Analysis, nStatements)
 	for i := range analyses {
@@ -144,29 +182,41 @@ func TestCachedShardedStorm(t *testing.T) {
 		physical.NewConfiguration("ix2", physical.NewIndex("lineitem", []string{"l_quantity"})),
 		physical.NewConfiguration("ix3", physical.NewIndex("lineitem", []string{"l_orderkey", "l_quantity"})),
 	}
-	distinct := nStatements * len(configs)
-
-	// Serial reference values, computed on a separate cache so the storm
-	// cache's counters start clean.
-	ref := NewCached(New(testCat))
-	want := make(map[cacheKey]float64, distinct)
-	for _, a := range analyses {
-		for _, cfg := range configs {
-			want[cacheKey{a: a, cfg: cfg.Fingerprint()}] = ref.Cost(a, cfg)
-		}
-	}
-
-	// Pre-warm the even statements: those keys are hits for every worker.
-	for i := 0; i < nStatements; i += 2 {
-		for _, cfg := range configs {
-			c.Cost(analyses[i], cfg)
-		}
-	}
-
 	const (
 		workers = 16
 		rounds  = 8
 	)
+	// prewarm costs the even statements serially: those are hits for
+	// every worker.
+	prewarm := func(c *AtomicCache) {
+		for i := 0; i < nStatements; i += 2 {
+			for _, cfg := range configs {
+				c.Cost(analyses[i], cfg)
+			}
+		}
+	}
+
+	// The serial reference makes the storm's probes one after another.
+	ref := NewAtomicCache(New(testCat), 0)
+	prewarm(ref)
+	want := make([][]float64, nStatements)
+	for i, a := range analyses {
+		for _, cfg := range configs {
+			want[i] = append(want[i], ref.Cost(a, cfg))
+		}
+	}
+	for p := 1; p < workers*rounds; p++ {
+		for _, a := range analyses {
+			for _, cfg := range configs {
+				ref.Cost(a, cfg)
+			}
+		}
+	}
+	wantHits, wantMisses, _, wantEntries := ref.Stats()
+	wantCalls := ref.Inner().Calls()
+
+	c := NewAtomicCache(New(testCat), 0)
+	prewarm(c)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for wkr := 0; wkr < workers; wkr++ {
@@ -174,15 +224,12 @@ func TestCachedShardedStorm(t *testing.T) {
 		go func(wkr int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				// Stagger start points so goroutines collide on different
-				// shards at different times.
 				for s := 0; s < nStatements; s++ {
-					a := analyses[(s+wkr)%nStatements]
-					for _, cfg := range configs {
-						got := c.Cost(a, cfg)
-						if w := want[cacheKey{a: a, cfg: cfg.Fingerprint()}]; got != w {
+					i := (s + wkr) % nStatements
+					for j, cfg := range configs {
+						if got := c.Cost(analyses[i], cfg); got != want[i][j] {
 							select {
-							case errs <- fmt.Errorf("worker %d: cost %v, want %v", wkr, got, w):
+							case errs <- fmt.Errorf("worker %d: statement %d config %s: cost %v, want %v", wkr, i, cfg.Name(), got, want[i][j]):
 							default:
 							}
 							return
@@ -198,29 +245,26 @@ func TestCachedShardedStorm(t *testing.T) {
 		t.Error(err)
 	}
 
-	total := int64(distinct/2) + int64(workers*rounds*distinct)
-	hits, misses, entries := c.Stats()
-	if hits+misses != total {
-		t.Errorf("hits(%d) + misses(%d) = %d, want %d requests", hits, misses, hits+misses, total)
+	hits, misses, _, entries := c.Stats()
+	if hits != wantHits || misses != wantMisses {
+		t.Errorf("hits/misses = %d/%d, want serial %d/%d", hits, misses, wantHits, wantMisses)
 	}
-	if entries != distinct {
-		t.Errorf("entries = %d, want %d distinct keys", entries, distinct)
+	if entries != wantEntries {
+		t.Errorf("entries = %d, want serial %d", entries, wantEntries)
 	}
-	// In-flight dedupe: racing first-misses on a cold key wait for the
-	// first one's value, so every distinct key misses — and pays an inner
-	// call — exactly once.
-	if misses != int64(distinct) {
-		t.Errorf("misses = %d, want exactly %d (one per distinct key)", misses, distinct)
-	}
-	if calls := c.Inner().Calls(); calls != int64(distinct) {
-		t.Errorf("inner optimizer charged %d calls, want %d", calls, distinct)
+	if calls := c.Inner().Calls(); calls != wantCalls {
+		t.Errorf("inner optimizer charged %d calls, want serial %d", calls, wantCalls)
 	}
 }
 
-// TestAtomicCacheStormChargesOnce races per-request Cost calls through the
-// atom-sharing layer, where distinct configurations share singleton atoms:
-// every distinct atom must be costed by the inner optimizer exactly once,
-// as in a serial loop.
+// TestAtomicCacheStormChargesOnce hammers the atom store from many
+// goroutines with a mixed hit/miss workload, where distinct configurations
+// share singleton atoms: half the statement grid is pre-warmed (guaranteed
+// hits), the other half races to fill. Every raced value must equal the
+// serial reference, every distinct atom must be costed by the inner
+// optimizer exactly once, and the accounting and the stored entries must
+// equal a serial loop's. Under -race this doubles as the store's data-race
+// exercise.
 func TestAtomicCacheStormChargesOnce(t *testing.T) {
 	analyses := make([]*sqlparse.Analysis, 8)
 	for i := range analyses {
@@ -236,31 +280,59 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 		physical.NewConfiguration("bc", ixB, ixC),
 		physical.NewConfiguration("abc", ixA, ixB, ixC),
 	}
-	ref := NewAtomicCache(New(testCat), 0)
-	for _, a := range analyses {
-		for _, cfg := range configs {
-			ref.Cost(a, cfg)
+	// prewarm costs the even statements serially.
+	prewarm := func(c *AtomicCache) {
+		for i := 0; i < len(analyses); i += 2 {
+			for _, cfg := range configs {
+				c.Cost(analyses[i], cfg)
+			}
 		}
 	}
-	wantHits, wantMisses, _, _ := ref.Stats()
+	const racers = 2 // goroutines per (statement, configuration) pair
+	// The serial reference probes each pair racers times, as the storm does.
+	ref := NewAtomicCache(New(testCat), 0)
+	prewarm(ref)
+	want := make([][]float64, len(analyses))
+	for i, a := range analyses {
+		for _, cfg := range configs {
+			want[i] = append(want[i], ref.Cost(a, cfg))
+			for r := 1; r < racers; r++ {
+				ref.Cost(a, cfg)
+			}
+		}
+	}
+	wantHits, wantMisses, _, wantEntries := ref.Stats()
 	wantCalls := ref.Inner().Calls()
 
 	for trial := 0; trial < 20; trial++ {
 		c := NewAtomicCache(New(testCat), 0)
+		prewarm(c)
 		var wg sync.WaitGroup
-		for _, a := range analyses {
-			for _, cfg := range configs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					c.Cost(a, cfg)
-				}()
+		errs := make(chan error, len(analyses)*len(configs)*racers)
+		for i, a := range analyses {
+			for j, cfg := range configs {
+				for r := 0; r < racers; r++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if got := c.Cost(a, cfg); got != want[i][j] {
+							errs <- fmt.Errorf("statement %d config %s: cost %v, want %v", i, cfg.Name(), got, want[i][j])
+						}
+					}()
+				}
 			}
 		}
 		wg.Wait()
-		hits, misses, _, _ := c.Stats()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		hits, misses, _, entries := c.Stats()
 		if hits != wantHits || misses != wantMisses {
 			t.Fatalf("trial %d: hits/misses = %d/%d, want serial %d/%d", trial, hits, misses, wantHits, wantMisses)
+		}
+		if entries != wantEntries {
+			t.Fatalf("trial %d: entries = %d, want serial %d", trial, entries, wantEntries)
 		}
 		if calls := c.Inner().Calls(); calls != wantCalls {
 			t.Fatalf("trial %d: inner calls = %d, want serial %d", trial, calls, wantCalls)

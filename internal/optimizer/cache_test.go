@@ -1,111 +1,58 @@
 package optimizer
 
 import (
-	"sync"
 	"testing"
 
-	"physdes/internal/obs"
 	"physdes/internal/physical"
 )
 
+// TestCachedOptimizer pins the atom store's memo semantics on the serial
+// path: a repeated probe is served from the store and charges no inner
+// call, a configuration whose atoms are already stored costs nothing, a
+// distinct parse of the same SQL text is a distinct statement key, and
+// Reset empties the store.
 func TestCachedOptimizer(t *testing.T) {
 	inner := New(testCat)
-	c := NewCached(inner)
+	c := NewAtomicCache(inner, 0)
 	a := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
 	cfg := physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
+	check := func(step string, wantHits, wantMisses int64, wantEntries int) {
+		t.Helper()
+		hits, misses, _, entries := c.Stats()
+		if hits != wantHits || misses != wantMisses || entries != wantEntries {
+			t.Errorf("%s: hits/misses/entries = %d/%d/%d, want %d/%d/%d",
+				step, hits, misses, entries, wantHits, wantMisses, wantEntries)
+		}
+		// Only misses reach the optimizer.
+		if inner.Calls() != wantMisses {
+			t.Errorf("%s: inner calls = %d, want %d", step, inner.Calls(), wantMisses)
+		}
+	}
 
+	// A single-table SELECT decomposes into the empty atom plus one
+	// singleton per relevant index.
 	v1 := c.Cost(a, cfg)
 	v2 := c.Cost(a, cfg)
 	if v1 != v2 {
 		t.Fatal("cache returned different values")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
+	if want := New(testCat).Cost(a, cfg); v1 != want {
+		t.Fatalf("cached cost %v != direct cost %v", v1, want)
 	}
-	// Only the miss reached the optimizer.
-	if inner.Calls() != 1 {
-		t.Errorf("inner calls = %d, want 1", inner.Calls())
-	}
-	// Different configuration: miss.
-	c.Cost(a, physical.NewConfiguration("empty"))
-	if c.Misses() != 2 || c.Entries() != 2 {
-		t.Errorf("misses=%d entries=%d", c.Misses(), c.Entries())
-	}
+	check("repeat", 2, 2, 2)
+	// The empty configuration is the empty atom alone, already stored.
+	c.Cost(a, emptyCfg())
+	check("empty config", 3, 2, 2)
 	// Same statement text but a different Analysis value: statement keys
 	// are pointer identities, so this is a (sound, conservative) miss.
 	a2 := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
 	c.Cost(a2, cfg)
-	if c.Misses() != 3 {
-		t.Errorf("misses = %d, want 3", c.Misses())
-	}
+	check("second parse", 3, 4, 4)
 	if c.Inner() != inner {
 		t.Error("Inner accessor broken")
 	}
 	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 || c.Entries() != 0 {
+	if hits, misses, fallbacks, entries := c.Stats(); hits != 0 || misses != 0 || fallbacks != 0 || entries != 0 {
 		t.Error("Reset incomplete")
-	}
-}
-
-// TestCachedOptimizerMetrics checks the registry export: hit/miss
-// counters and the entries gauge track the cache's own accounting, and
-// the wrapped optimizer's call counter only moves on misses.
-func TestCachedOptimizerMetrics(t *testing.T) {
-	inner := New(testCat)
-	reg := obs.NewRegistry()
-	inner.SetMetrics(reg)
-	c := NewCached(inner)
-	c.SetMetrics(reg)
-	a := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 7")
-	cfg := physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
-
-	c.Cost(a, cfg) // miss
-	c.Cost(a, cfg) // hit
-	c.Cost(a, cfg) // hit
-
-	snap := reg.Snapshot()
-	if snap.Counters["optimizer_cache_hits_total"] != 2 {
-		t.Errorf("hits counter = %d, want 2", snap.Counters["optimizer_cache_hits_total"])
-	}
-	if snap.Counters["optimizer_cache_misses_total"] != 1 {
-		t.Errorf("misses counter = %d, want 1", snap.Counters["optimizer_cache_misses_total"])
-	}
-	if snap.Gauges["optimizer_cache_entries"] != 1 {
-		t.Errorf("entries gauge = %v, want 1", snap.Gauges["optimizer_cache_entries"])
-	}
-	// Hits never reach the wrapped optimizer: one call total.
-	if snap.Counters["optimizer_calls_total"] != 1 {
-		t.Errorf("optimizer_calls_total = %d, want 1", snap.Counters["optimizer_calls_total"])
-	}
-	hits, misses, entries := c.Stats()
-	if hits != 2 || misses != 1 || entries != 1 {
-		t.Errorf("Stats() = %d/%d/%d, want 2/1/1", hits, misses, entries)
-	}
-	c.Reset()
-	if reg.Snapshot().Gauges["optimizer_cache_entries"] != 0 {
-		t.Error("Reset must zero the entries gauge")
-	}
-}
-
-func TestCachedOptimizerConcurrent(t *testing.T) {
-	c := NewCached(New(testCat))
-	a := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_shipdate < 100")
-	cfg := physical.NewConfiguration("empty")
-	want := c.Cost(a, cfg)
-	var wg sync.WaitGroup
-	errs := make(chan float64, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if v := c.Cost(a, cfg); v != want {
-				errs <- v
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for v := range errs {
-		t.Errorf("concurrent read returned %v, want %v", v, want)
 	}
 }

@@ -17,10 +17,10 @@
 //
 // Everything is deterministic by construction: backoff jitter derives from
 // a seeded hash of (query, configuration, attempt) — never from wall-clock
-// time — and the optional per-call latency budget compares *virtual*
-// latencies reported by the inner oracle (see TimedOracle) against a
-// virtual budget. Decisions are therefore order-independent and identical
-// at every parallelism level.
+// time — so decisions are order-independent and identical at every
+// parallelism level. Probe latency is observed, not enforced: an inner
+// oracle that reports *virtual* latencies (see TimedOracle) feeds the
+// oracle_latency_seconds histogram.
 package resilience
 
 import (
@@ -65,11 +65,6 @@ func (p Policy) String() string {
 // instead of degrading silently.
 var ErrBudgetExhausted = errors.New("resilience: oracle error budget exhausted")
 
-// ErrCallTimeout marks a probe whose virtual latency exceeded the per-call
-// budget (Options.CallBudgetMS). It is transient: the wrapper retries it
-// like any other fault.
-var ErrCallTimeout = errors.New("resilience: what-if call exceeded per-call budget")
-
 // permanentError marks an error as not worth retrying.
 type permanentError struct{ err error }
 
@@ -94,10 +89,10 @@ func IsPermanent(err error) bool {
 }
 
 // TimedOracle is an ErrOracle whose probes report a virtual latency (in
-// virtual milliseconds) alongside the cost. The wrapper uses it — never
-// the wall clock — to enforce Options.CallBudgetMS, keeping latency
-// enforcement deterministic and replayable. The fault-injection harness
-// implements it to simulate latency spikes.
+// virtual milliseconds) alongside the cost. The wrapper observes it —
+// never the wall clock — on the oracle_latency_seconds histogram, keeping
+// latency accounting deterministic and replayable. The fault-injection
+// harness implements it to simulate latency spikes.
 type TimedOracle interface {
 	sampling.ErrOracle
 	// CostTimed returns the cost and the virtual latency of the probe.
@@ -124,10 +119,6 @@ type Options struct {
 	// exceeded, further failures return ErrBudgetExhausted. <= 0 means
 	// unlimited.
 	ErrorBudget int
-	// CallBudgetMS, when > 0 and the inner oracle implements TimedOracle,
-	// rejects probes whose virtual latency exceeds the budget with
-	// ErrCallTimeout (then retried like any transient fault).
-	CallBudgetMS float64
 	// Fallback supplies the conservative substitute cost for policy
 	// Conservative; required in that mode.
 	Fallback func(i, j int) float64
@@ -237,19 +228,13 @@ func (w *Oracle) Calls() int64 { return w.inner.Calls() }
 // of the infallible interface.
 func (w *Oracle) Cost(i, j int) float64 { return w.inner.Cost(i, j) }
 
-// probe performs a single attempt, enforcing the virtual call budget when
-// the inner oracle reports latencies.
+// probe performs a single attempt, observing the virtual latency of a
+// successful probe when the latency histogram is attached.
 func (w *Oracle) probe(i, j int) (float64, error) {
-	if w.timed != nil && (w.opts.CallBudgetMS > 0 || w.latency != nil) {
+	if w.latency != nil {
 		c, lat, err := w.timed.CostTimed(i, j)
 		if err == nil {
-			// Observe the virtual latency of successful probes before budget
-			// enforcement, so over-budget calls still show up in the tail.
 			w.latency.Observe(lat / 1000)
-			if w.opts.CallBudgetMS > 0 && lat > w.opts.CallBudgetMS {
-				return 0, fmt.Errorf("probe (%d,%d) took %.1fms of %.1fms: %w",
-					i, j, lat, w.opts.CallBudgetMS, ErrCallTimeout)
-			}
 		}
 		return c, err
 	}

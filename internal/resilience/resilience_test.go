@@ -228,29 +228,6 @@ func (f *timedFlaky) CostTimed(i, j int) (float64, float64, error) {
 	return c, lat, err
 }
 
-func TestCallBudgetRejectsSlowProbes(t *testing.T) {
-	tf := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{{1, 0}: 500}}
-	w := Wrap(tf, Options{MaxRetries: 1, CallBudgetMS: 100})
-	c, err := w.CostErr(1, 0)
-	if err != nil {
-		t.Fatalf("CostErr: %v (timeout should be retried and succeed)", err)
-	}
-	if c != 100 {
-		t.Errorf("cost = %v, want 100", c)
-	}
-	st := w.Stats()
-	if st.Faults != 1 || st.Retries != 1 {
-		t.Errorf("stats = %+v, want 1 fault + 1 retry from the latency spike", st)
-	}
-
-	// Without retries the spike surfaces as ErrCallTimeout.
-	tf2 := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{{1, 0}: 500}}
-	w2 := Wrap(tf2, Options{CallBudgetMS: 100})
-	if _, err := w2.CostErr(1, 0); !errors.Is(err, ErrCallTimeout) {
-		t.Errorf("err = %v, want ErrCallTimeout", err)
-	}
-}
-
 func TestBatchCostErrMatchesSerial(t *testing.T) {
 	mk := func() *Oracle {
 		f := newFlaky(16, 3)
@@ -311,8 +288,7 @@ func TestWrapInfallibleOracleIsTransparent(t *testing.T) {
 func TestLatencyHistogramObservesVirtualLatency(t *testing.T) {
 	reg := obs.NewRegistry()
 	tf := &timedFlaky{flaky: newFlaky(4, 2), spikes: map[[2]int]float64{{1, 0}: 500}}
-	// No CallBudgetMS: the latency histogram alone must route probes
-	// through the timed path.
+	// The attached latency histogram routes probes through the timed path.
 	w := Wrap(tf, Options{Metrics: reg})
 	for q := 0; q < 4; q++ {
 		if _, err := w.CostErr(q, 0); err != nil {

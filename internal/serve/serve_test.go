@@ -313,6 +313,114 @@ func TestServeAdmissionControl(t *testing.T) {
 	if len(listing) != len(accepted) {
 		t.Errorf("tenant lists %d jobs, accepted %d", len(listing), len(accepted))
 	}
+
+	t.Run("retrying clients", testAdmissionRetryingClients)
+}
+
+// testAdmissionRetryingClients drives more concurrent clients, over
+// several tenants, than a gated daemon's runners and queue can hold. Every
+// client retries each 429 until accepted and polls its job to a terminal
+// state: every job must end done under a distinct id, and the daemon's
+// counters must balance against what the clients saw.
+func testAdmissionRetryingClients(t *testing.T) {
+	cfg, release := gatedConfig(t, Config{Runners: 2, QueueDepth: 3})
+	h := newHarness(t, cfg)
+	t.Cleanup(release)
+	const tenants, clients = 3, 12
+	wids := make([]string, tenants)
+	for ti := range wids {
+		wids[ti] = h.uploadWorkload(fmt.Sprintf("t%d", ti), 30, uint64(ti+1))
+	}
+	do := func(method, path, tenant string, body any, out any) (int, error) {
+		resp, err := h.srv.Client().Do(h.newRequest(method, path, tenant, body))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			return resp.StatusCode, nil
+		}
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	}
+
+	type result struct {
+		id, status string
+		rejects    int64
+		err        error
+	}
+	results := make([]result, clients)
+	var wg sync.WaitGroup
+	for ci := range results {
+		wg.Add(1)
+		go func(res *result, tenant string, req JobRequest) {
+			defer wg.Done()
+			var resp JobResponse
+			for {
+				code, err := do("POST", "/v1/jobs", tenant, req, &resp)
+				if err != nil || (code != http.StatusAccepted && code != http.StatusTooManyRequests) {
+					res.err = fmt.Errorf("submit: status %d: %v", code, err)
+					return
+				}
+				if code == http.StatusAccepted {
+					break
+				}
+				res.rejects++
+				time.Sleep(time.Millisecond)
+			}
+			res.id = resp.ID
+			for resp.Status == StatusQueued || resp.Status == StatusRunning {
+				time.Sleep(2 * time.Millisecond)
+				if code, err := do("GET", "/v1/jobs/"+res.id, tenant, nil, &resp); err != nil || code != http.StatusOK {
+					res.err = fmt.Errorf("poll %s: status %d: %v", res.id, code, err)
+					return
+				}
+			}
+			res.status = resp.Status
+		}(&results[ci], fmt.Sprintf("t%d", ci%tenants), JobRequest{Workload: wids[ci%tenants], K: 4, Seed: uint64(200 + ci)})
+	}
+
+	// The gated runners and the queue hold five jobs, so the remaining
+	// clients are turned away; open the gate once the first 429 is counted.
+	reg := h.s.Registry()
+	deadline := time.Now().Add(30 * time.Second)
+	for reg.Snapshot().Counters["serve_admission_rejects_total"] == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	wg.Wait()
+	// Close waits for the runners, so every job's counter has landed.
+	if err := h.s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	seen := map[string]bool{}
+	var rejects int64
+	for ci, res := range results {
+		if res.err != nil {
+			t.Fatalf("client %d: %v", ci, res.err)
+		}
+		if res.status != StatusDone {
+			t.Errorf("client %d: job %s ended %s", ci, res.id, res.status)
+		}
+		if seen[res.id] {
+			t.Errorf("duplicate job id %s", res.id)
+		}
+		seen[res.id] = true
+		rejects += res.rejects
+	}
+	if rejects == 0 {
+		t.Error("no client saw a 429: the queue never filled")
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"serve_jobs_total":              clients,
+		"serve_jobs_done_total":         clients,
+		"serve_admission_rejects_total": rejects,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 }
 
 // TestServeRetryAfterHeader pins the Retry-After value on a saturated

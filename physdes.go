@@ -104,16 +104,14 @@ type (
 	SampledTunerOptions = tuner.SampledOptions
 	// SampledTunerResult reports a sampling-based tuning run.
 	SampledTunerResult = tuner.SampledResult
-	// CachedOptimizer memoizes what-if calls in a sharded concurrent memo
-	// table safe for batch-pool workers.
-	CachedOptimizer = optimizer.Cached
 	// AtomicOptimizer shares what-if work across configurations through
 	// atomic sub-configurations (see NewAtomicOptimizer).
 	AtomicOptimizer = optimizer.AtomicCache
 	// BatchRequest is one (statement, configuration) item of a batched
-	// what-if evaluation (Optimizer.Batch / CachedOptimizer.Batch): the
-	// batch fans out over a bounded worker pool and returns costs in
-	// request order, charging one optimizer call per request.
+	// what-if evaluation (Optimizer.Batch, AtomicOptimizer.BatchIntoCtx):
+	// the batch fans out over a bounded worker pool and returns costs in
+	// request order. Optimizer.Batch charges one optimizer call per request;
+	// AtomicOptimizer charges one per distinct atom not yet stored.
 	BatchRequest = optimizer.Request
 	// Tracer fans structured selection events out to its sinks
 	// (Options.Tracer); the canonical sink writes JSONL.
@@ -212,11 +210,6 @@ func CRMCatalog() *Catalog { return catalog.CRM() }
 
 // NewOptimizer returns a what-if optimizer over the catalog.
 func NewOptimizer(cat *Catalog) *Optimizer { return optimizer.New(cat) }
-
-// NewCachedOptimizer wraps an optimizer with a per-(statement,
-// configuration) memo table, as tuning tools layer over the what-if API;
-// hits are not charged to the wrapped optimizer's call counter.
-func NewCachedOptimizer(opt *Optimizer) *CachedOptimizer { return optimizer.NewCached(opt) }
 
 // NewAtomicOptimizer wraps an optimizer with atomic-configuration what-if
 // sharing: each probe is decomposed into the atomic sub-configurations the
@@ -390,7 +383,7 @@ func Select(opt *Optimizer, w *Workload, configs []*Configuration, o Options) (*
 
 // SelectCtx is Select with cancellation and oracle resilience: ctx aborts
 // the run between rounds and scheduled probes, and Options.MaxRetries /
-// CallBudgetMS / ErrorBudget / Degrade harden a fallible what-if oracle.
+// ErrorBudget / Degrade harden a fallible what-if oracle.
 func SelectCtx(ctx context.Context, opt *Optimizer, w *Workload, configs []*Configuration, o Options) (*Selection, error) {
 	return core.SelectCtx(ctx, opt, w, configs, o)
 }

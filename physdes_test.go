@@ -121,12 +121,16 @@ func TestPublicCRMAndCachedOptimizer(t *testing.T) {
 		t.Fatalf("size = %d", wl.Size())
 	}
 	opt := NewOptimizer(cat)
-	cached := NewCachedOptimizer(opt)
+	cached := NewAtomicOptimizer(opt)
 	cfg := NewConfiguration("empty")
 	v1 := cached.Cost(wl.Queries[0].Analysis, cfg)
+	calls := opt.Calls()
 	v2 := cached.Cost(wl.Queries[0].Analysis, cfg)
-	if v1 != v2 || cached.Hits() != 1 {
-		t.Errorf("cache broken: %v vs %v, hits=%d", v1, v2, cached.Hits())
+	if v1 != v2 || calls == 0 || opt.Calls() != calls {
+		t.Errorf("cache broken: %v vs %v, inner calls %d then %d", v1, v2, calls, opt.Calls())
+	}
+	if want := NewOptimizer(cat).Cost(wl.Queries[0].Analysis, cfg); v1 != want {
+		t.Errorf("cached cost %v != direct cost %v", v1, want)
 	}
 	// Explain through the facade.
 	plan := Explain(opt, wl.Queries[0], cfg)
