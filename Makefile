@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-strat bench-atoms bench-warmstart experiments experiments-paper cover clean
+.PHONY: all check build test test-race vet lint lint-self fmt fuzz bench bench-atoms bench-warmstart experiments experiments-paper cover clean
 
 all: build vet lint test
 
@@ -59,11 +59,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Split-search perf trajectory: incremental Algorithm 2 vs the naive
-# reference (BENCH_strat.json).
-bench-strat:
-	$(GO) run ./cmd/benchrunner -exp strat -json BENCH_strat.json
 
 # Atomic what-if sharing: call reduction on the Table 2 candidate spaces
 # (BENCH_atoms.json).

@@ -3,18 +3,18 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|rho|strat|atoms|drift]
+//	benchrunner [-exp all|table1|fig1|fig2|fig3|fig4|table2|table3|sec73|clt|elim|stability|batching|scaling|rho|atoms|drift]
 //	            [-quick|-paper] [-seed N] [-repeats N]
 //	            [-profile cpu.pprof] [-heap-profile heap.pprof] [-metrics]
-//	            [-json BENCH_strat.json] [-listen 127.0.0.1:6060]
+//	            [-json BENCH_atoms.json] [-listen 127.0.0.1:6060]
 //
 // Quick mode (default) uses reduced workload sizes and Monte-Carlo repeat
 // counts so the full suite finishes in minutes; -paper switches to the
 // paper's sizes (13K/6K queries, 5000 repeats, k up to 500).
 //
-// -json writes the rows of -exp strat, atoms or drift as the committed
-// artifact (BENCH_strat.json, BENCH_atoms.json, BENCH_warmstart.json); it
-// is a usage error with any other experiment.
+// -json writes the rows of -exp atoms or drift as the committed artifact
+// (BENCH_atoms.json, BENCH_warmstart.json); it is a usage error with any
+// other experiment.
 //
 // -profile records a CPU profile of the whole run (and -heap-profile a
 // heap profile at exit) for `go tool pprof`; -metrics attaches a registry
@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, rho, strat, atoms, drift)")
+		exp     = flag.String("exp", "all", "experiment id (all, table1, fig1, fig2, fig3, fig4, table2, table3, sec73, clt, elim, stability, batching, scaling, rho, atoms, drift)")
 		paper   = flag.Bool("paper", false, "paper-scale sizes (13K/6K queries, 5000 repeats)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		repeats = flag.Int("repeats", 0, "override Monte-Carlo repeats")
@@ -50,12 +50,12 @@ func main() {
 		profile = flag.String("profile", "", "write a CPU profile of the run to this file")
 		heap    = flag.String("heap-profile", "", "write a heap profile at exit to this file")
 		metrics = flag.Bool("metrics", false, "print the metrics registry (Prometheus text format) on stderr at exit")
-		jsonOut = flag.String("json", "", "write the rows of -exp strat, atoms or drift as JSON to this file")
+		jsonOut = flag.String("json", "", "write the rows of -exp atoms or drift as JSON to this file")
 		listen  = flag.String("listen", "", "serve live introspection HTTP (/healthz, /metrics, /debug/pprof) on this address while the run executes")
 	)
 	flag.Parse()
-	if *jsonOut != "" && *exp != "strat" && *exp != "atoms" && *exp != "drift" {
-		fmt.Fprintf(os.Stderr, "benchrunner: -json needs -exp strat, atoms or drift (got -exp %s)\n", *exp)
+	if *jsonOut != "" && *exp != "atoms" && *exp != "drift" {
+		fmt.Fprintf(os.Stderr, "benchrunner: -json needs -exp atoms or drift (got -exp %s)\n", *exp)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -146,7 +146,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 			fmt.Fprintf(os.Stderr, "benchrunner: csv %s: %v%c", name, err, 10)
 		}
 	}
-	_ = writeCSV
 	out := os.Stdout
 	all := exp == "all"
 
@@ -322,22 +321,6 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 		}
 		fmt.Fprintln(out)
 	}
-	if all || exp == "strat" {
-		rows := experiments.SplitSearch(p)
-		fmt.Fprintln(out, "Split search: incremental prefix-moment Algorithm 2 vs naive reference")
-		fmt.Fprintln(out, "(single stratum, per-search wall time and heap allocations)")
-		for _, r := range rows {
-			fmt.Fprintf(out, "  T=%-5d evals=%-5d inc=%9.0fns naive=%11.0fns  speedup=%5.1fx  allocs inc=%g naive=%g  agree=%v\n",
-				r.Templates, r.Evals, r.IncNs, r.NaiveNs, r.Speedup, r.IncAllocs, r.NaiveAllocs, r.Agree)
-		}
-		if jsonOut != "" {
-			if err := experiments.WriteStratJSON(jsonOut, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  wrote split-search rows to %s\n", jsonOut)
-		}
-		fmt.Fprintln(out)
-	}
 	if all || exp == "atoms" {
 		ks := []int{50, 200, 500}
 		rows, err := experiments.AtomSharing(tpcd, ks, p)
@@ -388,7 +371,7 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 	}
 	if !all {
 		switch exp {
-		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "strat", "atoms", "drift":
+		case "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "sec73", "clt", "elim", "stability", "rho", "batching", "scaling", "atoms", "drift":
 		default:
 			return fmt.Errorf("unknown experiment %q", exp)
 		}

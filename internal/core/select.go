@@ -349,7 +349,6 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 	if o.resilient() {
 		rOpts := resilience.Options{
 			MaxRetries:  o.MaxRetries,
-			Seed:        o.Seed,
 			Policy:      o.Degrade,
 			ErrorBudget: o.ErrorBudget,
 			Metrics:     o.Metrics,

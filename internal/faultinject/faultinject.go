@@ -1,12 +1,12 @@
 // Package faultinject provides a deterministic fault-injection decorator
-// for what-if oracles: transient faults, permanently broken probes,
-// latency spikes and per-query-range error bursts, all decided by a
-// seeded hash of (query, configuration, attempt) — never by wall-clock
-// time or shared mutable RNG state. Decisions are therefore
-// order-independent: a probe fails (or spikes) identically whether it is
-// evaluated serially, in a batch, or retried after unrelated probes, so
-// the samplers' bit-identical-across-parallelism contract survives fault
-// injection, and a run is replayable from its seed alone.
+// for what-if oracles: transient faults, permanently broken probes and
+// per-query-range error bursts, all decided by a seeded hash of (query,
+// configuration, attempt) — never by wall-clock time or shared mutable RNG
+// state. Decisions are therefore order-independent: a probe fails
+// identically whether it is evaluated serially, in a batch, or retried
+// after unrelated probes, so the samplers' bit-identical-across-parallelism
+// contract survives fault injection, and a run is replayable from its seed
+// alone.
 //
 // At zero fault rates the decorator is a pure pass-through: costs, call
 // accounting and every sampler decision are byte-identical to the
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"physdes/internal/par"
 	"physdes/internal/resilience"
 	"physdes/internal/sampling"
 )
@@ -26,7 +25,6 @@ import (
 const (
 	tagTransient = 0x7472616e7369656e // "transien"
 	tagPermanent = 0x7065726d616e656e // "permanen"
-	tagSpike     = 0x7370696b65000000 // "spike"
 )
 
 // Options configures the injected fault distribution. All rates are
@@ -43,15 +41,6 @@ type Options struct {
 	// permanently broken: every attempt fails with a resilience.Permanent
 	// error (think dropped statistics or an unsupported statement).
 	PermanentRate float64
-	// SpikeRate is the per-attempt probability of a latency spike:
-	// CostTimed reports SpikeLatencyMS instead of BaseLatencyMS. Spikes
-	// never fail the probe: they only feed the resilience wrapper's
-	// oracle_latency_seconds histogram.
-	SpikeRate float64
-	// SpikeLatencyMS is the virtual latency of a spiked probe (default 500).
-	SpikeLatencyMS float64
-	// BaseLatencyMS is the virtual latency of a normal probe (default 1).
-	BaseLatencyMS float64
 	// BurstLo/BurstHi bound a half-open query range [BurstLo, BurstHi)
 	// whose probes fail transiently with the additional rate BurstRate —
 	// modelling a fault burst localized to one stratum of the workload.
@@ -61,16 +50,6 @@ type Options struct {
 	BurstRate float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.SpikeLatencyMS <= 0 {
-		o.SpikeLatencyMS = 500
-	}
-	if o.BaseLatencyMS <= 0 {
-		o.BaseLatencyMS = 1
-	}
-	return o
-}
-
 // Stats counts the faults the decorator actually injected.
 type Stats struct {
 	// Transient counts injected transient failures (burst failures
@@ -78,12 +57,10 @@ type Stats struct {
 	Transient int64
 	// Permanent counts attempts failed by a permanently broken pair.
 	Permanent int64
-	// Spikes counts latency spikes reported through CostTimed.
-	Spikes int64
 }
 
 // FaultyOracle decorates an oracle with injected faults. It implements
-// sampling.ErrOracle, sampling.BatchErrOracle and resilience.TimedOracle.
+// sampling.ErrOracle.
 type FaultyOracle struct {
 	inner sampling.ErrOracle
 	opts  Options
@@ -93,14 +70,13 @@ type FaultyOracle struct {
 
 	transient atomic.Int64
 	permanent atomic.Int64
-	spikes    atomic.Int64
 }
 
 // New decorates o with the fault distribution of opts.
 func New(o sampling.Oracle, opts Options) *FaultyOracle {
 	return &FaultyOracle{
 		inner:    sampling.AsErrOracle(o),
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		k:        o.K(),
 		attempts: make([]atomic.Int64, o.N()*o.K()),
 	}
@@ -111,7 +87,6 @@ func (f *FaultyOracle) Stats() Stats {
 	return Stats{
 		Transient: f.transient.Load(),
 		Permanent: f.permanent.Load(),
-		Spikes:    f.spikes.Load(),
 	}
 }
 
@@ -135,20 +110,16 @@ func (f *FaultyOracle) Cost(i, j int) float64 { return f.inner.Cost(i, j) }
 // [0, 1).
 func (f *FaultyOracle) draw(tag uint64, i, j int, attempt int64) float64 {
 	key := uint64(i)<<32 | uint64(uint32(j))
-	h := resilience.Hash64(f.opts.Seed^tag, key, uint64(attempt))
+	h := mix64(f.opts.Seed^tag, key, uint64(attempt))
 	return float64(h>>11) / (1 << 53)
 }
 
-// decide classifies attempt a of probe (i, j); it returns the probe error
-// (nil when the attempt succeeds) and whether the attempt spiked.
-func (f *FaultyOracle) decide(i, j int, attempt int64) (error, bool) {
-	spiked := f.opts.SpikeRate > 0 && f.draw(tagSpike, i, j, attempt) < f.opts.SpikeRate
-	if spiked {
-		f.spikes.Add(1)
-	}
+// decide classifies attempt a of probe (i, j); it returns the probe error,
+// nil when the attempt succeeds.
+func (f *FaultyOracle) decide(i, j int, attempt int64) error {
 	if f.opts.PermanentRate > 0 && f.draw(tagPermanent, i, j, 0) < f.opts.PermanentRate {
 		f.permanent.Add(1)
-		return resilience.Permanent(fmt.Errorf("faultinject: probe (%d,%d) permanently broken", i, j)), spiked
+		return resilience.Permanent(fmt.Errorf("faultinject: probe (%d,%d) permanently broken", i, j))
 	}
 	rate := f.opts.TransientRate
 	if i >= f.opts.BurstLo && i < f.opts.BurstHi {
@@ -156,42 +127,34 @@ func (f *FaultyOracle) decide(i, j int, attempt int64) (error, bool) {
 	}
 	if rate > 0 && f.draw(tagTransient, i, j, attempt) < rate {
 		f.transient.Add(1)
-		return fmt.Errorf("faultinject: probe (%d,%d) transient fault (attempt %d)", i, j, attempt), spiked
+		return fmt.Errorf("faultinject: probe (%d,%d) transient fault (attempt %d)", i, j, attempt)
 	}
-	return nil, spiked
+	return nil
 }
 
-// CostErr implements sampling.ErrOracle.
-func (f *FaultyOracle) CostErr(i, j int) (float64, error) {
-	c, _, err := f.CostTimed(i, j)
-	return c, err
-}
-
-// CostTimed implements resilience.TimedOracle: the cost plus the virtual
-// latency of this attempt (spiked or base). The inner oracle is always
+// CostErr implements sampling.ErrOracle. The inner oracle is always
 // charged, even for failed attempts.
-func (f *FaultyOracle) CostTimed(i, j int) (float64, float64, error) {
+func (f *FaultyOracle) CostErr(i, j int) (float64, error) {
 	attempt := f.attempts[i*f.k+j].Add(1) - 1
 	c, innerErr := f.inner.CostErr(i, j)
-	err, spiked := f.decide(i, j, attempt)
-	lat := f.opts.BaseLatencyMS
-	if spiked {
-		lat = f.opts.SpikeLatencyMS
-	}
+	err := f.decide(i, j, attempt)
 	if innerErr != nil {
-		return 0, lat, innerErr
+		return 0, innerErr
 	}
 	if err != nil {
-		return 0, lat, err
+		return 0, err
 	}
-	return c, lat, nil
+	return c, nil
 }
 
-// BatchCostErr implements sampling.BatchErrOracle by fanning the pairs
-// over a bounded pool; per-probe decisions depend only on the probe's own
-// attempt counter, so the outcome is identical to serial evaluation.
-func (f *FaultyOracle) BatchCostErr(pairs []sampling.Pair, out []float64, errs []error, parallelism int) {
-	par.For(len(pairs), parallelism, func(idx int) {
-		out[idx], errs[idx] = f.CostErr(pairs[idx].Q, pairs[idx].J)
-	})
+// mix64 is a splitmix64-style avalanche of three words — the deterministic
+// randomness source for fault decisions.
+func mix64(a, b, c uint64) uint64 {
+	x := a*0x9e3779b97f4a7c15 ^ b*0xbf58476d1ce4e5b9 ^ c*0x94d049bb133111eb
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

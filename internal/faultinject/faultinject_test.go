@@ -12,6 +12,7 @@ import (
 
 	"physdes/internal/obs"
 	"physdes/internal/obs/recorder"
+	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/resilience"
 	"physdes/internal/sampling"
@@ -90,7 +91,7 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 	}
 	for _, p := range []int{1, 4, 8} {
 		fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99}) // all rates zero
-		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 3, Policy: resilience.Skip, Seed: 99})
+		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 3, Policy: resilience.Skip})
 		got, gotRounds, err := tracedRun(w, runOpts(5, p, tmplIdx, 6, nil, nil))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
@@ -121,7 +122,7 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 			var wantInjected Stats
 			for _, p := range []int{1, 4, 8} {
 				fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99, TransientRate: 0.05})
-				w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip, Seed: 99})
+				w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip})
 				opts := runOpts(5, p, tmplIdx, 6, nil, nil)
 				opts.Scheme = scheme
 				got, gotRounds, err := tracedRun(w, opts)
@@ -164,7 +165,9 @@ func TestFaultPatternDeterministic(t *testing.T) {
 		}
 		out := make([]float64, len(pairs))
 		errs := make([]error, len(pairs))
-		fo.BatchCostErr(pairs, out, errs, parallelism)
+		par.For(len(pairs), parallelism, func(i int) {
+			out[i], errs[i] = fo.CostErr(pairs[i].Q, pairs[i].J)
+		})
 		failed := make([]bool, len(pairs))
 		for i, e := range errs {
 			failed[i] = e != nil
@@ -219,7 +222,7 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 		reg := obs.NewRegistry()
 		fo := New(sampling.NewMatrixOracle(m), Options{Seed: uint64(r) + 1, TransientRate: 0.05})
 		w := resilience.Wrap(fo, resilience.Options{
-			MaxRetries: 3, Policy: resilience.Skip, Seed: uint64(r) + 1, Metrics: reg,
+			MaxRetries: 3, Policy: resilience.Skip, Metrics: reg,
 		})
 		res, err := sampling.Run(w, runOpts(uint64(r)+1000, 1, tmplIdx, 6, nil, reg))
 		if err != nil {
@@ -263,7 +266,7 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 func TestPermanentFaultsDegradeGracefully(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 3, 6, 0.08, 31)
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 5, PermanentRate: 0.01})
-	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip, Seed: 5})
+	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
 	res, err := sampling.Run(w, runOpts(77, 1, tmplIdx, 6, nil, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +287,7 @@ func TestPermanentFaultsDegradeGracefully(t *testing.T) {
 func TestBurstFaultsAreLocalized(t *testing.T) {
 	m, _ := synthMatrix(400, 2, 4, 0.05, 41)
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 13, BurstLo: 100, BurstHi: 150, BurstRate: 1})
-	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip, Seed: 13})
+	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip})
 	for i := 0; i < 400; i++ {
 		_, err := w.CostErr(i, 0)
 		inBurst := i >= 100 && i < 150
@@ -311,7 +314,7 @@ func TestConservativeFallbackCompletes(t *testing.T) {
 	}
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 3, TransientRate: 0.2})
 	w := resilience.Wrap(fo, resilience.Options{
-		MaxRetries: 1, Policy: resilience.Conservative, Seed: 3,
+		MaxRetries: 1, Policy: resilience.Conservative,
 		Fallback: func(i, j int) float64 { return hi * 1.1 },
 	})
 	res, err := sampling.Run(w, runOpts(13, 1, tmplIdx, 6, nil, nil))
@@ -351,7 +354,7 @@ func TestCancellationCleanShutdown(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		o := &cancellingOracle{MatrixOracle: sampling.NewMatrixOracle(m), after: 40, cancel: cancel}
 		fo := New(o, Options{Seed: 1})
-		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip, Seed: 1})
+		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
 		_, err := sampling.Run(w, runOpts(7, p, tmplIdx, 6, ctx, nil))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallelism %d: err = %v, want context.Canceled", p, err)

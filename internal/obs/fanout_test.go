@@ -159,8 +159,8 @@ func TestSnapshotSurfacesQuantiles(t *testing.T) {
 
 	// Empty histograms surface no quantiles (and WriteJSON omits them).
 	r2 := NewRegistry()
-	r2.Histogram("oracle_latency_seconds")
-	if hs := r2.Snapshot().Histograms["oracle_latency_seconds"]; hs.P50 != 0 || hs.P99 != 0 {
+	r2.Histogram("empty_seconds")
+	if hs := r2.Snapshot().Histograms["empty_seconds"]; hs.P50 != 0 || hs.P99 != 0 {
 		t.Fatalf("empty histogram grew quantiles: %+v", hs)
 	}
 	var sb strings.Builder

@@ -1,7 +1,6 @@
 // Package resilience hardens a fallible what-if oracle (sampling.ErrOracle)
-// against transient faults: bounded retries with deterministic seeded
-// backoff jitter, a per-oracle error budget, and two degradation policies
-// for probes that stay broken after retries —
+// against transient faults: bounded retries, a per-oracle error budget,
+// and two degradation policies for probes that stay broken after retries —
 //
 //   - Skip (skip-and-reweight): the probe reports sampling.ErrSkipQuery and
 //     the sampler drops the query from its stratum, renormalizing the
@@ -15,12 +14,9 @@
 //     cost of the affected configuration and Pr(CS) remains a valid lower
 //     bound (the same argument as Section 6.2's σ²_max substitution).
 //
-// Everything is deterministic by construction: backoff jitter derives from
-// a seeded hash of (query, configuration, attempt) — never from wall-clock
-// time — so decisions are order-independent and identical at every
-// parallelism level. Probe latency is observed, not enforced: an inner
-// oracle that reports *virtual* latencies (see TimedOracle) feeds the
-// oracle_latency_seconds histogram.
+// Retries run back to back, with no backoff and no wall-clock wait: a
+// probe's retry outcome depends only on its own attempts, so it is the
+// same at every parallelism level.
 package resilience
 
 import (
@@ -29,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"physdes/internal/obs"
-	"physdes/internal/par"
 	"physdes/internal/sampling"
 )
 
@@ -88,30 +83,11 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// TimedOracle is an ErrOracle whose probes report a virtual latency (in
-// virtual milliseconds) alongside the cost. The wrapper observes it —
-// never the wall clock — on the oracle_latency_seconds histogram, keeping
-// latency accounting deterministic and replayable. The fault-injection
-// harness implements it to simulate latency spikes.
-type TimedOracle interface {
-	sampling.ErrOracle
-	// CostTimed returns the cost and the virtual latency of the probe.
-	CostTimed(i, j int) (cost, latencyMS float64, err error)
-}
-
 // Options configures the resilience wrapper.
 type Options struct {
 	// MaxRetries is the number of re-attempts after a failed probe
 	// (0 = no retries; a probe is tried 1+MaxRetries times at most).
 	MaxRetries int
-	// BackoffBaseMS and BackoffMaxMS shape the virtual exponential backoff
-	// schedule: attempt a waits min(Base·2^(a−1), Max) scaled by a seeded
-	// jitter factor in [0.5, 1). Defaults 1ms / 1000ms.
-	BackoffBaseMS float64
-	BackoffMaxMS  float64
-	// Seed drives the backoff jitter hash. Runs with equal seeds replay
-	// identical schedules.
-	Seed uint64
 	// Policy selects the degradation mode once retries are exhausted
 	// (default Fail).
 	Policy Policy
@@ -122,25 +98,9 @@ type Options struct {
 	// Fallback supplies the conservative substitute cost for policy
 	// Conservative; required in that mode.
 	Fallback func(i, j int) float64
-	// Sleep, when non-nil, is invoked with each backoff delay in virtual
-	// milliseconds. The nil default records the delay without sleeping —
-	// retries against an in-process oracle are instantaneous and
-	// deterministic.
-	Sleep func(ms float64)
 	// Metrics, when non-nil, registers oracle_retries_total,
-	// oracle_faults_total, oracle_degraded_queries_total and — when the
-	// inner oracle reports virtual latencies — oracle_latency_seconds.
+	// oracle_faults_total and oracle_degraded_queries_total.
 	Metrics *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.BackoffBaseMS <= 0 {
-		o.BackoffBaseMS = 1
-	}
-	if o.BackoffMaxMS <= 0 {
-		o.BackoffMaxMS = 1000
-	}
-	return o
 }
 
 // Stats is a point-in-time snapshot of the wrapper's accounting.
@@ -153,30 +113,23 @@ type Stats struct {
 	// Degraded counts probes answered by the degradation policy (skipped
 	// or substituted) after exhausting retries.
 	Degraded int64
-	// BackoffMS is the total virtual backoff delay accumulated.
-	BackoffMS float64
 }
 
 // Oracle wraps a fallible oracle with retries, an error budget and a
-// degradation policy. It implements sampling.ErrOracle and
-// sampling.BatchErrOracle; per-probe decisions depend only on
-// (query, configuration, attempt) so results are identical at every
-// parallelism level.
+// degradation policy. It implements sampling.ErrOracle; the sampler fans
+// its probes out.
 type Oracle struct {
 	inner sampling.ErrOracle
-	timed TimedOracle
 	opts  Options
 
 	retries  *obs.Counter
 	faults   *obs.Counter
 	degraded *obs.Counter
-	latency  *obs.Histogram
 
 	nRetries   atomic.Int64
 	nFaults    atomic.Int64
 	nDegraded  atomic.Int64
 	budgetUsed atomic.Int64
-	backoffUMS atomic.Int64 // total backoff in virtual microseconds
 }
 
 // Wrap hardens o with opts. Infallible oracles are lifted via
@@ -184,19 +137,14 @@ type Oracle struct {
 // change: their probes never fail and the wrapper adds one type assertion
 // per call.
 func Wrap(o sampling.Oracle, opts Options) *Oracle {
-	opts = opts.withDefaults()
 	if opts.Policy == Conservative && opts.Fallback == nil {
 		panic("resilience: policy Conservative requires Options.Fallback")
 	}
 	w := &Oracle{inner: sampling.AsErrOracle(o), opts: opts}
-	w.timed, _ = o.(TimedOracle)
 	if opts.Metrics != nil {
 		w.retries = opts.Metrics.Counter("oracle_retries_total")
 		w.faults = opts.Metrics.Counter("oracle_faults_total")
 		w.degraded = opts.Metrics.Counter("oracle_degraded_queries_total")
-		if w.timed != nil {
-			w.latency = opts.Metrics.Histogram("oracle_latency_seconds")
-		}
 	}
 	return w
 }
@@ -204,10 +152,9 @@ func Wrap(o sampling.Oracle, opts Options) *Oracle {
 // Stats returns the wrapper's accounting so far.
 func (w *Oracle) Stats() Stats {
 	return Stats{
-		Retries:   w.nRetries.Load(),
-		Faults:    w.nFaults.Load(),
-		Degraded:  w.nDegraded.Load(),
-		BackoffMS: float64(w.backoffUMS.Load()) / 1000,
+		Retries:  w.nRetries.Load(),
+		Faults:   w.nFaults.Load(),
+		Degraded: w.nDegraded.Load(),
 	}
 }
 
@@ -228,30 +175,16 @@ func (w *Oracle) Calls() int64 { return w.inner.Calls() }
 // of the infallible interface.
 func (w *Oracle) Cost(i, j int) float64 { return w.inner.Cost(i, j) }
 
-// probe performs a single attempt, observing the virtual latency of a
-// successful probe when the latency histogram is attached.
-func (w *Oracle) probe(i, j int) (float64, error) {
-	if w.latency != nil {
-		c, lat, err := w.timed.CostTimed(i, j)
-		if err == nil {
-			w.latency.Observe(lat / 1000)
-		}
-		return c, err
-	}
-	return w.inner.CostErr(i, j)
-}
-
 // CostErr implements sampling.ErrOracle: attempt the probe up to
-// 1+MaxRetries times with seeded backoff, then degrade per the policy.
+// 1+MaxRetries times back to back, then degrade per the policy.
 func (w *Oracle) CostErr(i, j int) (float64, error) {
 	var last error
 	for attempt := 0; attempt <= w.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			w.nRetries.Add(1)
 			w.retries.Inc()
-			w.backoff(i, j, attempt)
 		}
-		c, err := w.probe(i, j)
+		c, err := w.inner.CostErr(i, j)
 		if err == nil {
 			return c, nil
 		}
@@ -263,33 +196,6 @@ func (w *Oracle) CostErr(i, j int) (float64, error) {
 		}
 	}
 	return w.degrade(i, j, last)
-}
-
-// BatchCostErr implements sampling.BatchErrOracle by fanning the pairs
-// over a bounded pool. Each slot's retries and degradation decisions
-// depend only on its own (query, configuration) identity, so out and errs
-// are identical to the serial path at every parallelism level.
-func (w *Oracle) BatchCostErr(pairs []sampling.Pair, out []float64, errs []error, parallelism int) {
-	par.For(len(pairs), parallelism, func(idx int) {
-		out[idx], errs[idx] = w.CostErr(pairs[idx].Q, pairs[idx].J)
-	})
-}
-
-// backoff accrues (and optionally sleeps) the jittered exponential delay
-// before retry `attempt` of probe (i, j).
-func (w *Oracle) backoff(i, j, attempt int) {
-	d := w.opts.BackoffBaseMS * float64(int64(1)<<uint(minIntR(attempt-1, 30)))
-	if d > w.opts.BackoffMaxMS {
-		d = w.opts.BackoffMaxMS
-	}
-	// Jitter in [0.5, 1): decorrelates concurrent retry storms while
-	// staying a pure function of (seed, i, j, attempt).
-	u := float64(mix64(w.opts.Seed, uint64(i)<<32|uint64(uint32(j)), uint64(attempt))>>11) / (1 << 53)
-	d *= 0.5 + 0.5*u
-	w.backoffUMS.Add(int64(d * 1000))
-	if w.opts.Sleep != nil {
-		w.opts.Sleep(d)
-	}
 }
 
 // degrade resolves an exhausted probe per the configured policy.
@@ -311,28 +217,4 @@ func (w *Oracle) degrade(i, j int, cause error) (float64, error) {
 		return 0, fmt.Errorf("resilience: probe (%d,%d) failed after %d attempts: %w",
 			i, j, w.opts.MaxRetries+1, cause)
 	}
-}
-
-// mix64 is a splitmix64-style avalanche of three words — the deterministic
-// randomness source for jitter (and, in the fault-injection harness, for
-// fault decisions).
-func mix64(a, b, c uint64) uint64 {
-	x := a*0x9e3779b97f4a7c15 ^ b*0xbf58476d1ce4e5b9 ^ c*0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Hash64 exposes mix64 for decorators (the fault-injection harness) that
-// need the same deterministic decision source.
-func Hash64(a, b, c uint64) uint64 { return mix64(a, b, c) }
-
-func minIntR(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -44,7 +46,7 @@ func TestBatchCostSerialFallback(t *testing.T) {
 	}
 	pairs := []Pair{{3, 0}, {3, 1}, {3, 2}, {11, 0}}
 	out := make([]float64, len(pairs))
-	batchCost(o, pairs, out, 8)
+	costBatch(o, pairs, out, make([]error, len(pairs)), 8)
 	if got := o.Calls(); got != int64(len(pairs)) {
 		t.Errorf("fallback charged %d calls, want %d", got, len(pairs))
 	}
@@ -52,6 +54,89 @@ func TestBatchCostSerialFallback(t *testing.T) {
 	for i, p := range pairs {
 		if want := ref.Cost(p.Q, p.J); out[i] != want {
 			t.Errorf("pair %d: fallback cost %v, want %v", i, out[i], want)
+		}
+	}
+}
+
+// scriptedErrOracle is a fallible matrix oracle: probe skip answers with
+// a wrapped ErrSkipQuery and probe hard with a non-skip error; every
+// other probe returns its matrix cost. Outcomes depend only on the pair,
+// so concurrent probes are safe.
+type scriptedErrOracle struct {
+	*MatrixOracle
+	skip, hard Pair
+}
+
+func (o *scriptedErrOracle) CostErr(i, j int) (float64, error) {
+	c := o.Cost(i, j)
+	switch (Pair{Q: i, J: j}) {
+	case o.skip:
+		return 0, fmt.Errorf("probe (%d,%d): %w", i, j, ErrSkipQuery)
+	case o.hard:
+		return 0, fmt.Errorf("probe (%d,%d): what-if service down", i, j)
+	}
+	return c, nil
+}
+
+// errClass buckets a probe error: 0 success, 1 skip request, 2 hard error.
+func errClass(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, ErrSkipQuery):
+		return 1
+	}
+	return 2
+}
+
+// TestFallibleBatchMatchesSerial pins costBatch's fallible fan-out to the
+// serial CostErr loop: at every parallelism, each slot up to and including
+// the first hard error carries the same value and error class, and the
+// inline path leaves the slots after that error untouched.
+func TestFallibleBatchMatchesSerial(t *testing.T) {
+	m, _ := synthMatrix(16, 3, 4, 0.1, 1, 11)
+	mk := func() *scriptedErrOracle {
+		return &scriptedErrOracle{MatrixOracle: NewMatrixOracle(m), skip: Pair{Q: 2, J: 1}, hard: Pair{Q: 9, J: 0}}
+	}
+	var pairs []Pair
+	for q := 0; q < 16; q++ {
+		for j := 0; j < 3; j++ {
+			pairs = append(pairs, Pair{Q: q, J: j})
+		}
+	}
+	ref := mk()
+	wantOut := make([]float64, len(pairs))
+	wantErrs := make([]error, len(pairs))
+	firstHard := -1
+	for i, p := range pairs {
+		wantOut[i], wantErrs[i] = ref.CostErr(p.Q, p.J)
+		if errClass(wantErrs[i]) == 2 {
+			firstHard = i
+			break
+		}
+	}
+	if firstHard < 0 || errClass(wantErrs[7]) != 1 {
+		t.Fatal("fixture must script one skip before one hard error")
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		o := mk()
+		out := make([]float64, len(pairs))
+		errs := make([]error, len(pairs))
+		costBatch(o, pairs, out, errs, workers)
+		for i := 0; i <= firstHard; i++ {
+			if out[i] != wantOut[i] || errClass(errs[i]) != errClass(wantErrs[i]) {
+				t.Fatalf("parallelism %d: slot %d = (%v, %v), serial (%v, %v)", workers, i, out[i], errs[i], wantOut[i], wantErrs[i])
+			}
+		}
+		if workers == 1 {
+			for i := firstHard + 1; i < len(pairs); i++ {
+				if out[i] != 0 || errs[i] != nil {
+					t.Fatalf("inline path touched slot %d after the hard error", i)
+				}
+			}
+			if got := o.Calls(); got != int64(firstHard+1) {
+				t.Errorf("inline path charged %d calls, want %d (stops at the hard error)", got, firstHard+1)
+			}
 		}
 	}
 }

@@ -39,8 +39,7 @@ type deltaSampler struct {
 	strata []*dStratum
 
 	// tmplDropped counts each template's queries degraded out of the run,
-	// renormalizing template weights for Algorithm 2 (nil when the oracle
-	// cannot fail).
+	// renormalizing template weights for Algorithm 2.
 	tmplDropped []int
 
 	// Per-template estimator statistics (per configuration), for split
@@ -81,13 +80,12 @@ func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 		folded:    make([]int, k),
 		walkBuf:   make([]int, k),
 		stratumOf: make([]int, tc),
+
+		tmplDropped: make([]int, tc),
 	}
 	for j := range d.elimAt {
 		d.elimAt[j] = math.MaxInt
 		d.folded[j] = j
-	}
-	if dr.eo != nil {
-		d.tmplDropped = make([]int, tc)
 	}
 	for t := range d.tSum {
 		d.tSum[t] = make([]stats.Kahan, k)
@@ -236,7 +234,7 @@ func (d *deltaSampler) checkPriorDrift() int {
 
 // dropped shrinks the degraded query's template weight.
 func (d *deltaSampler) dropped(q int) {
-	if d.tmplDropped != nil && d.opts.TemplateIndex != nil {
+	if d.opts.TemplateIndex != nil {
 		d.tmplDropped[d.opts.TemplateIndex[q]]++
 	}
 }
@@ -244,11 +242,7 @@ func (d *deltaSampler) dropped(q int) {
 // tmplSize is the template's live population: its full size minus the
 // queries degraded out of the run.
 func (d *deltaSampler) tmplSize(t int) int {
-	sz := d.pop.templateSize(t)
-	if d.tmplDropped != nil {
-		sz -= d.tmplDropped[t]
-	}
-	return sz
+	return d.pop.templateSize(t) - d.tmplDropped[t]
 }
 
 // fold records a sampled row — out holds the alive configurations' costs

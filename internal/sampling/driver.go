@@ -81,7 +81,6 @@ type estimator interface {
 // warm-start bookkeeping and the Result.
 type driver struct {
 	o    Oracle
-	eo   ErrOracle // non-nil when the oracle's probes can fail
 	opts Options
 	pop  *population
 	e    estimator
@@ -136,9 +135,6 @@ func newDriver(o Oracle, opts Options) *driver {
 	}
 	if d.shared {
 		d.parts = 1
-	}
-	if eo, ok := o.(ErrOracle); ok {
-		d.eo = eo
 	}
 	for j := range d.alive {
 		d.alive[j] = true
@@ -286,34 +282,27 @@ func (d *driver) evaluate(slots []slot) error {
 		}
 	}
 	d.out = grow(d.out, len(d.pairs))
-	if d.eo != nil {
-		d.errs = grow(d.errs, len(d.pairs))
-		clear(d.errs)
-		batchCostErr(d.eo, d.pairs, d.out, d.errs, d.opts.Parallelism)
-	} else {
-		batchCost(d.o, d.pairs, d.out, d.opts.Parallelism)
-	}
+	d.errs = grow(d.errs, len(d.pairs))
+	costBatch(d.o, d.pairs, d.out, d.errs, d.opts.Parallelism)
 	w := d.slotCalls()
 	for i, sl := range slots {
 		st := d.e.stratumAt(sl.part, sl.h)
 		st.next++
-		if d.eo != nil {
-			skip := false
-			for _, err := range d.errs[i*w : (i+1)*w] {
-				if err == nil {
-					continue
-				}
-				if !errors.Is(err, ErrSkipQuery) {
-					return err
-				}
-				skip = true
-			}
-			if skip {
-				st.size--
-				d.degraded++
-				d.e.dropped(sl.q)
+		skip := false
+		for _, err := range d.errs[i*w : (i+1)*w] {
+			if err == nil {
 				continue
 			}
+			if !errors.Is(err, ErrSkipQuery) {
+				return err
+			}
+			skip = true
+		}
+		if skip {
+			st.size--
+			d.degraded++
+			d.e.dropped(sl.q)
+			continue
 		}
 		st.n++
 		d.sampled++

@@ -101,9 +101,10 @@ type Options struct {
 
 	// Parallelism is the worker count for each evaluation batch — the
 	// whole pilot phase, then one Delta row or one Independent sample per
-	// round. Above 1, batches of several pairs go through the oracle's
-	// batch path (BatchOracle, BatchErrOracle) over a bounded worker pool;
-	// 0 or 1 runs each batch inline, pair by pair. Every setting evaluates
+	// round. Above 1, batches of several pairs fan out over a bounded
+	// worker pool: a fallible oracle's CostErr probes run on the sampler's
+	// own pool, an infallible oracle's through its BatchOracle path. 0 or 1
+	// runs each batch inline, pair by pair. Every setting evaluates
 	// the same schedule of probes, workers only compute pure cost values
 	// into positional slots, and every statistical fold runs serially in
 	// schedule order, so Results are bit-identical at every setting, also

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"physdes/internal/optimizer"
+	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/workload"
 )
@@ -57,14 +58,6 @@ type ErrOracle interface {
 	CostErr(i, j int) (float64, error)
 }
 
-// BatchErrOracle is an ErrOracle with a batched path: out[i], errs[i]
-// receive the result of pairs[i]. Like BatchOracle, values must be
-// identical to serial CostErr at every parallelism level.
-type BatchErrOracle interface {
-	ErrOracle
-	BatchCostErr(pairs []Pair, out []float64, errs []error, parallelism int)
-}
-
 // ErrSkipQuery is the sentinel a fallible oracle (typically the resilience
 // wrapper in skip-and-reweight mode) returns — wrapped — to ask the
 // sampler to degrade gracefully: drop the query from its stratum and
@@ -87,24 +80,6 @@ func AsErrOracle(o Oracle) ErrOracle {
 	return errOracleAdapter{o}
 }
 
-// batchCostErr evaluates pairs through the oracle's fallible batch path
-// when it has one and parallel evaluation of more than one pair was
-// requested, otherwise inline by sequential CostErr calls in pair order.
-// errs[i] receives pairs[i]'s error (nil on success); the inline loop
-// stops at the first non-skip error, leaving later slots untouched.
-func batchCostErr(o ErrOracle, pairs []Pair, out []float64, errs []error, parallelism int) {
-	if bo, ok := o.(BatchErrOracle); ok && parallelism > 1 && len(pairs) > 1 {
-		bo.BatchCostErr(pairs, out, errs, parallelism)
-		return
-	}
-	for i, p := range pairs {
-		out[i], errs[i] = o.CostErr(p.Q, p.J)
-		if errs[i] != nil && !errors.Is(errs[i], ErrSkipQuery) {
-			return
-		}
-	}
-}
-
 // BatchOracle is an Oracle that can evaluate many pairs at once, fanning
 // the work over a bounded pool. Implementations must charge exactly one
 // optimizer call per pair (identical accounting to len(pairs) Cost calls)
@@ -117,12 +92,34 @@ type BatchOracle interface {
 	BatchCost(pairs []Pair, out []float64, parallelism int)
 }
 
-// batchCost evaluates pairs through the oracle's batch path when it has
-// one and parallel evaluation of more than one pair was requested,
-// otherwise inline by sequential Cost calls in pair order. A single pair
-// never pays the batch path's per-call setup.
-func batchCost(o Oracle, pairs []Pair, out []float64, parallelism int) {
-	if bo, ok := o.(BatchOracle); ok && parallelism > 1 && len(pairs) > 1 {
+// costBatch evaluates pairs[i] into out[i] and its error into errs[i]
+// (nil on success); it is the one place the samplers fan probes out. A
+// fallible oracle's probes run through CostErr: over a bounded pool when
+// more than one pair and worker are requested, otherwise in pair order,
+// stopping at the first non-skip error and leaving later slots untouched.
+// An infallible oracle runs through BatchOracle.BatchCost or serial Cost
+// and reports no errors. A single pair never pays the pool's setup.
+// Values are identical at every parallelism level as long as each probe's
+// outcome depends only on its own (query, configuration) identity.
+func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism int) {
+	clear(errs[:len(pairs)])
+	pool := parallelism > 1 && len(pairs) > 1
+	if eo, ok := o.(ErrOracle); ok {
+		if pool {
+			par.For(len(pairs), parallelism, func(i int) {
+				out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
+			})
+			return
+		}
+		for i, p := range pairs {
+			out[i], errs[i] = eo.CostErr(p.Q, p.J)
+			if errs[i] != nil && !errors.Is(errs[i], ErrSkipQuery) {
+				return
+			}
+		}
+		return
+	}
+	if bo, ok := o.(BatchOracle); ok && pool {
 		bo.BatchCost(pairs, out, parallelism)
 		return
 	}

@@ -79,7 +79,7 @@ func TestSharedOracle(t *testing.T) {
 
 // TestErrOracleAdapterAndLiveBatch pins the fallible-view plumbing around
 // an infallible oracle: AsErrOracle is the identity on an ErrOracle and a
-// never-failing adapter otherwise, batchCostErr's serial fallback matches
+// never-failing adapter otherwise, costBatch's inline path matches
 // pairwise Cost, and LiveOracle's batch path matches its serial path.
 func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	cat := catalog.TPCD(0.01)
@@ -108,13 +108,13 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	pairs := []Pair{{Q: 0, J: 0}, {Q: 1, J: 1}, {Q: 2, J: 0}, {Q: 3, J: 1}}
 	out := make([]float64, len(pairs))
 	errs := make([]error, len(pairs))
-	batchCostErr(eo, pairs, out, errs, 1)
+	costBatch(eo, pairs, out, errs, 1)
 	for i, p := range pairs {
 		if errs[i] != nil {
 			t.Fatalf("pair %d errored: %v", i, errs[i])
 		}
 		if want := live.Cost(p.Q, p.J); out[i] != want {
-			t.Errorf("pair %d: batchCostErr %v, serial %v", i, out[i], want)
+			t.Errorf("pair %d: costBatch %v, serial %v", i, out[i], want)
 		}
 	}
 

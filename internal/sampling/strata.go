@@ -3,7 +3,6 @@ package sampling
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"physdes/internal/stats"
 )
@@ -195,7 +194,7 @@ func cmpTmplStat(a, b tmplStat) int {
 // return the best strict improvement, or ok=false, plus the number of
 // split points actually evaluated.
 //
-// Unlike the retained findBestSplitNaive (which recomputes union moments
+// Unlike the naive reference in the tests (which recomputes union moments
 // per split, O(T) each), the left child's moments are prefix sums over
 // the mean-ordered templates and the right child's are totals minus that
 // prefix, so each split point costs O(1) on top of its #Samples binary
@@ -308,64 +307,4 @@ func findBestSplit(sc *splitScratch, curStrata []stats.Stratum, tmplStats [][]tm
 		return splitDecision{}, evals, false
 	}
 	return best, evals, true
-}
-
-// findBestSplitNaive is the retained pre-optimization reference for
-// findBestSplit: it recomputes the union moments of both children at
-// every split point (O(T) each, O(T²) per stratum) and allocates freely.
-// The incremental search must return decisions equal to this function's
-// (TestFindBestSplitIncrementalEquivalence); it also anchors the
-// split-search benchmarks.
-func findBestSplitNaive(curStrata []stats.Stratum, tmplStats [][]tmplStat, targetVar float64, nmin int) (splitDecision, bool) {
-	minSam := stats.MinSamplesForVariance(curStrata, targetVar, nmin)
-	alloc := stats.NeymanAllocation(curStrata, minSam, nmin)
-
-	best := splitDecision{stratum: -1}
-	for h := range curStrata {
-		ts := tmplStats[h]
-		if len(ts) < 2 {
-			continue
-		}
-		if alloc[h] < 2*nmin {
-			continue
-		}
-		// Order the stratum's templates by average cost (Algorithm 2,
-		// line 9).
-		ordered := append([]tmplStat(nil), ts...)
-		sort.Slice(ordered, func(i, j int) bool {
-			if ordered[i].m != ordered[j].m {
-				return ordered[i].m < ordered[j].m
-			}
-			return ordered[i].t < ordered[j].t
-		})
-
-		// Candidate strata array with stratum h replaced by two children;
-		// children sit at positions h and len(curStrata).
-		cand := make([]stats.Stratum, len(curStrata)+1)
-		copy(cand, curStrata)
-		for split := 1; split < len(ordered); split++ {
-			left, right := ordered[:split], ordered[split:]
-			lSize, rSize := 0, 0
-			for _, s := range left {
-				lSize += s.w
-			}
-			for _, s := range right {
-				rSize += s.w
-			}
-			cand[h] = stats.Stratum{Size: lSize, S2: setS2(left)}
-			cand[len(curStrata)] = stats.Stratum{Size: rSize, S2: setS2(right)}
-			sam := stats.MinSamplesForVariance(cand, targetVar, nmin)
-			if gain := minSam - sam; gain > best.gain {
-				lt := make([]int, len(left))
-				for i, s := range left {
-					lt[i] = s.t
-				}
-				best = splitDecision{stratum: h, left: lt, gain: gain}
-			}
-		}
-	}
-	if best.stratum < 0 || best.gain <= 0 {
-		return splitDecision{}, false
-	}
-	return best, true
 }

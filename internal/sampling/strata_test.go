@@ -2,7 +2,9 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"physdes/internal/stats"
@@ -111,19 +113,6 @@ func TestSetS2LargeMeanRobustness(t *testing.T) {
 	}
 }
 
-// TestSplitSearchBenchAgrees runs the exported bench harness at small
-// sizes, checking decision agreement and the zero-alloc claim it reports.
-func TestSplitSearchBenchAgrees(t *testing.T) {
-	for _, row := range SplitSearchBench([]int{16, 64}, 3) {
-		if !row.Agree {
-			t.Errorf("T=%d: incremental and naive decisions disagree", row.Templates)
-		}
-		if row.IncAllocs != 0 {
-			t.Errorf("T=%d: incremental search allocates %v per search, want 0", row.Templates, row.IncAllocs)
-		}
-	}
-}
-
 func benchmarkSplit(b *testing.B, T int, naive bool) {
 	cur, tstats, targetVar, nmin := splitBenchFixture(T, 7)
 	var sc splitScratch
@@ -152,4 +141,91 @@ func BenchmarkFindBestSplitNaive(b *testing.B) {
 	for _, T := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("T=%d", T), func(b *testing.B) { benchmarkSplit(b, T, true) })
 	}
+}
+
+// splitBenchFixture builds a deterministic single-stratum Algorithm 2
+// instance over T templates whose target variance puts the minimum
+// sample size around a quarter of the population — large enough to open
+// the alloc ≥ 2·n_min gate, small enough that every split point stays a
+// genuine binary-search workload.
+func splitBenchFixture(T int, seed uint64) ([]stats.Stratum, [][]tmplStat, float64, int) {
+	rng := stats.NewRNG(seed)
+	ts := make([]tmplStat, T)
+	totalSize := 0
+	for i := range ts {
+		w := 4 + rng.Intn(24)
+		m := math.Pow(10, 1+3*rng.Float64())
+		sd := 0.1 * m
+		v := sd * sd * (0.5 + rng.Float64())
+		ts[i] = tmplStat{t: i, w: w, m: m, v: v}
+		totalSize += w
+	}
+	cur := []stats.Stratum{{Size: totalSize, S2: setS2(ts)}}
+	nmin := 8
+	n := totalSize / 4
+	if n < 2*nmin {
+		n = 2 * nmin
+	}
+	targetVar := stats.StratifiedVariance(cur, stats.NeymanAllocation(cur, n, nmin))
+	return cur, [][]tmplStat{ts}, targetVar, nmin
+}
+
+// findBestSplitNaive is the pre-optimization reference for
+// findBestSplit: it recomputes the union moments of both children at
+// every split point (O(T) each, O(T²) per stratum) and allocates freely.
+// The incremental search must return decisions equal to this function's
+// (TestFindBestSplitIncrementalEquivalence); it also anchors the
+// split-search benchmarks.
+func findBestSplitNaive(curStrata []stats.Stratum, tmplStats [][]tmplStat, targetVar float64, nmin int) (splitDecision, bool) {
+	minSam := stats.MinSamplesForVariance(curStrata, targetVar, nmin)
+	alloc := stats.NeymanAllocation(curStrata, minSam, nmin)
+
+	best := splitDecision{stratum: -1}
+	for h := range curStrata {
+		ts := tmplStats[h]
+		if len(ts) < 2 {
+			continue
+		}
+		if alloc[h] < 2*nmin {
+			continue
+		}
+		// Order the stratum's templates by average cost (Algorithm 2,
+		// line 9).
+		ordered := append([]tmplStat(nil), ts...)
+		sort.Slice(ordered, func(i, j int) bool {
+			if ordered[i].m != ordered[j].m {
+				return ordered[i].m < ordered[j].m
+			}
+			return ordered[i].t < ordered[j].t
+		})
+
+		// Candidate strata array with stratum h replaced by two children;
+		// children sit at positions h and len(curStrata).
+		cand := make([]stats.Stratum, len(curStrata)+1)
+		copy(cand, curStrata)
+		for split := 1; split < len(ordered); split++ {
+			left, right := ordered[:split], ordered[split:]
+			lSize, rSize := 0, 0
+			for _, s := range left {
+				lSize += s.w
+			}
+			for _, s := range right {
+				rSize += s.w
+			}
+			cand[h] = stats.Stratum{Size: lSize, S2: setS2(left)}
+			cand[len(curStrata)] = stats.Stratum{Size: rSize, S2: setS2(right)}
+			sam := stats.MinSamplesForVariance(cand, targetVar, nmin)
+			if gain := minSam - sam; gain > best.gain {
+				lt := make([]int, len(left))
+				for i, s := range left {
+					lt[i] = s.t
+				}
+				best = splitDecision{stratum: h, left: lt, gain: gain}
+			}
+		}
+	}
+	if best.stratum < 0 || best.gain <= 0 {
+		return splitDecision{}, false
+	}
+	return best, true
 }
