@@ -25,6 +25,7 @@ import (
 	"physdes/internal/bounds"
 	"physdes/internal/compress"
 	"physdes/internal/experiments"
+	"physdes/internal/optimizer"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
 	"physdes/internal/sqlparse"
@@ -296,12 +297,15 @@ func BenchmarkSelectParallel(b *testing.B) {
 // single-table SELECT, a three-table join, a join answered by a
 // materialized view, an UPDATE (locate plus maintenance), and an
 // atom-shared probe — a configuration whose atoms the atom store already
-// holds, so the probe reassembles stored costs without an inner call. CI
-// fails when any of them reports an allocation.
+// holds, so the probe reassembles stored costs without an inner call.
+// Statements are bound as workload parsing binds them; the
+// single-table-unbound case times the same SELECT estimating its
+// selectivities on every call. CI fails when any of them reports an
+// allocation.
 func BenchmarkWhatIfCall(b *testing.B) {
 	benchSetup(b)
 	cat := benchTPCD.Cat
-	parse := func(src string) *sqlparse.Analysis {
+	analyze := func(src string) *sqlparse.Analysis {
 		stmt, err := sqlparse.Parse(src)
 		if err != nil {
 			b.Fatal(err)
@@ -310,6 +314,11 @@ func BenchmarkWhatIfCall(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return a
+	}
+	parse := func(src string) *sqlparse.Analysis {
+		a := analyze(src)
+		optimizer.Bind(cat, a)
 		return a
 	}
 	joinSQL := "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l " +
@@ -347,6 +356,16 @@ func BenchmarkWhatIfCall(b *testing.B) {
 			}
 		})
 	}
+	b.Run("single-table-unbound", func(b *testing.B) {
+		a := analyze(cases[0].sql)
+		opt := NewOptimizer(cat)
+		opt.Cost(a, cases[0].cfg) // builds the column histograms binding would have
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.Cost(a, cases[0].cfg)
+		}
+	})
 	b.Run("atom-shared", func(b *testing.B) {
 		a := parse(cases[1].sql)
 		c := NewAtomicOptimizer(NewOptimizer(cat))

@@ -79,6 +79,12 @@ func (o *Optimizer) pathWobble(a *sqlparse.Analysis, table, pathID string) float
 	return 1 + wobbleAmp*(2*t-1)
 }
 
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 func fnvByte(h uint64, b byte) uint64 {
 	h ^= uint64(b)
 	return h * fnvPrime64
@@ -340,10 +346,10 @@ const (
 // findSargable locates a conjunctive sargable predicate on table.column.
 // Equality (including IN, treated as a small set of seeks) beats range.
 // It reads only the analysis, so the atom decomposition (atoms.go) shares
-// it to predict which indexes an access path can seek.
-func findSargable(a *sqlparse.Analysis, table, column string) (sqlparse.ColumnPredicate, sargKind) {
-	var rangePred sqlparse.ColumnPredicate
-	haveRange := false
+// it to predict which indexes an access path can seek. The predicate is
+// returned in place, nil for sargNone.
+func findSargable(a *sqlparse.Analysis, table, column string) (*sqlparse.ColumnPredicate, sargKind) {
+	var rangePred *sqlparse.ColumnPredicate
 	for i := range a.Preds {
 		p := &a.Preds[i]
 		if p.InDisjunction || p.Col.Table != table || p.Col.Column != column {
@@ -351,20 +357,20 @@ func findSargable(a *sqlparse.Analysis, table, column string) (sqlparse.ColumnPr
 		}
 		switch p.Kind {
 		case sqlparse.PredEq, sqlparse.PredIn:
-			return *p, sargEq
+			return p, sargEq
 		case sqlparse.PredRange:
-			if !haveRange {
-				rangePred, haveRange = *p, true
+			if rangePred == nil {
+				rangePred = p
 			}
 		case sqlparse.PredLike:
 			// A prefix LIKE is a range seek; a contains-LIKE is not.
-			if !haveRange && len(p.LikePattern) > 1 && p.LikePattern[1] != '%' {
-				rangePred, haveRange = *p, true
+			if rangePred == nil && len(p.LikePattern) > 1 && p.LikePattern[1] != '%' {
+				rangePred = p
 			}
 		}
 	}
-	if haveRange {
+	if rangePred != nil {
 		return rangePred, sargRange
 	}
-	return sqlparse.ColumnPredicate{}, sargNone
+	return nil, sargNone
 }

@@ -66,8 +66,16 @@ type AtomPlan struct {
 }
 
 // emptyAtom is the shared zero-structure atom: it contributes the heap-scan
-// baseline to every singleton decomposition.
-var emptyAtom = physical.NewConfiguration("atom")
+// baseline to every singleton decomposition. Every interner gives its
+// fingerprint id 0.
+var emptyAtom = atomRef{cfg: physical.NewConfiguration("atom")}
+
+// atomRef is an interned atom and its id: the number its interner gave the
+// atom's fingerprint, which keys the atom store.
+type atomRef struct {
+	cfg *physical.Configuration
+	id  uint32
+}
 
 // atomStackLen is the number of relevant indexes the probe path's stack
 // scratch holds; a wider projection sizes heap scratch once per call.
@@ -82,7 +90,11 @@ func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) 
 	if fallback {
 		return AtomPlan{Fallback: true}
 	}
-	return AtomPlan{Atoms: atoms}
+	plan := AtomPlan{Atoms: make([]*physical.Configuration, len(atoms))}
+	for i, at := range atoms {
+		plan.Atoms[i] = at.cfg
+	}
+	return plan
 }
 
 // decompose is the one decomposition routine behind Decompose,
@@ -90,13 +102,14 @@ func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) 
 // structures a can read, gathered into ixBuf and viewBuf, and returns in
 // atomBuf the atoms whose cost minimum reproduces the direct cost: the
 // empty atom plus one singleton per relevant index for a single-table
-// SELECT with no relevant views, else the one projection atom — or
-// fallback when that projection holds more than maxWidth structures.
-// Atoms come from in, so each distinct atom is built once per interner.
-// Scratch slices that are too small are replaced by heap slices.
+// SELECT with no relevant views, else the one projection atom — or, with
+// fallback set, cfg itself when that projection holds more than maxWidth
+// structures. Atoms and ids come from in, so each distinct atom is built
+// once per interner. Scratch slices that are too small are replaced by
+// heap slices.
 //
 //physdes:zeroalloc
-func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, ixBuf []*physical.Index, viewBuf []*physical.View, atomBuf []*physical.Configuration) (atoms []*physical.Configuration, fallback bool) {
+func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, ixBuf []*physical.Index, viewBuf []*physical.View, atomBuf []atomRef) (atoms []atomRef, fallback bool) {
 	if maxWidth <= 0 {
 		maxWidth = DefaultMaxAtomWidth
 	}
@@ -110,7 +123,7 @@ func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, 
 		return atoms, false
 	}
 	if len(ixs)+len(views) > maxWidth {
-		return nil, true
+		return put(scratch(atomBuf, 1), in.fallback(cfg)), true
 	}
 	return put(scratch(atomBuf, 1), in.projection(ixs, views)), false
 }
@@ -127,7 +140,7 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf
 	for _, t := range a.Tables {
 		n += len(cfg.IndexesOn(t))
 	}
-	if a.Kind != sqlparse.KindSelect {
+	if a.Kind != sqlparse.KindSelect && !contains(a.Tables, a.ModifiedTable) {
 		n += len(cfg.IndexesOn(a.ModifiedTable))
 	}
 	ixs := scratch(ixBuf, n)
@@ -216,37 +229,81 @@ func tablesSubset(sub, super []string) bool {
 // configurations) and projection atoms by their structure-ID sequence.
 // Projection lookups hash that sequence with FNV-1a as they walk the IDs
 // and confirm a hit structure by structure, so no key string is built.
+//
+// It also numbers fingerprints: the first atom (or width-bound fallback
+// configuration) interned with a fingerprint gives it the next id, and
+// every later one with that fingerprint gets the same id. The atom store
+// keys by id, so it shares entries exactly as a fingerprint key would —
+// across distinct *Configuration values and across projection atoms
+// holding one structure set in different orders — without hashing or
+// comparing fingerprint strings on the probe path.
 type atomInterner struct {
 	mu      sync.RWMutex
-	singles map[*physical.Index]*physical.Configuration
-	proj    map[uint64][]*physical.Configuration
+	singles map[*physical.Index]atomRef
+	proj    map[uint64][]atomRef
+	ids     map[string]uint32
 }
 
 // singleton returns the interned one-index atom of ix.
 //
 //physdes:zeroalloc
-func (in *atomInterner) singleton(ix *physical.Index) *physical.Configuration {
+func (in *atomInterner) singleton(ix *physical.Index) atomRef {
 	in.mu.RLock()
-	c := in.singles[ix]
+	r, ok := in.singles[ix]
 	in.mu.RUnlock()
-	if c != nil {
-		return c
+	if ok {
+		return r
 	}
 	return in.internSingleton(ix) //physdes:allocok intern on first sight: each index's singleton atom is built once per interner
 }
 
-func (in *atomInterner) internSingleton(ix *physical.Index) *physical.Configuration {
+func (in *atomInterner) internSingleton(ix *physical.Index) atomRef {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if c := in.singles[ix]; c != nil {
-		return c
+	if r, ok := in.singles[ix]; ok {
+		return r
 	}
 	if in.singles == nil {
-		in.singles = make(map[*physical.Index]*physical.Configuration)
+		in.singles = make(map[*physical.Index]atomRef)
 	}
-	c := physical.NewConfiguration("atom", ix)
-	in.singles[ix] = c
-	return c
+	r := in.refLocked(physical.NewConfiguration("atom", ix))
+	in.singles[ix] = r
+	return r
+}
+
+// fallback returns cfg, a configuration costed whole, with the id of its
+// fingerprint.
+//
+//physdes:zeroalloc
+func (in *atomInterner) fallback(cfg *physical.Configuration) atomRef {
+	in.mu.RLock()
+	id, ok := in.ids[cfg.Fingerprint()]
+	in.mu.RUnlock()
+	if ok {
+		return atomRef{cfg: cfg, id: id}
+	}
+	return in.internFallback(cfg) //physdes:allocok intern on first sight: each distinct fallback fingerprint is numbered once per interner
+}
+
+func (in *atomInterner) internFallback(cfg *physical.Configuration) atomRef {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.refLocked(cfg)
+}
+
+// refLocked returns cfg with the id of its fingerprint, numbering a new
+// fingerprint; callers hold mu for writing.
+func (in *atomInterner) refLocked(cfg *physical.Configuration) atomRef {
+	fp := cfg.Fingerprint()
+	if in.ids == nil {
+		in.ids = map[string]uint32{emptyAtom.cfg.Fingerprint(): emptyAtom.id}
+	}
+	id, ok := in.ids[fp]
+	if !ok {
+		id = uint32(len(in.ids))
+		in.ids[fp] = id
+	}
+	return atomRef{cfg: cfg, id: id}
 }
 
 // projection returns the interned atom holding exactly ixs (grouped by
@@ -257,7 +314,7 @@ func (in *atomInterner) internSingleton(ix *physical.Index) *physical.Configurat
 // every table's indexes in the same order.
 //
 //physdes:zeroalloc
-func (in *atomInterner) projection(ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+func (in *atomInterner) projection(ixs []*physical.Index, views []*physical.View) atomRef {
 	h := uint64(fnvOffset64)
 	for _, ix := range ixs {
 		h = fnvByte(fnvString(h, ix.ID()), '|')
@@ -266,19 +323,19 @@ func (in *atomInterner) projection(ixs []*physical.Index, views []*physical.View
 		h = fnvByte(fnvString(h, v.ID()), '|')
 	}
 	in.mu.RLock()
-	c := findProjection(in.proj[h], ixs, views)
+	r, ok := findProjection(in.proj[h], ixs, views)
 	in.mu.RUnlock()
-	if c != nil {
-		return c
+	if ok {
+		return r
 	}
 	return in.internProjection(h, ixs, views) //physdes:allocok intern on first sight: each distinct projection atom is built once per interner
 }
 
-func (in *atomInterner) internProjection(h uint64, ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+func (in *atomInterner) internProjection(h uint64, ixs []*physical.Index, views []*physical.View) atomRef {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if c := findProjection(in.proj[h], ixs, views); c != nil {
-		return c
+	if r, ok := findProjection(in.proj[h], ixs, views); ok {
+		return r
 	}
 	structs := make([]physical.Structure, 0, len(ixs)+len(views))
 	for _, ix := range ixs {
@@ -287,19 +344,20 @@ func (in *atomInterner) internProjection(h uint64, ixs []*physical.Index, views 
 	for _, v := range views {
 		structs = append(structs, v)
 	}
-	c := physical.NewConfiguration("atom", structs...)
+	r := in.refLocked(physical.NewConfiguration("atom", structs...))
 	if in.proj == nil {
-		in.proj = make(map[uint64][]*physical.Configuration)
+		in.proj = make(map[uint64][]atomRef)
 	}
-	in.proj[h] = append(in.proj[h], c)
-	return c
+	in.proj[h] = append(in.proj[h], r)
+	return r
 }
 
 // findProjection returns the atom among candidates holding exactly ixs,
-// with each table's indexes in the same order, and views, or nil.
-func findProjection(candidates []*physical.Configuration, ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+// with each table's indexes in the same order, and views.
+func findProjection(candidates []atomRef, ixs []*physical.Index, views []*physical.View) (atomRef, bool) {
 next:
-	for _, c := range candidates {
+	for _, r := range candidates {
+		c := r.cfg
 		cv := c.Views()
 		if len(c.Indexes()) != len(ixs) || len(cv) != len(views) {
 			continue
@@ -325,23 +383,24 @@ next:
 				continue next
 			}
 		}
-		return c
+		return r, true
 	}
-	return nil
+	return atomRef{}, false
 }
 
 // AtomicCache is the atom store: a sharded memo of (statement, atom) costs
 // and the only sharing layer on the what-if probe path. It keys entries by
-// statement pointer identity plus configuration fingerprint (see
-// cacheKey) over 64 shards, so batch-pool workers contend on per-shard
-// locks only. It deduplicates concurrent misses on the same atom in
-// flight, so each distinct atom pays exactly one inner call however the
-// probes race.
+// statement pointer identity plus atom id (see cacheKey) over 64 shards,
+// so batch-pool workers contend on per-shard locks only. Atoms with one
+// fingerprint share an id, and so an entry. It deduplicates concurrent
+// misses on the same atom in flight, so each distinct atom pays exactly
+// one inner call however the probes race.
 //
 // A probe whose projection exceeds the width bound is costed directly
-// and memoized under the full configuration, so repeating it is free as
-// well. Atom and fallback keys never collide: a stored atom holds at most
-// maxWidth structures, a fallback configuration more.
+// and memoized under the full configuration's id, so repeating it is free
+// as well. Atom and fallback ids never collide: a stored atom holds at
+// most maxWidth structures, a fallback configuration more, so their
+// fingerprints differ.
 type AtomicCache struct {
 	inner    *Optimizer
 	maxWidth int
@@ -354,7 +413,8 @@ type AtomicCache struct {
 	fallbacks atomic.Int64
 
 	// intern holds the atoms decompositions produce, so the probe path
-	// builds each distinct atom once per store.
+	// builds each distinct atom once per store, and numbers their
+	// fingerprints.
 	intern atomInterner
 
 	metrics atomic.Pointer[atomMetrics]
@@ -431,28 +491,15 @@ func (ac *AtomicCache) Reset() {
 func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
 	var ixBuf [atomStackLen]*physical.Index
 	var viewBuf [atomStackLen]*physical.View
-	var atomBuf [atomStackLen + 1]*physical.Configuration
+	var atomBuf [atomStackLen + 1]atomRef
 	atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
-	if fallback {
-		return ac.memoCost(a, cfg, true)
-	}
 	best := math.Inf(1)
 	for _, atom := range atoms {
-		if v := ac.memoCost(a, atom, false); v < best {
+		if v := ac.memoCost(a, atom, fallback); v < best {
 			best = v
 		}
 	}
 	return best
-}
-
-func (ac *AtomicCache) lookup(a *sqlparse.Analysis, cfg *physical.Configuration) (float64, bool) {
-	return shardOf(&ac.shards, a, cfg).get(keyOf(a, cfg))
-}
-
-func (ac *AtomicCache) store(a *sqlparse.Analysis, cfg *physical.Configuration, v float64) {
-	if shardOf(&ac.shards, a, cfg).put(keyOf(a, cfg), v) {
-		ac.entries.Add(1)
-	}
 }
 
 // countMiss accounts one paid costing: a fallback, or an atom.
@@ -475,16 +522,16 @@ func (ac *AtomicCache) countHit(m *atomMetrics) {
 	}
 }
 
-// memoCost returns the memoized cost of a under cfg — an atom, or the
+// memoCost returns the memoized cost of a under atom — an atom, or the
 // full configuration of a width-bound fallback — consulting the inner
 // optimizer on a miss. A concurrent miss on a key already being costed
 // waits for that value and counts as a hit, exactly as the later call of
 // a serial pair.
 //
 //physdes:zeroalloc
-func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, cfg *physical.Configuration, fallback bool) float64 {
-	key := keyOf(a, cfg)
-	sh := shardOf(&ac.shards, a, cfg)
+func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback bool) float64 {
+	key := cacheKey{a: a, atom: atom.id}
+	sh := ac.shard(key)
 	v, ok := sh.get(key)
 	if !ok {
 		v, ok = sh.claim(key)
@@ -499,10 +546,10 @@ func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, cfg *physical.Configuratio
 	defer sh.releaseUnfilled(key, &filled)
 	if m != nil && !fallback {
 		sw := obs.NewStopwatch()
-		v = ac.inner.Cost(a, cfg)
+		v = ac.inner.Cost(a, atom.cfg)
 		m.latency.Observe(sw.Elapsed().Seconds())
 	} else {
-		v = ac.inner.Cost(a, cfg)
+		v = ac.inner.Cost(a, atom.cfg)
 	}
 	if sh.fill(key, v) {
 		ac.entries.Add(1)
@@ -549,7 +596,7 @@ func (ac *AtomicCache) BatchIntoCtx(ctx context.Context, reqs []Request, out []f
 	var missingKeys []cacheKey
 	var ixBuf [atomStackLen]*physical.Index
 	var viewBuf [atomStackLen]*physical.View
-	var atomBuf [atomStackLen + 1]*physical.Configuration
+	var atomBuf [atomStackLen + 1]atomRef
 	m := ac.metrics.Load()
 	for i, r := range reqs {
 		if err := ctx.Err(); err != nil {
@@ -557,25 +604,21 @@ func (ac *AtomicCache) BatchIntoCtx(ctx context.Context, reqs []Request, out []f
 		}
 		span[i] = len(keys)
 		reqAtoms, fallback := decompose(r.Analysis, r.Config, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
-		if fallback {
-			atomBuf[0] = r.Config
-			reqAtoms = atomBuf[:1]
-		}
 		for _, atom := range reqAtoms {
-			key := keyOf(r.Analysis, atom)
+			key := cacheKey{a: r.Analysis, atom: atom.id}
 			keys = append(keys, key)
 			if _, ok := have[key]; ok || pending[key] {
 				ac.countHit(m)
 				continue
 			}
-			if v, ok := ac.lookup(r.Analysis, atom); ok {
+			if v, ok := ac.shard(key).get(key); ok {
 				ac.countHit(m)
 				have[key] = v
 				continue
 			}
 			ac.countMiss(m, fallback)
 			pending[key] = true
-			missing = append(missing, Request{Analysis: r.Analysis, Config: atom})
+			missing = append(missing, Request{Analysis: r.Analysis, Config: atom.cfg})
 			missingKeys = append(missingKeys, key)
 		}
 	}
@@ -594,7 +637,9 @@ func (ac *AtomicCache) BatchIntoCtx(ctx context.Context, reqs []Request, out []f
 		}
 		for i, key := range missingKeys {
 			have[key] = vals[i]
-			ac.store(missing[i].Analysis, missing[i].Config, vals[i])
+			if ac.shard(key).put(key, vals[i]) {
+				ac.entries.Add(1)
+			}
 		}
 	}
 	for i := range reqs {

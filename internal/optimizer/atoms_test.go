@@ -20,15 +20,7 @@ var atomsCat = catalog.TPCD(0.01)
 // (this external test package cannot reach the internal-package helper).
 func analyze(t *testing.T, src string) *sqlparse.Analysis {
 	t.Helper()
-	st, err := sqlparse.Parse(src)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", src, err)
-	}
-	a, err := sqlparse.Analyze(st, atomsCat.Resolve)
-	if err != nil {
-		t.Fatalf("Analyze(%q): %v", src, err)
-	}
-	return a
+	return analyzeUnbound(t, atomsCat, src)
 }
 
 // equivScenario bundles one workload/candidate setup for the equivalence

@@ -4,14 +4,16 @@ import (
 	"sync"
 	"unsafe"
 
-	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
 )
 
 // cacheShards is the shard count: far above any realistic worker count so
-// shard collisions under a saturated pool stay rare. Must be a power of
-// two (the shard index is a hash mask).
-const cacheShards = 64
+// shard collisions under a saturated pool stay rare. It is a power of two
+// (the shard index is the top cacheShardBits bits of a hash).
+const (
+	cacheShardBits = 6
+	cacheShards    = 1 << cacheShardBits
+)
 
 // cacheShard is one shard of AtomicCache's memo table. Batch-pool workers
 // hammering the store contend on per-shard locks instead of one global
@@ -127,42 +129,31 @@ func (sh *cacheShard) reset() {
 }
 
 // cacheKey is comparable: two keys are equal iff they hold the same
-// *sqlparse.Analysis pointer AND the same configuration fingerprint.
-// Analyses are immutable once built by the workload package, so pointer
-// identity is a sound statement key within one process. The invariant
-// cuts both ways — two *distinct* parses of the same SQL text are
-// distinct keys and intentionally do not share entries (see
-// TestCacheKeyPointerIdentity) — while two distinct *Configuration values
-// with one fingerprint share an entry.
+// *sqlparse.Analysis pointer AND the same atom id. Analyses are immutable
+// once built by the workload package, so pointer identity is a sound
+// statement key within one process. The invariant cuts both ways — two
+// *distinct* parses of the same SQL text are distinct keys and
+// intentionally do not share entries (see TestCacheKeyPointerIdentity) —
+// while two distinct *Configuration values with one fingerprint share an
+// id (see atomInterner), and so an entry.
 type cacheKey struct {
-	a   *sqlparse.Analysis
-	cfg string
+	a    *sqlparse.Analysis
+	atom uint32
 }
 
-// keyOf returns the memo key of (a, cfg).
-func keyOf(a *sqlparse.Analysis, cfg *physical.Configuration) cacheKey {
-	return cacheKey{a: a, cfg: cfg.Fingerprint()}
+// shardIndex routes a key to its shard: a multiplicative hash of the atom
+// id mixed with the analysis pointer (shifted past alignment zeros),
+// taking the product's top bits. Both components matter — a Delta row
+// keeps the statement fixed across k configurations while a greedy tuner
+// probe keeps the configuration fixed across N statements; either alone
+// would serialize one of those access patterns onto a single shard.
+func shardIndex(key cacheKey) int {
+	const golden = 0x9e3779b97f4a7c15
+	h := (uint64(uintptr(unsafe.Pointer(key.a)))>>3 ^ uint64(key.atom)*golden) * golden
+	return int(h >> (64 - cacheShardBits))
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// shardIndex routes a key to its shard: the FNV-1a hash of the
-// configuration fingerprint (computed once, by the configuration), mixed
-// with the analysis pointer (shifted past alignment zeros). Both
-// components matter — a Delta row keeps the statement fixed across k
-// configurations while a greedy tuner probe keeps the configuration fixed
-// across N statements; either alone would serialize one of those access
-// patterns onto a single shard.
-func shardIndex(a *sqlparse.Analysis, fpHash uint64) int {
-	h := fpHash ^ uint64(uintptr(unsafe.Pointer(a)))>>3
-	h *= fnvPrime64
-	return int(h & (cacheShards - 1))
-}
-
-// shardOf returns the shard holding the key of (a, cfg).
-func shardOf(shards *[cacheShards]cacheShard, a *sqlparse.Analysis, cfg *physical.Configuration) *cacheShard {
-	return &shards[shardIndex(a, cfg.FingerprintHash())]
+// shard returns the shard holding key.
+func (ac *AtomicCache) shard(key cacheKey) *cacheShard {
+	return &ac.shards[shardIndex(key)]
 }

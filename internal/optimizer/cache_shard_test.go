@@ -11,30 +11,31 @@ import (
 )
 
 // TestCacheKeyPointerIdentity pins the cacheKey semantics the sharded
-// rewrite must preserve: keys are (Analysis pointer, configuration
-// fingerprint) pairs, equal exactly when both components match. Two
-// distinct parses of the same SQL text are distinct keys by design.
+// rewrite must preserve: keys are (Analysis pointer, atom id) pairs, equal
+// exactly when both components match. Two distinct parses of the same SQL
+// text are distinct keys by design.
 func TestCacheKeyPointerIdentity(t *testing.T) {
 	a1 := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
 	a2 := analyze(t, "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5")
 	if a1 == a2 {
 		t.Fatal("parser returned the same *Analysis for two parses; pointer-identity keys need fresh allocations")
 	}
-	if (cacheKey{a: a1, cfg: "X"}) != (cacheKey{a: a1, cfg: "X"}) {
-		t.Error("identical (pointer, fingerprint) keys must compare equal")
+	if (cacheKey{a: a1, atom: 1}) != (cacheKey{a: a1, atom: 1}) {
+		t.Error("identical (pointer, atom id) keys must compare equal")
 	}
-	if (cacheKey{a: a1, cfg: "X"}) == (cacheKey{a: a2, cfg: "X"}) {
+	if (cacheKey{a: a1, atom: 1}) == (cacheKey{a: a2, atom: 1}) {
 		t.Error("distinct parses of the same SQL must yield distinct keys")
 	}
-	if (cacheKey{a: a1, cfg: "X"}) == (cacheKey{a: a1, cfg: "Y"}) {
-		t.Error("distinct fingerprints must yield distinct keys")
+	if (cacheKey{a: a1, atom: 1}) == (cacheKey{a: a1, atom: 2}) {
+		t.Error("distinct atom ids must yield distinct keys")
 	}
 	// Shard routing must be a pure in-range function of the key.
-	h := physical.NewConfiguration("x", physical.NewIndex("lineitem", []string{"l_orderkey"})).FingerprintHash()
-	if shardIndex(a1, h) != shardIndex(a1, h) {
+	var in atomInterner
+	key := cacheKey{a: a1, atom: in.singleton(physical.NewIndex("lineitem", []string{"l_orderkey"})).id}
+	if shardIndex(key) != shardIndex(key) {
 		t.Error("shardIndex is not stable for equal keys")
 	}
-	if idx := shardIndex(a1, h); idx < 0 || idx >= cacheShards {
+	if idx := shardIndex(key); idx < 0 || idx >= cacheShards {
 		t.Errorf("shardIndex out of range: %d", idx)
 	}
 }
@@ -346,7 +347,7 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 func TestCacheShardClaimAllocFree(t *testing.T) {
 	var sh cacheShard
 	sh.init()
-	key := cacheKey{cfg: "X"}
+	key := cacheKey{atom: 1}
 	if n := testing.AllocsPerRun(1000, func() {
 		if _, ok := sh.claim(key); ok {
 			t.Fatal("claim found a value in an empty shard")
@@ -365,7 +366,7 @@ func TestCacheShardPendingSlots(t *testing.T) {
 	sh.init()
 	keys := make([]cacheKey, maxPending+1)
 	for i := range keys {
-		keys[i] = cacheKey{cfg: fmt.Sprint("cfg", i)}
+		keys[i] = cacheKey{atom: uint32(i)}
 	}
 	for _, k := range keys[:maxPending] {
 		if _, ok := sh.claim(k); ok {

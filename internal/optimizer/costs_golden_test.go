@@ -80,6 +80,13 @@ func writeMatrix(b *strings.Builder, name string, cat *catalog.Catalog, w *workl
 	cands := physical.EnumerateCandidates(cat, analyses, co)
 	configs := physical.GenerateSpace(cat, cands, 20, stats.NewRNG(7), physical.SpaceOptions{})
 	m := workload.ComputeCostMatrix(optimizer.New(cat), w, configs)
+	fmt.Fprintf(b, "%s: statements=%d candidates=%d configs=%d fnv64=%016x\n",
+		name, w.Size(), len(cands), len(configs), costBitsHash(m))
+}
+
+// costBitsHash returns the FNV-64 of the matrix's float64 bits in
+// row-major order.
+func costBitsHash(m *workload.CostMatrix) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, row := range m.Costs {
@@ -91,8 +98,7 @@ func writeMatrix(b *strings.Builder, name string, cat *catalog.Catalog, w *workl
 			h.Write(buf[:])
 		}
 	}
-	fmt.Fprintf(b, "%s: statements=%d candidates=%d configs=%d fnv64=%016x\n",
-		name, w.Size(), len(cands), len(configs), h.Sum64())
+	return h.Sum64()
 }
 
 // wideCRMSelect builds a chain join over n satellite CRM tables with a

@@ -100,6 +100,38 @@ func TestAtomSharedProbeAllocFree(t *testing.T) {
 	}
 }
 
+// TestWideDMLProbeAllocFree pins relevantStructures' scratch sizing for
+// DML: the modified table is also the statement's one table, so its
+// indexes count once and 20 of them fit the probe's stack scratch. The
+// probe allocates nothing after warm-up, as a projection atom and as a
+// width-bound fallback.
+func TestWideDMLProbeAllocFree(t *testing.T) {
+	a := analyze(t, "UPDATE lineitem SET l_tax = 1 WHERE l_orderkey = 5")
+	cols := testCat.MustTable("lineitem").Columns
+	var structs []physical.Structure
+	for i := 0; len(structs) < 20; i++ {
+		key := []string{cols[i%len(cols)].Name}
+		if i >= len(cols) {
+			key = append(key, cols[(i+1)%len(cols)].Name)
+		}
+		structs = append(structs, physical.NewIndex("lineitem", key))
+	}
+	cfg := physical.NewConfiguration("wide", structs...)
+	if n := len(cfg.IndexesOn("lineitem")); n != 20 {
+		t.Fatalf("configuration holds %d indexes on lineitem, want 20", n)
+	}
+	for _, maxWidth := range []int{0, atomStackLen} {
+		c := NewAtomicCache(New(testCat), maxWidth)
+		want := New(testCat).Cost(a, cfg)
+		if got := c.Cost(a, cfg); got != want {
+			t.Fatalf("maxWidth %d: atomic cost %v, direct %v", maxWidth, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.Cost(a, cfg) }); n != 0 {
+			t.Errorf("maxWidth %d: wide UPDATE probe allocates %v times per call, want 0", maxWidth, n)
+		}
+	}
+}
+
 // TestUpdatePartsObservesLatency pins UpdateParts to the instrumented
 // what-if entry: every call it charges is also observed by the
 // optimizer_cost_seconds histogram.

@@ -8,19 +8,44 @@ import (
 	"physdes/internal/sqlparse"
 )
 
-// predSelectivity estimates the fraction of a table's rows satisfying one
-// single-column predicate, using the column's histogram.
-func (o *Optimizer) predSelectivity(p sqlparse.ColumnPredicate) float64 {
-	col, ok := o.cat.ColumnStats(p.Col.Table, p.Col.Column)
+// Bind stamps every predicate of a with its selectivity estimated against
+// cat. A predicate's selectivity does not depend on the configuration, so
+// an optimizer over cat reads the stamped value on every what-if call
+// instead of re-estimating it; an optimizer over any other catalog
+// ignores it. workload.Parse binds each statement before sharing it.
+// Binding changes no cost: it calls the same estimator the probe falls
+// back to.
+//
+//physdes:zeroalloc
+func Bind(cat *catalog.Catalog, a *sqlparse.Analysis) {
+	for i := range a.Preds {
+		p := &a.Preds[i]
+		p.Bound = sqlparse.BoundSelectivity{Catalog: cat, Sel: estimateSelectivity(cat, p)}
+	}
+}
+
+// predSelectivity returns the fraction of a table's rows satisfying one
+// single-column predicate: the value bound against the optimizer's own
+// catalog when there is one, else an estimate from the column's histogram.
+func (o *Optimizer) predSelectivity(p *sqlparse.ColumnPredicate) float64 {
+	if p.Bound.Catalog == any(o.cat) {
+		return p.Bound.Sel
+	}
+	return estimateSelectivity(o.cat, p)
+}
+
+// estimateSelectivity estimates the selectivity of p from cat's statistics.
+func estimateSelectivity(cat *catalog.Catalog, p *sqlparse.ColumnPredicate) float64 {
+	col, ok := cat.ColumnStats(p.Col.Table, p.Col.Column)
 	if !ok {
 		return defaultSelectivity(p.Kind)
 	}
 	h := catalog.ColumnHistogram(col)
 	switch p.Kind {
 	case sqlparse.PredEq:
-		return clampSel(o.eqSelectivity(col, h, p.EqValue))
+		return clampSel(eqSelectivity(col, h, p.EqValue))
 	case sqlparse.PredNeq:
-		return clampSel(1 - o.eqSelectivity(col, h, p.EqValue))
+		return clampSel(1 - eqSelectivity(col, h, p.EqValue))
 	case sqlparse.PredRange:
 		lo, hi := math.Inf(-1), math.Inf(1)
 		if p.HasLo {
@@ -50,7 +75,7 @@ func (o *Optimizer) predSelectivity(p sqlparse.ColumnPredicate) float64 {
 	return defaultSelectivity(p.Kind)
 }
 
-func (o *Optimizer) eqSelectivity(col catalog.Column, h *catalog.Histogram, lit sqlparse.Literal) float64 {
+func eqSelectivity(col catalog.Column, h *catalog.Histogram, lit sqlparse.Literal) float64 {
 	switch lit.Kind {
 	case sqlparse.LitNumber:
 		return h.EqSelectivity(lit.Num)
@@ -119,7 +144,8 @@ func (o *Optimizer) tableSelectivity(a *sqlparse.Analysis, table string) float64
 	conj := 1.0
 	disjMiss := 1.0
 	haveDisj := false
-	for _, p := range a.Preds {
+	for i := range a.Preds {
+		p := &a.Preds[i]
 		if p.Col.Table != table {
 			continue
 		}

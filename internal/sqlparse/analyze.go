@@ -87,13 +87,26 @@ type ColumnPredicate struct {
 	// side is bounded. BETWEEN sets both.
 	Lo, Hi       float64
 	HasLo, HasHi bool
+	// InDisjunction marks predicates that sit under an OR or NOT: they are
+	// not usable for index seeks but still matter for selectivity. It sits
+	// beside the other flags so the three share one word.
+	InDisjunction bool
 	// InCount is the number of IN-list items.
 	InCount int
 	// LikePattern is the raw pattern (with quotes) for LIKE.
 	LikePattern string
-	// InDisjunction marks predicates that sit under an OR or NOT: they are
-	// not usable for index seeks but still matter for selectivity.
-	InDisjunction bool
+	// Bound is the predicate's selectivity, estimated once when the
+	// statement was parsed into a workload; the zero value means unbound.
+	Bound BoundSelectivity
+}
+
+// BoundSelectivity is a predicate selectivity stamped on the statement
+// that owns the predicate. Catalog identifies the statistics it was
+// estimated from: a reader costing against any other catalog must
+// estimate afresh.
+type BoundSelectivity struct {
+	Catalog any
+	Sel     float64
 }
 
 // JoinPredicate is an equality between columns of two different tables.

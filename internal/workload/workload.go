@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"physdes/internal/catalog"
+	"physdes/internal/optimizer"
 	"physdes/internal/sqlparse"
 )
 
@@ -59,7 +60,8 @@ func New(queries []*Query) *Workload {
 }
 
 // Parse builds a workload from raw SQL statements, parsing and analyzing
-// each against the catalog.
+// each against the catalog and binding its predicate selectivities to the
+// catalog's statistics (optimizer.Bind).
 func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 	queries := make([]*Query, len(sqls))
 	templateSQL := make(map[sqlparse.TemplateID]string)
@@ -72,6 +74,7 @@ func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: statement %d: %w", i, err)
 		}
+		optimizer.Bind(cat, a)
 		tSQL, tid := sqlparse.Template(stmt)
 		if _, seen := templateSQL[tid]; !seen {
 			templateSQL[tid] = tSQL

@@ -315,7 +315,8 @@ func GenCRM(cat *Catalog, n int, seed uint64) (*Workload, error) {
 }
 
 // ParseWorkload parses raw SQL statements into a workload, extracting
-// templates.
+// templates. Each statement's predicate selectivities are estimated once,
+// against cat; an optimizer over another catalog estimates them afresh.
 func ParseWorkload(cat *Catalog, sqls []string) (*Workload, error) {
 	return workload.Parse(cat, sqls)
 }
