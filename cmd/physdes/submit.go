@@ -29,7 +29,7 @@ func cmdSubmit(args []string) error {
 	alpha := fs.Float64("alpha", 0, "target Pr(CS) override (0 = server default)")
 	scheme := fs.String("scheme", "", "sampling scheme override: delta or independent")
 	strat := fs.String("strat", "", "stratification override: none, progressive or fine")
-	parallelism := fs.Int("parallelism", 0, "per-job what-if parallelism")
+	parallelism := fs.Int("parallelism", 0, "per-job what-if parallelism (0: the daemon runs the job serially; at most 64)")
 	conservative := fs.Bool("conservative", false, "conservative variance mode")
 	follow := fs.Bool("follow", false, "stream round events over SSE instead of polling")
 	wait := fs.Bool("wait", true, "wait for the job to finish")

@@ -65,8 +65,6 @@ func TestRepoSchemaParses(t *testing.T) {
 	for _, m := range []string{
 		"optimizer_calls_total", "optimizer_cost_seconds",
 		"optimizer_atom_hits_total", "optimizer_atoms_total",
-		"optimizer_batches_total", "optimizer_batch_requests_total", "optimizer_batch_size",
-		"optimizer_batch_inflight", "optimizer_batch_queue_depth",
 		"sampling_samples_total", "sampling_rounds_total", "sampling_splits_total",
 		"sampling_eliminations_total",
 		"bounds_sigma_max_dp_seconds", "bounds_sigma_max_dp_total", "bounds_sigma_max_dp_cells",

@@ -10,51 +10,50 @@ import (
 )
 
 // pairCounter is a pass-through oracle that records every (query,
-// configuration) request reaching it, serial or batched, and what the
-// serial repeats of an earlier request charged.
+// configuration) request reaching it and what the repeats of an earlier
+// request charged. The sampler fans batches out over its Cost, so it is
+// safe for concurrent use: a repeat holds probe exclusively while it
+// measures its charge, so no concurrent probe's call lands in the count.
 type pairCounter struct {
 	inner sampling.Oracle
+	probe sync.RWMutex
 
 	mu           sync.Mutex
 	seen         map[sampling.Pair]bool
 	requests     int
 	repeats      []sampling.Pair
-	repeatCharge int64 // optimizer calls charged by serial repeats
+	repeatCharge int64 // optimizer calls charged by repeats
 }
 
 func newPairCounter(inner sampling.Oracle) *pairCounter {
 	return &pairCounter{inner: inner, seen: make(map[sampling.Pair]bool)}
 }
 
-// note records the requests and reports whether the last was a repeat.
-func (c *pairCounter) note(pairs ...sampling.Pair) bool {
+// note records the request and reports whether it repeats an earlier one.
+func (c *pairCounter) note(p sampling.Pair) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	repeat := false
-	for _, p := range pairs {
-		c.requests++
-		repeat = c.seen[p]
-		if repeat {
-			c.repeats = append(c.repeats, p)
-		}
-		c.seen[p] = true
+	c.requests++
+	repeat := c.seen[p]
+	if repeat {
+		c.repeats = append(c.repeats, p)
 	}
+	c.seen[p] = true
 	return repeat
 }
 
 func (c *pairCounter) Cost(i, j int) float64 {
-	repeat := c.note(sampling.Pair{Q: i, J: j})
+	if !c.note(sampling.Pair{Q: i, J: j}) {
+		c.probe.RLock()
+		defer c.probe.RUnlock()
+		return c.inner.Cost(i, j)
+	}
+	c.probe.Lock()
+	defer c.probe.Unlock()
 	before := c.inner.Calls()
 	v := c.inner.Cost(i, j)
-	if repeat {
-		c.repeatCharge += c.inner.Calls() - before
-	}
+	c.repeatCharge += c.inner.Calls() - before
 	return v
-}
-
-func (c *pairCounter) BatchCost(pairs []sampling.Pair, out []float64, parallelism int) {
-	c.note(pairs...)
-	c.inner.(sampling.BatchOracle).BatchCost(pairs, out, parallelism)
 }
 
 func (c *pairCounter) N() int       { return c.inner.N() }

@@ -41,7 +41,8 @@ func crmScenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer,
 // seed, Select with an 8-worker pool must produce a Selection bit-identical
 // to the serial run — same Best, same Pr(CS) down to the last float bit,
 // same call accounting, strata, splits and eliminations, and the same
-// per-round Pr(CS) trajectory in the flight recorder's report —
+// per-round Pr(CS) trajectory in the flight recorder's report, and the
+// same atom-store and optimizer counters in the metrics registry —
 // across both sampling schemes, both stratification modes of interest, and
 // both workloads.
 func TestSelectParallelDeterminism(t *testing.T) {
@@ -84,18 +85,25 @@ func TestSelectParallelDeterminism(t *testing.T) {
 						Parallelism:  par,
 					}
 				}
-				run := func(par int) (*Selection, []recorder.Round) {
+				run := func(par int) (*Selection, []recorder.Round, obs.Snapshot) {
 					rec := recorder.New("select")
 					o := opts(par)
 					o.Tracer = obs.NewTracerSinks(rec)
+					o.Metrics = obs.NewRegistry()
 					sel, err := Select(opt, w, space, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return sel, trajectory(rec)
+					return sel, trajectory(rec), o.Metrics.Snapshot()
 				}
-				serial, serialRounds := run(1)
-				parallel, parallelRounds := run(8)
+				serial, serialRounds, serialSnap := run(1)
+				parallel, parallelRounds, parallelSnap := run(8)
+				for _, name := range []string{"optimizer_atom_hits_total", "optimizer_atoms_total", "optimizer_calls_total"} {
+					s, p := serialSnap.Counters[name], parallelSnap.Counters[name]
+					if s == 0 || p != s {
+						t.Errorf("%s: parallel %d, serial %d (want equal and non-zero)", name, p, s)
+					}
+				}
 				if parallel.BestIndex != serial.BestIndex {
 					t.Errorf("Best diverged: parallel %d, serial %d", parallel.BestIndex, serial.BestIndex)
 				}

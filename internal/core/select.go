@@ -292,16 +292,15 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		obs.KV{Key: "parallelism", Value: o.Parallelism},
 		obs.KV{Key: "atom_sharing", Value: o.AtomSharing == AtomSharingEnabled})
 
-	var oracle sampling.Oracle
+	var src sampling.CostSource = opt
 	if o.AtomSharing == AtomSharingEnabled {
 		shared := optimizer.NewAtomicCache(opt, optimizer.DefaultMaxAtomWidth)
 		if o.Metrics != nil {
 			shared.SetMetrics(o.Metrics)
 		}
-		oracle = sampling.NewSharedOracle(shared, w, configs)
-	} else {
-		oracle = sampling.NewLiveOracle(opt, w, configs)
+		src = shared
 	}
+	var oracle sampling.Oracle = sampling.NewLiveOracle(src, w, configs)
 	if o.WrapOracle != nil {
 		oracle = o.WrapOracle(oracle)
 	}

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 
 	"physdes/internal/optimizer"
+	"physdes/internal/par"
 )
 
 // AtomsRow is one point of the atomic what-if sharing curve: the full
@@ -49,7 +48,7 @@ type AtomsRow struct {
 func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 	p = p.withDefaults()
 	w := subsample(s.W, 1200, p.Seed+9)
-	par := runtime.GOMAXPROCS(0)
+	workers := par.Default()
 
 	rows := make([]AtomsRow, 0, len(ks))
 	for _, k := range ks {
@@ -57,22 +56,17 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		if len(configs) < 2 {
 			return nil, fmt.Errorf("experiments: atoms: only %d configurations for k=%d", len(configs), k)
 		}
-		reqs := make([]optimizer.Request, 0, w.Size()*len(configs))
-		for _, q := range w.Queries {
-			for _, cfg := range configs {
-				reqs = append(reqs, optimizer.Request{Analysis: q.Analysis, Config: cfg})
-			}
-		}
-
+		// Pair i is query i/len(configs) under configuration i%len(configs).
+		pairs := w.Size() * len(configs)
 		direct := optimizer.New(s.Cat)
-		want := direct.Batch(reqs, par)
-
 		shared := optimizer.NewAtomicCache(optimizer.New(s.Cat), optimizer.DefaultMaxAtomWidth)
-		got := make([]float64, len(reqs))
-		//physdes:detachedctx the experiment has no caller context; it runs to completion
-		if err := shared.BatchIntoCtx(context.Background(), reqs, got, par); err != nil {
-			return nil, err
-		}
+		want := make([]float64, pairs)
+		got := make([]float64, pairs)
+		par.For(pairs, workers, func(i int) {
+			a, cfg := w.Queries[i/len(configs)].Analysis, configs[i%len(configs)]
+			want[i] = direct.Cost(a, cfg)
+			got[i] = shared.Cost(a, cfg)
+		})
 
 		identical := true
 		for i := range want {
@@ -89,9 +83,9 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		row := AtomsRow{
 			K:           len(configs),
 			Queries:     w.Size(),
-			Pairs:       int64(len(reqs)),
+			Pairs:       int64(pairs),
 			DirectCalls: direct.Calls(),
-			SharedCalls: shared.Inner().Calls(),
+			SharedCalls: shared.Calls(),
 			AtomHits:    hits,
 			Atoms:       misses,
 			Fallbacks:   fallbacks,

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -97,10 +96,10 @@ func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) 
 	return plan
 }
 
-// decompose is the one decomposition routine behind Decompose,
-// AtomicCache.Cost and AtomicCache.BatchIntoCtx. It projects cfg onto the
-// structures a can read, gathered into ixBuf and viewBuf, and returns in
-// atomBuf the atoms whose cost minimum reproduces the direct cost: the
+// decompose is the one decomposition routine behind Decompose and
+// AtomicCache.Cost. It projects cfg onto the structures a can read,
+// gathered into ixBuf and viewBuf, and returns in atomBuf the atoms whose
+// cost minimum reproduces the direct cost: the
 // empty atom plus one singleton per relevant index for a single-table
 // SELECT with no relevant views, else the one projection atom — or, with
 // fallback set, cfg itself when that projection holds more than maxWidth
@@ -391,7 +390,7 @@ next:
 // AtomicCache is the atom store: a sharded memo of (statement, atom) costs
 // and the only sharing layer on the what-if probe path. It keys entries by
 // statement pointer identity plus atom id (see cacheKey) over 64 shards,
-// so batch-pool workers contend on per-shard locks only. Atoms with one
+// so concurrent probes contend on per-shard locks only. Atoms with one
 // fingerprint share an id, and so an entry. It deduplicates concurrent
 // misses on the same atom in flight, so each distinct atom pays exactly
 // one inner call however the probes race.
@@ -443,12 +442,15 @@ func NewAtomicCache(inner *Optimizer, maxWidth int) *AtomicCache {
 // Inner returns the wrapped optimizer (for call accounting).
 func (ac *AtomicCache) Inner() *Optimizer { return ac.inner }
 
+// Calls returns the inner optimizer's call count: only store misses reach
+// it, so this is what the sharing bills.
+func (ac *AtomicCache) Calls() int64 { return ac.inner.Calls() }
+
 // SetMetrics exports the atom store's accounting on the registry:
 // optimizer_atom_hits_total (lookups served from the store),
 // optimizer_atoms_total (distinct (statement, atom) costings paid), and
-// the optimizer_atom_cost_seconds histogram (time spent costing atoms —
-// per atom on the serial path, per dispatched batch on the batch path).
-// Atom reuse is hits / (hits + atoms). Passing nil detaches.
+// the optimizer_atom_cost_seconds histogram (time spent costing each paid
+// atom). Atom reuse is hits / (hits + atoms). Passing nil detaches.
 func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
 	if r == nil {
 		ac.metrics.Store(nil)
@@ -556,100 +558,4 @@ func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback boo
 	}
 	filled = true
 	return v
-}
-
-// BatchIntoCtx evaluates reqs[i] into out[i] with atom sharing over the
-// inner optimizer's batch pool. Below the pool threshold (parallelism <= 1
-// or a small batch) it loops over Cost. Otherwise it decomposes every
-// request serially in order, dedupes the batch's unseen atoms (and
-// fallback configurations) in first-occurrence order, costs them through
-// the pool, then reassembles each request's cost as the minimum over its
-// atoms. Hit/miss accounting and inner-call counts are identical to
-// evaluating the requests serially through Cost, at every parallelism
-// level — the cost values themselves are pure, so the result is
-// bit-identical too. See Optimizer.BatchIntoCtx for the cancellation
-// contract.
-func (ac *AtomicCache) BatchIntoCtx(ctx context.Context, reqs []Request, out []float64, parallelism int) error {
-	n := len(reqs)
-	if n == 0 {
-		return ctx.Err()
-	}
-	if len(out) < n {
-		panic("optimizer: BatchInto output slice shorter than request slice")
-	}
-	if parallelism <= 1 || n < minParallelBatch {
-		for i, r := range reqs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			out[i] = ac.Cost(r.Analysis, r.Config)
-		}
-		return nil
-	}
-	// Request i's cost is the minimum over keys[span[i]:span[i+1]]: its
-	// atoms, or its own configuration when it falls back.
-	var keys []cacheKey
-	span := make([]int, n+1)
-	have := make(map[cacheKey]float64, n)
-	pending := make(map[cacheKey]bool, n)
-	var missing []Request
-	var missingKeys []cacheKey
-	var ixBuf [atomStackLen]*physical.Index
-	var viewBuf [atomStackLen]*physical.View
-	var atomBuf [atomStackLen + 1]atomRef
-	m := ac.metrics.Load()
-	for i, r := range reqs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		span[i] = len(keys)
-		reqAtoms, fallback := decompose(r.Analysis, r.Config, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
-		for _, atom := range reqAtoms {
-			key := cacheKey{a: r.Analysis, atom: atom.id}
-			keys = append(keys, key)
-			if _, ok := have[key]; ok || pending[key] {
-				ac.countHit(m)
-				continue
-			}
-			if v, ok := ac.shard(key).get(key); ok {
-				ac.countHit(m)
-				have[key] = v
-				continue
-			}
-			ac.countMiss(m, fallback)
-			pending[key] = true
-			missing = append(missing, Request{Analysis: r.Analysis, Config: atom.cfg})
-			missingKeys = append(missingKeys, key)
-		}
-	}
-	span[n] = len(keys)
-	if len(missing) > 0 {
-		vals := make([]float64, len(missing))
-		var sw obs.Stopwatch
-		if m != nil {
-			sw = obs.NewStopwatch()
-		}
-		if err := ac.inner.BatchIntoCtx(ctx, missing, vals, parallelism); err != nil {
-			return err
-		}
-		if m != nil {
-			m.latency.Observe(sw.Elapsed().Seconds())
-		}
-		for i, key := range missingKeys {
-			have[key] = vals[i]
-			if ac.shard(key).put(key, vals[i]) {
-				ac.entries.Add(1)
-			}
-		}
-	}
-	for i := range reqs {
-		best := math.Inf(1)
-		for _, key := range keys[span[i]:span[i+1]] {
-			if v := have[key]; v < best {
-				best = v
-			}
-		}
-		out[i] = best
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package optimizer_test
 
 import (
-	"context"
 	"testing"
 
 	"physdes/internal/obs"
@@ -99,8 +98,8 @@ func TestAtomicCacheWidthFallbackSerial(t *testing.T) {
 }
 
 // TestAtomicCacheFallbackMemoized pins the fallback memo: costing a
-// width-fallback pair twice — serially, or twice within one pooled batch —
-// charges one inner call, and the repeat counts as a store hit.
+// width-fallback pair twice — serially, or many times over concurrent
+// workers — charges one inner call, and the repeats count as store hits.
 func TestAtomicCacheFallbackMemoized(t *testing.T) {
 	a := analyze(t, "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200")
 	cfg := wideOrdersConfig()
@@ -119,30 +118,26 @@ func TestAtomicCacheFallbackMemoized(t *testing.T) {
 		t.Errorf("serial: Stats() hits/misses/fallbacks = %d/%d/%d, want 1/0/1", hits, misses, fallbacks)
 	}
 
-	// A batch above the pool threshold holding the pair twice.
-	reqs := make([]optimizer.Request, 16)
+	// The pair sixteen times over four workers.
+	reqs := make([]probe, 16)
 	for i := range reqs {
-		reqs[i] = optimizer.Request{Analysis: a, Config: cfg}
+		reqs[i] = probe{Analysis: a, Config: cfg}
 	}
-	batched := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
-	out := make([]float64, len(reqs))
-	if err := batched.BatchIntoCtx(context.Background(), reqs, out, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range out {
+	concurrent := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	for i, got := range costConcurrently(concurrent, reqs, 4) {
 		if got != want {
-			t.Fatalf("batch slot %d: %v != direct cost %v", i, got, want)
+			t.Fatalf("concurrent probe %d: %v != direct cost %v", i, got, want)
 		}
 	}
-	if calls := batched.Inner().Calls(); calls != 1 {
-		t.Errorf("batch: %d fallback requests charged %d inner calls, want 1", len(reqs), calls)
+	if calls := concurrent.Inner().Calls(); calls != 1 {
+		t.Errorf("concurrent: %d fallback probes charged %d inner calls, want 1", len(reqs), calls)
 	}
 }
 
 // wideOrdersConfig builds a configuration whose projection on the
 // orders⋈lineitem join exceeds DefaultMaxAtomWidth (9 lead-o_orderdate
 // variants + 9 lead-o_orderkey variants = 18 relevant indexes), forcing
-// the width-bound fallback inside a batch.
+// the width-bound fallback.
 func wideOrdersConfig() *physical.Configuration {
 	seconds := []string{
 		"o_custkey", "o_orderstatus", "o_totalprice", "o_orderpriority",
@@ -163,11 +158,12 @@ func wideOrdersConfig() *physical.Configuration {
 	return physical.NewConfiguration("wide", ixs...)
 }
 
-// TestCachedAtomicBatchMetrics drives the atom store's batch path with a
-// registry attached and a width-bound fallback in the mix: every value
-// must match direct costing, the fallback must be billed as a direct call,
-// and the registry counters must equal Stats — which must in turn equal a
-// fresh store evaluating the same requests serially.
+// TestCachedAtomicBatchMetrics drives the atom store from concurrent
+// workers with a registry attached and a width-bound fallback in the mix:
+// every value must match direct costing, the fallback must be billed as a
+// direct call, the registry counters must equal Stats — which must in
+// turn equal a fresh store evaluating the same probes serially — and the
+// latency histogram must hold one observation per paid atom.
 func TestCachedAtomicBatchMetrics(t *testing.T) {
 	analyses := []*sqlparse.Analysis{
 		analyze(t, "SELECT l_quantity FROM lineitem WHERE l_partkey = 37"),
@@ -188,31 +184,27 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	}
 	wideCfg := wideOrdersConfig()
 
-	// 4×4 overlapping cross product + the wide fallback + a repeated pair:
-	// large enough (>= 16) to reach the pooled batch path.
-	var reqs []optimizer.Request
+	// 4×4 overlapping cross product + the wide fallback + a repeated pair.
+	var reqs []probe
 	for _, a := range analyses {
 		for _, cfg := range configs {
-			reqs = append(reqs, optimizer.Request{Analysis: a, Config: cfg})
+			reqs = append(reqs, probe{Analysis: a, Config: cfg})
 		}
 	}
 	reqs = append(reqs,
-		optimizer.Request{Analysis: wide, Config: wideCfg},
-		optimizer.Request{Analysis: analyses[0], Config: configs[0]}, // repeated pair
+		probe{Analysis: wide, Config: wideCfg},
+		probe{Analysis: analyses[0], Config: configs[0]}, // repeated pair
 	)
 
 	r := obs.NewRegistry()
 	c := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
 	c.SetMetrics(r)
-	got := make([]float64, len(reqs))
-	if err := c.BatchIntoCtx(context.Background(), reqs, got, 4); err != nil {
-		t.Fatal(err)
-	}
+	got := costConcurrently(c, reqs, 4)
 
 	direct := optimizer.New(atomsCat)
 	for i, req := range reqs {
 		if want := direct.Cost(req.Analysis, req.Config); got[i] != want {
-			t.Fatalf("req %d: batch cost %v != direct %v", i, got[i], want)
+			t.Fatalf("probe %d: concurrent cost %v != direct %v", i, got[i], want)
 		}
 	}
 
@@ -231,8 +223,8 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	if got := snap.Counters["optimizer_atoms_total"]; got != misses {
 		t.Errorf("optimizer_atoms_total = %d, want %d", got, misses)
 	}
-	if got := snap.Histograms["optimizer_atom_cost_seconds"].Count; got != 1 {
-		t.Errorf("optimizer_atom_cost_seconds count = %d, want 1 per dispatched batch", got)
+	if got := snap.Histograms["optimizer_atom_cost_seconds"].Count; got != misses {
+		t.Errorf("optimizer_atom_cost_seconds count = %d, want %d (one per paid atom)", got, misses)
 	}
 
 	// Accounting parity with the serial path: a fresh store fed the same
@@ -243,10 +235,10 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	}
 	sh, sm, sf, se := s.Stats()
 	if sh != hits || sm != misses || sf != fallbacks || se != entries {
-		t.Errorf("batch accounting (%d, %d, %d, %d) != serial accounting (%d, %d, %d, %d)",
+		t.Errorf("concurrent accounting (%d, %d, %d, %d) != serial accounting (%d, %d, %d, %d)",
 			hits, misses, fallbacks, entries, sh, sm, sf, se)
 	}
 	if bi, si := c.Inner().Calls(), s.Inner().Calls(); bi != si {
-		t.Errorf("batch charged %d inner calls, serial charged %d; must match", bi, si)
+		t.Errorf("concurrent probes charged %d inner calls, serial charged %d; must match", bi, si)
 	}
 }

@@ -1,13 +1,13 @@
 package optimizer_test
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
+	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
@@ -15,6 +15,23 @@ import (
 )
 
 var atomsCat = catalog.TPCD(0.01)
+
+// probe is one (statement, configuration) pair costed by the harnesses.
+type probe struct {
+	Analysis *sqlparse.Analysis
+	Config   *physical.Configuration
+}
+
+// costConcurrently costs every probe through c.Cost over up to workers
+// goroutines, the way the samplers fan a batch of probes out, and returns
+// the costs in probe order.
+func costConcurrently(c *optimizer.AtomicCache, probes []probe, workers int) []float64 {
+	out := make([]float64, len(probes))
+	par.For(len(probes), workers, func(i int) {
+		out[i] = c.Cost(probes[i].Analysis, probes[i].Config)
+	})
+	return out
+}
 
 // analyze parses and analyzes one statement against the TPC-D catalog
 // (this external test package cannot reach the internal-package helper).
@@ -66,7 +83,8 @@ func equivScenarios(t *testing.T) []equivScenario {
 // direct costing bit-for-bit: over >= 300 randomized (workload subset,
 // configuration set) cases across the TPC-D and CRM scenarios, the
 // atomic-reassembled costs must DeepEqual the direct Cost results, both
-// through the serial Cost path and through Batch at parallelism 1/4/8.
+// through a serial Cost loop and through Cost fanned out over 1/4/8
+// workers.
 func TestAtomicCostEquivalence(t *testing.T) {
 	const (
 		casesPerScenario = 150
@@ -87,11 +105,11 @@ func TestAtomicCostEquivalence(t *testing.T) {
 				if len(configs) == 0 {
 					t.Fatalf("case %d: empty configuration space", cs)
 				}
-				reqs := make([]optimizer.Request, 0, queriesPerCase*len(configs))
+				reqs := make([]probe, 0, queriesPerCase*len(configs))
 				for q := 0; q < queriesPerCase; q++ {
 					a := sc.w.Queries[rng.Intn(sc.w.Size())].Analysis
 					for _, cfg := range configs {
-						reqs = append(reqs, optimizer.Request{Analysis: a, Config: cfg})
+						reqs = append(reqs, probe{Analysis: a, Config: cfg})
 					}
 				}
 				want := make([]float64, len(reqs))
@@ -111,20 +129,17 @@ func TestAtomicCostEquivalence(t *testing.T) {
 				totalPairs += int64(len(reqs))
 				totalAtomCalls += atomic.Inner().Calls()
 
-				for _, par := range []int{1, 4, 8} {
+				for _, workers := range []int{1, 4, 8} {
 					ab := optimizer.NewAtomicCache(optimizer.New(sc.cat), 0)
-					out := make([]float64, len(reqs))
-					if err := ab.BatchIntoCtx(context.Background(), reqs, out, par); err != nil {
-						t.Fatal(err)
-					}
+					out := costConcurrently(ab, reqs, workers)
 					if !reflect.DeepEqual(want, out) {
 						reportFirstDiff(t, sc.name, cs,
-							fmt.Sprintf("Batch(par=%d)", par), reqs, want, out)
+							fmt.Sprintf("Cost(workers=%d)", workers), reqs, want, out)
 						return
 					}
 					if calls := ab.Inner().Calls(); calls != atomic.Inner().Calls() {
-						t.Fatalf("case %d par=%d: batch charged %d inner calls, serial charged %d",
-							cs, par, calls, atomic.Inner().Calls())
+						t.Fatalf("case %d workers=%d: concurrent Cost charged %d inner calls, serial charged %d",
+							cs, workers, calls, atomic.Inner().Calls())
 					}
 				}
 			}
@@ -141,7 +156,7 @@ func TestAtomicCostEquivalence(t *testing.T) {
 	}
 }
 
-func reportFirstDiff(t *testing.T, scenario string, cs int, path string, reqs []optimizer.Request, want, got []float64) {
+func reportFirstDiff(t *testing.T, scenario string, cs int, path string, reqs []probe, want, got []float64) {
 	t.Helper()
 	for i := range want {
 		if want[i] != got[i] {

@@ -15,7 +15,7 @@ const (
 	cacheShards    = 1 << cacheShardBits
 )
 
-// cacheShard is one shard of AtomicCache's memo table. Batch-pool workers
+// cacheShard is one shard of AtomicCache's memo table. Concurrent probes
 // hammering the store contend on per-shard locks instead of one global
 // RWMutex. Concurrent misses on the same key are deduplicated in flight:
 // the first claims the key and consults the inner optimizer, later ones
@@ -33,7 +33,7 @@ type cacheShard struct {
 	cond     sync.Cond
 }
 
-// maxPending bounds the misses one shard costs at once. Batch-pool
+// maxPending bounds the misses one shard costs at once. Probing
 // workers number at most the parallelism level and spread over
 // cacheShards shards, so a miss rarely waits for a free slot.
 const maxPending = 8
@@ -80,24 +80,18 @@ func (sh *cacheShard) pendingIndex(key cacheKey) int {
 	return -1
 }
 
-// put stores v unless the key is already present and reports whether it
-// added an entry.
-func (sh *cacheShard) put(key cacheKey, v float64) bool {
+// fill stores the claimed key's value unless the key is already present,
+// releases the claim and wakes the waiters; it reports whether it added
+// an entry.
+func (sh *cacheShard) fill(key cacheKey, v float64) bool {
 	sh.mu.Lock()
 	_, dup := sh.table[key]
 	if !dup {
 		sh.table[key] = v
 	}
 	sh.mu.Unlock()
-	return !dup
-}
-
-// fill stores the claimed key's value, releases the claim and wakes the
-// waiters; it reports whether it added an entry.
-func (sh *cacheShard) fill(key cacheKey, v float64) bool {
-	added := sh.put(key, v)
 	sh.release(key)
-	return added
+	return !dup
 }
 
 // release drops a claim and wakes the waiters, which re-read the table

@@ -1,11 +1,11 @@
 package optimizer
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
 
+	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
 )
@@ -40,10 +40,10 @@ func TestCacheKeyPointerIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheBatchAliasAccounting extends TestCacheKeyPointerIdentity to the
-// atom store's batched path: requests aliasing the same (analysis, config)
-// key within one parallel batch must cost each distinct atom exactly once
-// (its first occurrence) with the aliases counted as hits — the same
+// TestCacheBatchAliasAccounting extends TestCacheKeyPointerIdentity to
+// concurrent probes: probes aliasing the same (analysis, config) key
+// within one batch fanned out over several workers must cost each
+// distinct atom exactly once, with the aliases counted as hits — the same
 // accounting a serial loop of Cost calls produces.
 func TestCacheBatchAliasAccounting(t *testing.T) {
 	const distinct = 16
@@ -57,46 +57,39 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 	// Each statement reads the empty atom and the index's singleton.
 	const atoms = 2 * distinct
 
-	// Interleave two aliases of every key so the batch (32 requests) crosses
-	// the pool threshold and each key appears twice.
-	reqs := make([]Request, 0, 2*distinct)
-	for _, a := range analyses {
-		reqs = append(reqs, Request{Analysis: a, Config: cfg})
-	}
-	for _, a := range analyses {
-		reqs = append(reqs, Request{Analysis: a, Config: cfg})
-	}
+	// Two aliases of every key in one batch of 32 probes.
+	reqs := make([]*sqlparse.Analysis, 0, 2*distinct)
+	reqs = append(reqs, analyses...)
+	reqs = append(reqs, analyses...)
 
 	// Serial reference: a plain Cost loop on a fresh store.
 	ref := NewAtomicCache(New(testCat), 0)
 	want := make([]float64, len(reqs))
-	for i, r := range reqs {
-		want[i] = ref.Cost(r.Analysis, r.Config)
+	for i, a := range reqs {
+		want[i] = ref.Cost(a, cfg)
 	}
 	refHits, refMisses, _, _ := ref.Stats()
 
-	for _, par := range []int{2, 4, 8} {
+	for _, workers := range []int{2, 4, 8} {
 		c := NewAtomicCache(New(testCat), 0)
 		out := make([]float64, len(reqs))
-		if err := c.BatchIntoCtx(context.Background(), reqs, out, par); err != nil {
-			t.Fatal(err)
-		}
+		par.For(len(reqs), workers, func(i int) { out[i] = c.Cost(reqs[i], cfg) })
 		for i := range want {
 			if out[i] != want[i] {
-				t.Fatalf("par=%d: out[%d] = %v, want %v", par, i, out[i], want[i])
+				t.Fatalf("workers=%d: out[%d] = %v, want %v", workers, i, out[i], want[i])
 			}
 		}
 		hits, misses, _, entries := c.Stats()
 		if hits != refHits || misses != refMisses {
-			t.Errorf("par=%d: hits/misses = %d/%d, want serial accounting %d/%d",
-				par, hits, misses, refHits, refMisses)
+			t.Errorf("workers=%d: hits/misses = %d/%d, want serial accounting %d/%d",
+				workers, hits, misses, refHits, refMisses)
 		}
 		if misses != atoms || entries != atoms {
-			t.Errorf("par=%d: misses/entries = %d/%d, want %d (one per distinct atom)", par, misses, entries, atoms)
+			t.Errorf("workers=%d: misses/entries = %d/%d, want %d (one per distinct atom)", workers, misses, entries, atoms)
 		}
 		if calls := c.Inner().Calls(); calls != atoms {
-			t.Errorf("par=%d: inner optimizer charged %d calls, want %d — aliased requests double-counted",
-				par, calls, atoms)
+			t.Errorf("workers=%d: inner optimizer charged %d calls, want %d — aliased requests double-counted",
+				workers, calls, atoms)
 		}
 	}
 }

@@ -26,13 +26,6 @@ type Optimizer struct {
 type optMetrics struct {
 	calls   *obs.Counter
 	latency *obs.Histogram
-
-	// Batch-pool instrumentation (see BatchInto).
-	batches       *obs.Counter
-	batchReqs     *obs.Counter
-	batchSize     *obs.Histogram
-	batchInflight *obs.Gauge
-	batchQueue    *obs.Gauge
 }
 
 // New returns an optimizer over the catalog.
@@ -46,25 +39,15 @@ func (o *Optimizer) Catalog() *catalog.Catalog { return o.cat }
 // SetMetrics exports the optimizer's counters on the registry:
 // optimizer_calls_total counts what-if invocations (it tracks Calls() but
 // is monotonic across ResetCalls) and optimizer_cost_seconds is a
-// latency histogram of individual cost calls. The batch pool additionally
-// exports optimizer_batches_total and optimizer_batch_requests_total
-// (batch traffic), an optimizer_batch_size histogram, and the saturation
-// gauges optimizer_batch_inflight (busy workers) and
-// optimizer_batch_queue_depth (requests not yet claimed from the current
-// batch). Passing nil detaches.
+// latency histogram of individual cost calls. Passing nil detaches.
 func (o *Optimizer) SetMetrics(r *obs.Registry) {
 	if r == nil {
 		o.metrics.Store(nil)
 		return
 	}
 	o.metrics.Store(&optMetrics{
-		calls:         r.Counter("optimizer_calls_total"),
-		latency:       r.Histogram("optimizer_cost_seconds"),
-		batches:       r.Counter("optimizer_batches_total"),
-		batchReqs:     r.Counter("optimizer_batch_requests_total"),
-		batchSize:     r.Histogram("optimizer_batch_size"),
-		batchInflight: r.Gauge("optimizer_batch_inflight"),
-		batchQueue:    r.Gauge("optimizer_batch_queue_depth"),
+		calls:   r.Counter("optimizer_calls_total"),
+		latency: r.Histogram("optimizer_cost_seconds"),
 	})
 }
 

@@ -1,5 +1,5 @@
-// Package par provides the bounded worker pool shared by the batched
-// what-if evaluation paths (optimizer batches, bound derivation, greedy
+// Package par provides the bounded worker pool shared by the concurrent
+// what-if paths (the sampler's probe fan-out, bound derivation, greedy
 // tuner probes). It is deliberately tiny: callers express work as an
 // indexed loop, and For fans the indices out over at most `workers`
 // goroutines. Determinism is the caller's contract — workers must only

@@ -11,7 +11,7 @@ import (
 
 // serialOracle wraps a MatrixOracle but does NOT implement BatchOracle
 // (explicit methods, no embedding, so no promoted BatchCost), exercising
-// batchCost's serial fallback.
+// costBatch's own paths over Cost.
 type serialOracle struct {
 	m *MatrixOracle
 }
@@ -38,22 +38,33 @@ func TestMatrixOracleBatchCost(t *testing.T) {
 	}
 }
 
+// TestBatchCostSerialFallback pins costBatch over an oracle without
+// BatchOracle on both sides of minPoolBatch: a small batch probes inline,
+// a large one fans Cost out over the pool, and both match serial Cost
+// with one call per pair.
 func TestBatchCostSerialFallback(t *testing.T) {
 	m, _ := synthMatrix(50, 3, 4, 0.1, 1, 7)
-	o := &serialOracle{m: NewMatrixOracle(m)}
-	if _, isBatch := Oracle(o).(BatchOracle); isBatch {
+	if _, isBatch := Oracle(&serialOracle{}).(BatchOracle); isBatch {
 		t.Fatal("serialOracle must not implement BatchOracle for this test to mean anything")
 	}
-	pairs := []Pair{{3, 0}, {3, 1}, {3, 2}, {11, 0}}
-	out := make([]float64, len(pairs))
-	costBatch(o, pairs, out, make([]error, len(pairs)), 8)
-	if got := o.Calls(); got != int64(len(pairs)) {
-		t.Errorf("fallback charged %d calls, want %d", got, len(pairs))
+	var all []Pair
+	for q := 0; q < 50; q++ {
+		for j := 0; j < 3; j++ {
+			all = append(all, Pair{Q: q, J: j})
+		}
 	}
 	ref := NewMatrixOracle(m)
-	for i, p := range pairs {
-		if want := ref.Cost(p.Q, p.J); out[i] != want {
-			t.Errorf("pair %d: fallback cost %v, want %v", i, out[i], want)
+	for _, pairs := range [][]Pair{{{3, 0}, {3, 1}, {3, 2}, {11, 0}}, all} {
+		o := &serialOracle{m: NewMatrixOracle(m)}
+		out := make([]float64, len(pairs))
+		costBatch(o, pairs, out, make([]error, len(pairs)), 8)
+		if got := o.Calls(); got != int64(len(pairs)) {
+			t.Errorf("%d pairs charged %d calls, want one per pair", len(pairs), got)
+		}
+		for i, p := range pairs {
+			if want := ref.Cost(p.Q, p.J); out[i] != want {
+				t.Errorf("%d pairs: pair %d cost %v, want %v", len(pairs), i, out[i], want)
+			}
 		}
 	}
 }

@@ -101,10 +101,10 @@ type Options struct {
 
 	// Parallelism is the worker count for each evaluation batch — the
 	// whole pilot phase, then one Delta row or one Independent sample per
-	// round. Above 1, batches of several pairs fan out over a bounded
-	// worker pool: a fallible oracle's CostErr probes run on the sampler's
-	// own pool, an infallible oracle's through its BatchOracle path. 0 or 1
-	// runs each batch inline, pair by pair. Every setting evaluates
+	// round. Above 1, batches of at least 16 pairs fan the oracle's own
+	// CostErr or Cost probes out over a bounded worker pool (an oracle
+	// that batches itself, BatchOracle, serves the batch instead). 0 or 1,
+	// and smaller batches, run inline, pair by pair. Every setting evaluates
 	// the same schedule of probes, workers only compute pure cost values
 	// into positional slots, and every statistical fold runs serially in
 	// schedule order, so Results are bit-identical at every setting, also

@@ -12,13 +12,12 @@
 package sampling
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 
-	"physdes/internal/optimizer"
 	"physdes/internal/par"
 	"physdes/internal/physical"
+	"physdes/internal/sqlparse"
 	"physdes/internal/workload"
 )
 
@@ -80,11 +79,13 @@ func AsErrOracle(o Oracle) ErrOracle {
 	return errOracleAdapter{o}
 }
 
-// BatchOracle is an Oracle that can evaluate many pairs at once, fanning
-// the work over a bounded pool. Implementations must charge exactly one
-// optimizer call per pair (identical accounting to len(pairs) Cost calls)
-// and must produce values identical to serial Cost at every parallelism
-// level — the samplers rely on this for their determinism contract.
+// BatchOracle is an Oracle that serves a whole batch of pairs itself
+// instead of having costBatch fan its Cost out over a pool — worth it only
+// when a probe costs less than pool dispatch, as a cost-matrix lookup
+// does. Implementations must charge exactly one optimizer call per pair
+// (identical accounting to len(pairs) Cost calls) and must produce values
+// identical to serial Cost at every parallelism level — the samplers rely
+// on this for their determinism contract.
 type BatchOracle interface {
 	Oracle
 	// BatchCost evaluates pairs[i] into out[i] using up to parallelism
@@ -92,21 +93,27 @@ type BatchOracle interface {
 	BatchCost(pairs []Pair, out []float64, parallelism int)
 }
 
+// minPoolBatch is the batch size below which dispatching to the worker
+// pool costs more than the microsecond-scale probes it would overlap:
+// pooling every Delta row of a k=4 selection at two workers made
+// BenchmarkSelectEndToEnd 10-23% slower.
+const minPoolBatch = 16
+
 // costBatch evaluates pairs[i] into out[i] and its error into errs[i]
-// (nil on success); it is the one place the samplers fan probes out. A
-// fallible oracle's probes run through CostErr: over a bounded pool when
-// more than one pair and worker are requested, otherwise in pair order,
-// stopping at the first non-skip error and leaving later slots untouched.
-// An infallible oracle runs through BatchOracle.BatchCost or serial Cost
-// and reports no errors. A single pair never pays the pool's setup.
+// (nil on success); it is the one place probes fan out. With more than
+// one worker and at least minPoolBatch pairs it runs the oracle's own
+// CostErr (fallible) or Cost (infallible) over a bounded pool (see
+// fanOut); an oracle that batches itself (BatchOracle) serves the whole
+// batch instead. Otherwise it probes in pair order, and a fallible oracle
+// stops at the first non-skip error, leaving later slots untouched.
 // Values are identical at every parallelism level as long as each probe's
 // outcome depends only on its own (query, configuration) identity.
 func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism int) {
 	clear(errs[:len(pairs)])
-	pool := parallelism > 1 && len(pairs) > 1
+	pool := parallelism > 1 && len(pairs) >= minPoolBatch
 	if eo, ok := o.(ErrOracle); ok {
 		if pool {
-			par.For(len(pairs), parallelism, func(i int) {
+			fanOut(len(pairs), parallelism, func(i int) {
 				out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
 			})
 			return
@@ -119,13 +126,33 @@ func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism 
 		}
 		return
 	}
-	if bo, ok := o.(BatchOracle); ok && pool {
-		bo.BatchCost(pairs, out, parallelism)
+	if pool {
+		if bo, ok := o.(BatchOracle); ok {
+			bo.BatchCost(pairs, out, parallelism)
+			return
+		}
+		fanOut(len(pairs), parallelism, func(i int) {
+			out[i] = o.Cost(pairs[i].Q, pairs[i].J)
+		})
 		return
 	}
 	for i, p := range pairs {
 		out[i] = o.Cost(p.Q, p.J)
 	}
+}
+
+// fanOut runs probe(i) for every i in [0, n) over up to parallelism
+// workers, each taking one contiguous span of indices. Consecutive pairs
+// usually share a statement, and so atom-store entries: workers taking
+// interleaved indices would wait on each other's misses, which made
+// BenchmarkSelectParallel at two workers 20-30% slower than one span each.
+func fanOut(n, parallelism int, probe func(i int)) {
+	workers := min(parallelism, n)
+	par.For(workers, workers, func(w int) {
+		for i := w * n / workers; i < (w+1)*n/workers; i++ {
+			probe(i)
+		}
+	})
 }
 
 // MatrixOracle replays a precomputed cost matrix, charging synthetic calls.
@@ -167,22 +194,34 @@ func (o *MatrixOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
 // ResetCalls zeroes the counter.
 func (o *MatrixOracle) ResetCalls() { o.calls.Store(0) }
 
-// LiveOracle evaluates costs through a what-if optimizer on demand, caching
-// nothing: each request is a real optimizer call.
+// CostSource is the what-if cost source behind a LiveOracle: the plain
+// optimizer (*optimizer.Optimizer, every probe one what-if call) or the
+// atom store (*optimizer.AtomicCache, only unseen atoms reach the
+// optimizer). Cost must be safe for concurrent use, and Calls reports the
+// what-if calls charged so far.
+type CostSource interface {
+	Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
+	Calls() int64
+}
+
+// LiveOracle evaluates costs on demand through a what-if cost source. The
+// oracle caches nothing itself: whatever sharing there is lives in the
+// source, and Calls reports the source's bill, so sharing through the
+// atom store shows up directly in the paper's accounting.
 type LiveOracle struct {
-	Opt      *optimizer.Optimizer
+	Src      CostSource
 	Workload *workload.Workload
 	Configs  []*physical.Configuration
 }
 
-// NewLiveOracle builds a live oracle.
-func NewLiveOracle(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration) *LiveOracle {
-	return &LiveOracle{Opt: opt, Workload: w, Configs: configs}
+// NewLiveOracle builds a live oracle over a cost source.
+func NewLiveOracle(src CostSource, w *workload.Workload, configs []*physical.Configuration) *LiveOracle {
+	return &LiveOracle{Src: src, Workload: w, Configs: configs}
 }
 
 // Cost implements Oracle.
 func (o *LiveOracle) Cost(i, j int) float64 {
-	return o.Opt.Cost(o.Workload.Queries[i].Analysis, o.Configs[j])
+	return o.Src.Cost(o.Workload.Queries[i].Analysis, o.Configs[j])
 }
 
 // N implements Oracle.
@@ -192,57 +231,4 @@ func (o *LiveOracle) N() int { return o.Workload.Size() }
 func (o *LiveOracle) K() int { return len(o.Configs) }
 
 // Calls implements Oracle.
-func (o *LiveOracle) Calls() int64 { return o.Opt.Calls() }
-
-// BatchCost implements BatchOracle over the optimizer's batch pool.
-func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
-	reqs := make([]optimizer.Request, len(pairs))
-	for i, p := range pairs {
-		reqs[i] = optimizer.Request{Analysis: o.Workload.Queries[p.Q].Analysis, Config: o.Configs[p.J]}
-	}
-	o.Opt.BatchInto(reqs, out, parallelism)
-}
-
-// SharedOracle evaluates costs through the atom store
-// (optimizer.AtomicCache): each request is decomposed into the atomic
-// sub-configurations the plan can read, only never-seen (query, atom)
-// pairs reach the what-if optimizer, and the values are bit-identical to
-// LiveOracle's. Calls() reports the inner optimizer's counter, so the
-// sharing shows up directly in the paper's accounting: probes of
-// overlapping configurations charge far fewer calls than N*K.
-type SharedOracle struct {
-	C        *optimizer.AtomicCache
-	Workload *workload.Workload
-	Configs  []*physical.Configuration
-}
-
-// NewSharedOracle builds a shared oracle over an atom store.
-func NewSharedOracle(c *optimizer.AtomicCache, w *workload.Workload, configs []*physical.Configuration) *SharedOracle {
-	return &SharedOracle{C: c, Workload: w, Configs: configs}
-}
-
-// Cost implements Oracle.
-func (o *SharedOracle) Cost(i, j int) float64 {
-	return o.C.Cost(o.Workload.Queries[i].Analysis, o.Configs[j])
-}
-
-// N implements Oracle.
-func (o *SharedOracle) N() int { return o.Workload.Size() }
-
-// K implements Oracle.
-func (o *SharedOracle) K() int { return len(o.Configs) }
-
-// Calls implements Oracle. Only atom-store misses reach the inner
-// optimizer, so this counter is what the sharing saves.
-func (o *SharedOracle) Calls() int64 { return o.C.Inner().Calls() }
-
-// BatchCost implements BatchOracle through the atom store's deduplicating
-// batch path; values and accounting match serial Cost at every parallelism.
-func (o *SharedOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
-	reqs := make([]optimizer.Request, len(pairs))
-	for i, p := range pairs {
-		reqs[i] = optimizer.Request{Analysis: o.Workload.Queries[p.Q].Analysis, Config: o.Configs[p.J]}
-	}
-	//physdes:detachedctx BatchOracle carries no context; the samplers check cancellation between batches
-	o.C.BatchIntoCtx(context.Background(), reqs, out, parallelism) //physdes:errok Background never cancels and ctx.Err is the only error source, so the result is always nil
-}
+func (o *LiveOracle) Calls() int64 { return o.Src.Calls() }

@@ -10,9 +10,10 @@ import (
 	"physdes/internal/workload"
 )
 
-// TestSharedOracle pins the atom-sharing oracle against LiveOracle: same
-// dimensions, bit-identical costs on both the serial and batch paths, a
-// strictly smaller what-if bill, and a working end-to-end Run.
+// TestSharedOracle pins a live oracle over the atom store against one over
+// the plain optimizer: same dimensions, bit-identical costs both serially
+// and fanned out by costBatch, a strictly smaller what-if bill, and a
+// working end-to-end Run.
 func TestSharedOracle(t *testing.T) {
 	cat := catalog.TPCD(0.01)
 	w, err := workload.GenTPCD(cat, 60, 65)
@@ -26,7 +27,7 @@ func TestSharedOracle(t *testing.T) {
 		physical.NewConfiguration("ix2", shipdate,
 			physical.NewIndex("orders", []string{"o_orderdate"})),
 	}
-	o := NewSharedOracle(optimizer.NewAtomicCache(optimizer.New(cat), 0), w, configs)
+	o := NewLiveOracle(optimizer.NewAtomicCache(optimizer.New(cat), 0), w, configs)
 	if o.N() != 60 || o.K() != 3 {
 		t.Fatalf("shared oracle dims %d×%d, want 60×3", o.N(), o.K())
 	}
@@ -45,8 +46,8 @@ func TestSharedOracle(t *testing.T) {
 		t.Errorf("sharing saved nothing: %d calls vs %d direct", o.Calls(), live.Calls())
 	}
 
-	// The batch path returns the same values and, with the surface already
-	// memoized, charges nothing new.
+	// The fanned-out batch returns the same values and, with the surface
+	// already memoized, charges nothing new.
 	pairs := make([]Pair, 0, o.N()*o.K())
 	for i := 0; i < o.N(); i++ {
 		for j := 0; j < o.K(); j++ {
@@ -55,10 +56,10 @@ func TestSharedOracle(t *testing.T) {
 	}
 	out := make([]float64, len(pairs))
 	before := o.Calls()
-	o.BatchCost(pairs, out, 4)
+	costBatch(o, pairs, out, make([]error, len(pairs)), 4)
 	for n, p := range pairs {
 		if want := live.Cost(p.Q, p.J); out[n] != want {
-			t.Fatalf("BatchCost pair %d = %v, want %v", n, out[n], want)
+			t.Fatalf("costBatch pair %d = %v, want %v", n, out[n], want)
 		}
 	}
 	if o.Calls() != before {
@@ -80,7 +81,8 @@ func TestSharedOracle(t *testing.T) {
 // TestErrOracleAdapterAndLiveBatch pins the fallible-view plumbing around
 // an infallible oracle: AsErrOracle is the identity on an ErrOracle and a
 // never-failing adapter otherwise, costBatch's inline path matches
-// pairwise Cost, and LiveOracle's batch path matches its serial path.
+// pairwise Cost, and its fan-out over LiveOracle.Cost matches the serial
+// path.
 func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	cat := catalog.TPCD(0.01)
 	w, err := workload.GenTPCD(cat, 40, 67)
@@ -118,11 +120,22 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 		}
 	}
 
-	batched := make([]float64, len(pairs))
-	live.BatchCost(pairs, batched, 2)
-	for i := range pairs {
-		if batched[i] != out[i] {
-			t.Errorf("pair %d: BatchCost %v diverged from serial %v", i, batched[i], out[i])
+	// The whole surface is large enough to fan out over the pool.
+	var all []Pair
+	for q := 0; q < live.N(); q++ {
+		for j := 0; j < live.K(); j++ {
+			all = append(all, Pair{Q: q, J: j})
+		}
+	}
+	batched := make([]float64, len(all))
+	before := live.Calls()
+	costBatch(live, all, batched, make([]error, len(all)), 2)
+	if got := live.Calls() - before; got != int64(len(all)) {
+		t.Errorf("fan-out charged %d calls, want %d (one per pair)", got, len(all))
+	}
+	for i, p := range all {
+		if want := live.Cost(p.Q, p.J); batched[i] != want {
+			t.Errorf("pair %d: fanned-out cost %v diverged from serial %v", i, batched[i], want)
 		}
 	}
 }

@@ -51,8 +51,10 @@ type JobRequest struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Strat is "progressive" (default), "none" or "fine".
 	Strat string `json:"strat,omitempty"`
-	// Parallelism is the per-job what-if worker count (default 1 — keep
-	// it small; the daemon already runs jobs concurrently).
+	// Parallelism is the per-job what-if worker count: 0 means 1, since
+	// the daemon already runs Config.Runners jobs concurrently and their
+	// product bounds its what-if concurrency. Values above 64 are
+	// rejected.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Conservative enables conservative-variance mode.
 	Conservative bool `json:"conservative,omitempty"`
@@ -61,6 +63,11 @@ type JobRequest struct {
 	// AtomSharing disables the shared atom cache when explicitly false.
 	AtomSharing *bool `json:"atom_sharing,omitempty"`
 }
+
+// maxJobParallelism caps JobRequest.Parallelism: the worker pool is
+// bounded only by the batch size, so an uncapped value would let one
+// request spawn a goroutine per probe.
+const maxJobParallelism = 64
 
 func (jr JobRequest) k() int {
 	if jr.K <= 0 {
@@ -99,9 +106,10 @@ func (jr JobRequest) options(lim TenantLimits) (core.Options, error) {
 	default:
 		return o, fmt.Errorf("unknown stratification %q", jr.Strat)
 	}
-	if jr.Parallelism > 0 {
-		o.Parallelism = jr.Parallelism
+	if jr.Parallelism > maxJobParallelism {
+		return o, fmt.Errorf("parallelism %d exceeds the cap of %d", jr.Parallelism, maxJobParallelism)
 	}
+	o.Parallelism = max(jr.Parallelism, 1)
 	o.Conservative = jr.Conservative
 	if jr.MaxCalls > 0 {
 		o.MaxCalls = int64(jr.MaxCalls)

@@ -181,6 +181,42 @@ func TestJobRequestOptionVariants(t *testing.T) {
 	}
 }
 
+// TestJobParallelism pins the per-job worker count: an unset field runs
+// serially (Config.Runners already bounds concurrency across jobs),
+// explicit values up to the cap pass through, and larger ones are
+// rejected.
+func TestJobParallelism(t *testing.T) {
+	for _, c := range []struct{ req, want int }{{0, 1}, {1, 1}, {3, 3}, {maxJobParallelism, maxJobParallelism}} {
+		o, err := JobOptions(JobRequest{Seed: 5, Parallelism: c.req}, TenantLimits{})
+		if err != nil {
+			t.Errorf("parallelism %d: %v", c.req, err)
+		} else if o.Parallelism != c.want {
+			t.Errorf("parallelism %d resolved to %d, want %d", c.req, o.Parallelism, c.want)
+		}
+	}
+	for _, p := range []int{maxJobParallelism + 1, 1_000_000} {
+		if _, err := JobOptions(JobRequest{Seed: 5, Parallelism: p}, TenantLimits{}); err == nil {
+			t.Errorf("parallelism %d accepted", p)
+		}
+	}
+}
+
+// TestJobParallelismCapHTTP pins the cap at the handler: an oversized
+// parallelism is a 400 in the usual error shape, and no job is queued.
+func TestJobParallelismCapHTTP(t *testing.T) {
+	h := newHarness(t, Config{Runners: 1})
+	wl := h.uploadWorkload("", 50, 1)
+	var e ErrorResponse
+	code := h.requestJSON("POST", "/v1/jobs", "", JobRequest{Workload: wl, K: 4, Seed: 1, Parallelism: 1_000_000}, &e)
+	if code != http.StatusBadRequest || !strings.Contains(e.Error, "parallelism 1000000 exceeds the cap of 64") {
+		t.Fatalf("oversized parallelism: status %d error %q", code, e.Error)
+	}
+	var jobs []JobResponse
+	if code := h.requestJSON("GET", "/v1/jobs", "", nil, &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("job list after the rejection: status %d, %d jobs", code, len(jobs))
+	}
+}
+
 // TestValidTenantName pins the namespace character set.
 func TestValidTenantName(t *testing.T) {
 	for _, ok := range []string{"a", "A-b_c.9", strings.Repeat("x", 64)} {

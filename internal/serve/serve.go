@@ -3,9 +3,9 @@
 // comparison primitive into a service. Tenants upload workloads
 // (POST /v1/workloads) and submit comparison/tuning jobs (POST /v1/jobs)
 // that run concurrently on the shared runner pool; every job evaluates
-// what-if probes through the PR-2 batch pool and the PR-7 sharded atom
+// what-if probes through the sampler's probe fan-out and the sharded atom
 // cache, streams its per-round Pr(CS) trajectory over SSE by attaching
-// the PR-6 flight recorder as a per-job tracer sink, and lands on the
+// the flight recorder as a per-job tracer sink, and lands on the
 // same /metrics + /healthz endpoints the live introspection server
 // (internal/obs/live) already provides — the daemon mounts that server's
 // mux as its fallback handler, so /runs/{id}/report and

@@ -107,12 +107,6 @@ type (
 	// AtomicOptimizer shares what-if work across configurations through
 	// atomic sub-configurations (see NewAtomicOptimizer).
 	AtomicOptimizer = optimizer.AtomicCache
-	// BatchRequest is one (statement, configuration) item of a batched
-	// what-if evaluation (Optimizer.Batch, AtomicOptimizer.BatchIntoCtx):
-	// the batch fans out over a bounded worker pool and returns costs in
-	// request order. Optimizer.Batch charges one optimizer call per request;
-	// AtomicOptimizer charges one per distinct atom not yet stored.
-	BatchRequest = optimizer.Request
 	// Tracer fans structured selection events out to its sinks
 	// (Options.Tracer); the canonical sink writes JSONL.
 	Tracer = obs.Tracer
