@@ -189,7 +189,6 @@ func cmdCompare(args []string) error {
 	alpha := fs.Float64("alpha", 0.9, "target probability of correct selection")
 	deltaFrac := fs.Float64("delta-frac", 0.01, "sensitivity δ as a fraction of A's estimated cost")
 	parallelism := fs.Int("parallelism", 0, "what-if worker pool size (0: all cores, 1: serial)")
-	atomSharing := fs.Bool("atom-sharing", true, "share atomic sub-configuration costs between A and B (bit-identical verdict, fewer optimizer calls)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	fs.Parse(args)
 	if *aFile == "" || *bFile == "" {
@@ -242,9 +241,6 @@ func cmdCompare(args []string) error {
 	o.Alpha = *alpha
 	o.Delta = delta
 	o.Parallelism = *parallelism
-	if !*atomSharing {
-		o.AtomSharing = physdes.AtomSharingDisabled
-	}
 	sel, err := physdes.Select(opt, w, []*physdes.Configuration{cfgA, cfgB}, o)
 	if err != nil {
 		return err
@@ -410,7 +406,6 @@ func cmdSelect(args []string, explore bool) error {
 	traceFile := fs.String("trace", "", "write structured JSONL selection events to this file")
 	metrics := fs.Bool("metrics", false, "print the metrics snapshot (Prometheus text format) after the run")
 	parallelism := fs.Int("parallelism", 0, "what-if worker pool size (0: all cores, 1: serial; the selection is bit-identical at every setting)")
-	atomSharing := fs.Bool("atom-sharing", true, "share atomic sub-configuration costs across candidates (bit-identical selection, far fewer optimizer calls)")
 	timeout := fs.Duration("timeout", 0, "abort the selection after this wall-clock duration (0: no limit)")
 	maxRetries := fs.Int("max-retries", 0, "re-attempt failed what-if probes this many times (fallible oracles only)")
 	listen := fs.String("listen", "", "serve live introspection HTTP on this address (/healthz, /metrics, /runs, SSE) and keep serving after the run until interrupted")
@@ -476,9 +471,6 @@ func cmdSelect(args []string, explore bool) error {
 	o.Delta = *delta
 	o.Conservative = *conservative
 	o.Parallelism = *parallelism
-	if !*atomSharing {
-		o.AtomSharing = physdes.AtomSharingDisabled
-	}
 	switch *scheme {
 	case "delta":
 		o.Scheme = physdes.DeltaSampling

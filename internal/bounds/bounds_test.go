@@ -237,6 +237,23 @@ func TestSkewMaxErrors(t *testing.T) {
 	}
 }
 
+// TestVarianceBoundRule pins the Section 6 release rule: σ²_max stands
+// until n reaches 4·floor, and a zero floor never releases it.
+func TestVarianceBoundRule(t *testing.T) {
+	for _, c := range []struct {
+		floor, n int
+		want     bool
+	}{
+		{29, 0, true}, {29, 115, true}, {29, 116, false}, {29, 1000, false},
+		{0, 0, true}, {0, 1_000_000, true},
+	} {
+		s2, ok := VarianceBoundRule(7.5, c.floor)([2]int{0, 1}, c.n)
+		if ok != c.want || (ok && s2 != 7.5) || (!ok && s2 != 0) {
+			t.Errorf("floor %d, n %d: got (%v, %v), want bound applied = %v", c.floor, c.n, s2, ok, c.want)
+		}
+	}
+}
+
 func TestDiffIntervals(t *testing.T) {
 	a := []Interval{{10, 20}, {5, 8}}
 	b := []Interval{{12, 15}, {1, 2}}

@@ -70,9 +70,6 @@ func TestPrCSGuaranteeWithAtomSharing(t *testing.T) {
 			for i := 0; i < trials; i++ {
 				o := DefaultOptions(uint64(1000 + i))
 				o.Alpha = alpha
-				if o.AtomSharing != AtomSharingEnabled {
-					t.Fatal("atom sharing must be the zero-value default")
-				}
 				tc.mod(&o)
 				sel, err := Select(opt, w, space, o)
 				if err != nil {
@@ -101,19 +98,20 @@ func TestPrCSGuaranteeWithAtomSharing(t *testing.T) {
 }
 
 // TestSelectAtomSharingBitIdentity pins the sharing layer's contract at the
-// Selection level: a seeded Select with atom sharing on and off must agree
-// on every decision field — only the what-if call bill may differ, and it
-// must differ in sharing's favor, both in the Selection and in the flight
-// recorder's RunReport. The decision fields are additionally pinned to a
-// golden fixture so an exactness regression shows up as a diff even if it
-// breaks both modes symmetrically.
+// Selection level: a seeded Select probing through the atom store and one
+// whose WrapOracle swaps in direct costing (a LiveOracle over the bare
+// optimizer) must agree on every decision field — only the what-if call
+// bill may differ, and it must differ in sharing's favor, both in the
+// Selection and in the flight recorder's RunReport. The decision fields
+// are additionally pinned to a golden fixture so an exactness regression
+// shows up as a diff even if it breaks both paths symmetrically.
 func TestSelectAtomSharingBitIdentity(t *testing.T) {
 	opt, w, space := scenario(t, 400, 4, 33)
 
-	run := func(mode AtomSharingMode) (*Selection, *recorder.Recorder) {
+	run := func(wrap func(sampling.Oracle) sampling.Oracle) (*Selection, *recorder.Recorder) {
 		rec := recorder.New("select")
 		o := DefaultOptions(91)
-		o.AtomSharing = mode
+		o.WrapOracle = wrap
 		o.Tracer = obs.NewTracerSinks(rec)
 		sel, err := Select(opt, w, space, o)
 		rec.Finish(err)
@@ -122,8 +120,10 @@ func TestSelectAtomSharingBitIdentity(t *testing.T) {
 		}
 		return sel, rec
 	}
-	selOn, recOn := run(AtomSharingEnabled)
-	selOff, recOff := run(AtomSharingDisabled)
+	selOn, recOn := run(nil)
+	selOff, recOff := run(func(sampling.Oracle) sampling.Oracle {
+		return sampling.NewLiveOracle(opt, w, space)
+	})
 
 	// Every decision field must match; strip the call accounting before
 	// comparing so a mismatch anywhere else fails loudly.

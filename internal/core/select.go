@@ -26,26 +26,6 @@ import (
 	"physdes/internal/workload"
 )
 
-// AtomSharingMode selects whether the live what-if oracle shares
-// atomic-configuration costs across the candidate set (see
-// internal/optimizer/atoms.go). The zero value enables sharing, so plain
-// Options{} and DefaultOptions get the cheaper oracle automatically.
-type AtomSharingMode int
-
-const (
-	// AtomSharingEnabled routes what-if probes through a memoized optimizer
-	// with atomic-configuration decomposition: overlapping configurations
-	// share (query, atom) costs and only never-seen atoms reach the
-	// optimizer. Probe values are bit-identical to direct costing
-	// (TestAtomicCostEquivalence), so with MaxCalls == 0 the Selection is
-	// identical too — only OptimizerCalls shrinks.
-	AtomSharingEnabled AtomSharingMode = iota
-	// AtomSharingDisabled forces every probe through a direct what-if call
-	// (the pre-sharing behaviour). Use it to measure raw oracle throughput
-	// or to reproduce call counts from runs predating atom sharing.
-	AtomSharingDisabled
-)
-
 // Options configures the comparison primitive. The zero value plus a Seed
 // reproduces the paper's Section 7.2 protocol.
 type Options struct {
@@ -66,13 +46,16 @@ type Options struct {
 	// NMin is the per-stratum pilot size (default 30).
 	NMin int
 	// MaxCalls, when positive, caps optimizer calls (fixed-budget mode).
+	// Probes are costed through the atom store, so the budget counts the
+	// what-if calls it forwards to the optimizer, not probes answered from
+	// shared atoms.
 	MaxCalls int64
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism bounds the what-if worker pool used by the batched
-	// evaluation paths: the pilot, each Delta row, and conservative
-	// bound derivation (default runtime.GOMAXPROCS(0); 1 evaluates each
-	// batch inline; negative values are treated as 1). The Selection is
+	// Parallelism bounds the what-if workers that cost one probe batch
+	// (the pilot, each Delta row or Independent sample) and conservative
+	// bound derivation (default runtime.GOMAXPROCS(0); 1 probes inline;
+	// negative values are treated as 1). The Selection is
 	// bit-identical across parallelism levels for a fixed Seed — workers
 	// only compute pure cost values into positional slots and every
 	// statistical reduction runs serially in a fixed schedule order.
@@ -103,12 +86,6 @@ type Options struct {
 	// internal/bounds).
 	Metrics *obs.Registry
 
-	// AtomSharing selects the oracle's cost-sharing layer (default
-	// AtomSharingEnabled). Sharing never changes probe values, so selections
-	// are bit-identical either way — except in fixed-budget mode (MaxCalls >
-	// 0), where the budget is spent against the inner call counter and the
-	// shared oracle stretches the same budget over many more probes.
-	AtomSharing AtomSharingMode
 	// MaxRetries re-attempts failed what-if probes (only meaningful when
 	// the oracle is fallible — a remote service, or a fault-injection
 	// decorator installed via WrapOracle). 0 disables retries.
@@ -263,7 +240,10 @@ func Select(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.
 // error), and the MaxRetries / ErrorBudget / Degrade options harden a
 // fallible oracle behind the resilience layer. For a fixed Seed the
 // selection stays bit-identical to Select whenever ctx never fires and the
-// oracle never fails.
+// oracle never fails. Every probe is costed through a fresh atom store
+// over opt (optimizer.AtomicCache): overlapping configurations share
+// memoized per-structure atom costs, and the reassembled values are
+// bit-identical to direct costing, so only OptimizerCalls shrinks.
 func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration, o Options) (*Selection, error) {
 	o = o.withDefaults()
 	if w == nil || w.Size() == 0 {
@@ -289,18 +269,13 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		obs.KV{Key: "alpha", Value: o.Alpha},
 		obs.KV{Key: "delta", Value: o.Delta},
 		obs.KV{Key: "conservative", Value: o.Conservative},
-		obs.KV{Key: "parallelism", Value: o.Parallelism},
-		obs.KV{Key: "atom_sharing", Value: o.AtomSharing == AtomSharingEnabled})
+		obs.KV{Key: "parallelism", Value: o.Parallelism})
 
-	var src sampling.CostSource = opt
-	if o.AtomSharing == AtomSharingEnabled {
-		shared := optimizer.NewAtomicCache(opt, optimizer.DefaultMaxAtomWidth)
-		if o.Metrics != nil {
-			shared.SetMetrics(o.Metrics)
-		}
-		src = shared
+	shared := optimizer.NewAtomicCache(opt, optimizer.DefaultMaxAtomWidth)
+	if o.Metrics != nil {
+		shared.SetMetrics(o.Metrics)
 	}
-	var oracle sampling.Oracle = sampling.NewLiveOracle(src, w, configs)
+	var oracle sampling.Oracle = sampling.NewLiveOracle(shared, w, configs)
 	if o.WrapOracle != nil {
 		oracle = o.WrapOracle(oracle)
 	}
@@ -464,16 +439,7 @@ func applyConservative(opt *optimizer.Optimizer, w *workload.Workload, configs [
 		obs.KV{Key: "clt_min_samples", Value: cltMin},
 		obs.KV{Key: "calls", Value: sel.OptimizerCalls})
 
-	bound := sel.VarianceBound
-	sOpts.VarianceBound = func(pair [2]int, n int) (float64, bool) {
-		// The bound applies while the sample is small; once the sample
-		// clearly dominates the CLT floor the sample variance is trusted
-		// (the bound is loose by construction).
-		if n >= 4*cltMin {
-			return 0, false
-		}
-		return bound, true
-	}
+	sOpts.VarianceBound = bounds.VarianceBoundRule(sel.VarianceBound, cltMin)
 	sOpts.MinSamples = cltMin
 	return ivs, nil
 }

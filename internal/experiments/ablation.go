@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"physdes/internal/bounds"
 	"physdes/internal/obs"
+	"physdes/internal/par"
 	"physdes/internal/sampling"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
@@ -75,53 +74,36 @@ func StabilityAblation(s *Scenario, k int, p Params) []AblationRow {
 func mcAdaptive(s *Scenario, m *workload.CostMatrix, trueBest int, p Params, tweak func(*sampling.Options), seedOff uint64) (float64, float64, float64) {
 	tmplIdx := s.W.TemplateIndexOf()
 	tmplCount := s.W.NumTemplates()
-	workers := runtime.GOMAXPROCS(0)
 	type out struct {
 		correct bool
 		calls   int64
 		elim    int
 	}
 	outs := make([]out, p.Repeats)
-	var wg sync.WaitGroup
-	chunk := (p.Repeats + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		lo, hi := wk*chunk, (wk+1)*chunk
-		if hi > p.Repeats {
-			hi = p.Repeats
+	par.For(p.Repeats, par.Default(), func(r int) {
+		opts := sampling.Options{
+			Scheme:               sampling.Delta,
+			Strat:                sampling.Progressive,
+			Alpha:                0.9,
+			StabilityWindow:      10,
+			EliminationThreshold: 0.995,
+			RNG:                  stats.NewRNG(p.Seed + seedOff + uint64(r)*6_700_417),
+			TemplateIndex:        tmplIdx,
+			TemplateCount:        tmplCount,
 		}
-		if lo >= hi {
-			break
+		tweak(&opts)
+		res, err := sampling.Run(sampling.NewMatrixOracle(m), opts)
+		if err != nil {
+			return
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				opts := sampling.Options{
-					Scheme:               sampling.Delta,
-					Strat:                sampling.Progressive,
-					Alpha:                0.9,
-					StabilityWindow:      10,
-					EliminationThreshold: 0.995,
-					RNG:                  stats.NewRNG(p.Seed + seedOff + uint64(r)*6_700_417),
-					TemplateIndex:        tmplIdx,
-					TemplateCount:        tmplCount,
-				}
-				tweak(&opts)
-				res, err := sampling.Run(sampling.NewMatrixOracle(m), opts)
-				if err != nil {
-					continue
-				}
-				e := 0
-				for _, x := range res.Eliminated {
-					if x {
-						e++
-					}
-				}
-				outs[r] = out{correct: res.Best == trueBest, calls: res.OptimizerCalls, elim: e}
+		e := 0
+		for _, x := range res.Eliminated {
+			if x {
+				e++
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+		outs[r] = out{correct: res.Best == trueBest, calls: res.OptimizerCalls, elim: e}
+	})
 	var correct, calls, elim float64
 	for _, o := range outs {
 		if o.correct {

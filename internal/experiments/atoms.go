@@ -11,7 +11,7 @@ import (
 
 // AtomsRow is one point of the atomic what-if sharing curve: the full
 // (query, configuration) cost surface of a k-candidate space evaluated once
-// directly and once through the atom-sharing layer, with identical values
+// directly and once through the atom store, with identical values
 // required.
 type AtomsRow struct {
 	// K is the candidate-space size.
@@ -22,7 +22,7 @@ type AtomsRow struct {
 	Pairs int64 `json:"pairs"`
 	// DirectCalls is what the direct evaluation charged (== Pairs).
 	DirectCalls int64 `json:"direct_calls"`
-	// SharedCalls is what the atom-sharing evaluation charged the inner
+	// SharedCalls is what the atom-store evaluation charged the inner
 	// optimizer: one call per distinct (query, atom) pair plus fallbacks.
 	SharedCalls int64 `json:"shared_calls"`
 	// Reduction is DirectCalls / SharedCalls.
@@ -105,7 +105,7 @@ func WriteAtomsJSON(path string, rows []AtomsRow) error {
 	doc := struct {
 		Benchmark string     `json:"benchmark"`
 		Rows      []AtomsRow `json:"rows"`
-	}{Benchmark: "atom-sharing", Rows: rows}
+	}{Benchmark: "atom-sharing", Rows: rows} // the artifact's label, kept byte-stable
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
-
+	"physdes/internal/par"
 	"physdes/internal/sampling"
 	"physdes/internal/stats"
 )
@@ -101,49 +99,29 @@ func mcRuns(p *Pair, v SchemeVariant, budget int64, repeats int, tmplIdx []int, 
 		swapped = p.Matrix.SubsetColumns([]int{1, 0})
 		swappedBest = 1 - p.Best
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > repeats {
-		workers = repeats
-	}
-	var wg sync.WaitGroup
-	counts := make([]int, workers)
-	chunk := (repeats + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		lo, hi := wk*chunk, (wk+1)*chunk
-		if hi > repeats {
-			hi = repeats
+	hits := make([]bool, repeats)
+	par.For(repeats, par.Default(), func(r int) {
+		m, best := p.Matrix, p.Best
+		if r%2 == 1 {
+			m, best = swapped, swappedBest
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				m, best := p.Matrix, p.Best
-				if r%2 == 1 {
-					m, best = swapped, swappedBest
-				}
-				oracle := sampling.NewMatrixOracle(m)
-				res, err := sampling.Run(oracle, sampling.Options{
-					Scheme:        v.Scheme,
-					Strat:         v.Strat,
-					MaxCalls:      budget,
-					NMin:          20,
-					RNG:           stats.NewRNG(seed + uint64(r)*2_654_435_761),
-					TemplateIndex: tmplIdx,
-					TemplateCount: tmplCount,
-				})
-				if err == nil && res.Best == best {
-					counts[wk]++
-				}
-			}
-		}(wk, lo, hi)
-	}
-	wg.Wait()
+		oracle := sampling.NewMatrixOracle(m)
+		res, err := sampling.Run(oracle, sampling.Options{
+			Scheme:        v.Scheme,
+			Strat:         v.Strat,
+			MaxCalls:      budget,
+			NMin:          20,
+			RNG:           stats.NewRNG(seed + uint64(r)*2_654_435_761),
+			TemplateIndex: tmplIdx,
+			TemplateCount: tmplCount,
+		})
+		hits[r] = err == nil && res.Best == best
+	})
 	total := 0
-	for _, c := range counts {
-		total += c
+	for _, hit := range hits {
+		if hit {
+			total++
+		}
 	}
 	return total
 }

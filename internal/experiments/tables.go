@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
-
 	"physdes/internal/bounds"
+	"physdes/internal/par"
 	"physdes/internal/sampling"
 	"physdes/internal/stats"
 )
@@ -109,71 +107,47 @@ func MultiConfig(s *Scenario, k int, p Params) []MultiRow {
 
 	runMethod := func(method MultiMethod, budgetPerRun []int64) []runOut {
 		outs := make([]runOut, p.Repeats)
-		workers := runtime.GOMAXPROCS(0)
-		var wg sync.WaitGroup
-		chunk := (p.Repeats + workers - 1) / workers
-		for wk := 0; wk < workers; wk++ {
-			lo, hi := wk*chunk, (wk+1)*chunk
-			if hi > p.Repeats {
-				hi = p.Repeats
+		par.For(p.Repeats, par.Default(), func(r int) {
+			opts := sampling.Options{
+				Scheme:        sampling.Delta,
+				Alpha:         0.9,
+				NMin:          stats.NMin,
+				RNG:           stats.NewRNG(p.Seed + uint64(r)*7_919 + uint64(method)*104_729 + uint64(k)),
+				TemplateIndex: tmplIdx,
+				TemplateCount: tmplCount,
 			}
-			if lo >= hi {
-				break
+			switch method {
+			case MethodPrimitive:
+				opts.Strat = sampling.Progressive
+				opts.StabilityWindow = 10
+				opts.EliminationThreshold = 0.995
+			case MethodNoStrat:
+				opts.Strat = sampling.NoStrat
+				opts.MaxCalls = budgetPerRun[r]
+			case MethodEqualAlloc:
+				opts.Strat = sampling.EqualAlloc
+				opts.MaxCalls = budgetPerRun[r]
+			case MethodConservative:
+				opts.Strat = sampling.Progressive
+				opts.StabilityWindow = 10
+				opts.EliminationThreshold = 0.995
+				opts.MinSamples = consFloor
+				opts.VarianceBound = bounds.VarianceBoundRule(consBound, consFloor)
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for r := lo; r < hi; r++ {
-					opts := sampling.Options{
-						Scheme:        sampling.Delta,
-						Alpha:         0.9,
-						NMin:          stats.NMin,
-						RNG:           stats.NewRNG(p.Seed + uint64(r)*7_919 + uint64(method)*104_729 + uint64(k)),
-						TemplateIndex: tmplIdx,
-						TemplateCount: tmplCount,
-					}
-					switch method {
-					case MethodPrimitive:
-						opts.Strat = sampling.Progressive
-						opts.StabilityWindow = 10
-						opts.EliminationThreshold = 0.995
-					case MethodNoStrat:
-						opts.Strat = sampling.NoStrat
-						opts.MaxCalls = budgetPerRun[r]
-					case MethodEqualAlloc:
-						opts.Strat = sampling.EqualAlloc
-						opts.MaxCalls = budgetPerRun[r]
-					case MethodConservative:
-						opts.Strat = sampling.Progressive
-						opts.StabilityWindow = 10
-						opts.EliminationThreshold = 0.995
-						opts.MinSamples = consFloor
-						opts.VarianceBound = func(pair [2]int, n int) (float64, bool) {
-							if n >= 4*consFloor && consFloor > 0 {
-								return 0, false
-							}
-							return consBound, true
-						}
-					}
-					oracle := sampling.NewMatrixOracle(m)
-					res, err := sampling.Run(oracle, opts)
-					if err != nil {
-						continue
-					}
-					sel := res.Best
-					delta := (m.TotalCost(sel) - trueCost) / trueCost
-					outs[r] = runOut{
-						// Exact ties for the optimum are correct selections:
-						// perturbation spaces contain configurations whose
-						// extra structures touch no query.
-						correct: delta <= 1e-12,
-						delta:   delta,
-						calls:   res.OptimizerCalls,
-					}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+			res, err := sampling.Run(sampling.NewMatrixOracle(m), opts)
+			if err != nil {
+				return
+			}
+			delta := (m.TotalCost(res.Best) - trueCost) / trueCost
+			outs[r] = runOut{
+				// Exact ties for the optimum are correct selections:
+				// perturbation spaces contain configurations whose
+				// extra structures touch no query.
+				correct: delta <= 1e-12,
+				delta:   delta,
+				calls:   res.OptimizerCalls,
+			}
+		})
 		return outs
 	}
 

@@ -68,7 +68,7 @@ type deltaSampler struct {
 
 func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 	dr := newDriver(o, opts)
-	k, tc := dr.k, maxInt(opts.TemplateCount, 1)
+	k, tc := dr.k, max(opts.TemplateCount, 1)
 	d := &deltaSampler{
 		driver:    dr,
 		tCount:    make([]int, tc),

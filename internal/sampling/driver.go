@@ -198,7 +198,7 @@ func (d *driver) initWarm(wr *warmResume) {
 	if wr.best >= 0 {
 		d.best = wr.best
 	}
-	d.prior = wr.templatePriors(maxInt(d.opts.TemplateCount, 1), d.k, d.shared)
+	d.prior = wr.templatePriors(max(d.opts.TemplateCount, 1), d.k, d.shared)
 	reusedTotal := 0
 	for part := 0; part < d.parts; part++ {
 		pi := 0
@@ -218,7 +218,7 @@ func (d *driver) initWarm(wr *warmResume) {
 			st := d.e.stratumAt(part, h)
 			st.pilotN = pilot
 			d.e.seedPrior(part, h)
-			if saved := minInt(d.opts.NMin, st.size) - minInt(st.pilotN, st.size); saved > 0 {
+			if saved := min(d.opts.NMin, st.size) - min(st.pilotN, st.size); saved > 0 {
 				d.winfo.PilotSaved += saved
 			}
 		}
@@ -358,7 +358,7 @@ outer:
 		progress := false
 		for i, c := range cycle {
 			st := d.e.stratumAt(c.part, c.h)
-			if taken[i] >= minInt(st.pilotN, st.size) {
+			if taken[i] >= min(st.pilotN, st.size) {
 				continue
 			}
 			if d.opts.MaxCalls > 0 && calls+per > d.opts.MaxCalls {
@@ -468,7 +468,7 @@ func (d *driver) run() (*Result, error) {
 	}
 	strata := 0
 	for part := 0; part < d.parts; part++ {
-		strata = maxInt(strata, d.e.numStrata(part))
+		strata = max(strata, d.e.numStrata(part))
 	}
 	eliminated := make([]bool, d.k)
 	for j := range eliminated {
@@ -659,7 +659,7 @@ func (d *driver) worstPair() int {
 // perPairTarget is the pairwise Pr(CS) each alive pair must reach for the
 // Bonferroni bound to meet α.
 func (d *driver) perPairTarget() float64 {
-	return 1 - (1-d.opts.Alpha)/float64(maxInt(d.aliveCount-1, 1))
+	return 1 - (1-d.opts.Alpha)/float64(max(d.aliveCount-1, 1))
 }
 
 // maybeSplit runs Algorithm 2 when progressive stratification is enabled:
@@ -734,7 +734,7 @@ func (d *driver) maybeSplit() error {
 	// child's size.
 	for _, h := range [2]int{left, right} {
 		st := d.e.stratumAt(part, h)
-		for st.n < minInt(d.opts.NMin, st.size) {
+		for st.n < min(d.opts.NMin, st.size) {
 			progress, err := d.draw(part, h)
 			if err != nil {
 				return err
@@ -806,20 +806,6 @@ func (d *driver) captureState() *StratState {
 		st.Partitions[part] = groups
 	}
 	return st
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sqrtPos is the square root of a variance clamped at zero.

@@ -44,7 +44,7 @@ type independentSampler struct {
 
 func newIndependentSampler(o Oracle, opts Options) *independentSampler {
 	dr := newDriver(o, opts)
-	k, tc := dr.k, maxInt(opts.TemplateCount, 1)
+	k, tc := dr.k, max(opts.TemplateCount, 1)
 	s := &independentSampler{
 		driver: dr,
 		strata: make([][]*icStratum, k),

@@ -158,7 +158,7 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 				TemplateIndex: tmplIdx, TemplateCount: 6,
 			}.withDefaults())
 			for h := range d.strata {
-				for d.strata[h].n < minInt(10, d.strata[h].size) {
+				for d.strata[h].n < min(10, d.strata[h].size) {
 					ok, err := d.sampleFrom(h)
 					if err != nil {
 						t.Fatal(err)

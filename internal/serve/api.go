@@ -60,8 +60,6 @@ type JobRequest struct {
 	Conservative bool `json:"conservative,omitempty"`
 	// MaxCalls caps the job's optimizer calls when > 0.
 	MaxCalls int `json:"max_calls,omitempty"`
-	// AtomSharing disables the shared atom cache when explicitly false.
-	AtomSharing *bool `json:"atom_sharing,omitempty"`
 }
 
 // maxJobParallelism caps JobRequest.Parallelism: the worker pool is
@@ -113,9 +111,6 @@ func (jr JobRequest) options(lim TenantLimits) (core.Options, error) {
 	o.Conservative = jr.Conservative
 	if jr.MaxCalls > 0 {
 		o.MaxCalls = int64(jr.MaxCalls)
-	}
-	if jr.AtomSharing != nil && !*jr.AtomSharing {
-		o.AtomSharing = core.AtomSharingDisabled
 	}
 	o.MaxRetries = lim.MaxRetries
 	o.ErrorBudget = lim.ErrorBudget

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"physdes/internal/core"
 	"physdes/internal/obs/recorder"
 )
 
@@ -148,12 +147,6 @@ func TestJobRequestOptionVariants(t *testing.T) {
 			t.Errorf("case %d (%+v): %v", i, jr, err)
 		}
 	}
-	off := false
-	if o, err := JobOptions(JobRequest{Seed: 5, AtomSharing: &off}, TenantLimits{}); err != nil {
-		t.Errorf("atom sharing off: %v", err)
-	} else if o.AtomSharing != core.AtomSharingDisabled {
-		t.Error("atom sharing off: option not applied")
-	}
 	for _, lim := range []TenantLimits{
 		{Degrade: "skip", ErrorBudget: 2},
 		{Degrade: "conservative", MaxRetries: 1},
@@ -210,6 +203,24 @@ func TestJobParallelismCapHTTP(t *testing.T) {
 	code := h.requestJSON("POST", "/v1/jobs", "", JobRequest{Workload: wl, K: 4, Seed: 1, Parallelism: 1_000_000}, &e)
 	if code != http.StatusBadRequest || !strings.Contains(e.Error, "parallelism 1000000 exceeds the cap of 64") {
 		t.Fatalf("oversized parallelism: status %d error %q", code, e.Error)
+	}
+	var jobs []JobResponse
+	if code := h.requestJSON("GET", "/v1/jobs", "", nil, &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("job list after the rejection: status %d, %d jobs", code, len(jobs))
+	}
+}
+
+// TestJobRequestRejectsAtomSharing pins that the removed atom_sharing
+// field is an unknown field like any other: every job probes through the
+// atom store, so a body still carrying it is a 400 and queues nothing.
+func TestJobRequestRejectsAtomSharing(t *testing.T) {
+	h := newHarness(t, Config{Runners: 1})
+	wl := h.uploadWorkload("", 50, 1)
+	var e ErrorResponse
+	body := map[string]any{"workload": wl, "k": 4, "seed": 1, "atom_sharing": false}
+	code := h.requestJSON("POST", "/v1/jobs", "", body, &e)
+	if code != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "atom_sharing"`) {
+		t.Fatalf("atom_sharing in a job body: status %d error %q", code, e.Error)
 	}
 	var jobs []JobResponse
 	if code := h.requestJSON("GET", "/v1/jobs", "", nil, &jobs); code != http.StatusOK || len(jobs) != 0 {

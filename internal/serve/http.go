@@ -15,9 +15,11 @@ import (
 )
 
 // routes builds the daemon's mux: the /v1 API plus the live
-// introspection server as the fallback handler (so /healthz, /metrics,
-// /metrics.json, /runs/{id}/report and /debug/pprof keep working, and
-// every job is visible under /runs by its job id).
+// introspection server as the fallback handler (/healthz, /metrics,
+// /metrics.json, /debug/pprof). A job's report and event stream are
+// served under /runs/{id} through the same tenancy check as /v1/jobs/{id};
+// the live server's own /runs listing holds no jobs (list them with
+// GET /v1/jobs).
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/workloads", s.handleWorkloadCreate)
@@ -28,6 +30,8 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/tenant", s.handleTenant)
+	mux.HandleFunc("GET /runs/{id}/report", s.handleJobReport)
+	mux.HandleFunc("GET /runs/{id}/events", s.handleJobEvents)
 	mux.Handle("/", s.live.Handler())
 	return mux
 }
@@ -185,7 +189,6 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.live.Register(j.rec)
 	s.jobsTotal.Inc()
 	s.queuedGauge.Add(1)
 
@@ -330,6 +333,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	live.StreamRounds(w, r, j.rec)
+}
+
+func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
+	j := s.jobFor(w, r)
+	if j == nil {
+		return
+	}
+	writeJSON(w, http.StatusOK, j.rec.Report())
 }
 
 func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 
+	"physdes/internal/obs/recorder"
 	"physdes/internal/sampling"
 )
 
@@ -115,5 +117,48 @@ func TestServeDegradePolicyValidation(t *testing.T) {
 	}
 	if !strings.Contains(er.Error, "degrade") {
 		t.Errorf("error %q does not name the degrade policy", er.Error)
+	}
+}
+
+// TestServeRunsTenantScoped pins the tenancy of the /runs routes: a job's
+// flight-recorder report and event stream answer its own tenant and are
+// a 404 for any other, exactly like /v1/jobs/{id}, and the /runs listing
+// exposes no job to anyone.
+func TestServeRunsTenantScoped(t *testing.T) {
+	h := newHarness(t, Config{Runners: 1})
+	wid := h.uploadWorkload("owner", 40, 5)
+	id := h.submit("owner", JobRequest{Workload: wid, K: 4, Seed: 3})
+	if resp := h.await("owner", id); resp.Status != StatusDone {
+		t.Fatalf("job %s ended %s: %s", id, resp.Status, resp.Error)
+	}
+
+	for _, path := range []string{"/runs/" + id + "/report", "/runs/" + id + "/events"} {
+		if code, body := h.request("GET", path, "other", nil); code != http.StatusNotFound {
+			t.Errorf("GET %s as another tenant: status %d, %d-byte body; want 404", path, code, len(body))
+		}
+	}
+	var rep recorder.RunReport
+	if code := h.requestJSON("GET", "/runs/"+id+"/report", "owner", nil, &rep); code != http.StatusOK {
+		t.Fatalf("GET report as owner: status %d", code)
+	}
+	if rep.ID != id || rep.Status != "done" || len(rep.Rounds) == 0 {
+		t.Errorf("owner's report: id %q status %q with %d rounds", rep.ID, rep.Status, len(rep.Rounds))
+	}
+	code, body := h.request("GET", "/runs/"+id+"/events", "owner", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET events as owner: status %d", code)
+	}
+	evs, err := readSSE(strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSSE(t, evs, id)
+
+	for _, tenant := range []string{"owner", "other"} {
+		code, body := h.request("GET", "/runs", tenant, nil)
+		var runs []json.RawMessage
+		if err := json.Unmarshal(body, &runs); code != http.StatusOK || err != nil || len(runs) != 0 {
+			t.Errorf("GET /runs as %s: status %d, body %s; want 200 and no runs", tenant, code, body)
+		}
 	}
 }

@@ -8,8 +8,9 @@
 // the flight recorder as a per-job tracer sink, and lands on the
 // same /metrics + /healthz endpoints the live introspection server
 // (internal/obs/live) already provides — the daemon mounts that server's
-// mux as its fallback handler, so /runs/{id}/report and
-// /runs/{id}/events work for every job id unchanged.
+// mux as its fallback handler. A job's /runs/{id}/report and
+// /runs/{id}/events are the daemon's own routes and answer only the
+// job's tenant; the live /runs listing holds no jobs.
 //
 // Tenancy is first-class:
 //

@@ -211,30 +211,6 @@ func TestAnalyzeInNonColumn(t *testing.T) {
 	}
 }
 
-func TestParametersOfDMLForms(t *testing.T) {
-	// INSERT parameters.
-	ins := mustParse(t, "INSERT INTO t (a, b) VALUES (5, 'x')")
-	if ps := Parameters(ins); len(ps) != 2 {
-		t.Errorf("insert params = %d", len(ps))
-	}
-	// UPDATE TOP + SET + WHERE parameters in order.
-	up := mustParse(t, "UPDATE TOP(9) t SET a = 2 WHERE b = 3")
-	ps := Parameters(up)
-	if len(ps) != 3 || ps[0].Num != 9 || ps[1].Num != 2 || ps[2].Num != 3 {
-		t.Errorf("update params = %+v", ps)
-	}
-	// DELETE parameters.
-	del := mustParse(t, "DELETE FROM t WHERE a BETWEEN 1 AND 2")
-	if ps := Parameters(del); len(ps) != 2 {
-		t.Errorf("delete params = %d", len(ps))
-	}
-	// SELECT with parameters in every clause.
-	sel := mustParse(t, "SELECT a + 1 FROM t WHERE b = 2 GROUP BY c HAVING COUNT(*) > 3 ORDER BY d")
-	if ps := Parameters(sel); len(ps) != 3 {
-		t.Errorf("select params = %d, want 3", len(ps))
-	}
-}
-
 func TestParenthesizedBooleanGroup(t *testing.T) {
 	s := mustParse(t, "SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3")
 	a, err := Analyze(s, nil)

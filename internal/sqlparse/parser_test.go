@@ -255,28 +255,6 @@ func TestTemplateStringsVsNumbers(t *testing.T) {
 	}
 }
 
-func TestParameters(t *testing.T) {
-	s := mustParse(t, "SELECT x FROM t WHERE a = 5 AND b BETWEEN 1 AND 2 AND c IN (7, 8)")
-	ps := Parameters(s)
-	if len(ps) != 5 {
-		t.Fatalf("got %d parameters, want 5", len(ps))
-	}
-	want := []float64{5, 1, 2, 7, 8}
-	for i, p := range ps {
-		if p.Kind != LitNumber || p.Num != want[i] {
-			t.Errorf("param %d = %+v, want %v", i, p, want[i])
-		}
-	}
-}
-
-func TestParametersNullNotExtracted(t *testing.T) {
-	// NULL is part of the template, not a binding.
-	s := mustParse(t, "SELECT x FROM t WHERE a = 5 AND b IS NULL")
-	if ps := Parameters(s); len(ps) != 1 {
-		t.Errorf("got %d parameters, want 1", len(ps))
-	}
-}
-
 func TestParameterizedTemplateFillRoundtrip(t *testing.T) {
 	// Property: for random numeric parameter vectors, rendering the same
 	// template with different bindings yields equal TemplateIDs.

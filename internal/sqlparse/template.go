@@ -20,79 +20,3 @@ func HashTemplate(t string) TemplateID {
 	h.Write([]byte(t))
 	return TemplateID(h.Sum64())
 }
-
-// Parameters extracts the literal constants of a statement in rendering
-// order — the values that would bind the '?' placeholders of its template.
-// NULL literals are part of the template itself and are not extracted.
-func Parameters(s Statement) []Literal {
-	var out []Literal
-	collectStatementLiterals(s, &out)
-	return out
-}
-
-func collectStatementLiterals(s Statement, out *[]Literal) {
-	switch st := s.(type) {
-	case *SelectStmt:
-		for _, it := range st.Items {
-			if it.Expr != nil {
-				collectLiterals(it.Expr, out)
-			}
-		}
-		collectLiterals(st.Where, out)
-		for _, on := range st.JoinOn {
-			collectLiterals(on, out)
-		}
-		for _, g := range st.GroupBy {
-			collectLiterals(g, out)
-		}
-		collectLiterals(st.Having, out)
-		for _, o := range st.OrderBy {
-			collectLiterals(o.Expr, out)
-		}
-	case *UpdateStmt:
-		if st.Top != nil {
-			*out = append(*out, *st.Top)
-		}
-		for _, a := range st.Set {
-			collectLiterals(a.Value, out)
-		}
-		collectLiterals(st.Where, out)
-	case *InsertStmt:
-		for _, v := range st.Values {
-			collectLiterals(v, out)
-		}
-	case *DeleteStmt:
-		collectLiterals(st.Where, out)
-	}
-}
-
-func collectLiterals(e Expr, out *[]Literal) {
-	switch x := e.(type) {
-	case nil:
-	case *Literal:
-		if x.Kind != LitNull {
-			*out = append(*out, *x)
-		}
-	case *ColumnRef:
-	case *BinaryExpr:
-		collectLiterals(x.Left, out)
-		collectLiterals(x.Right, out)
-	case *NotExpr:
-		collectLiterals(x.Inner, out)
-	case *BetweenExpr:
-		collectLiterals(x.Operand, out)
-		collectLiterals(x.Lo, out)
-		collectLiterals(x.Hi, out)
-	case *InExpr:
-		collectLiterals(x.Operand, out)
-		for _, it := range x.Items {
-			collectLiterals(it, out)
-		}
-	case *IsNullExpr:
-		collectLiterals(x.Operand, out)
-	case *FuncCall:
-		for _, a := range x.Args {
-			collectLiterals(a, out)
-		}
-	}
-}

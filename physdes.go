@@ -134,10 +134,6 @@ type (
 	// DegradePolicy selects how the resilience layer handles what-if
 	// probes that stay failed after retries (Options.Degrade).
 	DegradePolicy = resilience.Policy
-	// AtomSharingMode selects whether the selection's what-if oracle
-	// shares atomic sub-configuration costs across the candidate set
-	// (Options.AtomSharing; sharing is the zero-value default).
-	AtomSharingMode = core.AtomSharingMode
 	// AtomPlan is the decomposition of one (statement, configuration)
 	// what-if evaluation into shareable atoms (see DecomposeAtoms).
 	AtomPlan = optimizer.AtomPlan
@@ -155,16 +151,6 @@ type (
 	DriftOptions = workload.DriftOptions
 	// DriftWindow is one window of a drifting workload.
 	DriftWindow = workload.DriftWindow
-)
-
-// Atom-sharing modes for the selection oracle (Options.AtomSharing).
-const (
-	// AtomSharingEnabled decomposes probes into atomic sub-configurations
-	// and shares their costs across candidates — bit-identical values,
-	// far fewer optimizer calls (the default).
-	AtomSharingEnabled = core.AtomSharingEnabled
-	// AtomSharingDisabled sends every probe through a direct what-if call.
-	AtomSharingDisabled = core.AtomSharingDisabled
 )
 
 // Degradation policies for fallible oracles (Options.Degrade).
