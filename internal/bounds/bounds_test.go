@@ -247,7 +247,7 @@ func TestVarianceBoundRule(t *testing.T) {
 		{29, 0, true}, {29, 115, true}, {29, 116, false}, {29, 1000, false},
 		{0, 0, true}, {0, 1_000_000, true},
 	} {
-		s2, ok := VarianceBoundRule(7.5, c.floor)([2]int{0, 1}, c.n)
+		s2, ok := VarianceBoundRule(7.5, c.floor)(c.n)
 		if ok != c.want || (ok && s2 != 7.5) || (!ok && s2 != 0) {
 			t.Errorf("floor %d, n %d: got (%v, %v), want bound applied = %v", c.floor, c.n, s2, ok, c.want)
 		}

@@ -161,13 +161,13 @@ func CLTMinSamples(ivs []Interval, rho float64) (int, error) {
 
 // VarianceBoundRule is Section 6's one release rule for the σ²_max upper
 // bound, in the shape of sampling.Options.VarianceBound: the bound stands
-// in for a pair's sample variance while the sample is small, and once n
+// in for a sample variance while the sample is small, and once n
 // reaches four times the Equation 9 floor (CLTMinSamples) the sample
 // clearly dominates and its own variance is trusted — the bound is loose
 // by construction. A zero floor (none could be derived) never releases
 // the bound.
-func VarianceBoundRule(sigma2Max float64, cltFloor int) func(pair [2]int, n int) (float64, bool) {
-	return func(_ [2]int, n int) (float64, bool) {
+func VarianceBoundRule(sigma2Max float64, cltFloor int) func(n int) (float64, bool) {
+	return func(n int) (float64, bool) {
 		if cltFloor > 0 && n >= 4*cltFloor {
 			return 0, false
 		}

@@ -90,7 +90,7 @@ func TestConservativeModeResistsHiddenOutliers(t *testing.T) {
 		}
 		if conservative {
 			opts.MinSamples = cltMin
-			opts.VarianceBound = func(pair [2]int, nn int) (float64, bool) {
+			opts.VarianceBound = func(int) (float64, bool) {
 				return vres.UpperBound, true
 			}
 		}

@@ -42,7 +42,7 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 
 	// Configuration j's costs are a prefix of the history: the per-template
 	// counts of the warm snapshot add up to its prefix length.
-	states := d.templateStates()
+	states := templateStates(d.tcols, true)
 	for j := 0; j < k; j++ {
 		n := 0
 		for _, st := range states {
@@ -67,16 +67,18 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 	}
 	cross := make([][]stats.Kahan, len(d.strata))
 	for h, s := range d.strata {
-		cross[h] = append([]stats.Kahan(nil), s.cross...)
+		for _, c := range s.cols {
+			cross[h] = append(cross[h], c.cross)
+		}
 	}
 	d.bestChanged()
 	for h, s := range d.strata {
 		for j := 0; j < k; j++ {
-			if sums[h][j] != s.sums[j] {
-				t.Fatalf("stratum %d config %d: replayed sum %v, running sum %v", h, j, sums[h][j], s.sums[j])
+			if sums[h][j] != s.cols[j].sum {
+				t.Fatalf("stratum %d config %d: replayed sum %v, running sum %v", h, j, sums[h][j], s.cols[j].sum)
 			}
-			if cross[h][j] != s.cross[j] {
-				t.Fatalf("stratum %d config %d: rebuilt cross sum %v, running %v", h, j, s.cross[j], cross[h][j])
+			if cross[h][j] != s.cols[j].cross {
+				t.Fatalf("stratum %d config %d: rebuilt cross sum %v, running %v", h, j, s.cols[j].cross, cross[h][j])
 			}
 		}
 	}

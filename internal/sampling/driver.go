@@ -19,6 +19,7 @@ type stratum struct {
 	n         int
 	avgOver   float64 // mean optimization overhead of member queries
 	pilotN    int     // pilot target (NMin cold, the warm pilot share for reused strata)
+	hasPrior  bool    // seeded from a warm snapshot, until the drift test sheds it
 }
 
 func (s *stratum) exhausted() bool { return s.next >= len(s.order) }
@@ -30,49 +31,54 @@ func (s *stratum) exhausted() bool { return s.next >= len(s.order) }
 // slot is one sample of q under configuration part.
 type slot struct{ part, h, q int }
 
-// estimator is what differs between the two sampling schemes: how samples
-// fold into the estimators, the estimates and their pairwise standard
-// errors, where the next sample goes, and Algorithm 2's inputs and
-// partition. The driver owns everything else.
+// estimator is what differs between the two sampling schemes: how a
+// stratum's samples are stored and folded, and how its moments of the
+// estimated variable are formed — Delta Sampling differences the shared
+// rows' columns against the incumbent, Independent Sampling takes a
+// configuration's own column — plus which stratification Algorithm 2
+// refines and how a split rebuilds its children. The driver computes the
+// estimate, Equation 5, the Section 5.2 allocation, the prior drift test
+// and Algorithm 2's inputs from those moments, and owns everything else.
+//
+// The strata below are those of the stratification configuration j's
+// estimate rides on (part 0 for Delta, part j for Independent).
 type estimator interface {
 	numStrata(part int) int
 	stratumAt(part, h int) *stratum
-	// addStratum appends a stratum built from st to stratification part.
+	// addStratum appends a stratum built from st to stratification part,
+	// seeding its prior moments when st.hasPrior.
 	addStratum(part int, st stratum) *stratum
-
-	// seedPrior attaches the warm snapshot's moments of its member
-	// templates to reused stratum h of part.
-	seedPrior(part, h int)
-	// checkPriorDrift sheds stratum priors the fresh samples contradict
-	// and reports how many it shed.
-	checkPriorDrift() int
 
 	// fold records a slot's costs, one per evaluated pair; dropped notes
 	// that query q degraded out of the run.
 	fold(sl slot, costs []float64)
 	dropped(q int)
-	// nextSlot picks the stratum whose next sample reduces the estimator
-	// variance the most per unit of overhead (h < 0: none).
-	nextSlot() (part, h int)
 
-	// estimate is X_j; pairSEs fills se[j] with the standard error of
-	// X_j − X_best for every alive j other than the incumbent.
-	estimate(j int) float64
-	pairSEs(se []float64)
+	// columns appends, per stratum, the moments of configuration j's cost
+	// pooled with the stratum's prior: X_j's estimate.
+	columns(j int, dst []stratMoments) []stratMoments
+	// pairs appends, per stratum, the moments of the variable whose
+	// variance enters the standard error of X_j − X_best; pooled folds in
+	// the prior where it composes.
+	pairs(j int, pooled bool, dst []stratMoments) []stratMoments
+	// priorPair returns stratum h's fresh and prior moments of that
+	// variable, and whether the prior's variance is known.
+	priorPair(h, j int) (fresh, prior moments, priorVar bool)
+	// varianceDrop is how much one more sample of stratum h of part
+	// shrinks the summed pairwise estimator variance.
+	varianceDrop(part, h int) float64
+	// tmplMoments is template t's fresh moments of pairs' variable and the
+	// template's live weight, for Algorithm 2.
+	tmplMoments(t, j int) (moments, int)
 	// bestChanged follows a new incumbent.
 	bestChanged()
 
-	// splitTarget picks the stratification Algorithm 2 refines and the
-	// variance its estimator must reach; splitStats stages stratum h's
-	// inputs; applySplit replaces the decision's stratum with its two
-	// children and returns their indices.
-	splitTarget() (part int, targetVar float64, ok bool)
-	splitStats(part, h int, buf []tmplStat) (stats.Stratum, []tmplStat, bool)
+	// splitTarget picks the stratification Algorithm 2 refines, the
+	// configuration j whose pair constrains it and the variance its
+	// estimator must reach; applySplit replaces the decision's stratum
+	// with its two children and returns their indices.
+	splitTarget() (part, j int, targetVar float64, ok bool)
 	applySplit(part int, dec splitDecision) (left, right int)
-
-	// templateStates returns this run's fresh moments per dense template
-	// (Counts, Sum, Sumsq, and Cross for Delta) for state capture.
-	templateStates() []TemplateState
 }
 
 // driver runs Algorithm 1 over an estimator: the pilot, the round loop
@@ -107,10 +113,14 @@ type driver struct {
 	prior     tmplPrior
 	winfo     WarmInfo
 
+	// tcols holds each template's fresh moments per configuration, for
+	// Algorithm 2 and state capture.
+	tcols [][]moments
+
 	met     samplerMetrics
-	split   splitScratch // reusable split-search buffers
-	pairBuf []float64    // reusable pairwise Pr(CS) buffer
-	seBuf   []float64    // reusable pairwise standard-error buffer
+	split   splitScratch   // reusable split-search buffers
+	pairBuf []float64      // reusable pairwise Pr(CS) buffer
+	mbuf    []stratMoments // reusable per-stratum moments buffer
 
 	// Evaluation scratch, reused by every batch.
 	one   [1]slot
@@ -135,6 +145,10 @@ func newDriver(o Oracle, opts Options) *driver {
 	}
 	if d.shared {
 		d.parts = 1
+	}
+	d.tcols = make([][]moments, opts.TemplateCount)
+	for t := range d.tcols {
+		d.tcols[t] = make([]moments, k)
 	}
 	for j := range d.alive {
 		d.alive[j] = true
@@ -198,7 +212,7 @@ func (d *driver) initWarm(wr *warmResume) {
 	if wr.best >= 0 {
 		d.best = wr.best
 	}
-	d.prior = wr.templatePriors(max(d.opts.TemplateCount, 1), d.k, d.shared)
+	d.prior = wr.templatePriors(d.opts.TemplateCount, d.k, d.shared)
 	reusedTotal := 0
 	for part := 0; part < d.parts; part++ {
 		pi := 0
@@ -208,16 +222,17 @@ func (d *driver) initWarm(wr *warmResume) {
 		groups, reused := wr.groupsFor(pi, d.pop, d.opts.Strat)
 		sizes := make([]int, 0, reused)
 		for gi, tmpls := range groups {
-			st := d.e.addStratum(part, d.newStratum(tmpls))
+			st := d.newStratum(tmpls)
 			if gi < reused {
+				st.hasPrior = true
 				sizes = append(sizes, st.size)
 			}
+			d.e.addStratum(part, st)
 		}
 		// The reused strata come first in the stratification.
 		for h, pilot := range warmPilotAlloc(sizes, d.opts.NMin) {
 			st := d.e.stratumAt(part, h)
 			st.pilotN = pilot
-			d.e.seedPrior(part, h)
 			if saved := min(d.opts.NMin, st.size) - min(st.pilotN, st.size); saved > 0 {
 				d.winfo.PilotSaved += saved
 			}
@@ -240,13 +255,55 @@ func (d *driver) initWarm(wr *warmResume) {
 	}
 }
 
-// dropDriftedPriors runs the estimator's prior consistency check and
-// accounts the priors it shed.
+// dropDriftedPriors is the warm path's online safety net: every round,
+// each live stratum with a prior and enough fresh samples z-tests the
+// prior mean of every variable the selection rides on against the fresh
+// one and sheds the whole stratum prior on disagreement. For Delta those
+// variables are the differences best − j, not per-configuration costs:
+// correlated costs make the difference variance orders of magnitude
+// smaller than the within-stratum cost variance, so drift invisible at
+// the cost scale is glaring at the difference scale. A snapshot that
+// described a different cost distribution (drift the parameter
+// signatures missed) would otherwise pull the pooled estimates —
+// confidently — toward the previous run's winner.
 func (d *driver) dropDriftedPriors() {
-	if dropped := d.e.checkPriorDrift(); dropped > 0 {
+	dropped := 0
+	for part := 0; part < d.parts; part++ {
+		if !d.live(part) {
+			continue
+		}
+		for h := 0; h < d.e.numStrata(part); h++ {
+			st := d.e.stratumAt(part, h)
+			if st.hasPrior && st.n >= priorCheckMinFresh && d.stratumDrifted(part, h) {
+				st.hasPrior = false
+				dropped++
+			}
+		}
+	}
+	if dropped > 0 {
 		d.winfo.PriorDropped += dropped
 		d.met.warmPriorDrop.Add(int64(dropped))
 	}
+}
+
+// stratumDrifted reports whether stratum h of part contradicts its prior:
+// Independent's one configuration, or any of Delta's pairs against the
+// incumbent.
+func (d *driver) stratumDrifted(part, h int) bool {
+	if !d.shared {
+		return d.varDrifted(h, part)
+	}
+	for _, j := range d.aliveIdx {
+		if j != d.best && d.varDrifted(h, j) {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *driver) varDrifted(h, j int) bool {
+	fresh, prior, priorVar := d.e.priorPair(h, j)
+	return priorDrifted(&fresh, &prior, priorVar)
 }
 
 // slotCalls is the optimizer calls one slot costs.
@@ -514,23 +571,35 @@ func (d *driver) emitRound(round int, p float64, stable int) {
 // one always, an Independent configuration's while it is alive.
 func (d *driver) live(part int) bool { return d.shared || d.alive[part] }
 
-// nextSlot picks the stratum the next sample comes from (h < 0: none).
-// EqualAlloc keeps per-stratum counts level: the first live, unexhausted
-// stratum with the fewest samples.
+// nextSlot picks the live, unexhausted stratum the next sample comes from
+// (h < 0: none). EqualAlloc keeps per-stratum counts level: the first
+// stratum with the fewest samples. Otherwise strata without a variance
+// estimate go first, then the stratum whose next sample shrinks the
+// summed pairwise estimator variance the most per unit of optimization
+// overhead (Section 5.2, with non-constant optimization times).
 func (d *driver) nextSlot() (part, h int) {
-	if d.opts.Strat != EqualAlloc {
-		return d.e.nextSlot()
-	}
 	part, h = -1, -1
-	bestN := 0
+	var best float64
 	for p := 0; p < d.parts; p++ {
 		if !d.live(p) {
 			continue
 		}
 		for i := 0; i < d.e.numStrata(p); i++ {
 			st := d.e.stratumAt(p, i)
-			if !st.exhausted() && (h < 0 || st.n < bestN) {
-				part, h, bestN = p, i, st.n
+			if st.exhausted() {
+				continue
+			}
+			var score float64
+			switch {
+			case d.opts.Strat == EqualAlloc:
+				score = -float64(st.n)
+			case st.n < 2:
+				return p, i
+			default:
+				score = d.e.varianceDrop(p, i) / st.avgOver
+			}
+			if h < 0 || score > best {
+				part, h, best = p, i, score
 			}
 		}
 	}
@@ -557,20 +626,26 @@ func (d *driver) exhaustedAll() bool {
 // Bonferroni bound (Equation 3), folding in the frozen penalty of
 // eliminated configurations. The returned pairwise probabilities alias a
 // reusable buffer.
+//
+// Delta's difference estimator carries each pair's variance directly;
+// Independent's two estimators are independent, so the pair variance is
+// the sum of their variances (Equation 2).
 func (d *driver) prCS() (float64, []float64) {
-	xb := d.e.estimate(d.best)
+	xb := d.estimate(d.best)
 	d.pairBuf = grow(d.pairBuf, d.k)
-	d.seBuf = grow(d.seBuf, d.k)
 	pair := d.pairBuf
 	clear(pair)
-	d.e.pairSEs(d.seBuf)
+	vb := 0.0
+	if !d.shared {
+		vb = d.variance(d.best)
+	}
 	p := 1 - d.elimPen
 	for _, j := range d.aliveIdx {
 		if j == d.best {
 			continue
 		}
-		gap := d.e.estimate(j) - xb
-		pij := stats.PairwisePrCS(gap, d.opts.Delta, d.seBuf[j])
+		gap := d.estimate(j) - xb
+		pij := stats.PairwisePrCS(gap, d.opts.Delta, sqrtPos(vb+d.variance(j)))
 		pair[j] = pij
 		p -= 1 - pij
 	}
@@ -583,13 +658,83 @@ func (d *driver) prCS() (float64, []float64) {
 	return p, pair
 }
 
+// estimate returns X_j = Σ_h |WL_h|·mean_h over the strata of X_j's
+// stratification, each mean pooled with its stratum's prior. Strata
+// without samples fall back to the global mean — unbiased strata-wise
+// coverage is exactly what fine stratification at small sample sizes
+// lacks (Figure 2).
+func (d *driver) estimate(j int) float64 {
+	d.mbuf = d.e.columns(j, d.mbuf[:0])
+	var g moments
+	for h := range d.mbuf {
+		g.sum.AddKahan(d.mbuf[h].sum)
+		g.n += d.mbuf[h].n
+	}
+	gMean := 0.0
+	if g.n > 0 {
+		gMean = g.mean()
+	}
+	var x float64
+	for h := range d.mbuf {
+		sm := &d.mbuf[h]
+		mean := gMean
+		if sm.n > 0 {
+			mean = sm.mean()
+		}
+		x += float64(sm.size) * mean
+	}
+	return x
+}
+
+// variance returns the Equation 5 variance of the stratified estimator of
+// pairs' variable for configuration j. A stratum with fewer than two
+// samples takes the global s² (charged one phantom sample when
+// unsampled), a census stratum has no variance left, and a conservative
+// σ²_max bound (Section 6.2) replaces any smaller sample variance, per
+// stratum and in the fallback.
+func (d *driver) variance(j int) float64 {
+	d.mbuf = d.e.pairs(j, true, d.mbuf[:0])
+	var g moments
+	for h := range d.mbuf {
+		g.sum.AddKahan(d.mbuf[h].sum)
+		g.sumsq.AddKahan(d.mbuf[h].sumsq)
+		g.n += d.mbuf[h].n
+	}
+	gVar, _ := g.variance()
+	boundS2, haveBound := 0.0, false
+	if bound := d.opts.VarianceBound; bound != nil {
+		boundS2, haveBound = bound(g.n)
+	}
+	if haveBound && boundS2 > gVar {
+		gVar = boundS2
+	}
+	var v float64
+	for h := range d.mbuf {
+		sm := &d.mbuf[h]
+		if sm.fresh >= sm.size {
+			continue // census: no variance left
+		}
+		n := sm.n
+		s2, ok := sm.variance()
+		if !ok {
+			s2 = gVar
+			n = max(n, 1)
+		}
+		if haveBound && boundS2 > s2 {
+			s2 = boundS2
+		}
+		v += stratumVar(float64(sm.size), s2, float64(n), float64(sm.fresh))
+	}
+	return v
+}
+
 // chooseBest re-selects the alive configuration with the smallest
 // estimate, notifying the estimator when the incumbent changes.
 func (d *driver) chooseBest() {
 	best := -1
 	var bx float64
 	for _, j := range d.aliveIdx {
-		x := d.e.estimate(j)
+		x := d.estimate(j)
 		if best < 0 || x < bx {
 			best, bx = j, x
 		}
@@ -670,7 +815,7 @@ func (d *driver) maybeSplit() error {
 	if d.opts.Strat != Progressive {
 		return nil
 	}
-	part, targetVar, ok := d.e.splitTarget()
+	part, j, targetVar, ok := d.e.splitTarget()
 	if !ok {
 		return nil
 	}
@@ -680,14 +825,25 @@ func (d *driver) maybeSplit() error {
 	sc.tstats = grow(sc.tstats, L)
 	sc.toffs = grow(sc.toffs, L)
 	sc.tbuf = sc.tbuf[:0]
+	d.mbuf = d.e.pairs(j, false, d.mbuf[:0])
 	for h := 0; h < L; h++ {
-		start := len(sc.tbuf)
-		cur, buf, ok := d.e.splitStats(part, h, sc.tbuf)
-		sc.cur[h] = cur
-		sc.tbuf = buf
-		if ok {
-			sc.toffs[h] = [2]int{start, len(sc.tbuf)}
-		} else {
+		sm := &d.mbuf[h]
+		s2, _ := sm.variance()
+		sc.cur[h] = stats.Stratum{Size: sm.size, S2: s2, Taken: sm.fresh}
+		start, complete := len(sc.tbuf), true
+		for _, t := range d.e.stratumAt(part, h).templates {
+			m, w := d.e.tmplMoments(t, j)
+			if complete = m.n >= minTemplateObs; !complete {
+				break
+			}
+			v, _ := m.variance()
+			sc.tbuf = append(sc.tbuf, tmplStat{t: t, w: w, m: m.mean(), v: v})
+		}
+		// A member template without observations keeps the stratum out of
+		// the search.
+		sc.toffs[h] = [2]int{start, len(sc.tbuf)}
+		if !complete {
+			sc.tbuf = sc.tbuf[:start]
 			sc.toffs[h] = [2]int{-1, -1}
 		}
 	}
@@ -784,7 +940,7 @@ func (d *driver) captureState() *StratState {
 		Best:           d.best,
 		SampledQueries: d.sampled,
 	}
-	for t, ts := range d.e.templateStates() {
+	for t, ts := range templateStates(d.tcols, d.shared) {
 		if d.pop.templateSize(t) == 0 {
 			continue
 		}

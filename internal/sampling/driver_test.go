@@ -22,9 +22,28 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 type goldenCell struct {
 	name string
 	opts func(par int) Options
+	// oracle, when set, wraps the cell's matrix oracle.
+	oracle func(*MatrixOracle) Oracle
 	// warm, when set, first runs opts to capture a snapshot, then records
-	// a rerun resumed from it under another seed.
-	warm bool
+	// a rerun resumed from it under another seed: on the same matrix after
+	// a line for the capture run, or, when resume is set, on resume alone.
+	warm   bool
+	resume *workload.CostMatrix
+}
+
+// skipOracle asks to skip every probe of each query divisible by every:
+// the outcome depends only on the pair, so concurrent probes are safe.
+type skipOracle struct {
+	*MatrixOracle
+	every int
+}
+
+func (o skipOracle) CostErr(i, j int) (float64, error) {
+	c := o.Cost(i, j)
+	if i%o.every == 0 {
+		return 0, fmt.Errorf("probe (%d,%d): %w", i, j, ErrSkipQuery)
+	}
+	return c, nil
 }
 
 // traced attaches a flight recorder to opts' tracer; its report's Rounds
@@ -74,8 +93,10 @@ func goldenLine(t *testing.T, name string, res *Result, rounds []recorder.Round)
 
 // driverGoldenCells is the matrix pinned by testdata/driver.golden: both
 // schemes under every stratification mode in adaptive and fixed-budget
-// mode, a warm resume per scheme, and the CallCost and VarianceBound
-// hooks.
+// mode, a warm resume per scheme, the CallCost and VarianceBound hooks,
+// then per scheme a run that degrades a fixed set of queries and a warm
+// resume on a matrix whose configuration columns are reversed (the drift
+// check sheds the contradicted prior).
 func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 	const templates, k = 10, 4
 	m, tmplIdx := synthMatrix(4000, k, templates, 0.01, 2, 17)
@@ -91,7 +112,7 @@ func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 		}
 	}
 	callCost := func(q int) float64 { return 1 + float64(tmplIdx[q]*tmplIdx[q]) }
-	bound := func(pair [2]int, n int) (float64, bool) {
+	bound := func(n int) (float64, bool) {
 		if n >= 400 {
 			return 0, false
 		}
@@ -126,6 +147,19 @@ func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 				return o
 			}})
 	}
+	reversed := m.SubsetColumns([]int{3, 2, 1, 0})
+	for _, scheme := range []Scheme{Delta, Independent} {
+		cells = append(cells,
+			goldenCell{name: fmt.Sprintf("%v/progressive/degraded", scheme),
+				oracle: func(o *MatrixOracle) Oracle { return skipOracle{MatrixOracle: o, every: 29} },
+				opts: func(par int) Options {
+					return base(scheme, Progressive, 15, par)
+				}},
+			goldenCell{name: fmt.Sprintf("%v/progressive/warm/drift", scheme), warm: true, resume: reversed,
+				opts: func(par int) Options {
+					return base(scheme, Progressive, 11, par)
+				}})
+	}
 	return m, cells
 }
 
@@ -141,17 +175,26 @@ func TestDriverGolden(t *testing.T) {
 		for _, c := range cells {
 			opts := c.opts(par)
 			rec := traced(&opts)
-			res, err := Run(NewMatrixOracle(m), opts)
+			var o Oracle = NewMatrixOracle(m)
+			if c.oracle != nil {
+				o = c.oracle(NewMatrixOracle(m))
+			}
+			res, err := Run(o, opts)
 			if err != nil {
 				t.Fatalf("%s (parallelism %d): %v", c.name, par, err)
 			}
 			if c.warm {
-				b.WriteString(goldenLine(t, c.name+"/capture", res, trajectory(rec)))
+				resume := m
+				if c.resume != nil {
+					resume = c.resume
+				} else {
+					b.WriteString(goldenLine(t, c.name+"/capture", res, trajectory(rec)))
+				}
 				rerun := c.opts(par)
 				rerun.RNG = stats.NewRNG(10)
 				rerun.WarmState = res.State
 				rec = traced(&rerun)
-				if res, err = Run(NewMatrixOracle(m), rerun); err != nil {
+				if res, err = Run(NewMatrixOracle(resume), rerun); err != nil {
 					t.Fatalf("%s rerun (parallelism %d): %v", c.name, par, err)
 				}
 			}

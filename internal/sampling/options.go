@@ -112,16 +112,17 @@ type Options struct {
 	Parallelism int
 
 	// TemplateIndex maps each query to a dense template index; required
-	// for any stratification mode (see workload.TemplateIndexOf).
+	// for any stratification mode (see workload.TemplateIndexOf). nil puts
+	// every query in one template.
 	TemplateIndex []int
 	// TemplateCount is the number of distinct templates.
 	TemplateCount int
 
 	// VarianceBound, when non-nil, substitutes a conservative upper bound
-	// for the sample variance of the difference estimator (Section 6.2's
-	// σ²_max), making Pr(CS) conservative. It is consulted per pair with
-	// the pair's sample size.
-	VarianceBound func(pair [2]int, n int) (s2 float64, ok bool)
+	// for the sample variance of the estimator variable (Section 6.2's
+	// σ²_max), making Pr(CS) conservative. It is consulted per variance
+	// with its sample size.
+	VarianceBound func(n int) (s2 float64, ok bool)
 
 	// CallCost, when non-nil, gives the relative optimization overhead of
 	// evaluating query q (Section 5.2's non-constant optimization times):

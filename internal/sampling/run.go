@@ -14,6 +14,9 @@ func Run(o Oracle, opts Options) (*Result, error) {
 	if err := opts.ctxErr(); err != nil {
 		return nil, err
 	}
+	if opts.TemplateIndex == nil {
+		opts.TemplateIndex, opts.TemplateCount = make([]int, o.N()), 1
+	}
 	switch opts.Scheme {
 	case Delta:
 		return newDeltaSampler(o, opts).run()

@@ -159,7 +159,7 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 			}.withDefaults())
 			for h := range d.strata {
 				for d.strata[h].n < min(10, d.strata[h].size) {
-					ok, err := d.sampleFrom(h)
+					ok, err := d.draw(0, h)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -385,7 +385,7 @@ func TestVarianceBoundMakesConservative(t *testing.T) {
 		Scheme: Delta, Alpha: 0.9,
 		TemplateIndex: tmplIdx, TemplateCount: 6,
 		RNG: stats.NewRNG(83),
-		VarianceBound: func(pair [2]int, n int) (float64, bool) {
+		VarianceBound: func(int) (float64, bool) {
 			return 1e9, true
 		},
 	})

@@ -15,15 +15,6 @@ type population struct {
 
 func newPopulation(templateIndex []int, templateCount, n int) *population {
 	p := &population{n: n, byTemplate: make([][]int, templateCount)}
-	if templateIndex == nil {
-		// Single implicit template covering everything.
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		p.byTemplate = [][]int{all}
-		return p
-	}
 	for q, t := range templateIndex {
 		p.byTemplate[t] = append(p.byTemplate[t], q)
 	}

@@ -95,36 +95,6 @@ func priorEff(pn, n int) (pe int, f float64) {
 	return pe, float64(pe) / float64(pn)
 }
 
-// meansDiffer is the shared two-sample z-test of the consistency check:
-// it reports whether a fresh and a prior mean disagree beyond
-// priorDriftSigma standard errors. Columns with fewer than two
-// observations on either side stay inconclusive.
-//
-//physdes:zeroalloc
-func meansDiffer(fMean, fVar float64, fN int, pMean, pVar float64, pN int) bool {
-	if fN < 2 || pN < 2 {
-		return false
-	}
-	se := math.Sqrt(fVar/float64(fN) + pVar/float64(pN))
-	diff := math.Abs(fMean - pMean)
-	if se == 0 {
-		return diff != 0
-	}
-	return diff > priorDriftSigma*se
-}
-
-// priorMeansDiffer applies meansDiffer to raw Kahan moment columns.
-//
-//physdes:zeroalloc
-func priorMeansDiffer(fSum, fSumsq stats.Kahan, fN int, pSum, pSumsq stats.Kahan, pN int) bool {
-	if fN < 2 || pN < 2 {
-		return false
-	}
-	fVar, _ := stats.SampleVarFromKahanSums(fSum, fSumsq, fN)
-	pVar, _ := stats.SampleVarFromKahanSums(pSum, pSumsq, pN)
-	return meansDiffer(fSum.Sum()/float64(fN), fVar, fN, pSum.Sum()/float64(pN), pVar, pN)
-}
-
 // ParamMoment holds Welford moments of one literal position of a query
 // template: observation count, running mean and the centered sum of
 // squares M2 (sample variance = M2/(N-1)). Two runs compare these moments
@@ -165,6 +135,30 @@ type TemplateState struct {
 	Sum    []stats.Kahan `json:"sum"`
 	Sumsq  []stats.Kahan `json:"sumsq"`
 	Cross  []stats.Kahan `json:"cross,omitempty"`
+}
+
+// templateStates converts per-template, per-configuration moments into
+// their persisted form; cross keeps Delta's cross sums.
+func templateStates(tcols [][]moments, cross bool) []TemplateState {
+	out := make([]TemplateState, len(tcols))
+	for t, cols := range tcols {
+		ts := TemplateState{
+			Counts: make([]int, len(cols)),
+			Sum:    make([]stats.Kahan, len(cols)),
+			Sumsq:  make([]stats.Kahan, len(cols)),
+		}
+		if cross {
+			ts.Cross = make([]stats.Kahan, len(cols))
+		}
+		for j, c := range cols {
+			ts.Counts[j], ts.Sum[j], ts.Sumsq[j] = c.n, c.sum, c.sumsq
+			if cross {
+				ts.Cross[j] = c.cross
+			}
+		}
+		out[t] = ts
+	}
+	return out
 }
 
 // StratState is a serializable snapshot of a finished selection run's
@@ -396,45 +390,43 @@ func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *populati
 }
 
 // tmplPrior is a warm snapshot's per-template moments remapped to the
-// current configuration order; rows of fresh templates stay nil.
-type tmplPrior struct {
-	n                 [][]int
-	sum, sumsq, cross [][]stats.Kahan // cross: Delta snapshots only
-}
+// current configuration order (cross sums: Delta snapshots only); rows of
+// fresh templates stay nil.
+type tmplPrior [][]moments
 
 // templatePriors remaps the snapshot moments of the tc current templates
 // onto the k current configurations.
 func (wr *warmResume) templatePriors(tc, k int, cross bool) tmplPrior {
-	pr := tmplPrior{
-		n:     make([][]int, tc),
-		sum:   make([][]stats.Kahan, tc),
-		sumsq: make([][]stats.Kahan, tc),
-	}
-	if cross {
-		pr.cross = make([][]stats.Kahan, tc)
-	}
+	pr := make(tmplPrior, tc)
 	for t := 0; t < tc && t < len(wr.stateIdx); t++ {
 		si := wr.stateIdx[t]
 		if si < 0 {
 			continue
 		}
 		ts := &wr.st.Templates[si]
-		pr.n[t] = make([]int, k)
-		pr.sum[t] = make([]stats.Kahan, k)
-		pr.sumsq[t] = make([]stats.Kahan, k)
-		if cross {
-			pr.cross[t] = make([]stats.Kahan, k)
-		}
+		pr[t] = make([]moments, k)
 		for j, pj := range wr.cfgMap {
-			pr.n[t][j] = ts.Counts[pj]
-			pr.sum[t][j] = ts.Sum[pj]
-			pr.sumsq[t][j] = ts.Sumsq[pj]
+			pr[t][j] = moments{n: ts.Counts[pj], sum: ts.Sum[pj], sumsq: ts.Sumsq[pj]}
 			if cross {
-				pr.cross[t][j] = ts.Cross[pj]
+				pr[t][j].cross = ts.Cross[pj]
 			}
 		}
 	}
 	return pr
+}
+
+// column sums configuration j's prior moments over the templates — the
+// moment-reseeding hot path of a warm resume and of warm-stratum splits.
+//
+//physdes:zeroalloc
+func (pr tmplPrior) column(templates []int, j int) moments {
+	var m moments
+	for _, t := range templates {
+		if pr[t] != nil {
+			m.merge(pr[t][j])
+		}
+	}
+	return m
 }
 
 // groupsFor rebuilds the initial template groups for partition pi:
