@@ -48,7 +48,9 @@ test-race:
 # decomposition (reassembled costs must match direct costing exactly and
 # never lose a structure the winning plan reads), and the drift workload
 # generator (arbitrary churn/θ-drift parameters must yield windows a
-# warm-started selection accepts — or a clean error, never a panic).
+# warm-started selection accepts — or a clean error, never a panic), and
+# template-shaped ingest (a statement and a literal-rewritten sibling
+# parsed as one workload must analyse exactly as each does alone).
 # FUZZTIME bounds each run; the seeds always run under plain `make test`.
 FUZZTIME ?= 30s
 fuzz:
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadWorkloadFile -fuzztime=$(FUZZTIME) ./cmd/physdes
 	$(GO) test -run='^$$' -fuzz=FuzzAtomDecompose -fuzztime=$(FUZZTIME) ./internal/optimizer
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadDrift -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzParseShared -fuzztime=$(FUZZTIME) ./internal/workload
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -19,6 +19,7 @@ package physdes
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -30,6 +31,7 @@ import (
 	"physdes/internal/sampling"
 	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
+	"physdes/internal/workload"
 )
 
 // benchParams keeps the per-iteration work bounded; benchrunner regenerates
@@ -387,6 +389,7 @@ func BenchmarkParseAnalyze(b *testing.B) {
 		"FROM customer c, orders o, lineitem l WHERE c.c_custkey = o.o_custkey " +
 		"AND l.l_orderkey = o.o_orderkey AND c_mktsegment = 'SEG#1' AND o_orderdate < 100 " +
 		"GROUP BY l_orderkey, o_orderdate"
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stmt, err := sqlparse.Parse(src)
@@ -397,6 +400,35 @@ func BenchmarkParseAnalyze(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWorkloadParse parses the SQL text of a 13K-statement TPC-D
+// workload (Table 2's size) into a workload, reporting the per-statement
+// cost of ingest: statements of a known signature copy and patch their
+// template's analysis instead of being parsed.
+func BenchmarkWorkloadParse(b *testing.B) {
+	cat := TPCDCatalog(1)
+	w, err := workload.GenTPCD(cat, 13_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sqls := make([]string, w.Size())
+	for i, q := range w.Queries {
+		sqls[i] = q.SQL
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.Parse(cat, sqls); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	stmts := float64(b.N) * float64(len(sqls))
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/stmts, "us/stmt")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/stmts, "allocs/stmt")
 }
 
 func BenchmarkTemplateExtraction(b *testing.B) {

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"physdes/internal/catalog"
@@ -39,7 +40,8 @@ func (o CandidateOptions) withDefaults() CandidateOptions {
 // composite indexes on sargable predicate columns, join-column indexes,
 // order/group-by indexes, optional covering variants and two-table join
 // views. The result is de-duplicated and sorted by ID, so enumeration is
-// deterministic.
+// deterministic. Each distinct enumeration shape is processed once: the
+// statements of one template usually share it.
 func EnumerateCandidates(cat *catalog.Catalog, analyses []*sqlparse.Analysis, opts CandidateOptions) []Structure {
 	opts = opts.withDefaults()
 	seen := make(map[string]Structure)
@@ -49,7 +51,7 @@ func EnumerateCandidates(cat *catalog.Catalog, analyses []*sqlparse.Analysis, op
 		}
 	}
 
-	for _, a := range analyses {
+	for _, a := range distinctShapes(analyses) {
 		perTableEq := make(map[string][]string)
 		perTableRange := make(map[string][]string)
 		for _, p := range a.Preds {
@@ -185,6 +187,101 @@ func EnumerateCandidates(cat *catalog.Catalog, analyses []*sqlparse.Analysis, op
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
+}
+
+// distinctShapes returns the first analysis of each distinct enumeration
+// shape, in input order. Two analyses have one shape when everything
+// enumeration reads from them is equal: the predicates' (column, kind,
+// disjunction) lists, joins, group-by and order-by columns, referenced
+// columns, tables and HasDisjunction. Enumeration over the result is
+// therefore identical to enumeration over every analysis. Shapes are
+// bucketed by a hash and told apart by an exact comparison.
+func distinctShapes(analyses []*sqlparse.Analysis) []*sqlparse.Analysis {
+	buckets := make(map[uint64][]*sqlparse.Analysis)
+	var out []*sqlparse.Analysis
+	for _, a := range analyses {
+		h := shapeHash(a)
+		seen := false
+		for _, b := range buckets[h] {
+			if sameShape(a, b) {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			buckets[h] = append(buckets[h], a)
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// shapeHash is an FNV-1a hash of an analysis's enumeration shape.
+func shapeHash(a *sqlparse.Analysis) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	str := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h = (h ^ 0xff) * prime // terminator: "ab"+"c" ≠ "a"+"bc"
+	}
+	num := func(n int) { h = (h ^ uint64(n)) * prime }
+	col := func(c sqlparse.TableColumn) { str(c.Table); str(c.Column) }
+	num(len(a.Preds))
+	for _, p := range a.Preds {
+		col(p.Col)
+		num(int(p.Kind))
+		if p.InDisjunction {
+			num(1)
+		}
+	}
+	num(len(a.Joins))
+	for _, j := range a.Joins {
+		col(j.Left)
+		col(j.Right)
+	}
+	num(len(a.GroupBy))
+	for _, g := range a.GroupBy {
+		col(g)
+	}
+	num(len(a.OrderBy))
+	for _, o := range a.OrderBy {
+		col(o.Col)
+	}
+	num(len(a.Referenced))
+	for _, c := range a.Referenced {
+		col(c)
+	}
+	num(len(a.Tables))
+	for _, t := range a.Tables {
+		str(t)
+	}
+	if a.HasDisjunction {
+		num(1)
+	}
+	return h
+}
+
+// sameShape reports whether a and b have one enumeration shape.
+func sameShape(a, b *sqlparse.Analysis) bool {
+	if len(a.Preds) != len(b.Preds) || len(a.OrderBy) != len(b.OrderBy) ||
+		a.HasDisjunction != b.HasDisjunction {
+		return false
+	}
+	for i := range a.Preds {
+		p, q := &a.Preds[i], &b.Preds[i]
+		if p.Col != q.Col || p.Kind != q.Kind || p.InDisjunction != q.InDisjunction {
+			return false
+		}
+	}
+	for i := range a.OrderBy {
+		if a.OrderBy[i].Col != b.OrderBy[i].Col {
+			return false
+		}
+	}
+	return slices.Equal(a.Joins, b.Joins) && slices.Equal(a.GroupBy, b.GroupBy) &&
+		slices.Equal(a.Referenced, b.Referenced) && slices.Equal(a.Tables, b.Tables)
 }
 
 // addMergedIndexes merges pairs of same-table index candidates: the merged

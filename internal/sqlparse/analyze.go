@@ -122,6 +122,10 @@ type OrderColumn struct {
 
 // Analysis is the structural summary of a statement consumed by the
 // what-if optimizer and by candidate-structure enumeration.
+//
+// An analysis is read-only once workload.Parse returns it. Statements with
+// the same signature (see AppendSignature) may share every slice of their
+// analyses except Preds, which each statement owns.
 type Analysis struct {
 	Kind   StmtKind
 	Tables []string // distinct base table names, sorted

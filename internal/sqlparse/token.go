@@ -101,17 +101,45 @@ type Token struct {
 	Pos  int
 }
 
-// keywords recognized by the lexer; identifiers matching these
-// (case-insensitively) are lexed as TokKeyword with upper-case Text.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "AND": true,
-	"OR": true, "NOT": true, "IN": true, "BETWEEN": true, "LIKE": true,
-	"AS": true, "DISTINCT": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"TOP": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true,
-	"MAX": true, "IS": true, "NULL": true, "JOIN": true, "ON": true,
-	"INNER": true,
+// keywordList holds the keywords recognized by the lexer; identifiers
+// matching one (case-insensitively) are lexed as TokKeyword with
+// upper-case Text.
+var keywordList = []string{
+	"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
+	"DESC", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE", "AS", "DISTINCT",
+	"INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "TOP", "COUNT",
+	"SUM", "AVG", "MIN", "MAX", "IS", "NULL", "JOIN", "ON", "INNER",
+}
+
+// keywords maps each keyword to itself, so a lookup returns the canonical
+// upper-case string without building one.
+var keywords = func() map[string]string {
+	m := make(map[string]string, len(keywordList))
+	for _, kw := range keywordList {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword ("DISTINCT").
+const maxKeywordLen = 8
+
+// keyword returns the upper-case keyword that text spells in any case.
+// It upper-cases into a stack buffer, so it allocates nothing.
+func keyword(text string) (string, bool) {
+	if len(text) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 // Lexer turns an input string into tokens.
@@ -251,9 +279,8 @@ func (l *Lexer) lexIdent() (Token, error) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	up := upper(text)
-	if keywords[up] {
-		return Token{TokKeyword, up, start}, nil
+	if kw, ok := keyword(text); ok {
+		return Token{TokKeyword, kw, start}, nil
 	}
 	return Token{TokIdent, text, start}, nil
 }
@@ -265,21 +292,6 @@ func isIdentStart(c byte) bool {
 }
 
 func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
-
-func upper(s string) string {
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if c >= 'a' && c <= 'z' {
-			b[i] = c - 'a' + 'A'
-			changed = true
-		}
-	}
-	if !changed {
-		return s
-	}
-	return string(b)
-}
 
 // Tokenize lexes the whole input, excluding the trailing EOF token.
 func Tokenize(src string) ([]Token, error) {
@@ -294,5 +306,34 @@ func Tokenize(src string) ([]Token, error) {
 			return out, nil
 		}
 		out = append(out, t)
+	}
+}
+
+// AppendSignature lexes src once, appending its exact signature to sig and
+// its literal tokens (numbers and strings, in source order) to lits. The
+// signature is each token's kind byte followed, for identifiers and
+// keywords, by the token's text; every other kind has one spelling, and a
+// kind byte (< 32) can never be mistaken for identifier text, so equal
+// signatures mean equal token streams up to literal text. The parser
+// branches on token kinds and non-literal text only, so statements with
+// one signature parse to trees of one shape — and share a template — that
+// differ only in their literal values.
+func AppendSignature(sig []byte, lits []Token, src string) ([]byte, []Token, error) {
+	l := Lexer{src: src}
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return sig, lits, err
+		}
+		if t.Kind == TokEOF {
+			return sig, lits, nil
+		}
+		sig = append(sig, byte(t.Kind))
+		switch t.Kind {
+		case TokIdent, TokKeyword:
+			sig = append(sig, t.Text...)
+		case TokNumber, TokString:
+			lits = append(lits, t)
+		}
 	}
 }

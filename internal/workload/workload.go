@@ -62,10 +62,29 @@ func New(queries []*Query) *Workload {
 // Parse builds a workload from raw SQL statements, parsing and analyzing
 // each against the catalog and binding its predicate selectivities to the
 // catalog's statistics (optimizer.Bind).
+//
+// Work that depends only on a statement's shape is done once per shape.
+// One lexer pass gives each statement's exact signature (its tokens with
+// literal text left out). The first statement with a signature takes the
+// full path — sqlparse.Parse, Analyze, Template — and records its shape;
+// every later one copies that statement's analysis, patches in its own
+// literals and is bound. The signature table lives for this call only.
 func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 	queries := make([]*Query, len(sqls))
 	templateSQL := make(map[sqlparse.TemplateID]string)
+	shapes := make(map[string]*shape)
+	var sig []byte
+	var lits []sqlparse.Token
 	for i, src := range sqls {
+		var sigErr error
+		sig, lits, sigErr = sqlparse.AppendSignature(sig[:0], lits[:0], src)
+		if sh := shapes[string(sig)]; sigErr == nil && sh != nil {
+			if a, ok := sh.instantiate(lits); ok {
+				optimizer.Bind(cat, a)
+				queries[i] = &Query{ID: i, SQL: src, Analysis: a, Template: sh.template}
+				continue
+			}
+		}
 		stmt, err := sqlparse.Parse(src)
 		if err != nil {
 			return nil, fmt.Errorf("workload: statement %d: %w", i, err)
@@ -74,11 +93,17 @@ func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: statement %d: %w", i, err)
 		}
-		optimizer.Bind(cat, a)
 		tSQL, tid := sqlparse.Template(stmt)
 		if _, seen := templateSQL[tid]; !seen {
 			templateSQL[tid] = tSQL
 		}
+		// The parse succeeded, so the lexer did too and sig is complete.
+		sh, err := newShape(src, lits, a, tid, cat.Resolve)
+		if err != nil {
+			return nil, fmt.Errorf("workload: statement %d: %w", i, err)
+		}
+		shapes[string(sig)] = sh
+		optimizer.Bind(cat, a)
 		queries[i] = &Query{ID: i, SQL: src, Analysis: a, Template: tid}
 	}
 	w := New(queries)
