@@ -218,3 +218,66 @@ func TestDriverGolden(t *testing.T) {
 		}
 	}
 }
+
+// eventLog is a tracer sink that keeps every event in emission order.
+type eventLog struct{ events []obs.Event }
+
+func (l *eventLog) Event(e obs.Event) { l.events = append(l.events, e) }
+func (l *eventLog) Flush() error      { return nil }
+
+// attr returns the value of an event attribute, nil when absent.
+func attr(e obs.Event, key string) any {
+	for _, kv := range e.Attrs {
+		if kv.Key == key {
+			return kv.Value
+		}
+	}
+	return nil
+}
+
+// TestEliminationKeepsAlphaBudget pins the bound on elimination's share of
+// the α budget at k = 50, where 49 frozen 1 − p_ij charges at the 0.995
+// floor alone could sum to 0.245. The best configuration is 1% cheaper
+// than the runner-up under 40% per-row noise, so rivals cross the
+// threshold gradually and each leaves a charge behind. The summed charges
+// must stay below 1 − α, and no sample may be drawn while the incumbent
+// is alone with Pr(CS) < α: no sample can raise that Pr(CS), so the run
+// would draw until it had costed the whole workload.
+func TestEliminationKeepsAlphaBudget(t *testing.T) {
+	const n, k, templates, alpha = 10_000, 50, 10, 0.9
+	m, tmplIdx := synthMatrix(n, k, templates, 0.01, 8, 3)
+	for seed := uint64(1); seed <= 3; seed++ {
+		log := &eventLog{}
+		res, err := Run(NewMatrixOracle(m), Options{
+			Scheme: Delta, Strat: Progressive,
+			Alpha: alpha, StabilityWindow: 10, EliminationThreshold: 0.995,
+			RNG:           stats.NewRNG(seed),
+			TemplateIndex: tmplIdx, TemplateCount: templates,
+			Tracer: obs.NewTracerSinks(log),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var charged float64
+		loneBelow, wasted := false, 0
+		for _, e := range log.events {
+			switch e.Name {
+			case "round":
+				loneBelow = attr(e, "alive").(int) == 1 && attr(e, "prcs").(float64) < alpha
+			case "alloc":
+				if loneBelow {
+					wasted++
+				}
+			case "eliminate":
+				charged += 1 - attr(e, "pair_prcs").(float64)
+			}
+		}
+		if wasted > 0 {
+			t.Errorf("seed %d: %d samples drawn while the incumbent was alone below α (calls=%d, sampled=%d of %d)",
+				seed, wasted, res.OptimizerCalls, res.SampledQueries, n)
+		}
+		if charged >= 1-alpha {
+			t.Errorf("seed %d: eliminations charged %.4f of Pr(CS), want < 1 − α = %.2f", seed, charged, 1-alpha)
+		}
+	}
+}
