@@ -4,6 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"physdes/internal/catalog"
+	"physdes/internal/optimizer"
+	"physdes/internal/physical"
+	"physdes/internal/sqlparse"
+	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
 
@@ -128,5 +133,88 @@ func TestPrCSStatisticalGuaranteeConservative(t *testing.T) {
 	if rate < floor {
 		t.Errorf("conservative correct-selection rate %.3f < %.4f = α − 3·stderr: the Section 6 guarantee regressed",
 			rate, floor)
+	}
+}
+
+// TestPrCSOnBenchmarkSpaces checks the Pr(CS) ≥ α guarantee on the
+// configuration spaces perfbench selects over, with the default options at
+// one worker: TPC-D 13K (k=50) and CRM 6K (k=200), each generated from
+// seed 1000 with the configuration space drawn as perfbench draws it.
+// At k=50 and k=200 elimination's threshold is tightened beyond its 0.995
+// floor, so this pins that runs stopping long before a census still
+// select correctly. A pick is wrong when its exact workload cost exceeds
+// the exact best by more than 0.1% (perfbench's regret tolerance); the
+// rate of right picks over 200 selection seeds must stay within three
+// binomial standard errors of α. The selections run one after another on
+// one worker, so the race detector has nothing to watch and would only
+// stretch the test tenfold: it is skipped there and run plainly instead.
+func TestPrCSOnBenchmarkSpaces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Monte-Carlo harness skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("sequential single-worker Monte-Carlo skipped under the race detector")
+	}
+	const (
+		trials    = 200
+		tolerance = 0.001
+	)
+	spaces := []struct {
+		db        string
+		n, k      int
+		spaceSeed uint64
+	}{
+		{db: "tpcd", n: 13_000, k: 50, spaceSeed: 12},
+		{db: "crm", n: 6_000, k: 200, spaceSeed: 4},
+	}
+	for _, sp := range spaces {
+		t.Run(sp.db, func(t *testing.T) {
+			cat := catalog.TPCD(1)
+			gen := workload.GenTPCD
+			if sp.db == "crm" {
+				cat, gen = catalog.CRM(), workload.GenCRM
+			}
+			w, err := gen(cat, sp.n, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analyses := make([]*sqlparse.Analysis, len(w.Queries))
+			for i, q := range w.Queries {
+				analyses[i] = q.Analysis
+			}
+			cands := physical.EnumerateCandidates(cat, analyses,
+				physical.CandidateOptions{Covering: true, Views: sp.db == "tpcd"})
+			space := physical.GenerateSpace(cat, cands, sp.k, stats.NewRNG(sp.spaceSeed),
+				physical.SpaceOptions{MinStructures: 3, MaxStructures: 10})
+			if len(space) != sp.k {
+				t.Fatalf("space has %d configurations, want %d", len(space), sp.k)
+			}
+			opt := optimizer.New(cat)
+			truth := workload.ComputeCostMatrix(opt, w, space)
+			_, bestCost := truth.BestConfig()
+
+			correct := 0
+			var calls int64
+			for i := 0; i < trials; i++ {
+				o := DefaultOptions(uint64(i + 1))
+				o.Parallelism = 1
+				sel, err := Select(opt, w, space, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if truth.TotalCost(sel.BestIndex)/bestCost-1 <= tolerance {
+					correct++
+				}
+				calls += sel.OptimizerCalls
+			}
+			alpha := DefaultOptions(0).Alpha
+			rate := float64(correct) / trials
+			floor := alpha - 3*math.Sqrt(alpha*(1-alpha)/trials)
+			t.Logf("%s: correct-selection rate %.3f over %d trials (floor %.4f), mean calls %.0f",
+				sp.db, rate, trials, floor, float64(calls)/trials)
+			if rate < floor {
+				t.Errorf("correct-selection rate %.3f < %.4f = α − 3·stderr", rate, floor)
+			}
+		})
 	}
 }

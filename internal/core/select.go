@@ -41,7 +41,9 @@ type Options struct {
 	// Section 7.2).
 	StabilityWindow int
 	// EliminationThreshold drops clearly inferior configurations
-	// (default 0.995; set negative to disable).
+	// (default 0.995; set negative to disable). It is a floor: the sampler
+	// tightens it to 1 − (1 − α)/(k − 1) when that is stricter (k > 21 at
+	// the defaults), so eliminations never spend the whole 1 − α budget.
 	EliminationThreshold float64
 	// NMin is the per-stratum pilot size (default 30).
 	NMin int

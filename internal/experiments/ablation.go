@@ -31,7 +31,7 @@ func EliminationAblation(s *Scenario, k int, p Params) []AblationRow {
 		th   float64
 	}{
 		{"elimination off", 0},
-		{"elimination 0.995", 0.995},
+		{"elimination budgeted", 0.995},
 	}
 	var rows []AblationRow
 	for si, st := range settings {

@@ -309,7 +309,7 @@ func (d *deltaSampler) splitTarget() (part, j int, targetVar float64, ok bool) {
 	if worst < 0 {
 		return 0, 0, 0, false
 	}
-	gap := d.estimate(worst) - d.estimate(d.best)
+	gap := d.est[worst] - d.est[d.best]
 	targetVar = stats.TargetVarianceForPrCS(gap, d.opts.Delta, d.perPairTarget())
 	return 0, worst, targetVar, !math.IsInf(targetVar, 1)
 }

@@ -119,7 +119,8 @@ type driver struct {
 
 	met     samplerMetrics
 	split   splitScratch   // reusable split-search buffers
-	pairBuf []float64      // reusable pairwise Pr(CS) buffer
+	est     []float64      // alive configurations' estimates, set by chooseBest
+	pairBuf []float64      // pairwise Pr(CS) against the incumbent, set by prCS
 	mbuf    []stratMoments // reusable per-stratum moments buffer
 
 	// Evaluation scratch, reused by every batch.
@@ -141,6 +142,8 @@ func newDriver(o Oracle, opts Options) *driver {
 		aliveIdx:   make([]int, k),
 		aliveCount: k,
 		priorBest:  -1,
+		est:        make([]float64, k),
+		pairBuf:    make([]float64, k),
 		met:        newSamplerMetrics(opts.Metrics),
 	}
 	if d.shared {
@@ -459,7 +462,7 @@ func (d *driver) run() (*Result, error) {
 
 	round := 0
 	stable := 0
-	p, pair := d.prCS()
+	p := d.prCS()
 	for {
 		round++
 		d.met.rounds.Inc()
@@ -483,7 +486,7 @@ func (d *driver) run() (*Result, error) {
 				stable = 0
 			}
 		}
-		d.eliminate(pair)
+		d.eliminate()
 		if err := d.maybeSplit(); err != nil {
 			return nil, err
 		}
@@ -514,7 +517,7 @@ func (d *driver) run() (*Result, error) {
 		}
 		d.dropDriftedPriors()
 		d.chooseBest()
-		p, pair = d.prCS()
+		p = d.prCS()
 		if d.met.roundSeconds != nil {
 			d.met.roundSeconds.Observe(sw.Elapsed().Seconds())
 		}
@@ -624,15 +627,16 @@ func (d *driver) exhaustedAll() bool {
 
 // prCS computes the multi-way probability of correct selection via the
 // Bonferroni bound (Equation 3), folding in the frozen penalty of
-// eliminated configurations. The returned pairwise probabilities alias a
-// reusable buffer.
+// eliminated configurations. It reads the estimates of the last
+// chooseBest and leaves the pairwise probabilities in d.pairBuf; both stay
+// valid until the next sample, since elimination only removes
+// configurations.
 //
 // Delta's difference estimator carries each pair's variance directly;
 // Independent's two estimators are independent, so the pair variance is
 // the sum of their variances (Equation 2).
-func (d *driver) prCS() (float64, []float64) {
-	xb := d.estimate(d.best)
-	d.pairBuf = grow(d.pairBuf, d.k)
+func (d *driver) prCS() float64 {
+	xb := d.est[d.best]
 	pair := d.pairBuf
 	clear(pair)
 	vb := 0.0
@@ -644,7 +648,7 @@ func (d *driver) prCS() (float64, []float64) {
 		if j == d.best {
 			continue
 		}
-		gap := d.estimate(j) - xb
+		gap := d.est[j] - xb
 		pij := stats.PairwisePrCS(gap, d.opts.Delta, sqrtPos(vb+d.variance(j)))
 		pair[j] = pij
 		p -= 1 - pij
@@ -655,7 +659,7 @@ func (d *driver) prCS() (float64, []float64) {
 	if p > 1 {
 		p = 1
 	}
-	return p, pair
+	return p
 }
 
 // estimate returns X_j = Σ_h |WL_h|·mean_h over the strata of X_j's
@@ -728,13 +732,15 @@ func (d *driver) variance(j int) float64 {
 	return v
 }
 
-// chooseBest re-selects the alive configuration with the smallest
-// estimate, notifying the estimator when the incumbent changes.
+// chooseBest forms every alive configuration's estimate into d.est and
+// re-selects the one with the smallest, notifying the estimator when the
+// incumbent changes. The rest of the round reads d.est.
 func (d *driver) chooseBest() {
 	best := -1
 	var bx float64
 	for _, j := range d.aliveIdx {
 		x := d.estimate(j)
+		d.est[j] = x
 		if best < 0 || x < bx {
 			best, bx = j, x
 		}
@@ -746,17 +752,26 @@ func (d *driver) chooseBest() {
 	d.e.bestChanged()
 }
 
-// eliminate drops configurations whose pairwise Pr(CS) exceeds the
-// threshold (Section 5's large-k optimization). Elimination is
-// irreversible, so it is deferred until the estimates rest on at least
-// twice the pilot sample of every stratification — a pilot-only fluke in
+// eliminate drops configurations whose pairwise Pr(CS), as the round's
+// prCS left it in d.pairBuf, exceeds the threshold (Section 5's large-k
+// optimization). Elimination is irreversible, so it is deferred until the
+// estimates rest on at least twice the pilot sample of every
+// stratification — a pilot-only fluke in
 // a heavy-tailed cost distribution must not evict the true best
 // configuration.
-func (d *driver) eliminate(pair []float64) {
+//
+// Each elimination freezes its 1 − p_ij into elimPen for the rest of the
+// run, so the threshold is EliminationThreshold tightened to
+// 1 − (1 − α)/(k − 1): at most k − 1 charges, each below (1 − α)/(k − 1),
+// keep elimPen under 1 − α. A lone survivor's Pr(CS) = 1 − elimPen then
+// exceeds α, and the stability window ends the run instead of a census.
+func (d *driver) eliminate() {
 	th := d.opts.EliminationThreshold
 	if th <= 0 || d.sampled < 2*d.opts.NMin*d.parts {
 		return
 	}
+	th = max(th, 1-(1-d.opts.Alpha)/float64(d.k-1))
+	pair := d.pairBuf
 	for _, j := range d.aliveIdx {
 		if j == d.best {
 			continue
@@ -786,16 +801,16 @@ func (d *driver) eliminate(pair []float64) {
 }
 
 // worstPair returns the alive configuration with the lowest pairwise
-// Pr(CS) against the incumbent, -1 when the incumbent is alone.
+// Pr(CS) against the incumbent, -1 when the incumbent is alone. It reads
+// the pairwise probabilities the round's prCS left in d.pairBuf.
 func (d *driver) worstPair() int {
-	_, pair := d.prCS()
 	worst, worstP := -1, 2.0
 	for _, j := range d.aliveIdx {
 		if j == d.best {
 			continue
 		}
-		if pair[j] < worstP {
-			worst, worstP = j, pair[j]
+		if d.pairBuf[j] < worstP {
+			worst, worstP = j, d.pairBuf[j]
 		}
 	}
 	return worst

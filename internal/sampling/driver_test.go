@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -280,4 +281,39 @@ func TestEliminationKeepsAlphaBudget(t *testing.T) {
 			t.Errorf("seed %d: eliminations charged %.4f of Pr(CS), want < 1 − α = %.2f", seed, charged, 1-alpha)
 		}
 	}
+}
+
+// BenchmarkDeltaRounds times the driver's own bookkeeping: a Delta Select
+// over a k=200 MatrixOracle, so no optimizer time is included. It reports
+// wall time and allocations per round (pilot included), from the
+// sampling_rounds_total counter. Elimination is off, so every round
+// carries all 200 configurations and the rounds a run makes do not depend
+// on the elimination rule: the figures compare the per-round work alone.
+func BenchmarkDeltaRounds(b *testing.B) {
+	const n, k, templates = 6_000, 200, 40
+	m, tmplIdx := synthMatrix(n, k, templates, 0.005, 3, 5)
+	reg := obs.NewRegistry()
+	rounds := reg.Counter("sampling_rounds_total")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := Run(NewMatrixOracle(m), Options{
+			Scheme: Delta, Strat: Progressive,
+			Alpha: 0.9, StabilityWindow: 10,
+			RNG:           stats.NewRNG(uint64(i) + 1),
+			TemplateIndex: tmplIdx, TemplateCount: templates,
+			Metrics: reg,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	r := float64(rounds.Value())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/r, "ns/round")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/r, "allocs/round")
+	b.ReportMetric(r/float64(b.N), "rounds/op")
 }

@@ -114,7 +114,7 @@ func (s *independentSampler) splitTarget() (part, j int, targetVar float64, ok b
 			return 0, 0, 0, false
 		}
 	}
-	gap := math.Abs(s.estimate(other) - s.estimate(s.best))
+	gap := math.Abs(s.est[other] - s.est[s.best])
 	targetVar = stats.TargetVarianceForPrCS(gap, s.opts.Delta, s.perPairTarget()) / 2
 	return ci, ci, targetVar, !math.IsInf(targetVar, 1)
 }

@@ -82,6 +82,9 @@ type Options struct {
 	StabilityWindow int
 	// EliminationThreshold drops configurations whose pairwise Pr(CS)
 	// exceeds it from future sampling (Section 7.2 uses 0.995; 0 disables).
+	// It is a floor: with k configurations the driver eliminates only above
+	// max(EliminationThreshold, 1 − (1 − α)/(k − 1)), so the charges frozen
+	// by eliminations never spend the whole 1 − α budget.
 	EliminationThreshold float64
 	// MaxCalls, when positive, runs in fixed-budget mode: sampling stops
 	// after this many optimizer calls regardless of Pr(CS) — the protocol
