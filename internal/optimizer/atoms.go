@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"physdes/internal/obs"
 	"physdes/internal/physical"
@@ -47,6 +48,16 @@ import (
 // single projection atom of fact 1 (the join arms and view-substitution
 // comparisons read several structures jointly, so per-index minima would
 // not be exact); single-table SELECTs use the singleton atoms of fact 2.
+//
+// A Delta Sampling row costs one statement under every alive
+// configuration, and those configurations share most of their atoms: the
+// empty atom appears in every singleton decomposition, and a candidate
+// index in many configurations. CostRow therefore costs a whole row with a
+// per-call memo (rowMemo): each index's relevance to the statement is
+// decided once per row, each singleton atom interned once, and each
+// distinct atom id looked up in the sharded store once. Later occurrences
+// count as store hits, exactly as the later probes of a pair-by-pair row
+// would, so values and accounting are identical to len(cfgs) Cost calls.
 
 // DefaultMaxAtomWidth bounds the number of structures a projection atom
 // may hold. Projections wider than the bound (possible only for
@@ -85,7 +96,7 @@ const atomStackLen = 32
 // (TestAtomicCostEquivalence pins this bit-for-bit). maxWidth bounds the
 // projection atom's structure count (<= 0 selects DefaultMaxAtomWidth).
 func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) AtomPlan {
-	atoms, fallback := decompose(a, cfg, maxWidth, new(atomInterner), nil, nil, nil)
+	atoms, fallback := decompose(a, cfg, maxWidth, new(atomInterner), nil, nil, nil, nil)
 	if fallback {
 		return AtomPlan{Fallback: true}
 	}
@@ -97,27 +108,28 @@ func Decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int) 
 }
 
 // decompose is the one decomposition routine behind Decompose and
-// AtomicCache.Cost. It projects cfg onto the structures a can read,
+// AtomicCache.CostRow. It projects cfg onto the structures a can read,
 // gathered into ixBuf and viewBuf, and returns in atomBuf the atoms whose
 // cost minimum reproduces the direct cost: the
 // empty atom plus one singleton per relevant index for a single-table
 // SELECT with no relevant views, else the one projection atom — or, with
 // fallback set, cfg itself when that projection holds more than maxWidth
 // structures. Atoms and ids come from in, so each distinct atom is built
-// once per interner. Scratch slices that are too small are replaced by
-// heap slices.
+// once per interner. memo, when non-nil, is the row's memo of index
+// relevance and singleton atoms for statement a. Scratch slices that are
+// too small are replaced by heap slices.
 //
 //physdes:zeroalloc
-func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, ixBuf []*physical.Index, viewBuf []*physical.View, atomBuf []atomRef) (atoms []atomRef, fallback bool) {
+func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, memo *rowMemo, ixBuf []*physical.Index, viewBuf []*physical.View, atomBuf []atomRef) (atoms []atomRef, fallback bool) {
 	if maxWidth <= 0 {
 		maxWidth = DefaultMaxAtomWidth
 	}
-	ixs, views := relevantStructures(a, cfg, ixBuf, viewBuf)
+	ixs, views := relevantStructures(a, cfg, memo, ixBuf, viewBuf)
 	if a.Kind == sqlparse.KindSelect && len(a.Tables) == 1 && len(views) == 0 {
 		atoms = scratch(atomBuf, len(ixs)+1)
 		atoms = put(atoms, emptyAtom)
 		for _, ix := range ixs {
-			atoms = put(atoms, in.singleton(ix))
+			atoms = put(atoms, memo.singleton(in, ix))
 		}
 		return atoms, false
 	}
@@ -134,13 +146,18 @@ func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, 
 // for violations).
 //
 //physdes:zeroalloc
-func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf []*physical.Index, viewBuf []*physical.View) ([]*physical.Index, []*physical.View) {
-	n := 0
-	for _, t := range a.Tables {
-		n += len(cfg.IndexesOn(t))
-	}
-	if a.Kind != sqlparse.KindSelect && !contains(a.Tables, a.ModifiedTable) {
-		n += len(cfg.IndexesOn(a.ModifiedTable))
+func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, memo *rowMemo, ixBuf []*physical.Index, viewBuf []*physical.View) ([]*physical.Index, []*physical.View) {
+	// The projection holds at most every index of cfg; only a cfg wider
+	// than the scratch pays for the exact count.
+	n := len(cfg.Indexes())
+	if n > len(ixBuf) {
+		n = 0
+		for _, t := range a.Tables {
+			n += len(cfg.IndexesOn(t))
+		}
+		if a.Kind != sqlparse.KindSelect && !contains(a.Tables, a.ModifiedTable) {
+			n += len(cfg.IndexesOn(a.ModifiedTable))
+		}
 	}
 	ixs := scratch(ixBuf, n)
 	views := scratch(viewBuf, len(cfg.Views()))
@@ -155,7 +172,7 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf
 			if t == a.ModifiedTable {
 				continue
 			}
-			ixs = appendRelevantIndexes(ixs, a, t, cfg)
+			ixs = appendRelevantIndexes(ixs, a, t, cfg, memo)
 		}
 		for _, v := range cfg.Views() {
 			if v.HasTable(a.ModifiedTable) || tablesSubset(v.Tables, a.Tables) {
@@ -165,7 +182,7 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf
 		return ixs, views
 	}
 	for _, t := range a.Tables {
-		ixs = appendRelevantIndexes(ixs, a, t, cfg)
+		ixs = appendRelevantIndexes(ixs, a, t, cfg, memo)
 	}
 	for _, v := range cfg.Views() {
 		// viewMatches (plain or aggregate) requires every view table to be a
@@ -177,41 +194,60 @@ func relevantStructures(a *sqlparse.Analysis, cfg *physical.Configuration, ixBuf
 	return ixs, views
 }
 
-// appendRelevantIndexes keeps every index on table that some arm of the
-// SELECT cost model can read: a sargable lead column (IndexSeek), a
-// covering key+include set (IndexScan), a lead column equal to one of the
-// table's join columns (merge-join and index-nested-loop arms — ALL such
-// indexes are kept because indexNLCost takes the first in order, not
-// the cheapest), or a lead column equal to the first ORDER BY column (the
-// sort-elimination arm). dst has room for every index on the table.
-func appendRelevantIndexes(dst []*physical.Index, a *sqlparse.Analysis, table string, cfg *physical.Configuration) []*physical.Index {
-	refs := refReads(a, table)
+// appendRelevantIndexes appends the indexes on table that relevantIndex
+// keeps. The verdict depends only on the statement and the index, so
+// memo, when non-nil, decides each index once per row. dst has room for
+// every index on the table.
+//
+//physdes:zeroalloc
+func appendRelevantIndexes(dst []*physical.Index, a *sqlparse.Analysis, table string, cfg *physical.Configuration, memo *rowMemo) []*physical.Index {
+	var refs reads
+	haveRefs := false
 	for _, ix := range cfg.IndexesOn(table) {
-		lead := ix.LeadColumn()
-		keep := false
-		if _, kind := findSargable(a, table, lead); kind != sargNone {
-			keep = true
-		}
-		if !keep && refs.coveredBy(ix) {
-			keep = true
-		}
-		if !keep {
-			for _, j := range a.Joins {
-				if (j.Left.Table == table && j.Left.Column == lead) ||
-					(j.Right.Table == table && j.Right.Column == lead) {
-					keep = true
-					break
-				}
+		e := memo.rel(ix)
+		var keep bool
+		if e != nil && e.ix == ix {
+			keep = e.keep
+		} else {
+			if !haveRefs {
+				refs, haveRefs = refReads(a, table), true
 			}
-		}
-		if !keep && len(a.OrderBy) > 0 && a.OrderBy[0].Col.Column == lead {
-			keep = true
+			keep = relevantIndex(a, table, refs, ix)
+			if e != nil {
+				e.ix, e.keep = ix, keep
+			}
 		}
 		if keep {
 			dst = put(dst, ix)
 		}
 	}
 	return dst
+}
+
+// relevantIndex reports whether some arm of the SELECT cost model can read
+// ix, an index on table: a sargable lead column (IndexSeek), a covering
+// key+include set (IndexScan), a lead column equal to one of the table's
+// join columns (merge-join and index-nested-loop arms — ALL such indexes
+// are kept because indexNLCost takes the first in order, not the
+// cheapest), or a lead column equal to the first ORDER BY column (the
+// sort-elimination arm). refs is what the statement reads of table.
+//
+//physdes:zeroalloc
+func relevantIndex(a *sqlparse.Analysis, table string, refs reads, ix *physical.Index) bool {
+	lead := ix.LeadColumn()
+	if _, kind := findSargable(a, table, lead); kind != sargNone {
+		return true
+	}
+	if refs.coveredBy(ix) {
+		return true
+	}
+	for _, j := range a.Joins {
+		if (j.Left.Table == table && j.Left.Column == lead) ||
+			(j.Right.Table == table && j.Right.Column == lead) {
+			return true
+		}
+	}
+	return len(a.OrderBy) > 0 && a.OrderBy[0].Col.Column == lead
 }
 
 func tablesSubset(sub, super []string) bool {
@@ -486,22 +522,163 @@ func (ac *AtomicCache) Reset() {
 }
 
 // Cost evaluates the statement under cfg as the minimum over its atoms'
-// memoized costs. Statements whose projection exceeds the width bound pay
-// one direct what-if call on first sight instead.
+// memoized costs: a row of one. Statements whose projection exceeds the
+// width bound pay one direct what-if call on first sight instead.
 //
 //physdes:zeroalloc
 func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
+	cfgs := [1]*physical.Configuration{cfg}
+	var out [1]float64
+	ac.CostRow(a, cfgs[:], out[:])
+	return out[0]
+}
+
+// CostRow evaluates the statement under each cfgs[i] into out[i] (len(out)
+// >= len(cfgs)): the same values, the same inner calls and the same
+// Stats as len(cfgs) Cost calls in order. The row shares work its probes
+// have in common — see rowMemo — and keeps that memo on its own stack, so
+// concurrent rows never share it.
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) CostRow(a *sqlparse.Analysis, cfgs []*physical.Configuration, out []float64) {
+	if len(cfgs) == 1 {
+		// One configuration's atoms are distinct (a configuration holds
+		// each structure once): a row of one has nothing to share, and
+		// skips clearing the memo.
+		ac.costRow(a, cfgs, out, nil)
+		return
+	}
+	var memo rowMemo
+	ac.costRow(a, cfgs, out, &memo)
+}
+
+// costRow is the one decomposition and lookup routine behind Cost and
+// CostRow. A nil memo looks every atom up in the store.
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configuration, out []float64, memo *rowMemo) {
 	var ixBuf [atomStackLen]*physical.Index
 	var viewBuf [atomStackLen]*physical.View
 	var atomBuf [atomStackLen + 1]atomRef
-	atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, ixBuf[:], viewBuf[:], atomBuf[:])
-	best := math.Inf(1)
-	for _, atom := range atoms {
-		if v := ac.memoCost(a, atom, fallback); v < best {
-			best = v
+	m := ac.metrics.Load()
+	var hits int64
+	for i, cfg := range cfgs {
+		atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, memo, ixBuf[:], viewBuf[:], atomBuf[:])
+		best := math.Inf(1)
+		for _, atom := range atoms {
+			var v float64
+			if e := memo.atom(atom.id); e == nil {
+				v = ac.memoCost(a, atom, fallback, m)
+			} else if e.used {
+				v = e.v
+				hits++
+			} else {
+				v = ac.memoCost(a, atom, fallback, m)
+				e.id, e.used, e.v = atom.id, true, v
+			}
+			if v < best {
+				best = v
+			}
+		}
+		out[i] = best
+	}
+	if hits > 0 {
+		ac.hits.Add(hits)
+		if m != nil {
+			m.hits.Add(hits)
 		}
 	}
-	return best
+}
+
+// rowBits sizes each of a row memo's tables at 1<<rowBits slots, and
+// rowProbe bounds a lookup's linear probe. Once a table has no free slot
+// within a key's probe, that key goes unmemoized: its lookups take the
+// slow path, with the same values and the same accounting. A k=200 CRM
+// row touches at most ~40 distinct atoms or indexes, ~5 on average.
+const (
+	rowBits  = 7
+	rowProbe = 8
+)
+
+// rowMemo is the per-call memo of one CostRow, for one statement: each
+// index's relevance verdict and singleton atom, and each atom id's cost
+// as the store returned it. Open-addressed tables keyed by index pointer
+// and atom id keep it on the caller's stack.
+type rowMemo struct {
+	rels  [1 << rowBits]relEntry
+	atoms [1 << rowBits]atomEntry
+}
+
+// relEntry memoizes relevantIndex for ix (nil: free slot), and its
+// singleton atom once interned (single.cfg nil before).
+type relEntry struct {
+	ix     *physical.Index
+	keep   bool
+	single atomRef
+}
+
+// atomEntry memoizes the stored cost of atom id (used false: free slot).
+type atomEntry struct {
+	id   uint32
+	used bool
+	v    float64
+}
+
+// rowHash spreads a key over the memo's slots (Fibonacci hashing).
+//
+//physdes:zeroalloc
+func rowHash(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> (64 - rowBits))
+}
+
+// rel returns ix's entry, or the free slot where it belongs, or nil when
+// the memo is nil or ix's probe has no room.
+//
+//physdes:zeroalloc
+func (m *rowMemo) rel(ix *physical.Index) *relEntry {
+	if m == nil {
+		return nil
+	}
+	h := rowHash(uint64(uintptr(unsafe.Pointer(ix))) >> 3)
+	for p := 0; p < rowProbe; p++ {
+		e := &m.rels[(h+p)&(len(m.rels)-1)]
+		if e.ix == ix || e.ix == nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// singleton returns ix's singleton atom, interned once per row.
+//
+//physdes:zeroalloc
+func (m *rowMemo) singleton(in *atomInterner, ix *physical.Index) atomRef {
+	e := m.rel(ix)
+	if e == nil || e.ix != ix {
+		return in.singleton(ix)
+	}
+	if e.single.cfg == nil {
+		e.single = in.singleton(ix)
+	}
+	return e.single
+}
+
+// atom returns id's entry, or the free slot where it belongs, or nil when
+// the memo is nil or id's probe has no room.
+//
+//physdes:zeroalloc
+func (m *rowMemo) atom(id uint32) *atomEntry {
+	if m == nil {
+		return nil
+	}
+	h := rowHash(uint64(id))
+	for p := 0; p < rowProbe; p++ {
+		e := &m.atoms[(h+p)&(len(m.atoms)-1)]
+		if !e.used || e.id == id {
+			return e
+		}
+	}
+	return nil
 }
 
 // countMiss accounts one paid costing: a fallback, or an atom.
@@ -530,15 +707,16 @@ func (ac *AtomicCache) countHit(m *atomMetrics) {
 // waits for that value and counts as a hit, exactly as the later call of
 // a serial pair.
 //
+// m is the registry handles loaded for the row (nil: detached).
+//
 //physdes:zeroalloc
-func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback bool) float64 {
+func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback bool, m *atomMetrics) float64 {
 	key := cacheKey{a: a, atom: atom.id}
 	sh := ac.shard(key)
 	v, ok := sh.get(key)
 	if !ok {
 		v, ok = sh.claim(key)
 	}
-	m := ac.metrics.Load()
 	if ok {
 		ac.countHit(m)
 		return v

@@ -37,17 +37,25 @@ type deltaSampler struct {
 	// renormalizing template weights for Algorithm 2.
 	tmplDropped []int
 
-	// Row history, replayed when the incumbent changes and when a stratum
-	// splits. hist holds the sampled rows back to
-	// back in fold order, each row only the costs of the configurations
-	// alive when it was folded, in configuration order. Elimination is
-	// permanent, so configuration j's costs are the first elimAt[j] rows'.
+	// Row history, replayed when the incumbent changes, when a stale cross
+	// sum is read and when a stratum splits. hist holds the sampled rows
+	// back to back in fold order, each row only the costs of the
+	// configurations alive when it was folded, in configuration order.
+	// Elimination is permanent, so configuration j's costs are the first
+	// elimAt[j] rows'.
 	hist    []float64
 	rowTmpl []int32 // row r's template; a Select samples each query at most once
 	nrows   int
 	elimAt  []int // rows folded while j was alive (math.MaxInt while alive)
 	folded  []int // configurations alive at the last fold, ascending
 	walkBuf []int // rowCursor scratch
+	posBuf  []int // bestChanged scratch: alive columns' positions in a row
+
+	// Cross sums left stale by an incumbent change, per configuration: its
+	// template columns (tstale), and its stratum columns (sstale, only ever
+	// set for an eliminated configuration). A stale column accumulates n,
+	// Σx and Σx² but no cross products until sync rebuilds it.
+	tstale, sstale []bool
 
 	stratumOf []int // template → index of the stratum holding it
 }
@@ -62,6 +70,9 @@ func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 		elimAt:      make([]int, k),
 		folded:      make([]int, k),
 		walkBuf:     make([]int, k),
+		posBuf:      make([]int, k),
+		tstale:      make([]bool, k),
+		sstale:      make([]bool, k),
 		stratumOf:   make([]int, tc),
 	}
 	for j := range d.elimAt {
@@ -119,9 +130,10 @@ func (d *deltaSampler) tmplSize(t int) int {
 
 // fold records a sampled row — out holds the alive configurations' costs
 // in configuration order — into the row history and the stratum and
-// template accumulators. It runs in O(live) time: the row is stored as
-// given, and only the configurations eliminated since the last fold are
-// visited to end their cost prefixes.
+// template accumulators, leaving the cross sum of a stale template column
+// for sync. It runs in O(live) time: the row is stored as given, and only
+// the configurations eliminated since the last fold are visited to end
+// their cost prefixes.
 //
 //physdes:zeroalloc
 func (d *deltaSampler) fold(sl slot, out []float64) {
@@ -151,7 +163,11 @@ func (d *deltaSampler) fold(sl slot, out []float64) {
 	tcols := d.tcols[tmpl]
 	for i, j := range d.aliveIdx {
 		s.cols[j].addRow(cb, out[i])
-		tcols[j].addRow(cb, out[i])
+		if d.tstale[j] {
+			tcols[j].add(out[i])
+		} else {
+			tcols[j].addRow(cb, out[i])
+		}
 	}
 }
 
@@ -168,16 +184,19 @@ func indexOf(cfgs []int, j int) int {
 
 // rowCursor walks the row history in fold order. After next, tmpl is the
 // row's template, cfgs the configurations alive when it was folded
-// (ascending) and costs their costs in the same order.
+// (ascending) and costs their costs in the same order; changed reports
+// that cfgs differs from the previous row's (always on the first row), so
+// a walk can keep the positions it reads until then.
 type rowCursor struct {
 	d     *deltaSampler
 	r     int // rows visited
 	off   int // offset of the current row in d.hist
 	until int // first row some member of cfgs was no longer alive for
 
-	tmpl  int
-	cfgs  []int
-	costs []float64
+	tmpl    int
+	cfgs    []int
+	costs   []float64
+	changed bool
 }
 
 // rowWalk starts a walk over the row history.
@@ -190,22 +209,26 @@ func (d *deltaSampler) rowWalk() rowCursor {
 }
 
 // next advances to the next row and reports whether there was one.
+//
+//physdes:zeroalloc
 func (c *rowCursor) next() bool {
 	d := c.d
 	if c.r == d.nrows {
 		return false
 	}
-	if c.r == c.until {
+	c.changed = c.r == c.until
+	if c.changed {
 		// Some configuration's cost prefix ended before this row.
-		live := c.cfgs[:0]
+		n := 0
 		c.until = math.MaxInt
 		for _, j := range c.cfgs {
 			if e := d.elimAt[j]; e > c.r {
-				live = append(live, j)
+				c.cfgs[n] = j
+				n++
 				c.until = min(c.until, e)
 			}
 		}
-		c.cfgs = live
+		c.cfgs = c.cfgs[:n]
 	}
 	c.off += len(c.costs)
 	c.costs = d.hist[c.off : c.off+len(c.cfgs)]
@@ -268,34 +291,99 @@ func (d *deltaSampler) varianceDrop(_, h int) float64 {
 }
 
 func (d *deltaSampler) tmplMoments(t, j int) (m moments, weight int) {
+	d.sync(j)
 	m.setDiff(&d.tcols[t][d.best], &d.tcols[t][j])
 	return m, d.tmplSize(t)
 }
 
-// bestChanged rebuilds the Σ c_best·c_j accumulators from the row history
-// against the new incumbent. Each stratum and template accumulator sees
-// its rows in fold order, so the Kahan sums match a fresh fold exactly.
+// tmplObs is template t's fresh row count: the incumbent's column holds
+// every row, as does every alive configuration's.
+func (d *deltaSampler) tmplObs(_, t int) int { return d.tcols[t][d.best].n }
+
+// bestChanged follows a new incumbent. prCS reads the alive
+// configurations' stratum cross sums Σ c_best·c_j next, so those are
+// rebuilt now, in one replay of the row history that visits only the
+// alive columns of each row. Every other cross sum — all template
+// columns, and the stratum columns of eliminated configurations — is
+// marked stale for sync to rebuild when read. Each accumulator sees its
+// rows in fold order, so the Kahan sums match a fresh fold exactly.
+//
+//physdes:zeroalloc
 func (d *deltaSampler) bestChanged() {
-	b := d.best
+	for j := range d.tstale {
+		d.tstale[j] = true
+		d.sstale[j] = !d.alive[j]
+	}
+	live := d.aliveIdx
 	for _, s := range d.strata {
-		clearCross(s.cols)
+		for _, j := range live {
+			s.cols[j].cross = stats.Kahan{}
+		}
 	}
-	for _, cols := range d.tcols {
-		clearCross(cols)
-	}
+	pos := d.posBuf[:len(live)]
+	bpos := 0
 	for c := d.rowWalk(); c.next(); {
-		cb := c.costs[indexOf(c.cfgs, b)]
-		cols, tcols := d.strata[d.stratumOf[c.tmpl]].cols, d.tcols[c.tmpl]
-		for i, j := range c.cfgs {
-			cols[j].cross.AddProduct(cb, c.costs[i])
-			tcols[j].cross.AddProduct(cb, c.costs[i])
+		if c.changed {
+			// Every alive configuration was alive for every row.
+			i := 0
+			for p, j := range c.cfgs {
+				if i < len(live) && live[i] == j {
+					pos[i] = p
+					i++
+				}
+			}
+			bpos = pos[indexOf(live, d.best)]
+		}
+		cb := c.costs[bpos]
+		cols := d.strata[d.stratumOf[c.tmpl]].cols
+		for i, j := range live {
+			cols[j].cross.AddProduct(cb, c.costs[pos[i]])
 		}
 	}
 }
 
-func clearCross(cols []moments) {
-	for j := range cols {
-		cols[j].cross = stats.Kahan{}
+// sync rebuilds configuration j's stale cross sums against the incumbent
+// in one replay of j's prefix of the row history. The replay adds j's rows
+// in fold order, as an eager rebuild at the incumbent change followed by
+// fresh folds would, so the sums match it bit for bit.
+//
+//physdes:zeroalloc
+func (d *deltaSampler) sync(j int) {
+	tm, st := d.tstale[j], d.sstale[j]
+	if !tm && !st {
+		return
+	}
+	if tm {
+		for _, cols := range d.tcols {
+			cols[j].cross = stats.Kahan{}
+		}
+	}
+	if st {
+		for _, s := range d.strata {
+			s.cols[j].cross = stats.Kahan{}
+		}
+	}
+	n := min(d.elimAt[j], d.nrows)
+	jpos, bpos := 0, 0
+	for c := d.rowWalk(); c.r < n && c.next(); {
+		if c.changed {
+			jpos, bpos = indexOf(c.cfgs, j), indexOf(c.cfgs, d.best)
+		}
+		cb, x := c.costs[bpos], c.costs[jpos]
+		if tm {
+			d.tcols[c.tmpl][j].cross.AddProduct(cb, x)
+		}
+		if st {
+			d.strata[d.stratumOf[c.tmpl]].cols[j].cross.AddProduct(cb, x)
+		}
+	}
+	d.tstale[j], d.sstale[j] = false, false
+}
+
+// syncCross brings every stale cross sum up to date.
+func (d *deltaSampler) syncCross() {
+	for j := range d.tstale {
+		d.sync(j)
 	}
 }
 
@@ -351,7 +439,11 @@ func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 		child.n++
 		cb := c.costs[indexOf(c.cfgs, d.best)]
 		for i, j := range c.cfgs {
-			child.cols[j].addRow(cb, c.costs[i])
+			if d.sstale[j] {
+				child.cols[j].add(c.costs[i])
+			} else {
+				child.cols[j].addRow(cb, c.costs[i])
+			}
 		}
 	}
 

@@ -3,6 +3,7 @@ package sampling
 import (
 	"testing"
 
+	"physdes/internal/obs"
 	"physdes/internal/stats"
 )
 
@@ -11,14 +12,23 @@ import (
 // costs the sampler requested — so over a MatrixOracle, which charges one
 // call per requested cost, the stored count equals OptimizerCalls. It also
 // replays the history the way incumbent changes and splits do and checks
-// the result against the running accumulators bit for bit.
+// the result against the running accumulators bit for bit, for all k
+// configurations once their stale cross sums are synced.
+//
+// The incumbent changes in mid-run after eliminations, so template cross
+// sums are left stale while later rows fold in, and eliminated
+// configurations' stratum cross sums go stale too. Once synced, the lazily
+// rebuilt template sums must equal an eager replay of the whole history
+// against the final incumbent.
 func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 	const k, templates = 50, 12
 	m, tmplIdx := synthMatrix(4000, k, templates, 0.004, 2, 71)
+	var log eventLog
 	d := newDeltaSampler(NewMatrixOracle(m), Options{
 		Scheme: Delta, Strat: Progressive, Alpha: 0.9, StabilityWindow: 5,
 		EliminationThreshold: 0.995, NMin: 20, RNG: stats.NewRNG(5),
 		TemplateIndex: tmplIdx, TemplateCount: templates,
+		Tracer: obs.NewTracerSinks(&log),
 	}.withDefaults())
 	res, err := d.run()
 	if err != nil {
@@ -33,6 +43,22 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 	if eliminated == 0 || res.Splits == 0 {
 		t.Fatalf("fixture must eliminate and split: %d eliminated, %d splits", eliminated, res.Splits)
 	}
+	changedAfterElim, seenElim, best := false, false, -1
+	for _, e := range log.events {
+		switch e.Name {
+		case "eliminate":
+			seenElim = true
+		case "round":
+			b := attr(e, "best").(int)
+			if best >= 0 && b != best && seenElim {
+				changedAfterElim = true
+			}
+			best = b
+		}
+	}
+	if !changedAfterElim {
+		t.Fatal("fixture must change the incumbent after an elimination")
+	}
 	if got := int64(len(d.hist)); got != res.OptimizerCalls {
 		t.Errorf("row history stores %d costs, the run charged %d calls", got, res.OptimizerCalls)
 	}
@@ -42,6 +68,7 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 
 	// Configuration j's costs are a prefix of the history: the per-template
 	// counts of the warm snapshot add up to its prefix length.
+	d.syncCross()
 	states := templateStates(d.tcols, true)
 	for j := 0; j < k; j++ {
 		n := 0
@@ -53,33 +80,44 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 		}
 	}
 
-	// Replaying the history per stratum reproduces the running sums; a
-	// cross-sum rebuild against the unchanged incumbent reproduces the
-	// running cross sums.
-	sums := make([][]stats.Kahan, len(d.strata))
-	for h := range sums {
-		sums[h] = make([]stats.Kahan, k)
+	// An eager replay of the whole history against the final incumbent
+	// reproduces every template and stratum accumulator, the lazily
+	// rebuilt cross sums included; so does a rebuild against the unchanged
+	// incumbent, once synced for every configuration.
+	eagerT := make([][]moments, templates)
+	for tm := range eagerT {
+		eagerT[tm] = make([]moments, k)
+	}
+	eagerS := make([][]moments, len(d.strata))
+	for h := range eagerS {
+		eagerS[h] = make([]moments, k)
 	}
 	for c := d.rowWalk(); c.next(); {
+		cb := c.costs[indexOf(c.cfgs, d.best)]
 		for i, j := range c.cfgs {
-			sums[d.stratumOf[c.tmpl]][j].Add(c.costs[i])
+			eagerT[c.tmpl][j].addRow(cb, c.costs[i])
+			eagerS[d.stratumOf[c.tmpl]][j].addRow(cb, c.costs[i])
 		}
 	}
-	cross := make([][]stats.Kahan, len(d.strata))
-	for h, s := range d.strata {
-		for _, c := range s.cols {
-			cross[h] = append(cross[h], c.cross)
+	check := func(when string) {
+		t.Helper()
+		for tm := range eagerT {
+			for j := 0; j < k; j++ {
+				if eagerT[tm][j] != d.tcols[tm][j] {
+					t.Fatalf("%s: template %d config %d: eager replay %+v, lazily synced %+v", when, tm, j, eagerT[tm][j], d.tcols[tm][j])
+				}
+			}
+		}
+		for h, s := range d.strata {
+			for j := 0; j < k; j++ {
+				if eagerS[h][j] != s.cols[j] {
+					t.Fatalf("%s: stratum %d config %d: eager replay %+v, running %+v", when, h, j, eagerS[h][j], s.cols[j])
+				}
+			}
 		}
 	}
+	check("after the run")
 	d.bestChanged()
-	for h, s := range d.strata {
-		for j := 0; j < k; j++ {
-			if sums[h][j] != s.cols[j].sum {
-				t.Fatalf("stratum %d config %d: replayed sum %v, running sum %v", h, j, sums[h][j], s.cols[j].sum)
-			}
-			if cross[h][j] != s.cols[j].cross {
-				t.Fatalf("stratum %d config %d: rebuilt cross sum %v, running %v", h, j, s.cols[j].cross, cross[h][j])
-			}
-		}
-	}
+	d.syncCross()
+	check("after a rebuild")
 }

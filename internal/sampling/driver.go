@@ -20,6 +20,7 @@ type stratum struct {
 	avgOver   float64 // mean optimization overhead of member queries
 	pilotN    int     // pilot target (NMin cold, the warm pilot share for reused strata)
 	hasPrior  bool    // seeded from a warm snapshot, until the drift test sheds it
+	covered   int     // leading templates known to hold minTemplateObs fresh observations
 }
 
 func (s *stratum) exhausted() bool { return s.next >= len(s.order) }
@@ -70,8 +71,14 @@ type estimator interface {
 	// tmplMoments is template t's fresh moments of pairs' variable and the
 	// template's live weight, for Algorithm 2.
 	tmplMoments(t, j int) (moments, int)
-	// bestChanged follows a new incumbent.
+	// tmplObs is the observation count n of those moments for any
+	// configuration whose pair constrains stratification part's split: it
+	// only grows, and reading it brings no cross sum up to date.
+	tmplObs(part, t int) int
+	// bestChanged follows a new incumbent; syncCross brings every cross
+	// sum it left stale up to date.
 	bestChanged()
+	syncCross()
 
 	// splitTarget picks the stratification Algorithm 2 refines, the
 	// configuration j whose pair constrains it and the variance its
@@ -825,7 +832,9 @@ func (d *driver) perPairTarget() float64 {
 // maybeSplit runs Algorithm 2 when progressive stratification is enabled:
 // it searches the estimator's chosen stratification for the split that
 // reaches the target variance with the fewest samples, applies it, and
-// tops both children up to n_min samples (Algorithm 1, line 8).
+// tops both children up to n_min samples (Algorithm 1, line 8). Only a
+// splittable stratum can be split, so without one the round forms no
+// moments and searches nothing.
 func (d *driver) maybeSplit() error {
 	if d.opts.Strat != Progressive {
 		return nil
@@ -834,8 +843,17 @@ func (d *driver) maybeSplit() error {
 	if !ok {
 		return nil
 	}
-	sc := &d.split
 	L := d.e.numStrata(part)
+	ready := false
+	for h := 0; h < L; h++ {
+		if d.splittable(part, h) {
+			ready = true
+		}
+	}
+	if !ready {
+		return nil
+	}
+	sc := &d.split
 	sc.cur = grow(sc.cur, L)
 	sc.tstats = grow(sc.tstats, L)
 	sc.toffs = grow(sc.toffs, L)
@@ -845,22 +863,17 @@ func (d *driver) maybeSplit() error {
 		sm := &d.mbuf[h]
 		s2, _ := sm.variance()
 		sc.cur[h] = stats.Stratum{Size: sm.size, S2: s2, Taken: sm.fresh}
-		start, complete := len(sc.tbuf), true
+		if !d.splittable(part, h) {
+			sc.toffs[h] = [2]int{-1, -1}
+			continue
+		}
+		start := len(sc.tbuf)
 		for _, t := range d.e.stratumAt(part, h).templates {
 			m, w := d.e.tmplMoments(t, j)
-			if complete = m.n >= minTemplateObs; !complete {
-				break
-			}
 			v, _ := m.variance()
 			sc.tbuf = append(sc.tbuf, tmplStat{t: t, w: w, m: m.mean(), v: v})
 		}
-		// A member template without observations keeps the stratum out of
-		// the search.
 		sc.toffs[h] = [2]int{start, len(sc.tbuf)}
-		if !complete {
-			sc.tbuf = sc.tbuf[:start]
-			sc.toffs[h] = [2]int{-1, -1}
-		}
 	}
 	// Slice tstats only once tbuf has stopped growing: appends above may
 	// have reallocated the backing array.
@@ -919,6 +932,19 @@ func (d *driver) maybeSplit() error {
 	return nil
 }
 
+// splittable reports whether stratum h of part can enter Algorithm 2's
+// search: it has two member templates or more, each holding
+// minTemplateObs fresh observations (a template without them has no
+// estimate to order by). The stratum's cursor skips the templates already
+// known to hold them; counts only grow, so they keep holding them.
+func (d *driver) splittable(part, h int) bool {
+	st := d.e.stratumAt(part, h)
+	for st.covered < len(st.templates) && d.e.tmplObs(part, st.templates[st.covered]) >= minTemplateObs {
+		st.covered++
+	}
+	return len(st.templates) >= 2 && st.covered == len(st.templates)
+}
+
 // splitParts divides a split stratum's templates into the decision's
 // left child (copied: dec.left aliases the split scratch) and the rest.
 func splitParts(templates []int, dec splitDecision) (left, right []int, inLeft map[int]bool) {
@@ -955,6 +981,7 @@ func (d *driver) captureState() *StratState {
 		Best:           d.best,
 		SampledQueries: d.sampled,
 	}
+	d.e.syncCross()
 	for t, ts := range templateStates(d.tcols, d.shared) {
 		if d.pop.templateSize(t) == 0 {
 			continue

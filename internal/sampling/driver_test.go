@@ -286,34 +286,48 @@ func TestEliminationKeepsAlphaBudget(t *testing.T) {
 // BenchmarkDeltaRounds times the driver's own bookkeeping: a Delta Select
 // over a k=200 MatrixOracle, so no optimizer time is included. It reports
 // wall time and allocations per round (pilot included), from the
-// sampling_rounds_total counter. Elimination is off, so every round
-// carries all 200 configurations and the rounds a run makes do not depend
-// on the elimination rule: the figures compare the per-round work alone.
+// sampling_rounds_total counter. In all-alive elimination is off, so
+// every round carries all 200 configurations and the rounds a run makes
+// do not depend on the elimination rule: the figures compare the
+// per-round work alone. eliminating runs with the default 0.995
+// threshold, so most rows carry a few survivors and incumbent changes
+// replay a history of rows folded while more configurations were alive.
 func BenchmarkDeltaRounds(b *testing.B) {
 	const n, k, templates = 6_000, 200, 40
 	m, tmplIdx := synthMatrix(n, k, templates, 0.005, 3, 5)
-	reg := obs.NewRegistry()
-	rounds := reg.Counter("sampling_rounds_total")
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := Run(NewMatrixOracle(m), Options{
-			Scheme: Delta, Strat: Progressive,
-			Alpha: 0.9, StabilityWindow: 10,
-			RNG:           stats.NewRNG(uint64(i) + 1),
-			TemplateIndex: tmplIdx, TemplateCount: templates,
-			Metrics: reg,
+	for _, bc := range []struct {
+		name string
+		elim float64
+	}{
+		{"all-alive", 0},
+		{"eliminating", 0.995},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			reg := obs.NewRegistry()
+			rounds := reg.Counter("sampling_rounds_total")
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := Run(NewMatrixOracle(m), Options{
+					Scheme: Delta, Strat: Progressive,
+					Alpha: 0.9, StabilityWindow: 10,
+					EliminationThreshold: bc.elim,
+					RNG:                  stats.NewRNG(uint64(i) + 1),
+					TemplateIndex:        tmplIdx, TemplateCount: templates,
+					Metrics: reg,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			r := float64(rounds.Value())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/r, "ns/round")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/r, "allocs/round")
+			b.ReportMetric(r/float64(b.N), "rounds/op")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	r := float64(rounds.Value())
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/r, "ns/round")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/r, "allocs/round")
-	b.ReportMetric(r/float64(b.N), "rounds/op")
 }

@@ -95,8 +95,12 @@ func (s *independentSampler) tmplMoments(t, j int) (moments, int) {
 	return s.tcols[t][j], s.pop.templateSize(t)
 }
 
-// bestChanged is a no-op: Independent estimators carry no cross terms.
+func (s *independentSampler) tmplObs(j, t int) int { return s.tcols[t][j].n }
+
+// bestChanged and syncCross are no-ops: Independent estimators carry no
+// cross terms.
 func (s *independentSampler) bestChanged() {}
+func (s *independentSampler) syncCross()   {}
 
 // splitTarget refines the stratification of the configuration the last
 // sample came from. Its estimator must reach half of the pair target

@@ -104,14 +104,17 @@ type Options struct {
 
 	// Parallelism is the worker count for each evaluation batch — the
 	// whole pilot phase, then one Delta row or one Independent sample per
-	// round. Above 1, batches of at least 16 pairs fan the oracle's own
-	// CostErr or Cost probes out over a bounded worker pool (an oracle
-	// that batches itself, BatchOracle, serves the batch instead). 0 or 1,
-	// and smaller batches, run inline, pair by pair. Every setting evaluates
-	// the same schedule of probes, workers only compute pure cost values
-	// into positional slots, and every statistical fold runs serially in
-	// schedule order, so Results are bit-identical at every setting, also
-	// when probes fail.
+	// round. An infallible oracle that batches itself (BatchOracle: the
+	// live oracle, which costs each Delta row's statement once under all
+	// its configurations, and the matrix oracle) serves every batch, at
+	// every setting, over up to this many workers. Otherwise, above 1,
+	// batches of at least 16 pairs fan the oracle's own CostErr or Cost
+	// probes out over a bounded worker pool; 0 or 1, and smaller batches,
+	// run inline, pair by pair. Every setting evaluates the same schedule
+	// of probes, workers only compute pure cost values into positional
+	// slots, and every statistical fold runs serially in schedule order,
+	// so Results are bit-identical at every setting, also when probes
+	// fail.
 	Parallelism int
 
 	// TemplateIndex maps each query to a dense template index; required

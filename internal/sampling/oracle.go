@@ -15,6 +15,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"physdes/internal/optimizer"
 	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
@@ -80,12 +81,13 @@ func AsErrOracle(o Oracle) ErrOracle {
 }
 
 // BatchOracle is an Oracle that serves a whole batch of pairs itself
-// instead of having costBatch fan its Cost out over a pool — worth it only
-// when a probe costs less than pool dispatch, as a cost-matrix lookup
-// does. Implementations must charge exactly one optimizer call per pair
-// (identical accounting to len(pairs) Cost calls) and must produce values
-// identical to serial Cost at every parallelism level — the samplers rely
-// on this for their determinism contract.
+// instead of having costBatch probe it pair by pair — worth it when the
+// oracle can share work across a batch's pairs, as a live oracle costing
+// a Delta row's statement once under all its configurations does, or when
+// a probe costs less than pool dispatch, as a cost-matrix lookup does.
+// Implementations must produce the same values and the same Calls() as
+// len(pairs) Cost calls in pair order, at every parallelism level — the
+// samplers rely on this for their determinism contract.
 type BatchOracle interface {
 	Oracle
 	// BatchCost evaluates pairs[i] into out[i] using up to parallelism
@@ -100,12 +102,13 @@ type BatchOracle interface {
 const minPoolBatch = 16
 
 // costBatch evaluates pairs[i] into out[i] and its error into errs[i]
-// (nil on success); it is the one place probes fan out. With more than
-// one worker and at least minPoolBatch pairs it runs the oracle's own
-// CostErr (fallible) or Cost (infallible) over a bounded pool (see
-// fanOut); an oracle that batches itself (BatchOracle) serves the whole
-// batch instead. Otherwise it probes in pair order, and a fallible oracle
-// stops at the first non-skip error, leaving later slots untouched.
+// (nil on success). A fallible oracle (ErrOracle) is probed pair by pair,
+// since each probe can fail by itself: with more than one worker and at
+// least minPoolBatch pairs its CostErr runs over a bounded pool (see
+// fanOut), otherwise in pair order, stopping at the first non-skip error
+// and leaving later slots untouched. An infallible oracle that batches
+// itself (BatchOracle) serves every batch, at every size and parallelism;
+// any other oracle's Cost is fanned out or run in order like CostErr.
 // Values are identical at every parallelism level as long as each probe's
 // outcome depends only on its own (query, configuration) identity.
 func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism int) {
@@ -113,8 +116,10 @@ func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism 
 	pool := parallelism > 1 && len(pairs) >= minPoolBatch
 	if eo, ok := o.(ErrOracle); ok {
 		if pool {
-			fanOut(len(pairs), parallelism, func(i int) {
-				out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
+			fanOut(len(pairs), parallelism, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
+				}
 			})
 			return
 		}
@@ -126,13 +131,15 @@ func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism 
 		}
 		return
 	}
+	if bo, ok := o.(BatchOracle); ok {
+		bo.BatchCost(pairs, out, parallelism)
+		return
+	}
 	if pool {
-		if bo, ok := o.(BatchOracle); ok {
-			bo.BatchCost(pairs, out, parallelism)
-			return
-		}
-		fanOut(len(pairs), parallelism, func(i int) {
-			out[i] = o.Cost(pairs[i].Q, pairs[i].J)
+		fanOut(len(pairs), parallelism, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = o.Cost(pairs[i].Q, pairs[i].J)
+			}
 		})
 		return
 	}
@@ -141,17 +148,15 @@ func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism 
 	}
 }
 
-// fanOut runs probe(i) for every i in [0, n) over up to parallelism
-// workers, each taking one contiguous span of indices. Consecutive pairs
-// usually share a statement, and so atom-store entries: workers taking
-// interleaved indices would wait on each other's misses, which made
+// fanOut splits [0, n) into up to parallelism contiguous spans and runs
+// span(lo, hi) for each on its own worker. Consecutive pairs usually share
+// a statement, and so atom-store entries: workers taking interleaved
+// indices would wait on each other's misses, which made
 // BenchmarkSelectParallel at two workers 20-30% slower than one span each.
-func fanOut(n, parallelism int, probe func(i int)) {
+func fanOut(n, parallelism int, span func(lo, hi int)) {
 	workers := min(parallelism, n)
 	par.For(workers, workers, func(w int) {
-		for i := w * n / workers; i < (w+1)*n/workers; i++ {
-			probe(i)
-		}
+		span(w*n/workers, (w+1)*n/workers)
 	})
 }
 
@@ -222,6 +227,55 @@ func NewLiveOracle(src CostSource, w *workload.Workload, configs []*physical.Con
 // Cost implements Oracle.
 func (o *LiveOracle) Cost(i, j int) float64 {
 	return o.Src.Cost(o.Workload.Queries[i].Analysis, o.Configs[j])
+}
+
+// BatchCost implements BatchOracle. It walks the batch as rows — maximal
+// runs of pairs with one query, as a Delta row lays them out — and costs
+// each row's statement once under all the row's configurations when the
+// source is the atom store (optimizer.AtomicCache.CostRow), pair by pair
+// otherwise. With more than one worker and at least minPoolBatch pairs
+// the batch is cut into fanOut's spans, a span possibly cutting a row.
+// The oracle holds no scratch: every row's lives on its caller's stack.
+func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
+	if parallelism > 1 && len(pairs) >= minPoolBatch {
+		fanOut(len(pairs), parallelism, func(lo, hi int) {
+			o.costRows(pairs[lo:hi], out[lo:hi])
+		})
+		return
+	}
+	o.costRows(pairs, out)
+}
+
+// rowStackLen is how many configurations of one row costRows hands the
+// atom store at a time; a longer row is costed in pieces.
+const rowStackLen = 256
+
+// costRows evaluates pairs[i] into out[i], one row at a time.
+//
+//physdes:zeroalloc
+func (o *LiveOracle) costRows(pairs []Pair, out []float64) {
+	ac, rows := o.Src.(*optimizer.AtomicCache)
+	var cfgBuf [rowStackLen]*physical.Configuration
+	for lo := 0; lo < len(pairs); {
+		q := pairs[lo].Q
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].Q == q && hi-lo < rowStackLen {
+			hi++
+		}
+		a := o.Workload.Queries[q].Analysis
+		if rows {
+			cfgs := cfgBuf[:hi-lo]
+			for i := range cfgs {
+				cfgs[i] = o.Configs[pairs[lo+i].J]
+			}
+			ac.CostRow(a, cfgs, out[lo:hi])
+		} else {
+			for i := lo; i < hi; i++ {
+				out[i] = o.Src.Cost(a, o.Configs[pairs[i].J]) //physdes:allocok the other cost source, the plain optimizer, is allocation-free on the probe path (TestCostAllocFree)
+			}
+		}
+		lo = hi
+	}
 }
 
 // N implements Oracle.

@@ -1,11 +1,14 @@
 package sampling
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
+	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -136,6 +139,90 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	for i, p := range all {
 		if want := live.Cost(p.Q, p.J); batched[i] != want {
 			t.Errorf("pair %d: fanned-out cost %v diverged from serial %v", i, batched[i], want)
+		}
+	}
+}
+
+// TestLiveBatchMatchesSerial pins LiveOracle.BatchCost to pair-by-pair
+// Cost over both cost sources — the atom store, costed row by row, and
+// the plain optimizer, costed pair by pair — at one, two and eight
+// workers. The batch is laid out as the samplers lay out Delta rows: full
+// rows, rows over shrinking subsets as after eliminations, and one row
+// longer than rowStackLen (repeating configurations), so it is costed in
+// pieces; at two and eight workers fanOut's spans cut rows. Values match
+// bit for bit, and the store's Calls and Stats match a serial store's.
+func TestLiveBatchMatchesSerial(t *testing.T) {
+	var _ BatchOracle = (*LiveOracle)(nil)
+	cat := catalog.TPCD(0.01)
+	w, err := workload.GenTPCD(cat, 90, 69)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyses := make([]*sqlparse.Analysis, w.Size())
+	for i, q := range w.Queries {
+		analyses[i] = q.Analysis
+	}
+	cands := physical.EnumerateCandidates(cat, analyses, physical.CandidateOptions{Covering: true, Views: true})
+	configs := physical.GenerateSpace(cat, cands, 23, stats.NewRNG(70), physical.SpaceOptions{MinStructures: 3, MaxStructures: 8})
+	k := len(configs)
+	var pairs []Pair
+	for q := 0; q < w.Size(); q++ {
+		for j := 0; j < k; j++ {
+			if q < 30 || (j+q)%(1+q%4) == 0 {
+				pairs = append(pairs, Pair{Q: q, J: j})
+			}
+		}
+	}
+	for i := 0; i < rowStackLen+37; i++ {
+		pairs = append(pairs, Pair{Q: 7, J: (i * 5) % k})
+	}
+	for _, workers := range []int{2, 8} {
+		cut := false
+		for s := 1; s < workers; s++ {
+			if b := s * len(pairs) / workers; pairs[b-1].Q == pairs[b].Q {
+				cut = true
+			}
+		}
+		if !cut {
+			t.Fatalf("fixture: no span of %d workers cuts a row", workers)
+		}
+	}
+
+	sources := []struct {
+		name string
+		mk   func() CostSource
+	}{
+		{"atoms", func() CostSource { return optimizer.NewAtomicCache(optimizer.New(cat), 0) }},
+		{"optimizer", func() CostSource { return optimizer.New(cat) }},
+	}
+	for _, src := range sources {
+		ref := NewLiveOracle(src.mk(), w, configs)
+		want := make([]float64, len(pairs))
+		for i, p := range pairs {
+			want[i] = ref.Cost(p.Q, p.J)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", src.name, workers), func(t *testing.T) {
+				o := NewLiveOracle(src.mk(), w, configs)
+				out := make([]float64, len(pairs))
+				costBatch(o, pairs, out, make([]error, len(pairs)), workers)
+				for i := range pairs {
+					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("pair %d %+v: batch %v, serial %v", i, pairs[i], out[i], want[i])
+					}
+				}
+				if o.Calls() != ref.Calls() {
+					t.Errorf("batch charged %d calls, serial %d", o.Calls(), ref.Calls())
+				}
+				if ac, ok := o.Src.(*optimizer.AtomicCache); ok {
+					h, m, f, e := ac.Stats()
+					rh, rm, rf, re := ref.Src.(*optimizer.AtomicCache).Stats()
+					if h != rh || m != rm || f != rf || e != re {
+						t.Errorf("batch stats (hits %d, misses %d, fallbacks %d, entries %d), serial (%d, %d, %d, %d)",
+							h, m, f, e, rh, rm, rf, re)
+					}
+				}
+			})
 		}
 	}
 }
