@@ -265,31 +265,41 @@ func TestDecomposeDML(t *testing.T) {
 	}
 }
 
-// TestProjectionAtomKeepsIndexOrder pins projection interning to each
-// table's index order, not just the structure set: indexNLCost seeks the
-// first index whose lead column is the join column, so two configurations
-// holding the same indexes in different orders can cost a statement
-// differently. Each statement's atomic cost must match its direct cost
-// even when another statement already interned the other order.
-func TestProjectionAtomKeepsIndexOrder(t *testing.T) {
+// TestIndexNLCostOrderFree pins the index nested-loop arm to the
+// configuration's structure set: indexNLCost takes the cheapest index whose
+// lead column is the join column, so two configurations holding the same
+// indexes in different orders cost a statement the same, directly and
+// through the atom store, and the second order is served from the store.
+func TestIndexNLCostOrderFree(t *testing.T) {
 	narrow := physical.NewIndex("lineitem", []string{"l_orderkey"})
 	covering := physical.NewIndex("lineitem", []string{"l_orderkey"}, "l_quantity")
 	date := physical.NewIndex("orders", []string{"o_orderdate"})
 	narrowFirst := physical.NewConfiguration("a", date, narrow, covering)
 	coveringFirst := physical.NewConfiguration("b", date, covering, narrow)
-	s1 := analyze(t, "SELECT o_orderdate, l_quantity FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate = 5")
 	s2 := analyze(t, "SELECT o_orderdate, l_quantity FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate = 9")
 	direct := optimizer.New(atomsCat)
-	if direct.Cost(s2, narrowFirst) == direct.Cost(s2, coveringFirst) {
-		t.Fatal("fixture does not exercise order: both index orders cost the same")
+	want := direct.Cost(s2, narrowFirst)
+	if got := direct.Cost(s2, coveringFirst); got != want {
+		t.Fatalf("direct cost depends on index order: %v vs %v", got, want)
+	}
+	// Without the narrow index the plan is dearer, so the covering one is
+	// what the cheaper order-free cost reads.
+	if alone := direct.Cost(s2, physical.NewConfiguration("n", date, narrow)); alone <= want {
+		t.Fatalf("fixture does not exercise the cheapest-index pick: narrow alone costs %v, both %v", alone, want)
 	}
 	c := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
-	for _, p := range []struct {
-		a   *sqlparse.Analysis
-		cfg *physical.Configuration
-	}{{s1, narrowFirst}, {s2, coveringFirst}} {
-		if got, want := c.Cost(p.a, p.cfg), direct.Cost(p.a, p.cfg); got != want {
-			t.Errorf("%s: atomic cost %v, direct %v", p.cfg.Name(), got, want)
-		}
+	if got := c.Cost(s2, narrowFirst); got != want {
+		t.Errorf("%s: atomic cost %v, direct %v", narrowFirst.Name(), got, want)
+	}
+	calls := c.Calls()
+	hits, _, _, _ := c.Stats()
+	if got := c.Cost(s2, coveringFirst); got != want {
+		t.Errorf("%s: atomic cost %v, direct %v", coveringFirst.Name(), got, want)
+	}
+	if c.Calls() != calls {
+		t.Errorf("the second order paid %d inner calls, want 0", c.Calls()-calls)
+	}
+	if h, _, _, _ := c.Stats(); h != hits+1 {
+		t.Errorf("the second order made %d store hits, want 1", h-hits)
 	}
 }
