@@ -387,19 +387,22 @@ func (d *deltaSampler) syncCross() {
 	}
 }
 
+// splitPart refines Delta's one shared stratification.
+func (d *deltaSampler) splitPart() (int, bool) { return 0, true }
+
 // splitTarget constrains Algorithm 2 by the alive configuration with the
 // lowest pairwise Pr(CS) versus the incumbent (single ranking, Section
 // 5.1's tractability simplification for Delta Sampling): the difference
 // estimator of that pair must reach the variance at which the Bonferroni
 // bound meets α.
-func (d *deltaSampler) splitTarget() (part, j int, targetVar float64, ok bool) {
+func (d *deltaSampler) splitTarget(int) (j int, targetVar float64, ok bool) {
 	worst := d.worstPair()
 	if worst < 0 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	gap := d.est[worst] - d.est[d.best]
 	targetVar = stats.TargetVarianceForPrCS(gap, d.opts.Delta, d.perPairTarget())
-	return 0, worst, targetVar, !math.IsInf(targetVar, 1)
+	return worst, targetVar, !math.IsInf(targetVar, 1)
 }
 
 // applySplit replaces the split stratum with its two children, partitioning

@@ -80,11 +80,14 @@ type estimator interface {
 	bestChanged()
 	syncCross()
 
-	// splitTarget picks the stratification Algorithm 2 refines, the
-	// configuration j whose pair constrains it and the variance its
-	// estimator must reach; applySplit replaces the decision's stratum
-	// with its two children and returns their indices.
-	splitTarget() (part, j int, targetVar float64, ok bool)
+	// splitPart picks the stratification Algorithm 2 refines; splitTarget
+	// picks the configuration j whose pair constrains that
+	// stratification's split and the variance its estimator must reach.
+	// The driver forms the target only once some stratum can split.
+	// applySplit replaces the decision's stratum with its two children
+	// and returns their indices.
+	splitPart() (part int, ok bool)
+	splitTarget(part int) (j int, targetVar float64, ok bool)
 	applySplit(part int, dec splitDecision) (left, right int)
 }
 
@@ -588,6 +591,9 @@ func (d *driver) live(part int) bool { return d.shared || d.alive[part] }
 // summed pairwise estimator variance the most per unit of optimization
 // overhead (Section 5.2, with non-constant optimization times).
 func (d *driver) nextSlot() (part, h int) {
+	if p, i, lone := d.loneSlot(); lone {
+		return p, i
+	}
 	part, h = -1, -1
 	var best float64
 	for p := 0; p < d.parts; p++ {
@@ -614,6 +620,29 @@ func (d *driver) nextSlot() (part, h int) {
 		}
 	}
 	return part, h
+}
+
+// loneSlot returns the only live, unexhausted stratum (lone true), or
+// lone false when there are several: a lone candidate is nextSlot's pick
+// under every rule, so it needs no score. With none, it returns h < 0 and
+// lone true.
+func (d *driver) loneSlot() (part, h int, lone bool) {
+	part, h = -1, -1
+	for p := 0; p < d.parts; p++ {
+		if !d.live(p) {
+			continue
+		}
+		for i := 0; i < d.e.numStrata(p); i++ {
+			if d.e.stratumAt(p, i).exhausted() {
+				continue
+			}
+			if h >= 0 {
+				return -1, -1, false
+			}
+			part, h = p, i
+		}
+	}
+	return part, h, true
 }
 
 // exhaustedAll reports whether every live stratification sampled its
@@ -839,7 +868,7 @@ func (d *driver) maybeSplit() error {
 	if d.opts.Strat != Progressive {
 		return nil
 	}
-	part, j, targetVar, ok := d.e.splitTarget()
+	part, ok := d.e.splitPart()
 	if !ok {
 		return nil
 	}
@@ -851,6 +880,10 @@ func (d *driver) maybeSplit() error {
 		}
 	}
 	if !ready {
+		return nil
+	}
+	j, targetVar, ok := d.e.splitTarget(part)
+	if !ok {
 		return nil
 	}
 	sc := &d.split

@@ -102,25 +102,26 @@ func (s *independentSampler) tmplObs(j, t int) int { return s.tcols[t][j].n }
 func (s *independentSampler) bestChanged() {}
 func (s *independentSampler) syncCross()   {}
 
-// splitTarget refines the stratification of the configuration the last
-// sample came from. Its estimator must reach half of the pair target
-// variance against the incumbent (the pair variance is the sum of two
-// estimator variances in Equation 2) — against the worst alive pair when
-// it is the incumbent itself.
-func (s *independentSampler) splitTarget() (part, j int, targetVar float64, ok bool) {
-	ci := s.lastSampled
-	if !s.alive[ci] {
-		return 0, 0, 0, false
-	}
+// splitPart refines the stratification of the configuration the last
+// sample came from, while it is alive.
+func (s *independentSampler) splitPart() (int, bool) {
+	return s.lastSampled, s.alive[s.lastSampled]
+}
+
+// splitTarget: configuration ci's estimator must reach half of the pair
+// target variance against the incumbent (the pair variance is the sum of
+// two estimator variances in Equation 2) — against the worst alive pair
+// when ci is the incumbent itself.
+func (s *independentSampler) splitTarget(ci int) (j int, targetVar float64, ok bool) {
 	other := s.best
 	if ci == s.best {
 		if other = s.worstPair(); other < 0 {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 	}
 	gap := math.Abs(s.est[other] - s.est[s.best])
 	targetVar = stats.TargetVarianceForPrCS(gap, s.opts.Delta, s.perPairTarget()) / 2
-	return ci, ci, targetVar, !math.IsInf(targetVar, 1)
+	return ci, targetVar, !math.IsInf(targetVar, 1)
 }
 
 // applySplit replaces configuration ci's stratum with its two children.
