@@ -60,13 +60,17 @@ type Column struct {
 	NullFrac float64
 }
 
-// Table is the metadata of one base table.
+// Table is the metadata of one base table. Its statistics are fixed once
+// a catalog holds it: New caches the table's heap page count (of a table
+// with a known row width).
 type Table struct {
 	Name    string
 	Rows    int
 	Columns []Column
 
 	byName map[string]int
+	// pages caches Pages (0: not cached); New sets it.
+	pages int
 }
 
 // NewTable builds a table with the given row count and columns. Column
@@ -105,6 +109,13 @@ const PageSize = 8192
 
 // Pages returns the number of pages a heap of the table occupies.
 func (t *Table) Pages() int {
+	if t.pages > 0 {
+		return t.pages
+	}
+	return t.countPages()
+}
+
+func (t *Table) countPages() int {
 	rowsPerPage := PageSize / t.RowWidth()
 	if rowsPerPage < 1 {
 		rowsPerPage = 1
@@ -140,6 +151,9 @@ func New(tables ...*Table) *Catalog {
 		}
 		c.tables[t.Name] = t
 		c.names = append(c.names, t.Name)
+		if t.RowWidth() > 0 {
+			t.pages = t.countPages()
+		}
 		for _, col := range t.Columns {
 			if _, seen := c.ownerOf[col.Name]; seen {
 				ambiguous[col.Name] = true

@@ -400,8 +400,8 @@ func buildSpace(s *Scenario, k int, seed uint64) []*physical.Configuration {
 	seen := make(map[string]bool)
 	var configs []*physical.Configuration
 	add := func(cfg *physical.Configuration) {
-		if !seen[cfg.Fingerprint()] {
-			seen[cfg.Fingerprint()] = true
+		if fp := cfg.Fingerprint(); !seen[fp] {
+			seen[fp] = true
 			configs = append(configs, physical.NewConfiguration(
 				fmt.Sprintf("C%d", len(configs)+1), cfg.Structures()...))
 		}

@@ -38,8 +38,10 @@ type cacheShard struct {
 // cacheShards shards, so a miss rarely waits for a free slot.
 const maxPending = 8
 
+// init binds the shard's condition to its lock. The table is made on the
+// shard's first fill: a store sees few distinct atoms per shard, and a
+// nil map reads as empty.
 func (sh *cacheShard) init() {
-	sh.table = make(map[cacheKey]float64)
 	sh.cond.L = &sh.mu
 }
 
@@ -87,6 +89,9 @@ func (sh *cacheShard) fill(key cacheKey, v float64) bool {
 	sh.mu.Lock()
 	_, dup := sh.table[key]
 	if !dup {
+		if sh.table == nil {
+			sh.table = make(map[cacheKey]float64) //physdes:allocok made on the shard's first fill, once per store
+		}
 		sh.table[key] = v
 	}
 	sh.mu.Unlock()
@@ -118,7 +123,7 @@ func (sh *cacheShard) releaseUnfilled(key cacheKey, filled *bool) {
 // owners fill or release them.
 func (sh *cacheShard) reset() {
 	sh.mu.Lock()
-	sh.table = make(map[cacheKey]float64)
+	sh.table = nil
 	sh.mu.Unlock()
 }
 
@@ -128,8 +133,8 @@ func (sh *cacheShard) reset() {
 // statement key within one process. The invariant cuts both ways — two
 // *distinct* parses of the same SQL text are distinct keys and
 // intentionally do not share entries (see TestCacheKeyPointerIdentity) —
-// while two distinct *Configuration values with one fingerprint share an
-// id (see atomInterner), and so an entry.
+// while two distinct *Configuration values with one structure set share
+// an id (see atomInterner), and so an entry.
 type cacheKey struct {
 	a    *sqlparse.Analysis
 	atom uint32

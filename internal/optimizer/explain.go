@@ -60,7 +60,9 @@ func (p *Plan) String() string {
 func (o *Optimizer) Explain(a *sqlparse.Analysis, cfg *physical.Configuration) *Plan {
 	o.calls.Add(1)
 	if a.Kind == sqlparse.KindSelect {
-		p := o.planSelect(a, cfg, nil, nil, nil)
+		var buf probeBuf
+		pr := o.newProbe(a, cfg, &buf)
+		p := pr.planSelect(nil, nil, nil)
 		return &Plan{Root: p.tree(a), Total: p.cost}
 	}
 	return o.explainDML(a, cfg)
@@ -70,7 +72,9 @@ func (o *Optimizer) explainDML(a *sqlparse.Analysis, cfg *physical.Configuration
 	locate, write := o.parts(a, cfg)
 	var children []*PlanNode
 	if locate > 0 {
-		ap := o.bestAccess(a, a.ModifiedTable, cfg, reads{preds: a.Preds})
+		var buf probeBuf
+		pr := o.newProbe(a, cfg, &buf)
+		ap := pr.bestAccess(tableIndex(a, a.ModifiedTable), reads{preds: a.Preds})
 		children = append(children, &PlanNode{
 			Op: "Locate", Detail: ap.op + " " + ap.detail, Cost: locate, Rows: ap.rows,
 		})

@@ -125,15 +125,17 @@ func (o *Optimizer) whatIf(a *sqlparse.Analysis, cfg *physical.Configuration) (l
 //
 //physdes:zeroalloc
 func (o *Optimizer) parts(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64) {
+	var buf probeBuf
+	p := o.newProbe(a, cfg, &buf)
 	switch a.Kind {
 	case sqlparse.KindSelect:
-		return o.costSelect(a, cfg), 0
+		return p.costSelect(), 0
 	case sqlparse.KindInsert:
-		return 0, o.costInsert(a, cfg)
+		return 0, p.costInsert()
 	case sqlparse.KindDelete:
-		return o.updateParts(a, cfg, true)
+		return p.updateParts(true)
 	default:
-		return o.updateParts(a, cfg, false)
+		return p.updateParts(false)
 	}
 }
 
@@ -141,10 +143,11 @@ func (o *Optimizer) parts(a *sqlparse.Analysis, cfg *physical.Configuration) (lo
 // and view over the table. This is where additional structures hurt: the
 // trade-off between SELECT speedups and UPDATE maintenance the problem
 // formulation (footnote 1 of the paper) captures.
-func (o *Optimizer) costInsert(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
+func (p *probe) costInsert() float64 {
+	a := p.a
 	cost := WriteRowCost + BTreeDescentCost
-	cost += float64(len(cfg.IndexesOn(a.ModifiedTable))) * IndexMaintRowCost
-	for _, v := range cfg.Views() {
+	cost += float64(len(p.cfg.IndexesOn(a.ModifiedTable))) * IndexMaintRowCost
+	for _, v := range p.cfg.Views() {
 		if v.HasTable(a.ModifiedTable) {
 			cost += ViewMaintRowFactor * float64(len(v.Tables))
 		}
@@ -153,18 +156,20 @@ func (o *Optimizer) costInsert(a *sqlparse.Analysis, cfg *physical.Configuration
 }
 
 // updateParts charges the SELECT part of an UPDATE or DELETE (locating
-// qualifying rows under cfg — the split of Section 6.1) and the write
-// part: base-table writes and index/view maintenance proportional to the
-// number of affected rows. DELETE affects every index; UPDATE affects only
-// indexes containing a modified column.
+// qualifying rows under the configuration — the split of Section 6.1) and
+// the write part: base-table writes and index/view maintenance
+// proportional to the number of affected rows. DELETE affects every
+// index; UPDATE affects only indexes containing a modified column.
 //
 //physdes:zeroalloc
-func (o *Optimizer) updateParts(a *sqlparse.Analysis, cfg *physical.Configuration, isDelete bool) (locate, write float64) {
-	if _, ok := o.cat.Table(a.ModifiedTable); !ok {
+func (p *probe) updateParts(isDelete bool) (locate, write float64) {
+	a := p.a
+	s := tableIndex(a, a.ModifiedTable)
+	if s < 0 || p.slots[s].t == nil {
 		return 0, WriteRowCost
 	}
 	// SELECT part: find the qualifying rows.
-	ap := o.bestAccess(a, a.ModifiedTable, cfg, reads{preds: a.Preds})
+	ap := p.bestAccess(s, reads{preds: a.Preds})
 	affected := ap.rows
 	if a.TopK > 0 && a.TopK < affected {
 		affected = a.TopK
@@ -174,12 +179,12 @@ func (o *Optimizer) updateParts(a *sqlparse.Analysis, cfg *physical.Configuratio
 	}
 	write = affected * WriteRowCost
 
-	for _, ix := range cfg.IndexesOn(a.ModifiedTable) {
+	for _, ix := range p.slots[s].on {
 		if isDelete || indexTouches(ix, a.ModifiedCols) {
 			write += affected * IndexMaintRowCost
 		}
 	}
-	for _, v := range cfg.Views() {
+	for _, v := range p.cfg.Views() {
 		if v.HasTable(a.ModifiedTable) {
 			write += affected * ViewMaintRowFactor * float64(len(v.Tables))
 		}

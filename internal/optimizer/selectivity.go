@@ -8,22 +8,6 @@ import (
 	"physdes/internal/sqlparse"
 )
 
-// Bind stamps every predicate of a with its selectivity estimated against
-// cat. A predicate's selectivity does not depend on the configuration, so
-// an optimizer over cat reads the stamped value on every what-if call
-// instead of re-estimating it; an optimizer over any other catalog
-// ignores it. workload.Parse binds each statement before sharing it.
-// Binding changes no cost: it calls the same estimator the probe falls
-// back to.
-//
-//physdes:zeroalloc
-func Bind(cat *catalog.Catalog, a *sqlparse.Analysis) {
-	for i := range a.Preds {
-		p := &a.Preds[i]
-		p.Bound = sqlparse.BoundSelectivity{Catalog: cat, Sel: estimateSelectivity(cat, p)}
-	}
-}
-
 // predSelectivity returns the fraction of a table's rows satisfying one
 // single-column predicate: the value bound against the optimizer's own
 // catalog when there is one, else an estimate from the column's histogram.
@@ -137,32 +121,6 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// tableSelectivity combines all predicates on one table: conjunctive
-// predicates multiply (independence assumption); predicates under
-// disjunctions contribute an OR-combined factor 1-Π(1-sᵢ).
-func (o *Optimizer) tableSelectivity(a *sqlparse.Analysis, table string) float64 {
-	conj := 1.0
-	disjMiss := 1.0
-	haveDisj := false
-	for i := range a.Preds {
-		p := &a.Preds[i]
-		if p.Col.Table != table {
-			continue
-		}
-		s := o.predSelectivity(p)
-		if p.InDisjunction {
-			haveDisj = true
-			disjMiss *= 1 - s
-		} else {
-			conj *= s
-		}
-	}
-	if haveDisj {
-		conj *= clampSel(1 - disjMiss)
-	}
-	return clampSel(conj)
-}
-
 // SelectivityOf returns the combined WHERE selectivity of the statement's
 // (single) modified table — used by the bounds package to find, per
 // template, the member statements with the largest and smallest
@@ -172,5 +130,11 @@ func (o *Optimizer) SelectivityOf(a *sqlparse.Analysis) float64 {
 	if t == "" && len(a.Tables) > 0 {
 		t = a.Tables[0]
 	}
-	return o.tableSelectivity(a, t)
+	s := tableIndex(a, t)
+	if s < 0 {
+		return 1
+	}
+	var buf probeBuf
+	p := o.newProbe(a, nil, &buf)
+	return p.slots[s].sel
 }

@@ -1,7 +1,8 @@
 package physical
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"physdes/internal/catalog"
 )
@@ -9,74 +10,130 @@ import (
 // Configuration is a set of physical design structures. It is immutable
 // after construction; With/Without derive new configurations. The zero
 // Configuration is not useful — use NewConfiguration.
+//
+// A configuration holds no maps: its indexes and views are kept sorted by
+// ID, and the indexes of each table form one run of that order, listed in
+// table-name order by ByTable. The fingerprint string is built on
+// request, since only warm starts, space generation and reports read it.
 type Configuration struct {
 	name    string
 	indexes []*Index
 	views   []*View
+	tables  []TableIndexes
+}
 
-	byTable map[string][]*Index
-	ids     map[string]bool
-
-	// fingerprint caches a canonical identity string.
-	fingerprint string
+// TableIndexes is one table's indexes within a configuration, sorted by
+// ID.
+type TableIndexes struct {
+	Table   string
+	Indexes []*Index
 }
 
 // NewConfiguration builds a configuration from structures. Duplicate IDs
 // collapse to one structure.
 func NewConfiguration(name string, structures ...Structure) *Configuration {
-	c := &Configuration{
-		name:    name,
-		byTable: make(map[string][]*Index),
-		ids:     make(map[string]bool),
+	c := &Configuration{name: name}
+	nix := 0
+	for _, s := range structures {
+		if _, ok := s.(*Index); ok {
+			nix++
+		}
+	}
+	if nix > 0 {
+		c.indexes = make([]*Index, 0, nix)
+	}
+	if nv := len(structures) - nix; nv > 0 {
+		c.views = make([]*View, 0, nv)
 	}
 	for _, s := range structures {
-		c.add(s)
+		switch x := s.(type) {
+		case *Index:
+			c.indexes = append(c.indexes, x)
+		case *View:
+			c.views = append(c.views, x)
+		}
 	}
-	c.finish()
+	c.indexes = sortedUnique(c.indexes)
+	c.views = sortedUnique(c.views)
+	c.groupTables()
 	return c
 }
 
-func (c *Configuration) add(s Structure) {
-	id := s.ID()
-	if c.ids[id] {
-		return
-	}
-	c.ids[id] = true
-	switch x := s.(type) {
-	case *Index:
-		c.indexes = append(c.indexes, x)
-		c.byTable[x.Table] = append(c.byTable[x.Table], x)
-	case *View:
-		c.views = append(c.views, x)
-	}
+// sortedUnique sorts xs by ID and drops every structure whose ID repeats
+// an earlier one's.
+func sortedUnique[S Structure](xs []S) []S {
+	slices.SortStableFunc(xs, func(a, b S) int { return strings.Compare(a.ID(), b.ID()) })
+	return slices.CompactFunc(xs, func(a, b S) bool { return a.ID() == b.ID() })
 }
 
-func (c *Configuration) finish() {
-	sort.Slice(c.indexes, func(i, j int) bool { return c.indexes[i].ID() < c.indexes[j].ID() })
-	sort.Slice(c.views, func(i, j int) bool { return c.views[i].ID() < c.views[j].ID() })
-	ids := make([]string, 0, len(c.ids))
-	for id := range c.ids {
-		ids = append(ids, id)
+// groupTables lists each table's run of the ID-sorted indexes, in table
+// order. A table's index IDs share the prefix "IX(table;", so they are
+// adjacent in ID order.
+func (c *Configuration) groupTables() {
+	n := 0
+	for i, ix := range c.indexes {
+		if i == 0 || ix.Table != c.indexes[i-1].Table {
+			n++
+		}
 	}
-	sort.Strings(ids)
-	c.fingerprint = ""
-	for _, id := range ids {
-		c.fingerprint += id + "|"
+	if n == 0 {
+		return
 	}
+	c.tables = make([]TableIndexes, 0, n)
+	for lo := 0; lo < len(c.indexes); {
+		hi := lo + 1
+		for hi < len(c.indexes) && c.indexes[hi].Table == c.indexes[lo].Table {
+			hi++
+		}
+		c.tables = append(c.tables, TableIndexes{Table: c.indexes[lo].Table, Indexes: c.indexes[lo:hi:hi]})
+		lo = hi
+	}
+	slices.SortFunc(c.tables, func(a, b TableIndexes) int { return strings.Compare(a.Table, b.Table) })
 }
 
 // Name returns the configuration's display name.
 func (c *Configuration) Name() string { return c.name }
 
 // Fingerprint returns a canonical identity string: two configurations with
-// equal fingerprints contain exactly the same structures.
-func (c *Configuration) Fingerprint() string { return c.fingerprint }
+// equal fingerprints contain exactly the same structures. It is built on
+// each call.
+func (c *Configuration) Fingerprint() string {
+	var b strings.Builder
+	// Every index ID ("IX(...") sorts before every view ID ("MV(..."), so
+	// indexes then views is the sorted ID order.
+	for _, ix := range c.indexes {
+		b.WriteString(ix.ID())
+		b.WriteByte('|')
+	}
+	for _, v := range c.views {
+		b.WriteString(v.ID())
+		b.WriteByte('|')
+	}
+	return b.String()
+}
 
 // Has reports whether the configuration contains a structure with the ID.
-func (c *Configuration) Has(id string) bool { return c.ids[id] }
+func (c *Configuration) Has(id string) bool {
+	if _, ok := slices.BinarySearchFunc(c.indexes, id, func(ix *Index, id string) int { return strings.Compare(ix.ID(), id) }); ok {
+		return true
+	}
+	_, ok := slices.BinarySearchFunc(c.views, id, func(v *View, id string) int { return strings.Compare(v.ID(), id) })
+	return ok
+}
 
-// IndexesOn returns the indexes on the named table.
-func (c *Configuration) IndexesOn(table string) []*Index { return c.byTable[table] }
+// IndexesOn returns the indexes on the named table, sorted by ID.
+func (c *Configuration) IndexesOn(table string) []*Index {
+	for _, t := range c.tables {
+		if t.Table == table {
+			return t.Indexes
+		}
+	}
+	return nil
+}
+
+// ByTable returns the configuration's indexes grouped by table, one entry
+// per table that has an index, in table-name order.
+func (c *Configuration) ByTable() []TableIndexes { return c.tables }
 
 // Indexes returns all indexes (sorted by ID).
 func (c *Configuration) Indexes() []*Index { return c.indexes }
@@ -189,15 +246,28 @@ func Overlap(a, b *Configuration) float64 {
 	if a.NumStructures() == 0 && b.NumStructures() == 0 {
 		return 1
 	}
-	inter := 0
-	for id := range a.ids {
-		if b.ids[id] {
-			inter++
-		}
-	}
+	inter := sharedIDs(a.indexes, b.indexes) + sharedIDs(a.views, b.views)
 	union := a.NumStructures() + b.NumStructures() - inter
 	if union == 0 {
 		return 1
 	}
 	return float64(inter) / float64(union)
+}
+
+// sharedIDs counts the IDs two ID-sorted structure lists have in common.
+func sharedIDs[S Structure](a, b []S) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].ID(), b[j].ID()); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }

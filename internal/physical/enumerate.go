@@ -186,6 +186,9 @@ func EnumerateCandidates(cat *catalog.Catalog, analyses []*sqlparse.Analysis, op
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	for _, s := range out {
+		sizeUnder(s, cat)
+	}
 	return out
 }
 
@@ -438,10 +441,11 @@ func GenerateSpace(cat *catalog.Catalog, candidates []Structure, k int, rng *sta
 			chosen = append(chosen, s)
 		}
 		cfg := NewConfiguration(fmt.Sprintf("C%d", len(out)+1), chosen...)
-		if seen[cfg.Fingerprint()] {
+		fp := cfg.Fingerprint()
+		if seen[fp] {
 			continue
 		}
-		seen[cfg.Fingerprint()] = true
+		seen[fp] = true
 		out = append(out, cfg)
 	}
 	return out

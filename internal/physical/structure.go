@@ -32,7 +32,40 @@ type Index struct {
 	Key     []string
 	Include []string
 
-	id string
+	id      string
+	pathKey uint64
+	sized   sizing
+}
+
+// sizing is a structure's size estimates under the catalog it was
+// enumerated from (cat nil: none). EnumerateCandidates fills it before
+// the structure is shared, so reads under that catalog cost nothing and
+// need no synchronization; reads under any other catalog estimate
+// afresh.
+type sizing struct {
+	cat   *catalog.Catalog
+	bytes int64
+	rows  int64 // views only
+}
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// PathKey is FNV-1a 64 over table, a zero byte, then id: the identity of
+// an access path named id on table (see Index.PathKey).
+func PathKey(table, id string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(table); i++ {
+		h = (h ^ uint64(table[i])) * fnvPrime64
+	}
+	h *= fnvPrime64 // the zero byte: h ^ 0 is h
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * fnvPrime64
+	}
+	return h
 }
 
 // NewIndex builds an index. Key order is significant; include columns are
@@ -54,11 +87,18 @@ func NewIndex(table string, key []string, include ...string) *Index {
 	sort.Strings(inc)
 	ix := &Index{Table: table, Key: k, Include: inc}
 	ix.id = "IX(" + table + ";" + strings.Join(k, ",") + ";" + strings.Join(inc, ",") + ")"
+	ix.pathKey = PathKey(table, ix.id)
 	return ix
 }
 
 // ID implements Structure.
 func (ix *Index) ID() string { return ix.id }
+
+// PathKey returns FNV-1a 64 over the index's table name, a zero byte and
+// its ID, computed once at construction: the identity of the index's
+// access path, which the what-if optimizer keys its per-path cost
+// variability by.
+func (ix *Index) PathKey() uint64 { return ix.pathKey }
 
 // LeadColumn returns the first key column.
 func (ix *Index) LeadColumn() string { return ix.Key[0] }
@@ -93,6 +133,13 @@ func (ix *Index) HasColumn(c string) bool {
 
 // SizeBytes implements Structure: rows × (key+include widths + row pointer).
 func (ix *Index) SizeBytes(cat *catalog.Catalog) int64 {
+	if ix.sized.cat == cat && cat != nil {
+		return ix.sized.bytes
+	}
+	return ix.sizeBytes(cat)
+}
+
+func (ix *Index) sizeBytes(cat *catalog.Catalog) int64 {
 	t, ok := cat.Table(ix.Table)
 	if !ok {
 		return 0
@@ -124,7 +171,9 @@ type View struct {
 	Columns []sqlparse.TableColumn
 	GroupBy []sqlparse.TableColumn
 
-	id string
+	id      string
+	pathKey uint64
+	sized   sizing
 }
 
 // NewView builds a view with canonicalized (sorted) components.
@@ -174,11 +223,19 @@ func NewView(tables []string, joins []sqlparse.JoinPredicate, columns, groupBy [
 	}
 	b.WriteByte(')')
 	v.id = b.String()
+	if len(v.Tables) > 0 {
+		v.pathKey = PathKey(v.Tables[0], v.id)
+	}
 	return v
 }
 
 // ID implements Structure.
 func (v *View) ID() string { return v.id }
+
+// PathKey returns FNV-1a 64 over the view's first table name, a zero byte
+// and its ID, computed once at construction: the identity of the view
+// scan's access path, as Index.PathKey is an index's.
+func (v *View) PathKey() uint64 { return v.pathKey }
 
 // String implements fmt.Stringer.
 func (v *View) String() string { return v.id }
@@ -198,6 +255,13 @@ func (v *View) HasTable(name string) bool {
 // and the product of group-by distinct counts (capped by the join size)
 // when the view aggregates.
 func (v *View) EstimatedRows(cat *catalog.Catalog) int64 {
+	if v.sized.cat == cat && cat != nil {
+		return v.sized.rows
+	}
+	return v.estimateRows(cat)
+}
+
+func (v *View) estimateRows(cat *catalog.Catalog) int64 {
 	if len(v.Tables) == 0 {
 		return 0
 	}
@@ -286,6 +350,13 @@ func distinctOf(cat *catalog.Catalog, tc sqlparse.TableColumn) int {
 
 // SizeBytes implements Structure.
 func (v *View) SizeBytes(cat *catalog.Catalog) int64 {
+	if v.sized.cat == cat && cat != nil {
+		return v.sized.bytes
+	}
+	return v.sizeBytes(cat)
+}
+
+func (v *View) sizeBytes(cat *catalog.Catalog) int64 {
 	w := 0
 	for _, c := range v.Columns {
 		if col, ok := cat.ColumnStats(c.Table, c.Column); ok {
@@ -296,6 +367,17 @@ func (v *View) SizeBytes(cat *catalog.Catalog) int64 {
 		w = 8
 	}
 	return v.EstimatedRows(cat) * int64(w)
+}
+
+// sizeUnder records s's size estimates under cat, so later reads under
+// cat cost nothing. Callers own s: it must not be shared yet.
+func sizeUnder(s Structure, cat *catalog.Catalog) {
+	switch x := s.(type) {
+	case *Index:
+		x.sized = sizing{cat: cat, bytes: x.sizeBytes(cat)}
+	case *View:
+		x.sized = sizing{cat: cat, bytes: x.sizeBytes(cat), rows: x.estimateRows(cat)}
+	}
 }
 
 // ensure interface compliance

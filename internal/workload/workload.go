@@ -67,8 +67,9 @@ func New(queries []*Query) *Workload {
 // One lexer pass gives each statement's exact signature (its tokens with
 // literal text left out). The first statement with a signature takes the
 // full path — sqlparse.Parse, Analyze, Template — and records its shape;
-// every later one copies that statement's analysis, patches in its own
-// literals and is bound. The signature table lives for this call only.
+// every later one copies that statement's analysis (sharing its shape's
+// bound stamps), patches in its own literals and is bound. The signature
+// table lives for this call only.
 func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 	queries := make([]*Query, len(sqls))
 	templateSQL := make(map[sqlparse.TemplateID]string)
@@ -97,13 +98,15 @@ func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 		if _, seen := templateSQL[tid]; !seen {
 			templateSQL[tid] = tSQL
 		}
+		// Bound first, so the shape's skeleton carries the shape's stamps
+		// and binding a later statement of the shape allocates nothing.
+		optimizer.Bind(cat, a)
 		// The parse succeeded, so the lexer did too and sig is complete.
 		sh, err := newShape(src, lits, a, tid, cat.Resolve)
 		if err != nil {
 			return nil, fmt.Errorf("workload: statement %d: %w", i, err)
 		}
 		shapes[string(sig)] = sh
-		optimizer.Bind(cat, a)
 		queries[i] = &Query{ID: i, SQL: src, Analysis: a, Template: tid}
 	}
 	w := New(queries)
