@@ -3,6 +3,7 @@ package optimizer
 import (
 	"testing"
 
+	"physdes/internal/catalog"
 	"physdes/internal/obs"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
@@ -152,5 +153,46 @@ func TestUpdatePartsObservesLatency(t *testing.T) {
 	}
 	if n := r.Histogram("optimizer_cost_seconds").Count(); n != calls {
 		t.Errorf("optimizer_cost_seconds count = %d, want calls_total %d", n, calls)
+	}
+}
+
+// TestBindingFitsShapeCopies pins when a what-if evaluation reads a
+// statement's shape stamps: after Bind against its own catalog, and for a
+// copy sharing the statement's shape slices with its own predicates (as
+// workload.Parse instantiates a signature's later statements), which
+// binds without allocating; not for an optimizer over another catalog,
+// nor for a separate analysis of the same text, whose slices differ.
+func TestBindingFitsShapeCopies(t *testing.T) {
+	const sql = "SELECT o_orderdate, l_quantity FROM orders o, lineitem l " +
+		"WHERE o.o_orderkey = l.l_orderkey AND o_orderdate = 9 AND l_shipdate < 30"
+	reads := func(o *Optimizer, a *sqlparse.Analysis) bool {
+		var buf probeBuf
+		return o.newProbe(a, nil, &buf).b != nil
+	}
+	a := analyze(t, sql)
+	o := New(testCat)
+	if reads(o, a) {
+		t.Fatal("an unbound analysis has stamps")
+	}
+	Bind(testCat, a)
+	if !reads(o, a) {
+		t.Fatal("the binding catalog's optimizer ignores the stamps")
+	}
+	if reads(New(catalog.TPCD(0.01)), a) {
+		t.Error("an optimizer over another catalog reads the stamps")
+	}
+	sibling := *a
+	sibling.Preds = append([]sqlparse.ColumnPredicate(nil), a.Preds...)
+	sibling.Preds[0].EqValue.Num = 11
+	if n := testing.AllocsPerRun(10, func() { Bind(testCat, &sibling) }); n != 0 {
+		t.Errorf("binding a shape copy allocates %v times, want 0", n)
+	}
+	if !reads(o, &sibling) || sibling.Bound != a.Bound {
+		t.Error("a shape copy does not share its shape's stamps")
+	}
+	other := analyze(t, sql)
+	other.Bound = a.Bound
+	if reads(o, other) {
+		t.Error("stamps fit an analysis holding other slices")
 	}
 }

@@ -1,9 +1,12 @@
 package optimizer
 
 import (
+	"math"
+	"strconv"
 	"testing"
 
 	"physdes/internal/physical"
+	"physdes/internal/stats"
 )
 
 func costOf(t *testing.T, o *Optimizer, src string, cfg *physical.Configuration) float64 {
@@ -161,5 +164,28 @@ func TestCatalogAccessor(t *testing.T) {
 	o := New(testCat)
 	if o.Catalog() != testCat {
 		t.Error("Catalog accessor broken")
+	}
+}
+
+// TestAppendNumberMatchesFormatFloat pins the literal text pathWobble
+// hashes to strconv.FormatFloat(v, 'g', -1, 64) across the integer fast
+// path's edges (zero and negative zero, ±(1e6−1), 1e6, beyond int range),
+// fractions, exponents and non-finite values, plus a sweep of integers
+// and random draws.
+func TestAppendNumberMatchesFormatFloat(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 7, 999999, -999999, 1e6, -1e6, 1e6 + 1,
+		123456.5, 0.05, -0.07, 1e-5, 1e-4, 2.5e21, 1e300, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 9007199254740993, -9.5}
+	for v := -2000.0; v <= 2000; v++ {
+		vals = append(vals, v, v/8, v*997)
+	}
+	rng := stats.NewRNG(5)
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(30)-10)))
+	}
+	for _, v := range vals {
+		if got, want := string(appendNumber(nil, v)), strconv.FormatFloat(v, 'g', -1, 64); got != want {
+			t.Errorf("appendNumber(%v) = %q, FormatFloat %q", v, got, want)
+		}
 	}
 }
