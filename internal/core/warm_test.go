@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -214,5 +216,55 @@ func TestPrCSGuaranteeWarmStart(t *testing.T) {
 			}
 			t.Logf("%s: warm engaged in %d/%d warm-eligible runs", tc.name, warmStarted, trials*(windows-1))
 		})
+	}
+}
+
+// TestTemplateSignaturesStable pins templateSignatures — each template's
+// ID and the Welford moments of its numeric literal positions — as one
+// FNV-64 per workload: TPC-D 13K and CRM 6K at the benchmark's seeds, and
+// the default TPC-D drift windows.
+func TestTemplateSignaturesStable(t *testing.T) {
+	tpcd, crm := catalog.TPCD(1), catalog.CRM()
+	windows, err := workload.GenTPCDDrift(tpcd, workload.DriftOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		gen  func() (*workload.Workload, error)
+		want uint64
+	}{
+		{"tpcd-13k-s1000", func() (*workload.Workload, error) { return workload.GenTPCD(tpcd, 13000, 1000) }, 0x6072d490c7e214d6},
+		{"tpcd-13k-s1001", func() (*workload.Workload, error) { return workload.GenTPCD(tpcd, 13000, 1001) }, 0xf2a791398ca6fdaa},
+		{"tpcd-13k-s1002", func() (*workload.Workload, error) { return workload.GenTPCD(tpcd, 13000, 1002) }, 0x9d5f8f2c35982800},
+		{"crm-6k-s1000", func() (*workload.Workload, error) { return workload.GenCRM(crm, 6000, 1000) }, 0x1839eddc007dadc1},
+		{"crm-6k-s1001", func() (*workload.Workload, error) { return workload.GenCRM(crm, 6000, 1001) }, 0xa8df85dfe32f94cc},
+		{"crm-6k-s1002", func() (*workload.Workload, error) { return workload.GenCRM(crm, 6000, 1002) }, 0x1708ef01552c66c6},
+		{"tpcd-drift-w0", func() (*workload.Workload, error) { return windows[0].W, nil }, 0x8f0ef2bae5a06723},
+		{"tpcd-drift-w1", func() (*workload.Workload, error) { return windows[1].W, nil }, 0x13444cf1a31f29b8},
+		{"tpcd-drift-w2", func() (*workload.Workload, error) { return windows[2].W, nil }, 0x6760f298d6b7c97a},
+	} {
+		w, err := c.gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(x uint64) {
+			binary.LittleEndian.PutUint64(b[:], x)
+			h.Write(b[:])
+		}
+		for _, sig := range templateSignatures(w) {
+			put(sig.ID)
+			put(uint64(len(sig.Params)))
+			for _, p := range sig.Params {
+				put(uint64(p.N))
+				put(math.Float64bits(p.Mean))
+				put(math.Float64bits(p.M2))
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: templateSignatures fnv64=%016x, want %016x", c.name, got, c.want)
+		}
 	}
 }
