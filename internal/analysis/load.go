@@ -219,13 +219,16 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	// package without cycling: an in-package test unit re-checks the base
 	// files together with the local _test.go files (so tests see
 	// unexported declarations), an external _test package checks on its
-	// own and imports the base package like any other consumer.
+	// own and imports the base package like any other consumer — as its
+	// in-package test variant when there is one, the way `go test` builds
+	// it (see testImporter).
 	if l.IncludeTests {
 		for _, path := range order {
 			pp := parsed[path]
+			var imp types.Importer = l
 			if len(pp.inTests) > 0 {
 				all := append(append([]*ast.File{}, pp.files...), pp.inTests...)
-				pkg, err := l.checkUnit(pp.path+" [test]", pp.dir, all)
+				pkg, err := l.checkUnit(l, pp.path+" [test]", pp.dir, all)
 				if err != nil {
 					return nil, err
 				}
@@ -233,9 +236,10 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 				pkg.Files = pp.inTests
 				pkg.Test = true
 				out = append(out, pkg)
+				imp = &testImporter{l: l, parsed: parsed, under: pp.path, pkgs: map[string]*types.Package{pp.path: pkg.Types}, deps: map[string]bool{}}
 			}
 			if len(pp.extTests) > 0 {
-				pkg, err := l.checkUnit(pp.path+"_test", pp.dir, pp.extTests)
+				pkg, err := l.checkUnit(imp, pp.path+"_test", pp.dir, pp.extTests)
 				if err != nil {
 					return nil, err
 				}
@@ -366,9 +370,58 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return l.std.ImportFrom(path, dir, mode)
 }
 
+// testImporter resolves an external test package's imports as `go test`
+// builds them: the package under test is its in-package test variant, so
+// declarations of its _test.go files (an export_test.go) are in scope,
+// and every module package importing it, directly or not, is re-checked
+// against that variant, so the test's types agree across packages.
+// Everything else resolves as for a base package.
+type testImporter struct {
+	l      *Loader
+	parsed map[string]*parsedPkg
+	under  string
+	pkgs   map[string]*types.Package // the variant and re-checked packages
+	deps   map[string]bool           // memo of importsUnder
+}
+
+// Import implements types.Importer.
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.pkgs[path]; ok {
+		return pkg, nil
+	}
+	if !ti.importsUnder(path) {
+		return ti.l.Import(path)
+	}
+	conf := types.Config{Importer: ti, Error: func(err error) {}}
+	pkg, err := conf.Check(path, ti.l.Fset, ti.parsed[path].files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s against %s's test variant: %w", path, ti.under, err)
+	}
+	ti.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// importsUnder reports whether module package path imports the package
+// under test, directly or not.
+func (ti *testImporter) importsUnder(path string) bool {
+	if dep, ok := ti.deps[path]; ok {
+		return dep
+	}
+	ti.deps[path] = false
+	if pp, ok := ti.parsed[path]; ok {
+		for _, imp := range pp.imports {
+			if imp == ti.under || ti.importsUnder(imp) {
+				ti.deps[path] = true
+				break
+			}
+		}
+	}
+	return ti.deps[path]
+}
+
 // check type-checks one parsed package's base unit.
 func (l *Loader) check(pp *parsedPkg) (*Package, error) {
-	pkg, err := l.checkUnit(pp.path, pp.dir, pp.files)
+	pkg, err := l.checkUnit(l, pp.path, pp.dir, pp.files)
 	if err != nil {
 		return nil, err
 	}
@@ -377,11 +430,11 @@ func (l *Loader) check(pp *parsedPkg) (*Package, error) {
 }
 
 // checkUnit type-checks one compilation unit (base package, in-package
-// test variant, or external test package).
-func (l *Loader) checkUnit(path, dir string, files []*ast.File) (*Package, error) {
+// test variant, or external test package), resolving imports with imp.
+func (l *Loader) checkUnit(imp types.Importer, path, dir string, files []*ast.File) (*Package, error) {
 	info := NewInfo()
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error:    func(err error) {}, // collect via returned error
 	}
 	tpkg, err := conf.Check(path, l.Fset, files, info)

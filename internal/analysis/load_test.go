@@ -162,6 +162,30 @@ func TestLoadTestVariantFileSplit(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestSeesExportTest: an external test package imports
+// the package under test as `go test` builds it, with its export_test.go
+// declarations in scope, and a module package importing it agrees on its
+// types.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":             "module loadtest\n\ngo 1.22\n",
+		"lib/lib.go":         "package lib\n\ntype T struct{}\n\nfunc one() int { return 1 }\n",
+		"lib/export_test.go": "package lib\n\nfunc One() int { return one() }\n",
+		"use/use.go":         "package use\n\nimport \"loadtest/lib\"\n\nfunc Take(lib.T) {}\n",
+		"lib/lib_ext_test.go": "package lib_test\n\nimport (\n\t\"testing\"\n\n\t\"loadtest/lib\"\n\t\"loadtest/use\"\n)\n\n" +
+			"func TestOne(t *testing.T) {\n\tuse.Take(lib.T{})\n\tif lib.One() != 1 {\n\t\tt.Fail()\n\t}\n}\n",
+	})
+	var ext *Package
+	for _, p := range loadAll(t, root, true) {
+		if p.Path == "loadtest/lib_test" {
+			ext = p
+		}
+	}
+	if ext == nil {
+		t.Fatal("no external test package loaded")
+	}
+}
+
 // TestCheckGOROOT: the running toolchain must pass; a source-less GOROOT
 // must fail with an error that names the missing path and says what to do.
 func TestCheckGOROOT(t *testing.T) {
