@@ -273,7 +273,7 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		obs.KV{Key: "conservative", Value: o.Conservative},
 		obs.KV{Key: "parallelism", Value: o.Parallelism})
 
-	shared := optimizer.NewAtomicCache(opt, optimizer.DefaultMaxAtomWidth)
+	shared := optimizer.NewAtomicCache(opt)
 	if o.Metrics != nil {
 		shared.SetMetrics(o.Metrics)
 	}

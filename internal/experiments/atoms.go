@@ -59,7 +59,7 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 		// Pair i is query i/len(configs) under configuration i%len(configs).
 		pairs := w.Size() * len(configs)
 		direct := optimizer.New(s.Cat)
-		shared := optimizer.NewAtomicCache(optimizer.New(s.Cat), optimizer.DefaultMaxAtomWidth)
+		shared := optimizer.NewAtomicCache(optimizer.New(s.Cat))
 		want := make([]float64, pairs)
 		got := make([]float64, pairs)
 		par.For(pairs, workers, func(i int) {

@@ -232,12 +232,12 @@ func (p *probe) indexAccess(t *catalog.Table, ix *physical.Index, outRows float6
 	for _, keyCol := range ix.Key {
 		pr, kind := findSargable(p.a, t.Name, keyCol)
 		if kind == sargEq {
-			seekSel *= p.o.predSelectivity(pr)
+			seekSel *= p.predSelectivity(pr)
 			matched++
 			continue
 		}
 		if kind == sargRange {
-			seekSel *= p.o.predSelectivity(pr)
+			seekSel *= p.predSelectivity(pr)
 			matched++
 		}
 		break

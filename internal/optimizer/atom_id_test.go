@@ -124,12 +124,12 @@ func TestEqualIDStructuresShareAtom(t *testing.T) {
 			if ix1 == ix2 || ix1.ID() != ix2.ID() {
 				t.Fatal("fixture needs distinct index values with one ID")
 			}
-			c := NewAtomicCache(New(testCat), 0)
+			c := NewAtomicCache(New(testCat))
 			if id1, id2 := c.intern.indexID(ix1), c.intern.indexID(ix2); id1 != id2 {
 				t.Errorf("equal-ID indexes got dense ids %d and %d", id1, id2)
 			}
-			atoms1, fb1 := decompose(a, cfg1, 0, &c.intern, nil, nil, nil, nil, nil)
-			atoms2, fb2 := decompose(a, cfg2, 0, &c.intern, nil, nil, nil, nil, nil)
+			atoms1, fb1 := decompose(a, cfg1, c.maxWidth, &c.intern, nil, nil, nil, nil, nil)
+			atoms2, fb2 := decompose(a, cfg2, c.maxWidth, &c.intern, nil, nil, nil, nil, nil)
 			if fb1 || fb2 || len(atoms1) != tc.atoms || !reflect.DeepEqual(atoms1, atoms2) {
 				t.Fatalf("decompositions differ: %+v (fallback %v) vs %+v (fallback %v), want %d shared atoms", atoms1, fb1, atoms2, fb2, tc.atoms)
 			}

@@ -11,13 +11,10 @@ import (
 
 // TestAtomicCacheStatsAndMetrics pins the atom store's accounting surface
 // on the serial path: Stats and the registry counters must agree call for
-// call, the width bound must be reported, Reset must zero the store, and
-// detaching the registry must stop the export without touching costing.
+// call, and detaching the registry must stop the export without touching
+// costing.
 func TestAtomicCacheStatsAndMetrics(t *testing.T) {
-	ac := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
-	if ac.MaxWidth() != optimizer.DefaultMaxAtomWidth {
-		t.Fatalf("MaxWidth() = %d, want default %d", ac.MaxWidth(), optimizer.DefaultMaxAtomWidth)
-	}
+	ac := optimizer.NewAtomicCache(optimizer.New(atomsCat))
 	r := obs.NewRegistry()
 	ac.SetMetrics(r)
 
@@ -46,28 +43,20 @@ func TestAtomicCacheStatsAndMetrics(t *testing.T) {
 	if got := snap.Counters["optimizer_atoms_total"]; got != misses {
 		t.Errorf("optimizer_atoms_total = %d, want %d", got, misses)
 	}
-	if got := snap.Histograms["optimizer_atom_cost_seconds"].Count; got != misses {
-		t.Errorf("optimizer_atom_cost_seconds count = %d, want one observation per atom costing (%d)", got, misses)
-	}
 
-	// Reset clears the store and its counters; the registry keeps its
-	// monotonic totals.
-	ac.Reset()
-	if hits, misses, fallbacks, entries = ac.Stats(); hits != 0 || misses != 0 || fallbacks != 0 || entries != 0 {
-		t.Fatalf("Stats() after Reset = (%d, %d, %d, %d), want zeros", hits, misses, fallbacks, entries)
-	}
-	if got := ac.Cost(a, cfg); got != first {
-		t.Fatalf("cost after Reset diverged: %v vs %v", got, first)
-	}
-
-	// Detaching stops the export: further costings move Stats but not the
-	// registry.
+	// Detaching stops the export: further hits and misses move Stats but
+	// not the registry.
 	ac.SetMetrics(nil)
-	before := r.Snapshot().Counters["optimizer_atoms_total"]
-	ac.Reset()
 	ac.Cost(a, cfg)
-	if after := r.Snapshot().Counters["optimizer_atoms_total"]; after != before {
-		t.Errorf("detached registry moved: optimizer_atoms_total %d -> %d", before, after)
+	ac.Cost(analyze(t, "SELECT l_quantity FROM lineitem WHERE l_partkey = 37"), cfg)
+	if h, m, _, _ := ac.Stats(); h != hits+3 || m != misses+3 {
+		t.Fatalf("Stats() hits/misses after detaching = %d/%d, want %d/%d", h, m, hits+3, misses+3)
+	}
+	after := r.Snapshot()
+	for _, name := range []string{"optimizer_atom_hits_total", "optimizer_atoms_total"} {
+		if after.Counters[name] != snap.Counters[name] {
+			t.Errorf("detached registry moved: %s %d -> %d", name, snap.Counters[name], after.Counters[name])
+		}
 	}
 }
 
@@ -76,11 +65,8 @@ func TestAtomicCacheStatsAndMetrics(t *testing.T) {
 // is counted as a fallback, is stored under its full configuration, and
 // returns the direct cost exactly.
 func TestAtomicCacheWidthFallbackSerial(t *testing.T) {
-	ac := optimizer.NewAtomicCache(optimizer.New(atomsCat), 2)
+	ac := optimizer.NewAtomicCacheWidth(optimizer.New(atomsCat), 2)
 	ac.SetMetrics(obs.NewRegistry())
-	if ac.MaxWidth() != 2 {
-		t.Fatalf("MaxWidth() = %d, want 2", ac.MaxWidth())
-	}
 	a := analyze(t, "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200")
 	cfg := physical.NewConfiguration("c",
 		physical.NewIndex("orders", []string{"o_orderdate"}),
@@ -105,13 +91,13 @@ func TestAtomicCacheFallbackMemoized(t *testing.T) {
 	cfg := wideOrdersConfig()
 	want := optimizer.New(atomsCat).Cost(a, cfg)
 
-	serial := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	serial := optimizer.NewAtomicCache(optimizer.New(atomsCat))
 	for i := 0; i < 2; i++ {
 		if got := serial.Cost(a, cfg); got != want {
 			t.Fatalf("probe %d: fallback cost %v != direct cost %v", i, got, want)
 		}
 	}
-	if calls := serial.Inner().Calls(); calls != 1 {
+	if calls := serial.Calls(); calls != 1 {
 		t.Errorf("serial: two fallback probes charged %d inner calls, want 1", calls)
 	}
 	if hits, misses, fallbacks, _ := serial.Stats(); hits != 1 || misses != 0 || fallbacks != 1 {
@@ -123,13 +109,13 @@ func TestAtomicCacheFallbackMemoized(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = probe{Analysis: a, Config: cfg}
 	}
-	concurrent := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	concurrent := optimizer.NewAtomicCache(optimizer.New(atomsCat))
 	for i, got := range costConcurrently(concurrent, reqs, 4) {
 		if got != want {
 			t.Fatalf("concurrent probe %d: %v != direct cost %v", i, got, want)
 		}
 	}
-	if calls := concurrent.Inner().Calls(); calls != 1 {
+	if calls := concurrent.Calls(); calls != 1 {
 		t.Errorf("concurrent: %d fallback probes charged %d inner calls, want 1", len(reqs), calls)
 	}
 }
@@ -163,7 +149,8 @@ func wideOrdersConfig() *physical.Configuration {
 // every value must match direct costing, the fallback must be billed as a
 // direct call, the registry counters must equal Stats — which must in
 // turn equal a fresh store evaluating the same probes serially — and the
-// latency histogram must hold one observation per paid atom.
+// inner optimizer's latency histogram must hold one observation per paid
+// costing, atom or fallback.
 func TestCachedAtomicBatchMetrics(t *testing.T) {
 	analyses := []*sqlparse.Analysis{
 		analyze(t, "SELECT l_quantity FROM lineitem WHERE l_partkey = 37"),
@@ -197,7 +184,9 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	)
 
 	r := obs.NewRegistry()
-	c := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	inner := optimizer.New(atomsCat)
+	inner.SetMetrics(r)
+	c := optimizer.NewAtomicCache(inner)
 	c.SetMetrics(r)
 	got := costConcurrently(c, reqs, 4)
 
@@ -223,13 +212,13 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	if got := snap.Counters["optimizer_atoms_total"]; got != misses {
 		t.Errorf("optimizer_atoms_total = %d, want %d", got, misses)
 	}
-	if got := snap.Histograms["optimizer_atom_cost_seconds"].Count; got != misses {
-		t.Errorf("optimizer_atom_cost_seconds count = %d, want %d (one per paid atom)", got, misses)
+	if got := snap.Histograms["optimizer_cost_seconds"].Count; got != misses+fallbacks {
+		t.Errorf("optimizer_cost_seconds count = %d, want %d (one per paid costing)", got, misses+fallbacks)
 	}
 
 	// Accounting parity with the serial path: a fresh store fed the same
 	// requests one by one must land on identical counters.
-	s := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	s := optimizer.NewAtomicCache(optimizer.New(atomsCat))
 	for _, req := range reqs {
 		s.Cost(req.Analysis, req.Config)
 	}
@@ -238,7 +227,7 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 		t.Errorf("concurrent accounting (%d, %d, %d, %d) != serial accounting (%d, %d, %d, %d)",
 			hits, misses, fallbacks, entries, sh, sm, sf, se)
 	}
-	if bi, si := c.Inner().Calls(), s.Inner().Calls(); bi != si {
+	if bi, si := c.Calls(), s.Calls(); bi != si {
 		t.Errorf("concurrent probes charged %d inner calls, serial charged %d; must match", bi, si)
 	}
 }

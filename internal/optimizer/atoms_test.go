@@ -117,7 +117,7 @@ func TestAtomicCostEquivalence(t *testing.T) {
 					want[i] = direct.Cost(r.Analysis, r.Config)
 				}
 
-				atomic := optimizer.NewAtomicCache(optimizer.New(sc.cat), 0)
+				atomic := optimizer.NewAtomicCache(optimizer.New(sc.cat))
 				got := make([]float64, len(reqs))
 				for i, r := range reqs {
 					got[i] = atomic.Cost(r.Analysis, r.Config)
@@ -127,19 +127,19 @@ func TestAtomicCostEquivalence(t *testing.T) {
 					return
 				}
 				totalPairs += int64(len(reqs))
-				totalAtomCalls += atomic.Inner().Calls()
+				totalAtomCalls += atomic.Calls()
 
 				for _, workers := range []int{1, 4, 8} {
-					ab := optimizer.NewAtomicCache(optimizer.New(sc.cat), 0)
+					ab := optimizer.NewAtomicCache(optimizer.New(sc.cat))
 					out := costConcurrently(ab, reqs, workers)
 					if !reflect.DeepEqual(want, out) {
 						reportFirstDiff(t, sc.name, cs,
 							fmt.Sprintf("Cost(workers=%d)", workers), reqs, want, out)
 						return
 					}
-					if calls := ab.Inner().Calls(); calls != atomic.Inner().Calls() {
+					if calls := ab.Calls(); calls != atomic.Calls() {
 						t.Fatalf("case %d workers=%d: concurrent Cost charged %d inner calls, serial charged %d",
-							cs, workers, calls, atomic.Inner().Calls())
+							cs, workers, calls, atomic.Calls())
 					}
 				}
 			}
@@ -287,7 +287,7 @@ func TestIndexNLCostOrderFree(t *testing.T) {
 	if alone := direct.Cost(s2, physical.NewConfiguration("n", date, narrow)); alone <= want {
 		t.Fatalf("fixture does not exercise the cheapest-index pick: narrow alone costs %v, both %v", alone, want)
 	}
-	c := optimizer.NewAtomicCache(optimizer.New(atomsCat), 0)
+	c := optimizer.NewAtomicCache(optimizer.New(atomsCat))
 	if got := c.Cost(s2, narrowFirst); got != want {
 		t.Errorf("%s: atomic cost %v, direct %v", narrowFirst.Name(), got, want)
 	}

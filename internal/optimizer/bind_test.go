@@ -62,19 +62,19 @@ func TestBoundSelectivityMatchesEstimate(t *testing.T) {
 			o := optimizer.New(sc.cat)
 			preds := 0
 			for _, q := range sc.w.Queries {
+				if q.Analysis.Bound == nil {
+					t.Fatalf("statement %d is not bound", q.ID)
+				}
 				for _, bound := range q.Analysis.Preds {
 					preds++
-					if bound.Bound.Catalog != any(sc.cat) {
-						t.Fatalf("statement %d: predicate on %s is not bound to the workload's catalog", q.ID, bound.Col)
-					}
 					// A lone conjunctive predicate's table selectivity is its
 					// own (already clamped) selectivity.
 					p := bound
-					p.Bound = sqlparse.BoundSelectivity{}
+					p.Sel = 0
 					p.InDisjunction = false
 					one := &sqlparse.Analysis{Kind: sqlparse.KindSelect, Tables: []string{p.Col.Table}, Preds: []sqlparse.ColumnPredicate{p}}
-					if est := o.SelectivityOf(one); est != bound.Bound.Sel {
-						t.Fatalf("statement %d: predicate on %s bound %v, estimate %v", q.ID, p.Col, bound.Bound.Sel, est)
+					if est := o.SelectivityOf(one); est != bound.Sel {
+						t.Fatalf("statement %d: predicate on %s bound %v, estimate %v", q.ID, p.Col, bound.Sel, est)
 					}
 				}
 			}
@@ -100,7 +100,7 @@ func TestBoundCostMatrixMatchesUnbound(t *testing.T) {
 			analyses := make([]*sqlparse.Analysis, len(sc.w.Queries))
 			for i, q := range sc.w.Queries {
 				a := analyzeUnbound(t, sc.cat, q.SQL)
-				if len(a.Preds) > 0 && a.Preds[0].Bound.Catalog != nil {
+				if a.Bound != nil {
 					t.Fatal("sqlparse.Analyze returned a bound analysis")
 				}
 				queries[i] = &workload.Query{ID: q.ID, SQL: q.SQL, Analysis: a, Template: q.Template}
@@ -132,7 +132,7 @@ func checkStampsMatchOtherCatalog(t *testing.T, sp rowSpace) {
 		other = catalog.CRM()
 	}
 	stamped, plain := optimizer.New(sp.cat), optimizer.New(other)
-	store := optimizer.NewAtomicCache(optimizer.New(sp.cat), 0)
+	store := optimizer.NewAtomicCache(optimizer.New(sp.cat))
 	out := make([]float64, len(sp.configs))
 	for i, q := range sp.w.Queries {
 		a := q.Analysis
@@ -176,11 +176,11 @@ func TestBoundSelectivityCatalogGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := w.Queries[0].Analysis
+		if a.Bound == nil {
+			t.Fatalf("%q: not bound by workload.Parse", src)
+		}
 		for i := range a.Preds {
-			if a.Preds[i].Bound.Catalog != any(bindCat) {
-				t.Fatalf("%q: predicate %d not bound by workload.Parse", src, i)
-			}
-			a.Preds[i].Bound.Sel = 0.5
+			a.Preds[i].Sel = 0.5
 		}
 		if got, want := optimizer.New(costCat).Cost(a, cfg), optimizer.New(costCat).Cost(analyzeUnbound(t, costCat, src), cfg); got != want {
 			t.Errorf("%q: other-catalog cost %v, unbound %v", src, got, want)

@@ -119,14 +119,6 @@ func (sh *cacheShard) releaseUnfilled(key cacheKey, filled *bool) {
 	}
 }
 
-// reset empties the table. In-flight claims stay pending until their
-// owners fill or release them.
-func (sh *cacheShard) reset() {
-	sh.mu.Lock()
-	sh.table = nil
-	sh.mu.Unlock()
-}
-
 // cacheKey is comparable: two keys are equal iff they hold the same
 // *sqlparse.Analysis pointer AND the same atom id. Analyses are immutable
 // once built by the workload package, so pointer identity is a sound

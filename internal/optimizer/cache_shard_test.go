@@ -63,7 +63,7 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 	reqs = append(reqs, analyses...)
 
 	// Serial reference: a plain Cost loop on a fresh store.
-	ref := NewAtomicCache(New(testCat), 0)
+	ref := NewAtomicCache(New(testCat))
 	want := make([]float64, len(reqs))
 	for i, a := range reqs {
 		want[i] = ref.Cost(a, cfg)
@@ -71,7 +71,7 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 	refHits, refMisses, _, _ := ref.Stats()
 
 	for _, workers := range []int{2, 4, 8} {
-		c := NewAtomicCache(New(testCat), 0)
+		c := NewAtomicCache(New(testCat))
 		out := make([]float64, len(reqs))
 		par.For(len(reqs), workers, func(i int) { out[i] = c.Cost(reqs[i], cfg) })
 		for i := range want {
@@ -87,7 +87,7 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 		if misses != atoms || entries != atoms {
 			t.Errorf("workers=%d: misses/entries = %d/%d, want %d (one per distinct atom)", workers, misses, entries, atoms)
 		}
-		if calls := c.Inner().Calls(); calls != atoms {
+		if calls := c.Calls(); calls != atoms {
 			t.Errorf("workers=%d: inner optimizer charged %d calls, want %d — aliased requests double-counted",
 				workers, calls, atoms)
 		}
@@ -131,7 +131,7 @@ func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewAtomicCache(New(testCat), tc.maxWidth)
+			c := NewAtomicCacheWidth(New(testCat), tc.maxWidth)
 			a := analyze(t, tc.sql)
 			cfgA, cfgB := tc.build(), tc.build()
 			if cfgA == cfgB {
@@ -150,7 +150,7 @@ func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 				t.Errorf("hits/misses/fallbacks/entries = %d/%d/%d/%d, want %d/%d/%d/%d",
 					hits, misses, fallbacks, entries, costings, tc.wantMisses, tc.wantFallbacks, costings)
 			}
-			if calls := c.Inner().Calls(); calls != costings {
+			if calls := c.Calls(); calls != costings {
 				t.Errorf("inner calls = %d, want %d", calls, costings)
 			}
 		})
@@ -191,7 +191,7 @@ func TestCachedShardedStorm(t *testing.T) {
 	}
 
 	// The serial reference makes the storm's probes one after another.
-	ref := NewAtomicCache(New(testCat), 0)
+	ref := NewAtomicCache(New(testCat))
 	prewarm(ref)
 	want := make([][]float64, nStatements)
 	for i, a := range analyses {
@@ -207,9 +207,9 @@ func TestCachedShardedStorm(t *testing.T) {
 		}
 	}
 	wantHits, wantMisses, _, wantEntries := ref.Stats()
-	wantCalls := ref.Inner().Calls()
+	wantCalls := ref.Calls()
 
-	c := NewAtomicCache(New(testCat), 0)
+	c := NewAtomicCache(New(testCat))
 	prewarm(c)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -246,7 +246,7 @@ func TestCachedShardedStorm(t *testing.T) {
 	if entries != wantEntries {
 		t.Errorf("entries = %d, want serial %d", entries, wantEntries)
 	}
-	if calls := c.Inner().Calls(); calls != wantCalls {
+	if calls := c.Calls(); calls != wantCalls {
 		t.Errorf("inner optimizer charged %d calls, want serial %d", calls, wantCalls)
 	}
 }
@@ -284,7 +284,7 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 	}
 	const racers = 2 // goroutines per (statement, configuration) pair
 	// The serial reference probes each pair racers times, as the storm does.
-	ref := NewAtomicCache(New(testCat), 0)
+	ref := NewAtomicCache(New(testCat))
 	prewarm(ref)
 	want := make([][]float64, len(analyses))
 	for i, a := range analyses {
@@ -296,10 +296,10 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 		}
 	}
 	wantHits, wantMisses, _, wantEntries := ref.Stats()
-	wantCalls := ref.Inner().Calls()
+	wantCalls := ref.Calls()
 
 	for trial := 0; trial < 20; trial++ {
-		c := NewAtomicCache(New(testCat), 0)
+		c := NewAtomicCache(New(testCat))
 		prewarm(c)
 		var wg sync.WaitGroup
 		errs := make(chan error, len(analyses)*len(configs)*racers)
@@ -328,7 +328,7 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 		if entries != wantEntries {
 			t.Fatalf("trial %d: entries = %d, want serial %d", trial, entries, wantEntries)
 		}
-		if calls := c.Inner().Calls(); calls != wantCalls {
+		if calls := c.Calls(); calls != wantCalls {
 			t.Fatalf("trial %d: inner calls = %d, want serial %d", trial, calls, wantCalls)
 		}
 	}

@@ -57,15 +57,6 @@ func (o *Optimizer) Calls() int64 { return o.calls.Load() }
 // ResetCalls zeroes the call counter.
 func (o *Optimizer) ResetCalls() { o.calls.Store(0) }
 
-// AddCalls charges n synthetic calls to the counter; harnesses that replay
-// precomputed costs use it to keep the accounting faithful.
-func (o *Optimizer) AddCalls(n int64) {
-	o.calls.Add(n)
-	if m := o.metrics.Load(); m != nil {
-		m.calls.Add(n)
-	}
-}
-
 // OptimizeOverhead estimates the relative wall-clock cost of one what-if
 // optimizer call for the statement — join ordering dominates optimization
 // time, so the overhead grows with the number of joined tables and

@@ -44,10 +44,6 @@ func TestCostCounterAndDeterminism(t *testing.T) {
 	if o.Calls() != 0 {
 		t.Error("ResetCalls failed")
 	}
-	o.AddCalls(5)
-	if o.Calls() != 5 {
-		t.Error("AddCalls failed")
-	}
 }
 
 func TestSelectiveIndexBeatsHeapScan(t *testing.T) {

@@ -25,8 +25,7 @@ func Bind(cat *catalog.Catalog, a *sqlparse.Analysis) {
 		a.Bound = newBinding(cat, a) //physdes:allocok once per statement shape: later statements of the shape share the stamps
 	}
 	for i := range a.Preds {
-		p := &a.Preds[i]
-		p.Bound = sqlparse.BoundSelectivity{Catalog: cat, Sel: estimateSelectivity(cat, p)}
+		a.Preds[i].Sel = estimateSelectivity(cat, &a.Preds[i])
 	}
 }
 
@@ -156,7 +155,8 @@ type probe struct {
 	o   *Optimizer
 	a   *sqlparse.Analysis
 	cfg *physical.Configuration
-	// b is a's binding when it fits a and the optimizer's catalog.
+	// b is a's binding when it fits a and the optimizer's catalog: the one
+	// guard on every stamp Bind leaves, the predicates' Sel included.
 	b *binding
 
 	slots    []slotProbe
@@ -251,7 +251,7 @@ func (p *probe) selectivities() {
 		pr := &p.a.Preds[i]
 		sp := &p.slots[s]
 		sp.npred++
-		sel := p.o.predSelectivity(pr)
+		sel := p.predSelectivity(pr)
 		if pr.InDisjunction {
 			hasDisj[s] = true
 			disjMiss[s] *= 1 - sel

@@ -81,10 +81,10 @@ func TestAtomSharedProbeAllocFree(t *testing.T) {
 	for _, tc := range probeCases(t) {
 		a := analyze(t, tc.sql)
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewAtomicCache(New(testCat), 0)
+			c := NewAtomicCache(New(testCat))
 			want := c.Cost(a, tc.cfg)
 			probe := tc.cfg.With("probe", irrelevant)
-			calls := c.Inner().Calls()
+			calls := c.Calls()
 			if got := c.Cost(a, probe); got != want {
 				t.Fatalf("atom-shared cost %v, want %v", got, want)
 			}
@@ -94,7 +94,7 @@ func TestAtomSharedProbeAllocFree(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { c.Cost(a, tc.cfg) }); n != 0 {
 				t.Errorf("repeated probe allocates %v times per call, want 0", n)
 			}
-			if got := c.Inner().Calls(); got != calls {
+			if got := c.Calls(); got != calls {
 				t.Errorf("stored atoms paid %d inner calls, want 0", got-calls)
 			}
 		})
@@ -122,7 +122,7 @@ func TestWideDMLProbeAllocFree(t *testing.T) {
 		t.Fatalf("configuration holds %d indexes on lineitem, want 20", n)
 	}
 	for _, maxWidth := range []int{0, atomStackLen} {
-		c := NewAtomicCache(New(testCat), maxWidth)
+		c := NewAtomicCacheWidth(New(testCat), maxWidth)
 		want := New(testCat).Cost(a, cfg)
 		if got := c.Cost(a, cfg); got != want {
 			t.Fatalf("maxWidth %d: atomic cost %v, direct %v", maxWidth, got, want)
@@ -161,7 +161,10 @@ func TestUpdatePartsObservesLatency(t *testing.T) {
 // copy sharing the statement's shape slices with its own predicates (as
 // workload.Parse instantiates a signature's later statements), which
 // binds without allocating; not for an optimizer over another catalog,
-// nor for a separate analysis of the same text, whose slices differ.
+// nor for a separate analysis of the same text, whose slices differ. The
+// binding is the one guard on every stamp: a statement whose predicates
+// were bound to the optimizer's catalog but whose shape does not fit its
+// binding costs as unbound, whatever its predicates' Sel stamps hold.
 func TestBindingFitsShapeCopies(t *testing.T) {
 	const sql = "SELECT o_orderdate, l_quantity FROM orders o, lineitem l " +
 		"WHERE o.o_orderkey = l.l_orderkey AND o_orderdate = 9 AND l_shipdate < 30"
@@ -191,8 +194,18 @@ func TestBindingFitsShapeCopies(t *testing.T) {
 		t.Error("a shape copy does not share its shape's stamps")
 	}
 	other := analyze(t, sql)
+	Bind(testCat, other)
 	other.Bound = a.Bound
 	if reads(o, other) {
 		t.Error("stamps fit an analysis holding other slices")
+	}
+	for i := range other.Preds {
+		other.Preds[i].Sel = 0.5
+	}
+	cfg := physical.NewConfiguration("c",
+		physical.NewIndex("orders", []string{"o_orderdate"}),
+		physical.NewIndex("lineitem", []string{"l_shipdate"}))
+	if got, want := o.Cost(other, cfg), o.Cost(analyze(t, sql), cfg); got != want {
+		t.Errorf("unfitting stamps with poisoned selectivities cost %v, unbound %v", got, want)
 	}
 }

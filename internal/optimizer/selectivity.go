@@ -9,13 +9,14 @@ import (
 )
 
 // predSelectivity returns the fraction of a table's rows satisfying one
-// single-column predicate: the value bound against the optimizer's own
-// catalog when there is one, else an estimate from the column's histogram.
-func (o *Optimizer) predSelectivity(p *sqlparse.ColumnPredicate) float64 {
-	if p.Bound.Catalog == any(o.cat) {
-		return p.Bound.Sel
+// of the statement's predicates: its Sel stamp when the statement's
+// binding fits it and the optimizer's catalog (the one guard on every
+// stamp), else an estimate from the column's histogram.
+func (p *probe) predSelectivity(pr *sqlparse.ColumnPredicate) float64 {
+	if p.b != nil {
+		return pr.Sel
 	}
-	return estimateSelectivity(o.cat, p)
+	return estimateSelectivity(p.o.cat, pr)
 }
 
 // estimateSelectivity estimates the selectivity of p from cat's statistics.

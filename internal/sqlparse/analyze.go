@@ -95,18 +95,11 @@ type ColumnPredicate struct {
 	InCount int
 	// LikePattern is the raw pattern (with quotes) for LIKE.
 	LikePattern string
-	// Bound is the predicate's selectivity, estimated once when the
-	// statement was parsed into a workload; the zero value means unbound.
-	Bound BoundSelectivity
-}
-
-// BoundSelectivity is a predicate selectivity stamped on the statement
-// that owns the predicate. Catalog identifies the statistics it was
-// estimated from: a reader costing against any other catalog must
-// estimate afresh.
-type BoundSelectivity struct {
-	Catalog any
-	Sel     float64
+	// Sel is the predicate's selectivity, stamped by optimizer.Bind along
+	// with the statement's Analysis.Bound. It is read only where that
+	// binding fits the statement and the reader's catalog; elsewhere it is
+	// estimated afresh.
+	Sel float64
 }
 
 // JoinPredicate is an equality between columns of two different tables.
@@ -155,7 +148,8 @@ type Analysis struct {
 
 	// Bound holds what optimizer.Bind resolved for the statement's shape
 	// (its tables, joins and referenced columns) against one catalog;
-	// statements sharing those slices share it. Nil when unbound.
+	// statements sharing those slices share it. Nil when unbound. Where it
+	// fits, it also vouches for the predicates' Sel stamps.
 	Bound any
 }
 
