@@ -102,49 +102,37 @@ type BatchOracle interface {
 const minPoolBatch = 16
 
 // costBatch evaluates pairs[i] into out[i] and its error into errs[i]
-// (nil on success). A fallible oracle (ErrOracle) is probed pair by pair,
-// since each probe can fail by itself: with more than one worker and at
-// least minPoolBatch pairs its CostErr runs over a bounded pool (see
-// fanOut), otherwise in pair order, stopping at the first non-skip error
-// and leaving later slots untouched. An infallible oracle that batches
-// itself (BatchOracle) serves every batch, at every size and parallelism;
-// any other oracle's Cost is fanned out or run in order like CostErr.
-// Values are identical at every parallelism level as long as each probe's
-// outcome depends only on its own (query, configuration) identity.
+// (nil on success). An infallible oracle that batches itself
+// (BatchOracle) serves every batch, at every size and parallelism. Any
+// other oracle is probed pair by pair through its fallible view
+// (AsErrOracle), since each probe can fail by itself: with more than one
+// worker and at least minPoolBatch pairs its CostErr runs over a bounded
+// pool (see fanOut), otherwise in pair order, stopping at the first
+// non-skip error and leaving later slots untouched. Values are identical
+// at every parallelism level as long as each probe's outcome depends only
+// on its own (query, configuration) identity.
 func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism int) {
 	clear(errs[:len(pairs)])
-	pool := parallelism > 1 && len(pairs) >= minPoolBatch
-	if eo, ok := o.(ErrOracle); ok {
-		if pool {
-			fanOut(len(pairs), parallelism, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
-				}
-			})
+	if _, fallible := o.(ErrOracle); !fallible {
+		if bo, ok := o.(BatchOracle); ok {
+			bo.BatchCost(pairs, out, parallelism)
 			return
 		}
-		for i, p := range pairs {
-			out[i], errs[i] = eo.CostErr(p.Q, p.J)
-			if errs[i] != nil && !errors.Is(errs[i], ErrSkipQuery) {
-				return
-			}
-		}
-		return
 	}
-	if bo, ok := o.(BatchOracle); ok {
-		bo.BatchCost(pairs, out, parallelism)
-		return
-	}
-	if pool {
+	eo := AsErrOracle(o)
+	if parallelism > 1 && len(pairs) >= minPoolBatch {
 		fanOut(len(pairs), parallelism, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = o.Cost(pairs[i].Q, pairs[i].J)
+				out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
 			}
 		})
 		return
 	}
 	for i, p := range pairs {
-		out[i] = o.Cost(p.Q, p.J)
+		out[i], errs[i] = eo.CostErr(p.Q, p.J)
+		if errs[i] != nil && !errors.Is(errs[i], ErrSkipQuery) {
+			return
+		}
 	}
 }
 
