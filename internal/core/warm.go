@@ -5,6 +5,7 @@ import (
 
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
+	"physdes/internal/sqlparse"
 	"physdes/internal/workload"
 )
 
@@ -16,9 +17,11 @@ const maxSigParams = 8
 // templateSignatures computes the warm-start signatures of a workload:
 // per dense template (first-appearance order, matching TemplateIndexOf),
 // the stable cross-workload template ID plus Welford moments of every
-// numeric literal position across the template's members. A later run
-// compares these moments against a snapshot's to decide which templates
-// kept their parameter distribution — only the rest are re-piloted.
+// numeric literal position across the template's members. The literals
+// are the parser's own number tokens (sqlparse.AppendSignature), so quoted
+// strings such as dates stay out of the signature. A later run compares
+// these moments against a snapshot's to decide which templates kept their
+// parameter distribution — only the rest are re-piloted.
 func templateSignatures(w *workload.Workload) []sampling.TemplateSig {
 	tmpls := w.Templates()
 	sigs := make([]sampling.TemplateSig, len(tmpls))
@@ -26,20 +29,26 @@ func templateSignatures(w *workload.Workload) []sampling.TemplateSig {
 		sigs[i].ID = uint64(ti.ID)
 	}
 	idx := w.TemplateIndexOf()
+	var shape []byte
+	var lits []sqlparse.Token
 	for qi, q := range w.Queries {
 		sig := &sigs[idx[qi]]
+		shape, lits, _ = sqlparse.AppendSignature(shape[:0], lits[:0], q.SQL) //physdes:errok the workload parsed every statement, so lexing cannot fail
 		pos := 0
-		scanNumericLiterals(q.SQL, func(x float64) bool {
-			if pos >= len(sig.Params) {
-				if pos >= maxSigParams {
-					return false
-				}
+		for _, t := range lits {
+			if pos == maxSigParams {
+				break
+			}
+			if t.Kind != sqlparse.TokNumber {
+				continue
+			}
+			x, _ := strconv.ParseFloat(t.Text, 64) //physdes:errok the parser read this very token as a number
+			if pos == len(sig.Params) {
 				sig.Params = append(sig.Params, sampling.ParamMoment{})
 			}
 			sig.Params[pos].Observe(x)
 			pos++
-			return true
-		})
+		}
 	}
 	return sigs
 }
@@ -62,42 +71,4 @@ func indexOfFingerprint(fps []string, fp string) int {
 		}
 	}
 	return -1
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// scanNumericLiterals walks a rendered SQL statement and yields every
-// numeric literal in order, skipping single-quoted strings (dates and
-// identifiers stay out of the signature). The callback returns false to
-// stop early.
-func scanNumericLiterals(sql string, fn func(float64) bool) {
-	inStr := false
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		if inStr {
-			if c == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case c == '\'':
-			inStr = true
-		case c >= '0' && c <= '9':
-			j := i + 1
-			for j < len(sql) && (sql[j] >= '0' && sql[j] <= '9' || sql[j] == '.') {
-				j++
-			}
-			if i == 0 || !isIdentChar(sql[i-1]) {
-				if x, err := strconv.ParseFloat(sql[i:j], 64); err == nil {
-					if !fn(x) {
-						return
-					}
-				}
-			}
-			i = j - 1
-		}
-	}
 }
