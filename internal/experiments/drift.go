@@ -101,9 +101,7 @@ func Warmstart(p Params) ([]WarmstartRow, error) {
 	}
 	var analyses []*sqlparse.Analysis
 	for _, dw := range ws {
-		for _, q := range dw.W.Queries {
-			analyses = append(analyses, q.Analysis)
-		}
+		analyses = append(analyses, dw.W.Analyses()...)
 	}
 	cands := physical.EnumerateCandidates(cat, analyses,
 		physical.CandidateOptions{Covering: true, Views: true})

@@ -27,7 +27,6 @@ import (
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/tuner"
 	"physdes/internal/workload"
@@ -116,7 +115,7 @@ func TPCDScenario(p Params) (*Scenario, error) {
 		return nil, fmt.Errorf("experiments: tpcd workload: %w", err)
 	}
 	s := &Scenario{Name: "TPC-D", Cat: cat, W: w, Opt: optimizer.New(cat)}
-	s.Candidates = physical.EnumerateCandidates(cat, analyses(w),
+	s.Candidates = physical.EnumerateCandidates(cat, w.Analyses(),
 		physical.CandidateOptions{Covering: true, Views: true})
 	return s, nil
 }
@@ -131,17 +130,9 @@ func CRMScenario(p Params) (*Scenario, error) {
 		return nil, fmt.Errorf("experiments: crm workload: %w", err)
 	}
 	s := &Scenario{Name: "CRM", Cat: cat, W: w, Opt: optimizer.New(cat)}
-	s.Candidates = physical.EnumerateCandidates(cat, analyses(w),
+	s.Candidates = physical.EnumerateCandidates(cat, w.Analyses(),
 		physical.CandidateOptions{Covering: true, Views: false})
 	return s, nil
-}
-
-func analyses(w *workload.Workload) []*sqlparse.Analysis {
-	out := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		out[i] = q.Analysis
-	}
-	return out
 }
 
 // Pair is a two-configuration comparison setup with its exact ground truth.

@@ -47,7 +47,6 @@ import (
 	"physdes/internal/physical"
 	"physdes/internal/resilience"
 	"physdes/internal/sampling"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -148,11 +147,7 @@ type workloadEntry struct {
 
 func (e *workloadEntry) candidates() []physical.Structure {
 	e.once.Do(func() {
-		analyses := make([]*sqlparse.Analysis, len(e.w.Queries))
-		for i, q := range e.w.Queries {
-			analyses[i] = q.Analysis
-		}
-		e.cands = physical.EnumerateCandidates(e.cat, analyses,
+		e.cands = physical.EnumerateCandidates(e.cat, e.w.Analyses(),
 			physical.CandidateOptions{Covering: true, Views: e.db == "tpcd"})
 	})
 	return e.cands

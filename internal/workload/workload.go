@@ -119,6 +119,15 @@ func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 // Size returns the number of statements (the paper's N).
 func (w *Workload) Size() int { return len(w.Queries) }
 
+// Analyses returns each statement's analysis, in workload order.
+func (w *Workload) Analyses() []*sqlparse.Analysis {
+	out := make([]*sqlparse.Analysis, len(w.Queries))
+	for i, q := range w.Queries {
+		out[i] = q.Analysis
+	}
+	return out
+}
+
 // NumTemplates returns the number of distinct templates (the paper's T).
 func (w *Workload) NumTemplates() int { return len(w.templates) }
 
