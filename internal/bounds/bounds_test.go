@@ -8,7 +8,6 @@ import (
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -281,7 +280,7 @@ func TestDeriverBoundsContainTruth(t *testing.T) {
 	opt := optimizer.New(cat)
 
 	// A small configuration space.
-	cands := physical.EnumerateCandidates(cat, analysesOf(w), physical.CandidateOptions{Covering: true, Views: true})
+	cands := physical.EnumerateCandidates(cat, w.Analyses(), physical.CandidateOptions{Covering: true, Views: true})
 	space := physical.GenerateSpace(cat, cands, 6, stats.NewRNG(3), physical.SpaceOptions{MinStructures: 2, MaxStructures: 6})
 	if len(space) < 2 {
 		t.Fatal("space too small")
@@ -322,7 +321,7 @@ func TestDeriverUpdateBoundsPerTemplate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := optimizer.New(cat)
-	cands := physical.EnumerateCandidates(cat, analysesOf(w), physical.CandidateOptions{})
+	cands := physical.EnumerateCandidates(cat, w.Analyses(), physical.CandidateOptions{})
 	space := physical.GenerateSpace(cat, cands, 4, stats.NewRNG(5), physical.SpaceOptions{MinStructures: 2, MaxStructures: 5})
 	d := NewDeriver(opt, space...)
 	ivs := d.WorkloadIntervals(w)
@@ -344,14 +343,6 @@ func TestDeriverUpdateBoundsPerTemplate(t *testing.T) {
 	if violations > 0 {
 		t.Errorf("%d DML bound violations", violations)
 	}
-}
-
-func analysesOf(w *workload.Workload) []*sqlparse.Analysis {
-	out := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		out[i] = q.Analysis
-	}
-	return out
 }
 
 func TestDeriverBaseAccessor(t *testing.T) {

@@ -165,7 +165,7 @@ func TestWorkloadIntervalsMatchesPerStatement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := physical.EnumerateCandidates(c.cat, analysesOf(w), physical.CandidateOptions{Covering: true, Views: true})
+		cands := physical.EnumerateCandidates(c.cat, w.Analyses(), physical.CandidateOptions{Covering: true, Views: true})
 		space := physical.GenerateSpace(c.cat, cands, 6, stats.NewRNG(c.seed), physical.SpaceOptions{MinStructures: 2, MaxStructures: 6})
 		if w.NumTemplates() >= w.Size() {
 			t.Fatalf("%s seed %d: no template repeats, the memo is never exercised", c.name, c.seed)

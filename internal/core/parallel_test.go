@@ -10,7 +10,6 @@ import (
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -24,10 +23,7 @@ func crmScenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer,
 		t.Fatal(err)
 	}
 	opt := optimizer.New(cat)
-	analyses := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		analyses[i] = q.Analysis
-	}
+	analyses := w.Analyses()
 	cands := physical.EnumerateCandidates(cat, analyses, physical.CandidateOptions{Covering: true, Views: false})
 	space := physical.GenerateSpace(cat, cands, k, stats.NewRNG(seed+1),
 		physical.SpaceOptions{MinStructures: 3, MaxStructures: 8})

@@ -7,7 +7,6 @@ import (
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -178,10 +177,7 @@ func TestPrCSOnBenchmarkSpaces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			analyses := make([]*sqlparse.Analysis, len(w.Queries))
-			for i, q := range w.Queries {
-				analyses[i] = q.Analysis
-			}
+			analyses := w.Analyses()
 			cands := physical.EnumerateCandidates(cat, analyses,
 				physical.CandidateOptions{Covering: true, Views: sp.db == "tpcd"})
 			space := physical.GenerateSpace(cat, cands, sp.k, stats.NewRNG(sp.spaceSeed),

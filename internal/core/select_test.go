@@ -7,7 +7,6 @@ import (
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -20,10 +19,7 @@ func scenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer, *w
 		t.Fatal(err)
 	}
 	opt := optimizer.New(cat)
-	analyses := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		analyses[i] = q.Analysis
-	}
+	analyses := w.Analyses()
 	cands := physical.EnumerateCandidates(cat, analyses, physical.CandidateOptions{Covering: true, Views: true})
 	space := physical.GenerateSpace(cat, cands, k, stats.NewRNG(seed+1),
 		physical.SpaceOptions{MinStructures: 3, MaxStructures: 8})

@@ -17,7 +17,6 @@ import (
 	"physdes/internal/obs/recorder"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -250,10 +249,7 @@ func TestSSELiveSelectStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := optimizer.New(cat)
-	analyses := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		analyses[i] = q.Analysis
-	}
+	analyses := w.Analyses()
 	cands := physical.EnumerateCandidates(cat, analyses, physical.CandidateOptions{Covering: true, Views: true})
 	space := physical.GenerateSpace(cat, cands, 4, stats.NewRNG(6), physical.SpaceOptions{MinStructures: 3, MaxStructures: 8})
 	if len(space) < 2 {

@@ -11,7 +11,6 @@ import (
 
 	"physdes/internal/catalog"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/workload"
 )
 
@@ -49,10 +48,7 @@ func TestCandidatesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			analyses := make([]*sqlparse.Analysis, len(w.Queries))
-			for i, q := range w.Queries {
-				analyses[i] = q.Analysis
-			}
+			analyses := w.Analyses()
 			for _, o := range opts {
 				cands := physical.EnumerateCandidates(db.cat, analyses, o.co)
 				h := fnv.New64a()

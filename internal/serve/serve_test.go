@@ -20,7 +20,6 @@ import (
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -152,10 +151,7 @@ func directSelection(t *testing.T, req JobRequest, lim TenantLimits, wn int, wse
 	if err != nil {
 		t.Fatalf("GenTPCD: %v", err)
 	}
-	analyses := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		analyses[i] = q.Analysis
-	}
+	analyses := w.Analyses()
 	cands := physical.EnumerateCandidates(cat, analyses,
 		physical.CandidateOptions{Covering: true, Views: true})
 	configs := physical.GenerateSpace(cat, cands, req.k(), stats.NewRNG(req.Seed+1),

@@ -7,7 +7,6 @@ import (
 	"physdes/internal/compress"
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -19,10 +18,7 @@ func setup(t *testing.T, n int, seed uint64) (*optimizer.Optimizer, *catalog.Cat
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyses := make([]*sqlparse.Analysis, len(w.Queries))
-	for i, q := range w.Queries {
-		analyses[i] = q.Analysis
-	}
+	analyses := w.Analyses()
 	cands := physical.EnumerateCandidates(cat, analyses, physical.CandidateOptions{Covering: true, Views: true})
 	return optimizer.New(cat), cat, w, cands
 }
