@@ -18,7 +18,6 @@ package physdes
 // Full paper-format rows come from `go run ./cmd/benchrunner`.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -246,50 +245,30 @@ func BenchmarkConservativeDerive(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectParallel measures the batched what-if layer's call
-// throughput at fixed worker counts: the same fine-stratified TPC-D
-// selection in fixed-budget mode (every run spends the same optimizer
-// calls), so calls/s differences are pure pool speedup.
-func BenchmarkSelectParallel(b *testing.B) {
+// BenchmarkSelectCallThroughput measures a Select's what-if call
+// throughput: a fine-stratified TPC-D selection in fixed-budget mode, so
+// every run spends the same optimizer calls.
+func BenchmarkSelectCallThroughput(b *testing.B) {
 	benchSetup(b)
 	configs := GenerateConfigurations(benchTPCD.Cat, benchTPCD.Candidates, 16, 18,
 		SpaceOptions{MinStructures: 3, MaxStructures: 8})
 	if len(configs) < 2 {
 		b.Fatalf("only %d configurations", len(configs))
 	}
-	// Warm the cost model's histogram caches once so the first worker
-	// count measured doesn't pay them for everyone.
-	if _, err := Select(benchTPCD.Opt, benchTPCD.W, configs, Options{
-		Scheme: DeltaSampling, Strat: FineStratification,
-		NMin: 60, MaxCalls: 20_000, Seed: 31, Parallelism: 1,
-	}); err != nil {
-		b.Fatal(err)
+	o := Options{Scheme: DeltaSampling, Strat: FineStratification, NMin: 60, MaxCalls: 20_000, Seed: 31}
+	var calls int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel, err := Select(benchTPCD.Opt, benchTPCD.W, configs, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		calls += sel.OptimizerCalls
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var calls int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sel, err := Select(benchTPCD.Opt, benchTPCD.W, configs, Options{
-					Scheme:      DeltaSampling,
-					Strat:       FineStratification,
-					NMin:        60,
-					MaxCalls:    20_000,
-					Seed:        31,
-					Parallelism: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				calls += sel.OptimizerCalls
-			}
-			b.StopTimer()
-			if calls > 0 {
-				secs := b.Elapsed().Seconds()
-				b.ReportMetric(float64(calls)/secs, "calls/s")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/call")
-			}
-		})
+	b.StopTimer()
+	if calls > 0 {
+		b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/s")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/call")
 	}
 }
 

@@ -103,7 +103,7 @@ func TestCompareGolden(t *testing.T) {
 
 	out := captureStdout(t, func() {
 		err := cmdCompare([]string{
-			"-db", "tpcd", "-n", "300", "-seed", "1", "-parallelism", "1",
+			"-db", "tpcd", "-n", "300", "-seed", "1",
 			"-a", "a.json", "-b", "b.json",
 		})
 		if err != nil {
@@ -133,7 +133,7 @@ func TestCompareWorkloadFileGolden(t *testing.T) {
 
 	out := captureStdout(t, func() {
 		err := cmdCompare([]string{
-			"-db", "tpcd", "-seed", "2", "-parallelism", "1",
+			"-db", "tpcd", "-seed", "2",
 			"-workload", "trace.jsonl",
 			"-a", "a.json", "-b", "b.json",
 		})

@@ -91,7 +91,7 @@ func usage() {
   physdes compare -db tpcd|crm -a cur.json -b new.json [-alpha A] [-delta-frac F]
                   [-workload FILE | -n N] [-seed S]
   physdes submit  -server URL [-tenant T] -db tpcd|crm -n N -k K [-seed S]
-                  [-alpha A] [-scheme SCH] [-strat ST] [-parallelism P]
+                  [-alpha A] [-scheme SCH] [-strat ST]
                   [-conservative] [-follow] [-wait=false]
   physdes report  trace.jsonl|report.json`)
 }
@@ -188,7 +188,6 @@ func cmdCompare(args []string) error {
 	n := fs.Int("n", 2_600, "generated workload size when -workload is absent")
 	alpha := fs.Float64("alpha", 0.9, "target probability of correct selection")
 	deltaFrac := fs.Float64("delta-frac", 0.01, "sensitivity δ as a fraction of A's estimated cost")
-	parallelism := fs.Int("parallelism", 0, "what-if worker pool size (0: all cores, 1: serial)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	fs.Parse(args)
 	if *aFile == "" || *bFile == "" {
@@ -240,7 +239,6 @@ func cmdCompare(args []string) error {
 	o := physdes.DefaultOptions(*seed + 9)
 	o.Alpha = *alpha
 	o.Delta = delta
-	o.Parallelism = *parallelism
 	sel, err := physdes.Select(opt, w, []*physdes.Configuration{cfgA, cfgB}, o)
 	if err != nil {
 		return err
@@ -278,7 +276,7 @@ func cmdTune(args []string) error {
 	merged := fs.Bool("merged", false, "also enumerate merged index candidates")
 	maxStructures := fs.Int("max", 6, "maximum structures to recommend")
 	outFile := fs.String("out", "", "write the recommendation as JSON")
-	parallelism := fs.Int("parallelism", 0, "what-if worker pool size (0: all cores, 1: serial)")
+	parallelism := fs.Int("parallelism", 0, "candidate-evaluation workers of -mode exhaustive (0: all cores)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	fs.Parse(args)
 
@@ -303,7 +301,7 @@ func cmdTune(args []string) error {
 	switch *mode {
 	case "sampled":
 		res, err := physdes.TuneGreedySampled(opt, w, cands, physdes.SampledTunerOptions{
-			MaxStructures: *maxStructures, Seed: *seed + 3, Parallelism: *parallelism,
+			MaxStructures: *maxStructures, Seed: *seed + 3,
 		})
 		if err != nil {
 			return err
@@ -405,7 +403,7 @@ func cmdSelect(args []string, explore bool) error {
 	outFile := fs.String("out", "", "write the selected configuration as JSON")
 	traceFile := fs.String("trace", "", "write structured JSONL selection events to this file")
 	metrics := fs.Bool("metrics", false, "print the metrics snapshot (Prometheus text format) after the run")
-	parallelism := fs.Int("parallelism", 0, "what-if worker pool size (0: all cores, 1: serial; the selection is bit-identical at every setting)")
+	parallelism := fs.Int("parallelism", 0, "conservative bound-derivation workers (0: all cores; the selection is bit-identical at every setting)")
 	timeout := fs.Duration("timeout", 0, "abort the selection after this wall-clock duration (0: no limit)")
 	maxRetries := fs.Int("max-retries", 0, "re-attempt failed what-if probes this many times (fallible oracles only)")
 	listen := fs.String("listen", "", "serve live introspection HTTP on this address (/healthz, /metrics, /runs, SSE) and keep serving after the run until interrupted")

@@ -43,7 +43,7 @@ func TestSubmitFollowSSE(t *testing.T) {
 	err := cmdSubmit([]string{
 		"-server", url, "-db", "tpcd", "-n", "60", "-k", "4", "-seed", "5",
 		"-alpha", "0.9", "-scheme", "delta", "-strat", "progressive",
-		"-parallelism", "2", "-conservative", "-follow",
+		"-conservative", "-follow",
 	})
 	if err != nil {
 		t.Fatalf("cmdSubmit -follow: %v", err)

@@ -6,7 +6,7 @@
 //     be immediately followed by the matching deferred Unlock. A tight
 //     hand-written critical section (explicit Unlock in the same
 //     statement list with no return in between) is tolerated — hot
-//     paths in the sharded cache avoid defer — but any early return
+//     paths may avoid defer — but any early return
 //     between Lock and Unlock, or a Lock whose Unlock lives in another
 //     block, is an error. Deliberate cross-block protocols can be
 //     suppressed with a justified annotation:

@@ -8,6 +8,7 @@ import (
 	"physdes/internal/obs"
 	"physdes/internal/obs/recorder"
 	"physdes/internal/optimizer"
+	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/sampling"
 	"physdes/internal/stats"
@@ -33,14 +34,16 @@ func crmScenario(t *testing.T, n int, k int, seed uint64) (*optimizer.Optimizer,
 	return opt, w, space
 }
 
-// TestSelectParallelDeterminism is the determinism contract: for a fixed
-// seed, Select with an 8-worker pool must produce a Selection bit-identical
-// to the serial run — same Best, same Pr(CS) down to the last float bit,
-// same call accounting, strata, splits and eliminations, and the same
-// per-round Pr(CS) trajectory in the flight recorder's report, and the
-// same atom-store and optimizer counters in the metrics registry —
-// across both sampling schemes, both stratification modes of interest, and
-// both workloads.
+// TestSelectParallelDeterminism is the determinism contract at the grain
+// parallelism keeps: Selects made at once on two goroutines, each over its
+// own optimizer with an 8-worker bound derivation, must each produce a
+// Selection bit-identical to a lone serial Select — same Best, same
+// Pr(CS) down to the last float bit, same call accounting, strata, splits
+// and eliminations, the same per-round Pr(CS) trajectory in the flight
+// recorder's report, and the same atom-store and optimizer counters in
+// the metrics registry — across both sampling schemes, both
+// stratification modes of interest, conservative mode, and both
+// workloads.
 func TestSelectParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -65,6 +68,12 @@ func TestSelectParallelDeterminism(t *testing.T) {
 			return crmScenario(t, 500, 5, 4)
 		}},
 	}
+	type outcome struct {
+		sel    *Selection
+		rounds []recorder.Round
+		snap   obs.Snapshot
+		err    error
+	}
 	for _, wl := range workloads {
 		opt, w, space := wl.build(t)
 		for _, tc := range cases {
@@ -72,53 +81,55 @@ func TestSelectParallelDeterminism(t *testing.T) {
 				continue // CRM bound derivation is minutes-slow; TPCD covers the path
 			}
 			t.Run(wl.name+"/"+tc.name, func(t *testing.T) {
-				opts := func(par int) Options {
-					return Options{
+				run := func(opt *optimizer.Optimizer, par int) outcome {
+					rec := recorder.New("select")
+					o := Options{
 						Scheme:       tc.scheme,
 						Strat:        tc.strat,
 						Conservative: tc.conservative,
 						Seed:         11,
 						Parallelism:  par,
+						Tracer:       obs.NewTracerSinks(rec),
+						Metrics:      obs.NewRegistry(),
 					}
-				}
-				run := func(par int) (*Selection, []recorder.Round, obs.Snapshot) {
-					rec := recorder.New("select")
-					o := opts(par)
-					o.Tracer = obs.NewTracerSinks(rec)
-					o.Metrics = obs.NewRegistry()
 					sel, err := Select(opt, w, space, o)
-					if err != nil {
-						t.Fatal(err)
+					return outcome{sel, trajectory(rec), o.Metrics.Snapshot(), err}
+				}
+				serial := run(opt, 1)
+				if serial.err != nil {
+					t.Fatal(serial.err)
+				}
+				const selects = 2
+				concurrent := make([]outcome, selects)
+				par.For(selects, selects, func(r int) {
+					concurrent[r] = run(optimizer.New(opt.Catalog()), 8)
+				})
+				for r, c := range concurrent {
+					if c.err != nil {
+						t.Fatalf("concurrent Select %d: %v", r, c.err)
 					}
-					return sel, trajectory(rec), o.Metrics.Snapshot()
-				}
-				serial, serialRounds, serialSnap := run(1)
-				parallel, parallelRounds, parallelSnap := run(8)
-				for _, name := range []string{"optimizer_atom_hits_total", "optimizer_atoms_total", "optimizer_calls_total"} {
-					s, p := serialSnap.Counters[name], parallelSnap.Counters[name]
-					if s == 0 || p != s {
-						t.Errorf("%s: parallel %d, serial %d (want equal and non-zero)", name, p, s)
+					for _, name := range []string{"optimizer_atom_hits_total", "optimizer_atoms_total", "optimizer_calls_total"} {
+						s, p := serial.snap.Counters[name], c.snap.Counters[name]
+						if s == 0 || p != s {
+							t.Errorf("Select %d: %s: concurrent %d, serial %d (want equal and non-zero)", r, name, p, s)
+						}
 					}
-				}
-				if parallel.BestIndex != serial.BestIndex {
-					t.Errorf("Best diverged: parallel %d, serial %d", parallel.BestIndex, serial.BestIndex)
-				}
-				if parallel.PrCS != serial.PrCS {
-					t.Errorf("PrCS diverged: parallel %v, serial %v", parallel.PrCS, serial.PrCS)
-				}
-				if parallel.OptimizerCalls != serial.OptimizerCalls {
-					t.Errorf("OptimizerCalls diverged: parallel %d, serial %d",
-						parallel.OptimizerCalls, serial.OptimizerCalls)
-				}
-				if parallel.SampledQueries != serial.SampledQueries {
-					t.Errorf("SampledQueries diverged: parallel %d, serial %d",
-						parallel.SampledQueries, serial.SampledQueries)
-				}
-				if !reflect.DeepEqual(parallel, serial) {
-					t.Errorf("Selection not bit-identical:\nparallel: %+v\nserial:   %+v", parallel, serial)
-				}
-				if len(serialRounds) == 0 || !reflect.DeepEqual(parallelRounds, serialRounds) {
-					t.Errorf("trajectory not bit-identical: parallel %d rounds, serial %d", len(parallelRounds), len(serialRounds))
+					if c.sel.BestIndex != serial.sel.BestIndex {
+						t.Errorf("Select %d: Best diverged: concurrent %d, serial %d", r, c.sel.BestIndex, serial.sel.BestIndex)
+					}
+					if c.sel.PrCS != serial.sel.PrCS {
+						t.Errorf("Select %d: PrCS diverged: concurrent %v, serial %v", r, c.sel.PrCS, serial.sel.PrCS)
+					}
+					if c.sel.OptimizerCalls != serial.sel.OptimizerCalls {
+						t.Errorf("Select %d: OptimizerCalls diverged: concurrent %d, serial %d",
+							r, c.sel.OptimizerCalls, serial.sel.OptimizerCalls)
+					}
+					if !reflect.DeepEqual(c.sel, serial.sel) {
+						t.Errorf("Select %d: Selection not bit-identical:\nconcurrent: %+v\nserial:     %+v", r, c.sel, serial.sel)
+					}
+					if len(serial.rounds) == 0 || !reflect.DeepEqual(c.rounds, serial.rounds) {
+						t.Errorf("Select %d: trajectory not bit-identical: concurrent %d rounds, serial %d", r, len(c.rounds), len(serial.rounds))
+					}
 				}
 			})
 		}

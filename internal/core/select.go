@@ -54,13 +54,11 @@ type Options struct {
 	MaxCalls int64
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism bounds the what-if workers that cost one probe batch
-	// (the pilot, each Delta row or Independent sample) and conservative
-	// bound derivation (default runtime.GOMAXPROCS(0); 1 probes inline;
-	// negative values are treated as 1). The Selection is
-	// bit-identical across parallelism levels for a fixed Seed — workers
-	// only compute pure cost values into positional slots and every
-	// statistical reduction runs serially in a fixed schedule order.
+	// Parallelism bounds the workers of conservative bound derivation,
+	// which fans whole statements out (default runtime.GOMAXPROCS(0);
+	// negative values are treated as 1). Sampling probes every batch on
+	// the caller's goroutine. The Selection is bit-identical across
+	// parallelism levels for a fixed Seed.
 	Parallelism int
 	// Conservative enables Section 6: per-query cost bounds are derived
 	// (extra optimizer calls), the variance estimates are replaced by the
@@ -290,7 +288,6 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		StabilityWindow:      o.StabilityWindow,
 		EliminationThreshold: o.EliminationThreshold,
 		MaxCalls:             o.MaxCalls,
-		Parallelism:          o.Parallelism,
 		Ctx:                  ctx,
 		RNG:                  stats.NewRNG(o.Seed),
 		TemplateIndex:        w.TemplateIndexOf(),

@@ -4,9 +4,7 @@
 // configuration, attempt) — never by wall-clock time or shared mutable RNG
 // state. Decisions are therefore order-independent: a probe fails
 // identically whether it is evaluated serially, in a batch, or retried
-// after unrelated probes, so the samplers' bit-identical-across-parallelism
-// contract survives fault injection, and a run is replayable from its seed
-// alone.
+// after unrelated probes, so a run is replayable from its seed alone.
 //
 // At zero fault rates the decorator is a pure pass-through: costs, call
 // accounting and every sampler decision are byte-identical to the

@@ -52,15 +52,14 @@ func synthMatrix(n, k, templates int, gapFrac float64, seed uint64) (*workload.C
 	return m, tmplIdx
 }
 
-func runOpts(seed uint64, parallelism int, tmplIdx []int, templates int, ctx context.Context, reg *obs.Registry) sampling.Options {
+func runOpts(seed uint64, tmplIdx []int, templates int, ctx context.Context, reg *obs.Registry) sampling.Options {
 	return sampling.Options{
 		Scheme: sampling.Delta, Strat: sampling.Progressive,
 		Alpha: 0.9, StabilityWindow: 5,
 		RNG:           stats.NewRNG(seed),
 		TemplateIndex: tmplIdx, TemplateCount: templates,
-		Parallelism: parallelism,
-		Ctx:         ctx,
-		Metrics:     reg,
+		Ctx:     ctx,
+		Metrics: reg,
 	}
 }
 
@@ -79,57 +78,55 @@ func tracedRun(o sampling.Oracle, opts sampling.Options) (*sampling.Result, []re
 
 // At fault rate zero the full decorator stack (FaultyOracle under the
 // resilience wrapper) must leave the selection byte-identical to the
-// unwrapped oracle, at every parallelism level.
+// unwrapped oracle.
 func TestZeroFaultRateByteIdentity(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 3, 6, 0.06, 11)
-	want, wantRounds, err := tracedRun(sampling.NewMatrixOracle(m), runOpts(5, 1, tmplIdx, 6, nil, nil))
+	want, wantRounds, err := tracedRun(sampling.NewMatrixOracle(m), runOpts(5, tmplIdx, 6, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wantRounds) == 0 {
 		t.Fatal("no round events recorded")
 	}
-	for _, p := range []int{1, 4, 8} {
-		fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99}) // all rates zero
-		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 3, Policy: resilience.Skip})
-		got, gotRounds, err := tracedRun(w, runOpts(5, p, tmplIdx, 6, nil, nil))
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("parallelism %d: result diverged from unwrapped oracle\ngot  %+v\nwant %+v", p, got, want)
-		}
-		if !reflect.DeepEqual(gotRounds, wantRounds) {
-			t.Errorf("parallelism %d: trajectory diverged from unwrapped oracle (%d vs %d rounds)", p, len(gotRounds), len(wantRounds))
-		}
-		if st := fo.Stats(); st != (Stats{}) {
-			t.Errorf("parallelism %d: injected faults at rate zero: %+v", p, st)
-		}
-		if st := w.Stats(); st.Faults != 0 || st.Degraded != 0 {
-			t.Errorf("parallelism %d: wrapper saw faults at rate zero: %+v", p, st)
-		}
+	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99}) // all rates zero
+	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 3, Policy: resilience.Skip})
+	got, gotRounds, err := tracedRun(w, runOpts(5, tmplIdx, 6, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("result diverged from unwrapped oracle\ngot  %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(gotRounds, wantRounds) {
+		t.Errorf("trajectory diverged from unwrapped oracle (%d vs %d rounds)", len(gotRounds), len(wantRounds))
+	}
+	if st := fo.Stats(); st != (Stats{}) {
+		t.Errorf("injected faults at rate zero: %+v", st)
+	}
+	if st := w.Stats(); st.Faults != 0 || st.Degraded != 0 {
+		t.Errorf("wrapper saw faults at rate zero: %+v", st)
 	}
 
-	// With faults injected the selection depends on the fault pattern, but
-	// never on the parallelism level: fault decisions hash (seed, query,
-	// config, attempt), and one evaluation schedule issues the same probes
-	// at every level.
+	// With faults injected the selection depends on the fault pattern
+	// alone: fault decisions hash (seed, query, config, attempt), so a
+	// rerun over fresh decorators replays the same probes, faults and
+	// Result.
 	for _, scheme := range []sampling.Scheme{sampling.Delta, sampling.Independent} {
 		t.Run("faults/"+scheme.String(), func(t *testing.T) {
 			var want *sampling.Result
 			var wantRounds []recorder.Round
 			var wantStats resilience.Stats
 			var wantInjected Stats
-			for _, p := range []int{1, 4, 8} {
+			for run := 0; run < 2; run++ {
 				fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99, TransientRate: 0.05})
 				w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip})
-				opts := runOpts(5, p, tmplIdx, 6, nil, nil)
+				opts := runOpts(5, tmplIdx, 6, nil, nil)
 				opts.Scheme = scheme
 				got, gotRounds, err := tracedRun(w, opts)
 				if err != nil {
-					t.Fatalf("parallelism %d: %v", p, err)
+					t.Fatalf("run %d: %v", run, err)
 				}
-				if p == 1 {
+				if run == 0 {
 					want, wantRounds, wantStats, wantInjected = got, gotRounds, w.Stats(), fo.Stats()
 					if want.DegradedQueries == 0 {
 						t.Fatalf("fault injection inert: no query degraded (%+v)", wantStats)
@@ -137,16 +134,16 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("parallelism %d: result diverged from parallelism 1\ngot  %+v\nwant %+v", p, got, want)
+					t.Errorf("rerun diverged\ngot  %+v\nwant %+v", got, want)
 				}
 				if !reflect.DeepEqual(gotRounds, wantRounds) {
-					t.Errorf("parallelism %d: trajectory diverged from parallelism 1 (%d vs %d rounds)", p, len(gotRounds), len(wantRounds))
+					t.Errorf("rerun trajectory diverged (%d vs %d rounds)", len(gotRounds), len(wantRounds))
 				}
 				if st := w.Stats(); !reflect.DeepEqual(st, wantStats) {
-					t.Errorf("parallelism %d: wrapper stats %+v, want %+v", p, st, wantStats)
+					t.Errorf("rerun wrapper stats %+v, want %+v", st, wantStats)
 				}
 				if st := fo.Stats(); st != wantInjected {
-					t.Errorf("parallelism %d: injected %+v, want %+v", p, st, wantInjected)
+					t.Errorf("rerun injected %+v, want %+v", st, wantInjected)
 				}
 			}
 		})
@@ -224,7 +221,7 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 		w := resilience.Wrap(fo, resilience.Options{
 			MaxRetries: 3, Policy: resilience.Skip, Metrics: reg,
 		})
-		res, err := sampling.Run(w, runOpts(uint64(r)+1000, 1, tmplIdx, 6, nil, reg))
+		res, err := sampling.Run(w, runOpts(uint64(r)+1000, tmplIdx, 6, nil, reg))
 		if err != nil {
 			t.Fatalf("trial %d: %v", r, err)
 		}
@@ -267,7 +264,7 @@ func TestPermanentFaultsDegradeGracefully(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 3, 6, 0.08, 31)
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 5, PermanentRate: 0.01})
 	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
-	res, err := sampling.Run(w, runOpts(77, 1, tmplIdx, 6, nil, nil))
+	res, err := sampling.Run(w, runOpts(77, tmplIdx, 6, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +314,7 @@ func TestConservativeFallbackCompletes(t *testing.T) {
 		MaxRetries: 1, Policy: resilience.Conservative,
 		Fallback: func(i, j int) float64 { return hi * 1.1 },
 	})
-	res, err := sampling.Run(w, runOpts(13, 1, tmplIdx, 6, nil, nil))
+	res, err := sampling.Run(w, runOpts(13, tmplIdx, 6, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,18 +347,16 @@ func (o *cancellingOracle) Cost(i, j int) float64 {
 func TestCancellationCleanShutdown(t *testing.T) {
 	m, tmplIdx := synthMatrix(2000, 3, 6, 0.05, 61)
 	before := runtime.NumGoroutine()
-	for _, p := range []int{1, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		o := &cancellingOracle{MatrixOracle: sampling.NewMatrixOracle(m), after: 40, cancel: cancel}
-		fo := New(o, Options{Seed: 1})
-		w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
-		_, err := sampling.Run(w, runOpts(7, p, tmplIdx, 6, ctx, nil))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", p, err)
-		}
-		cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o := &cancellingOracle{MatrixOracle: sampling.NewMatrixOracle(m), after: 40, cancel: cancel}
+	fo := New(o, Options{Seed: 1})
+	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
+	_, err := sampling.Run(w, runOpts(7, tmplIdx, 6, ctx, nil))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Workers drain after cancellation; give the scheduler a moment.
+	// Any goroutine drains after cancellation; give the scheduler a moment.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()
@@ -379,7 +374,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := sampling.NewMatrixOracle(m)
-	_, err := sampling.Run(o, runOpts(7, 1, tmplIdx, 4, ctx, nil))
+	_, err := sampling.Run(o, runOpts(7, tmplIdx, 4, ctx, nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

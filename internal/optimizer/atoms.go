@@ -3,7 +3,6 @@ package optimizer
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"physdes/internal/obs"
@@ -61,7 +60,7 @@ import (
 // index in many configurations. CostRow therefore costs a whole row with a
 // per-call memo (rowMemo): each structure's relevance to the statement and
 // its dense id are looked up once per row, each singleton atom interned
-// once, and each distinct atom id looked up in the sharded store once.
+// once, and each distinct atom id looked up in the store once.
 // Later occurrences count as store hits, exactly as the later probes of a
 // pair-by-pair row would, so values and accounting are identical to
 // len(cfgs) Cost calls.
@@ -255,7 +254,8 @@ func tablesSubset(sub, super []string) bool {
 }
 
 // atomInterner interns atoms so each is built once per store, and numbers
-// them.
+// them. It is not safe for concurrent use: the atom store calls it under
+// its lock.
 //
 // It first gives every structure a dense id on first sight: by ID string
 // once, then by pointer, so distinct *Index values with one ID share an
@@ -268,8 +268,6 @@ func tablesSubset(sub, super []string) bool {
 // comparing a fingerprint string. Ids are per interner, so they depend
 // only on the order the store saw its structures in.
 type atomInterner struct {
-	mu sync.RWMutex
-
 	ixIDs   map[*physical.Index]uint32
 	viewIDs map[*physical.View]uint32
 	byName  map[string]uint32 // structure ID → dense id
@@ -328,37 +326,21 @@ func (in *atomInterner) viewID(v *physical.View) uint32 {
 //
 //physdes:zeroalloc
 func structureID[S comparable](in *atomInterner, ids *map[S]uint32, s S, name string) uint32 {
-	in.mu.RLock()
-	id, ok := (*ids)[s]
-	in.mu.RUnlock()
-	if ok {
+	if id, ok := (*ids)[s]; ok {
 		return id
 	}
-	return internStructure(in, ids, s, name) //physdes:allocok intern on first sight: each structure pointer is numbered once per interner
-}
-
-func internStructure[S comparable](in *atomInterner, ids *map[S]uint32, s S, name string) uint32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if *ids == nil {
-		*ids = make(map[S]uint32)
+		*ids = make(map[S]uint32) //physdes:allocok intern on first sight: each structure pointer is numbered once per interner
 	}
-	id := in.nameIDLocked(name)
-	(*ids)[s] = id
-	return id
-}
-
-// nameIDLocked returns the dense id of the structure ID, numbering a new
-// one; callers hold mu for writing.
-func (in *atomInterner) nameIDLocked(name string) uint32 {
 	if in.byName == nil {
-		in.byName = make(map[string]uint32)
+		in.byName = make(map[string]uint32) //physdes:allocok intern on first sight: each structure pointer is numbered once per interner
 	}
 	id, ok := in.byName[name]
 	if !ok {
 		id = uint32(len(in.byName))
-		in.byName[name] = id
+		in.byName[name] = id //physdes:allocok intern on first sight: each structure ID is numbered once per interner
 	}
+	(*ids)[s] = id //physdes:allocok intern on first sight: each structure pointer is numbered once per interner
 	return id
 }
 
@@ -367,29 +349,17 @@ func (in *atomInterner) nameIDLocked(name string) uint32 {
 //physdes:zeroalloc
 func (in *atomInterner) singleton(ix *physical.Index) atomRef {
 	sid := in.indexID(ix)
-	in.mu.RLock()
-	var r atomRef
-	if int(sid) < len(in.singles) {
-		r = in.singles[sid]
+	if int(sid) < len(in.singles) && in.singles[sid].cfg != nil {
+		return in.singles[sid]
 	}
-	in.mu.RUnlock()
-	if r.cfg != nil {
-		return r
-	}
-	return in.internSingleton(sid, ix) //physdes:allocok intern on first sight: each index's singleton atom is built once per interner
-}
-
-func (in *atomInterner) internSingleton(sid uint32, ix *physical.Index) atomRef {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for int(sid) >= len(in.singles) {
-		in.singles = append(in.singles, atomRef{})
-	}
-	if r := in.singles[sid]; r.cfg != nil {
-		return r
+		in.singles = append(in.singles, atomRef{}) //physdes:allocok intern on first sight: each index's singleton atom is built once per interner
 	}
 	ids := [1]uint32{sid}
-	r := in.setLocked(ids[:], func() *physical.Configuration { return physical.NewConfiguration("atom", ix) })
+	r, ok := in.lookup(ids[:])
+	if !ok {
+		r = in.add(ids[:], physical.NewConfiguration("atom", ix)) //physdes:allocok intern on first sight: each index's singleton atom is built once per interner
+	}
 	in.singles[sid] = r
 	return r
 }
@@ -403,30 +373,23 @@ func (in *atomInterner) projection(ids []uint32, ixs []*physical.Index, views []
 	if len(ids) == 0 {
 		return emptyAtom
 	}
-	h := setHash(ids)
-	in.mu.RLock()
-	s, ok := in.findSet(h, ids)
-	in.mu.RUnlock()
-	if ok {
-		return atomRef{cfg: s.cfg, id: s.id}
+	if r, ok := in.lookup(ids); ok {
+		return r
 	}
-	return in.internProjection(ids, ixs, views) //physdes:allocok intern on first sight: each distinct projection atom is built once per interner
+	return in.add(ids, projectionAtom(ixs, views)) //physdes:allocok intern on first sight: each distinct projection atom is built once per interner
 }
 
-func (in *atomInterner) internProjection(ids []uint32, ixs []*physical.Index, views []*physical.View) atomRef {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.setLocked(ids, func() *physical.Configuration {
-		var buf [atomStackLen]physical.Structure
-		structs := scratch(buf[:], len(ixs)+len(views))
-		for _, ix := range ixs {
-			structs = append(structs, ix)
-		}
-		for _, v := range views {
-			structs = append(structs, v)
-		}
-		return physical.NewConfiguration("atom", structs...)
-	})
+// projectionAtom builds the atom holding exactly ixs and views.
+func projectionAtom(ixs []*physical.Index, views []*physical.View) *physical.Configuration {
+	var buf [atomStackLen]physical.Structure
+	structs := scratch(buf[:], len(ixs)+len(views))
+	for _, ix := range ixs {
+		structs = append(structs, ix)
+	}
+	for _, v := range views {
+		structs = append(structs, v)
+	}
+	return physical.NewConfiguration("atom", structs...)
 }
 
 // fallback returns cfg, a configuration costed whole, with the id of its
@@ -434,44 +397,39 @@ func (in *atomInterner) internProjection(ids []uint32, ixs []*physical.Index, vi
 //
 //physdes:zeroalloc
 func (in *atomInterner) fallback(cfg *physical.Configuration, ids []uint32) atomRef {
-	h := setHash(ids)
-	in.mu.RLock()
-	s, ok := in.findSet(h, ids)
-	in.mu.RUnlock()
+	r, ok := in.lookup(ids)
 	if !ok {
-		s = in.internFallback(ids) //physdes:allocok intern on first sight: each distinct fallback set is numbered once per interner
+		r = in.add(ids, nil) //physdes:allocok intern on first sight: each distinct fallback set is numbered once per interner
 	}
-	return atomRef{cfg: cfg, id: s.id}
+	return atomRef{cfg: cfg, id: r.id}
 }
 
-func (in *atomInterner) internFallback(ids []uint32) atomSet {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	r := in.setLocked(ids, func() *physical.Configuration { return nil })
-	return atomSet{id: r.id, cfg: r.cfg}
+// lookup returns the atom of the interned id set ids, if any.
+//
+//physdes:zeroalloc
+func (in *atomInterner) lookup(ids []uint32) (atomRef, bool) {
+	s, ok := in.findSet(setHash(ids), ids)
+	return atomRef{cfg: s.cfg, id: s.id}, ok
 }
 
-// setLocked returns the atom of id set ids, numbering the set and building
-// its atom with build on first sight; callers hold mu for writing.
-func (in *atomInterner) setLocked(ids []uint32, build func() *physical.Configuration) atomRef {
-	h := setHash(ids)
-	if s, ok := in.findSet(h, ids); ok {
-		return atomRef{cfg: s.cfg, id: s.id}
-	}
+// add numbers the id set ids, which lookup does not find, under the next
+// atom id, with cfg its atom (nil for a fallback configuration's set).
+func (in *atomInterner) add(ids []uint32, cfg *physical.Configuration) atomRef {
 	if in.heads == nil {
 		in.heads = make(map[uint64]int32)
 		in.atoms = 1 // the empty atom's
 	}
+	h := setHash(ids)
 	next, ok := in.heads[h]
 	if !ok {
 		next = -1
 	}
-	s := atomSet{off: uint32(len(in.arena)), n: uint32(len(ids)), id: in.atoms, next: next, cfg: build()}
+	s := atomSet{off: uint32(len(in.arena)), n: uint32(len(ids)), id: in.atoms, next: next, cfg: cfg}
 	in.arena = append(in.arena, ids...)
 	in.atoms++
 	in.heads[h] = int32(len(in.sets))
 	in.sets = append(in.sets, s)
-	return atomRef{cfg: s.cfg, id: s.id}
+	return atomRef{cfg: cfg, id: s.id}
 }
 
 // equalIDs reports whether two id sets are equal.
@@ -489,8 +447,7 @@ func equalIDs(x, y []uint32) bool {
 	return true
 }
 
-// findSet returns the interned set with hash h holding exactly ids;
-// callers hold mu.
+// findSet returns the interned set with hash h holding exactly ids.
 //
 //physdes:zeroalloc
 func (in *atomInterner) findSet(h uint64, ids []uint32) (atomSet, bool) {
@@ -505,13 +462,13 @@ func (in *atomInterner) findSet(h uint64, ids []uint32) (atomSet, bool) {
 	return atomSet{}, false
 }
 
-// AtomicCache is the atom store: a sharded memo of (statement, atom) costs
-// and the only sharing layer on the what-if probe path. It keys entries by
-// statement pointer identity plus atom id (see cacheKey) over 64 shards,
-// so concurrent probes contend on per-shard locks only. Atoms with one
-// structure set share an id, and so an entry. It deduplicates concurrent
-// misses on the same atom in flight, so each distinct atom pays exactly
-// one inner call however the probes race.
+// AtomicCache is the atom store: a memo of (statement, atom) costs and
+// the only sharing layer on the what-if probe path. It keys entries by
+// statement pointer identity plus atom id (see cacheKey); atoms with one
+// structure set share an id, and so an entry. One lock, taken once per
+// CostRow, guards the memo, the interner and the accounting, so the store
+// is safe for concurrent use and each distinct atom pays exactly one
+// inner call however concurrent callers interleave.
 //
 // A probe whose projection exceeds the width bound is costed directly
 // and memoized under the full configuration's id, so repeating it is free
@@ -524,34 +481,35 @@ type AtomicCache struct {
 	// fallback path.
 	maxWidth int
 
-	shards  [cacheShards]cacheShard
-	entries atomic.Int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	fallbacks atomic.Int64
-
+	mu    sync.Mutex
+	table map[cacheKey]float64
 	// intern numbers the structures and atoms decompositions produce, so
 	// the probe path builds each distinct atom once per store.
 	intern atomInterner
 
-	metrics atomic.Pointer[atomMetrics]
+	hits, misses, fallbacks int64
+	// hitCounter and atomCounter are SetMetrics' registry handles (nil:
+	// detached).
+	hitCounter, atomCounter *obs.Counter
 }
 
-// atomMetrics holds the registry handles resolved by SetMetrics.
-type atomMetrics struct {
-	hits  *obs.Counter
-	atoms *obs.Counter
+// cacheKey is comparable: two keys are equal iff they hold the same
+// *sqlparse.Analysis pointer AND the same atom id. Analyses are immutable
+// once built by the workload package, so pointer identity is a sound
+// statement key within one process. The invariant cuts both ways — two
+// *distinct* parses of the same SQL text are distinct keys and
+// intentionally do not share entries (see TestCacheKeyPointerIdentity) —
+// while two distinct *Configuration values with one structure set share
+// an id (see atomInterner), and so an entry.
+type cacheKey struct {
+	a    *sqlparse.Analysis
+	atom uint32
 }
 
 // NewAtomicCache builds an atom store over the optimizer, with projection
 // atoms at most DefaultMaxAtomWidth wide.
 func NewAtomicCache(inner *Optimizer) *AtomicCache {
-	ac := &AtomicCache{inner: inner, maxWidth: DefaultMaxAtomWidth}
-	for i := range ac.shards {
-		ac.shards[i].init()
-	}
-	return ac
+	return &AtomicCache{inner: inner, maxWidth: DefaultMaxAtomWidth, table: make(map[cacheKey]float64)}
 }
 
 // Calls returns the inner optimizer's call count: only store misses reach
@@ -564,14 +522,13 @@ func (ac *AtomicCache) Calls() int64 { return ac.inner.Calls() }
 // reuse is hits / (hits + atoms). The time a paid atom takes is the inner
 // optimizer's to observe (optimizer_cost_seconds). Passing nil detaches.
 func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
-	if r == nil {
-		ac.metrics.Store(nil)
-		return
+	var hits, atoms *obs.Counter
+	if r != nil {
+		hits, atoms = r.Counter("optimizer_atom_hits_total"), r.Counter("optimizer_atoms_total")
 	}
-	ac.metrics.Store(&atomMetrics{
-		hits:  r.Counter("optimizer_atom_hits_total"),
-		atoms: r.Counter("optimizer_atoms_total"),
-	})
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	ac.hitCounter, ac.atomCounter = hits, atoms
 }
 
 // Stats reports the store's accounting: lookups served from the store
@@ -579,7 +536,9 @@ func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
 // directly, and the number of entries stored (atoms plus fallback
 // configurations).
 func (ac *AtomicCache) Stats() (hits, misses, fallbacks int64, entries int) {
-	return ac.hits.Load(), ac.misses.Load(), ac.fallbacks.Load(), int(ac.entries.Load())
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	return ac.hits, ac.misses, ac.fallbacks, len(ac.table)
 }
 
 // Cost evaluates the statement under cfg as the minimum over its atoms'
@@ -597,11 +556,12 @@ func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) f
 // CostRow evaluates the statement under each cfgs[i] into out[i] (len(out)
 // >= len(cfgs)): the same values, the same inner calls and the same
 // Stats as len(cfgs) Cost calls in order. The row shares work its probes
-// have in common — see rowMemo — and keeps that memo on its own stack, so
-// concurrent rows never share it.
+// have in common — see rowMemo — and keeps that memo on its own stack.
 //
 //physdes:zeroalloc
 func (ac *AtomicCache) CostRow(a *sqlparse.Analysis, cfgs []*physical.Configuration, out []float64) {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
 	if len(cfgs) == 1 {
 		// One configuration's atoms are distinct (a configuration holds
 		// each structure once): a row of one has nothing to share, and
@@ -614,7 +574,7 @@ func (ac *AtomicCache) CostRow(a *sqlparse.Analysis, cfgs []*physical.Configurat
 }
 
 // costRow is the one decomposition and lookup routine behind Cost and
-// CostRow. A nil memo looks every atom up in the store.
+// CostRow; callers hold mu. A nil memo looks every atom up in the store.
 //
 //physdes:zeroalloc
 func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configuration, out []float64, memo *rowMemo) {
@@ -622,20 +582,19 @@ func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configurat
 	var viewBuf [atomStackLen]*physical.View
 	var idBuf [atomStackLen]uint32
 	var atomBuf [atomStackLen + 1]atomRef
-	m := ac.metrics.Load()
-	var hits int64
+	hits := ac.hits
 	for i, cfg := range cfgs {
 		atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, memo, ixBuf[:], viewBuf[:], idBuf[:], atomBuf[:])
 		best := math.Inf(1)
 		for _, atom := range atoms {
 			var v float64
 			if e := memo.atom(atom.id); e == nil {
-				v = ac.memoCost(a, atom, fallback, m)
+				v = ac.memoCost(a, atom, fallback)
 			} else if e.used {
 				v = e.v
-				hits++
+				ac.hits++
 			} else {
-				v = ac.memoCost(a, atom, fallback, m)
+				v = ac.memoCost(a, atom, fallback)
 				e.id, e.used, e.v = atom.id, true, v
 			}
 			if v < best {
@@ -644,12 +603,7 @@ func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configurat
 		}
 		out[i] = best
 	}
-	if hits > 0 {
-		ac.hits.Add(hits)
-		if m != nil {
-			m.hits.Add(hits)
-		}
-	}
+	ac.hitCounter.Add(ac.hits - hits)
 }
 
 // rowBits sizes each of a row memo's structure and atom tables at
@@ -821,53 +775,24 @@ func (m *rowMemo) atom(id uint32) *atomEntry {
 	return nil
 }
 
-// countMiss accounts one paid costing: a fallback, or an atom.
-func (ac *AtomicCache) countMiss(m *atomMetrics, fallback bool) {
-	if fallback {
-		ac.fallbacks.Add(1)
-		return
-	}
-	ac.misses.Add(1)
-	if m != nil {
-		m.atoms.Inc()
-	}
-}
-
-// countHit accounts one lookup served from the store.
-func (ac *AtomicCache) countHit(m *atomMetrics) {
-	ac.hits.Add(1)
-	if m != nil {
-		m.hits.Inc()
-	}
-}
-
 // memoCost returns the memoized cost of a under atom — an atom, or the
 // full configuration of a width-bound fallback — consulting the inner
-// optimizer on a miss. A concurrent miss on a key already being costed
-// waits for that value and counts as a hit, exactly as the later call of
-// a serial pair.
-//
-// m is the registry handles loaded for the row (nil: detached).
+// optimizer on a miss; callers hold mu.
 //
 //physdes:zeroalloc
-func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback bool, m *atomMetrics) float64 {
+func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback bool) float64 {
 	key := cacheKey{a: a, atom: atom.id}
-	sh := ac.shard(key)
-	v, ok := sh.get(key)
-	if !ok {
-		v, ok = sh.claim(key)
-	}
-	if ok {
-		ac.countHit(m)
+	if v, ok := ac.table[key]; ok {
+		ac.hits++
 		return v
 	}
-	ac.countMiss(m, fallback)
-	filled := false
-	defer sh.releaseUnfilled(key, &filled)
-	v = ac.inner.Cost(a, atom.cfg)
-	if sh.fill(key, v) {
-		ac.entries.Add(1)
+	if fallback {
+		ac.fallbacks++
+	} else {
+		ac.misses++
+		ac.atomCounter.Inc()
 	}
-	filled = true
+	v := ac.inner.Cost(a, atom.cfg)
+	ac.table[key] = v //physdes:allocok the memo grows once per distinct (statement, atom): the store's steady state is hits
 	return v
 }

@@ -83,8 +83,8 @@ func equivScenarios(t *testing.T) []equivScenario {
 // direct costing bit-for-bit: over >= 300 randomized (workload subset,
 // configuration set) cases across the TPC-D and CRM scenarios, the
 // atomic-reassembled costs must DeepEqual the direct Cost results, both
-// through a serial Cost loop and through Cost fanned out over 1/4/8
-// workers.
+// through a serial Cost loop and through Cost spread over 1/4/8
+// concurrent goroutines.
 func TestAtomicCostEquivalence(t *testing.T) {
 	const (
 		casesPerScenario = 150

@@ -1,6 +1,6 @@
 // Package par provides the bounded worker pool shared by the concurrent
-// what-if paths (the sampler's probe fan-out, bound derivation, greedy
-// tuner probes). It is deliberately tiny: callers express work as an
+// what-if paths (bound derivation, cost matrices, greedy tuner probes,
+// experiment repeats). It is deliberately tiny: callers express work as an
 // indexed loop, and For fans the indices out over at most `workers`
 // goroutines. Determinism is the caller's contract — workers must only
 // write results into positional slots; any order-sensitive reduction

@@ -16,7 +16,7 @@
 //
 // Retries run back to back, with no backoff and no wall-clock wait: a
 // probe's retry outcome depends only on its own attempts, so it is the
-// same at every parallelism level.
+// same whatever order the probes run in.
 package resilience
 
 import (

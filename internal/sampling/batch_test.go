@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"physdes/internal/obs/recorder"
+	"physdes/internal/par"
 	"physdes/internal/stats"
 )
 
@@ -26,7 +28,7 @@ func TestMatrixOracleBatchCost(t *testing.T) {
 	o := NewMatrixOracle(m)
 	pairs := []Pair{{0, 0}, {0, 2}, {7, 1}, {49, 0}, {7, 1}}
 	out := make([]float64, len(pairs))
-	o.BatchCost(pairs, out, 4)
+	o.BatchCost(pairs, out, 1)
 	if got := o.Calls(); got != int64(len(pairs)) {
 		t.Errorf("BatchCost charged %d calls, want %d (one per pair)", got, len(pairs))
 	}
@@ -39,9 +41,9 @@ func TestMatrixOracleBatchCost(t *testing.T) {
 }
 
 // TestBatchCostSerialFallback pins costBatch over an oracle without
-// BatchOracle on both sides of minPoolBatch: a small batch probes inline,
-// a large one fans Cost out over the pool, and both match serial Cost
-// with one call per pair.
+// BatchOracle: a small batch and a whole surface are probed pair by pair
+// through the fallible view, and both match serial Cost with one call per
+// pair.
 func TestBatchCostSerialFallback(t *testing.T) {
 	m, _ := synthMatrix(50, 3, 4, 0.1, 1, 7)
 	if _, isBatch := Oracle(&serialOracle{}).(BatchOracle); isBatch {
@@ -57,7 +59,7 @@ func TestBatchCostSerialFallback(t *testing.T) {
 	for _, pairs := range [][]Pair{{{3, 0}, {3, 1}, {3, 2}, {11, 0}}, all} {
 		o := &serialOracle{m: NewMatrixOracle(m)}
 		out := make([]float64, len(pairs))
-		costBatch(o, pairs, out, make([]error, len(pairs)), 8)
+		costBatch(o, pairs, out, make([]error, len(pairs)))
 		if got := o.Calls(); got != int64(len(pairs)) {
 			t.Errorf("%d pairs charged %d calls, want one per pair", len(pairs), got)
 		}
@@ -100,10 +102,10 @@ func errClass(err error) int {
 	return 2
 }
 
-// TestFallibleBatchMatchesSerial pins costBatch's fallible fan-out to the
-// serial CostErr loop: at every parallelism, each slot up to and including
-// the first hard error carries the same value and error class, and the
-// inline path leaves the slots after that error untouched.
+// TestFallibleBatchMatchesSerial pins costBatch's fallible path to the
+// serial CostErr loop: each slot up to and including the first hard error
+// carries the same value and error class, and the slots after that error
+// stay untouched.
 func TestFallibleBatchMatchesSerial(t *testing.T) {
 	m, _ := synthMatrix(16, 3, 4, 0.1, 1, 11)
 	mk := func() *scriptedErrOracle {
@@ -129,32 +131,31 @@ func TestFallibleBatchMatchesSerial(t *testing.T) {
 	if firstHard < 0 || errClass(wantErrs[7]) != 1 {
 		t.Fatal("fixture must script one skip before one hard error")
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		o := mk()
-		out := make([]float64, len(pairs))
-		errs := make([]error, len(pairs))
-		costBatch(o, pairs, out, errs, workers)
-		for i := 0; i <= firstHard; i++ {
-			if out[i] != wantOut[i] || errClass(errs[i]) != errClass(wantErrs[i]) {
-				t.Fatalf("parallelism %d: slot %d = (%v, %v), serial (%v, %v)", workers, i, out[i], errs[i], wantOut[i], wantErrs[i])
-			}
+	o := mk()
+	out := make([]float64, len(pairs))
+	errs := make([]error, len(pairs))
+	costBatch(o, pairs, out, errs)
+	for i := 0; i <= firstHard; i++ {
+		if out[i] != wantOut[i] || errClass(errs[i]) != errClass(wantErrs[i]) {
+			t.Fatalf("slot %d = (%v, %v), serial (%v, %v)", i, out[i], errs[i], wantOut[i], wantErrs[i])
 		}
-		if workers == 1 {
-			for i := firstHard + 1; i < len(pairs); i++ {
-				if out[i] != 0 || errs[i] != nil {
-					t.Fatalf("inline path touched slot %d after the hard error", i)
-				}
-			}
-			if got := o.Calls(); got != int64(firstHard+1) {
-				t.Errorf("inline path charged %d calls, want %d (stops at the hard error)", got, firstHard+1)
-			}
+	}
+	for i := firstHard + 1; i < len(pairs); i++ {
+		if out[i] != 0 || errs[i] != nil {
+			t.Fatalf("costBatch touched slot %d after the hard error", i)
 		}
+	}
+	if got := o.Calls(); got != int64(firstHard+1) {
+		t.Errorf("costBatch charged %d calls, want %d (stops at the hard error)", got, firstHard+1)
 	}
 }
 
 // TestRunParallelMatchesSerial is the sampler-level determinism check on a
-// matrix oracle: same seed, Parallelism 8 vs 1, identical Result
-// and per-round trajectory for both schemes and stratification modes.
+// matrix oracle, at the grain parallelism keeps (whole runs, as the
+// experiments' repeats): runs made at once on several goroutines, each
+// with its own oracle over one shared matrix, return the Result and
+// per-round trajectory of a run made alone, for both schemes and every
+// stratification mode.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	m, tmpl := synthMatrix(3000, 4, 6, 0.08, 1, 9)
 	cases := []struct {
@@ -170,36 +171,42 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := func(par int) Options {
+			run := func() (*Result, []recorder.Round, error) {
 				o := Options{
-					Scheme:      tc.scheme,
-					Strat:       tc.strat,
-					Alpha:       0.95,
-					RNG:         stats.NewRNG(5),
-					Parallelism: par,
+					Scheme: tc.scheme,
+					Strat:  tc.strat,
+					Alpha:  0.95,
+					RNG:    stats.NewRNG(5),
 				}
 				if tc.strat != NoStrat {
 					o.TemplateIndex = tmpl
 					o.TemplateCount = 6
 				}
-				return o
+				rec := traced(&o)
+				res, err := Run(NewMatrixOracle(m), o)
+				return res, trajectory(rec), err
 			}
-			serialOpts, parallelOpts := opts(1), opts(8)
-			serialRec, parallelRec := traced(&serialOpts), traced(&parallelOpts)
-			serial, err := Run(NewMatrixOracle(m), serialOpts)
+			serial, serialRounds, err := run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := Run(NewMatrixOracle(m), parallelOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(parallel, serial) {
-				t.Errorf("parallel Result diverged from serial:\nparallel: %+v\nserial:   %+v",
-					parallel, serial)
-			}
-			if got, want := trajectory(parallelRec), trajectory(serialRec); len(want) == 0 || !reflect.DeepEqual(got, want) {
-				t.Errorf("parallel trajectory (%d rounds) diverged from serial (%d rounds)", len(got), len(want))
+			const runs = 4
+			results := make([]*Result, runs)
+			rounds := make([][]recorder.Round, runs)
+			errs := make([]error, runs)
+			par.For(runs, runs, func(r int) { results[r], rounds[r], errs[r] = run() })
+			for r := range results {
+				if errs[r] != nil {
+					t.Fatal(errs[r])
+				}
+				if !reflect.DeepEqual(results[r], serial) {
+					t.Errorf("concurrent run %d diverged from a lone run:\nconcurrent: %+v\nlone:       %+v",
+						r, results[r], serial)
+				}
+				if len(serialRounds) == 0 || !reflect.DeepEqual(rounds[r], serialRounds) {
+					t.Errorf("concurrent run %d trajectory (%d rounds) diverged from a lone run's (%d rounds)",
+						r, len(rounds[r]), len(serialRounds))
+				}
 			}
 		})
 	}

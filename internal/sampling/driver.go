@@ -332,9 +332,7 @@ func (d *driver) budgetLeft() bool {
 	return d.opts.MaxCalls <= 0 || d.o.Calls()+int64(d.slotCalls()) <= d.opts.MaxCalls
 }
 
-// evaluate costs the slots in one batch and folds them serially in slot
-// order. Workers only fill positional result slots, so the fold sees the
-// same values and the oracle the same probes at every parallelism level.
+// evaluate costs the slots in one batch and folds them in slot order.
 // A hard error aborts the run and wins over any skip request of the same
 // slot; a skip request (ErrSkipQuery) degrades the whole slot — Delta
 // Sampling shares a row across configurations, so a partial row would
@@ -353,7 +351,7 @@ func (d *driver) evaluate(slots []slot) error {
 	}
 	d.out = grow(d.out, len(d.pairs))
 	d.errs = grow(d.errs, len(d.pairs))
-	costBatch(d.o, d.pairs, d.out, d.errs, d.opts.Parallelism)
+	costBatch(d.o, d.pairs, d.out, d.errs)
 	w := d.slotCalls()
 	for i, sl := range slots {
 		st := d.e.stratumAt(sl.part, sl.h)

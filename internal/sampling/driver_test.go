@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // goldenCell is one Run of the driver golden matrix.
 type goldenCell struct {
 	name string
-	opts func(par int) Options
+	opts func() Options
 	// oracle, when set, wraps the cell's matrix oracle.
 	oracle func(*MatrixOracle) Oracle
 	// warm, when set, first runs opts to capture a snapshot, then records
@@ -101,7 +101,7 @@ func goldenLine(t *testing.T, name string, res *Result, rounds []recorder.Round)
 func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 	const templates, k = 10, 4
 	m, tmplIdx := synthMatrix(4000, k, templates, 0.01, 2, 17)
-	base := func(scheme Scheme, strat StratMode, seed uint64, par int) Options {
+	base := func(scheme Scheme, strat StratMode, seed uint64) Options {
 		return Options{
 			Scheme: scheme, Strat: strat,
 			Alpha: 0.9, StabilityWindow: 5, EliminationThreshold: 0.995, NMin: 20,
@@ -109,7 +109,6 @@ func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 			TemplateIndex: tmplIdx, TemplateCount: templates,
 			TemplateSigs: sigsFor(templates), ConfigFingerprints: fpsFor(k),
 			CaptureState: true,
-			Parallelism:  par,
 		}
 	}
 	callCost := func(q int) float64 { return 1 + float64(tmplIdx[q]*tmplIdx[q]) }
@@ -123,26 +122,26 @@ func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 	for _, scheme := range []Scheme{Delta, Independent} {
 		for _, strat := range []StratMode{NoStrat, Progressive, Fine, EqualAlloc} {
 			cells = append(cells,
-				goldenCell{name: fmt.Sprintf("%v/%v/adaptive", scheme, strat), opts: func(par int) Options {
-					return base(scheme, strat, 7, par)
+				goldenCell{name: fmt.Sprintf("%v/%v/adaptive", scheme, strat), opts: func() Options {
+					return base(scheme, strat, 7)
 				}},
-				goldenCell{name: fmt.Sprintf("%v/%v/fixed", scheme, strat), opts: func(par int) Options {
-					o := base(scheme, strat, 7, par)
+				goldenCell{name: fmt.Sprintf("%v/%v/fixed", scheme, strat), opts: func() Options {
+					o := base(scheme, strat, 7)
 					o.MaxCalls = 3000
 					return o
 				}})
 		}
 		cells = append(cells,
-			goldenCell{name: fmt.Sprintf("%v/progressive/warm", scheme), warm: true, opts: func(par int) Options {
-				return base(scheme, Progressive, 9, par)
+			goldenCell{name: fmt.Sprintf("%v/progressive/warm", scheme), warm: true, opts: func() Options {
+				return base(scheme, Progressive, 9)
 			}},
-			goldenCell{name: fmt.Sprintf("%v/progressive/callcost", scheme), opts: func(par int) Options {
-				o := base(scheme, Progressive, 11, par)
+			goldenCell{name: fmt.Sprintf("%v/progressive/callcost", scheme), opts: func() Options {
+				o := base(scheme, Progressive, 11)
 				o.CallCost = callCost
 				return o
 			}},
-			goldenCell{name: fmt.Sprintf("%v/progressive/variancebound", scheme), opts: func(par int) Options {
-				o := base(scheme, Progressive, 13, par)
+			goldenCell{name: fmt.Sprintf("%v/progressive/variancebound", scheme), opts: func() Options {
+				o := base(scheme, Progressive, 13)
 				o.VarianceBound = bound
 				o.MinSamples = 100
 				return o
@@ -153,70 +152,67 @@ func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 		cells = append(cells,
 			goldenCell{name: fmt.Sprintf("%v/progressive/degraded", scheme),
 				oracle: func(o *MatrixOracle) Oracle { return skipOracle{MatrixOracle: o, every: 29} },
-				opts: func(par int) Options {
-					return base(scheme, Progressive, 15, par)
+				opts: func() Options {
+					return base(scheme, Progressive, 15)
 				}},
 			goldenCell{name: fmt.Sprintf("%v/progressive/warm/drift", scheme), warm: true, resume: reversed,
-				opts: func(par int) Options {
-					return base(scheme, Progressive, 11, par)
+				opts: func() Options {
+					return base(scheme, Progressive, 11)
 				}})
 	}
 	return m, cells
 }
 
-// TestDriverGolden pins Run's output over the driver golden matrix. The
-// committed file holds the Results of a single-worker run, and every
-// parallelism level must reproduce it byte for byte. Regenerate with
-// go test ./internal/sampling -run TestDriverGolden -update.
+// TestDriverGolden pins Run's output over the driver golden matrix.
+// Regenerate with go test ./internal/sampling -run TestDriverGolden
+// -update.
 func TestDriverGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "driver.golden")
 	m, cells := driverGoldenCells()
-	for _, par := range []int{1, 8} {
-		var b strings.Builder
-		for _, c := range cells {
-			opts := c.opts(par)
-			rec := traced(&opts)
-			var o Oracle = NewMatrixOracle(m)
-			if c.oracle != nil {
-				o = c.oracle(NewMatrixOracle(m))
-			}
-			res, err := Run(o, opts)
-			if err != nil {
-				t.Fatalf("%s (parallelism %d): %v", c.name, par, err)
-			}
-			if c.warm {
-				resume := m
-				if c.resume != nil {
-					resume = c.resume
-				} else {
-					b.WriteString(goldenLine(t, c.name+"/capture", res, trajectory(rec)))
-				}
-				rerun := c.opts(par)
-				rerun.RNG = stats.NewRNG(10)
-				rerun.WarmState = res.State
-				rec = traced(&rerun)
-				if res, err = Run(NewMatrixOracle(resume), rerun); err != nil {
-					t.Fatalf("%s rerun (parallelism %d): %v", c.name, par, err)
-				}
-			}
-			b.WriteString(goldenLine(t, c.name, res, trajectory(rec)))
+	var b strings.Builder
+	for _, c := range cells {
+		opts := c.opts()
+		rec := traced(&opts)
+		var o Oracle = NewMatrixOracle(m)
+		if c.oracle != nil {
+			o = c.oracle(NewMatrixOracle(m))
 		}
-		got := b.String()
-		if *update && par == 1 {
-			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
+		res, err := Run(o, opts)
 		if err != nil {
-			t.Fatalf("%v (run with -update to regenerate)", err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got != string(want) {
-			t.Errorf("parallelism %d diverged from %s\n--- got ---\n%s--- want ---\n%s", par, golden, got, want)
+		if c.warm {
+			resume := m
+			if c.resume != nil {
+				resume = c.resume
+			} else {
+				b.WriteString(goldenLine(t, c.name+"/capture", res, trajectory(rec)))
+			}
+			rerun := c.opts()
+			rerun.RNG = stats.NewRNG(10)
+			rerun.WarmState = res.State
+			rec = traced(&rerun)
+			if res, err = Run(NewMatrixOracle(resume), rerun); err != nil {
+				t.Fatalf("%s rerun: %v", c.name, err)
+			}
 		}
+		b.WriteString(goldenLine(t, c.name, res, trajectory(rec)))
+	}
+	got := b.String()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("Run diverged from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 

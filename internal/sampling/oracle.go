@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"physdes/internal/optimizer"
-	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/sqlparse"
 	"physdes/internal/workload"
@@ -83,69 +82,39 @@ func AsErrOracle(o Oracle) ErrOracle {
 // BatchOracle is an Oracle that serves a whole batch of pairs itself
 // instead of having costBatch probe it pair by pair — worth it when the
 // oracle can share work across a batch's pairs, as a live oracle costing
-// a Delta row's statement once under all its configurations does, or when
-// a probe costs less than pool dispatch, as a cost-matrix lookup does.
+// a Delta row's statement once under all its configurations does.
 // Implementations must produce the same values and the same Calls() as
-// len(pairs) Cost calls in pair order, at every parallelism level — the
-// samplers rely on this for their determinism contract.
+// len(pairs) Cost calls in pair order — the samplers rely on this for
+// their determinism contract.
 type BatchOracle interface {
 	Oracle
-	// BatchCost evaluates pairs[i] into out[i] using up to parallelism
-	// workers. len(out) must be >= len(pairs).
+	// BatchCost evaluates pairs[i] into out[i] on the caller's goroutine;
+	// len(out) must be >= len(pairs). The samplers pass 1 for parallelism,
+	// which the oracles in this package ignore.
 	BatchCost(pairs []Pair, out []float64, parallelism int)
 }
 
-// minPoolBatch is the batch size below which dispatching to the worker
-// pool costs more than the microsecond-scale probes it would overlap:
-// pooling every Delta row of a k=4 selection at two workers made
-// BenchmarkSelectEndToEnd 10-23% slower.
-const minPoolBatch = 16
-
 // costBatch evaluates pairs[i] into out[i] and its error into errs[i]
 // (nil on success). An infallible oracle that batches itself
-// (BatchOracle) serves every batch, at every size and parallelism. Any
-// other oracle is probed pair by pair through its fallible view
-// (AsErrOracle), since each probe can fail by itself: with more than one
-// worker and at least minPoolBatch pairs its CostErr runs over a bounded
-// pool (see fanOut), otherwise in pair order, stopping at the first
-// non-skip error and leaving later slots untouched. Values are identical
-// at every parallelism level as long as each probe's outcome depends only
-// on its own (query, configuration) identity.
-func costBatch(o Oracle, pairs []Pair, out []float64, errs []error, parallelism int) {
+// (BatchOracle) serves every batch. Any other oracle is probed pair by
+// pair, in pair order, through its fallible view (AsErrOracle), since
+// each probe can fail by itself: the loop stops at the first non-skip
+// error and leaves later slots untouched.
+func costBatch(o Oracle, pairs []Pair, out []float64, errs []error) {
 	clear(errs[:len(pairs)])
 	if _, fallible := o.(ErrOracle); !fallible {
 		if bo, ok := o.(BatchOracle); ok {
-			bo.BatchCost(pairs, out, parallelism)
+			bo.BatchCost(pairs, out, 1)
 			return
 		}
 	}
 	eo := AsErrOracle(o)
-	if parallelism > 1 && len(pairs) >= minPoolBatch {
-		fanOut(len(pairs), parallelism, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i], errs[i] = eo.CostErr(pairs[i].Q, pairs[i].J)
-			}
-		})
-		return
-	}
 	for i, p := range pairs {
 		out[i], errs[i] = eo.CostErr(p.Q, p.J)
 		if errs[i] != nil && !errors.Is(errs[i], ErrSkipQuery) {
 			return
 		}
 	}
-}
-
-// fanOut splits [0, n) into up to parallelism contiguous spans and runs
-// span(lo, hi) for each on its own worker. Consecutive pairs usually share
-// a statement, and so atom-store entries: workers taking interleaved
-// indices would wait on each other's misses, which made
-// BenchmarkSelectParallel at two workers 20-30% slower than one span each.
-func fanOut(n, parallelism int, span func(lo, hi int)) {
-	workers := min(parallelism, n)
-	par.For(workers, workers, func(w int) {
-		span(w*n/workers, (w+1)*n/workers)
-	})
 }
 
 // MatrixOracle replays a precomputed cost matrix, charging synthetic calls.
@@ -174,10 +143,9 @@ func (o *MatrixOracle) K() int { return o.M.K() }
 // Calls implements Oracle.
 func (o *MatrixOracle) Calls() int64 { return o.calls.Load() }
 
-// BatchCost implements BatchOracle. Matrix lookups are far cheaper than
-// pool dispatch, so the batch is served inline; the synthetic call charge
-// still matches one call per pair.
-func (o *MatrixOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
+// BatchCost implements BatchOracle, charging one synthetic call per pair
+// with one counter update. parallelism is unused.
+func (o *MatrixOracle) BatchCost(pairs []Pair, out []float64, _ int) {
 	for i, p := range pairs {
 		out[i] = o.M.Costs[p.Q][p.J]
 	}
@@ -190,8 +158,7 @@ func (o *MatrixOracle) ResetCalls() { o.calls.Store(0) }
 // CostSource is the what-if cost source behind a LiveOracle: the plain
 // optimizer (*optimizer.Optimizer, every probe one what-if call) or the
 // atom store (*optimizer.AtomicCache, only unseen atoms reach the
-// optimizer). Cost must be safe for concurrent use, and Calls reports the
-// what-if calls charged so far.
+// optimizer). Calls reports the what-if calls charged so far.
 type CostSource interface {
 	Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
 	Calls() int64
@@ -217,31 +184,19 @@ func (o *LiveOracle) Cost(i, j int) float64 {
 	return o.Src.Cost(o.Workload.Queries[i].Analysis, o.Configs[j])
 }
 
+// rowStackLen is how many configurations of one row BatchCost hands the
+// atom store at a time; a longer row is costed in pieces.
+const rowStackLen = 256
+
 // BatchCost implements BatchOracle. It walks the batch as rows — maximal
 // runs of pairs with one query, as a Delta row lays them out — and costs
 // each row's statement once under all the row's configurations when the
 // source is the atom store (optimizer.AtomicCache.CostRow), pair by pair
-// otherwise. With more than one worker and at least minPoolBatch pairs
-// the batch is cut into fanOut's spans, a span possibly cutting a row.
-// The oracle holds no scratch: every row's lives on its caller's stack.
-func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, parallelism int) {
-	if parallelism > 1 && len(pairs) >= minPoolBatch {
-		fanOut(len(pairs), parallelism, func(lo, hi int) {
-			o.costRows(pairs[lo:hi], out[lo:hi])
-		})
-		return
-	}
-	o.costRows(pairs, out)
-}
-
-// rowStackLen is how many configurations of one row costRows hands the
-// atom store at a time; a longer row is costed in pieces.
-const rowStackLen = 256
-
-// costRows evaluates pairs[i] into out[i], one row at a time.
+// otherwise. parallelism is unused. The oracle holds no scratch: every
+// row's lives on its caller's stack.
 //
 //physdes:zeroalloc
-func (o *LiveOracle) costRows(pairs []Pair, out []float64) {
+func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, _ int) {
 	ac, rows := o.Src.(*optimizer.AtomicCache)
 	var cfgBuf [rowStackLen]*physical.Configuration
 	for lo := 0; lo < len(pairs); {

@@ -7,14 +7,15 @@ import (
 
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
+	"physdes/internal/par"
 	"physdes/internal/physical"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
 
 // TestSharedOracle pins a live oracle over the atom store against one over
-// the plain optimizer: same dimensions, bit-identical costs both serially
-// and fanned out by costBatch, a strictly smaller what-if bill, and a
+// the plain optimizer: same dimensions, bit-identical costs both pair by
+// pair and batched by costBatch, a strictly smaller what-if bill, and a
 // working end-to-end Run.
 func TestSharedOracle(t *testing.T) {
 	cat := catalog.TPCD(0.01)
@@ -48,8 +49,8 @@ func TestSharedOracle(t *testing.T) {
 		t.Errorf("sharing saved nothing: %d calls vs %d direct", o.Calls(), live.Calls())
 	}
 
-	// The fanned-out batch returns the same values and, with the surface
-	// already memoized, charges nothing new.
+	// A batch over the whole surface returns the same values and, with the
+	// surface already memoized, charges nothing new.
 	pairs := make([]Pair, 0, o.N()*o.K())
 	for i := 0; i < o.N(); i++ {
 		for j := 0; j < o.K(); j++ {
@@ -58,7 +59,7 @@ func TestSharedOracle(t *testing.T) {
 	}
 	out := make([]float64, len(pairs))
 	before := o.Calls()
-	costBatch(o, pairs, out, make([]error, len(pairs)), 4)
+	costBatch(o, pairs, out, make([]error, len(pairs)))
 	for n, p := range pairs {
 		if want := live.Cost(p.Q, p.J); out[n] != want {
 			t.Fatalf("costBatch pair %d = %v, want %v", n, out[n], want)
@@ -82,9 +83,8 @@ func TestSharedOracle(t *testing.T) {
 
 // TestErrOracleAdapterAndLiveBatch pins the fallible-view plumbing around
 // an infallible oracle: AsErrOracle is the identity on an ErrOracle and a
-// never-failing adapter otherwise, costBatch's inline path matches
-// pairwise Cost, and its fan-out over LiveOracle.Cost matches the serial
-// path.
+// never-failing adapter otherwise, costBatch's pair-by-pair path matches
+// pairwise Cost, and so does its batched path over LiveOracle.BatchCost.
 func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	cat := catalog.TPCD(0.01)
 	w, err := workload.GenTPCD(cat, 40, 67)
@@ -112,7 +112,7 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	pairs := []Pair{{Q: 0, J: 0}, {Q: 1, J: 1}, {Q: 2, J: 0}, {Q: 3, J: 1}}
 	out := make([]float64, len(pairs))
 	errs := make([]error, len(pairs))
-	costBatch(eo, pairs, out, errs, 1)
+	costBatch(eo, pairs, out, errs)
 	for i, p := range pairs {
 		if errs[i] != nil {
 			t.Fatalf("pair %d errored: %v", i, errs[i])
@@ -122,7 +122,7 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 		}
 	}
 
-	// The whole surface is large enough to fan out over the pool.
+	// The whole surface, batched by the oracle itself.
 	var all []Pair
 	for q := 0; q < live.N(); q++ {
 		for j := 0; j < live.K(); j++ {
@@ -131,25 +131,28 @@ func TestErrOracleAdapterAndLiveBatch(t *testing.T) {
 	}
 	batched := make([]float64, len(all))
 	before := live.Calls()
-	costBatch(live, all, batched, make([]error, len(all)), 2)
+	costBatch(live, all, batched, make([]error, len(all)))
 	if got := live.Calls() - before; got != int64(len(all)) {
-		t.Errorf("fan-out charged %d calls, want %d (one per pair)", got, len(all))
+		t.Errorf("batch charged %d calls, want %d (one per pair)", got, len(all))
 	}
 	for i, p := range all {
 		if want := live.Cost(p.Q, p.J); batched[i] != want {
-			t.Errorf("pair %d: fanned-out cost %v diverged from serial %v", i, batched[i], want)
+			t.Errorf("pair %d: batched cost %v diverged from serial %v", i, batched[i], want)
 		}
 	}
 }
 
 // TestLiveBatchMatchesSerial pins LiveOracle.BatchCost to pair-by-pair
 // Cost over both cost sources — the atom store, costed row by row, and
-// the plain optimizer, costed pair by pair — at one, two and eight
-// workers. The batch is laid out as the samplers lay out Delta rows: full
-// rows, rows over shrinking subsets as after eliminations, and one row
-// longer than rowStackLen (repeating configurations), so it is costed in
-// pieces; at two and eight workers fanOut's spans cut rows. Values match
-// bit for bit, and the store's Calls and Stats match a serial store's.
+// the plain optimizer, costed pair by pair. The batch is laid out as the
+// samplers lay out Delta rows: full rows, rows over shrinking subsets as
+// after eliminations, and one row longer than rowStackLen (repeating
+// configurations), so it is costed in pieces. With one worker costBatch
+// takes the whole batch; with two and eight the batch is cut into
+// contiguous spans, some cutting a row, that concurrent goroutines cost
+// through one oracle, as concurrent callers of one atom store do. Values
+// match bit for bit, and the store's Calls and Stats match a serial
+// store's.
 func TestLiveBatchMatchesSerial(t *testing.T) {
 	var _ BatchOracle = (*LiveOracle)(nil)
 	cat := catalog.TPCD(0.01)
@@ -201,7 +204,14 @@ func TestLiveBatchMatchesSerial(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", src.name, workers), func(t *testing.T) {
 				o := NewLiveOracle(src.mk(), w, configs)
 				out := make([]float64, len(pairs))
-				costBatch(o, pairs, out, make([]error, len(pairs)), workers)
+				if workers == 1 {
+					costBatch(o, pairs, out, make([]error, len(pairs)))
+				} else {
+					par.For(workers, workers, func(s int) {
+						lo, hi := s*len(pairs)/workers, (s+1)*len(pairs)/workers
+						o.BatchCost(pairs[lo:hi], out[lo:hi], 1)
+					})
+				}
 				for i := range pairs {
 					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("pair %d %+v: batch %v, serial %v", i, pairs[i], out[i], want[i])

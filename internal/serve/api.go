@@ -51,21 +51,11 @@ type JobRequest struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Strat is "progressive" (default), "none" or "fine".
 	Strat string `json:"strat,omitempty"`
-	// Parallelism is the per-job what-if worker count: 0 means 1, since
-	// the daemon already runs Config.Runners jobs concurrently and their
-	// product bounds its what-if concurrency. Values above 64 are
-	// rejected.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Conservative enables conservative-variance mode.
 	Conservative bool `json:"conservative,omitempty"`
 	// MaxCalls caps the job's optimizer calls when > 0.
 	MaxCalls int `json:"max_calls,omitempty"`
 }
-
-// maxJobParallelism caps JobRequest.Parallelism: the worker pool is
-// bounded only by the batch size, so an uncapped value would let one
-// request spawn a goroutine per probe.
-const maxJobParallelism = 64
 
 func (jr JobRequest) k() int {
 	if jr.K <= 0 {
@@ -104,10 +94,9 @@ func (jr JobRequest) options(lim TenantLimits) (core.Options, error) {
 	default:
 		return o, fmt.Errorf("unknown stratification %q", jr.Strat)
 	}
-	if jr.Parallelism > maxJobParallelism {
-		return o, fmt.Errorf("parallelism %d exceeds the cap of %d", jr.Parallelism, maxJobParallelism)
-	}
-	o.Parallelism = max(jr.Parallelism, 1)
+	// Conservative bound derivation runs on the job's runner alone:
+	// Config.Runners bounds the daemon's concurrency.
+	o.Parallelism = 1
 	o.Conservative = jr.Conservative
 	if jr.MaxCalls > 0 {
 		o.MaxCalls = int64(jr.MaxCalls)

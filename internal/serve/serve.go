@@ -3,8 +3,7 @@
 // comparison primitive into a service. Tenants upload workloads
 // (POST /v1/workloads) and submit comparison/tuning jobs (POST /v1/jobs)
 // that run concurrently on the shared runner pool; every job evaluates
-// what-if probes through the sampler's probe fan-out and the sharded atom
-// cache, streams its per-round Pr(CS) trajectory over SSE by attaching
+// what-if probes on its runner through the atom store, streams its per-round Pr(CS) trajectory over SSE by attaching
 // the flight recorder as a per-job tracer sink, and lands on the
 // same /metrics + /healthz endpoints the live introspection server
 // (internal/obs/live) already provides — the daemon mounts that server's
@@ -74,8 +73,8 @@ type TenantLimits struct {
 // Config configures the daemon.
 type Config struct {
 	// Runners is the number of concurrent job runners (default
-	// par.Default()); together with each job's Parallelism it bounds the
-	// daemon's total what-if concurrency.
+	// par.Default()); it bounds the daemon's what-if concurrency, since
+	// each job probes on its runner's goroutine.
 	Runners int
 	// QueueDepth bounds the job queue (default 64). A full queue rejects
 	// submissions with 429 + Retry-After.

@@ -169,25 +169,29 @@ func directSelection(t *testing.T, req JobRequest, lim TenantLimits, wn int, wse
 
 // TestDaemonDeterminism pins the service contract: a job submitted over
 // HTTP yields a Selection DeepEqual to running core.Select directly with
-// the same seed and options — at parallelism 1 and 8.
+// the same seed and options — also for two jobs running at once on the
+// daemon's two runners.
 func TestDaemonDeterminism(t *testing.T) {
 	h := newHarness(t, Config{Runners: 2})
 	wid := h.uploadWorkload("", 60, 7)
-	for _, par := range []int{1, 8} {
-		req := JobRequest{Workload: wid, K: 6, Seed: 11, Parallelism: par}
-		id := h.submit("", req)
-		resp := h.await("", id)
+	reqs := []JobRequest{{Workload: wid, K: 6, Seed: 11}, {Workload: wid, K: 6, Seed: 12}}
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		ids[i] = h.submit("", req)
+	}
+	for i, req := range reqs {
+		resp := h.await("", ids[i])
 		if resp.Status != StatusDone {
-			t.Fatalf("parallelism %d: job ended %s (%s)", par, resp.Status, resp.Error)
+			t.Fatalf("seed %d: job ended %s (%s)", req.Seed, resp.Status, resp.Error)
 		}
-		got := h.s.Selection(id)
+		got := h.s.Selection(ids[i])
 		if got == nil {
-			t.Fatalf("parallelism %d: no stored selection", par)
+			t.Fatalf("seed %d: no stored selection", req.Seed)
 		}
 		want := directSelection(t, req, TenantLimits{}, 60, 7)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("parallelism %d: daemon selection differs from direct core.Select\n got: %+v\nwant: %+v",
-				par, got, want)
+			t.Errorf("seed %d: daemon selection differs from direct core.Select\n got: %+v\nwant: %+v",
+				req.Seed, got, want)
 		}
 	}
 }

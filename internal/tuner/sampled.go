@@ -24,9 +24,6 @@ type SampledOptions struct {
 	DeltaFrac float64
 	// Seed drives the sampling.
 	Seed uint64
-	// Parallelism is forwarded to each round's core.Select (see
-	// core.Options.Parallelism; 0 defaults to runtime.GOMAXPROCS(0)).
-	Parallelism int
 }
 
 func (o SampledOptions) withDefaults() SampledOptions {
@@ -109,7 +106,6 @@ func GreedySampled(opt *optimizer.Optimizer, w *workload.Workload, candidates []
 			StabilityWindow:      5,
 			EliminationThreshold: 0.995,
 			Seed:                 o.Seed + uint64(round)*101,
-			Parallelism:          o.Parallelism,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("tuner: sampled round %d: %w", round, err)
