@@ -7,9 +7,9 @@ GO ?= go
 all: build vet lint test
 
 # Full pre-commit gate: build, vet, the determinism/concurrency lint
-# suite, and the race detector over every package — the batch pool,
-# sharded cache and instrumentation are all concurrent, so plain
-# `go test` alone is not a sufficient gate.
+# suite, and the race detector over every package — the worker pool,
+# the atom store, the daemon and instrumentation are all concurrent, so
+# plain `go test` alone is not a sufficient gate.
 check: build vet lint test-race
 
 build:
@@ -23,7 +23,7 @@ vet:
 # four interprocedural ones on the flow call graph (ctxflow, errdrop,
 # determtaint, zeroalloc): machine-enforces the seed-reproducibility,
 # cancellation, error-handling and zero-alloc invariants behind
-# Pr(CS) ≥ α and bit-identical parallelism. The suite type-checks
+# Pr(CS) ≥ α and bit-identical Selections. The suite type-checks
 # against GOROOT source and fails fast with an actionable error if the
 # toolchain install has no stdlib sources. lint-self turns the suite on
 # itself (internal/analysis/...).
