@@ -77,15 +77,14 @@ func benchSetup(b *testing.B) {
 // benchMC runs one fixed-budget Monte-Carlo selection per iteration.
 func benchMC(b *testing.B, s *experiments.Scenario, pair *experiments.Pair, v experiments.SchemeVariant, budget int64) {
 	b.Helper()
-	tmplIdx := s.W.TemplateIndexOf()
-	tmplCount := s.W.NumTemplates()
+	tmpls := s.W.Partition()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oracle := sampling.NewMatrixOracle(pair.Matrix)
 		_, err := sampling.Run(oracle, sampling.Options{
 			Scheme: v.Scheme, Strat: v.Strat, MaxCalls: budget, NMin: 20,
-			RNG:           stats.NewRNG(uint64(i) + 99),
-			TemplateIndex: tmplIdx, TemplateCount: tmplCount,
+			RNG:       stats.NewRNG(uint64(i) + 99),
+			Templates: tmpls,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -159,16 +158,15 @@ func BenchmarkFigure4CRM(b *testing.B) {
 func benchAdaptive(b *testing.B, s *experiments.Scenario, k int) {
 	b.Helper()
 	_, m := experiments.Space(s, k, 11)
-	tmplIdx := s.W.TemplateIndexOf()
-	tmplCount := s.W.NumTemplates()
+	tmpls := s.W.Partition()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oracle := sampling.NewMatrixOracle(m)
 		_, err := sampling.Run(oracle, sampling.Options{
 			Scheme: sampling.Delta, Strat: sampling.Progressive,
 			Alpha: 0.9, StabilityWindow: 10, EliminationThreshold: 0.995,
-			RNG:           stats.NewRNG(uint64(i) + 7),
-			TemplateIndex: tmplIdx, TemplateCount: tmplCount,
+			RNG:       stats.NewRNG(uint64(i) + 7),
+			Templates: tmpls,
 		})
 		if err != nil {
 			b.Fatal(err)

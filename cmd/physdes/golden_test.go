@@ -178,7 +178,7 @@ func TestSelectWarmStateGolden(t *testing.T) {
 
 	args := []string{
 		"-db", "tpcd", "-n", "600", "-k", "4", "-seed", "1",
-		"-parallelism", "1", "-warm-state", "state.json",
+		"-warm-state", "state.json",
 	}
 	coldOut := captureStdout(t, func() {
 		if err := cmdSelect(args, false); err != nil {

@@ -81,10 +81,10 @@ func usage() {
   physdes gen     -db tpcd|crm -n N -seed S -out FILE
   physdes select  -db tpcd|crm -n N -k K [-alpha A] [-delta D]
                   [-scheme delta|independent] [-strat none|progressive|fine]
-                  [-conservative] [-trace FILE] [-metrics] [-parallelism P]
+                  [-conservative] [-trace FILE] [-metrics]
                   [-timeout DUR] [-max-retries R] [-listen ADDR] [-report]
                 [-warm-state FILE] [-seed S]
-  physdes explore -db tpcd|crm -n N -k K [-trace FILE] [-metrics] [-parallelism P] [-seed S]
+  physdes explore -db tpcd|crm -n N -k K [-trace FILE] [-metrics] [-seed S]
   physdes explain -db tpcd|crm -q "SELECT ..." [-config rec.json]
   physdes tune    -db tpcd|crm -n N [-mode sampled|exhaustive] [-max M]
                   [-out rec.json] [-seed S]
@@ -276,7 +276,6 @@ func cmdTune(args []string) error {
 	merged := fs.Bool("merged", false, "also enumerate merged index candidates")
 	maxStructures := fs.Int("max", 6, "maximum structures to recommend")
 	outFile := fs.String("out", "", "write the recommendation as JSON")
-	parallelism := fs.Int("parallelism", 0, "candidate-evaluation workers of -mode exhaustive (0: all cores)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	fs.Parse(args)
 
@@ -317,7 +316,7 @@ func cmdTune(args []string) error {
 		}
 	case "exhaustive":
 		res := physdes.TuneGreedy(opt, cat, w, nil, cands,
-			physdes.TunerOptions{MaxStructures: *maxStructures, Parallelism: *parallelism})
+			physdes.TunerOptions{MaxStructures: *maxStructures})
 		cfg, calls = res.Config, res.OptimizerCalls
 	default:
 		return fmt.Errorf("unknown tuner mode %q", *mode)
@@ -403,7 +402,6 @@ func cmdSelect(args []string, explore bool) error {
 	outFile := fs.String("out", "", "write the selected configuration as JSON")
 	traceFile := fs.String("trace", "", "write structured JSONL selection events to this file")
 	metrics := fs.Bool("metrics", false, "print the metrics snapshot (Prometheus text format) after the run")
-	parallelism := fs.Int("parallelism", 0, "conservative bound-derivation workers (0: all cores; the selection is bit-identical at every setting)")
 	timeout := fs.Duration("timeout", 0, "abort the selection after this wall-clock duration (0: no limit)")
 	maxRetries := fs.Int("max-retries", 0, "re-attempt failed what-if probes this many times (fallible oracles only)")
 	listen := fs.String("listen", "", "serve live introspection HTTP on this address (/healthz, /metrics, /runs, SSE) and keep serving after the run until interrupted")
@@ -468,7 +466,6 @@ func cmdSelect(args []string, explore bool) error {
 	o.Alpha = *alpha
 	o.Delta = *delta
 	o.Conservative = *conservative
-	o.Parallelism = *parallelism
 	switch *scheme {
 	case "delta":
 		o.Scheme = physdes.DeltaSampling

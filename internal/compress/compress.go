@@ -88,7 +88,7 @@ func Cluster(w *workload.Workload, costs []float64, k int) *Compressed {
 	if k > n {
 		k = n
 	}
-	tmpl := w.TemplateIndexOf()
+	tmpl := w.Partition().Of
 	dist := func(a, b int) float64 {
 		if tmpl[a] != tmpl[b] {
 			return costs[a] + costs[b]
@@ -173,7 +173,7 @@ func RandomSample(w *workload.Workload, n int, perm []int) *Compressed {
 // workload the compression retains — the quality-failure diagnosis of
 // Section 7.3 ([20] captures "only few of the TPC-D query templates").
 func (c *Compressed) TemplateCoverage(w *workload.Workload) int {
-	tmpl := w.TemplateIndexOf()
+	tmpl := w.Partition().Of
 	seen := make(map[int]bool)
 	for _, id := range c.IDs {
 		seen[tmpl[id]] = true

@@ -19,7 +19,7 @@ func testWorkloadAndCosts(t *testing.T, n int, seed uint64) (*workload.Workload,
 	// Synthetic current-configuration costs: expensive templates are the
 	// multi-join aggregates, cheap ones the lookups. A simple proxy:
 	// template index → magnitude.
-	tmpl := w.TemplateIndexOf()
+	tmpl := w.Partition().Of
 	costs := make([]float64, w.Size())
 	rng := stats.NewRNG(seed)
 	for i := range costs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"physdes/internal/catalog"
@@ -133,6 +134,57 @@ func TestSelectParallelDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSelectSharedWorkload is the daemon's case: Selects over one shared
+// *Workload, made at once on two goroutines, each return the Selection
+// of a lone run, and the workload's template partition, which every
+// sampler reads, is unchanged by all of them. A sampler that shuffled or
+// split the shared Members in place would change the partition or the
+// draws.
+func TestSelectSharedWorkload(t *testing.T) {
+	opt, w, space := scenario(t, 600, 6, 3)
+	before := w.Partition()
+	before.Of = slices.Clone(before.Of)
+	before.Members = slices.Clone(before.Members)
+	for i := range before.Members {
+		before.Members[i] = slices.Clone(before.Members[i])
+	}
+	cases := []struct {
+		scheme sampling.Scheme
+		strat  sampling.StratMode
+	}{
+		{sampling.Delta, sampling.Progressive}, // splits the shared-row stratum
+		{sampling.Independent, sampling.Fine},  // one stratum per template
+	}
+	for _, tc := range cases {
+		t.Run(tc.scheme.String()+"/"+tc.strat.String(), func(t *testing.T) {
+			run := func(opt *optimizer.Optimizer) (*Selection, error) {
+				return Select(opt, w, space, Options{Scheme: tc.scheme, Strat: tc.strat, Seed: 11})
+			}
+			lone, err := run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const selects = 2
+			sels := make([]*Selection, selects)
+			errs := make([]error, selects)
+			par.For(selects, selects, func(r int) {
+				sels[r], errs[r] = run(optimizer.New(opt.Catalog()))
+			})
+			for r := range sels {
+				if errs[r] != nil {
+					t.Fatalf("concurrent Select %d: %v", r, errs[r])
+				}
+				if !reflect.DeepEqual(sels[r], lone) {
+					t.Errorf("Select %d over the shared workload differs from a lone run:\nshared: %+v\nlone:   %+v", r, sels[r], lone)
+				}
+			}
+			if !reflect.DeepEqual(w.Partition(), before) {
+				t.Error("Select modified the workload's shared template partition")
+			}
+		})
 	}
 }
 

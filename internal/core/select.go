@@ -290,8 +290,7 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		MaxCalls:             o.MaxCalls,
 		Ctx:                  ctx,
 		RNG:                  stats.NewRNG(o.Seed),
-		TemplateIndex:        w.TemplateIndexOf(),
-		TemplateCount:        w.NumTemplates(),
+		Templates:            w.Partition(),
 		Tracer:               o.Tracer,
 		Metrics:              o.Metrics,
 	}

@@ -15,7 +15,7 @@ import (
 const maxSigParams = 8
 
 // templateSignatures computes the warm-start signatures of a workload:
-// per dense template (first-appearance order, matching TemplateIndexOf),
+// per dense template (first-appearance order, as in Workload.Partition),
 // the stable cross-workload template ID plus Welford moments of every
 // numeric literal position across the template's members. The literals
 // are the parser's own number tokens (sqlparse.AppendSignature), so quoted
@@ -28,11 +28,11 @@ func templateSignatures(w *workload.Workload) []sampling.TemplateSig {
 	for i, ti := range tmpls {
 		sigs[i].ID = uint64(ti.ID)
 	}
-	idx := w.TemplateIndexOf()
+	of := w.Partition().Of
 	var shape []byte
 	var lits []sqlparse.Token
 	for qi, q := range w.Queries {
-		sig := &sigs[idx[qi]]
+		sig := &sigs[of[qi]]
 		shape, lits, _ = sqlparse.AppendSignature(shape[:0], lits[:0], q.SQL) //physdes:errok the workload parsed every statement, so lexing cannot fail
 		pos := 0
 		for _, t := range lits {

@@ -72,8 +72,7 @@ func StabilityAblation(s *Scenario, k int, p Params) []AblationRow {
 // mcAdaptive runs the adaptive primitive p.Repeats times with a tweak
 // applied, returning (true Pr(CS), avg calls, avg eliminated count).
 func mcAdaptive(s *Scenario, m *workload.CostMatrix, trueBest int, p Params, tweak func(*sampling.Options), seedOff uint64) (float64, float64, float64) {
-	tmplIdx := s.W.TemplateIndexOf()
-	tmplCount := s.W.NumTemplates()
+	tmpls := s.W.Partition()
 	type out struct {
 		correct bool
 		calls   int64
@@ -88,8 +87,7 @@ func mcAdaptive(s *Scenario, m *workload.CostMatrix, trueBest int, p Params, twe
 			StabilityWindow:      10,
 			EliminationThreshold: 0.995,
 			RNG:                  stats.NewRNG(p.Seed + seedOff + uint64(r)*6_700_417),
-			TemplateIndex:        tmplIdx,
-			TemplateCount:        tmplCount,
+			Templates:            tmpls,
 		}
 		tweak(&opts)
 		res, err := sampling.Run(sampling.NewMatrixOracle(m), opts)

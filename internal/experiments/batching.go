@@ -68,9 +68,8 @@ func BatchingComparison(s *Scenario, pair *Pair, p Params) (BatchingRow, error) 
 	res, err := sampling.Run(sampling.NewMatrixOracle(pair.Matrix), sampling.Options{
 		Scheme: sampling.Delta, Strat: sampling.Progressive,
 		Alpha: 0.9, StabilityWindow: 10,
-		RNG:           stats.NewRNG(p.Seed + 72),
-		TemplateIndex: s.W.TemplateIndexOf(),
-		TemplateCount: s.W.NumTemplates(),
+		RNG:       stats.NewRNG(p.Seed + 72),
+		Templates: s.W.Partition(),
 	})
 	if err != nil {
 		return BatchingRow{}, err

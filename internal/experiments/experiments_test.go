@@ -99,7 +99,7 @@ func TestFigureShape(t *testing.T) {
 	}
 	pair := HardPair(s, p.Seed)
 	series := MonteCarlo(pair, FigureVariants(), []int64{60, 200, 600}, p.Repeats,
-		s.W.TemplateIndexOf(), s.W.NumTemplates(), p.Seed)
+		s.W.Partition(), p.Seed)
 	if len(series) != 4 {
 		t.Fatalf("series count %d", len(series))
 	}

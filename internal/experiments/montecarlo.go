@@ -4,6 +4,7 @@ import (
 	"physdes/internal/par"
 	"physdes/internal/sampling"
 	"physdes/internal/stats"
+	"physdes/internal/workload"
 )
 
 // SchemeVariant names one sampling-scheme configuration of the Monte-Carlo
@@ -71,12 +72,12 @@ func DefaultBudgets(n int) []int64 {
 // pair's exact cost matrix (the Section 7.1 protocol: "this process is
 // repeated 5000 times, resulting in a Monte Carlo simulation to compute the
 // 'true' probability of correct selection").
-func MonteCarlo(p *Pair, variants []SchemeVariant, budgets []int64, repeats int, tmplIdx []int, tmplCount int, seed uint64) []MCSeries {
+func MonteCarlo(p *Pair, variants []SchemeVariant, budgets []int64, repeats int, tmpls workload.Partition, seed uint64) []MCSeries {
 	out := make([]MCSeries, len(variants))
 	for vi, v := range variants {
 		out[vi] = MCSeries{Variant: v}
 		for _, b := range budgets {
-			correct := mcRuns(p, v, b, repeats, tmplIdx, tmplCount, seed+uint64(vi)*1_000_003+uint64(b))
+			correct := mcRuns(p, v, b, repeats, tmpls, seed+uint64(vi)*1_000_003+uint64(b))
 			out[vi].Points = append(out[vi].Points, MCPoint{
 				Budget:   b,
 				TruePrCS: float64(correct) / float64(repeats),
@@ -91,7 +92,7 @@ func MonteCarlo(p *Pair, variants []SchemeVariant, budgets []int64, repeats int,
 // alternate the configuration column order so deterministic tie-breaking
 // (possible in a noiseless cost model when sampled queries are indifferent
 // between two configurations) cannot systematically favor the winner.
-func mcRuns(p *Pair, v SchemeVariant, budget int64, repeats int, tmplIdx []int, tmplCount int, seed uint64) int {
+func mcRuns(p *Pair, v SchemeVariant, budget int64, repeats int, tmpls workload.Partition, seed uint64) int {
 	k := p.Matrix.K()
 	swapped := p.Matrix
 	swappedBest := p.Best
@@ -107,13 +108,12 @@ func mcRuns(p *Pair, v SchemeVariant, budget int64, repeats int, tmplIdx []int, 
 		}
 		oracle := sampling.NewMatrixOracle(m)
 		res, err := sampling.Run(oracle, sampling.Options{
-			Scheme:        v.Scheme,
-			Strat:         v.Strat,
-			MaxCalls:      budget,
-			NMin:          20,
-			RNG:           stats.NewRNG(seed + uint64(r)*2_654_435_761),
-			TemplateIndex: tmplIdx,
-			TemplateCount: tmplCount,
+			Scheme:    v.Scheme,
+			Strat:     v.Strat,
+			MaxCalls:  budget,
+			NMin:      20,
+			RNG:       stats.NewRNG(seed + uint64(r)*2_654_435_761),
+			Templates: tmpls,
 		})
 		hits[r] = err == nil && res.Best == best
 	})
@@ -130,5 +130,5 @@ func mcRuns(p *Pair, v SchemeVariant, budget int64, repeats int, tmplIdx []int, 
 func Figure(s *Scenario, pair *Pair, variants []SchemeVariant, p Params) []MCSeries {
 	p = p.withDefaults()
 	return MonteCarlo(pair, variants, DefaultBudgets(s.W.Size()), p.Repeats,
-		s.W.TemplateIndexOf(), s.W.NumTemplates(), p.Seed+7)
+		s.W.Partition(), p.Seed+7)
 }

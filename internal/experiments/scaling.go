@@ -56,8 +56,7 @@ func Scaling(s *Scenario, sizes []int, p Params) ([]ScalingRow, error) {
 				Alpha: 0.9, StabilityWindow: 10,
 				EliminationThreshold: 0.995,
 				RNG:                  stats.NewRNG(p.Seed + uint64(r)*131 + uint64(n)),
-				TemplateIndex:        sub.TemplateIndexOf(),
-				TemplateCount:        sub.NumTemplates(),
+				Templates:            sub.Partition(),
 			})
 			if err != nil {
 				return nil, err

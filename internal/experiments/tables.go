@@ -70,8 +70,7 @@ func MultiConfig(s *Scenario, k int, p Params) []MultiRow {
 	p = p.withDefaults()
 	_, m := Space(s, k, p.Seed+uint64(k)*13)
 	_, trueCost := m.BestConfig()
-	tmplIdx := s.W.TemplateIndexOf()
-	tmplCount := s.W.NumTemplates()
+	tmpls := s.W.Partition()
 
 	// Section 6 machinery for the conservative row: per-query cost
 	// intervals across the space (what a Deriver would bound), the σ²_max
@@ -109,12 +108,11 @@ func MultiConfig(s *Scenario, k int, p Params) []MultiRow {
 		outs := make([]runOut, p.Repeats)
 		par.For(p.Repeats, par.Default(), func(r int) {
 			opts := sampling.Options{
-				Scheme:        sampling.Delta,
-				Alpha:         0.9,
-				NMin:          stats.NMin,
-				RNG:           stats.NewRNG(p.Seed + uint64(r)*7_919 + uint64(method)*104_729 + uint64(k)),
-				TemplateIndex: tmplIdx,
-				TemplateCount: tmplCount,
+				Scheme:    sampling.Delta,
+				Alpha:     0.9,
+				NMin:      stats.NMin,
+				RNG:       stats.NewRNG(p.Seed + uint64(r)*7_919 + uint64(method)*104_729 + uint64(k)),
+				Templates: tmpls,
 			}
 			switch method {
 			case MethodPrimitive:

@@ -22,7 +22,7 @@ import (
 
 // synthMatrix mirrors the sampling package's synthetic workload: template
 // determines cost magnitude, configuration 0 is best by gapFrac per rank.
-func synthMatrix(n, k, templates int, gapFrac float64, seed uint64) (*workload.CostMatrix, []int) {
+func synthMatrix(n, k, templates int, gapFrac float64, seed uint64) (*workload.CostMatrix, workload.Partition) {
 	rng := stats.NewRNG(seed)
 	tmplIdx := make([]int, n)
 	tmplBase := make([]float64, templates)
@@ -49,17 +49,17 @@ func synthMatrix(n, k, templates int, gapFrac float64, seed uint64) (*workload.C
 		}
 		m.Costs[i] = row
 	}
-	return m, tmplIdx
+	return m, workload.NewPartition(tmplIdx)
 }
 
-func runOpts(seed uint64, tmplIdx []int, templates int, ctx context.Context, reg *obs.Registry) sampling.Options {
+func runOpts(seed uint64, tmpls workload.Partition, ctx context.Context, reg *obs.Registry) sampling.Options {
 	return sampling.Options{
 		Scheme: sampling.Delta, Strat: sampling.Progressive,
 		Alpha: 0.9, StabilityWindow: 5,
-		RNG:           stats.NewRNG(seed),
-		TemplateIndex: tmplIdx, TemplateCount: templates,
-		Ctx:     ctx,
-		Metrics: reg,
+		RNG:       stats.NewRNG(seed),
+		Templates: tmpls,
+		Ctx:       ctx,
+		Metrics:   reg,
 	}
 }
 
@@ -80,8 +80,8 @@ func tracedRun(o sampling.Oracle, opts sampling.Options) (*sampling.Result, []re
 // resilience wrapper) must leave the selection byte-identical to the
 // unwrapped oracle.
 func TestZeroFaultRateByteIdentity(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 3, 6, 0.06, 11)
-	want, wantRounds, err := tracedRun(sampling.NewMatrixOracle(m), runOpts(5, tmplIdx, 6, nil, nil))
+	m, tmpls := synthMatrix(2000, 3, 6, 0.06, 11)
+	want, wantRounds, err := tracedRun(sampling.NewMatrixOracle(m), runOpts(5, tmpls, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 	}
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99}) // all rates zero
 	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 3, Policy: resilience.Skip})
-	got, gotRounds, err := tracedRun(w, runOpts(5, tmplIdx, 6, nil, nil))
+	got, gotRounds, err := tracedRun(w, runOpts(5, tmpls, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestZeroFaultRateByteIdentity(t *testing.T) {
 			for run := 0; run < 2; run++ {
 				fo := New(sampling.NewMatrixOracle(m), Options{Seed: 99, TransientRate: 0.05})
 				w := resilience.Wrap(fo, resilience.Options{MaxRetries: 1, Policy: resilience.Skip})
-				opts := runOpts(5, tmplIdx, 6, nil, nil)
+				opts := runOpts(5, tmpls, nil, nil)
 				opts.Scheme = scheme
 				got, gotRounds, err := tracedRun(w, opts)
 				if err != nil {
@@ -211,7 +211,7 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 	}
 	const trials = 200
 	const alpha = 0.9
-	m, tmplIdx := synthMatrix(2500, 3, 6, 0.05, 21)
+	m, tmpls := synthMatrix(2500, 3, 6, 0.05, 21)
 	truth := exactBest(m)
 	correct := 0
 	var totRetries, totFaults, totDegradedProbes, totDegradedQueries int64
@@ -221,7 +221,7 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 		w := resilience.Wrap(fo, resilience.Options{
 			MaxRetries: 3, Policy: resilience.Skip, Metrics: reg,
 		})
-		res, err := sampling.Run(w, runOpts(uint64(r)+1000, tmplIdx, 6, nil, reg))
+		res, err := sampling.Run(w, runOpts(uint64(r)+1000, tmpls, nil, reg))
 		if err != nil {
 			t.Fatalf("trial %d: %v", r, err)
 		}
@@ -261,10 +261,10 @@ func TestMonteCarloPrCSUnderTransientFaults(t *testing.T) {
 // Permanently broken probes must degrade (skip-and-reweight) rather than
 // abort, and the run must still select correctly.
 func TestPermanentFaultsDegradeGracefully(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 3, 6, 0.08, 31)
+	m, tmpls := synthMatrix(2000, 3, 6, 0.08, 31)
 	fo := New(sampling.NewMatrixOracle(m), Options{Seed: 5, PermanentRate: 0.01})
 	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
-	res, err := sampling.Run(w, runOpts(77, tmplIdx, 6, nil, nil))
+	res, err := sampling.Run(w, runOpts(77, tmpls, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestBurstFaultsAreLocalized(t *testing.T) {
 // Conservative degradation substitutes an upper bound instead of
 // dropping the query; the run completes and still selects correctly.
 func TestConservativeFallbackCompletes(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 3, 6, 0.08, 51)
+	m, tmpls := synthMatrix(2000, 3, 6, 0.08, 51)
 	hi := 0.0
 	for i := range m.Costs {
 		for _, c := range m.Costs[i] {
@@ -314,7 +314,7 @@ func TestConservativeFallbackCompletes(t *testing.T) {
 		MaxRetries: 1, Policy: resilience.Conservative,
 		Fallback: func(i, j int) float64 { return hi * 1.1 },
 	})
-	res, err := sampling.Run(w, runOpts(13, tmplIdx, 6, nil, nil))
+	res, err := sampling.Run(w, runOpts(13, tmpls, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,14 +345,14 @@ func (o *cancellingOracle) Cost(i, j int) float64 {
 // Cancellation mid-run must surface context.Canceled and leave no
 // goroutines behind (checked under -race by the suite).
 func TestCancellationCleanShutdown(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 3, 6, 0.05, 61)
+	m, tmpls := synthMatrix(2000, 3, 6, 0.05, 61)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	o := &cancellingOracle{MatrixOracle: sampling.NewMatrixOracle(m), after: 40, cancel: cancel}
 	fo := New(o, Options{Seed: 1})
 	w := resilience.Wrap(fo, resilience.Options{MaxRetries: 2, Policy: resilience.Skip})
-	_, err := sampling.Run(w, runOpts(7, tmplIdx, 6, ctx, nil))
+	_, err := sampling.Run(w, runOpts(7, tmpls, ctx, nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -370,11 +370,11 @@ func TestCancellationCleanShutdown(t *testing.T) {
 // A pre-cancelled context returns immediately without touching the
 // oracle.
 func TestPreCancelledContext(t *testing.T) {
-	m, tmplIdx := synthMatrix(500, 2, 4, 0.05, 71)
+	m, tmpls := synthMatrix(500, 2, 4, 0.05, 71)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := sampling.NewMatrixOracle(m)
-	_, err := sampling.Run(o, runOpts(7, tmplIdx, 4, ctx, nil))
+	_, err := sampling.Run(o, runOpts(7, tmpls, ctx, nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -157,7 +157,7 @@ func TestFallibleBatchMatchesSerial(t *testing.T) {
 // per-round trajectory of a run made alone, for both schemes and every
 // stratification mode.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	m, tmpl := synthMatrix(3000, 4, 6, 0.08, 1, 9)
+	m, tmpls := synthMatrix(3000, 4, 6, 0.08, 1, 9)
 	cases := []struct {
 		name   string
 		scheme Scheme
@@ -179,8 +179,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 					RNG:    stats.NewRNG(5),
 				}
 				if tc.strat != NoStrat {
-					o.TemplateIndex = tmpl
-					o.TemplateCount = 6
+					o.Templates = tmpls
 				}
 				rec := traced(&o)
 				res, err := Run(NewMatrixOracle(m), o)

@@ -13,9 +13,9 @@ func TestCallCostShiftsAllocation(t *testing.T) {
 	const n = 2000
 	// Template 0 queries are cheap to optimize, template 1 queries are
 	// 50× more expensive. Cost distributions are identical in shape.
-	m, tmplIdx := synthMatrix(n, 2, 2, 0.02, 2, 44)
+	m, tmpls := synthMatrix(n, 2, 2, 0.02, 2, 44)
 	callCost := func(q int) float64 {
-		if tmplIdx[q] == 1 {
+		if tmpls.Of[q] == 1 {
 			return 50
 		}
 		return 1
@@ -24,9 +24,9 @@ func TestCallCostShiftsAllocation(t *testing.T) {
 	countByTemplate := func(withCost bool) [2]int {
 		d := newDeltaSampler(NewMatrixOracle(m), Options{
 			Scheme: Delta, Strat: Fine, NMin: 5, MaxCalls: 800,
-			RNG:           stats.NewRNG(9),
-			TemplateIndex: tmplIdx, TemplateCount: 2,
-			CallCost: map[bool]func(int) float64{true: callCost, false: nil}[withCost],
+			RNG:       stats.NewRNG(9),
+			Templates: tmpls,
+			CallCost:  map[bool]func(int) float64{true: callCost, false: nil}[withCost],
 		}.withDefaults())
 		d.run()
 		var counts [2]int
@@ -52,13 +52,13 @@ func TestCallCostShiftsAllocation(t *testing.T) {
 // CallCost must not change the estimators, only the allocation: a constant
 // overhead function is a no-op.
 func TestConstantCallCostIsNoop(t *testing.T) {
-	m, tmplIdx := synthMatrix(1500, 2, 4, 0.05, 1, 45)
+	m, tmpls := synthMatrix(1500, 2, 4, 0.05, 1, 45)
 	run := func(cc func(int) float64) (int, float64) {
 		res, err := Run(NewMatrixOracle(m), Options{
 			Scheme: Delta, Strat: Progressive, Alpha: 0.9,
-			RNG:           stats.NewRNG(11),
-			TemplateIndex: tmplIdx, TemplateCount: 4,
-			CallCost: cc,
+			RNG:       stats.NewRNG(11),
+			Templates: tmpls,
+			CallCost:  cc,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ type deltaSampler struct {
 
 func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 	dr := newDriver(o, opts)
-	k, tc := dr.k, opts.TemplateCount
+	k, tc := dr.k, len(opts.Templates.Members)
 	d := &deltaSampler{
 		driver:      dr,
 		tmplDropped: make([]int, tc),
@@ -120,12 +120,12 @@ func (d *deltaSampler) priorUsable(s *dStratum, b, j int) bool {
 }
 
 // dropped shrinks the degraded query's template weight.
-func (d *deltaSampler) dropped(q int) { d.tmplDropped[d.opts.TemplateIndex[q]]++ }
+func (d *deltaSampler) dropped(q int) { d.tmplDropped[d.opts.Templates.Of[q]]++ }
 
 // tmplSize is the template's live population: its full size minus the
 // queries degraded out of the run.
 func (d *deltaSampler) tmplSize(t int) int {
-	return d.pop.templateSize(t) - d.tmplDropped[t]
+	return len(d.opts.Templates.Members[t]) - d.tmplDropped[t]
 }
 
 // fold records a sampled row — out holds the alive configurations' costs
@@ -155,7 +155,7 @@ func (d *deltaSampler) fold(sl slot, out []float64) {
 	copy(d.hist[n:], out)
 
 	s := d.strata[sl.h]
-	tmpl := d.opts.TemplateIndex[sl.q]
+	tmpl := d.opts.Templates.Of[sl.q]
 	d.rowTmpl[d.nrows] = int32(tmpl)
 	d.nrows++
 
@@ -406,25 +406,34 @@ func (d *deltaSampler) splitTarget(int) (j int, targetVar float64, ok bool) {
 }
 
 // applySplit replaces the split stratum with its two children, partitioning
-// the unsampled order and replaying the sampled rows into the right child.
+// the unsampled order and replaying the sampled rows into them. The left
+// child takes the parent's index and the right child the next free one;
+// stratumOf points at both before the partition reads it.
 func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 	parent := d.strata[dec.stratum]
-	leftTmpls, rightTmpls, inLeft := splitParts(parent.templates, dec)
+	leftTmpls, rightTmpls := splitParts(parent.templates, dec)
 	mk := func(tmpls []int) *dStratum {
 		size := 0
 		for _, t := range tmpls {
 			size += d.tmplSize(t)
 		}
 		// A warm stratum's children keep the prior moments of their own
-		// member templates.
-		return d.makeStratum(stratum{templates: tmpls, size: size, pilotN: d.opts.NMin, hasPrior: parent.hasPrior})
+		// member templates. A child's unsampled queries number at most
+		// its live size.
+		return d.makeStratum(stratum{templates: tmpls, size: size, order: make([]int, 0, size),
+			pilotN: d.opts.NMin, hasPrior: parent.hasPrior})
 	}
 	left, right := mk(leftTmpls), mk(rightTmpls)
+	ri := len(d.strata)
+	for _, t := range rightTmpls {
+		d.stratumOf[t] = ri
+	}
 
 	// Partition the remaining (unsampled) order, preserving its random
 	// relative order within each child.
+	of := d.opts.Templates.Of
 	for _, q := range parent.order[parent.next:] {
-		if inLeft[d.opts.TemplateIndex[q]] {
+		if d.stratumOf[of[q]] == dec.stratum {
 			left.order = append(left.order, q)
 		} else {
 			right.order = append(right.order, q)
@@ -432,12 +441,14 @@ func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 	}
 	// Replay the parent's sampled rows into the children.
 	for c := d.rowWalk(); c.next(); {
-		if d.stratumOf[c.tmpl] != dec.stratum {
-			continue
-		}
-		child := right
-		if inLeft[c.tmpl] {
+		var child *dStratum
+		switch d.stratumOf[c.tmpl] {
+		case dec.stratum:
 			child = left
+		case ri:
+			child = right
+		default:
+			continue
 		}
 		child.n++
 		cb := c.costs[indexOf(c.cfgs, d.best)]
@@ -453,9 +464,6 @@ func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 	left.avgOver = d.avgOverhead(left.order)
 	right.avgOver = d.avgOverhead(right.order)
 	d.strata[dec.stratum] = left
-	for _, t := range rightTmpls {
-		d.stratumOf[t] = len(d.strata)
-	}
 	d.strata = append(d.strata, right)
-	return dec.stratum, len(d.strata) - 1
+	return dec.stratum, ri
 }

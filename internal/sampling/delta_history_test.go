@@ -22,13 +22,13 @@ import (
 // against the final incumbent.
 func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 	const k, templates = 50, 12
-	m, tmplIdx := synthMatrix(4000, k, templates, 0.004, 2, 71)
+	m, tmpls := synthMatrix(4000, k, templates, 0.004, 2, 71)
 	var log eventLog
 	d := newDeltaSampler(NewMatrixOracle(m), Options{
 		Scheme: Delta, Strat: Progressive, Alpha: 0.9, StabilityWindow: 5,
 		EliminationThreshold: 0.995, NMin: 20, RNG: stats.NewRNG(5),
-		TemplateIndex: tmplIdx, TemplateCount: templates,
-		Tracer: obs.NewTracerSinks(&log),
+		Templates: tmpls,
+		Tracer:    obs.NewTracerSinks(&log),
 	}.withDefaults())
 	res, err := d.run()
 	if err != nil {

@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"physdes/internal/obs"
 	"physdes/internal/stats"
@@ -98,7 +99,6 @@ type estimator interface {
 type driver struct {
 	o    Oracle
 	opts Options
-	pop  *population
 	e    estimator
 
 	k int
@@ -144,7 +144,6 @@ func newDriver(o Oracle, opts Options) *driver {
 	k := o.K()
 	d := &driver{
 		o: o, opts: opts,
-		pop:        newPopulation(opts.TemplateIndex, opts.TemplateCount, o.N()),
 		k:          k,
 		shared:     opts.Scheme == Delta,
 		parts:      k,
@@ -159,7 +158,7 @@ func newDriver(o Oracle, opts Options) *driver {
 	if d.shared {
 		d.parts = 1
 	}
-	d.tcols = make([][]moments, opts.TemplateCount)
+	d.tcols = make([][]moments, len(opts.Templates.Members))
 	for t := range d.tcols {
 		d.tcols[t] = make([]moments, k)
 	}
@@ -174,21 +173,30 @@ func newDriver(o Oracle, opts Options) *driver {
 // resumed from a compatible warm snapshot, otherwise cold.
 func (d *driver) start(e estimator) {
 	d.e = e
-	if wr := planWarm(d.opts.WarmState, &d.opts, d.opts.Scheme, d.k, d.pop); wr != nil {
+	if wr := planWarm(d.opts.WarmState, &d.opts, d.opts.Scheme, d.k); wr != nil {
 		d.initWarm(wr)
 		return
 	}
 	for part := 0; part < d.parts; part++ {
-		for _, tmpls := range d.pop.initialTemplates(d.opts.Strat) {
+		for _, tmpls := range initialTemplates(d.opts.Templates.Members, d.opts.Strat) {
 			e.addStratum(part, d.newStratum(tmpls))
 		}
 	}
 }
 
 // newStratum builds a stratum over the templates' members in a fresh
-// random order.
+// random order: a copy of the shared members, shuffled.
 func (d *driver) newStratum(templates []int) stratum {
-	order := d.pop.shuffledMembers(templates, d.opts.RNG)
+	members := d.opts.Templates.Members
+	n := 0
+	for _, t := range templates {
+		n += len(members[t])
+	}
+	order := make([]int, 0, n)
+	for _, t := range templates {
+		order = append(order, members[t]...)
+	}
+	d.opts.RNG.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	return stratum{
 		templates: templates,
 		size:      len(order),
@@ -225,14 +233,14 @@ func (d *driver) initWarm(wr *warmResume) {
 	if wr.best >= 0 {
 		d.best = wr.best
 	}
-	d.prior = wr.templatePriors(d.opts.TemplateCount, d.k, d.shared)
+	d.prior = wr.templatePriors(len(d.opts.Templates.Members), d.k, d.shared)
 	reusedTotal := 0
 	for part := 0; part < d.parts; part++ {
 		pi := 0
 		if !d.shared {
 			pi = wr.cfgMap[part]
 		}
-		groups, reused := wr.groupsFor(pi, d.pop, d.opts.Strat)
+		groups, reused := wr.groupsFor(pi, d.opts.Templates.Members, d.opts.Strat)
 		sizes := make([]int, 0, reused)
 		for gi, tmpls := range groups {
 			st := d.newStratum(tmpls)
@@ -978,18 +986,14 @@ func (d *driver) splittable(part, h int) bool {
 
 // splitParts divides a split stratum's templates into the decision's
 // left child (copied: dec.left aliases the split scratch) and the rest.
-func splitParts(templates []int, dec splitDecision) (left, right []int, inLeft map[int]bool) {
+func splitParts(templates []int, dec splitDecision) (left, right []int) {
 	left = append([]int(nil), dec.left...)
-	inLeft = make(map[int]bool, len(left))
-	for _, t := range left {
-		inLeft[t] = true
-	}
 	for _, t := range templates {
-		if !inLeft[t] {
+		if !slices.Contains(left, t) {
 			right = append(right, t)
 		}
 	}
-	return left, right, inLeft
+	return left, right
 }
 
 // captureState snapshots the final stratification for a later warm start:
@@ -998,7 +1002,7 @@ func splitParts(templates []int, dec splitDecision) (left, right []int, inLeft m
 // are captured — a warm run's inherited prior never compounds across
 // chained snapshots, so staleness is bounded by one generation.
 func (d *driver) captureState() *StratState {
-	tc := d.opts.TemplateCount
+	tc := len(d.opts.Templates.Members)
 	if !d.opts.CaptureState || tc <= 0 ||
 		len(d.opts.TemplateSigs) != tc || len(d.opts.ConfigFingerprints) != d.k {
 		return nil
@@ -1014,7 +1018,7 @@ func (d *driver) captureState() *StratState {
 	}
 	d.e.syncCross()
 	for t, ts := range templateStates(d.tcols, d.shared) {
-		if d.pop.templateSize(t) == 0 {
+		if len(d.opts.Templates.Members[t]) == 0 {
 			continue
 		}
 		ts.ID = d.opts.TemplateSigs[t].ID

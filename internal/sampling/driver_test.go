@@ -100,18 +100,18 @@ func goldenLine(t *testing.T, name string, res *Result, rounds []recorder.Round)
 // check sheds the contradicted prior).
 func driverGoldenCells() (*workload.CostMatrix, []goldenCell) {
 	const templates, k = 10, 4
-	m, tmplIdx := synthMatrix(4000, k, templates, 0.01, 2, 17)
+	m, tmpls := synthMatrix(4000, k, templates, 0.01, 2, 17)
 	base := func(scheme Scheme, strat StratMode, seed uint64) Options {
 		return Options{
 			Scheme: scheme, Strat: strat,
 			Alpha: 0.9, StabilityWindow: 5, EliminationThreshold: 0.995, NMin: 20,
-			RNG:           stats.NewRNG(seed),
-			TemplateIndex: tmplIdx, TemplateCount: templates,
+			RNG:          stats.NewRNG(seed),
+			Templates:    tmpls,
 			TemplateSigs: sigsFor(templates), ConfigFingerprints: fpsFor(k),
 			CaptureState: true,
 		}
 	}
-	callCost := func(q int) float64 { return 1 + float64(tmplIdx[q]*tmplIdx[q]) }
+	callCost := func(q int) float64 { return 1 + float64(tmpls.Of[q]*tmpls.Of[q]) }
 	bound := func(n int) (float64, bool) {
 		if n >= 400 {
 			return 0, false
@@ -242,15 +242,15 @@ func attr(e obs.Event, key string) any {
 // would draw until it had costed the whole workload.
 func TestEliminationKeepsAlphaBudget(t *testing.T) {
 	const n, k, templates, alpha = 10_000, 50, 10, 0.9
-	m, tmplIdx := synthMatrix(n, k, templates, 0.01, 8, 3)
+	m, tmpls := synthMatrix(n, k, templates, 0.01, 8, 3)
 	for seed := uint64(1); seed <= 3; seed++ {
 		log := &eventLog{}
 		res, err := Run(NewMatrixOracle(m), Options{
 			Scheme: Delta, Strat: Progressive,
 			Alpha: alpha, StabilityWindow: 10, EliminationThreshold: 0.995,
-			RNG:           stats.NewRNG(seed),
-			TemplateIndex: tmplIdx, TemplateCount: templates,
-			Tracer: obs.NewTracerSinks(log),
+			RNG:       stats.NewRNG(seed),
+			Templates: tmpls,
+			Tracer:    obs.NewTracerSinks(log),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestEliminationKeepsAlphaBudget(t *testing.T) {
 // replay a history of rows folded while more configurations were alive.
 func BenchmarkDeltaRounds(b *testing.B) {
 	const n, k, templates = 6_000, 200, 40
-	m, tmplIdx := synthMatrix(n, k, templates, 0.005, 3, 5)
+	m, tmpls := synthMatrix(n, k, templates, 0.005, 3, 5)
 	for _, bc := range []struct {
 		name string
 		elim float64
@@ -311,8 +311,8 @@ func BenchmarkDeltaRounds(b *testing.B) {
 					Alpha: 0.9, StabilityWindow: 10,
 					EliminationThreshold: bc.elim,
 					RNG:                  stats.NewRNG(uint64(i) + 1),
-					TemplateIndex:        tmplIdx, TemplateCount: templates,
-					Metrics: reg,
+					Templates:            tmpls,
+					Metrics:              reg,
 				})
 				if err != nil {
 					b.Fatal(err)

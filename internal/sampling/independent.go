@@ -62,7 +62,7 @@ func (s *independentSampler) fold(sl slot, out []float64) {
 	j, c := sl.part, out[0]
 	s.lastSampled = j
 	s.strata[j][sl.h].fresh.add(c)
-	s.tcols[s.opts.TemplateIndex[sl.q]][j].add(c)
+	s.tcols[s.opts.Templates.Of[sl.q]][j].add(c)
 }
 
 func (s *independentSampler) columns(j int, dst []stratMoments) []stratMoments {
@@ -92,7 +92,7 @@ func (s *independentSampler) varianceDrop(j, h int) float64 {
 }
 
 func (s *independentSampler) tmplMoments(t, j int) (moments, int) {
-	return s.tcols[t][j], s.pop.templateSize(t)
+	return s.tcols[t][j], len(s.opts.Templates.Members[t])
 }
 
 func (s *independentSampler) tmplObs(j, t int) int { return s.tcols[t][j].n }
@@ -133,7 +133,7 @@ func (s *independentSampler) splitTarget(ci int) (j int, targetVar float64, ok b
 func (s *independentSampler) applySplit(ci int, dec splitDecision) (int, int) {
 	strata := s.strata[ci]
 	parent := strata[dec.stratum]
-	leftTmpls, rightTmpls, _ := splitParts(parent.templates, dec)
+	leftTmpls, rightTmpls := splitParts(parent.templates, dec)
 	strata[dec.stratum] = strata[len(strata)-1]
 	s.strata[ci] = strata[:len(strata)-1]
 	left, right := s.newStratum(leftTmpls), s.newStratum(rightTmpls)

@@ -14,12 +14,12 @@ import (
 // wildly different magnitudes, a tiny gap, and a small n_min so the split
 // gate (expected allocation ≥ 2·n_min, all templates observed) opens.
 func TestIndependentProgressiveSplits(t *testing.T) {
-	m, tmplIdx := synthMatrix(6000, 2, 3, 0.002, 3, 61)
+	m, tmpls := synthMatrix(6000, 2, 3, 0.002, 3, 61)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Independent, Strat: Progressive,
 		MaxCalls: 9000, NMin: 8,
-		RNG:           stats.NewRNG(62),
-		TemplateIndex: tmplIdx, TemplateCount: 3,
+		RNG:       stats.NewRNG(62),
+		Templates: tmpls,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +38,13 @@ func TestIndependentProgressiveSplits(t *testing.T) {
 }
 
 func TestIndependentEliminationFires(t *testing.T) {
-	m, tmplIdx := synthMatrix(3000, 4, 3, 0.05, 1, 63)
+	m, tmpls := synthMatrix(3000, 4, 3, 0.05, 1, 63)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Independent, Strat: NoStrat,
 		Alpha: 0.999, StabilityWindow: 20, NMin: 10,
 		EliminationThreshold: 0.99,
 		RNG:                  stats.NewRNG(64),
-		TemplateIndex:        tmplIdx, TemplateCount: 3,
+		Templates:            tmpls,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestLiveOracle(t *testing.T) {
 	// Run the full primitive through the live oracle.
 	res, err := Run(o, Options{
 		Scheme: Delta, Alpha: 0.9, RNG: stats.NewRNG(66),
-		TemplateIndex: w.TemplateIndexOf(), TemplateCount: w.NumTemplates(),
+		Templates: w.Partition(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"physdes/internal/obs"
 	"physdes/internal/stats"
+	"physdes/internal/workload"
 )
 
 // Scheme selects the sampling scheme of Section 4.
@@ -102,12 +103,11 @@ type Options struct {
 	// it fires. nil means run to completion.
 	Ctx context.Context
 
-	// TemplateIndex maps each query to a dense template index; required
-	// for any stratification mode (see workload.TemplateIndexOf). nil puts
-	// every query in one template.
-	TemplateIndex []int
-	// TemplateCount is the number of distinct templates.
-	TemplateCount int
+	// Templates partitions the queries by template (Workload.Partition,
+	// or workload.NewPartition over a dense index); required for any
+	// stratification mode. The run only reads it, so concurrent runs may
+	// share one. The zero value puts every query in one template.
+	Templates workload.Partition
 
 	// VarianceBound, when non-nil, substitutes a conservative upper bound
 	// for the sample variance of the estimator variable (Section 6.2's
@@ -184,10 +184,8 @@ func (o Options) validate(oracle Oracle) error {
 	if oracle.N() < 1 {
 		return errors.New("sampling: empty workload")
 	}
-	if o.Strat != NoStrat {
-		if len(o.TemplateIndex) != oracle.N() || o.TemplateCount <= 0 {
-			return errors.New("sampling: stratification requires TemplateIndex/TemplateCount")
-		}
+	if n := len(o.Templates.Of); n != oracle.N() && (n > 0 || o.Strat != NoStrat) {
+		return fmt.Errorf("sampling: Options.Templates partitions %d queries, want %d", n, oracle.N())
 	}
 	return nil
 }

@@ -152,9 +152,6 @@ func (o *MatrixOracle) BatchCost(pairs []Pair, out []float64, _ int) {
 	o.calls.Add(int64(len(pairs)))
 }
 
-// ResetCalls zeroes the counter.
-func (o *MatrixOracle) ResetCalls() { o.calls.Store(0) }
-
 // CostSource is the what-if cost source behind a LiveOracle: the plain
 // optimizer (*optimizer.Optimizer, every probe one what-if call) or the
 // atom store (*optimizer.AtomicCache, only unseen atoms reach the

@@ -1,5 +1,7 @@
 package sampling
 
+import "physdes/internal/workload"
+
 // Run executes the configuration-selection procedure (Algorithm 1) with the
 // selected scheme and stratification mode, terminating when Pr(CS) exceeds
 // Options.Alpha for the stability window (adaptive mode) or when the call
@@ -14,8 +16,8 @@ func Run(o Oracle, opts Options) (*Result, error) {
 	if err := opts.ctxErr(); err != nil {
 		return nil, err
 	}
-	if opts.TemplateIndex == nil {
-		opts.TemplateIndex, opts.TemplateCount = make([]int, o.N()), 1
+	if opts.Templates.Of == nil {
+		opts.Templates = workload.NewPartition(make([]int, o.N()))
 	}
 	switch opts.Scheme {
 	case Delta:

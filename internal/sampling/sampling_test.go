@@ -13,7 +13,7 @@ import (
 // and configuration offsets, mimicking the structure real workloads show:
 // template determines magnitude, configurations shift costs coherently
 // (positive covariance).
-func synthMatrix(n, k, templates int, gapFrac, noise float64, seed uint64) (*workload.CostMatrix, []int) {
+func synthMatrix(n, k, templates int, gapFrac, noise float64, seed uint64) (*workload.CostMatrix, workload.Partition) {
 	rng := stats.NewRNG(seed)
 	tmplIdx := make([]int, n)
 	tmplBase := make([]float64, templates)
@@ -45,7 +45,7 @@ func synthMatrix(n, k, templates int, gapFrac, noise float64, seed uint64) (*wor
 		}
 		m.Costs[i] = row
 	}
-	return m, tmplIdx
+	return m, workload.NewPartition(tmplIdx)
 }
 
 func baseOpts(seed uint64) Options {
@@ -63,7 +63,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	o := Options{RNG: stats.NewRNG(1), Strat: Progressive}
 	if _, err := Run(NewMatrixOracle(m), o); err == nil {
-		t.Error("stratification without TemplateIndex should error")
+		t.Error("stratification without Templates should error")
 	}
 }
 
@@ -146,7 +146,7 @@ func TestDeltaBeatsIndependentMonteCarlo(t *testing.T) {
 // The estimators must be unbiased: across Monte-Carlo runs the mean of X_j
 // should track the true total cost.
 func TestEstimatorUnbiasedness(t *testing.T) {
-	m, tmplIdx := synthMatrix(3000, 2, 6, 0.05, 1, 8)
+	m, tmpls := synthMatrix(3000, 2, 6, 0.05, 1, 8)
 	true0 := m.TotalCost(0)
 	for _, mode := range []StratMode{NoStrat, Fine} {
 		var sum float64
@@ -155,7 +155,7 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 			d := newDeltaSampler(NewMatrixOracle(m), Options{
 				Scheme: Delta, Strat: mode, Alpha: 0.9, NMin: 10,
 				MaxCalls: 600, RNG: stats.NewRNG(uint64(r) + 999),
-				TemplateIndex: tmplIdx, TemplateCount: 6,
+				Templates: tmpls,
 			}.withDefaults())
 			for h := range d.strata {
 				for d.strata[h].n < min(10, d.strata[h].size) {
@@ -182,15 +182,15 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 // PrCS ≥ α in adaptive mode, the empirical correct-selection rate across
 // Monte-Carlo runs must be at least roughly α.
 func TestPrCSCalibration(t *testing.T) {
-	m, tmplIdx := synthMatrix(4000, 2, 6, 0.03, 1, 10)
+	m, tmpls := synthMatrix(4000, 2, 6, 0.03, 1, 10)
 	const runs = 300
 	correct := 0
 	var claimed float64
 	for r := 0; r < runs; r++ {
 		res, err := Run(NewMatrixOracle(m), Options{
 			Scheme: Delta, Strat: Progressive, Alpha: 0.9,
-			TemplateIndex: tmplIdx, TemplateCount: 6,
-			RNG: stats.NewRNG(uint64(r) + 5000),
+			Templates: tmpls,
+			RNG:       stats.NewRNG(uint64(r) + 5000),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestPrCSCalibration(t *testing.T) {
 // Stratification must help when template costs differ by orders of
 // magnitude (the Section 5 setting).
 func TestStratificationReducesError(t *testing.T) {
-	m, tmplIdx := synthMatrix(4000, 2, 10, 0.015, 3, 12)
+	m, tmpls := synthMatrix(4000, 2, 10, 0.015, 3, 12)
 	const budget = 400
 	const runs = 300
 	correct := map[StratMode]int{}
@@ -218,8 +218,8 @@ func TestStratificationReducesError(t *testing.T) {
 		for r := 0; r < runs; r++ {
 			res, err := Run(NewMatrixOracle(m), Options{
 				Scheme: Delta, Strat: mode, MaxCalls: budget, NMin: 20,
-				TemplateIndex: tmplIdx, TemplateCount: 10,
-				RNG: stats.NewRNG(uint64(r)*3 + 31),
+				Templates: tmpls,
+				RNG:       stats.NewRNG(uint64(r)*3 + 31),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -238,11 +238,11 @@ func TestStratificationReducesError(t *testing.T) {
 }
 
 func TestProgressiveSplitsHappen(t *testing.T) {
-	m, tmplIdx := synthMatrix(4000, 2, 10, 0.01, 2, 14)
+	m, tmpls := synthMatrix(4000, 2, 10, 0.01, 2, 14)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Strat: Progressive, MaxCalls: 2000, NMin: 20,
-		TemplateIndex: tmplIdx, TemplateCount: 10,
-		RNG: stats.NewRNG(77),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(77),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,11 +254,11 @@ func TestProgressiveSplitsHappen(t *testing.T) {
 }
 
 func TestFineStratificationStartsPerTemplate(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 2, 12, 0.05, 1, 16)
+	m, tmpls := synthMatrix(2000, 2, 12, 0.05, 1, 16)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Strat: Fine, MaxCalls: 300, NMin: 5,
-		TemplateIndex: tmplIdx, TemplateCount: 12,
-		RNG: stats.NewRNG(78),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(78),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +271,12 @@ func TestFineStratificationStartsPerTemplate(t *testing.T) {
 func TestEliminationDropsConfigs(t *testing.T) {
 	// 10 configurations with widening gaps: the distant ones must be
 	// eliminated while the near ones keep the sampler busy.
-	m, tmplIdx := synthMatrix(4000, 10, 6, 0.01, 2, 18)
+	m, tmpls := synthMatrix(4000, 10, 6, 0.01, 2, 18)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Strat: NoStrat, Alpha: 0.99, StabilityWindow: 10,
 		EliminationThreshold: 0.995,
-		TemplateIndex:        tmplIdx, TemplateCount: 6,
-		RNG: stats.NewRNG(79),
+		Templates:            tmpls,
+		RNG:                  stats.NewRNG(79),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,12 +300,12 @@ func TestEliminationDropsConfigs(t *testing.T) {
 }
 
 func TestStabilityWindowOversamples(t *testing.T) {
-	m, tmplIdx := synthMatrix(3000, 2, 6, 0.10, 1, 20)
+	m, tmpls := synthMatrix(3000, 2, 6, 0.10, 1, 20)
 	run := func(window int) int {
 		res, err := Run(NewMatrixOracle(m), Options{
 			Scheme: Delta, Alpha: 0.9, StabilityWindow: window,
-			TemplateIndex: tmplIdx, TemplateCount: 6,
-			RNG: stats.NewRNG(80),
+			Templates: tmpls,
+			RNG:       stats.NewRNG(80),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -321,12 +321,12 @@ func TestStabilityWindowOversamples(t *testing.T) {
 func TestDeltaSamplingExactWhenExhausted(t *testing.T) {
 	// Tiny workload: the sampler sweeps everything and must report
 	// certainty and the exact best configuration.
-	m, tmplIdx := synthMatrix(40, 3, 2, 0.001, 5, 22)
+	m, tmpls := synthMatrix(40, 3, 2, 0.001, 5, 22)
 	best, _ := m.BestConfig()
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Alpha: 0.999999, StabilityWindow: 3,
-		TemplateIndex: tmplIdx, TemplateCount: 2,
-		RNG: stats.NewRNG(81),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(81),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,12 +343,12 @@ func TestDeltaHandlesSensitivityDelta(t *testing.T) {
 	// Two nearly identical configurations: with δ larger than the true
 	// gap, the primitive should terminate quickly instead of sampling the
 	// whole workload.
-	m, tmplIdx := synthMatrix(5000, 2, 6, 0.001, 1, 24)
+	m, tmpls := synthMatrix(5000, 2, 6, 0.001, 1, 24)
 	gap := math.Abs(m.TotalCost(1) - m.TotalCost(0))
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Alpha: 0.9, Delta: gap * 50,
-		TemplateIndex: tmplIdx, TemplateCount: 6,
-		RNG: stats.NewRNG(82),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(82),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,8 +358,8 @@ func TestDeltaHandlesSensitivityDelta(t *testing.T) {
 	}
 	resTight, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Alpha: 0.9, Delta: 0,
-		TemplateIndex: tmplIdx, TemplateCount: 6,
-		RNG: stats.NewRNG(82),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(82),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -371,11 +371,11 @@ func TestDeltaHandlesSensitivityDelta(t *testing.T) {
 }
 
 func TestVarianceBoundMakesConservative(t *testing.T) {
-	m, tmplIdx := synthMatrix(3000, 2, 6, 0.05, 1, 26)
+	m, tmpls := synthMatrix(3000, 2, 6, 0.05, 1, 26)
 	noBound, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Alpha: 0.9,
-		TemplateIndex: tmplIdx, TemplateCount: 6,
-		RNG: stats.NewRNG(83),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(83),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,8 +383,8 @@ func TestVarianceBoundMakesConservative(t *testing.T) {
 	// A huge conservative bound forces more sampling.
 	bounded, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Delta, Alpha: 0.9,
-		TemplateIndex: tmplIdx, TemplateCount: 6,
-		RNG: stats.NewRNG(83),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(83),
 		VarianceBound: func(int) (float64, bool) {
 			return 1e9, true
 		},
@@ -399,11 +399,11 @@ func TestVarianceBoundMakesConservative(t *testing.T) {
 }
 
 func TestRunTraced(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 2, 6, 0.05, 1, 28)
+	m, tmpls := synthMatrix(2000, 2, 6, 0.05, 1, 28)
 	opts := Options{
 		Scheme: Delta, Alpha: 0.9,
-		TemplateIndex: tmplIdx, TemplateCount: 6,
-		RNG: stats.NewRNG(84),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(84),
 	}
 	rec := traced(&opts)
 	if _, err := Run(NewMatrixOracle(m), opts); err != nil {
@@ -421,11 +421,11 @@ func TestRunTraced(t *testing.T) {
 }
 
 func TestIndependentEqualAllocMode(t *testing.T) {
-	m, tmplIdx := synthMatrix(2000, 2, 8, 0.05, 1, 30)
+	m, tmpls := synthMatrix(2000, 2, 8, 0.05, 1, 30)
 	res, err := Run(NewMatrixOracle(m), Options{
 		Scheme: Independent, Strat: EqualAlloc, MaxCalls: 400, NMin: 5,
-		TemplateIndex: tmplIdx, TemplateCount: 8,
-		RNG: stats.NewRNG(85),
+		Templates: tmpls,
+		RNG:       stats.NewRNG(85),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,10 +448,6 @@ func TestMatrixOracleCounting(t *testing.T) {
 	o.Cost(1, 1)
 	if o.Calls() != 2 {
 		t.Errorf("Calls = %d", o.Calls())
-	}
-	o.ResetCalls()
-	if o.Calls() != 0 {
-		t.Error("ResetCalls failed")
 	}
 }
 

@@ -71,7 +71,7 @@ func TestSharedOracle(t *testing.T) {
 
 	res, err := Run(o, Options{
 		Scheme: Delta, Alpha: 0.9, RNG: stats.NewRNG(66),
-		TemplateIndex: w.TemplateIndexOf(), TemplateCount: w.NumTemplates(),
+		Templates: w.Partition(),
 	})
 	if err != nil {
 		t.Fatal(err)

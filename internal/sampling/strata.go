@@ -7,55 +7,28 @@ import (
 	"physdes/internal/stats"
 )
 
-// population partitions the workload's query indices by template.
-type population struct {
-	n          int
-	byTemplate [][]int // template index → query indices
-}
-
-func newPopulation(templateIndex []int, templateCount, n int) *population {
-	p := &population{n: n, byTemplate: make([][]int, templateCount)}
-	for q, t := range templateIndex {
-		p.byTemplate[t] = append(p.byTemplate[t], q)
-	}
-	return p
-}
-
-func (p *population) templateSize(t int) int { return len(p.byTemplate[t]) }
-
 // initialTemplates returns the template partition for the starting
 // stratification of a mode: one stratum of all templates (NoStrat /
 // Progressive) or one stratum per non-empty template (Fine / EqualAlloc).
-func (p *population) initialTemplates(mode StratMode) [][]int {
+func initialTemplates(members [][]int, mode StratMode) [][]int {
 	switch mode {
 	case Fine, EqualAlloc:
 		var out [][]int
-		for t := range p.byTemplate {
-			if len(p.byTemplate[t]) > 0 {
+		for t := range members {
+			if len(members[t]) > 0 {
 				out = append(out, []int{t})
 			}
 		}
 		return out
 	default:
 		var all []int
-		for t := range p.byTemplate {
-			if len(p.byTemplate[t]) > 0 {
+		for t := range members {
+			if len(members[t]) > 0 {
 				all = append(all, t)
 			}
 		}
 		return [][]int{all}
 	}
-}
-
-// shuffledMembers returns a random permutation of the queries belonging to
-// the given templates — the sampling order of a stratum.
-func (p *population) shuffledMembers(templates []int, rng *stats.RNG) []int {
-	var out []int
-	for _, t := range templates {
-		out = append(out, p.byTemplate[t]...)
-	}
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
 }
 
 // tmplStat summarizes one template inside a stratum for split search:

@@ -293,14 +293,15 @@ type warmResume struct {
 // snapshot is nil, empty, from a different scheme/stratification, shaped
 // inconsistently, or aligned with none of the current templates or
 // configurations. k is the current configuration count.
-func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *population) *warmResume {
+func planWarm(st *StratState, opts *Options, scheme Scheme, k int) *warmResume {
 	if st.empty() || st.Version != stratStateVersion {
 		return nil
 	}
 	if st.Scheme != scheme.String() || st.Strat != opts.Strat.String() {
 		return nil
 	}
-	if opts.TemplateCount <= 0 || len(opts.TemplateSigs) != opts.TemplateCount {
+	members := opts.Templates.Members
+	if len(members) == 0 || len(opts.TemplateSigs) != len(members) {
 		return nil
 	}
 	if len(opts.ConfigFingerprints) != k || st.K != len(st.Configs) {
@@ -326,8 +327,8 @@ func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *populati
 		st:       st,
 		cfgMap:   cfgMap,
 		best:     -1,
-		stateIdx: make([]int, opts.TemplateCount),
-		dense:    make(map[uint64]int, opts.TemplateCount),
+		stateIdx: make([]int, len(members)),
+		dense:    make(map[uint64]int, len(members)),
 	}
 	if st.Best >= 0 && st.Best < len(st.Configs) {
 		wr.best = slices.Index(opts.ConfigFingerprints, st.Configs[st.Best])
@@ -335,7 +336,7 @@ func planWarm(st *StratState, opts *Options, scheme Scheme, k int, pop *populati
 	needCross := scheme == Delta
 	for t := range wr.stateIdx {
 		wr.stateIdx[t] = -1
-		if pop.templateSize(t) == 0 {
+		if len(members[t]) == 0 {
 			continue
 		}
 		sig := opts.TemplateSigs[t]
@@ -433,7 +434,7 @@ func (pr tmplPrior) column(templates []int, j int) moments {
 // snapshot strata restricted to known templates first (order preserved,
 // members sorted by dense index), then the fresh templates grouped per
 // the stratification mode's cold-start semantics.
-func (wr *warmResume) groupsFor(pi int, pop *population, mode StratMode) (groups [][]int, reused int) {
+func (wr *warmResume) groupsFor(pi int, members [][]int, mode StratMode) (groups [][]int, reused int) {
 	placed := make([]bool, len(wr.stateIdx))
 	for _, part := range wr.st.Partitions[pi] {
 		var g []int
@@ -451,7 +452,7 @@ func (wr *warmResume) groupsFor(pi int, pop *population, mode StratMode) (groups
 	reused = len(groups)
 	var leftover []int
 	for t := range wr.stateIdx {
-		if !placed[t] && pop.templateSize(t) > 0 {
+		if !placed[t] && len(members[t]) > 0 {
 			leftover = append(leftover, t)
 		}
 	}

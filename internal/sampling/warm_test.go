@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"physdes/internal/stats"
+	"physdes/internal/workload"
 )
 
 func sigsFor(templates int) []TemplateSig {
@@ -29,15 +30,14 @@ func fpsFor(k int) []string {
 	return fps
 }
 
-func warmOpts(seed uint64, templates int, tmplIdx []int, k int) Options {
+func warmOpts(seed uint64, tmpls workload.Partition, k int) Options {
 	return Options{
 		Scheme:             Delta,
 		Strat:              Progressive,
 		Alpha:              0.9,
 		RNG:                stats.NewRNG(seed),
-		TemplateIndex:      tmplIdx,
-		TemplateCount:      templates,
-		TemplateSigs:       sigsFor(templates),
+		Templates:          tmpls,
+		TemplateSigs:       sigsFor(len(tmpls.Members)),
 		ConfigFingerprints: fpsFor(k),
 		CaptureState:       true,
 	}
@@ -120,8 +120,8 @@ func TestMarshalCanonicalRoundTrip(t *testing.T) {
 // capture runs a cold, state-capturing selection and returns its result.
 func captureRun(t *testing.T, seed uint64) (*Result, Options, *MatrixOracle) {
 	t.Helper()
-	m, tmplIdx := synthMatrix(3000, 3, 6, 0.08, 1, seed)
-	o := warmOpts(seed, 6, tmplIdx, 3)
+	m, tmpls := synthMatrix(3000, 3, 6, 0.08, 1, seed)
+	o := warmOpts(seed, tmpls, 3)
 	oracle := NewMatrixOracle(m)
 	res, err := Run(oracle, o)
 	if err != nil {
@@ -137,14 +137,13 @@ func TestPlanWarmDegradesToNil(t *testing.T) {
 	res, o, _ := captureRun(t, 21)
 	good := res.State
 	opts := o.withDefaults()
-	pop := newPopulation(opts.TemplateIndex, opts.TemplateCount, len(opts.TemplateIndex))
-	if planWarm(good, &opts, Delta, 3, pop) == nil {
+	if planWarm(good, &opts, Delta, 3) == nil {
 		t.Fatal("compatible snapshot rejected")
 	}
 
 	check := func(name string, st *StratState, scheme Scheme, k int) {
 		t.Helper()
-		if wr := planWarm(st, &opts, scheme, k, pop); wr != nil {
+		if wr := planWarm(st, &opts, scheme, k); wr != nil {
 			t.Errorf("%s: expected nil warm plan", name)
 		}
 	}
@@ -174,7 +173,7 @@ func TestPlanWarmDegradesToNil(t *testing.T) {
 	// Options missing template signatures: cold.
 	noSigs := opts
 	noSigs.TemplateSigs = nil
-	if planWarm(good, &noSigs, Delta, 3, pop) != nil {
+	if planWarm(good, &noSigs, Delta, 3) != nil {
 		t.Error("missing TemplateSigs: expected nil warm plan")
 	}
 
@@ -189,14 +188,14 @@ func TestPlanWarmDegradesToNil(t *testing.T) {
 
 func TestWarmEmptyStateBitIdentity(t *testing.T) {
 	for _, scheme := range []Scheme{Delta, Independent} {
-		m, tmplIdx := synthMatrix(2500, 3, 6, 0.08, 1, 31)
-		cold := warmOpts(31, 6, tmplIdx, 3)
+		m, tmpls := synthMatrix(2500, 3, 6, 0.08, 1, 31)
+		cold := warmOpts(31, tmpls, 3)
 		cold.Scheme = scheme
 		resCold, err := Run(NewMatrixOracle(m), cold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := warmOpts(31, 6, tmplIdx, 3)
+		warm := warmOpts(31, tmpls, 3)
 		warm.Scheme = scheme
 		warm.WarmState = &StratState{}
 		resWarm, err := Run(NewMatrixOracle(m), warm)
@@ -211,14 +210,14 @@ func TestWarmEmptyStateBitIdentity(t *testing.T) {
 
 func TestWarmRerunSavesCalls(t *testing.T) {
 	for _, scheme := range []Scheme{Delta, Independent} {
-		m, tmplIdx := synthMatrix(3000, 3, 6, 0.08, 1, 41)
-		cold := warmOpts(41, 6, tmplIdx, 3)
+		m, tmpls := synthMatrix(3000, 3, 6, 0.08, 1, 41)
+		cold := warmOpts(41, tmpls, 3)
 		cold.Scheme = scheme
 		resCold, err := Run(NewMatrixOracle(m), cold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := warmOpts(43, 6, tmplIdx, 3)
+		warm := warmOpts(43, tmpls, 3)
 		warm.Scheme = scheme
 		warm.WarmState = resCold.State
 		resWarm, err := Run(NewMatrixOracle(m), warm)
@@ -270,8 +269,8 @@ func TestWarmDriftedTemplateRepiloted(t *testing.T) {
 		m.Observe(1e6 + float64(i))
 	}
 	warm.TemplateSigs[0].Params = []ParamMoment{m}
-	mtx, tmplIdx := synthMatrix(3000, 3, 6, 0.08, 1, 51)
-	warm.TemplateIndex = tmplIdx
+	mtx, tmpls := synthMatrix(3000, 3, 6, 0.08, 1, 51)
+	warm.Templates = tmpls
 	resWarm, err := Run(NewMatrixOracle(mtx), warm)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ package tuner
 
 import (
 	"math"
-	"runtime"
 
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
@@ -27,12 +26,6 @@ type Options struct {
 	// MinGain is the minimum relative cost reduction a structure must
 	// deliver to be added (default 0.001).
 	MinGain float64
-	// Parallelism bounds the worker pool each round's candidate
-	// evaluations fan out over (default runtime.GOMAXPROCS(0); 1 forces
-	// serial). Candidates are scored independently and the winner is
-	// picked by a serial first-strict-minimum scan, so the recommendation
-	// is identical at every setting.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -41,9 +34,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinGain <= 0 {
 		o.MinGain = 0.001
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -100,12 +90,13 @@ func Greedy(opt *optimizer.Optimizer, cat *catalog.Catalog, w *workload.Workload
 	remaining := append([]physical.Structure(nil), candidates...)
 
 	for iter := 0; iter < o.MaxStructures && len(remaining) > 0; iter++ {
-		// Score every affordable candidate in parallel (each probe is a
-		// pure what-if evaluation of the workload under a fresh
+		// Score every affordable candidate in parallel over all cores (each
+		// probe is a pure what-if evaluation of the workload under a fresh
 		// configuration), then pick the winner serially in candidate order
-		// — the same argmin the serial loop computes.
+		// — the same argmin the serial loop computes, so the
+		// recommendation does not depend on the worker count.
 		probeCosts := make([]float64, len(remaining))
-		par.For(len(remaining), o.Parallelism, func(ci int) {
+		par.For(len(remaining), par.Default(), func(ci int) {
 			cand := remaining[ci]
 			if o.BudgetBytes > 0 && usedBytes+cand.SizeBytes(cat) > o.BudgetBytes {
 				probeCosts[ci] = math.NaN()

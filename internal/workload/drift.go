@@ -144,10 +144,10 @@ func GenTPCDDrift(cat *catalog.Catalog, o DriftOptions) ([]DriftWindow, error) {
 		}
 		// Recover each active template's observed shape ID from the
 		// parsed workload so callers can check cross-window identity.
-		idx := w.TemplateIndexOf()
+		of := w.Partition().Of
 		infos := w.Templates()
 		for qi, pick := range picks {
-			dw.IDs[pick] = uint64(infos[idx[qi]].ID)
+			dw.IDs[pick] = uint64(infos[of[qi]].ID)
 		}
 		windows = append(windows, dw)
 	}

@@ -121,7 +121,7 @@ func parseEach(t *testing.T, cat *catalog.Catalog, sqls []string) *Workload {
 	}
 	ref := New(queries)
 	for _, tid := range order {
-		ref.templates[tid].SQL = templateSQL[tid]
+		ref.infos[ref.dense[tid]].SQL = templateSQL[tid]
 	}
 	return ref
 }

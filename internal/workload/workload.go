@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"physdes/internal/catalog"
@@ -34,27 +35,58 @@ type TemplateInfo struct {
 	Members []int
 }
 
-// Workload is an ordered collection of queries with template bookkeeping.
-type Workload struct {
-	Queries   []*Query
-	templates map[sqlparse.TemplateID]*TemplateInfo
-	order     []sqlparse.TemplateID // deterministic template order
+// Partition is the workload's split into templates in the dense form the
+// stratification code reads: Of maps each query to its template index,
+// Members maps each template to its queries in ascending order. A
+// workload's partition is shared by every Select over it, read-only.
+type Partition struct {
+	Of      []int
+	Members [][]int
 }
 
-// New assembles a workload from queries, computing template membership.
+// NewPartition builds the partition of a dense template index: query q
+// belongs to template of[q], and there are max(of)+1 templates.
+func NewPartition(of []int) Partition {
+	count := 0
+	for _, t := range of {
+		count = max(count, t+1)
+	}
+	members := make([][]int, count)
+	for q, t := range of {
+		members[t] = append(members[t], q)
+	}
+	return Partition{Of: of, Members: members}
+}
+
+// Workload is an ordered collection of queries with template bookkeeping.
+type Workload struct {
+	Queries []*Query
+	infos   []*TemplateInfo             // templates in first-appearance order
+	dense   map[sqlparse.TemplateID]int // template ID → index into infos
+	part    Partition
+}
+
+// New assembles a workload from queries, computing template membership
+// and the dense partition (templates in first-appearance order).
 func New(queries []*Query) *Workload {
 	w := &Workload{
-		Queries:   queries,
-		templates: make(map[sqlparse.TemplateID]*TemplateInfo),
+		Queries: queries,
+		dense:   make(map[sqlparse.TemplateID]int),
+		part:    Partition{Of: make([]int, len(queries))},
 	}
-	for _, q := range queries {
-		ti, ok := w.templates[q.Template]
+	for i, q := range queries {
+		t, ok := w.dense[q.Template]
 		if !ok {
-			ti = &TemplateInfo{ID: q.Template}
-			w.templates[q.Template] = ti
-			w.order = append(w.order, q.Template)
+			t = len(w.infos)
+			w.dense[q.Template] = t
+			w.infos = append(w.infos, &TemplateInfo{ID: q.Template})
 		}
-		ti.Members = append(ti.Members, q.ID)
+		w.infos[t].Members = append(w.infos[t].Members, q.ID)
+		w.part.Of[i] = t
+	}
+	w.part.Members = make([][]int, len(w.infos))
+	for t, ti := range w.infos {
+		w.part.Members[t] = ti.Members
 	}
 	return w
 }
@@ -111,7 +143,7 @@ func Parse(cat *catalog.Catalog, sqls []string) (*Workload, error) {
 	}
 	w := New(queries)
 	for tid, tSQL := range templateSQL {
-		w.templates[tid].SQL = tSQL
+		w.infos[w.dense[tid]].SQL = tSQL
 	}
 	return w, nil
 }
@@ -129,37 +161,24 @@ func (w *Workload) Analyses() []*sqlparse.Analysis {
 }
 
 // NumTemplates returns the number of distinct templates (the paper's T).
-func (w *Workload) NumTemplates() int { return len(w.templates) }
+func (w *Workload) NumTemplates() int { return len(w.infos) }
 
 // Templates returns template infos in first-appearance order.
-func (w *Workload) Templates() []*TemplateInfo {
-	out := make([]*TemplateInfo, 0, len(w.order))
-	for _, id := range w.order {
-		out = append(out, w.templates[id])
-	}
-	return out
-}
+func (w *Workload) Templates() []*TemplateInfo { return slices.Clone(w.infos) }
 
 // Template returns the info for one template ID.
 func (w *Workload) Template(id sqlparse.TemplateID) (*TemplateInfo, bool) {
-	ti, ok := w.templates[id]
-	return ti, ok
+	t, ok := w.dense[id]
+	if !ok {
+		return nil, false
+	}
+	return w.infos[t], true
 }
 
-// TemplateIndexOf returns a dense index in [0, NumTemplates) for each
-// query, in first-appearance template order — the representation the
-// stratification code operates on.
-func (w *Workload) TemplateIndexOf() []int {
-	idx := make(map[sqlparse.TemplateID]int, len(w.order))
-	for i, id := range w.order {
-		idx[id] = i
-	}
-	out := make([]int, len(w.Queries))
-	for i, q := range w.Queries {
-		out[i] = idx[q.Template]
-	}
-	return out
-}
+// Partition returns the workload's template partition, templates in
+// first-appearance order (Members[t] is Templates()[t].Members). It is
+// built once by New and shared: callers must not modify it.
+func (w *Workload) Partition() Partition { return w.part }
 
 // Subset returns a new workload of the queries with the given IDs (in the
 // given order), renumbered from 0. Template bookkeeping is recomputed.
@@ -188,7 +207,7 @@ func (w *Workload) KindCounts() map[string]int {
 // used by compression baselines and reports.
 func (w *Workload) TemplateSizes() []int {
 	var out []int
-	for _, ti := range w.templates {
+	for _, ti := range w.infos {
 		out = append(out, len(ti.Members))
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))

@@ -3,6 +3,7 @@ package workload
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"physdes/internal/catalog"
@@ -39,9 +40,8 @@ func TestParseAndTemplates(t *testing.T) {
 	if tis[0].SQL == "" || tis[1].SQL == "" {
 		t.Error("template SQL not recorded")
 	}
-	idx := w.TemplateIndexOf()
-	if idx[0] != 0 || idx[1] != 0 || idx[2] != 1 {
-		t.Errorf("TemplateIndexOf = %v", idx)
+	if of := w.Partition().Of; of[0] != 0 || of[1] != 0 || of[2] != 1 {
+		t.Errorf("Partition().Of = %v", of)
 	}
 	if ti, ok := w.Template(w.Queries[2].Template); !ok || len(ti.Members) != 1 {
 		t.Error("Template lookup failed")
@@ -77,6 +77,79 @@ func TestSubset(t *testing.T) {
 	// Original untouched.
 	if w.Queries[0].ID != 0 || w.Size() != 3 {
 		t.Error("Subset mutated the original")
+	}
+}
+
+// checkPartition asserts that w's partition agrees with itself and with
+// Templates(): Of and Members describe the same split, templates are in
+// first-appearance order and Members are ascending.
+func checkPartition(t *testing.T, w *Workload) {
+	t.Helper()
+	p := w.Partition()
+	if len(p.Of) != w.Size() || len(p.Members) != w.NumTemplates() {
+		t.Fatalf("partition of %d queries, %d templates; workload has %d, %d",
+			len(p.Of), len(p.Members), w.Size(), w.NumTemplates())
+	}
+	tis := w.Templates()
+	seen := 0
+	for q, tmpl := range p.Of {
+		if tis[tmpl].ID != w.Queries[q].Template {
+			t.Fatalf("query %d: Of = %d, template %v; want %v", q, tmpl, tis[tmpl].ID, w.Queries[q].Template)
+		}
+		if tmpl > seen {
+			t.Fatalf("query %d opens template %d before template %d", q, tmpl, seen)
+		}
+		if tmpl == seen {
+			seen++
+		}
+	}
+	total := 0
+	for tmpl, ms := range p.Members {
+		if !reflect.DeepEqual(ms, tis[tmpl].Members) {
+			t.Fatalf("Members[%d] = %v, Templates()[%d].Members = %v", tmpl, ms, tmpl, tis[tmpl].Members)
+		}
+		for i, q := range ms {
+			if p.Of[q] != tmpl {
+				t.Fatalf("Members[%d] holds query %d of template %d", tmpl, q, p.Of[q])
+			}
+			if i > 0 && ms[i-1] >= q {
+				t.Fatalf("Members[%d] not ascending: %v", tmpl, ms)
+			}
+		}
+		total += len(ms)
+	}
+	if total != w.Size() {
+		t.Fatalf("Members hold %d queries, want %d", total, w.Size())
+	}
+	if !reflect.DeepEqual(NewPartition(p.Of), p) {
+		t.Fatal("NewPartition(Of) differs from the workload's partition")
+	}
+}
+
+func TestPartition(t *testing.T) {
+	w, err := GenCRM(crmCat, 600, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPartition(t, w)
+
+	// A subset renumbers its queries and rebuilds the partition from them:
+	// reversing the workload reverses first-appearance order.
+	ids := make([]int, 0, w.Size()/2)
+	for q := w.Size() - 1; q >= 0; q -= 2 {
+		ids = append(ids, q)
+	}
+	sub := w.Subset(ids)
+	checkPartition(t, sub)
+	if got, want := sub.Templates()[0].ID, w.Queries[ids[0]].Template; got != want {
+		t.Errorf("subset's first template = %v, want %v", got, want)
+	}
+
+	// A synthetic index keeps its numbering, gaps included.
+	p := NewPartition([]int{2, 0, 2, 2, 0})
+	want := Partition{Of: []int{2, 0, 2, 2, 0}, Members: [][]int{{1, 4}, nil, {0, 2, 3}}}
+	if !reflect.DeepEqual(p, want) {
+		t.Errorf("NewPartition = %+v, want %+v", p, want)
 	}
 }
 
