@@ -332,8 +332,8 @@ func run(exp string, p experiments.Params, csvDir string, reg *obs.Registry, jso
 		fmt.Fprintln(out, "Atomic what-if sharing: call reduction on the Table 2 candidate spaces")
 		fmt.Fprintln(out, "(full cost surface, direct vs atom-store oracle, bit-identical costs required)")
 		for _, r := range rows {
-			fmt.Fprintf(out, "  k=%-4d queries=%-5d pairs=%-8d direct=%-8d shared=%-7d reduction=%5.1fx  atoms=%-6d hits=%-8d fallbacks=%d\n",
-				r.K, r.Queries, r.Pairs, r.DirectCalls, r.SharedCalls, r.Reduction, r.Atoms, r.AtomHits, r.Fallbacks)
+			fmt.Fprintf(out, "  k=%-4d queries=%-5d pairs=%-8d direct=%-8d shared=%-7d reduction=%5.1fx  atoms=%-6d hits=%d\n",
+				r.K, r.Queries, r.Pairs, r.DirectCalls, r.SharedCalls, r.Reduction, r.Atoms, r.AtomHits)
 		}
 		if jsonOut != "" {
 			if err := experiments.WriteAtomsJSON(jsonOut, rows); err != nil {

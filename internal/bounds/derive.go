@@ -1,8 +1,6 @@
 package bounds
 
 import (
-	"slices"
-
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
 	"physdes/internal/par"
@@ -116,32 +114,35 @@ func (d *Deriver) updateInterval(a *sqlparse.Analysis) Interval {
 // WorkloadIntervals derives cost intervals for the entire workload.
 // SELECT statements are bounded individually; DML statements are bounded
 // per template via their extreme-selectivity members, so the optimizer is
-// called O(#templates) rather than O(N) times for the DML part.
+// called O(#templates) rather than O(N) times for the DML part. Templates
+// are the workload's partition.
 func (d *Deriver) WorkloadIntervals(w *workload.Workload) []Interval {
-	out := make([]Interval, w.Size())
-
-	// Per-template extreme members for DML.
-	type extremes struct {
-		minQ, maxQ     int
-		minSel, maxSel float64
-		seen           bool
-	}
-	ext := make(map[sqlparse.TemplateID]*extremes)
-	for _, q := range w.Queries {
-		if !q.Analysis.Kind.IsUpdate() {
-			continue
-		}
-		sel := d.opt.SelectivityOf(q.Analysis)
-		e, ok := ext[q.Template]
-		if !ok {
-			ext[q.Template] = &extremes{minQ: q.ID, maxQ: q.ID, minSel: sel, maxSel: sel, seen: true}
-			continue
-		}
-		if sel < e.minSel {
-			e.minSel, e.minQ = sel, q.ID
-		}
-		if sel > e.maxSel {
-			e.maxSel, e.maxQ = sel, q.ID
+	part := w.Partition()
+	// Per template: its DML members of least and greatest selectivity
+	// (the first of equals; minQ < 0 when it has none), and the
+	// best-for-query configuration of its first SELECT member, built
+	// serially in first-occurrence order.
+	minQ := make([]int, len(part.Members))
+	maxQ := make([]int, len(part.Members))
+	bestOf := make([]*physical.Configuration, len(part.Members))
+	for t, members := range part.Members {
+		minQ[t], maxQ[t] = -1, -1
+		var minSel, maxSel float64
+		for _, q := range members {
+			a := w.Queries[q].Analysis
+			if !a.Kind.IsUpdate() {
+				if bestOf[t] == nil {
+					bestOf[t] = d.bestForQuery(a)
+				}
+				continue
+			}
+			sel := d.opt.SelectivityOf(a)
+			if minQ[t] < 0 || sel < minSel {
+				minSel, minQ[t] = sel, q
+			}
+			if maxQ[t] < 0 || sel > maxSel {
+				maxSel, maxQ[t] = sel, q
+			}
 		}
 	}
 	// Template bounds derive from two member statements; other members'
@@ -149,51 +150,30 @@ func (d *Deriver) WorkloadIntervals(w *workload.Workload) []Interval {
 	// so widen accordingly (the paper: "even very conservative cost bounds
 	// tend to work well").
 	bandLo, bandHi := optimizer.CostBand()
-	tids := make([]sqlparse.TemplateID, 0, len(ext))
-	//physdes:orderinsensitive pure key collection; sorted before any use
-	for tid := range ext {
-		tids = append(tids, tid)
-	}
-	slices.Sort(tids)
-	dmlIvs := make([]Interval, len(tids))
-	par.For(len(tids), d.par, func(i int) {
-		e := ext[tids[i]]
-		lo := d.updateInterval(w.Queries[e.minQ].Analysis).Lo * bandLo / bandHi
-		hi := d.updateInterval(w.Queries[e.maxQ].Analysis).Hi * bandHi / bandLo
+	dml := make([]Interval, len(part.Members))
+	par.For(len(part.Members), d.par, func(t int) {
+		if minQ[t] < 0 {
+			return
+		}
+		lo := d.updateInterval(w.Queries[minQ[t]].Analysis).Lo * bandLo / bandHi
+		hi := d.updateInterval(w.Queries[maxQ[t]].Analysis).Hi * bandHi / bandLo
 		if lo > hi {
 			lo = hi
 		}
-		dmlIvs[i] = Interval{Lo: lo, Hi: hi}
+		dml[t] = Interval{Lo: lo, Hi: hi}
 	})
-	dmlBounds := make(map[sqlparse.TemplateID]Interval, len(tids))
-	for i, tid := range tids {
-		dmlBounds[tid] = dmlIvs[i]
-	}
 
 	// SELECT statements derive independently (base + best-for-query
-	// configuration costs per query). The best-for-query configuration is
-	// built once per template, serially in first-occurrence order; the
-	// fan-out then makes only the two what-if calls per statement and
-	// folds them into positional slots.
-	selIdx := make([]int, 0, w.Size())
-	bestOf := make([]*physical.Configuration, 0, w.Size())
-	perTemplate := make(map[sqlparse.TemplateID]*physical.Configuration)
-	for i, q := range w.Queries {
-		if q.Analysis.Kind.IsUpdate() {
-			out[i] = dmlBounds[q.Template]
-			continue
+	// configuration costs per query): the fan-out makes only the two
+	// what-if calls per statement and folds them into positional slots.
+	out := make([]Interval, w.Size())
+	par.For(w.Size(), d.par, func(i int) {
+		t := part.Of[i]
+		if a := w.Queries[i].Analysis; a.Kind.IsUpdate() {
+			out[i] = dml[t]
+		} else {
+			out[i] = d.selectInterval(a, bestOf[t])
 		}
-		best, ok := perTemplate[q.Template]
-		if !ok {
-			best = d.bestForQuery(q.Analysis)
-			perTemplate[q.Template] = best
-		}
-		selIdx = append(selIdx, i)
-		bestOf = append(bestOf, best)
-	}
-	par.For(len(selIdx), d.par, func(ii int) {
-		i := selIdx[ii]
-		out[i] = d.selectInterval(w.Queries[i].Analysis, bestOf[ii])
 	})
 	return out
 }

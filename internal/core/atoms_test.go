@@ -12,6 +12,7 @@ import (
 	"physdes/internal/faultinject"
 	"physdes/internal/obs"
 	"physdes/internal/obs/recorder"
+	"physdes/internal/optimizer"
 	"physdes/internal/sampling"
 	"physdes/internal/workload"
 )
@@ -99,8 +100,8 @@ func TestPrCSGuaranteeWithAtomSharing(t *testing.T) {
 
 // TestSelectAtomSharingBitIdentity pins the sharing layer's contract at the
 // Selection level: a seeded Select probing through the atom store and one
-// whose WrapOracle swaps in direct costing (a LiveOracle over the bare
-// optimizer) must agree on every decision field — only the what-if call
+// whose WrapOracle swaps in direct costing (a matrix oracle over the full
+// cost surface, one call per pair) must agree on every decision field — only the what-if call
 // bill may differ, and it must differ in sharing's favor, both in the
 // Selection and in the flight recorder's RunReport. The decision fields
 // are additionally pinned to a golden fixture so an exactness regression
@@ -120,9 +121,10 @@ func TestSelectAtomSharingBitIdentity(t *testing.T) {
 		}
 		return sel, rec
 	}
+	direct := workload.ComputeCostMatrix(optimizer.New(opt.Catalog()), w, space)
 	selOn, recOn := run(nil)
 	selOff, recOff := run(func(sampling.Oracle) sampling.Oracle {
-		return sampling.NewLiveOracle(opt, w, space)
+		return sampling.NewMatrixOracle(direct)
 	})
 
 	// Every decision field must match; strip the call accounting before

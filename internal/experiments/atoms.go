@@ -23,7 +23,7 @@ type AtomsRow struct {
 	// DirectCalls is what the direct evaluation charged (== Pairs).
 	DirectCalls int64 `json:"direct_calls"`
 	// SharedCalls is what the atom-store evaluation charged the inner
-	// optimizer: one call per distinct (query, atom) pair plus fallbacks.
+	// optimizer: one call per distinct (query, atom) pair.
 	SharedCalls int64 `json:"shared_calls"`
 	// Reduction is DirectCalls / SharedCalls.
 	Reduction float64 `json:"reduction"`
@@ -31,8 +31,6 @@ type AtomsRow struct {
 	AtomHits int64 `json:"atom_hits"`
 	// Atoms counts the distinct (query, atom) costings paid.
 	Atoms int64 `json:"atoms"`
-	// Fallbacks counts width-bound fallbacks to direct costing.
-	Fallbacks int64 `json:"fallbacks"`
 	// Identical reports whether the two cost surfaces matched bit-for-bit
 	// (the experiment's correctness gate; always true unless atoms.go
 	// regresses).
@@ -79,7 +77,7 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 			return nil, fmt.Errorf("experiments: atoms: k=%d cost surfaces diverged (sharing must be exact)", k)
 		}
 
-		hits, misses, fallbacks, _ := shared.Stats()
+		hits, misses, _ := shared.Stats()
 		row := AtomsRow{
 			K:           len(configs),
 			Queries:     w.Size(),
@@ -88,7 +86,6 @@ func AtomSharing(s *Scenario, ks []int, p Params) ([]AtomsRow, error) {
 			SharedCalls: shared.Calls(),
 			AtomHits:    hits,
 			Atoms:       misses,
-			Fallbacks:   fallbacks,
 			Identical:   identical,
 		}
 		if row.SharedCalls > 0 {

@@ -13,16 +13,10 @@ func project(in *atomInterner, ixs []*physical.Index, views []*physical.View) at
 	return in.projection(structureIDs(in, nil, nil, ixs, views), ixs, views)
 }
 
-// fallbackOf interns cfg as a width-bound fallback, as decompose does.
-func fallbackOf(in *atomInterner, cfg *physical.Configuration) atomRef {
-	return in.fallback(cfg, structureIDs(in, nil, nil, cfg.Indexes(), cfg.Views()))
-}
-
 // TestAtomIDSharedByFingerprint pins atom numbering to structure sets:
 // distinct *Index values with one ID share a dense id, hence one singleton
 // atom; projections listing one structure set in different orders are one
-// atom; distinct fallback configurations with one fingerprint share an id.
-// The empty projection is the empty atom.
+// atom. The empty projection is the empty atom.
 func TestAtomIDSharedByFingerprint(t *testing.T) {
 	var in atomInterner
 	a1 := in.singleton(physical.NewIndex("lineitem", []string{"l_orderkey"}))
@@ -47,19 +41,10 @@ func TestAtomIDSharedByFingerprint(t *testing.T) {
 	if e := project(&in, nil, nil); e != emptyAtom {
 		t.Errorf("empty projection %+v, want the empty atom %+v", e, emptyAtom)
 	}
-
-	wide := func() *physical.Configuration {
-		return physical.NewConfiguration("wide", narrow, covering, physical.NewIndex("orders", []string{"o_orderkey"}))
-	}
-	f1, f2 := fallbackOf(&in, wide()), fallbackOf(&in, wide())
-	if f1.cfg == f2.cfg || f1.id != f2.id {
-		t.Errorf("equal-fingerprint fallbacks: distinct=%v ids %d and %d, want distinct values sharing an id", f1.cfg != f2.cfg, f1.id, f2.id)
-	}
 }
 
 // TestAtomIDDistinctFingerprints pins the other direction: distinct
-// fingerprints get distinct ids, and a width-bound fallback
-// configuration's id differs from every atom's.
+// fingerprints get distinct ids.
 func TestAtomIDDistinctFingerprints(t *testing.T) {
 	var in atomInterner
 	ix := physical.NewIndex
@@ -87,13 +72,8 @@ func TestAtomIDDistinctFingerprints(t *testing.T) {
 	if p, s := project(&in, indexes[3:], nil), in.singleton(indexes[3]); p.id != s.id {
 		t.Errorf("one-index projection id %d, want its singleton's %d", p.id, s.id)
 	}
-	atoms := len(byID)
-	if atoms != 8 {
+	if atoms := len(byID); atoms != 8 {
 		t.Fatalf("%d distinct atom ids, want 8 (empty, 4 singletons, 3 projections)", atoms)
-	}
-	f := fallbackOf(&in, physical.NewConfiguration("wide", indexes[0], indexes[1], indexes[2], indexes[3]))
-	if _, ok := byID[f.id]; ok {
-		t.Errorf("fallback id %d collides with an atom's", f.id)
 	}
 }
 
@@ -128,10 +108,10 @@ func TestEqualIDStructuresShareAtom(t *testing.T) {
 			if id1, id2 := c.intern.indexID(ix1), c.intern.indexID(ix2); id1 != id2 {
 				t.Errorf("equal-ID indexes got dense ids %d and %d", id1, id2)
 			}
-			atoms1, fb1 := decompose(a, cfg1, c.maxWidth, &c.intern, nil, nil, nil, nil, nil)
-			atoms2, fb2 := decompose(a, cfg2, c.maxWidth, &c.intern, nil, nil, nil, nil, nil)
-			if fb1 || fb2 || len(atoms1) != tc.atoms || !reflect.DeepEqual(atoms1, atoms2) {
-				t.Fatalf("decompositions differ: %+v (fallback %v) vs %+v (fallback %v), want %d shared atoms", atoms1, fb1, atoms2, fb2, tc.atoms)
+			atoms1 := decompose(a, cfg1, &c.intern, nil, nil, nil, nil, nil)
+			atoms2 := decompose(a, cfg2, &c.intern, nil, nil, nil, nil, nil)
+			if len(atoms1) != tc.atoms || !reflect.DeepEqual(atoms1, atoms2) {
+				t.Fatalf("decompositions differ: %+v vs %+v, want %d shared atoms", atoms1, atoms2, tc.atoms)
 			}
 			want := New(testCat).Cost(a, cfg1)
 			if got := c.Cost(a, cfg1); got != want {

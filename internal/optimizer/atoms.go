@@ -65,13 +65,6 @@ import (
 // pair-by-pair row would, so values and accounting are identical to
 // len(cfgs) Cost calls.
 
-// DefaultMaxAtomWidth bounds the number of structures a projection atom
-// may hold. Projections wider than the bound (possible only for
-// statements referencing many tables under very wide configurations) fall
-// back to one direct what-if call on the full configuration, keeping the
-// atom-store keys small and the sharing profitable.
-const DefaultMaxAtomWidth = 16
-
 // emptyAtom is the shared zero-structure atom: it contributes the heap-scan
 // baseline to every singleton decomposition. Every interner gives it id 0.
 var emptyAtom = atomRef{cfg: physical.NewConfiguration("atom")}
@@ -93,30 +86,25 @@ const atomStackLen = 32
 // the direct cost exactly (TestAtomicCostEquivalence pins this bit for
 // bit): the empty atom plus one
 // singleton per relevant index for a single-table SELECT with no relevant
-// views, else the one projection atom — or, with fallback set, cfg itself
-// when that projection holds more than maxWidth structures. Atoms and ids
-// come from in, keyed by the sorted dense ids of their structures, which
+// views, else the one projection atom, however wide. Atoms and ids come
+// from in, keyed by the sorted dense ids of their structures, which
 // are gathered into idBuf. memo, when non-nil, is the row's memo of
 // structure relevance, dense ids and singleton atoms for statement a.
 // Scratch slices that are too small are replaced by heap slices.
 //
 //physdes:zeroalloc
-func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, maxWidth int, in *atomInterner, memo *rowMemo, ixBuf []*physical.Index, viewBuf []*physical.View, idBuf []uint32, atomBuf []atomRef) (atoms []atomRef, fallback bool) {
+func decompose(a *sqlparse.Analysis, cfg *physical.Configuration, in *atomInterner, memo *rowMemo, ixBuf []*physical.Index, viewBuf []*physical.View, idBuf []uint32, atomBuf []atomRef) []atomRef {
 	ixs, views := relevantStructures(a, cfg, memo, ixBuf, viewBuf)
 	if a.Kind == sqlparse.KindSelect && len(a.Tables) == 1 && len(views) == 0 {
-		atoms = scratch(atomBuf, len(ixs)+1)
+		atoms := scratch(atomBuf, len(ixs)+1)
 		atoms = put(atoms, emptyAtom)
 		for _, ix := range ixs {
 			atoms = put(atoms, memo.singleton(in, ix))
 		}
-		return atoms, false
-	}
-	if len(ixs)+len(views) > maxWidth {
-		ids := structureIDs(in, memo, idBuf, cfg.Indexes(), cfg.Views())
-		return put(scratch(atomBuf, 1), in.fallback(cfg, ids)), true
+		return atoms
 	}
 	ids := structureIDs(in, memo, idBuf, ixs, views)
-	return put(scratch(atomBuf, 1), in.projection(ids, ixs, views)), false
+	return put(scratch(atomBuf, 1), in.projection(ids, ixs, views))
 }
 
 // structureIDs gathers the dense ids of ixs and views into buf (heap
@@ -259,13 +247,12 @@ func tablesSubset(sub, super []string) bool {
 //
 // It first gives every structure a dense id on first sight: by ID string
 // once, then by pointer, so distinct *Index values with one ID share an
-// id. An atom — and a width-bound fallback configuration — is keyed by
-// the sorted set of its structures' ids; the first one interned with a
-// set gives it the next atom id, and every later one with that set gets
-// the same id. The atom store keys by atom id, so it shares entries
-// across distinct *Configuration values and across projections listing
-// one structure set in different orders, without building, hashing or
-// comparing a fingerprint string. Ids are per interner, so they depend
+// id. An atom is keyed by the sorted set of its structures' ids; the
+// first one interned with a set gives it the next atom id, and every later
+// one with that set gets the same id. The atom store keys by atom id, so
+// it shares entries across distinct *Configuration values and across
+// projections listing one structure set in different orders, without
+// building, hashing or comparing a fingerprint string. Ids are per interner, so they depend
 // only on the order the store saw its structures in.
 type atomInterner struct {
 	ixIDs   map[*physical.Index]uint32
@@ -285,8 +272,8 @@ type atomInterner struct {
 }
 
 // atomSet is one interned structure-id set — arena[off:off+n] — with its
-// atom id and its atom (nil for a fallback configuration's set). next
-// chains the sets sharing a setHash (-1 ends the chain).
+// atom id and its atom. next chains the sets sharing a setHash (-1 ends
+// the chain).
 type atomSet struct {
 	off, n uint32
 	id     uint32
@@ -392,18 +379,6 @@ func projectionAtom(ixs []*physical.Index, views []*physical.View) *physical.Con
 	return physical.NewConfiguration("atom", structs...)
 }
 
-// fallback returns cfg, a configuration costed whole, with the id of its
-// structure set, whose sorted dense ids are ids.
-//
-//physdes:zeroalloc
-func (in *atomInterner) fallback(cfg *physical.Configuration, ids []uint32) atomRef {
-	r, ok := in.lookup(ids)
-	if !ok {
-		r = in.add(ids, nil) //physdes:allocok intern on first sight: each distinct fallback set is numbered once per interner
-	}
-	return atomRef{cfg: cfg, id: r.id}
-}
-
 // lookup returns the atom of the interned id set ids, if any.
 //
 //physdes:zeroalloc
@@ -413,7 +388,7 @@ func (in *atomInterner) lookup(ids []uint32) (atomRef, bool) {
 }
 
 // add numbers the id set ids, which lookup does not find, under the next
-// atom id, with cfg its atom (nil for a fallback configuration's set).
+// atom id, with cfg its atom.
 func (in *atomInterner) add(ids []uint32, cfg *physical.Configuration) atomRef {
 	if in.heads == nil {
 		in.heads = make(map[uint64]int32)
@@ -469,17 +444,8 @@ func (in *atomInterner) findSet(h uint64, ids []uint32) (atomSet, bool) {
 // CostRow, guards the memo, the interner and the accounting, so the store
 // is safe for concurrent use and each distinct atom pays exactly one
 // inner call however concurrent callers interleave.
-//
-// A probe whose projection exceeds the width bound is costed directly
-// and memoized under the full configuration's id, so repeating it is free
-// as well. Atom and fallback ids never collide: a stored atom holds at
-// most maxWidth structures, a fallback configuration more, so their
-// structure sets differ.
 type AtomicCache struct {
 	inner *Optimizer
-	// maxWidth is DefaultMaxAtomWidth; tests narrow it to reach the
-	// fallback path.
-	maxWidth int
 
 	mu    sync.Mutex
 	table map[cacheKey]float64
@@ -487,7 +453,7 @@ type AtomicCache struct {
 	// the probe path builds each distinct atom once per store.
 	intern atomInterner
 
-	hits, misses, fallbacks int64
+	hits, misses int64
 	// hitCounter and atomCounter are SetMetrics' registry handles (nil:
 	// detached).
 	hitCounter, atomCounter *obs.Counter
@@ -506,10 +472,9 @@ type cacheKey struct {
 	atom uint32
 }
 
-// NewAtomicCache builds an atom store over the optimizer, with projection
-// atoms at most DefaultMaxAtomWidth wide.
+// NewAtomicCache builds an atom store over the optimizer.
 func NewAtomicCache(inner *Optimizer) *AtomicCache {
-	return &AtomicCache{inner: inner, maxWidth: DefaultMaxAtomWidth, table: make(map[cacheKey]float64)}
+	return &AtomicCache{inner: inner, table: make(map[cacheKey]float64)}
 }
 
 // Calls returns the inner optimizer's call count: only store misses reach
@@ -532,18 +497,15 @@ func (ac *AtomicCache) SetMetrics(r *obs.Registry) {
 }
 
 // Stats reports the store's accounting: lookups served from the store
-// (hits), atom costings paid (misses), width-bound fallbacks costed
-// directly, and the number of entries stored (atoms plus fallback
-// configurations).
-func (ac *AtomicCache) Stats() (hits, misses, fallbacks int64, entries int) {
+// (hits), atom costings paid (misses), and the number of entries stored.
+func (ac *AtomicCache) Stats() (hits, misses int64, entries int) {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	return ac.hits, ac.misses, ac.fallbacks, len(ac.table)
+	return ac.hits, ac.misses, len(ac.table)
 }
 
 // Cost evaluates the statement under cfg as the minimum over its atoms'
-// memoized costs: a row of one. Statements whose projection exceeds the
-// width bound pay one direct what-if call on first sight instead.
+// memoized costs: a row of one.
 //
 //physdes:zeroalloc
 func (ac *AtomicCache) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
@@ -584,17 +546,16 @@ func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configurat
 	var atomBuf [atomStackLen + 1]atomRef
 	hits := ac.hits
 	for i, cfg := range cfgs {
-		atoms, fallback := decompose(a, cfg, ac.maxWidth, &ac.intern, memo, ixBuf[:], viewBuf[:], idBuf[:], atomBuf[:])
 		best := math.Inf(1)
-		for _, atom := range atoms {
+		for _, atom := range decompose(a, cfg, &ac.intern, memo, ixBuf[:], viewBuf[:], idBuf[:], atomBuf[:]) {
 			var v float64
 			if e := memo.atom(atom.id); e == nil {
-				v = ac.memoCost(a, atom, fallback)
+				v = ac.memoCost(a, atom)
 			} else if e.used {
 				v = e.v
 				ac.hits++
 			} else {
-				v = ac.memoCost(a, atom, fallback)
+				v = ac.memoCost(a, atom)
 				e.id, e.used, e.v = atom.id, true, v
 			}
 			if v < best {
@@ -775,23 +736,18 @@ func (m *rowMemo) atom(id uint32) *atomEntry {
 	return nil
 }
 
-// memoCost returns the memoized cost of a under atom — an atom, or the
-// full configuration of a width-bound fallback — consulting the inner
-// optimizer on a miss; callers hold mu.
+// memoCost returns the memoized cost of a under atom, consulting the
+// inner optimizer on a miss; callers hold mu.
 //
 //physdes:zeroalloc
-func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef, fallback bool) float64 {
+func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef) float64 {
 	key := cacheKey{a: a, atom: atom.id}
 	if v, ok := ac.table[key]; ok {
 		ac.hits++
 		return v
 	}
-	if fallback {
-		ac.fallbacks++
-	} else {
-		ac.misses++
-		ac.atomCounter.Inc()
-	}
+	ac.misses++
+	ac.atomCounter.Inc()
 	v := ac.inner.Cost(a, atom.cfg)
 	ac.table[key] = v //physdes:allocok the memo grows once per distinct (statement, atom): the store's steady state is hits
 	return v

@@ -80,18 +80,18 @@ func FuzzAtomDecompose(f *testing.F) {
 			if i >= 48 {
 				break
 			}
-			f.Add(q.SQL, uint64(i+1)*0x9e3779b97f4a7c15, uint8(i))
+			f.Add(q.SQL, uint64(i+1)*0x9e3779b97f4a7c15)
 		}
 	}
 	// Hand-picked shapes the generators rarely emit: empty selector, wide
-	// selectors, and statements sharing a template with different widths.
-	f.Add("SELECT l_quantity FROM lineitem WHERE l_orderkey = 5", uint64(0), uint8(0))
-	f.Add("SELECT l_quantity FROM lineitem WHERE l_orderkey = 5", ^uint64(0), uint8(1))
-	f.Add("UPDATE lineitem SET l_quantity = 1 WHERE l_partkey = 3", uint64(0xff00ff00ff00ff0), uint8(3))
-	f.Add("DELETE FROM orders WHERE o_orderdate < 100", uint64(0x123456789abcdef), uint8(19))
-	f.Add("INSERT INTO customers (id, name) VALUES (1, 'x')", uint64(42), uint8(7))
+	// selectors, and DML.
+	f.Add("SELECT l_quantity FROM lineitem WHERE l_orderkey = 5", uint64(0))
+	f.Add("SELECT l_quantity FROM lineitem WHERE l_orderkey = 5", ^uint64(0))
+	f.Add("UPDATE lineitem SET l_quantity = 1 WHERE l_partkey = 3", uint64(0xff00ff00ff00ff0))
+	f.Add("DELETE FROM orders WHERE o_orderdate < 100", uint64(0x123456789abcdef))
+	f.Add("INSERT INTO customers (id, name) VALUES (1, 'x')", uint64(42))
 
-	f.Fuzz(func(t *testing.T, src string, sel uint64, width uint8) {
+	f.Fuzz(func(t *testing.T, src string, sel uint64) {
 		st, err := sqlparse.Parse(src)
 		if err != nil {
 			return // rejected inputs only need to not panic
@@ -102,23 +102,19 @@ func FuzzAtomDecompose(f *testing.F) {
 				continue // statement does not resolve against this catalog
 			}
 			cfg := fuzzConfig(sc.cands, sel)
-			maxWidth := int(width) % 20 // 0 selects DefaultMaxAtomWidth
-			plan := optimizer.Decompose(a, cfg, maxWidth)
+			atoms := optimizer.Decompose(a, cfg)
 			o := optimizer.New(sc.cat)
 			direct := o.Cost(a, cfg)
-			if plan.Fallback {
-				continue // over the width bound: costed directly, nothing to lose
-			}
 
 			best := math.Inf(1)
-			for _, atom := range plan.Atoms {
+			for _, atom := range atoms {
 				if v := o.Cost(a, atom); v < best {
 					best = v
 				}
 			}
 			if best != direct {
-				t.Fatalf("%s: atomic min %v != direct %v\nsrc=%q sel=%#x width=%d cfg=%s atoms=%d",
-					sc.name, best, direct, src, sel, maxWidth, cfg.Fingerprint(), len(plan.Atoms))
+				t.Fatalf("%s: atomic min %v != direct %v\nsrc=%q sel=%#x cfg=%s atoms=%d",
+					sc.name, best, direct, src, sel, cfg.Fingerprint(), len(atoms))
 			}
 
 			// Coverage: any cfg structure named in the winning plan's Explain
@@ -126,7 +122,7 @@ func FuzzAtomDecompose(f *testing.F) {
 			// parenthesized, so substring matching cannot confuse an index
 			// with an extension of its key.
 			union := make(map[string]bool)
-			for _, atom := range plan.Atoms {
+			for _, atom := range atoms {
 				for _, s := range atom.Structures() {
 					union[s.ID()] = true
 				}
@@ -152,8 +148,8 @@ func FuzzAtomDecompose(f *testing.F) {
 				}
 				for _, d := range details {
 					if strings.Contains(d, id) {
-						t.Fatalf("%s: plan uses %s but decomposition dropped it\nsrc=%q sel=%#x width=%d cfg=%s",
-							sc.name, id, src, sel, maxWidth, cfg.Fingerprint())
+						t.Fatalf("%s: plan uses %s but decomposition dropped it\nsrc=%q sel=%#x cfg=%s",
+							sc.name, id, src, sel, cfg.Fingerprint())
 					}
 				}
 			}

@@ -32,9 +32,9 @@ func TestAtomicCacheStatsAndMetrics(t *testing.T) {
 		t.Fatalf("atom-reassembled cost %v != direct cost %v", first, want)
 	}
 
-	hits, misses, fallbacks, entries := ac.Stats()
-	if hits != 3 || misses != 3 || fallbacks != 0 || entries != 3 {
-		t.Fatalf("Stats() = (%d, %d, %d, %d), want (3, 3, 0, 3)", hits, misses, fallbacks, entries)
+	hits, misses, entries := ac.Stats()
+	if hits != 3 || misses != 3 || entries != 3 {
+		t.Fatalf("Stats() = (%d, %d, %d), want (3, 3, 3)", hits, misses, entries)
 	}
 	snap := r.Snapshot()
 	if got := snap.Counters["optimizer_atom_hits_total"]; got != hits {
@@ -49,7 +49,7 @@ func TestAtomicCacheStatsAndMetrics(t *testing.T) {
 	ac.SetMetrics(nil)
 	ac.Cost(a, cfg)
 	ac.Cost(analyze(t, "SELECT l_quantity FROM lineitem WHERE l_partkey = 37"), cfg)
-	if h, m, _, _ := ac.Stats(); h != hits+3 || m != misses+3 {
+	if h, m, _ := ac.Stats(); h != hits+3 || m != misses+3 {
 		t.Fatalf("Stats() hits/misses after detaching = %d/%d, want %d/%d", h, m, hits+3, misses+3)
 	}
 	after := r.Snapshot()
@@ -60,70 +60,38 @@ func TestAtomicCacheStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestAtomicCacheWidthFallbackSerial pins the serial fallback path: a
-// statement whose projection exceeds the width bound pays one direct call,
-// is counted as a fallback, is stored under its full configuration, and
-// returns the direct cost exactly.
-func TestAtomicCacheWidthFallbackSerial(t *testing.T) {
-	ac := optimizer.NewAtomicCacheWidth(optimizer.New(atomsCat), 2)
-	ac.SetMetrics(obs.NewRegistry())
+// TestWideProjectionSharesAtom pins projections of any width as ordinary
+// atoms: two configurations holding the same 18 indexes relevant to a
+// join, and differing only in an index on a table the join does not read,
+// project onto one atom. The first probe pays one inner call, the second
+// is a store hit, and both return the direct cost.
+func TestWideProjectionSharesAtom(t *testing.T) {
 	a := analyze(t, "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200")
-	cfg := physical.NewConfiguration("c",
-		physical.NewIndex("orders", []string{"o_orderdate"}),
-		physical.NewIndex("orders", []string{"o_orderkey"}),
-		physical.NewIndex("lineitem", []string{"l_orderkey"}),
-	)
-	got := ac.Cost(a, cfg)
-	if want := optimizer.New(atomsCat).Cost(a, cfg); got != want {
-		t.Fatalf("fallback cost %v != direct cost %v", got, want)
-	}
-	hits, misses, fallbacks, entries := ac.Stats()
-	if fallbacks != 1 || misses != 0 || hits != 0 || entries != 1 {
-		t.Errorf("Stats() = (%d, %d, %d, %d), want fallback-only (0, 0, 1, 1)", hits, misses, fallbacks, entries)
-	}
-}
+	base := wideOrdersConfig().Structures()
+	cfgA := physical.NewConfiguration("a", append(base[:len(base):len(base)], physical.NewIndex("customer", []string{"c_custkey"}))...)
+	cfgB := physical.NewConfiguration("b", append(base[:len(base):len(base)], physical.NewIndex("customer", []string{"c_nationkey"}))...)
 
-// TestAtomicCacheFallbackMemoized pins the fallback memo: costing a
-// width-fallback pair twice — serially, or many times over concurrent
-// workers — charges one inner call, and the repeats count as store hits.
-func TestAtomicCacheFallbackMemoized(t *testing.T) {
-	a := analyze(t, "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200")
-	cfg := wideOrdersConfig()
-	want := optimizer.New(atomsCat).Cost(a, cfg)
-
-	serial := optimizer.NewAtomicCache(optimizer.New(atomsCat))
-	for i := 0; i < 2; i++ {
-		if got := serial.Cost(a, cfg); got != want {
-			t.Fatalf("probe %d: fallback cost %v != direct cost %v", i, got, want)
+	r := obs.NewRegistry()
+	ac := optimizer.NewAtomicCache(optimizer.New(atomsCat))
+	ac.SetMetrics(r)
+	direct := optimizer.New(atomsCat)
+	for _, cfg := range []*physical.Configuration{cfgA, cfgB} {
+		if got, want := ac.Cost(a, cfg), direct.Cost(a, cfg); got != want {
+			t.Fatalf("%s: atomic cost %v, direct %v", cfg.Name(), got, want)
 		}
 	}
-	if calls := serial.Calls(); calls != 1 {
-		t.Errorf("serial: two fallback probes charged %d inner calls, want 1", calls)
+	if calls := ac.Calls(); calls != 1 {
+		t.Errorf("two configurations with one wide projection paid %d inner calls, want 1", calls)
 	}
-	if hits, misses, fallbacks, _ := serial.Stats(); hits != 1 || misses != 0 || fallbacks != 1 {
-		t.Errorf("serial: Stats() hits/misses/fallbacks = %d/%d/%d, want 1/0/1", hits, misses, fallbacks)
-	}
-
-	// The pair sixteen times over four workers.
-	reqs := make([]probe, 16)
-	for i := range reqs {
-		reqs[i] = probe{Analysis: a, Config: cfg}
-	}
-	concurrent := optimizer.NewAtomicCache(optimizer.New(atomsCat))
-	for i, got := range costConcurrently(concurrent, reqs, 4) {
-		if got != want {
-			t.Fatalf("concurrent probe %d: %v != direct cost %v", i, got, want)
-		}
-	}
-	if calls := concurrent.Calls(); calls != 1 {
-		t.Errorf("concurrent: %d fallback probes charged %d inner calls, want 1", len(reqs), calls)
+	snap := r.Snapshot()
+	if atoms, hits := snap.Counters["optimizer_atoms_total"], snap.Counters["optimizer_atom_hits_total"]; atoms != 1 || hits != 1 {
+		t.Errorf("atoms/hits = %d/%d, want 1/1 (one shared projection atom)", atoms, hits)
 	}
 }
 
 // wideOrdersConfig builds a configuration whose projection on the
-// orders⋈lineitem join exceeds DefaultMaxAtomWidth (9 lead-o_orderdate
-// variants + 9 lead-o_orderkey variants = 18 relevant indexes), forcing
-// the width-bound fallback.
+// orders⋈lineitem join holds 18 indexes (9 lead-o_orderdate variants + 9
+// lead-o_orderkey variants), all relevant to the join.
 func wideOrdersConfig() *physical.Configuration {
 	seconds := []string{
 		"o_custkey", "o_orderstatus", "o_totalprice", "o_orderpriority",
@@ -145,12 +113,11 @@ func wideOrdersConfig() *physical.Configuration {
 }
 
 // TestCachedAtomicBatchMetrics drives the atom store from concurrent
-// workers with a registry attached and a width-bound fallback in the mix:
-// every value must match direct costing, the fallback must be billed as a
-// direct call, the registry counters must equal Stats — which must in
-// turn equal a fresh store evaluating the same probes serially — and the
-// inner optimizer's latency histogram must hold one observation per paid
-// costing, atom or fallback.
+// workers with a registry attached and an 18-index projection in the mix:
+// every value must match direct costing, the registry counters must equal
+// Stats — which must in turn equal a fresh store evaluating the same
+// probes serially — and the inner optimizer's latency histogram must hold
+// one observation per paid atom.
 func TestCachedAtomicBatchMetrics(t *testing.T) {
 	analyses := []*sqlparse.Analysis{
 		analyze(t, "SELECT l_quantity FROM lineitem WHERE l_partkey = 37"),
@@ -171,7 +138,7 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	}
 	wideCfg := wideOrdersConfig()
 
-	// 4×4 overlapping cross product + the wide fallback + a repeated pair.
+	// 4×4 overlapping cross product + the wide projection + a repeated pair.
 	var reqs []probe
 	for _, a := range analyses {
 		for _, cfg := range configs {
@@ -197,13 +164,10 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 		}
 	}
 
-	hits, misses, fallbacks, entries := c.Stats()
-	if fallbacks != 1 {
-		t.Errorf("fallbacks = %d, want 1 (the width-%d projection)", fallbacks, wideCfg.NumStructures())
-	}
-	if misses <= 0 || hits <= 0 || entries != int(misses+fallbacks) {
-		t.Errorf("Stats() = (%d, %d, %d, %d): want positive hits/misses and entries == misses + fallbacks",
-			hits, misses, fallbacks, entries)
+	hits, misses, entries := c.Stats()
+	if misses <= 0 || hits <= 0 || entries != int(misses) {
+		t.Errorf("Stats() = (%d, %d, %d): want positive hits/misses and entries == misses",
+			hits, misses, entries)
 	}
 	snap := r.Snapshot()
 	if got := snap.Counters["optimizer_atom_hits_total"]; got != hits {
@@ -212,8 +176,8 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	if got := snap.Counters["optimizer_atoms_total"]; got != misses {
 		t.Errorf("optimizer_atoms_total = %d, want %d", got, misses)
 	}
-	if got := snap.Histograms["optimizer_cost_seconds"].Count; got != misses+fallbacks {
-		t.Errorf("optimizer_cost_seconds count = %d, want %d (one per paid costing)", got, misses+fallbacks)
+	if got := snap.Histograms["optimizer_cost_seconds"].Count; got != misses {
+		t.Errorf("optimizer_cost_seconds count = %d, want %d (one per paid atom)", got, misses)
 	}
 
 	// Accounting parity with the serial path: a fresh store fed the same
@@ -222,10 +186,10 @@ func TestCachedAtomicBatchMetrics(t *testing.T) {
 	for _, req := range reqs {
 		s.Cost(req.Analysis, req.Config)
 	}
-	sh, sm, sf, se := s.Stats()
-	if sh != hits || sm != misses || sf != fallbacks || se != entries {
-		t.Errorf("concurrent accounting (%d, %d, %d, %d) != serial accounting (%d, %d, %d, %d)",
-			hits, misses, fallbacks, entries, sh, sm, sf, se)
+	sh, sm, se := s.Stats()
+	if sh != hits || sm != misses || se != entries {
+		t.Errorf("concurrent accounting (%d, %d, %d) != serial accounting (%d, %d, %d)",
+			hits, misses, entries, sh, sm, se)
 	}
 	if bi, si := c.Calls(), s.Calls(); bi != si {
 		t.Errorf("concurrent probes charged %d inner calls, serial charged %d; must match", bi, si)

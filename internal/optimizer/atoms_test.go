@@ -143,8 +143,8 @@ func TestAtomicCostEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// Guard against the test passing vacuously through the fallback
-			// path: sharing must actually shrink the what-if bill.
+			// Guard against the test passing vacuously: sharing must actually
+			// shrink the what-if bill.
 			if totalAtomCalls >= totalPairs {
 				t.Errorf("atom sharing saved nothing: %d inner calls for %d pairs",
 					totalAtomCalls, totalPairs)
@@ -161,11 +161,10 @@ func reportFirstDiff(t *testing.T, scenario string, cs int, path string, reqs []
 	for i := range want {
 		if want[i] != got[i] {
 			r := reqs[i]
-			plan := optimizer.Decompose(r.Analysis, r.Config, 0)
-			t.Fatalf("%s case %d %s: pair %d diverged: direct=%v atomic=%v\nkind=%v tables=%v cfg=%s\nfallback=%v atoms=%d",
+			t.Fatalf("%s case %d %s: pair %d diverged: direct=%v atomic=%v\nkind=%v tables=%v cfg=%s\natoms=%d",
 				scenario, cs, path, i, want[i], got[i],
 				r.Analysis.Kind, r.Analysis.Tables, r.Config.Fingerprint(),
-				plan.Fallback, len(plan.Atoms))
+				len(optimizer.Decompose(r.Analysis, r.Config)))
 		}
 	}
 	t.Fatalf("%s case %d %s: slices differ but no element does", scenario, cs, path)
@@ -181,40 +180,20 @@ func TestDecomposeSingleTableSingletons(t *testing.T) {
 	covering := physical.NewIndex("lineitem", []string{"l_shipdate"}, "l_quantity", "l_partkey")
 	irrelevant := physical.NewIndex("orders", []string{"o_orderdate"})
 	cfg := physical.NewConfiguration("c", relevant, covering, irrelevant)
-	plan := optimizer.Decompose(a, cfg, 0)
-	if plan.Fallback {
-		t.Fatal("unexpected fallback")
+	atoms := optimizer.Decompose(a, cfg)
+	if len(atoms) != 3 {
+		t.Fatalf("got %d atoms, want 3 (empty + 2 singletons)", len(atoms))
 	}
-	if len(plan.Atoms) != 3 {
-		t.Fatalf("got %d atoms, want 3 (empty + 2 singletons)", len(plan.Atoms))
+	if atoms[0].NumStructures() != 0 {
+		t.Errorf("first atom should be empty, has %d structures", atoms[0].NumStructures())
 	}
-	if plan.Atoms[0].NumStructures() != 0 {
-		t.Errorf("first atom should be empty, has %d structures", plan.Atoms[0].NumStructures())
-	}
-	for _, atom := range plan.Atoms[1:] {
+	for _, atom := range atoms[1:] {
 		if atom.NumStructures() != 1 {
 			t.Errorf("singleton atom has %d structures", atom.NumStructures())
 		}
 		if atom.Has(irrelevant.ID()) {
 			t.Errorf("irrelevant index %s survived decomposition", irrelevant.ID())
 		}
-	}
-}
-
-// TestDecomposeWidthFallback pins the width bound: a projection wider than
-// maxWidth falls back to direct costing.
-func TestDecomposeWidthFallback(t *testing.T) {
-	a := analyze(t, "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200")
-	cfg := physical.NewConfiguration("c",
-		physical.NewIndex("orders", []string{"o_orderdate"}),
-		physical.NewIndex("orders", []string{"o_orderkey"}),
-		physical.NewIndex("lineitem", []string{"l_orderkey"}),
-	)
-	if plan := optimizer.Decompose(a, cfg, 2); !plan.Fallback {
-		t.Errorf("projection of width 3 with maxWidth 2 should fall back, got %d atoms", len(plan.Atoms))
-	}
-	if plan := optimizer.Decompose(a, cfg, 3); plan.Fallback {
-		t.Error("projection of width 3 with maxWidth 3 should not fall back")
 	}
 }
 
@@ -228,15 +207,15 @@ func TestDecomposeDeterministic(t *testing.T) {
 		physical.NewIndex("orders", []string{"o_custkey"}),
 		physical.NewIndex("orders", []string{"o_totalprice"}),
 	)
-	p1 := optimizer.Decompose(a, cfg, 0)
-	p2 := optimizer.Decompose(a, cfg, 0)
-	if p1.Fallback != p2.Fallback || len(p1.Atoms) != len(p2.Atoms) {
+	p1 := optimizer.Decompose(a, cfg)
+	p2 := optimizer.Decompose(a, cfg)
+	if len(p1) != len(p2) {
 		t.Fatalf("shape diverged: %+v vs %+v", p1, p2)
 	}
-	for i := range p1.Atoms {
-		if p1.Atoms[i].Fingerprint() != p2.Atoms[i].Fingerprint() {
+	for i := range p1 {
+		if p1[i].Fingerprint() != p2[i].Fingerprint() {
 			t.Errorf("atom %d fingerprint diverged: %q vs %q",
-				i, p1.Atoms[i].Fingerprint(), p2.Atoms[i].Fingerprint())
+				i, p1[i].Fingerprint(), p2[i].Fingerprint())
 		}
 	}
 }
@@ -249,14 +228,11 @@ func TestDecomposeDML(t *testing.T) {
 	onTable := physical.NewIndex("lineitem", []string{"l_shipdate"})
 	offTable := physical.NewIndex("orders", []string{"o_orderdate"})
 	cfg := physical.NewConfiguration("c", onTable, offTable)
-	plan := optimizer.Decompose(a, cfg, 0)
-	if plan.Fallback {
-		t.Fatal("unexpected fallback")
+	atoms := optimizer.Decompose(a, cfg)
+	if len(atoms) != 1 {
+		t.Fatalf("DML should decompose to one projection atom, got %d", len(atoms))
 	}
-	if len(plan.Atoms) != 1 {
-		t.Fatalf("DML should decompose to one projection atom, got %d", len(plan.Atoms))
-	}
-	atom := plan.Atoms[0]
+	atom := atoms[0]
 	if !atom.Has(onTable.ID()) {
 		t.Errorf("index on modified table %s was dropped", onTable.ID())
 	}
@@ -292,14 +268,14 @@ func TestIndexNLCostOrderFree(t *testing.T) {
 		t.Errorf("%s: atomic cost %v, direct %v", narrowFirst.Name(), got, want)
 	}
 	calls := c.Calls()
-	hits, _, _, _ := c.Stats()
+	hits, _, _ := c.Stats()
 	if got := c.Cost(s2, coveringFirst); got != want {
 		t.Errorf("%s: atomic cost %v, direct %v", coveringFirst.Name(), got, want)
 	}
 	if c.Calls() != calls {
 		t.Errorf("the second order paid %d inner calls, want 0", c.Calls()-calls)
 	}
-	if h, _, _, _ := c.Stats(); h != hits+1 {
+	if h, _, _ := c.Stats(); h != hits+1 {
 		t.Errorf("the second order made %d store hits, want 1", h-hits)
 	}
 }

@@ -17,7 +17,7 @@ func TestCachedOptimizer(t *testing.T) {
 	cfg := physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
 	check := func(step string, wantHits, wantMisses int64, wantEntries int) {
 		t.Helper()
-		hits, misses, _, entries := c.Stats()
+		hits, misses, entries := c.Stats()
 		if hits != wantHits || misses != wantMisses || entries != wantEntries {
 			t.Errorf("%s: hits/misses/entries = %d/%d/%d, want %d/%d/%d",
 				step, hits, misses, entries, wantHits, wantMisses, wantEntries)

@@ -59,7 +59,7 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 	for i, a := range reqs {
 		want[i] = ref.Cost(a, cfg)
 	}
-	refHits, refMisses, _, _ := ref.Stats()
+	refHits, refMisses, _ := ref.Stats()
 
 	for _, workers := range []int{2, 4, 8} {
 		c := NewAtomicCache(New(testCat))
@@ -70,7 +70,7 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %v, want %v", workers, i, out[i], want[i])
 			}
 		}
-		hits, misses, _, entries := c.Stats()
+		hits, misses, entries := c.Stats()
 		if hits != refHits || misses != refMisses {
 			t.Errorf("workers=%d: hits/misses = %d/%d, want serial accounting %d/%d",
 				workers, hits, misses, refHits, refMisses)
@@ -88,41 +88,37 @@ func TestCacheBatchAliasAccounting(t *testing.T) {
 // TestCachedSameFingerprintSharesEntry is the flip side of pointer-identity
 // statement keys: two distinct *Configuration values built from distinct
 // but equal structures share a fingerprint, hence a store entry — whether
-// the probe resolves to a singleton atom or to a width-bound fallback
-// stored under the full configuration.
+// the probe resolves to singleton atoms or to one projection atom.
 func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		sql      string
-		maxWidth int
-		build    func() *physical.Configuration
-		// wantMisses and wantFallbacks are the first probe's costings; the
-		// second probe must add none.
-		wantMisses, wantFallbacks int64
+		name  string
+		sql   string
+		build func() *physical.Configuration
+		// wantMisses is the first probe's costings; the second probe must
+		// add none.
+		wantMisses int64
 	}{
 		{
-			name:     "singleton",
-			sql:      "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5",
-			maxWidth: 0,
+			name: "singleton",
+			sql:  "SELECT l_quantity FROM lineitem WHERE l_orderkey = 5",
 			build: func() *physical.Configuration {
 				return physical.NewConfiguration("ix", physical.NewIndex("lineitem", []string{"l_orderkey"}))
 			},
 			wantMisses: 2, // the empty atom and the index's singleton
 		},
 		{
-			name:     "fallback",
-			sql:      "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200",
-			maxWidth: 1,
+			name: "projection",
+			sql:  "SELECT o_orderdate, l_extendedprice FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o_orderdate < 200",
 			build: func() *physical.Configuration {
-				return physical.NewConfiguration("wide",
+				return physical.NewConfiguration("join",
 					physical.NewIndex("orders", []string{"o_orderkey"}),
 					physical.NewIndex("lineitem", []string{"l_orderkey"}))
 			},
-			wantFallbacks: 1,
+			wantMisses: 1, // the join's projection atom
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewAtomicCacheWidth(New(testCat), tc.maxWidth)
+			c := NewAtomicCache(New(testCat))
 			a := analyze(t, tc.sql)
 			cfgA, cfgB := tc.build(), tc.build()
 			if cfgA == cfgB {
@@ -135,14 +131,13 @@ func TestCachedSameFingerprintSharesEntry(t *testing.T) {
 			if va, vb := c.Cost(a, cfgA), c.Cost(a, cfgB); va != vb {
 				t.Errorf("shared entry returned different values: %v vs %v", va, vb)
 			}
-			costings := tc.wantMisses + tc.wantFallbacks
-			hits, misses, fallbacks, entries := c.Stats()
-			if misses != tc.wantMisses || fallbacks != tc.wantFallbacks || hits != costings || entries != int(costings) {
-				t.Errorf("hits/misses/fallbacks/entries = %d/%d/%d/%d, want %d/%d/%d/%d",
-					hits, misses, fallbacks, entries, costings, tc.wantMisses, tc.wantFallbacks, costings)
+			hits, misses, entries := c.Stats()
+			if misses != tc.wantMisses || hits != tc.wantMisses || entries != int(tc.wantMisses) {
+				t.Errorf("hits/misses/entries = %d/%d/%d, want %d/%d/%d",
+					hits, misses, entries, tc.wantMisses, tc.wantMisses, tc.wantMisses)
 			}
-			if calls := c.Calls(); calls != costings {
-				t.Errorf("inner calls = %d, want %d", calls, costings)
+			if calls := c.Calls(); calls != tc.wantMisses {
+				t.Errorf("inner calls = %d, want %d", calls, tc.wantMisses)
 			}
 		})
 	}
@@ -197,7 +192,7 @@ func TestCachedShardedStorm(t *testing.T) {
 			}
 		}
 	}
-	wantHits, wantMisses, _, wantEntries := ref.Stats()
+	wantHits, wantMisses, wantEntries := ref.Stats()
 	wantCalls := ref.Calls()
 
 	c := NewAtomicCache(New(testCat))
@@ -230,7 +225,7 @@ func TestCachedShardedStorm(t *testing.T) {
 		t.Error(err)
 	}
 
-	hits, misses, _, entries := c.Stats()
+	hits, misses, entries := c.Stats()
 	if hits != wantHits || misses != wantMisses {
 		t.Errorf("hits/misses = %d/%d, want serial %d/%d", hits, misses, wantHits, wantMisses)
 	}
@@ -286,7 +281,7 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 			}
 		}
 	}
-	wantHits, wantMisses, _, wantEntries := ref.Stats()
+	wantHits, wantMisses, wantEntries := ref.Stats()
 	wantCalls := ref.Calls()
 
 	for trial := 0; trial < 20; trial++ {
@@ -312,7 +307,7 @@ func TestAtomicCacheStormChargesOnce(t *testing.T) {
 		for err := range errs {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		hits, misses, _, entries := c.Stats()
+		hits, misses, entries := c.Stats()
 		if hits != wantHits || misses != wantMisses {
 			t.Fatalf("trial %d: hits/misses = %d/%d, want serial %d/%d", trial, hits, misses, wantHits, wantMisses)
 		}

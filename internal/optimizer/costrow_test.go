@@ -91,55 +91,45 @@ func rowConfigs(configs []*physical.Configuration, r int) []*physical.Configurat
 // TestCostRowMatchesCost pins CostRow to per-configuration Cost: rows of
 // the benchmark's two spaces, costed by one atom store as rows and by
 // another pair by pair in the same order, give bit-identical values and,
-// after every row, identical Calls, Stats and registry counters. A width
-// bound of 2 repeats the check with most multi-table rows falling back to
-// whole-configuration costing, so fallback ids go through the row memo
-// too.
+// after every row, identical Calls, Stats and registry counters.
 func TestCostRowMatchesCost(t *testing.T) {
 	const rows = 120
 	for _, sp := range rowSpaces(t) {
-		for _, width := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/width=%d", sp.name, width), func(t *testing.T) {
-				row := optimizer.NewAtomicCacheWidth(optimizer.New(sp.cat), width)
-				pair := optimizer.NewAtomicCacheWidth(optimizer.New(sp.cat), width)
-				rowReg, pairReg := obs.NewRegistry(), obs.NewRegistry()
-				row.SetMetrics(rowReg)
-				pair.SetMetrics(pairReg)
-				out := make([]float64, len(sp.configs))
-				fallbacks := int64(0)
-				for r := 0; r < rows; r++ {
-					// Revisit each statement once, as a later round's row over
-					// a stored surface.
-					q := (r % (rows / 2)) * (sp.w.Size() / (rows / 2))
-					a := sp.w.Queries[q].Analysis
-					cfgs := rowConfigs(sp.configs, r)
-					row.CostRow(a, cfgs, out)
-					for i, cfg := range cfgs {
-						if want := pair.Cost(a, cfg); math.Float64bits(out[i]) != math.Float64bits(want) {
-							t.Fatalf("row %d (query %d) config %s: CostRow %v, Cost %v", r, q, cfg.Name(), out[i], want)
-						}
-					}
-					if row.Calls() != pair.Calls() {
-						t.Fatalf("row %d: CostRow charged %d calls, Cost %d", r, row.Calls(), pair.Calls())
-					}
-					rh, rm, rf, re := row.Stats()
-					ph, pm, pf, pe := pair.Stats()
-					if rh != ph || rm != pm || rf != pf || re != pe {
-						t.Fatalf("row %d: CostRow stats (hits %d, misses %d, fallbacks %d, entries %d), Cost (%d, %d, %d, %d)",
-							r, rh, rm, rf, re, ph, pm, pf, pe)
-					}
-					fallbacks = rf
-				}
-				for _, name := range []string{"optimizer_atom_hits_total", "optimizer_atoms_total", "optimizer_calls_total"} {
-					if got, want := rowReg.Counter(name).Value(), pairReg.Counter(name).Value(); got != want {
-						t.Errorf("%s: rows %d, pairs %d", name, got, want)
+		t.Run(sp.name, func(t *testing.T) {
+			row := optimizer.NewAtomicCache(optimizer.New(sp.cat))
+			pair := optimizer.NewAtomicCache(optimizer.New(sp.cat))
+			rowReg, pairReg := obs.NewRegistry(), obs.NewRegistry()
+			row.SetMetrics(rowReg)
+			pair.SetMetrics(pairReg)
+			out := make([]float64, len(sp.configs))
+			for r := 0; r < rows; r++ {
+				// Revisit each statement once, as a later round's row over a
+				// stored surface.
+				q := (r % (rows / 2)) * (sp.w.Size() / (rows / 2))
+				a := sp.w.Queries[q].Analysis
+				cfgs := rowConfigs(sp.configs, r)
+				row.CostRow(a, cfgs, out)
+				for i, cfg := range cfgs {
+					if want := pair.Cost(a, cfg); math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("row %d (query %d) config %s: CostRow %v, Cost %v", r, q, cfg.Name(), out[i], want)
 					}
 				}
-				if width == 2 && fallbacks == 0 {
-					t.Error("width bound 2 must make some rows fall back")
+				if row.Calls() != pair.Calls() {
+					t.Fatalf("row %d: CostRow charged %d calls, Cost %d", r, row.Calls(), pair.Calls())
 				}
-			})
-		}
+				rh, rm, re := row.Stats()
+				ph, pm, pe := pair.Stats()
+				if rh != ph || rm != pm || re != pe {
+					t.Fatalf("row %d: CostRow stats (hits %d, misses %d, entries %d), Cost (%d, %d, %d)",
+						r, rh, rm, re, ph, pm, pe)
+				}
+			}
+			for _, name := range []string{"optimizer_atom_hits_total", "optimizer_atoms_total", "optimizer_calls_total"} {
+				if got, want := rowReg.Counter(name).Value(), pairReg.Counter(name).Value(); got != want {
+					t.Errorf("%s: rows %d, pairs %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -180,7 +170,7 @@ func BenchmarkCostRow(b *testing.B) {
 		atoms := map[string]bool{}
 		for _, a := range analyses {
 			for _, cfg := range sp.configs {
-				for _, atom := range optimizer.Decompose(a, cfg, 0).Atoms {
+				for _, atom := range optimizer.Decompose(a, cfg) {
 					if atom.NumStructures() > 0 {
 						atoms[atom.Fingerprint()] = true
 					}

@@ -104,8 +104,7 @@ func TestAtomSharedProbeAllocFree(t *testing.T) {
 // TestWideDMLProbeAllocFree pins relevantStructures' scratch sizing for
 // DML: the modified table is also the statement's one table, so its
 // indexes count once and 20 of them fit the probe's stack scratch. The
-// probe allocates nothing after warm-up, as a projection atom and as a
-// width-bound fallback.
+// probe, one 20-index projection atom, allocates nothing after warm-up.
 func TestWideDMLProbeAllocFree(t *testing.T) {
 	a := analyze(t, "UPDATE lineitem SET l_tax = 1 WHERE l_orderkey = 5")
 	cols := testCat.MustTable("lineitem").Columns
@@ -121,15 +120,13 @@ func TestWideDMLProbeAllocFree(t *testing.T) {
 	if n := len(cfg.IndexesOn("lineitem")); n != 20 {
 		t.Fatalf("configuration holds %d indexes on lineitem, want 20", n)
 	}
-	for _, maxWidth := range []int{0, atomStackLen} {
-		c := NewAtomicCacheWidth(New(testCat), maxWidth)
-		want := New(testCat).Cost(a, cfg)
-		if got := c.Cost(a, cfg); got != want {
-			t.Fatalf("maxWidth %d: atomic cost %v, direct %v", maxWidth, got, want)
-		}
-		if n := testing.AllocsPerRun(100, func() { c.Cost(a, cfg) }); n != 0 {
-			t.Errorf("maxWidth %d: wide UPDATE probe allocates %v times per call, want 0", maxWidth, n)
-		}
+	c := NewAtomicCache(New(testCat))
+	want := New(testCat).Cost(a, cfg)
+	if got := c.Cost(a, cfg); got != want {
+		t.Fatalf("atomic cost %v, direct %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Cost(a, cfg) }); n != 0 {
+		t.Errorf("wide UPDATE probe allocates %v times per call, want 0", n)
 	}
 }
 

@@ -22,7 +22,8 @@ type dStratum struct {
 }
 
 // rowChunk is how many full-width rows the row history's first
-// allocation holds; later growth doubles it.
+// allocation holds, and how many templates its template log's; later
+// growth doubles them.
 const rowChunk = 64
 
 // deltaSampler is the Delta Sampling estimator (Section 4.2): one shared
@@ -44,18 +45,19 @@ type deltaSampler struct {
 	// Elimination is permanent, so configuration j's costs are the first
 	// elimAt[j] rows'.
 	hist    []float64
-	rowTmpl []int32 // row r's template; a Select samples each query at most once
+	rowTmpl []int32 // row r's template, grown with hist
 	nrows   int
 	elimAt  []int // rows folded while j was alive (math.MaxInt while alive)
 	folded  []int // configurations alive at the last fold, ascending
 	walkBuf []int // rowCursor scratch
 	posBuf  []int // bestChanged scratch: alive columns' positions in a row
 
-	// Cross sums left stale by an incumbent change, per configuration: its
-	// template columns (tstale), and its stratum columns (sstale, only ever
-	// set for an eliminated configuration). A stale column accumulates n,
-	// Σx and Σx² but no cross products until sync rebuilds it.
-	tstale, sstale []bool
+	// Template cross sums left stale by an incumbent change, per
+	// configuration. A stale column accumulates n, Σx and Σx² but no cross
+	// products until sync rebuilds it. An eliminated configuration's
+	// stratum columns keep the cross sums of its last incumbent: nothing
+	// reads a stratum column of an eliminated configuration.
+	tstale []bool
 
 	stratumOf []int // template → index of the stratum holding it
 }
@@ -66,13 +68,12 @@ func newDeltaSampler(o Oracle, opts Options) *deltaSampler {
 	d := &deltaSampler{
 		driver:      dr,
 		tmplDropped: make([]int, tc),
-		rowTmpl:     make([]int32, o.N()),
+		rowTmpl:     make([]int32, 0, rowChunk),
 		elimAt:      make([]int, k),
 		folded:      make([]int, k),
 		walkBuf:     make([]int, k),
 		posBuf:      make([]int, k),
 		tstale:      make([]bool, k),
-		sstale:      make([]bool, k),
 		stratumOf:   make([]int, tc),
 	}
 	for j := range d.elimAt {
@@ -156,7 +157,7 @@ func (d *deltaSampler) fold(sl slot, out []float64) {
 
 	s := d.strata[sl.h]
 	tmpl := d.opts.Templates.Of[sl.q]
-	d.rowTmpl[d.nrows] = int32(tmpl)
+	d.rowTmpl = append(d.rowTmpl, int32(tmpl)) //physdes:allocok amortized growth: the template log doubles with the rows folded
 	d.nrows++
 
 	cb := out[indexOf(d.aliveIdx, d.best)]
@@ -303,16 +304,14 @@ func (d *deltaSampler) tmplObs(_, t int) int { return d.tcols[t][d.best].n }
 // bestChanged follows a new incumbent. prCS reads the alive
 // configurations' stratum cross sums Σ c_best·c_j next, so those are
 // rebuilt now, in one replay of the row history that visits only the
-// alive columns of each row. Every other cross sum — all template
-// columns, and the stratum columns of eliminated configurations — is
-// marked stale for sync to rebuild when read. Each accumulator sees its
-// rows in fold order, so the Kahan sums match a fresh fold exactly.
+// alive columns of each row. Every template column is marked stale for
+// sync to rebuild when read. Each accumulator sees its rows in fold
+// order, so the Kahan sums match a fresh fold exactly.
 //
 //physdes:zeroalloc
 func (d *deltaSampler) bestChanged() {
 	for j := range d.tstale {
 		d.tstale[j] = true
-		d.sstale[j] = !d.alive[j]
 	}
 	live := d.aliveIdx
 	for _, s := range d.strata {
@@ -342,26 +341,18 @@ func (d *deltaSampler) bestChanged() {
 	}
 }
 
-// sync rebuilds configuration j's stale cross sums against the incumbent
-// in one replay of j's prefix of the row history. The replay adds j's rows
-// in fold order, as an eager rebuild at the incumbent change followed by
-// fresh folds would, so the sums match it bit for bit.
+// sync rebuilds configuration j's stale template cross sums against the
+// incumbent in one replay of j's prefix of the row history. The replay
+// adds j's rows in fold order, as an eager rebuild at the incumbent change
+// followed by fresh folds would, so the sums match it bit for bit.
 //
 //physdes:zeroalloc
 func (d *deltaSampler) sync(j int) {
-	tm, st := d.tstale[j], d.sstale[j]
-	if !tm && !st {
+	if !d.tstale[j] {
 		return
 	}
-	if tm {
-		for _, cols := range d.tcols {
-			cols[j].cross = stats.Kahan{}
-		}
-	}
-	if st {
-		for _, s := range d.strata {
-			s.cols[j].cross = stats.Kahan{}
-		}
+	for _, cols := range d.tcols {
+		cols[j].cross = stats.Kahan{}
 	}
 	n := min(d.elimAt[j], d.nrows)
 	jpos, bpos := 0, 0
@@ -369,15 +360,9 @@ func (d *deltaSampler) sync(j int) {
 		if c.changed {
 			jpos, bpos = indexOf(c.cfgs, j), indexOf(c.cfgs, d.best)
 		}
-		cb, x := c.costs[bpos], c.costs[jpos]
-		if tm {
-			d.tcols[c.tmpl][j].cross.AddProduct(cb, x)
-		}
-		if st {
-			d.strata[d.stratumOf[c.tmpl]].cols[j].cross.AddProduct(cb, x)
-		}
+		d.tcols[c.tmpl][j].cross.AddProduct(c.costs[bpos], c.costs[jpos])
 	}
-	d.tstale[j], d.sstale[j] = false, false
+	d.tstale[j] = false
 }
 
 // syncCross brings every stale cross sum up to date.
@@ -453,11 +438,7 @@ func (d *deltaSampler) applySplit(_ int, dec splitDecision) (int, int) {
 		child.n++
 		cb := c.costs[indexOf(c.cfgs, d.best)]
 		for i, j := range c.cfgs {
-			if d.sstale[j] {
-				child.cols[j].add(c.costs[i])
-			} else {
-				child.cols[j].addRow(cb, c.costs[i])
-			}
+			child.cols[j].addRow(cb, c.costs[i])
 		}
 	}
 

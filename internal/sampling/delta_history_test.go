@@ -12,12 +12,14 @@ import (
 // costs the sampler requested — so over a MatrixOracle, which charges one
 // call per requested cost, the stored count equals OptimizerCalls. It also
 // replays the history the way incumbent changes and splits do and checks
-// the result against the running accumulators bit for bit, for all k
-// configurations once their stale cross sums are synced.
+// the result against the running accumulators bit for bit: the template
+// columns of all k configurations once their stale cross sums are synced,
+// and the stratum columns of the alive ones (the only stratum columns the
+// sampler reads; an eliminated configuration's keep its last incumbent's
+// cross sums).
 //
 // The incumbent changes in mid-run after eliminations, so template cross
-// sums are left stale while later rows fold in, and eliminated
-// configurations' stratum cross sums go stale too. Once synced, the lazily
+// sums are left stale while later rows fold in. Once synced, the lazily
 // rebuilt template sums must equal an eager replay of the whole history
 // against the final incumbent.
 func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
@@ -81,9 +83,10 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 	}
 
 	// An eager replay of the whole history against the final incumbent
-	// reproduces every template and stratum accumulator, the lazily
-	// rebuilt cross sums included; so does a rebuild against the unchanged
-	// incumbent, once synced for every configuration.
+	// reproduces every template accumulator and every alive
+	// configuration's stratum accumulators, the lazily rebuilt cross sums
+	// included; so does a rebuild against the unchanged incumbent, once
+	// synced for every configuration.
 	eagerT := make([][]moments, templates)
 	for tm := range eagerT {
 		eagerT[tm] = make([]moments, k)
@@ -109,7 +112,7 @@ func TestDeltaRowHistoryHoldsLiveCosts(t *testing.T) {
 			}
 		}
 		for h, s := range d.strata {
-			for j := 0; j < k; j++ {
+			for _, j := range d.aliveIdx {
 				if eagerS[h][j] != s.cols[j] {
 					t.Fatalf("%s: stratum %d config %d: eager replay %+v, running %+v", when, h, j, eagerS[h][j], s.cols[j])
 				}

@@ -17,7 +17,6 @@ import (
 
 	"physdes/internal/optimizer"
 	"physdes/internal/physical"
-	"physdes/internal/sqlparse"
 	"physdes/internal/workload"
 )
 
@@ -152,27 +151,19 @@ func (o *MatrixOracle) BatchCost(pairs []Pair, out []float64, _ int) {
 	o.calls.Add(int64(len(pairs)))
 }
 
-// CostSource is the what-if cost source behind a LiveOracle: the plain
-// optimizer (*optimizer.Optimizer, every probe one what-if call) or the
-// atom store (*optimizer.AtomicCache, only unseen atoms reach the
-// optimizer). Calls reports the what-if calls charged so far.
-type CostSource interface {
-	Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
-	Calls() int64
-}
-
-// LiveOracle evaluates costs on demand through a what-if cost source. The
-// oracle caches nothing itself: whatever sharing there is lives in the
-// source, and Calls reports the source's bill, so sharing through the
-// atom store shows up directly in the paper's accounting.
+// LiveOracle evaluates costs on demand through the atom store, which
+// reaches the what-if optimizer only for atoms it has not seen. The
+// oracle caches nothing itself: the sharing lives in the store, and Calls
+// reports the store's bill, so it shows up directly in the paper's
+// accounting.
 type LiveOracle struct {
-	Src      CostSource
+	Src      *optimizer.AtomicCache
 	Workload *workload.Workload
 	Configs  []*physical.Configuration
 }
 
-// NewLiveOracle builds a live oracle over a cost source.
-func NewLiveOracle(src CostSource, w *workload.Workload, configs []*physical.Configuration) *LiveOracle {
+// NewLiveOracle builds a live oracle over an atom store.
+func NewLiveOracle(src *optimizer.AtomicCache, w *workload.Workload, configs []*physical.Configuration) *LiveOracle {
 	return &LiveOracle{Src: src, Workload: w, Configs: configs}
 }
 
@@ -187,14 +178,12 @@ const rowStackLen = 256
 
 // BatchCost implements BatchOracle. It walks the batch as rows — maximal
 // runs of pairs with one query, as a Delta row lays them out — and costs
-// each row's statement once under all the row's configurations when the
-// source is the atom store (optimizer.AtomicCache.CostRow), pair by pair
-// otherwise. parallelism is unused. The oracle holds no scratch: every
-// row's lives on its caller's stack.
+// each row's statement once under all the row's configurations
+// (optimizer.AtomicCache.CostRow). parallelism is unused. The oracle
+// holds no scratch: every row's lives on its caller's stack.
 //
 //physdes:zeroalloc
 func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, _ int) {
-	ac, rows := o.Src.(*optimizer.AtomicCache)
 	var cfgBuf [rowStackLen]*physical.Configuration
 	for lo := 0; lo < len(pairs); {
 		q := pairs[lo].Q
@@ -202,18 +191,11 @@ func (o *LiveOracle) BatchCost(pairs []Pair, out []float64, _ int) {
 		for hi < len(pairs) && pairs[hi].Q == q && hi-lo < rowStackLen {
 			hi++
 		}
-		a := o.Workload.Queries[q].Analysis
-		if rows {
-			cfgs := cfgBuf[:hi-lo]
-			for i := range cfgs {
-				cfgs[i] = o.Configs[pairs[lo+i].J]
-			}
-			ac.CostRow(a, cfgs, out[lo:hi])
-		} else {
-			for i := lo; i < hi; i++ {
-				out[i] = o.Src.Cost(a, o.Configs[pairs[i].J]) //physdes:allocok the other cost source, the plain optimizer, is allocation-free on the probe path (TestCostAllocFree)
-			}
+		cfgs := cfgBuf[:hi-lo]
+		for i := range cfgs {
+			cfgs[i] = o.Configs[pairs[lo+i].J]
 		}
+		o.Src.CostRow(o.Workload.Queries[q].Analysis, cfgs, out[lo:hi])
 		lo = hi
 	}
 }
