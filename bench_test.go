@@ -12,7 +12,8 @@ package physdes
 //	Table 2   → BenchmarkTable2MultiConfigTPCD
 //	Table 3   → BenchmarkTable3MultiConfigCRM
 //	§7.3      → BenchmarkSec73Compression
-//	§6        → BenchmarkCLTSkewBound, BenchmarkConservativeDerive
+//	§6        → BenchmarkCLTSkewBound, BenchmarkConservativeDerive,
+//	            BenchmarkSkewMaxTPCD
 //
 // plus micro-benchmarks of the substrate (what-if calls, parsing, DP).
 // Full paper-format rows come from `go run ./cmd/benchrunner`.
@@ -240,6 +241,34 @@ func BenchmarkConservativeDerive(b *testing.B) {
 		if _, err := bounds.CLTMinSamples(ivs, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSkewMaxTPCD measures the skew search behind the Equation 9
+// floor on the intervals a conservative Select derives: TPC-D at 1K and
+// 13K statements over k=15 configurations (space seed 12).
+func BenchmarkSkewMaxTPCD(b *testing.B) {
+	cat := TPCDCatalog(1)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"1K", 1_000}, {"13K", 13_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			wl, err := GenTPCD(cat, c.n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cands := EnumerateCandidates(cat, wl, CandidateOptions{Covering: true, Views: true})
+			configs := GenerateConfigurations(cat, cands, 15, 12, SpaceOptions{MinStructures: 3, MaxStructures: 10})
+			ivs := bounds.NewDeriver(NewOptimizer(cat), configs...).WorkloadIntervals(wl)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bounds.SkewMax(ivs, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

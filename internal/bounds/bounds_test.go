@@ -245,6 +245,9 @@ func TestVarianceBoundRule(t *testing.T) {
 	}{
 		{29, 0, true}, {29, 115, true}, {29, 116, false}, {29, 1000, false},
 		{0, 0, true}, {0, 1_000_000, true},
+		// 4·floor overflows int here; the bound must still stand.
+		{math.MaxInt/2 + 1, math.MaxInt, true},
+		{math.MaxInt32, 4*math.MaxInt32 - 1, true}, {math.MaxInt32, 4 * math.MaxInt32, false},
 	} {
 		s2, ok := VarianceBoundRule(7.5, c.floor)(c.n)
 		if ok != c.want || (ok && s2 != 7.5) || (!ok && s2 != 0) {

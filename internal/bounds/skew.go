@@ -27,7 +27,9 @@ type SkewMaxResult struct {
 // runs over the vertex set:
 //
 //  1. evaluate the all-Hi vertex exactly;
-//  2. hill-climb single endpoint flips from it (localSkewSearch);
+//  2. hill-climb single endpoint flips from it (localSkewSearch, which
+//     decides most flips from Pow-free skew brackets with a proven error
+//     bound, and every flip exactly as evaluating m3/Pow(m2, 1.5) would);
 //  3. hill-climb from 32 seeded random vertices (8 when n > 10,000),
 //     keeping the best skew any climb reaches;
 //  4. pad the best skew found by 10% of its magnitude.
@@ -98,6 +100,31 @@ func SkewMax(ivs []Interval, rho float64) (SkewMaxResult, error) {
 // the Fisher skew, maintaining raw moment sums so each candidate flip is
 // O(1). It returns the improved skew and the number of vertices evaluated
 // (the start plus every flip tried).
+//
+// A flip is taken when its skew exceeds the incumbent's by more than
+// 1e-15, with both skews the exact value skewOf gives for their sums:
+// m3/Pow(m2, 1.5). Most flips are decided without the Pow, and every
+// decision is the one the exact comparison makes:
+//
+//   - skewBracket forms m2 and m3 exactly as skewOf does and brackets the
+//     exact skew by the cheap m3/(m2·√m2) ± (1e-12·|·| + 1e-300). For m2 in
+//     [1e-200, 1e200], m2^1.5 is a normal float under both formulas. Go's
+//     Pow(x, 1.5) is Ldexp(Exp(0.5·Log x)·frac(x), exp(x)), which is off
+//     by at most 0.5·|ln x|·2⁻⁵² (≤ 6e-14 there) plus a few ulps, and
+//     m2·√m2 by two ulps, so the two quotients differ by under 1e-13
+//     relative, plus subnormal rounding that the 1e-300 term covers.
+//   - The incumbent is kept as such a bracket too, made exact only when
+//     needed. Since x ↦ fl(x + 1e-15) is monotone, a flip whose upper end
+//     is ≤ fl(lo + 1e-15) of the incumbent's bracket loses the exact
+//     comparison, and one whose lower end is > fl(hi + 1e-15) wins it.
+//   - Otherwise, or when m2 lies outside the window or the cheap skew is
+//     not finite, both skews are made exact and compared as before.
+//
+// The returned skew is computed exactly from the final incumbent's sums,
+// so it, the flips taken and the count tried are bit-identical to a climb
+// that evaluates skewOf on every flip (testdata/skew.golden).
+//
+//physdes:zeroalloc
 func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 	n := len(values)
 	fn := float64(n)
@@ -107,16 +134,12 @@ func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 		s2 += v * v
 		s3 += v * v * v
 	}
-	g1 := func(a, b, c float64) float64 {
-		mu := a / fn
-		m2 := b/fn - mu*mu
-		if m2 <= 0 {
-			return 0
-		}
-		m3 := c/fn - 3*mu*b/fn + 2*mu*mu*mu
-		return m3 / math.Pow(m2, 1.5)
+	var inc incumbent
+	if lo, hi, ok := skewBracket(s1, s2, s3, fn); ok {
+		inc.take(lo, hi)
+	} else {
+		inc.settle(s1, s2, s3, fn)
 	}
-	best := g1(s1, s2, s3)
 	tried := 1
 	const maxSweeps = 50
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -134,18 +157,105 @@ func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 			nb := s2 - old*old + alt*alt
 			nc := s3 - old*old*old + alt*alt*alt
 			tried++
-			if g := g1(na, nb, nc); g > best+1e-15 {
-				best = g
-				values[i] = alt
-				s1, s2, s3 = na, nb, nc
-				improved = true
+			lo, hi, ok := skewBracket(na, nb, nc, fn)
+			switch {
+			case ok && hi <= inc.rejectAt:
+				continue
+			case ok && lo > inc.acceptAt:
+				inc.take(lo, hi)
+			default:
+				inc.settle(s1, s2, s3, fn)
+				g := skewOf(na, nb, nc, fn)
+				if !(g > inc.rejectAt) {
+					continue
+				}
+				inc.take(g, g)
 			}
+			values[i] = alt
+			s1, s2, s3 = na, nb, nc
+			improved = true
 		}
 		if !improved {
 			break
 		}
 	}
-	return best, tried
+	inc.settle(s1, s2, s3, fn)
+	return inc.lo, tried
+}
+
+// incumbent is a climb's best vertex so far: a bracket [lo, hi] around its
+// exact skew, and the thresholds fl(lo + 1e-15) and fl(hi + 1e-15) a flip
+// is compared against. The bracket is exact once lo == hi.
+type incumbent struct {
+	lo, hi             float64
+	rejectAt, acceptAt float64
+	exact              bool
+}
+
+// take makes [lo, hi] the incumbent's bracket.
+//
+//physdes:zeroalloc
+func (c *incumbent) take(lo, hi float64) {
+	c.lo, c.hi = lo, hi
+	c.rejectAt, c.acceptAt = lo+1e-15, hi+1e-15
+	c.exact = lo == hi
+}
+
+// settle replaces the incumbent's bracket by its exact skew, computed from
+// its raw power sums a, b, c over fn values.
+//
+//physdes:zeroalloc
+func (c *incumbent) settle(a, b, s, fn float64) {
+	if c.exact {
+		return
+	}
+	g := skewOf(a, b, s, fn)
+	c.take(g, g)
+	c.exact = true // also when g is NaN
+}
+
+// skewMoments returns the second and third central moments of n values
+// from their raw power sums a = Σv, b = Σv², c = Σv³.
+//
+//physdes:zeroalloc
+func skewMoments(a, b, c, fn float64) (m2, m3 float64) {
+	mu := a / fn
+	m2 = b/fn - mu*mu
+	m3 = c/fn - 3*mu*b/fn + 2*mu*mu*mu
+	return m2, m3
+}
+
+// skewOf is the Fisher skew of n values from their raw power sums: 0 when
+// the second moment is not positive.
+//
+//physdes:zeroalloc
+func skewOf(a, b, c, fn float64) float64 {
+	m2, m3 := skewMoments(a, b, c, fn)
+	if m2 <= 0 {
+		return 0
+	}
+	return m3 / math.Pow(m2, 1.5)
+}
+
+// skewBracket brackets skewOf(a, b, c, fn) without a Pow (see
+// localSkewSearch for the error budget). It reports ok false when m2 is
+// outside [1e-200, 1e200] or the cheap skew is not finite.
+//
+//physdes:zeroalloc
+func skewBracket(a, b, c, fn float64) (lo, hi float64, ok bool) {
+	m2, m3 := skewMoments(a, b, c, fn)
+	if m2 <= 0 {
+		return 0, 0, true
+	}
+	if m2 < 1e-200 || m2 > 1e200 {
+		return 0, 0, false
+	}
+	g := m3 / (m2 * math.Sqrt(m2))
+	if !(math.Abs(g) <= math.MaxFloat64) {
+		return 0, 0, false
+	}
+	h := math.Abs(g)*1e-12 + 1e-300
+	return g - h, g + h, true
 }
 
 // CLTMinSamples returns the minimum sample size required by the modified
@@ -168,7 +278,7 @@ func CLTMinSamples(ivs []Interval, rho float64) (int, error) {
 // the bound.
 func VarianceBoundRule(sigma2Max float64, cltFloor int) func(n int) (float64, bool) {
 	return func(n int) (float64, bool) {
-		if cltFloor > 0 && n >= 4*cltFloor {
+		if cltFloor > 0 && n/4 >= cltFloor { // n >= 4·cltFloor, without overflow
 			return 0, false
 		}
 		return sigma2Max, true

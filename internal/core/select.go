@@ -26,16 +26,21 @@ import (
 	"physdes/internal/workload"
 )
 
-// Options configures the comparison primitive. The zero value plus a Seed
-// reproduces the paper's Section 7.2 protocol.
+// Options configures the comparison primitive. DefaultOptions(seed)
+// reproduces the paper's Section 7.2 protocol. A zero value plus a Seed
+// gets the same α, stability window, elimination threshold and pilot
+// size, but the zero Scheme and Strat: Independent Sampling without
+// stratification.
 type Options struct {
 	// Alpha is the target probability of correct selection (default 0.9).
 	Alpha float64
 	// Delta is the cost sensitivity δ (default 0: detect any difference).
 	Delta float64
-	// Scheme selects the sampling scheme (default Delta Sampling).
+	// Scheme selects the sampling scheme. The zero value is Independent
+	// Sampling; DefaultOptions selects Delta Sampling.
 	Scheme sampling.Scheme
-	// Strat selects stratification (default Progressive).
+	// Strat selects stratification. The zero value is NoStrat;
+	// DefaultOptions selects Progressive.
 	Strat sampling.StratMode
 	// StabilityWindow guards against Pr(CS) oscillation (default 10, as in
 	// Section 7.2).

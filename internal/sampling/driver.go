@@ -708,28 +708,40 @@ func (d *driver) prCS() float64 {
 // stratification, each mean pooled with its stratum's prior. Strata
 // without samples fall back to the global mean — unbiased strata-wise
 // coverage is exactly what fine stratification at small sample sizes
-// lacks (Figure 2).
+// lacks (Figure 2). The global mean is formed only when a stratum reads
+// it.
 func (d *driver) estimate(j int) float64 {
 	d.mbuf = d.e.columns(j, d.mbuf[:0])
-	var g moments
-	for h := range d.mbuf {
-		g.sum.AddKahan(d.mbuf[h].sum)
-		g.n += d.mbuf[h].n
-	}
-	gMean := 0.0
-	if g.n > 0 {
-		gMean = g.mean()
-	}
+	gMean, haveG := 0.0, false
 	var x float64
 	for h := range d.mbuf {
 		sm := &d.mbuf[h]
-		mean := gMean
+		var mean float64
 		if sm.n > 0 {
 			mean = sm.mean()
+		} else {
+			if !haveG {
+				gMean, haveG = pooledMean(d.mbuf), true
+			}
+			mean = gMean
 		}
 		x += float64(sm.size) * mean
 	}
 	return x
+}
+
+// pooledMean is the mean over every stratum's samples, 0 when there are
+// none.
+func pooledMean(ms []stratMoments) float64 {
+	var g moments
+	for h := range ms {
+		g.sum.AddKahan(ms[h].sum)
+		g.n += ms[h].n
+	}
+	if g.n == 0 {
+		return 0
+	}
+	return g.mean()
 }
 
 // variance returns the Equation 5 variance of the stratified estimator of
@@ -737,23 +749,19 @@ func (d *driver) estimate(j int) float64 {
 // samples takes the global s² (charged one phantom sample when
 // unsampled), a census stratum has no variance left, and a conservative
 // σ²_max bound (Section 6.2) replaces any smaller sample variance, per
-// stratum and in the fallback.
+// stratum and in the fallback. The global s² is formed only when a
+// stratum falls back to it.
 func (d *driver) variance(j int) float64 {
 	d.mbuf = d.e.pairs(j, true, d.mbuf[:0])
-	var g moments
-	for h := range d.mbuf {
-		g.sum.AddKahan(d.mbuf[h].sum)
-		g.sumsq.AddKahan(d.mbuf[h].sumsq)
-		g.n += d.mbuf[h].n
-	}
-	gVar, _ := g.variance()
 	boundS2, haveBound := 0.0, false
 	if bound := d.opts.VarianceBound; bound != nil {
-		boundS2, haveBound = bound(g.n)
+		gn := 0
+		for h := range d.mbuf {
+			gn += d.mbuf[h].n
+		}
+		boundS2, haveBound = bound(gn)
 	}
-	if haveBound && boundS2 > gVar {
-		gVar = boundS2
-	}
+	gVar, haveG := 0.0, false
 	var v float64
 	for h := range d.mbuf {
 		sm := &d.mbuf[h]
@@ -763,6 +771,12 @@ func (d *driver) variance(j int) float64 {
 		n := sm.n
 		s2, ok := sm.variance()
 		if !ok {
+			if !haveG {
+				gVar, haveG = pooledVariance(d.mbuf), true
+				if haveBound && boundS2 > gVar {
+					gVar = boundS2
+				}
+			}
 			s2 = gVar
 			n = max(n, 1)
 		}
@@ -772,6 +786,19 @@ func (d *driver) variance(j int) float64 {
 		v += stratumVar(float64(sm.size), s2, float64(n), float64(sm.fresh))
 	}
 	return v
+}
+
+// pooledVariance is the sample variance over every stratum's samples, 0
+// when there are fewer than two.
+func pooledVariance(ms []stratMoments) float64 {
+	var g moments
+	for h := range ms {
+		g.sum.AddKahan(ms[h].sum)
+		g.sumsq.AddKahan(ms[h].sumsq)
+		g.n += ms[h].n
+	}
+	s2, _ := g.variance()
+	return s2
 }
 
 // chooseBest forms every alive configuration's estimate into d.est and

@@ -12,14 +12,28 @@ const NMin = 30
 // Techniques, p. 42). The returned value is the smallest integer satisfying
 // the strict inequality.
 func CochranMinSamples(g1 float64) int {
-	return int(math.Floor(25*g1*g1)) + 1
+	return minSamplesAbove(25 * g1 * g1)
 }
 
 // ModifiedCochranMinSamples returns the minimum sample size under the
 // modification of Cochran's rule proposed by Sugden, Smith et al. (2000) and
 // adopted by the paper (Equation 9): n > 28 + 25·G1².
 func ModifiedCochranMinSamples(g1 float64) int {
-	return int(math.Floor(28+25*g1*g1)) + 1
+	return minSamplesAbove(28 + 25*g1*g1)
+}
+
+// maxMinSamples caps the Cochran floors (far above any workload size).
+const maxMinSamples = math.MaxInt32
+
+// minSamplesAbove returns the smallest integer n > x, saturated at
+// maxMinSamples; a NaN x (an unknown skew) saturates too. A plain
+// int(math.Floor(x)) turns huge and NaN x into math.MinInt64 on amd64,
+// which would silently switch the floor off.
+func minSamplesAbove(x float64) int {
+	if !(x < maxMinSamples) {
+		return maxMinSamples
+	}
+	return int(math.Floor(x)) + 1
 }
 
 // CLTApplicable reports whether a sample of size n from a population with

@@ -17,6 +17,24 @@ func TestCochranRules(t *testing.T) {
 	}
 }
 
+// TestCochranRulesSaturate pins the floors' saturation: a skew past
+// ~6e8 (25·G1² beyond the int64 range) or a NaN skew must demand the cap,
+// not wrap to a negative floor that switches the guard off.
+func TestCochranRulesSaturate(t *testing.T) {
+	for _, g1 := range []float64{1e9, -1e9, math.Inf(1), math.NaN()} {
+		if got := CochranMinSamples(g1); got != math.MaxInt32 {
+			t.Errorf("CochranMinSamples(%v) = %d, want %d", g1, got, math.MaxInt32)
+		}
+		if got := ModifiedCochranMinSamples(g1); got != math.MaxInt32 {
+			t.Errorf("ModifiedCochranMinSamples(%v) = %d, want %d", g1, got, math.MaxInt32)
+		}
+	}
+	// Just below the cap the floor is still exact.
+	if got := CochranMinSamples(9000); got != 2_025_000_001 {
+		t.Errorf("CochranMinSamples(9000) = %d, want 2025000001", got)
+	}
+}
+
 func TestCLTApplicable(t *testing.T) {
 	if CLTApplicable(28, 0) {
 		t.Error("n=28, g1=0 should not satisfy n > 28")

@@ -82,7 +82,10 @@ type (
 	CandidateOptions = physical.CandidateOptions
 	// SpaceOptions controls configuration-space generation.
 	SpaceOptions = physical.SpaceOptions
-	// Options configures the comparison primitive.
+	// Options configures the comparison primitive. Start from
+	// DefaultOptions for the paper's Section 7.2 protocol: the zero value
+	// fills in α, the stability window, elimination and the pilot size,
+	// but samples independently without stratification.
 	Options = core.Options
 	// Selection is the primitive's decision report.
 	Selection = core.Selection
