@@ -107,18 +107,18 @@ func SkewMax(ivs []Interval, rho float64) (SkewMaxResult, error) {
 // decision is the one the exact comparison makes:
 //
 //   - skewBracket forms m2 and m3 exactly as skewOf does and brackets the
-//     exact skew by the cheap m3/(m2·√m2) ± (1e-12·|·| + 1e-300). For m2 in
-//     [1e-200, 1e200], m2^1.5 is a normal float under both formulas. Go's
-//     Pow(x, 1.5) is Ldexp(Exp(0.5·Log x)·frac(x), exp(x)), which is off
-//     by at most 0.5·|ln x|·2⁻⁵² (≤ 6e-14 there) plus a few ulps, and
-//     m2·√m2 by two ulps, so the two quotients differ by under 1e-13
-//     relative, plus subnormal rounding that the 1e-300 term covers.
+//     exact skew by g ± (1e-12·|g| + 1e-300), g the cheap m3/(m2·√m2).
+//     For m2 in [1e-200, 1e200], m2^1.5 is a normal float under both
+//     formulas. Go's Pow(x, 1.5) is Ldexp(Exp(0.5·Log x)·frac(x), exp(x)),
+//     which is off by at most 0.5·|ln x|·2⁻⁵² (≤ 6e-14 there) plus a few
+//     ulps, and m2·√m2 by two ulps, so the two quotients differ by under
+//     1e-13 relative, plus subnormal rounding that the 1e-300 term covers.
 //   - The incumbent is kept as such a bracket too, made exact only when
 //     needed. Since x ↦ fl(x + 1e-15) is monotone, a flip whose upper end
 //     is ≤ fl(lo + 1e-15) of the incumbent's bracket loses the exact
 //     comparison, and one whose lower end is > fl(hi + 1e-15) wins it.
 //   - Otherwise, or when m2 lies outside the window or the cheap skew is
-//     not finite, both skews are made exact and compared as before.
+//     not finite, both skews are made exact and compared exactly.
 //
 // The returned skew is computed exactly from the final incumbent's sums,
 // so it, the flips taken and the count tried are bit-identical to a climb
@@ -134,11 +134,12 @@ func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 		s2 += v * v
 		s3 += v * v * v
 	}
-	var inc incumbent
-	if lo, hi, ok := skewBracket(s1, s2, s3, fn); ok {
-		inc.take(lo, hi)
-	} else {
-		inc.settle(s1, s2, s3, fn)
+	// [blo, bhi] brackets the incumbent's exact skew; blo == bhi once
+	// exact (a NaN incumbent is recomputed, and stays NaN).
+	blo, bhi, ok := skewBracket(s1, s2, s3, fn)
+	if !ok {
+		blo = skewOf(s1, s2, s3, fn)
+		bhi = blo
 	}
 	tried := 1
 	const maxSweeps = 50
@@ -159,17 +160,20 @@ func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 			tried++
 			lo, hi, ok := skewBracket(na, nb, nc, fn)
 			switch {
-			case ok && hi <= inc.rejectAt:
+			case ok && hi <= blo+1e-15:
 				continue
-			case ok && lo > inc.acceptAt:
-				inc.take(lo, hi)
+			case ok && lo > bhi+1e-15:
+				blo, bhi = lo, hi
 			default:
-				inc.settle(s1, s2, s3, fn)
+				if blo != bhi {
+					blo = skewOf(s1, s2, s3, fn)
+					bhi = blo
+				}
 				g := skewOf(na, nb, nc, fn)
-				if !(g > inc.rejectAt) {
+				if !(g > blo+1e-15) {
 					continue
 				}
-				inc.take(g, g)
+				blo, bhi = g, g
 			}
 			values[i] = alt
 			s1, s2, s3 = na, nb, nc
@@ -179,39 +183,10 @@ func localSkewSearch(ivs []Interval, values []float64) (float64, int) {
 			break
 		}
 	}
-	inc.settle(s1, s2, s3, fn)
-	return inc.lo, tried
-}
-
-// incumbent is a climb's best vertex so far: a bracket [lo, hi] around its
-// exact skew, and the thresholds fl(lo + 1e-15) and fl(hi + 1e-15) a flip
-// is compared against. The bracket is exact once lo == hi.
-type incumbent struct {
-	lo, hi             float64
-	rejectAt, acceptAt float64
-	exact              bool
-}
-
-// take makes [lo, hi] the incumbent's bracket.
-//
-//physdes:zeroalloc
-func (c *incumbent) take(lo, hi float64) {
-	c.lo, c.hi = lo, hi
-	c.rejectAt, c.acceptAt = lo+1e-15, hi+1e-15
-	c.exact = lo == hi
-}
-
-// settle replaces the incumbent's bracket by its exact skew, computed from
-// its raw power sums a, b, c over fn values.
-//
-//physdes:zeroalloc
-func (c *incumbent) settle(a, b, s, fn float64) {
-	if c.exact {
-		return
+	if blo != bhi {
+		blo = skewOf(s1, s2, s3, fn)
 	}
-	g := skewOf(a, b, s, fn)
-	c.take(g, g)
-	c.exact = true // also when g is NaN
+	return blo, tried
 }
 
 // skewMoments returns the second and third central moments of n values

@@ -27,8 +27,10 @@ type skewBox struct {
 // skewCorpus builds the boxes testdata/skew.golden pins: 2,000 seeded
 // random boxes (n from 1 to 400, scales from 1e-100 to 1e100) cycling
 // through five shapes, a handful of boxes at scales where the third
-// power sum under- or overflows, the near-constant box of ROADMAP item 18,
-// and TPC-D's derived intervals at 1K statements over k=15 configurations.
+// power sum under- or overflows, constant boxes, tiny-width boxes whose
+// flips gain less than the climb's margin, the near-constant box of
+// ROADMAP item 18, and TPC-D's derived intervals at 1K statements over
+// k=15 configurations.
 func skewCorpus(t *testing.T) []skewBox {
 	t.Helper()
 	var boxes []skewBox
@@ -95,6 +97,13 @@ func skewCorpus(t *testing.T) []skewBox {
 		skewBox{"pair/n2", []Interval{{Lo: 1, Hi: 3}, {Lo: 2, Hi: 2}}},
 	)
 
+	// Small integer costs widened by a few ulps: the skew sits near 0 and
+	// some flips gain less than the climb's 1e-15 margin, which only the
+	// exact comparison rejects. These are the boxes among the first
+	// 16,148 of tinyWidthBoxes' stream on which a climb accepting any gain
+	// takes a different flip.
+	boxes = append(boxes, tinyWidthBoxes([]int{1308, 4114, 10803, 12553, 12918, 13724, 15019, 15524, 16147})...)
+
 	// ROADMAP item 18: raw power sums cancel on near-constant intervals.
 	nc := make([]Interval, 50)
 	for i := range nc {
@@ -111,6 +120,30 @@ func skewCorpus(t *testing.T) []skewBox {
 	space := physical.GenerateSpace(cat, cands, 15, stats.NewRNG(12), physical.SpaceOptions{MinStructures: 3, MaxStructures: 10})
 	ivs := NewDeriver(optimizer.New(cat), space...).WorkloadIntervals(w)
 	boxes = append(boxes, skewBox{"tpcd/n1000/k15", ivs})
+	return boxes
+}
+
+// tinyWidthBoxes returns boxes ks (ascending) of a seeded stream of 2 to
+// 21 intervals over the costs 0..4, a third of zero width and the rest up
+// to 63 ulps of v+1 wide, scaled down by up to 10³.
+func tinyWidthBoxes(ks []int) []skewBox {
+	var boxes []skewBox
+	rng := stats.NewRNG(0x71e)
+	for k := 0; len(boxes) < len(ks); k++ {
+		n := 2 + rng.Intn(20)
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			v := float64(rng.Intn(5))
+			w := (v + 1) * float64(rng.Intn(64)) * 0x1p-52 * math.Pow(10, -3*rng.Float64())
+			if rng.Intn(3) == 0 {
+				w = 0
+			}
+			ivs[i] = Interval{Lo: v, Hi: v + w}
+		}
+		if k == ks[len(boxes)] {
+			boxes = append(boxes, skewBox{fmt.Sprintf("tiny-width/%d", k), ivs})
+		}
+	}
 	return boxes
 }
 

@@ -721,7 +721,10 @@ func (d *driver) estimate(j int) float64 {
 			mean = sm.mean()
 		} else {
 			if !haveG {
-				gMean, haveG = pooledMean(d.mbuf), true
+				if g := pooled(d.mbuf); g.n > 0 {
+					gMean = g.mean()
+				}
+				haveG = true
 			}
 			mean = gMean
 		}
@@ -730,18 +733,13 @@ func (d *driver) estimate(j int) float64 {
 	return x
 }
 
-// pooledMean is the mean over every stratum's samples, 0 when there are
-// none.
-func pooledMean(ms []stratMoments) float64 {
+// pooled merges every stratum's moments into the global ones.
+func pooled(ms []stratMoments) moments {
 	var g moments
 	for h := range ms {
-		g.sum.AddKahan(ms[h].sum)
-		g.n += ms[h].n
+		g.merge(ms[h].moments)
 	}
-	if g.n == 0 {
-		return 0
-	}
-	return g.mean()
+	return g
 }
 
 // variance returns the Equation 5 variance of the stratified estimator of
@@ -772,7 +770,9 @@ func (d *driver) variance(j int) float64 {
 		s2, ok := sm.variance()
 		if !ok {
 			if !haveG {
-				gVar, haveG = pooledVariance(d.mbuf), true
+				g := pooled(d.mbuf)
+				gVar, _ = g.variance()
+				haveG = true
 				if haveBound && boundS2 > gVar {
 					gVar = boundS2
 				}
@@ -786,19 +786,6 @@ func (d *driver) variance(j int) float64 {
 		v += stratumVar(float64(sm.size), s2, float64(n), float64(sm.fresh))
 	}
 	return v
-}
-
-// pooledVariance is the sample variance over every stratum's samples, 0
-// when there are fewer than two.
-func pooledVariance(ms []stratMoments) float64 {
-	var g moments
-	for h := range ms {
-		g.sum.AddKahan(ms[h].sum)
-		g.sumsq.AddKahan(ms[h].sumsq)
-		g.n += ms[h].n
-	}
-	s2, _ := g.variance()
-	return s2
 }
 
 // chooseBest forms every alive configuration's estimate into d.est and
