@@ -41,26 +41,21 @@ func TestWithinTemplateVariance(t *testing.T) {
 	cfg := physical.NewConfiguration("cfg",
 		physical.NewIndex("lineitem", []string{"l_shipdate"}),
 		physical.NewIndex("orders", []string{"o_orderdate"}))
-	perTemplate := make(map[uint64]*stats.RunningMoments)
+	perTemplate := make(map[uint64][]float64)
 	for _, q := range w.Queries {
 		key := uint64(q.Template)
-		rm, ok := perTemplate[key]
-		if !ok {
-			rm = &stats.RunningMoments{}
-			perTemplate[key] = rm
-		}
-		rm.Add(o.Cost(q.Analysis, cfg))
+		perTemplate[key] = append(perTemplate[key], o.Cost(q.Analysis, cfg))
 	}
 	withVariance := 0
 	populated := 0
-	for _, rm := range perTemplate {
-		if rm.N() < 5 {
+	for _, costs := range perTemplate {
+		if len(costs) < 5 {
 			continue
 		}
 		populated++
 		cv := 0.0
-		if rm.Mean() > 0 {
-			cv = rm.SampleVariance() / (rm.Mean() * rm.Mean())
+		if m := stats.Mean(costs); m > 0 {
+			cv = stats.SampleVariance(costs) / (m * m)
 		}
 		if cv > 1e-4 {
 			withVariance++

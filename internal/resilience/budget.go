@@ -55,19 +55,6 @@ func (b *Budget) Charge(n int64) int64 {
 	return b.used.Add(n)
 }
 
-// Remaining returns the unspent allowance, clamped at zero. An unlimited
-// budget reports a negative value (callers should check Unlimited first).
-func (b *Budget) Remaining() int64 {
-	if b.Unlimited() {
-		return -1
-	}
-	r := b.cap - b.used.Load()
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
 // Exhausted reports whether cumulative usage has reached the cap. An
 // unlimited budget is never exhausted.
 func (b *Budget) Exhausted() bool {

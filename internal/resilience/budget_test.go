@@ -10,28 +10,28 @@ func TestBudgetAccounting(t *testing.T) {
 	if b.Unlimited() {
 		t.Fatal("capped budget reports Unlimited")
 	}
-	if b.Cap() != 100 || b.Used() != 0 || b.Remaining() != 100 || b.Exhausted() {
-		t.Fatalf("fresh budget: cap=%d used=%d remaining=%d exhausted=%v",
-			b.Cap(), b.Used(), b.Remaining(), b.Exhausted())
+	if b.Cap() != 100 || b.Used() != 0 || b.Exhausted() {
+		t.Fatalf("fresh budget: cap=%d used=%d exhausted=%v",
+			b.Cap(), b.Used(), b.Exhausted())
 	}
 	if got := b.Charge(40); got != 40 {
 		t.Fatalf("Charge(40) = %d, want 40", got)
 	}
-	if b.Remaining() != 60 || b.Exhausted() {
-		t.Fatalf("after 40: remaining=%d exhausted=%v", b.Remaining(), b.Exhausted())
+	if b.Exhausted() {
+		t.Fatal("exhausted after 40 of 100")
 	}
 	b.Charge(-5) // ignored
 	if b.Used() != 40 {
 		t.Fatalf("negative charge changed usage: %d", b.Used())
 	}
 	b.Charge(60)
-	if !b.Exhausted() || b.Remaining() != 0 {
-		t.Fatalf("at cap: remaining=%d exhausted=%v", b.Remaining(), b.Exhausted())
+	if !b.Exhausted() {
+		t.Fatal("not exhausted at cap")
 	}
-	// Overshoot clamps Remaining at zero but keeps the true usage.
+	// Overshoot keeps the true usage.
 	b.Charge(25)
-	if b.Used() != 125 || b.Remaining() != 0 {
-		t.Fatalf("overshoot: used=%d remaining=%d", b.Used(), b.Remaining())
+	if b.Used() != 125 || !b.Exhausted() {
+		t.Fatalf("overshoot: used=%d exhausted=%v", b.Used(), b.Exhausted())
 	}
 }
 
@@ -42,9 +42,6 @@ func TestBudgetUnlimitedAndNil(t *testing.T) {
 		}
 		if b.Cap() != 0 {
 			t.Fatalf("unlimited Cap = %d", b.Cap())
-		}
-		if b.Remaining() >= 0 {
-			t.Fatalf("unlimited Remaining = %d, want negative sentinel", b.Remaining())
 		}
 	}
 	var nb *Budget

@@ -783,7 +783,7 @@ func (d *driver) variance(j int) float64 {
 		if haveBound && boundS2 > s2 {
 			s2 = boundS2
 		}
-		v += stratumVar(float64(sm.size), s2, float64(n), float64(sm.fresh))
+		v += stats.StratumVar(float64(sm.size), s2, float64(n), float64(sm.fresh))
 	}
 	return v
 }
@@ -915,7 +915,7 @@ func (d *driver) maybeSplit() error {
 	for h := 0; h < L; h++ {
 		sm := &d.mbuf[h]
 		s2, _ := sm.variance()
-		sc.cur[h] = stats.Stratum{Size: sm.size, S2: s2, Taken: sm.fresh}
+		sc.cur[h] = stats.Stratum{Size: sm.size, S2: s2}
 		if !d.splittable(part, h) {
 			sc.toffs[h] = [2]int{-1, -1}
 			continue

@@ -106,15 +106,6 @@ func (m *moments) poolDiff(b, j *moments) {
 	m.sumsq.SubKahan(j.cross.Scaled(2 * f))
 }
 
-// stratumVar is one stratum's term of Equation 5, W²·s²/n·(1 − fresh/W):
-// the variance s² over n samples (fresh plus pooled prior) of a stratum
-// of size W, with the finite-population correction on the fresh ones.
-//
-//physdes:zeroalloc
-func stratumVar(W, s2, n, fresh float64) float64 {
-	return W * W * s2 / n * (1 - fresh/W)
-}
-
 // varianceDrop is how much one more sample shrinks the Equation 5 term of
 // a stratum of the given size with fresh moments m (Section 5.2); zero
 // without a variance estimate.
@@ -126,7 +117,7 @@ func (m *moments) varianceDrop(size int) float64 {
 		return 0
 	}
 	W, n := float64(size), float64(m.n)
-	return stratumVar(W, s2, n, n) - stratumVar(W, s2, n+1, n+1)
+	return stats.StratumVar(W, s2, n, n) - stats.StratumVar(W, s2, n+1, n+1)
 }
 
 // priorDrifted is the two-sample z-test of the prior consistency check:

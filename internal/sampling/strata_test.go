@@ -10,6 +10,18 @@ import (
 	"physdes/internal/stats"
 )
 
+// neyman is stats.NeymanAllocationInto over fresh buffers.
+func neyman(strata []stats.Stratum, n, nmin int) []int {
+	return stats.NeymanAllocationInto(nil, nil, strata, n, nmin)
+}
+
+// minSamples is stats.MinSamplesForVarianceScratch over a fresh scratch
+// with the floor derived internally.
+func minSamples(strata []stats.Stratum, targetVar float64, nmin int) int {
+	var sc stats.AllocScratch
+	return stats.MinSamplesForVarianceScratch(strata, targetVar, nmin, &sc, 0)
+}
+
 // randomSplitInstance generates a seeded Algorithm 2 instance: 1–4
 // strata of 1–8 templates each, with occasional exact mean ties,
 // occasional strata without template estimates (nil tmplStats), and a
@@ -45,7 +57,7 @@ func randomSplitInstance(rng *stats.RNG) ([]stats.Stratum, [][]tmplStat, float64
 	}
 	nmin := 1 + rng.Intn(6)
 	n := nmin*L + 1 + rng.Intn(total/2+1)
-	targetVar := stats.StratifiedVariance(cur, stats.NeymanAllocation(cur, n, nmin)) * (0.5 + rng.Float64())
+	targetVar := stats.StratifiedVariance(cur, neyman(cur, n, nmin)) * (0.5 + rng.Float64())
 	return cur, tstats, targetVar, nmin
 }
 
@@ -166,7 +178,7 @@ func splitBenchFixture(T int, seed uint64) ([]stats.Stratum, [][]tmplStat, float
 	if n < 2*nmin {
 		n = 2 * nmin
 	}
-	targetVar := stats.StratifiedVariance(cur, stats.NeymanAllocation(cur, n, nmin))
+	targetVar := stats.StratifiedVariance(cur, neyman(cur, n, nmin))
 	return cur, [][]tmplStat{ts}, targetVar, nmin
 }
 
@@ -177,8 +189,8 @@ func splitBenchFixture(T int, seed uint64) ([]stats.Stratum, [][]tmplStat, float
 // (TestFindBestSplitIncrementalEquivalence); it also anchors the
 // split-search benchmarks.
 func findBestSplitNaive(curStrata []stats.Stratum, tmplStats [][]tmplStat, targetVar float64, nmin int) (splitDecision, bool) {
-	minSam := stats.MinSamplesForVariance(curStrata, targetVar, nmin)
-	alloc := stats.NeymanAllocation(curStrata, minSam, nmin)
+	minSam := minSamples(curStrata, targetVar, nmin)
+	alloc := neyman(curStrata, minSam, nmin)
 
 	best := splitDecision{stratum: -1}
 	for h := range curStrata {
@@ -214,7 +226,7 @@ func findBestSplitNaive(curStrata []stats.Stratum, tmplStats [][]tmplStat, targe
 			}
 			cand[h] = stats.Stratum{Size: lSize, S2: setS2(left)}
 			cand[len(curStrata)] = stats.Stratum{Size: rSize, S2: setS2(right)}
-			sam := stats.MinSamplesForVariance(cand, targetVar, nmin)
+			sam := minSamples(cand, targetVar, nmin)
 			if gain := minSam - sam; gain > best.gain {
 				lt := make([]int, len(left))
 				for i, s := range left {

@@ -3,15 +3,12 @@ package stats
 import "math"
 
 // Stratum describes one stratum of a stratified sampling design: its
-// population size, the (estimated) S² of the variable inside it, and the
-// number of samples already taken from it.
+// population size and the (estimated) S² of the variable inside it.
 type Stratum struct {
 	// Size is |WL_h|, the number of population elements in the stratum.
 	Size int
 	// S2 is S²_h = σ²_h · |WL_h|/(|WL_h|−1), the paper's variance form.
 	S2 float64
-	// Taken is the number of samples already drawn from the stratum.
-	Taken int
 }
 
 // StratifiedVariance evaluates Equation 5 of the paper:
@@ -39,25 +36,30 @@ func StratifiedVariance(strata []Stratum, alloc []int) float64 {
 		if n >= st.Size {
 			continue
 		}
-		W := float64(st.Size)
-		v += W * W * st.S2 / float64(n) * (1 - float64(n)/W)
+		v += StratumVar(float64(st.Size), st.S2, float64(n), float64(n))
 	}
 	return v
 }
 
-// NeymanAllocation distributes a total sample size n across strata
-// proportionally to |WL_h|·S_h (Neyman's optimum allocation), clamping each
-// stratum to its population size and to a per-stratum minimum. The returned
-// slice always sums to at least min(n, Σ sizes); leftover samples from
-// clamped strata are redistributed among the unclamped ones.
-func NeymanAllocation(strata []Stratum, n, perStratumMin int) []int {
-	L := len(strata)
-	return NeymanAllocationInto(make([]int, L), make([]int, L), strata, n, perStratumMin)
+// StratumVar is one stratum's term of Equation 5, W²·s²/n·(1 − fresh/W):
+// the variance s² over n samples of a stratum of size W, with the
+// finite-population correction on the fresh ones. StratifiedVariance
+// passes fresh = n; the sampler's estimator pools prior observations
+// into n that the correction does not count.
+//
+//physdes:zeroalloc
+func StratumVar(W, s2, n, fresh float64) float64 {
+	return W * W * s2 / n * (1 - fresh/W)
 }
 
-// NeymanAllocationInto is NeymanAllocation writing into caller-provided
-// buffers: dst receives the allocation and capLeft is working space for
-// the remaining per-stratum capacity. Both are used from index 0 and
+// NeymanAllocationInto distributes a total sample size n across strata
+// proportionally to |WL_h|·S_h (Neyman's optimum allocation), clamping
+// each stratum to its population size and to a per-stratum minimum. The
+// allocation always sums to at least min(n, Σ sizes); leftover samples
+// from clamped strata are redistributed among the unclamped ones.
+//
+// dst receives the allocation and capLeft is working space for the
+// remaining per-stratum capacity. Both are used from index 0 and
 // fully overwritten; when either is too small a fresh slice is
 // allocated, so pre-sized buffers make the call allocation-free (the
 // property the split-search binary probes rely on). The (possibly
@@ -189,20 +191,6 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// MinSamplesForVariance returns the smallest total sample size n such that a
-// Neyman allocation of n over the strata (respecting perStratumMin) achieves
-// StratifiedVariance ≤ targetVar, assuming the strata S² values stay
-// constant. This is the #Samples(Cᵢ, ST, NT) oracle of Section 5.1; as the
-// paper notes (footnote 3), ignoring the finite population correction it can
-// be computed with a binary search over n combined with Neyman allocation in
-// O(L·log₂(N)) operations. The search is bounded by the total population
-// size; if even sampling everything cannot reach the target (targetVar < 0),
-// the total population size is returned.
-func MinSamplesForVariance(strata []Stratum, targetVar float64, perStratumMin int) int {
-	var sc AllocScratch
-	return MinSamplesForVarianceScratch(strata, targetVar, perStratumMin, &sc, 0)
-}
-
 // AllocScratch holds the working buffers MinSamplesForVarianceScratch
 // threads through its NeymanAllocationInto probes, so the O(log N)
 // binary-search evaluations reuse two slices instead of allocating two
@@ -213,13 +201,22 @@ type AllocScratch struct {
 	capLeft []int
 }
 
-// MinSamplesForVarianceScratch is MinSamplesForVariance with
-// caller-managed buffers and an optional precomputed lower bound.
-// loHint, when positive, must equal the structural floor
-// Σ_h min(perStratumMin, Size_h) — callers that maintain the floor
-// incrementally (the split-search sweep) pass it to skip the O(L)
-// recomputation; loHint ≤ 0 derives the floor internally. The probe
-// sequence is bit-identical to MinSamplesForVariance in every case.
+// MinSamplesForVarianceScratch returns the smallest total sample size n
+// such that a Neyman allocation of n over the strata (respecting
+// perStratumMin) achieves StratifiedVariance ≤ targetVar, assuming the
+// strata S² values stay constant. This is the #Samples(Cᵢ, ST, NT) oracle
+// of Section 5.1; as the paper notes (footnote 3), ignoring the finite
+// population correction it can be computed with a binary search over n
+// combined with Neyman allocation in O(L·log₂(N)) operations. The search
+// is bounded by the total population size; if even sampling everything
+// cannot reach the target (targetVar < 0), the total population size is
+// returned.
+//
+// sc holds the probes' buffers across calls. loHint, when positive, must
+// equal the structural floor Σ_h min(perStratumMin, Size_h) — callers
+// that maintain the floor incrementally (the split-search sweep) pass it
+// to skip the O(L) recomputation; loHint ≤ 0 derives the floor
+// internally. The probe sequence is the same either way.
 //
 //physdes:zeroalloc
 func MinSamplesForVarianceScratch(strata []Stratum, targetVar float64, perStratumMin int, sc *AllocScratch, loHint int) int {
@@ -264,24 +261,4 @@ func MinSamplesForVarianceScratch(strata []Stratum, targetVar float64, perStratu
 		}
 	}
 	return lo
-}
-
-// Bonferroni combines pairwise probabilities of correct selection into the
-// multi-way lower bound of Equation 3:
-//
-//	Pr(CS) ≥ 1 − Σ_j (1 − Pr(CS_{i,j}))
-//
-// The result is clamped to [0, 1].
-func Bonferroni(pairwise []float64) float64 {
-	p := 1.0
-	for _, pij := range pairwise {
-		p -= 1 - pij
-	}
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }

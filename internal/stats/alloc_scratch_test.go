@@ -17,7 +17,7 @@ func TestNeymanStallHighestWeightFirst(t *testing.T) {
 		{Size: 10, S2: 4}, // weight 20 — highest
 		{Size: 10, S2: 2}, // weight ~14.1
 	}
-	got := NeymanAllocation(strata, 2, 0)
+	got := neyman(strata, 2, 0)
 	want := []int{0, 1, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stall fallback allocation = %v, want %v", got, want)
@@ -73,9 +73,9 @@ func randomStrata(rng *RNG, L int) []Stratum {
 	return out
 }
 
-// TestNeymanAllocationIntoMatches: the scratch variant must return the
-// same allocation as the allocating wrapper on randomized inputs, with
-// both fresh and reused (dirty) buffers.
+// TestNeymanAllocationIntoMatches: reused (dirty) buffers must yield
+// the same allocation as fresh ones on randomized inputs — the split
+// search's probes reuse one pair of buffers across every call.
 func TestNeymanAllocationIntoMatches(t *testing.T) {
 	rng := NewRNG(9)
 	dst := []int{}
@@ -85,19 +85,18 @@ func TestNeymanAllocationIntoMatches(t *testing.T) {
 		strata := randomStrata(rng, L)
 		n := rng.Intn(3000)
 		nmin := rng.Intn(10)
-		want := NeymanAllocation(strata, n, nmin)
+		want := neyman(strata, n, nmin)
 		got := NeymanAllocationInto(dst, capLeft, strata, n, nmin)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: Into = %v, fresh = %v", it, got, want)
+			t.Fatalf("case %d: reused buffers = %v, fresh = %v", it, got, want)
 		}
 		dst, capLeft = got, growInts(capLeft, L) // reuse dirty buffers next round
 	}
 }
 
-// TestMinSamplesScratchMatches: identical results (and, by construction,
-// identical probe sequences) between the scratch variant and the
-// wrapper, both with the internally derived floor and an explicit
-// precomputed loHint.
+// TestMinSamplesScratchMatches: a precomputed loHint equal to the
+// structural floor must give the same result as the internally derived
+// floor, with the scratch buffers reused across calls.
 func TestMinSamplesScratchMatches(t *testing.T) {
 	rng := NewRNG(23)
 	var sc AllocScratch
@@ -106,17 +105,14 @@ func TestMinSamplesScratchMatches(t *testing.T) {
 		strata := randomStrata(rng, L)
 		nmin := rng.Intn(10)
 		n := 1 + rng.Intn(2000)
-		targetVar := StratifiedVariance(strata, NeymanAllocation(strata, n, nmin)) * (0.5 + rng.Float64())
-		want := MinSamplesForVariance(strata, targetVar, nmin)
-		if got := MinSamplesForVarianceScratch(strata, targetVar, nmin, &sc, 0); got != want {
-			t.Fatalf("case %d: scratch (derived floor) = %d, want %d", it, got, want)
-		}
+		targetVar := StratifiedVariance(strata, neyman(strata, n, nmin)) * (0.5 + rng.Float64())
+		want := minSamples(strata, targetVar, nmin)
 		floor := 0
 		for _, st := range strata {
 			floor += min(nmin, st.Size)
 		}
 		if got := MinSamplesForVarianceScratch(strata, targetVar, nmin, &sc, floor); got != want {
-			t.Fatalf("case %d: scratch (loHint=%d) = %d, want %d", it, floor, got, want)
+			t.Fatalf("case %d: scratch (loHint=%d) = %d, derived floor = %d", it, floor, got, want)
 		}
 	}
 }
@@ -125,7 +121,7 @@ func TestMinSamplesScratchMatches(t *testing.T) {
 // allocations once the scratch buffers are warm.
 func TestMinSamplesScratchZeroAlloc(t *testing.T) {
 	strata := []Stratum{{Size: 4000, S2: 30}, {Size: 2500, S2: 4}, {Size: 900, S2: 90}}
-	targetVar := StratifiedVariance(strata, NeymanAllocation(strata, 700, 5))
+	targetVar := StratifiedVariance(strata, neyman(strata, 700, 5))
 	var sc AllocScratch
 	MinSamplesForVarianceScratch(strata, targetVar, 5, &sc, 0) // warm up
 	avg := testing.AllocsPerRun(100, func() {
@@ -139,38 +135,22 @@ func TestMinSamplesScratchZeroAlloc(t *testing.T) {
 func BenchmarkNeymanAllocation(b *testing.B) {
 	rng := NewRNG(5)
 	strata := randomStrata(rng, 16)
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NeymanAllocation(strata, 2000, 4)
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		dst := make([]int, len(strata))
-		capLeft := make([]int, len(strata))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NeymanAllocationInto(dst, capLeft, strata, 2000, 4)
-		}
-	})
+	dst := make([]int, len(strata))
+	capLeft := make([]int, len(strata))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NeymanAllocationInto(dst, capLeft, strata, 2000, 4)
+	}
 }
 
 func BenchmarkMinSamplesForVariance(b *testing.B) {
 	rng := NewRNG(5)
 	strata := randomStrata(rng, 16)
-	targetVar := StratifiedVariance(strata, NeymanAllocation(strata, 1200, 4))
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MinSamplesForVariance(strata, targetVar, 4)
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		var sc AllocScratch
+	targetVar := StratifiedVariance(strata, neyman(strata, 1200, 4))
+	var sc AllocScratch
+	MinSamplesForVarianceScratch(strata, targetVar, 4, &sc, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
 		MinSamplesForVarianceScratch(strata, targetVar, 4, &sc, 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MinSamplesForVarianceScratch(strata, targetVar, 4, &sc, 0)
-		}
-	})
+	}
 }

@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// neyman is NeymanAllocationInto over fresh buffers.
+func neyman(strata []Stratum, n, perStratumMin int) []int {
+	return NeymanAllocationInto(nil, nil, strata, n, perStratumMin)
+}
+
+// minSamples is MinSamplesForVarianceScratch over a fresh scratch with
+// the floor derived internally.
+func minSamples(strata []Stratum, targetVar float64, perStratumMin int) int {
+	var sc AllocScratch
+	return MinSamplesForVarianceScratch(strata, targetVar, perStratumMin, &sc, 0)
+}
+
 func TestStratifiedVarianceSingleStratumMatchesSRS(t *testing.T) {
 	// With one stratum equation 5 degenerates to the simple-random-sampling
 	// variance N²·S²/n·(1−n/N).
@@ -14,6 +26,18 @@ func TestStratifiedVarianceSingleStratumMatchesSRS(t *testing.T) {
 	want := 1000.0 * 1000.0 * 7.5 / 50.0 * (1 - 50.0/1000.0)
 	if !almostEq(got, want, 1e-12) {
 		t.Errorf("got %v want %v", got, want)
+	}
+}
+
+// TestStratumVarFreshFPC: the finite-population correction counts only
+// the fresh samples, so prior observations pooled into n shrink s²/n
+// without shrinking (1 − fresh/W), and a fresh census leaves no variance.
+func TestStratumVarFreshFPC(t *testing.T) {
+	if got, want := StratumVar(100, 4, 20, 10), 100.0*100.0*4/20*(1-10.0/100); got != want {
+		t.Errorf("StratumVar(100, 4, 20, 10) = %v, want %v", got, want)
+	}
+	if got := StratumVar(100, 4, 130, 100); got != 0 {
+		t.Errorf("fresh census StratumVar = %v, want 0", got)
 	}
 }
 
@@ -46,7 +70,7 @@ func TestNeymanAllocationProportions(t *testing.T) {
 		{Size: 1000, S2: 100}, // weight 1000*10 = 10000
 		{Size: 1000, S2: 1},   // weight 1000*1  = 1000
 	}
-	alloc := NeymanAllocation(st, 110, 0)
+	alloc := neyman(st, 110, 0)
 	total := alloc[0] + alloc[1]
 	if total < 110 {
 		t.Fatalf("allocated %d < requested 110", total)
@@ -62,7 +86,7 @@ func TestNeymanAllocationRespectsMinimumAndCapacity(t *testing.T) {
 		{Size: 5, S2: 1000}, // tiny stratum with huge variance
 		{Size: 1000, S2: 1},
 	}
-	alloc := NeymanAllocation(st, 100, 3)
+	alloc := neyman(st, 100, 3)
 	if alloc[0] > 5 {
 		t.Errorf("stratum 0 over-allocated: %d > size 5", alloc[0])
 	}
@@ -76,7 +100,7 @@ func TestNeymanAllocationRespectsMinimumAndCapacity(t *testing.T) {
 
 func TestNeymanAllocationZeroVarianceStrata(t *testing.T) {
 	st := []Stratum{{Size: 50, S2: 0}, {Size: 50, S2: 0}}
-	alloc := NeymanAllocation(st, 40, 0)
+	alloc := neyman(st, 40, 0)
 	if alloc[0]+alloc[1] < 40 {
 		t.Errorf("zero-variance strata under-allocated: %v", alloc)
 	}
@@ -93,7 +117,7 @@ func TestNeymanAllocationNeverExceedsPopulation(t *testing.T) {
 			total += st[h].Size
 		}
 		n := r.Intn(total + 20)
-		alloc := NeymanAllocation(st, n, r.Intn(3))
+		alloc := neyman(st, n, r.Intn(3))
 		sum := 0
 		for h, a := range alloc {
 			if a < 0 || a > st[h].Size {
@@ -134,13 +158,13 @@ func TestNeymanBeatsPooledSRS(t *testing.T) {
 		}
 		N := len(pop)
 		strata := []Stratum{
-			{Size: n1, S2: SSquared(PopulationVariance(s1), n1)},
-			{Size: n2, S2: SSquared(PopulationVariance(s2), n2)},
+			{Size: n1, S2: SampleVariance(s1)},
+			{Size: n2, S2: SampleVariance(s2)},
 		}
-		pooled := []Stratum{{Size: N, S2: SSquared(PopulationVariance(pop), N)}}
+		pooled := []Stratum{{Size: N, S2: SampleVariance(pop)}}
 		n := 20 + r.Intn(40)
-		vStrat := StratifiedVariance(strata, NeymanAllocation(strata, n, 2))
-		vPool := StratifiedVariance(pooled, NeymanAllocation(pooled, n, 2))
+		vStrat := StratifiedVariance(strata, neyman(strata, n, 2))
+		vPool := StratifiedVariance(pooled, neyman(pooled, n, 2))
 		return vStrat <= vPool*(1+1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -151,16 +175,16 @@ func TestNeymanBeatsPooledSRS(t *testing.T) {
 func TestMinSamplesForVariance(t *testing.T) {
 	st := []Stratum{{Size: 10000, S2: 25}}
 	target := 1e6
-	n := MinSamplesForVariance(st, target, 30)
+	n := minSamples(st, target, 30)
 	if n < 30 {
 		t.Fatalf("n=%d below per-stratum minimum", n)
 	}
-	v := StratifiedVariance(st, NeymanAllocation(st, n, 30))
+	v := StratifiedVariance(st, neyman(st, n, 30))
 	if v > target {
 		t.Errorf("variance %v at n=%d exceeds target %v", v, n, target)
 	}
 	if n > 30 {
-		vPrev := StratifiedVariance(st, NeymanAllocation(st, n-1, 30))
+		vPrev := StratifiedVariance(st, neyman(st, n-1, 30))
 		if vPrev <= target {
 			t.Errorf("n=%d not minimal: n-1 already reaches target (%v <= %v)", n, vPrev, target)
 		}
@@ -169,13 +193,13 @@ func TestMinSamplesForVariance(t *testing.T) {
 
 func TestMinSamplesForVarianceUnreachable(t *testing.T) {
 	st := []Stratum{{Size: 100, S2: 25}}
-	if n := MinSamplesForVariance(st, -1, 1); n != 100 {
+	if n := minSamples(st, -1, 1); n != 100 {
 		t.Errorf("unreachable target should return population size, got %d", n)
 	}
 }
 
 func TestMinSamplesForVarianceEmpty(t *testing.T) {
-	if n := MinSamplesForVariance(nil, 10, 1); n != 0 {
+	if n := minSamples(nil, 10, 1); n != 0 {
 		t.Errorf("empty strata should need 0 samples, got %d", n)
 	}
 }
@@ -184,22 +208,10 @@ func TestMinSamplesMonotoneInTarget(t *testing.T) {
 	st := []Stratum{{Size: 5000, S2: 100}, {Size: 3000, S2: 10}}
 	prev := math.MaxInt
 	for _, target := range []float64{1e4, 1e5, 1e6, 1e7, 1e8} {
-		n := MinSamplesForVariance(st, target, 30)
+		n := minSamples(st, target, 30)
 		if n > prev {
 			t.Errorf("looser target %v needs more samples (%d > %d)", target, n, prev)
 		}
 		prev = n
-	}
-}
-
-func TestBonferroni(t *testing.T) {
-	if got := Bonferroni([]float64{0.99, 0.98}); !almostEq(got, 0.97, 1e-12) {
-		t.Errorf("Bonferroni = %v, want 0.97", got)
-	}
-	if got := Bonferroni([]float64{0.1, 0.1}); got != 0 {
-		t.Errorf("Bonferroni should clamp at 0, got %v", got)
-	}
-	if got := Bonferroni(nil); got != 1 {
-		t.Errorf("empty Bonferroni should be 1, got %v", got)
 	}
 }

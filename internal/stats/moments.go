@@ -14,15 +14,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // PopulationVariance returns σ² = Σ(x−μ)²/N, the variance of xs viewed as a
 // complete finite population. It returns 0 for fewer than one element.
 func PopulationVariance(xs []float64) float64 {
@@ -96,116 +87,4 @@ func FisherSkew(xs []float64) float64 {
 		return 0
 	}
 	return m3 / math.Pow(m2, 1.5)
-}
-
-// RunningMoments accumulates count, mean and M2 (sum of squared deviations)
-// incrementally using Welford's algorithm, so strata statistics can be
-// maintained at O(1) per observed query cost, as Section 5 of the paper
-// requires ("all necessary counters and measurements can be maintained
-// incrementally at constant cost").
-type RunningMoments struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-	sum  float64
-}
-
-// Add folds x into the accumulator.
-func (r *RunningMoments) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.sum += x
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations folded in so far.
-func (r *RunningMoments) N() int { return r.n }
-
-// Mean returns the running mean, or 0 before any observation.
-func (r *RunningMoments) Mean() float64 { return r.mean }
-
-// Sum returns the running sum.
-func (r *RunningMoments) Sum() float64 { return r.sum }
-
-// Min returns the smallest observation, or 0 before any observation.
-func (r *RunningMoments) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 before any observation.
-func (r *RunningMoments) Max() float64 { return r.max }
-
-// SampleVariance returns the unbiased sample variance s², or 0 with fewer
-// than two observations.
-func (r *RunningMoments) SampleVariance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// PopulationVariance returns M2/n, or 0 with no observations.
-func (r *RunningMoments) PopulationVariance() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Merge folds another accumulator into r (parallel Welford merge).
-func (r *RunningMoments) Merge(o RunningMoments) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	min, max := r.min, r.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*r = RunningMoments{n: n, mean: mean, m2: m2, min: min, max: max, sum: r.sum + o.sum}
-}
-
-// FPC returns the finite population correction factor (1 − n/N) used in all
-// of the paper's estimator-variance formulas. It returns 0 when n ≥ N (the
-// whole population has been observed: the estimator has no variance left)
-// and 1 when N ≤ 0.
-func FPC(n, N int) float64 {
-	if N <= 0 {
-		return 1
-	}
-	if n >= N {
-		return 0
-	}
-	return 1 - float64(n)/float64(N)
-}
-
-// SSquared converts a population variance σ² over a population of size N to
-// the S² = σ²·N/(N−1) form used throughout Section 4 of the paper. For N ≤ 1
-// it returns σ² unchanged.
-func SSquared(sigma2 float64, N int) float64 {
-	if N <= 1 {
-		return sigma2
-	}
-	return sigma2 * float64(N) / float64(N-1)
 }

@@ -25,9 +25,6 @@ func TestMeanSum(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Sum([]float64{1, 2, 3, 4}); got != 10 {
-		t.Errorf("Sum = %v", got)
-	}
 }
 
 func TestVariances(t *testing.T) {
@@ -101,99 +98,5 @@ func TestFisherSkew(t *testing.T) {
 	}
 	if a, b := FisherSkew(skewed), FisherSkew(mirrored); !almostEq(a, -b, 1e-12) {
 		t.Errorf("mirror skew: %v vs %v", a, b)
-	}
-}
-
-func TestRunningMomentsMatchesBatch(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		n := 2 + r.Intn(300)
-		xs := make([]float64, n)
-		var rm RunningMoments
-		for i := range xs {
-			xs[i] = r.Float64()*1000 - 500
-			rm.Add(xs[i])
-		}
-		okMean := almostEq(rm.Mean(), Mean(xs), 1e-9)
-		okVar := almostEq(rm.SampleVariance(), SampleVariance(xs), 1e-9)
-		okPop := almostEq(rm.PopulationVariance(), PopulationVariance(xs), 1e-9)
-		okSum := almostEq(rm.Sum(), Sum(xs), 1e-9)
-		return okMean && okVar && okPop && okSum && rm.N() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMomentsMinMax(t *testing.T) {
-	var rm RunningMoments
-	for _, v := range []float64{5, -3, 12, 0} {
-		rm.Add(v)
-	}
-	if rm.Min() != -3 || rm.Max() != 12 {
-		t.Errorf("min/max = %v/%v", rm.Min(), rm.Max())
-	}
-}
-
-func TestRunningMomentsMerge(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		n := 2 + r.Intn(100)
-		m := 2 + r.Intn(100)
-		var a, b, all RunningMoments
-		for i := 0; i < n; i++ {
-			x := r.Float64() * 50
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < m; i++ {
-			x := r.Float64()*50 + 10
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			almostEq(a.Mean(), all.Mean(), 1e-9) &&
-			almostEq(a.SampleVariance(), all.SampleVariance(), 1e-9) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMomentsMergeEmpty(t *testing.T) {
-	var a, b RunningMoments
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Error("merge with empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Errorf("merge into empty: n=%d mean=%v", b.N(), b.Mean())
-	}
-}
-
-func TestFPC(t *testing.T) {
-	if got := FPC(10, 100); got != 0.9 {
-		t.Errorf("FPC(10,100) = %v", got)
-	}
-	if FPC(100, 100) != 0 || FPC(150, 100) != 0 {
-		t.Error("FPC with n >= N should be 0")
-	}
-	if FPC(5, 0) != 1 {
-		t.Error("FPC with N<=0 should be 1")
-	}
-}
-
-func TestSSquared(t *testing.T) {
-	if got := SSquared(4, 5); !almostEq(got, 5, 1e-12) {
-		t.Errorf("SSquared(4,5) = %v, want 5", got)
-	}
-	if SSquared(4, 1) != 4 {
-		t.Error("SSquared with N<=1 should pass through")
 	}
 }

@@ -1,10 +1,10 @@
 // Package stats provides the statistical machinery underlying the
 // probabilistic configuration-comparison primitive: moments of finite
-// populations and samples, the standard normal distribution, finite
-// population corrections, Neyman allocation for stratified sampling,
-// sample-size search, the Bonferroni combination of pairwise selection
-// probabilities, and Cochran-style rules for the applicability of the
-// Central Limit Theorem.
+// populations and samples, compensated sums, the standard normal
+// distribution, Equation 5's stratified variance, Neyman allocation and
+// the #Samples search, the pairwise Pr(CS) and its inverse, the modified
+// Cochran rule for the applicability of the Central Limit Theorem, and
+// a deterministic RNG.
 //
 // All functions are deterministic and allocation-conscious; the hot paths
 // (sampling loops in internal/sampling) call them millions of times during
@@ -17,11 +17,6 @@ import "math"
 // standard normal distribution evaluated at z.
 func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalPDF returns φ(z), the density of the standard normal at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
 }
 
 // NormalQuantile returns Φ⁻¹(p) for p in (0,1), the inverse of NormalCDF.

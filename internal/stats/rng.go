@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via splitmix64). Every stochastic component of the
 // library takes an explicit *RNG so that experiments, tests and the
@@ -22,12 +24,6 @@ func NewRNG(seed uint64) *RNG {
 		r.s[i] = z ^ (z >> 31)
 	}
 	return r
-}
-
-// Split derives an independent generator from r's stream, so concurrent
-// workers can each own a private RNG without locking.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -97,7 +93,7 @@ func (r *RNG) NormFloat64() float64 {
 
 func sqrtNeg2LogOver(s float64) float64 {
 	// sqrt(-2 ln s / s), factored out to keep NormFloat64 readable.
-	return mathSqrt(-2 * mathLog(s) / s)
+	return math.Sqrt(-2 * math.Log(s) / s)
 }
 
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
@@ -139,7 +135,7 @@ func NewZipfGen(n int, theta float64) *ZipfGen {
 	cdf := make([]float64, n)
 	var total float64
 	for k := 1; k <= n; k++ {
-		total += 1 / powF(float64(k), theta)
+		total += 1 / math.Pow(float64(k), theta)
 		cdf[k-1] = total
 	}
 	for i := range cdf {

@@ -7,41 +7,19 @@ import "math"
 // (Section 4.1 of the paper).
 const NMin = 30
 
-// CochranMinSamples returns the minimum sample size prescribed by Cochran's
-// rule for a population with Fisher skew g1: n > 25·G1² (Cochran, Sampling
-// Techniques, p. 42). The returned value is the smallest integer satisfying
-// the strict inequality.
-func CochranMinSamples(g1 float64) int {
-	return minSamplesAbove(25 * g1 * g1)
-}
-
 // ModifiedCochranMinSamples returns the minimum sample size under the
 // modification of Cochran's rule proposed by Sugden, Smith et al. (2000) and
-// adopted by the paper (Equation 9): n > 28 + 25·G1².
+// adopted by the paper (Equation 9): the smallest integer n > 28 + 25·G1².
+// The floor saturates at math.MaxInt32 (far above any workload size), and
+// a NaN g1 (an unknown skew) saturates too: a plain int(math.Floor(x))
+// turns huge and NaN x into math.MinInt64 on amd64, which would silently
+// switch the floor off.
 func ModifiedCochranMinSamples(g1 float64) int {
-	return minSamplesAbove(28 + 25*g1*g1)
-}
-
-// maxMinSamples caps the Cochran floors (far above any workload size).
-const maxMinSamples = math.MaxInt32
-
-// minSamplesAbove returns the smallest integer n > x, saturated at
-// maxMinSamples; a NaN x (an unknown skew) saturates too. A plain
-// int(math.Floor(x)) turns huge and NaN x into math.MinInt64 on amd64,
-// which would silently switch the floor off.
-func minSamplesAbove(x float64) int {
-	if !(x < maxMinSamples) {
-		return maxMinSamples
+	x := 28 + 25*g1*g1
+	if !(x < math.MaxInt32) {
+		return math.MaxInt32
 	}
 	return int(math.Floor(x)) + 1
-}
-
-// CLTApplicable reports whether a sample of size n from a population with
-// (an upper bound on) Fisher skew g1 satisfies the modified Cochran rule of
-// Equation 9, i.e. whether the CLT-based confidence statements of Section 4
-// can be trusted.
-func CLTApplicable(n int, g1 float64) bool {
-	return float64(n) > 28+25*g1*g1
 }
 
 // PairwisePrCS computes the probability of a correct pairwise selection

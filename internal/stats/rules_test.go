@@ -6,9 +6,6 @@ import (
 )
 
 func TestCochranRules(t *testing.T) {
-	if got := CochranMinSamples(2); got != 101 {
-		t.Errorf("CochranMinSamples(2) = %d, want 101", got)
-	}
 	if got := ModifiedCochranMinSamples(2); got != 129 {
 		t.Errorf("ModifiedCochranMinSamples(2) = %d, want 129", got)
 	}
@@ -22,31 +19,13 @@ func TestCochranRules(t *testing.T) {
 // not wrap to a negative floor that switches the guard off.
 func TestCochranRulesSaturate(t *testing.T) {
 	for _, g1 := range []float64{1e9, -1e9, math.Inf(1), math.NaN()} {
-		if got := CochranMinSamples(g1); got != math.MaxInt32 {
-			t.Errorf("CochranMinSamples(%v) = %d, want %d", g1, got, math.MaxInt32)
-		}
 		if got := ModifiedCochranMinSamples(g1); got != math.MaxInt32 {
 			t.Errorf("ModifiedCochranMinSamples(%v) = %d, want %d", g1, got, math.MaxInt32)
 		}
 	}
 	// Just below the cap the floor is still exact.
-	if got := CochranMinSamples(9000); got != 2_025_000_001 {
-		t.Errorf("CochranMinSamples(9000) = %d, want 2025000001", got)
-	}
-}
-
-func TestCLTApplicable(t *testing.T) {
-	if CLTApplicable(28, 0) {
-		t.Error("n=28, g1=0 should not satisfy n > 28")
-	}
-	if !CLTApplicable(29, 0) {
-		t.Error("n=29, g1=0 should satisfy n > 28")
-	}
-	if CLTApplicable(100, 2) { // needs > 128
-		t.Error("n=100, g1=2 should fail")
-	}
-	if !CLTApplicable(129, 2) {
-		t.Error("n=129, g1=2 should pass")
+	if got := ModifiedCochranMinSamples(9000); got != 2_025_000_029 {
+		t.Errorf("ModifiedCochranMinSamples(9000) = %d, want 2025000029", got)
 	}
 }
 

@@ -8,7 +8,6 @@ package workload
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"physdes/internal/catalog"
 	"physdes/internal/optimizer"
@@ -200,16 +199,5 @@ func (w *Workload) KindCounts() map[string]int {
 	for _, q := range w.Queries {
 		out[q.Analysis.Kind.String()]++
 	}
-	return out
-}
-
-// TemplateSizes returns the member counts per template, sorted descending —
-// used by compression baselines and reports.
-func (w *Workload) TemplateSizes() []int {
-	var out []int
-	for _, ti := range w.infos {
-		out = append(out, len(ti.Members))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	return out
 }

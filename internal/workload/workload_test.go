@@ -216,24 +216,6 @@ func TestGenCRM(t *testing.T) {
 	}
 }
 
-func TestTemplateSizesSorted(t *testing.T) {
-	w, err := GenTPCD(tpcdCat, 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := w.TemplateSizes()
-	total := 0
-	for i, s := range sizes {
-		total += s
-		if i > 0 && s > sizes[i-1] {
-			t.Fatal("TemplateSizes not descending")
-		}
-	}
-	if total != 300 {
-		t.Errorf("sizes sum to %d", total)
-	}
-}
-
 func TestStoreRoundTrip(t *testing.T) {
 	w, err := GenTPCD(tpcdCat, 200, 3)
 	if err != nil {
