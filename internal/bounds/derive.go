@@ -25,7 +25,7 @@ import (
 // union of all candidate structures (most maintenance). This needs only
 // two optimizer calls per template and configuration, as the paper notes.
 type Deriver struct {
-	opt *optimizer.Optimizer
+	opt whatIf
 	cat *catalog.Catalog
 	par int
 
@@ -33,10 +33,20 @@ type Deriver struct {
 	all  *physical.Configuration
 }
 
+// whatIf is what a Deriver costs through: an *optimizer.Optimizer, or a
+// caller's wrapper around one that counts the calls its derivation makes.
+type whatIf interface {
+	Catalog() *catalog.Catalog
+	Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64
+	UpdateParts(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64)
+	SelectivityOf(a *sqlparse.Analysis) float64
+}
+
 // NewDeriver builds a deriver for a tuning session whose configuration
 // space is spanned by configs: the base configuration is their
-// intersection, and the all-structures configuration their union.
-func NewDeriver(opt *optimizer.Optimizer, configs ...*physical.Configuration) *Deriver {
+// intersection, and the all-structures configuration their union. opt is
+// an *optimizer.Optimizer or a wrapper around one.
+func NewDeriver(opt whatIf, configs ...*physical.Configuration) *Deriver {
 	return &Deriver{
 		opt:  opt,
 		cat:  opt.Catalog(),

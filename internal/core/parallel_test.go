@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"physdes/internal/catalog"
@@ -196,5 +197,65 @@ func TestSelectParallelismDefault(t *testing.T) {
 	}
 	if got := (Options{Parallelism: -3}).withDefaults().Parallelism; got != 1 {
 		t.Errorf("negative Parallelism resolved to %d, want 1", got)
+	}
+}
+
+// TestSelectSharedOptimizer runs Selects concurrently on one optimizer,
+// which Optimizer documents as safe for concurrent use: each Selection,
+// its OptimizerCalls included, must equal a lone run's on a fresh
+// optimizer, and the shared optimizer must have counted every call. The
+// Selects start together behind a barrier, on a workload large enough
+// that they overlap; the conservative case counts bound derivation too.
+func TestSelectSharedOptimizer(t *testing.T) {
+	cat := catalog.TPCD(1)
+	w, err := workload.GenTPCD(cat, 2_000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := physical.EnumerateCandidates(cat, w.Analyses(), physical.CandidateOptions{Covering: true, Views: true})
+	space := physical.GenerateSpace(cat, cands, 10, stats.NewRNG(12),
+		physical.SpaceOptions{MinStructures: 3, MaxStructures: 10})
+	conservative := DefaultOptions(1)
+	conservative.Conservative = true
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"default", DefaultOptions(1)},
+		{"conservative", conservative},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lone, err := Select(optimizer.New(cat), w, space, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const selects = 4
+			shared := optimizer.New(cat)
+			sels := make([]*Selection, selects)
+			errs := make([]error, selects)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := range sels {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					sels[r], errs[r] = Select(shared, w, space, tc.o)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for r := range sels {
+				if errs[r] != nil {
+					t.Fatalf("concurrent Select %d: %v", r, errs[r])
+				}
+				if !reflect.DeepEqual(sels[r], lone) {
+					t.Errorf("Select %d on the shared optimizer differs from a lone run:\nshared: %+v\nlone:   %+v", r, sels[r], lone)
+				}
+			}
+			if got, want := shared.Calls(), selects*lone.OptimizerCalls; got != want {
+				t.Errorf("shared optimizer counted %d calls, want %d (%d Selects of %d)", got, want, selects, lone.OptimizerCalls)
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"physdes/internal/bounds"
 	"physdes/internal/obs"
@@ -22,6 +23,7 @@ import (
 	"physdes/internal/physical"
 	"physdes/internal/resilience"
 	"physdes/internal/sampling"
+	"physdes/internal/sqlparse"
 	"physdes/internal/stats"
 	"physdes/internal/workload"
 )
@@ -249,6 +251,8 @@ func Select(opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.
 // over opt (optimizer.AtomicCache): overlapping configurations share
 // memoized per-structure atom costs, and the reassembled values are
 // bit-identical to direct costing, so only OptimizerCalls shrinks.
+// OptimizerCalls and the MaxCalls budget count only this selection's
+// calls, so Selects may share opt concurrently.
 func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Workload, configs []*physical.Configuration, o Options) (*Selection, error) {
 	o = o.withDefaults()
 	if w == nil || w.Size() == 0 {
@@ -260,8 +264,6 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 	if o.Degrade == resilience.Conservative && !o.Conservative {
 		return nil, errors.New("core: Degrade=Conservative requires Conservative mode (it substitutes the Section 6 interval endpoints)")
 	}
-	// Account calls from zero for this selection.
-	opt.ResetCalls()
 	if o.Metrics != nil {
 		opt.SetMetrics(o.Metrics)
 	}
@@ -280,7 +282,8 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 	if o.Metrics != nil {
 		shared.SetMetrics(o.Metrics)
 	}
-	var oracle sampling.Oracle = sampling.NewLiveOracle(shared, w, configs)
+	live := &selectOracle{LiveOracle: sampling.NewLiveOracle(shared, w, configs)}
+	var oracle sampling.Oracle = live
 	if o.WrapOracle != nil {
 		oracle = o.WrapOracle(oracle)
 	}
@@ -320,6 +323,7 @@ func SelectCtx(ctx context.Context, opt *optimizer.Optimizer, w *workload.Worklo
 		if ivs, err = applyConservative(opt, w, configs, o, &sOpts, sel); err != nil {
 			return nil, err
 		}
+		live.bound = sel.OptimizerCalls
 	}
 
 	var hardened *resilience.Oracle
@@ -408,7 +412,8 @@ func applyConservative(opt *optimizer.Optimizer, w *workload.Workload, configs [
 		bounds.SetMetrics(o.Metrics)
 	}
 	span := o.Tracer.Begin("derive_bounds", obs.KV{Key: "rho", Value: o.Rho})
-	d := bounds.NewDeriver(opt, configs...).WithParallelism(o.Parallelism)
+	counted := &countingOptimizer{Optimizer: opt}
+	d := bounds.NewDeriver(counted, configs...).WithParallelism(o.Parallelism)
 	ivs := d.WorkloadIntervals(w)
 
 	// Delta Sampling estimates cost differences; Independent Sampling
@@ -435,7 +440,7 @@ func applyConservative(opt *optimizer.Optimizer, w *workload.Workload, configs [
 		return nil, fmt.Errorf("core: conservative bounds: %w", err)
 	}
 	sel.CLTMinSamples = cltMin
-	sel.OptimizerCalls = opt.Calls() // bound-derivation calls so far
+	sel.OptimizerCalls = counted.calls.Load() // bound-derivation calls so far
 	span.End(
 		obs.KV{Key: "variance_bound", Value: sel.VarianceBound},
 		obs.KV{Key: "variance_fallback", Value: fallback},
@@ -445,4 +450,36 @@ func applyConservative(opt *optimizer.Optimizer, w *workload.Workload, configs [
 	sOpts.VarianceBound = bounds.VarianceBoundRule(sel.VarianceBound, cltMin)
 	sOpts.MinSamples = cltMin
 	return ivs, nil
+}
+
+// selectOracle is a selection's live oracle. Its bill adds the calls bound
+// derivation made before sampling to the atom store's own, so
+// Selection.OptimizerCalls and the MaxCalls budget count exactly this
+// selection's calls, whoever else shares its optimizer.
+type selectOracle struct {
+	*sampling.LiveOracle
+	bound int64
+}
+
+// Calls implements sampling.Oracle.
+func (o *selectOracle) Calls() int64 { return o.bound + o.LiveOracle.Calls() }
+
+// countingOptimizer is the optimizer as one selection's bound derivation
+// sees it: every what-if call still reaches (and is counted by) the
+// optimizer, and is counted here too.
+type countingOptimizer struct {
+	*optimizer.Optimizer
+	calls atomic.Int64
+}
+
+// Cost is Optimizer.Cost, counted.
+func (o *countingOptimizer) Cost(a *sqlparse.Analysis, cfg *physical.Configuration) float64 {
+	o.calls.Add(1)
+	return o.Optimizer.Cost(a, cfg)
+}
+
+// UpdateParts is Optimizer.UpdateParts, counted.
+func (o *countingOptimizer) UpdateParts(a *sqlparse.Analysis, cfg *physical.Configuration) (locate, write float64) {
+	o.calls.Add(1)
+	return o.Optimizer.UpdateParts(a, cfg)
 }

@@ -261,27 +261,28 @@ type atomInterner struct {
 
 	// singles[sid] is the singleton atom of index sid (cfg nil: not built).
 	singles []atomRef
-	// sets holds every interned id set; heads maps a setHash to the first
-	// of its chain in sets, and arena holds the sets' ids back to back.
-	sets  []atomSet
-	heads map[uint64]int32
+	// sets numbers the interned structure-id sets: set i is atom i+1's
+	// (the empty atom, id 0, has none), and cfgs[i] is that atom.
+	sets idSets
+	cfgs []*physical.Configuration
+}
+
+// idSets numbers distinct id sequences densely, in first-seen order: the
+// interner's structure-id sets and the plan table's atom lists. The
+// sequences sit back to back in arena, and slots, an open-addressed table
+// at most half full, finds one by its setHash (1 + its number; 0: empty).
+type idSets struct {
+	seqs  []idSeq
+	slots []int32
 	arena []uint32
-	// atoms is the number of atom ids given out, the empty atom's
-	// included.
-	atoms uint32
 }
 
-// atomSet is one interned structure-id set — arena[off:off+n] — with its
-// atom id and its atom. next chains the sets sharing a setHash (-1 ends
-// the chain).
-type atomSet struct {
+// idSeq is one numbered sequence: arena[off:off+n].
+type idSeq struct {
 	off, n uint32
-	id     uint32
-	next   int32
-	cfg    *physical.Configuration
 }
 
-// setHash mixes a sorted id set into a map key.
+// setHash mixes an id sequence into a table position.
 //
 //physdes:zeroalloc
 func setHash(ids []uint32) uint64 {
@@ -291,6 +292,89 @@ func setHash(ids []uint32) uint64 {
 		h ^= h >> 29
 	}
 	return h
+}
+
+// find returns the number of the sequence holding exactly ids, if any.
+//
+//physdes:zeroalloc
+func (t *idSets) find(ids []uint32) (int32, bool) {
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	s := t.slots[t.slot(ids)]
+	return s - 1, s != 0
+}
+
+// slot returns the position in slots of ids: the slot holding it, or the
+// empty slot where it belongs.
+//
+//physdes:zeroalloc
+func (t *idSets) slot(ids []uint32) int {
+	mask := len(t.slots) - 1
+	for i := int(setHash(ids)) & mask; ; i = (i + 1) & mask {
+		if s := t.slots[i]; s == 0 || equalIDs(t.at(s-1), ids) {
+			return i
+		}
+	}
+}
+
+// add numbers ids, which find does not find, and returns its number.
+func (t *idSets) add(ids []uint32) int32 {
+	if len(t.slots) == 0 {
+		t.seqs = make([]idSeq, 0, planHint)
+		t.arena = make([]uint32, 0, 4*planHint)
+	}
+	if 2*(len(t.seqs)+1) > len(t.slots) {
+		t.rehash(max(2*len(t.slots), 2*planHint))
+	}
+	n := int32(len(t.seqs))
+	t.seqs = appendDoubling(t.seqs, idSeq{off: uint32(len(t.arena)), n: uint32(len(ids))})
+	t.arena = appendDoubling(t.arena, ids...)
+	t.slots[t.slot(ids)] = n + 1
+	return n
+}
+
+// rehash moves the table to size slots, a power of two.
+func (t *idSets) rehash(size int) {
+	t.slots = make([]int32, size)
+	for n := range t.seqs {
+		t.slots[t.slot(t.at(int32(n)))] = int32(n) + 1
+	}
+}
+
+// appendDoubling appends xs to s, doubling s's capacity when full: append
+// grows a large slice by about a quarter, so an interning table grown by
+// append reallocates far more often.
+func appendDoubling[T any](s []T, xs ...T) []T {
+	if len(s)+len(xs) > cap(s) {
+		t := make([]T, len(s), max(2*cap(s), len(s)+len(xs)))
+		copy(t, s)
+		s = t
+	}
+	return append(s, xs...)
+}
+
+// at returns sequence n.
+//
+//physdes:zeroalloc
+func (t *idSets) at(n int32) []uint32 {
+	s := t.seqs[n]
+	return t.arena[s.off : s.off+s.n : s.off+s.n]
+}
+
+// equalIDs reports whether two id sequences are equal.
+//
+//physdes:zeroalloc
+func equalIDs(x, y []uint32) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if x[i] != y[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // indexID returns ix's dense structure id.
@@ -383,67 +467,51 @@ func projectionAtom(ixs []*physical.Index, views []*physical.View) *physical.Con
 //
 //physdes:zeroalloc
 func (in *atomInterner) lookup(ids []uint32) (atomRef, bool) {
-	s, ok := in.findSet(setHash(ids), ids)
-	return atomRef{cfg: s.cfg, id: s.id}, ok
+	i, ok := in.sets.find(ids)
+	if !ok {
+		return atomRef{}, false
+	}
+	return atomRef{cfg: in.cfgs[i], id: uint32(i) + 1}, true
 }
 
 // add numbers the id set ids, which lookup does not find, under the next
 // atom id, with cfg its atom.
 func (in *atomInterner) add(ids []uint32, cfg *physical.Configuration) atomRef {
-	if in.heads == nil {
-		in.heads = make(map[uint64]int32)
-		in.atoms = 1 // the empty atom's
+	i := in.sets.add(ids)
+	if in.cfgs == nil {
+		in.cfgs = make([]*physical.Configuration, 0, planHint)
 	}
-	h := setHash(ids)
-	next, ok := in.heads[h]
-	if !ok {
-		next = -1
-	}
-	s := atomSet{off: uint32(len(in.arena)), n: uint32(len(ids)), id: in.atoms, next: next, cfg: cfg}
-	in.arena = append(in.arena, ids...)
-	in.atoms++
-	in.heads[h] = int32(len(in.sets))
-	in.sets = append(in.sets, s)
-	return atomRef{cfg: cfg, id: s.id}
+	in.cfgs = appendDoubling(in.cfgs, cfg)
+	return atomRef{cfg: cfg, id: uint32(i) + 1}
 }
 
-// equalIDs reports whether two id sets are equal.
+// atom returns the interned atom numbered id.
 //
 //physdes:zeroalloc
-func equalIDs(x, y []uint32) bool {
-	if len(x) != len(y) {
-		return false
+func (in *atomInterner) atom(id uint32) *physical.Configuration {
+	if id == emptyAtom.id {
+		return emptyAtom.cfg
 	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// findSet returns the interned set with hash h holding exactly ids.
-//
-//physdes:zeroalloc
-func (in *atomInterner) findSet(h uint64, ids []uint32) (atomSet, bool) {
-	i, ok := in.heads[h]
-	for ok && i >= 0 {
-		s := in.sets[i]
-		if equalIDs(in.arena[s.off:s.off+s.n], ids) {
-			return s, true
-		}
-		i = s.next
-	}
-	return atomSet{}, false
+	return in.cfgs[id-1]
 }
 
 // AtomicCache is the atom store: a memo of (statement, atom) costs and
 // the only sharing layer on the what-if probe path. It keys entries by
 // statement pointer identity plus atom id (see cacheKey); atoms with one
 // structure set share an id, and so an entry. One lock, taken once per
-// CostRow, guards the memo, the interner and the accounting, so the store
-// is safe for concurrent use and each distinct atom pays exactly one
-// inner call however concurrent callers interleave.
+// CostRow, guards the memo, the interner, the plan table and the
+// accounting, so the store is safe for concurrent use and each distinct
+// atom pays exactly one inner call however concurrent callers interleave.
+//
+// The plan table remembers what decompose returned, because that depends
+// only on the statement's shape and the configuration: statements of one
+// shape share a binding (shapeBinding), which differ only in their
+// literals, and the relevance filter reads no literal but a LIKE pattern.
+// The store numbers each shape and each configuration on first sight;
+// rows[shape][cfg] then names the shape's plan under cfg, an atom list
+// interned in plans, so a probe whose (shape, configuration) pair the
+// store has decomposed before reads its atoms by index. Unbound
+// statements and shapes with a LIKE predicate decompose on every probe.
 type AtomicCache struct {
 	inner *Optimizer
 
@@ -452,6 +520,16 @@ type AtomicCache struct {
 	// intern numbers the structures and atoms decompositions produce, so
 	// the probe path builds each distinct atom once per store.
 	intern atomInterner
+
+	// shapes numbers the shapes the store has seen (-1: decompose every
+	// probe), cfgNums the configurations. rows[shape][cfg] is 1 + the
+	// number in plans of the shape's atom list under cfg, or 0 while
+	// unknown; rows are carved from slab.
+	shapes  map[*binding]int32
+	cfgNums map[*physical.Configuration]uint32
+	rows    [][]uint16
+	plans   idSets
+	slab    []uint16
 
 	hits, misses int64
 	// hitCounter and atomCounter are SetMetrics' registry handles (nil:
@@ -477,9 +555,14 @@ func NewAtomicCache(inner *Optimizer) *AtomicCache {
 	return &AtomicCache{inner: inner, table: make(map[cacheKey]float64)}
 }
 
-// Calls returns the inner optimizer's call count: only store misses reach
-// it, so this is what the sharing bills.
-func (ac *AtomicCache) Calls() int64 { return ac.inner.Calls() }
+// Calls returns the inner optimizer calls this store has made: only its
+// misses reach the optimizer, so this is what the sharing bills. Other
+// callers of the same optimizer do not count.
+func (ac *AtomicCache) Calls() int64 {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	return ac.misses
+}
 
 // SetMetrics exports the atom store's accounting on the registry:
 // optimizer_atom_hits_total (lookups served from the store) and
@@ -535,28 +618,64 @@ func (ac *AtomicCache) CostRow(a *sqlparse.Analysis, cfgs []*physical.Configurat
 	ac.costRow(a, cfgs, out, &memo)
 }
 
+// decomposeBuf is the stack scratch of one row's decompositions: ids
+// receives a decomposition's atom ids.
+type decomposeBuf struct {
+	ixs   [atomStackLen]*physical.Index
+	views [atomStackLen]*physical.View
+	sids  [atomStackLen]uint32
+	atoms [atomStackLen + 1]atomRef
+	ids   [atomStackLen + 1]uint32
+}
+
+// decompose returns the ids of the atoms decompose splits a under cfg
+// into, in decompose's order.
+//
+//physdes:zeroalloc
+func (buf *decomposeBuf) decompose(a *sqlparse.Analysis, cfg *physical.Configuration, in *atomInterner, memo *rowMemo) []uint32 {
+	atoms := decompose(a, cfg, in, memo, buf.ixs[:], buf.views[:], buf.sids[:], buf.atoms[:])
+	ids := scratch(buf.ids[:], len(atoms))
+	for _, atom := range atoms {
+		ids = put(ids, atom.id)
+	}
+	return ids
+}
+
 // costRow is the one decomposition and lookup routine behind Cost and
 // CostRow; callers hold mu. A nil memo looks every atom up in the store.
 //
 //physdes:zeroalloc
 func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configuration, out []float64, memo *rowMemo) {
-	var ixBuf [atomStackLen]*physical.Index
-	var viewBuf [atomStackLen]*physical.View
-	var idBuf [atomStackLen]uint32
-	var atomBuf [atomStackLen + 1]atomRef
+	var buf decomposeBuf
+	var numBuf [rowStackLen]uint32
 	hits := ac.hits
+	shape := ac.shape(a)
+	var row []uint16
+	var nums []uint32
+	if shape >= 0 {
+		row, nums = ac.number(shape, cfgs, numBuf[:])
+	}
 	for i, cfg := range cfgs {
+		var atoms []uint32
+		if shape < 0 {
+			atoms = buf.decompose(a, cfg, &ac.intern, memo)
+		} else if p := row[nums[i]]; p != 0 {
+			atoms = ac.plans.at(int32(p - 1))
+		} else {
+			atoms = buf.decompose(a, cfg, &ac.intern, memo)
+			row[nums[i]] = ac.planNum(atoms)
+		}
 		best := math.Inf(1)
-		for _, atom := range decompose(a, cfg, &ac.intern, memo, ixBuf[:], viewBuf[:], idBuf[:], atomBuf[:]) {
+		for _, id := range atoms {
 			var v float64
-			if e := memo.atom(atom.id); e == nil {
-				v = ac.memoCost(a, atom)
+			if e := memo.atom(id); e == nil {
+				v = ac.memoCost(a, id)
 			} else if e.used {
 				v = e.v
 				ac.hits++
 			} else {
-				v = ac.memoCost(a, atom)
-				e.id, e.used, e.v = atom.id, true, v
+				v = ac.memoCost(a, id)
+				e.id, e.used, e.v = id, true, v
 			}
 			if v < best {
 				best = v
@@ -565,6 +684,124 @@ func (ac *AtomicCache) costRow(a *sqlparse.Analysis, cfgs []*physical.Configurat
 		out[i] = best
 	}
 	ac.hitCounter.Add(ac.hits - hits)
+}
+
+// rowStackLen is how many configurations' plan-table numbers costRow
+// keeps on its stack; a longer row numbers them into heap scratch.
+const rowStackLen = 256
+
+// shape returns the plan table's number for a's shape, numbering it on
+// first sight, or -1 when a's atoms must be decomposed on every probe: a
+// has no shape binding, or a LIKE predicate, whose pattern findSargable
+// reads (a prefix pattern is sargable, a contains pattern is not).
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) shape(a *sqlparse.Analysis) int32 {
+	b := shapeBinding(a)
+	if b == nil {
+		return -1
+	}
+	if s, ok := ac.shapes[b]; ok {
+		return s
+	}
+	s := int32(-1)
+	if ac.shapes == nil {
+		ac.shapes = make(map[*binding]int32, planHint) //physdes:allocok plan table: each shape is numbered once per store
+		ac.rows = make([][]uint16, 0, planHint)        //physdes:allocok plan table: a row per statement shape, added on the shape's first sight
+	}
+	if !hasLike(a) {
+		s = int32(len(ac.rows))
+		ac.rows = append(ac.rows, nil) //physdes:allocok plan table: a row per statement shape, added on the shape's first sight
+	}
+	ac.shapes[b] = s //physdes:allocok plan table: each shape is numbered once per store
+	return s
+}
+
+// hasLike reports whether a has a LIKE predicate.
+//
+//physdes:zeroalloc
+func hasLike(a *sqlparse.Analysis) bool {
+	for i := range a.Preds {
+		if a.Preds[i].Kind == sqlparse.PredLike {
+			return true
+		}
+	}
+	return false
+}
+
+// number returns shape's plan-table row and, in buf (heap scratch when
+// too small), the number of each of cfgs, numbering those the store has
+// not seen. The row is first widened to every configuration numbered so
+// far, so a shape met before all of a Select's configurations is widened
+// once more, not once per configuration.
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) number(shape int32, cfgs []*physical.Configuration, buf []uint32) ([]uint16, []uint32) {
+	nums := scratch(buf, len(cfgs))
+	for _, cfg := range cfgs {
+		nums = put(nums, ac.cfgNum(cfg, len(cfgs)))
+	}
+	row := ac.rows[shape]
+	if len(row) < len(ac.cfgNums) {
+		row = ac.widen(shape, len(ac.cfgNums))
+	}
+	return row, nums
+}
+
+// planNum returns the plan-table entry of the atom list atoms: 1 + its
+// number in plans, interning it on first sight, or 0 (decompose again)
+// once the entries' range is spent.
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) planNum(atoms []uint32) uint16 {
+	p, ok := ac.plans.find(atoms)
+	if !ok {
+		p = ac.plans.add(atoms) //physdes:allocok plan table: each distinct atom list is interned once per store
+	}
+	if p >= math.MaxUint16 {
+		return 0
+	}
+	return uint16(p) + 1
+}
+
+// cfgNum returns cfg's number in the plan table, numbering it on first
+// sight; hint sizes the numbering on its first use.
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) cfgNum(cfg *physical.Configuration, hint int) uint32 {
+	if c, ok := ac.cfgNums[cfg]; ok {
+		return c
+	}
+	if ac.cfgNums == nil {
+		ac.cfgNums = make(map[*physical.Configuration]uint32, hint) //physdes:allocok plan table: each configuration is numbered once per store
+	}
+	c := uint32(len(ac.cfgNums))
+	ac.cfgNums[cfg] = c //physdes:allocok plan table: each configuration is numbered once per store
+	return c
+}
+
+// planHint is the number of shapes and plans the plan table makes room
+// for on first use, and slabRows the number of rows of the current width
+// a slab chunk holds.
+const (
+	planHint = 64
+	slabRows = 16
+)
+
+// widen moves shape's row to n entries carved from the slab, keeping its
+// plans, and returns it. A chunk's unused tail is abandoned when a row
+// does not fit it, so no chunk is ever copied or grown.
+//
+//physdes:zeroalloc
+func (ac *AtomicCache) widen(shape int32, n int) []uint16 {
+	if n > len(ac.slab) {
+		ac.slab = make([]uint16, n*slabRows) //physdes:allocok plan table: one slab chunk per slabRows rows
+	}
+	row := ac.slab[:n:n]
+	ac.slab = ac.slab[n:]
+	copy(row, ac.rows[shape])
+	ac.rows[shape] = row
+	return row
 }
 
 // rowBits sizes each of a row memo's structure and atom tables at
@@ -736,19 +973,19 @@ func (m *rowMemo) atom(id uint32) *atomEntry {
 	return nil
 }
 
-// memoCost returns the memoized cost of a under atom, consulting the
+// memoCost returns the memoized cost of a under atom id, consulting the
 // inner optimizer on a miss; callers hold mu.
 //
 //physdes:zeroalloc
-func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, atom atomRef) float64 {
-	key := cacheKey{a: a, atom: atom.id}
+func (ac *AtomicCache) memoCost(a *sqlparse.Analysis, id uint32) float64 {
+	key := cacheKey{a: a, atom: id}
 	if v, ok := ac.table[key]; ok {
 		ac.hits++
 		return v
 	}
 	ac.misses++
 	ac.atomCounter.Inc()
-	v := ac.inner.Cost(a, atom.cfg)
+	v := ac.inner.Cost(a, ac.intern.atom(id))
 	ac.table[key] = v //physdes:allocok the memo grows once per distinct (statement, atom): the store's steady state is hits
 	return v
 }

@@ -145,6 +145,14 @@ func TestCostRowMatchesCost(t *testing.T) {
 // (built outside the timer), so every atom is interned and paid for; they
 // report ns per probe and allocations per interned atom (distinct
 // non-empty atom structure sets), which CI bounds from above.
+//
+// The shapes sub-benchmarks cost rows of statements the store has not
+// seen, over a store that has costed one statement of every shape under
+// every configuration: the plan table knows each (shape, configuration)
+// pair, but each statement pays for its own atoms, as a Select's rows do.
+// A store is rebuilt, outside the timer, when the workload's statements
+// run out. They report ns per probe; the memo map's growth is their only
+// allocation.
 func BenchmarkCostRow(b *testing.B) {
 	const stmts = 64
 	for _, sp := range rowSpaces(b) {
@@ -197,6 +205,29 @@ func BenchmarkCostRow(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(probes*float64(b.N)), "ns/probe")
 			b.ReportMetric(float64(mallocs)/float64(len(atoms)*b.N), "allocs/atom")
 		})
+		b.Run(sp.name+"/shapes", func(b *testing.B) {
+			seen, fresh := splitByShape(sp.w)
+			var st *optimizer.AtomicCache
+			next := len(fresh)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next+stmts > len(fresh) {
+					b.StopTimer()
+					st = optimizer.NewAtomicCache(optimizer.New(sp.cat))
+					for _, a := range seen {
+						st.CostRow(a, sp.configs, out)
+					}
+					next = 0
+					b.StartTimer()
+				}
+				for _, a := range fresh[next : next+stmts] {
+					st.CostRow(a, sp.configs, out)
+				}
+				next += stmts
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(probes*float64(b.N)), "ns/probe")
+		})
 		b.Run(sp.name+"/pairs", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -209,4 +240,20 @@ func BenchmarkCostRow(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(probes*float64(b.N)), "ns/probe")
 		})
 	}
+}
+
+// splitByShape returns the first statement of each shape in w (statements
+// sharing their shape stamps, Analysis.Bound) and the others, in workload
+// order.
+func splitByShape(w *workload.Workload) (seen, fresh []*sqlparse.Analysis) {
+	shapes := map[any]bool{}
+	for _, q := range w.Queries {
+		if a := q.Analysis; shapes[a.Bound] {
+			fresh = append(fresh, a)
+		} else {
+			shapes[a.Bound] = true
+			seen = append(seen, a)
+		}
+	}
+	return seen, fresh
 }
